@@ -229,11 +229,6 @@ func DefaultAging() Aging { return sim.DefaultAging() }
 // against the same aged device).
 type Runner = sim.Runner
 
-// ParallelOptions tunes Runner.ReplayParallel: worker count and epoch
-// sizing. The parallel engine is bit-identical to the serial one — options
-// only change speed, never the Result.
-type ParallelOptions = sim.ParallelOptions
-
 // NewRunner builds a scheme of the given kind on a fresh device.
 func NewRunner(s Scheme, cfg Config) (*Runner, error) { return sim.NewRunner(s, cfg) }
 
@@ -343,8 +338,8 @@ type Fleet = fleet.Volume
 // chunk size in sectors (0 picks the 64 KiB default; concat ignores it).
 type FleetSpec = fleet.Spec
 
-// FleetOptions tunes a fleet replay (open-loop device parallelism). Like
-// ParallelOptions, it only changes speed, never the Result.
+// FleetOptions tunes a fleet replay (open-loop device parallelism). It only
+// changes speed, never the Result.
 type FleetOptions = fleet.Options
 
 // FleetResult is everything one fleet replay measures: logical-request

@@ -30,7 +30,7 @@ func main() {
 		full       = flag.Bool("full", false, "full 128 GiB Table 1 geometry")
 		noAge      = flag.Bool("no-age", false, "skip device aging")
 		qd         = flag.Int("qd", 0, "bound outstanding requests (0 = open loop)")
-		workers    = flag.Int("workers", 1, "replay worker goroutines (>1 = parallel engine; results and every -trace-out/-metrics-out/-timeline artifact are bit-identical to -workers=1)")
+		workers    = flag.Int("workers", 1, "fleet device parallelism (with -fleet; results are bit-identical for any value)")
 		cachePages = flag.Int("cachepages", 0, "host DRAM data cache in pages (0 = none)")
 
 		scenarioName = flag.String("scenario", "", "scenario workload: builtin name (stationary | burst | daynight | mixed) or \"trace\" to wrap -trace as a cohort")
@@ -103,6 +103,9 @@ func main() {
 			traceOut: *traceOut, metricsOut: *metricsOut, timeline: *timeline,
 		})
 		return
+	}
+	if *workers > 1 {
+		fatal(fmt.Errorf("-workers %d needs -fleet: a single-device replay is serial", *workers))
 	}
 
 	// A snapshot fixes the device: scheme kind, geometry and host cache all
@@ -215,12 +218,7 @@ func main() {
 		r.SetSampler(smp)
 	}
 
-	var res *across.Result
-	if *workers > 1 {
-		res, err = r.ReplayParallel(reqs, *qd, across.ParallelOptions{Workers: *workers})
-	} else {
-		res, err = r.ReplayQD(reqs, *qd)
-	}
+	res, err := r.ReplayQD(reqs, *qd)
 	if err != nil {
 		fatal(err)
 	}

@@ -201,9 +201,6 @@ func main() {
 	clients := flag.Int("clients", 100, "concurrent closed-loop clients (with -loadgen)")
 	jobsN := flag.Int("jobs", 200, "total distinct jobs to push (with -loadgen)")
 	loadScale := flag.Float64("loadgen-scale", 0.001, "per-job workload scale (with -loadgen)")
-	multicore := flag.Bool("multicore", false, "multi-core scaling mode: parallel engine + runner-pool sweep across GOMAXPROCS settings")
-	workersList := flag.String("workers-list", "1,2,4,8", "comma-separated worker counts to sweep (with -multicore)")
-	sweepJobs := flag.Int("sweep-jobs", 0, "independent replay jobs per sweep measurement (with -multicore; 0 = 2x max workers)")
 	forksweep := flag.Bool("forksweep", false, "fork-from-snapshot amortisation mode: age once + snapshot, fork every sweep variant from the checkpoint, versus fresh aging per variant")
 	forksweepScheme := flag.String("forksweep-scheme", "Across-FTL", "scheme to sweep (with -forksweep)")
 	forksweepQDs := flag.String("forksweep-qds", "0,2,4,8", "comma-separated queue-depth variants (with -forksweep)")
@@ -211,19 +208,13 @@ func main() {
 	fleetsweep := flag.Bool("fleetsweep", false, "fleet saturation mode: sweep every scheme over layout x chunk cells of an N-device volume with a closed-loop QD ladder, reporting the saturation knee per cell")
 	fleetDevices := flag.Int("fleet-devices", 4, "devices per fleet volume (with -fleetsweep)")
 	fleetScale := flag.Float64("fleet-scale", 0.002, "per-cell workload scale (with -fleetsweep)")
-	scenariosweep := flag.Bool("scenariosweep", false, "scenario matrix mode: replay every scheme against every builtin scenario plus the MSR trace on two page sizes, with a serial-vs-parallel determinism check per cell")
+	scenariosweep := flag.Bool("scenariosweep", false, "scenario matrix mode: replay every scheme against every builtin scenario plus the MSR trace on two page sizes")
 	scenarioScale := flag.Float64("scenario-scale", 0.002, "builtin-scenario scale (with -scenariosweep)")
 	scenarioTrace := flag.String("scenario-trace", "internal/trace/testdata/msr_sample.csv", "real-trace file for the msr-trace cells (with -scenariosweep)")
 	flag.Parse()
 
 	if *loadgen {
 		if err := runLoadgen(*addr, *clients, *jobsN, *loadScale, *out); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *multicore {
-		if err := runMulticore(*workersList, *sweepJobs, *out); err != nil {
 			fatal(err)
 		}
 		return

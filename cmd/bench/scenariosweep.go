@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"reflect"
 	"runtime"
 
 	"across/internal/report"
@@ -20,8 +19,6 @@ import (
 // sizes. Each cell is one open-loop arrival-paced replay of the scenario
 // stream on a pre-aged device forked from a per-(scheme, device) snapshot,
 // so cells differ only in the workload's temporal and tenant structure.
-// ResultsIdentical guards the scenario determinism contract: the parallel
-// engine must reproduce the serial Result byte for byte on every cell.
 type ScenarioSweepReport struct {
 	Benchmark   string  `json:"benchmark"`
 	GoVersion   string  `json:"go_version"`
@@ -31,8 +28,6 @@ type ScenarioSweepReport struct {
 	Trace       string  `json:"trace"`
 
 	Cells []ScenarioCell `json:"cells"`
-
-	ResultsIdentical bool `json:"results_identical"`
 }
 
 // ScenarioCell is one (scheme, scenario, device) measurement.
@@ -59,10 +54,6 @@ type ScenarioCell struct {
 	WAF    float64 `json:"waf"`
 	Erases int64   `json:"erases"`
 }
-
-// scenarioSweepWorkers is the parallel-engine lane count of the
-// determinism pair; more lanes than chips exercises the worker scheduler.
-const scenarioSweepWorkers = 4
 
 // scenarioSweepDevices returns the device matrix: the bench device at its
 // native 8 KB page and a 16 KB variant, the page-size axis the paper's
@@ -115,25 +106,16 @@ func hostPagesWritten(reqs []trace.Request, spp int) int64 {
 	return pages
 }
 
-// runScenarioCell measures one (scheme, scenario, device) cell: a serial
-// replay for the metrics plus a parallel replay for the determinism check,
-// each on a fresh fork of the aged snapshot.
-func runScenarioCell(kind sim.SchemeKind, blob []byte, conf ssdconf.Config, st *scenario.Stream) (*ScenarioCell, bool, error) {
-	rs, err := sim.Restore(blob)
+// runScenarioCell measures one (scheme, scenario, device) cell on a fresh
+// fork of the aged snapshot.
+func runScenarioCell(kind sim.SchemeKind, blob []byte, conf ssdconf.Config, st *scenario.Stream) (*ScenarioCell, error) {
+	r, err := sim.Restore(blob)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	serial, err := rs.Replay(st.Requests)
+	res, err := r.Replay(st.Requests)
 	if err != nil {
-		return nil, false, err
-	}
-	rp, err := sim.Restore(blob)
-	if err != nil {
-		return nil, false, err
-	}
-	parallel, err := rp.ReplayParallel(st.Requests, 0, sim.ParallelOptions{Workers: scenarioSweepWorkers})
-	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 
 	cell := &ScenarioCell{
@@ -142,33 +124,32 @@ func runScenarioCell(kind sim.SchemeKind, blob []byte, conf ssdconf.Config, st *
 		Device:     conf.String(),
 		PageKB:     conf.PageBytes / 1024,
 		Cohorts:    len(st.Cohorts),
-		Requests:   serial.Requests,
-		AvgReadMs:  serial.AvgReadLatency(),
-		AvgWriteMs: serial.AvgWriteLatency(),
-		ReadP99Ms:  serial.ReadLat.P99(),
-		WriteP99Ms: serial.WriteLat.P99(),
-		Erases:     serial.Counters.Erases,
+		Requests:   res.Requests,
+		AvgReadMs:  res.AvgReadLatency(),
+		AvgWriteMs: res.AvgWriteLatency(),
+		ReadP99Ms:  res.ReadLat.P99(),
+		WriteP99Ms: res.WriteLat.P99(),
+		Erases:     res.Counters.Erases,
 	}
-	if serial.MeasuredSpanMs > 0 {
-		cell.ThroughputRPS = float64(serial.Requests) / (serial.MeasuredSpanMs / 1000)
+	if res.MeasuredSpanMs > 0 {
+		cell.ThroughputRPS = float64(res.Requests) / (res.MeasuredSpanMs / 1000)
 	}
 	if host := hostPagesWritten(st.Requests, conf.SectorsPerPage()); host > 0 {
-		cell.WAF = float64(serial.Counters.DataWrites+serial.Counters.GCWrites) / float64(host)
+		cell.WAF = float64(res.Counters.DataWrites+res.Counters.GCWrites) / float64(host)
 	}
-	return cell, reflect.DeepEqual(serial, parallel), nil
+	return cell, nil
 }
 
 // runScenarioSweep executes -scenariosweep and writes the report.
 func runScenarioSweep(scale float64, tracePath, out string) error {
 	kinds := append(sim.Kinds(), sim.KindDFTL)
 	rep := ScenarioSweepReport{
-		Benchmark:        "ScenarioMatrixSweep",
-		GoVersion:        runtime.Version(),
-		GitRevision:      gitRevision(),
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		Scale:            scale,
-		Trace:            tracePath,
-		ResultsIdentical: true,
+		Benchmark:   "ScenarioMatrixSweep",
+		GoVersion:   runtime.Version(),
+		GitRevision: gitRevision(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		Scale:       scale,
+		Trace:       tracePath,
 	}
 
 	for _, conf := range scenarioSweepDevices() {
@@ -190,12 +171,11 @@ func runScenarioSweep(scale float64, tracePath, out string) error {
 				return err
 			}
 			for _, st := range streams {
-				cell, identical, err := runScenarioCell(kind, blob, conf, st)
+				cell, err := runScenarioCell(kind, blob, conf, st)
 				if err != nil {
 					return fmt.Errorf("%s/%s: %w", kind, st.Scenario, err)
 				}
 				rep.Cells = append(rep.Cells, *cell)
-				rep.ResultsIdentical = rep.ResultsIdentical && identical
 			}
 		}
 	}

@@ -84,6 +84,33 @@ func TestAcrosssimMSRScenarioSmoke(t *testing.T) {
 	}
 }
 
+// TestAcrosssimWorkersNeedFleet pins the one meaning of -workers, fleet
+// device parallelism: without -fleet, more than one worker is a usage error.
+func TestAcrosssimWorkersNeedFleet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns go run")
+	}
+	out, err := exec.Command("go", "run", "./cmd/acrosssim",
+		"-profile", "lun1", "-scale", "0.002", "-no-age", "-workers", "4").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "-workers 4 needs -fleet") {
+		t.Errorf("-workers 4 without -fleet: err=%v, output:\n%s", err, out)
+	}
+}
+
+// TestBenchmarkModuleBuilds vets the nested benchmark module, which
+// `go test ./...` from the root does not reach: an API removal that breaks
+// benchmark/ fails tier-1 here, not at the next benchmark run.
+func TestBenchmarkModuleBuilds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns go vet")
+	}
+	cmd := exec.Command("go", "vet", "./...")
+	cmd.Dir = "benchmark"
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet ./... in benchmark/: %v\n%s", err, out)
+	}
+}
+
 // TestTracegenRoundTrip generates a trace with tracegen and replays the file
 // through acrosssim: the CSV writer, format auto-detection, parser, and
 // replay engine all exercised as a user would.

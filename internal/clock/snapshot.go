@@ -7,9 +7,7 @@ import (
 )
 
 // SnapshotState appends the scheduler's mutable timing state: per-chip
-// busy-until and accumulated busy time, plus the operation count. The lane
-// capture (parallel engine) is replay-scoped scratch and is never installed
-// while a snapshot is taken, so it is not serialised.
+// busy-until and accumulated busy time, plus the operation count.
 func (s *Scheduler) SnapshotState(enc *snapshot.Encoder) error {
 	enc.Tag("clock")
 	enc.F64s(s.busyUntil)

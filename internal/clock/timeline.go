@@ -16,10 +16,6 @@ type Scheduler struct {
 	busyUntil []float64
 	busyTime  []float64 // accumulated service time per chip (utilisation)
 	ops       int64
-
-	// capture, when installed (see lanes.go), receives every scheduled
-	// operation and takes over busy-time accumulation for lane processing.
-	capture *Capture
 }
 
 // NewScheduler creates a scheduler for n chips.
@@ -51,11 +47,7 @@ func (s *Scheduler) Schedule(chip int, now, duration float64) float64 {
 	}
 	end := start + duration
 	s.busyUntil[chip] = end
-	if s.capture != nil {
-		s.capture.add(chip, start, duration, end)
-	} else {
-		s.busyTime[chip] += duration
-	}
+	s.busyTime[chip] += duration
 	s.ops++
 	return end
 }

@@ -31,8 +31,7 @@ func (s Spec) Validate(conf ssdconf.Config) error {
 	return err
 }
 
-// Options tunes a fleet replay. Like sim.ParallelOptions, it only changes
-// speed, never the Result.
+// Options tunes a fleet replay. It only changes speed, never the Result.
 type Options struct {
 	// Workers bounds how many devices replay concurrently in open-loop
 	// mode (<= 1 replays devices serially). Closed-loop replays (qd > 0)

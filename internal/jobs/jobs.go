@@ -9,8 +9,8 @@
 // The scheduler is parallelism-aware: jobs may be submitted with a Weight,
 // and at start each job receives a best-effort grant of CPU tokens
 // (readable inside the job via Parallelism(ctx)) to size its own internal
-// worker pool — e.g. a parallel replay. Grants never delay a start, so N
-// independent single-weight replays still spread across N cores.
+// worker pool — e.g. a fleet replay's devices. Grants never delay a start,
+// so N independent single-weight replays still spread across N cores.
 //
 // The scheduler knows nothing about the simulator: a job is an opaque
 // func(ctx) (any, error). Cancellation reaches a running job only through
@@ -285,7 +285,7 @@ type SubmitOpts struct {
 	// and minimum 1). When the job starts, the scheduler grants it between
 	// 1 and Weight tokens depending on how much of Options.CPUTokens is
 	// spare, and the job body reads the grant with Parallelism(ctx) — e.g.
-	// to size a parallel replay's worker pool. Weight never delays a start.
+	// to size a fleet replay's worker pool. Weight never delays a start.
 	Weight int
 }
 
@@ -524,7 +524,7 @@ type parallelismKey struct{}
 
 // Parallelism returns the CPU tokens granted to the job that owns ctx — the
 // concurrency a job body should use for its own internal parallelism (e.g.
-// sim.ParallelOptions.Workers). Outside a weighted job it returns 1, so it
+// fleet.Options.Workers). Outside a weighted job it returns 1, so it
 // is always safe to pass the result straight to a worker-pool size.
 func Parallelism(ctx context.Context) int {
 	if v, ok := ctx.Value(parallelismKey{}).(int); ok && v > 0 {

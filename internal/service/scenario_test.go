@@ -53,7 +53,6 @@ func TestScenarioKeyMatrix(t *testing.T) {
 		}
 	}
 	for name, mut := range map[string]func(*ReplaySpec){
-		"workers":  func(sp *ReplaySpec) { sp.Workers = 8 },
 		"priority": func(sp *ReplaySpec) { sp.Priority = 3 },
 		"timeout":  func(sp *ReplaySpec) { sp.TimeoutMs = 1000 },
 	} {
@@ -148,7 +147,7 @@ func TestScenarioSpecValidation(t *testing.T) {
 func TestScenarioJobEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, t.TempDir())
 	body := `{"type":"replay","scheme":"Across-FTL","scale":0.002,` +
-		`"scenario":{"name":"mixed"},"workers":2}`
+		`"scenario":{"name":"mixed"}}`
 	code, st := postJSON(t, ts.URL+"/api/v1/jobs", body)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d, want 202", code)

@@ -370,18 +370,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	// Dedup against a live (or completed-in-memory) record first.
-	if prev, ok := s.byKey[key]; ok {
-		state := jobs.StateSucceeded
-		if prev.job != nil {
-			state = prev.job.State()
-		}
-		if state != jobs.StateFailed && state != jobs.StateCancelled {
-			st := s.status(prev, true)
-			s.mu.Unlock()
-			s.counter("jobs_deduped", 1)
-			writeJSON(w, http.StatusOK, st)
-			return
-		}
+	if prev, ok := s.byKey[key]; ok && s.servable(prev) {
+		st := s.status(prev, true)
+		s.mu.Unlock()
+		s.counter("jobs_deduped", 1)
+		writeJSON(w, http.StatusOK, st)
+		return
 	}
 	// Then against the store: identical work already completed — possibly
 	// by a previous daemon process — is served without running.
@@ -419,6 +413,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.counter("jobs_submitted", 1)
 	go s.watch(rec)
 	writeJSON(w, http.StatusAccepted, st)
+}
+
+// servable reports whether an earlier record can still answer for its key:
+// a job that has not failed or been cancelled, or a cache-served record
+// whose entry is still in the store (store.Get quarantines an undecodable
+// one, after which the work must run again).
+func (s *Server) servable(rec *jobRecord) bool {
+	if rec.job == nil {
+		return s.store.Has(rec.key)
+	}
+	st := rec.job.State()
+	return st != jobs.StateFailed && st != jobs.StateCancelled
 }
 
 // strictUnmarshal rejects unknown fields so spec typos fail loudly instead

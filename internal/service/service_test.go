@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -336,6 +338,46 @@ func TestRestartServesFromStore(t *testing.T) {
 	}
 }
 
+// TestCorruptStoreEntryIsRerun truncates a stored result behind a restarted
+// server. Submit still dedups on the entry's existence, but the fetch finds
+// it undecodable, quarantines it and answers 404 — and the next submission
+// of the spec runs the job again instead of pointing at the dead entry.
+func TestCorruptStoreEntryIsRerun(t *testing.T) {
+	dir := t.TempDir()
+	spec := fmt.Sprintf(tinyReplay, 4)
+	var key string
+	{
+		_, ts := newTestServer(t, dir)
+		_, st := postJSON(t, ts.URL+"/api/v1/jobs", spec)
+		if final := pollState(t, ts.URL, st.ID, 30*time.Second); jobs.State(final.State) != jobs.StateSucceeded {
+			t.Fatalf("first run finished %s", final.State)
+		}
+		key = st.Key
+	}
+	if err := os.Truncate(filepath.Join(dir, key[:2], key+".json"), 100); err != nil {
+		t.Fatal(err)
+	}
+	_, ts2 := newTestServer(t, dir)
+	code, st := postJSON(t, ts2.URL+"/api/v1/jobs", spec)
+	if code != http.StatusOK || !st.Cached {
+		t.Fatalf("submit over corrupt entry: code=%d status=%+v, want 200 cached", code, st)
+	}
+	if code, _ := fetchResult(t, ts2.URL, st.ID); code != http.StatusNotFound {
+		t.Fatalf("fetch of corrupt entry = %d, want 404", code)
+	}
+	code, st = postJSON(t, ts2.URL+"/api/v1/jobs", spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("resubmit after quarantine = %d (status %+v), want 202: the job must run again", code, st)
+	}
+	if final := pollState(t, ts2.URL, st.ID, 30*time.Second); jobs.State(final.State) != jobs.StateSucceeded {
+		t.Fatalf("rerun finished %s (error %q)", final.State, final.Error)
+	}
+	code, doc := fetchResult(t, ts2.URL, st.ID)
+	if code != http.StatusOK || len(doc["result"]) == 0 {
+		t.Fatalf("rerun result = %d %v, want 200 with a result", code, doc)
+	}
+}
+
 // TestExperimentJob submits a (cheap) experiment artifact job and checks
 // the rendered output comes back.
 func TestExperimentJob(t *testing.T) {
@@ -560,38 +602,37 @@ func TestDrainFinishesOutstanding(t *testing.T) {
 	}
 }
 
-// TestParallelWorkersReplay submits the same simulated work twice — once on
-// the serial engine, once with workers=4 — into separate stores, and
-// requires byte-identical result documents: the workers knob is a
-// scheduling choice, not a semantic one. It also confirms the two specs
-// share a content key (a cached serial result can serve a parallel request
-// and vice versa).
-func TestParallelWorkersReplay(t *testing.T) {
-	run := func(spec string) (string, json.RawMessage) {
-		t.Helper()
-		_, ts := newTestServer(t, t.TempDir())
-		defer ts.Close()
-		code, st := postJSON(t, ts.URL+"/api/v1/jobs", spec)
-		if code != http.StatusAccepted {
-			t.Fatalf("submit = %d, want 202", code)
-		}
-		final := pollState(t, ts.URL, st.ID, 30*time.Second)
-		if jobs.State(final.State) != jobs.StateSucceeded {
-			t.Fatalf("job finished %s (error %q)", final.State, final.Error)
-		}
-		code, doc := fetchResult(t, ts.URL, st.ID)
-		if code != http.StatusOK {
-			t.Fatalf("result = %d, want 200", code)
-		}
-		return st.Key, doc["result"]
+// TestWorkersKnobIsFleetOnly pins the one meaning of the workers field,
+// fleet device parallelism: a single-device spec asking for more than one
+// worker is rejected by name (it would hold CPU tokens a serial replay
+// cannot use), while a fleet spec is accepted, granted its weight, and
+// shares its content key with the workers-omitted spelling.
+func TestWorkersKnobIsFleetOnly(t *testing.T) {
+	s, ts := newTestServer(t, t.TempDir())
+	code, st := postJSON(t, ts.URL+"/api/v1/jobs",
+		`{"type":"replay","scheme":"MRSM","profile":"lun2","scale":0.002,"workers":4}`)
+	if code != http.StatusBadRequest || !strings.Contains(st.Error, "workers") {
+		t.Fatalf("single-device workers=4: code %d, error %q; want 400 naming workers", code, st.Error)
 	}
-	serialKey, serial := run(`{"type":"replay","scheme":"MRSM","profile":"lun2","scale":0.002,"seed":9}`)
-	parKey, par := run(`{"type":"replay","scheme":"MRSM","profile":"lun2","scale":0.002,"seed":9,"workers":4}`)
-	if serialKey != parKey {
-		t.Fatalf("workers changed the content key: %s vs %s", serialKey, parKey)
+
+	const fleetSpec = `{"type":"replay","scheme":"MRSM","profile":"lun2","scale":0.002,` +
+		`"fleet":{"devices":2,"layout":"raid0"}%s}`
+	code, st = postJSON(t, ts.URL+"/api/v1/jobs", fmt.Sprintf(fleetSpec, `,"workers":4`))
+	if code != http.StatusAccepted {
+		t.Fatalf("fleet workers=4: submit = %d (error %q), want 202", code, st.Error)
 	}
-	if string(serial) != string(par) {
-		t.Fatalf("parallel result diverged from serial:\n serial: %s\n parallel: %s", serial, par)
+	if final := pollState(t, ts.URL, st.ID, 30*time.Second); jobs.State(final.State) != jobs.StateSucceeded {
+		t.Fatalf("fleet job finished %s (error %q)", final.State, final.Error)
+	}
+	s.mu.Lock()
+	granted := s.records[st.ID].job.Granted()
+	s.mu.Unlock()
+	if granted != 4 {
+		t.Errorf("fleet workers=4 was granted %d CPU tokens on an idle 4-token scheduler, want 4", granted)
+	}
+	code, st0 := postJSON(t, ts.URL+"/api/v1/jobs", fmt.Sprintf(fleetSpec, ""))
+	if code != http.StatusOK || st0.Key != st.Key {
+		t.Errorf("workers-omitted resubmit: code %d key %s, want 200 with key %s", code, st0.Key, st.Key)
 	}
 }
 
@@ -607,53 +648,12 @@ func fetchBytes(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
-// TestParallelReplayProgressAndArtifact is the service half of the
-// deterministic-telemetry guarantee: a parallel replay job streams progress
-// samples and stores a metrics artifact — byte-identical to the artifact a
-// serial run of the same work stores.
-func TestParallelReplayProgressAndArtifact(t *testing.T) {
-	run := func(spec string) (progress, artifact []byte) {
-		t.Helper()
-		_, ts := newTestServer(t, t.TempDir())
-		defer ts.Close()
-		code, st := postJSON(t, ts.URL+"/api/v1/jobs", spec)
-		if code != http.StatusAccepted {
-			t.Fatalf("submit = %d, want 202", code)
-		}
-		final := pollState(t, ts.URL, st.ID, 30*time.Second)
-		if jobs.State(final.State) != jobs.StateSucceeded {
-			t.Fatalf("job finished %s (error %q)", final.State, final.Error)
-		}
-		// The progress stream replays the full retained history after the
-		// job finished, then ends.
-		_, progress = fetchBytes(t, ts.URL+"/api/v1/jobs/"+st.ID+"/progress")
-		code, artifact = fetchBytes(t, ts.URL+"/api/v1/jobs/"+st.ID+"/artifacts/metrics")
-		if code != http.StatusOK {
-			t.Fatalf("artifact = %d, want 200", code)
-		}
-		return progress, artifact
-	}
-	spec := `{"type":"replay","scheme":"Across-FTL","profile":"lun3","scale":0.05,"seed":11}`
-	parSpec := `{"type":"replay","scheme":"Across-FTL","profile":"lun3","scale":0.05,"seed":11,"workers":4}`
-	serialProg, serialArt := run(spec)
-	parProg, parArt := run(parSpec)
-	if len(bytes.TrimSpace(parProg)) == 0 {
-		t.Fatal("parallel job streamed no progress samples")
-	}
-	if !bytes.Equal(serialProg, parProg) {
-		t.Errorf("parallel progress stream diverged from serial (%d vs %d bytes)", len(serialProg), len(parProg))
-	}
-	if !bytes.Equal(serialArt, parArt) {
-		t.Errorf("parallel metrics artifact diverged from serial (%d vs %d bytes)", len(serialArt), len(parArt))
-	}
-}
-
-// TestJobSpansAndTrace checks the per-job span log: a finished parallel
-// replay reports its phases in the job status and renders them as a Chrome
+// TestJobSpansAndTrace checks the per-job span log: a finished replay
+// reports its phases in the job status and renders them as a Chrome
 // trace_event document, while jobs without a span log (experiments) say so.
 func TestJobSpansAndTrace(t *testing.T) {
 	_, ts := newTestServer(t, t.TempDir())
-	spec := `{"type":"replay","scheme":"FTL","profile":"lun1","scale":0.002,"seed":12,"age":true,"workers":2}`
+	spec := `{"type":"replay","scheme":"FTL","profile":"lun1","scale":0.002,"seed":12,"age":true}`
 	code, st := postJSON(t, ts.URL+"/api/v1/jobs", spec)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d, want 202", code)
@@ -674,8 +674,8 @@ func TestJobSpansAndTrace(t *testing.T) {
 			t.Errorf("span %q missing; have %+v", name, final.Spans)
 		}
 	}
-	if rp := got["replay"]; rp.Attrs["engine"] != "parallel" || rp.Attrs["workers"] != "2" || rp.Attrs["epoch_span_ms"] == "" {
-		t.Errorf("replay span attrs = %+v, want parallel engine with workers=2 and epoch sizing", rp.Attrs)
+	if rp := got["replay"]; rp.Attrs["engine"] != "serial" || rp.Attrs["workers"] != "1" {
+		t.Errorf("replay span attrs = %+v, want engine=serial workers=1", rp.Attrs)
 	}
 
 	code, body := fetchBytes(t, ts.URL+"/api/v1/jobs/"+st.ID+"/trace")

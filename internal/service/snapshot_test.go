@@ -14,7 +14,7 @@ import (
 
 // agedReplay is a tiny aged FTL replay; %d slots the queue depth so two
 // submissions get distinct content keys while sharing one aging key.
-const agedReplay = `{"type":"replay","scheme":"FTL","profile":"lun1","scale":0.001,"age":true,"qd":%d,"workers":%d,"priority":%d}`
+const agedReplay = `{"type":"replay","scheme":"FTL","profile":"lun1","scale":0.001,"age":true,"qd":%d,"priority":%d}`
 
 func agingKeyOf(t *testing.T, sp ReplaySpec) string {
 	t.Helper()
@@ -35,7 +35,8 @@ func TestAgingKeyExcludesWorkloadAndSchedulingKnobs(t *testing.T) {
 	want := agingKeyOf(t, base)
 
 	same := map[string]ReplaySpec{
-		"workers":  {Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true, Workers: 7},
+		"workers": {Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true, Workers: 7,
+			Fleet: &FleetSpec{Devices: 2, Layout: "raid0"}},
 		"priority": {Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true, Priority: 9},
 		"timeout":  {Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true, TimeoutMs: 5000},
 		"qd":       {Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true, QD: 16},
@@ -98,18 +99,18 @@ func counterValue(s *Server, name string) float64 {
 }
 
 // Two aged jobs that differ only in measurement and scheduling knobs (qd,
-// workers, priority — distinct content keys, identical aging key) must share
+// priority — distinct content keys, identical aging key) must share
 // one aging run: the first ages and checkpoints, the second forks from the
 // stored snapshot and records a "restore" span instead of "age".
 func TestJobsForkFromSharedAgingCheckpoint(t *testing.T) {
 	srv, ts := newTestServer(t, t.TempDir())
 
-	first := submitAndWait(t, ts.URL, fmt.Sprintf(agedReplay, 0, 1, 0))
+	first := submitAndWait(t, ts.URL, fmt.Sprintf(agedReplay, 0, 0))
 	if !hasSpan(first, "age") || hasSpan(first, "restore") {
 		t.Fatalf("first job spans = %v, want an age span and no restore", spanNames(first))
 	}
 
-	second := submitAndWait(t, ts.URL, fmt.Sprintf(agedReplay, 8, 3, 5))
+	second := submitAndWait(t, ts.URL, fmt.Sprintf(agedReplay, 8, 5))
 	if second.Key == first.Key {
 		t.Fatal("jobs deduplicated — the test needs two real runs")
 	}
@@ -178,7 +179,7 @@ func TestConcurrentJobsAgeOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body := fmt.Sprintf(agedReplay, i+1, 1, 0) // distinct qd → distinct content keys
+			body := fmt.Sprintf(agedReplay, i+1, 0) // distinct qd → distinct content keys
 			code, st := postJSON(t, ts.URL+"/api/v1/jobs", body)
 			if code != http.StatusAccepted {
 				t.Errorf("submit %d = %d, want 202", i, code)

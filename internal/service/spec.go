@@ -64,11 +64,11 @@ type ReplaySpec struct {
 
 	Priority  int   `json:"priority,omitempty"`
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	// Workers sizes the replay's internal worker pool: 0 lets the
-	// scheduler's CPU-token grant decide, 1 forces the serial engine, >1
-	// requests the parallel engine. A scheduling knob only — the parallel
-	// engine is bit-identical to the serial one — so it is excluded from
-	// the content key, and cached results serve any Workers value.
+	// Workers is a fleet job's device parallelism: 0 lets the scheduler's
+	// CPU-token grant decide, >1 asks for that many tokens. Only fleet
+	// specs accept >1 — a single-device replay is serial. A scheduling
+	// knob only (fleet results are bit-identical for any value), so it is
+	// excluded from the content key.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -202,6 +202,9 @@ func (sp *ReplaySpec) validate() error {
 	}
 	if sp.Workers < 0 {
 		return fmt.Errorf("workers %d negative", sp.Workers)
+	}
+	if sp.Workers > 1 && sp.Fleet == nil {
+		return fmt.Errorf("workers %d needs a fleet spec: a single-device replay is serial", sp.Workers)
 	}
 	conf := sp.config()
 	if err := conf.Validate(); err != nil {
@@ -560,12 +563,8 @@ type Entry struct {
 // entry. Store failures are marked Transient so the scheduler's
 // retry-with-backoff gets a chance to ride out disk hiccups.
 //
-// The engine is chosen by the spec's Workers knob, defaulting to the
-// scheduler's CPU-token grant: more than one worker selects the parallel
-// engine. Both engines host the progress sampler — the parallel engine
-// drives it from its merge stage with the serial call sequence — so every
-// replay job streams progress and stores its sampled series, bit-identical
-// for any worker count. Each phase is recorded in the job's span log.
+// Every replay job streams progress and stores its sampled series. Each
+// phase is recorded in the job's span log.
 func (s *Server) runReplay(ctx context.Context, key string, sp ReplaySpec, hub *progressHub, spl *spanLog) (*Entry, error) {
 	if sp.Fleet != nil {
 		return s.runFleetReplay(ctx, key, sp, spl)
@@ -611,10 +610,6 @@ func (s *Server) runReplay(ctx context.Context, key string, sp ReplaySpec, hub *
 		}
 		unlock()
 	}
-	workers := sp.Workers
-	if workers == 0 {
-		workers = jobs.Parallelism(ctx)
-	}
 	smp, err := obs.NewSampler(s.cfg.SampleIntervalMs)
 	if err != nil {
 		return nil, err
@@ -622,24 +617,11 @@ func (s *Server) runReplay(ctx context.Context, key string, sp ReplaySpec, hub *
 	smp.SetSink(hub)
 	r.SetSampler(smp)
 	spl.next("replay", agingAttrs...)
-	var res *sim.Result
-	replayAttrs := []string{"engine", "serial", "workers", "1"}
-	if workers > 1 {
-		opt := sim.ParallelOptions{Workers: workers}
-		res, err = r.ReplayParallelCtx(ctx, reqs, sp.QD, opt)
-		replayAttrs = []string{
-			"engine", "parallel",
-			"workers", fmt.Sprint(workers),
-			"epoch_span_ms", fmt.Sprint(sim.DefaultEpochSpanMs),
-			"epoch_max_requests", fmt.Sprint(sim.DefaultEpochMaxRequests),
-		}
-	} else {
-		res, err = r.ReplayQDCtx(ctx, reqs, sp.QD)
-	}
+	res, err := r.ReplayQDCtx(ctx, reqs, sp.QD)
 	if err != nil {
 		return nil, err
 	}
-	spl.next("store", replayAttrs...)
+	spl.next("store", "engine", "serial", "workers", "1")
 	entry, err := buildEntry(key, "replay", sp, replayResultDoc(res), smp.Samples())
 	if err != nil {
 		return nil, err

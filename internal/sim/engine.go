@@ -84,9 +84,7 @@ func (r *Runner) ReplayCtx(ctx context.Context, reqs []trace.Request) (*Result, 
 }
 
 // reqRecord is everything the metric fold needs to know about one serviced
-// request. The serial engine folds records inline; the parallel engine's
-// merge stage folds the same records in the same (request-index) order, so
-// the two paths produce bit-identical Results by construction.
+// request.
 type reqRecord struct {
 	op      trace.Op
 	class   trace.Class
@@ -96,9 +94,7 @@ type reqRecord struct {
 	reads   int64
 }
 
-// foldRecord applies one request's observations to the Result. It is the
-// single fold used by both engines — any metric added here is automatically
-// parallel-safe, because the merge stage replays the identical call sequence.
+// foldRecord applies one request's observations to the Result.
 func (res *Result) foldRecord(buckets *[2][3]*OpClassMetrics, rec reqRecord) {
 	res.Requests++
 	if rec.op == trace.OpWrite {
@@ -120,7 +116,7 @@ func (res *Result) foldRecord(buckets *[2][3]*OpClassMetrics, rec reqRecord) {
 
 // beginReplay resets measurement state and prepares the Result with every
 // (direction, class) bucket preallocated, so the replay loop never hashes a
-// map key or allocates a metrics struct. Shared by both engines.
+// map key or allocates a metrics struct.
 func (r *Runner) beginReplay() (*Result, *[2][3]*OpClassMetrics) {
 	dev := r.Scheme.Device()
 	dev.ResetMeasurement()
@@ -142,22 +138,16 @@ func (r *Runner) beginReplay() (*Result, *[2][3]*OpClassMetrics) {
 }
 
 // finishReplay collects the end-of-run Result fields that are functions of
-// final device and scheme state. chipBusy supplies the per-chip service
-// times; nil reads them from the scheduler (the serial path — the parallel
-// engine passes its lane-folded totals, which are bit-identical).
-func (r *Runner) finishReplay(res *Result, reqs []trace.Request, chipBusy []float64) {
+// final device and scheme state.
+func (r *Runner) finishReplay(res *Result, reqs []trace.Request) {
 	dev := r.Scheme.Device()
 	res.Counters = dev.Count
 	res.TableBytes = r.Scheme.TableBytes()
 	mean, sd, lo, hi := dev.Array.WearStats()
 	res.Wear = WearSummary{Mean: mean, StdDev: sd, Min: lo, Max: hi}
-	if chipBusy != nil {
-		res.ChipBusyMs = chipBusy
-	} else {
-		res.ChipBusyMs = make([]float64, dev.Sched.Chips())
-		for i := range res.ChipBusyMs {
-			res.ChipBusyMs[i] = dev.Sched.BusyTime(i)
-		}
+	res.ChipBusyMs = make([]float64, dev.Sched.Chips())
+	for i := range res.ChipBusyMs {
+		res.ChipBusyMs[i] = dev.Sched.BusyTime(i)
 	}
 	if n := len(reqs); n > 0 {
 		res.TraceSpanMs = reqs[n-1].Time - reqs[0].Time
@@ -334,7 +324,7 @@ func (r *Runner) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int) 
 		}
 	}
 
-	r.finishReplay(res, reqs, nil)
+	r.finishReplay(res, reqs)
 	if smp != nil {
 		// The run ends when the last completion lands: bus transfers can
 		// finish after the chip-busy horizon, and arrivals can trail the

@@ -27,8 +27,7 @@ func loadMSRFixture(t *testing.T) []trace.Request {
 }
 
 // TestMSRTraceReplaySmoke wires the MSR Cambridge path end to end: parse the
-// fixture, replay it through the serial and the parallel engine on every
-// scheme, and assert the engines agree and the metrics are coherent.
+// fixture, replay it on every scheme, and assert the metrics are coherent.
 func TestMSRTraceReplaySmoke(t *testing.T) {
 	reqs := loadMSRFixture(t)
 	conf := smallConf()
@@ -42,9 +41,7 @@ func TestMSRTraceReplaySmoke(t *testing.T) {
 		t.Error("fixture exercises no across-page requests")
 	}
 	for _, kind := range append(Kinds(), KindDFTL) {
-		serial := replaySerial(t, kind, reqs, 0, false)
-		par := replayParallel(t, kind, reqs, 0, 4, false, ParallelOptions{EpochSpanMs: 2, EpochMaxRequests: 16})
-		assertIdentical(t, serial, par, string(kind)+"/msr")
+		serial := replaySerial(t, kind, reqs, 0)
 		if serial.Requests != int64(len(reqs)) {
 			t.Errorf("%s: replayed %d of %d MSR requests", kind, serial.Requests, len(reqs))
 		}

@@ -24,99 +24,43 @@ func (r *Runner) SetTracer(t obs.Tracer) {
 // SetSampler installs a metrics sampler driven by subsequent replays (nil
 // disables). The engine advances it on every request arrival and closes the
 // series at the device idle horizon, so the last sample's cumulative fields
-// equal the end-of-run Result aggregates. Both engines host it: the serial
-// engine drives it inline, the parallel engine from its merge stage with
-// the identical call sequence (see parallel.go), so the sample series is
-// byte-identical for any worker count.
+// equal the end-of-run Result aggregates.
 func (r *Runner) SetSampler(s *obs.Sampler) { r.sampler = s }
 
 // Sampler returns the installed sampler (nil if none).
 func (r *Runner) Sampler() *obs.Sampler { return r.sampler }
 
-// obsSnap freezes the device- and scheme-side scalars a metric sample
-// reads. The serial engine takes and applies one inline at each emission;
-// the parallel engine's FTL pass takes one at each predicted sample
-// boundary (before dispatching the request, exactly where the serial
-// engine's Tick runs) and the merge stage applies it later — the scalars
-// are integers, so copying them preserves bit-identity.
-type obsSnap struct {
-	flashReads, flashWrites int64
-	erases, gcInvocations   int64
-	gcDebt                  int64
-	cmtHits, cmtLookups     int64
-}
-
-// obsSources hoists the optional-capability assertions the snapshot needs,
-// so per-snapshot cost is two calls, not two type switches.
-func (r *Runner) obsSources() (alloc *ftl.Allocator, cmt func() cache.CMTStats) {
-	if al, ok := r.Scheme.(interface{ Allocator() *ftl.Allocator }); ok {
-		alloc = al.Allocator()
-	}
-	if cs, ok := r.Scheme.(interface{ CMTStats() cache.CMTStats }); ok {
-		cmt = cs.CMTStats
-	}
-	return alloc, cmt
-}
-
-// takeObsSnap reads the live device and scheme state. It must run on the
-// goroutine that owns the simulation (the replay loop / FTL pass).
-func (r *Runner) takeObsSnap(alloc *ftl.Allocator, cmt func() cache.CMTStats) obsSnap {
-	dev := r.Scheme.Device()
-	snap := obsSnap{
-		flashReads:    dev.Count.FlashReads(),
-		flashWrites:   dev.Count.FlashWrites(),
-		erases:        dev.Count.Erases,
-		gcInvocations: dev.Count.GCInvocations,
-	}
-	if alloc != nil {
-		snap.gcDebt = alloc.GCDebtPages()
-	}
-	if cmt != nil {
-		st := cmt()
-		snap.cmtHits, snap.cmtLookups = st.Hits, st.Lookups
-	}
-	return snap
-}
-
-// applyObsSnap populates a sample's gauge and cumulative fields from a
-// snapshot plus the fold-side state (Result aggregates, queue depth, host
-// pages). chipBusy supplies per-chip busy times; nil reads them from the
-// scheduler (the serial path — the parallel merge passes its lane-folded
-// prefix sums, which are bit-identical by the lane-order argument).
-func (r *Runner) applyObsSnap(sm *obs.Sample, res *Result, snap obsSnap, queueDepth int, hostPagesWritten int64, chipBusy []float64) {
+// fillSample populates a sample's gauge and cumulative fields from live
+// replay state. It runs only when a sampler is installed, so its
+// allocations (the per-sample busy slice) never touch the untraced path.
+func (r *Runner) fillSample(sm *obs.Sample, res *Result, queueDepth int, hostPagesWritten int64) {
 	dev := r.Scheme.Device()
 	sm.QueueDepth = queueDepth
 	sm.ChipBusyMs = make([]float64, dev.Sched.Chips())
-	if chipBusy != nil {
-		copy(sm.ChipBusyMs, chipBusy)
-	} else {
-		for i := range sm.ChipBusyMs {
-			sm.ChipBusyMs[i] = dev.Sched.BusyTime(i)
-		}
+	for i := range sm.ChipBusyMs {
+		sm.ChipBusyMs[i] = dev.Sched.BusyTime(i)
 	}
 	sm.CumRequests = res.Requests
 	sm.CumReads = res.ReadCount
 	sm.CumWrites = res.WriteCount
 	sm.CumReadLatSumMs = res.ReadLatencySum
 	sm.CumWriteLatSumMs = res.WriteLatencySum
-	sm.CumFlashReads = snap.flashReads
-	sm.CumFlashWrites = snap.flashWrites
-	sm.CumErases = snap.erases
-	sm.CumGCInvocations = snap.gcInvocations
+	sm.CumFlashReads = dev.Count.FlashReads()
+	sm.CumFlashWrites = dev.Count.FlashWrites()
+	sm.CumErases = dev.Count.Erases
+	sm.CumGCInvocations = dev.Count.GCInvocations
 	sm.CumHostPagesWritten = hostPagesWritten
 	if hostPagesWritten > 0 {
-		sm.WAF = float64(snap.flashWrites) / float64(hostPagesWritten)
+		sm.WAF = float64(sm.CumFlashWrites) / float64(hostPagesWritten)
 	}
-	sm.GCDebtPages = snap.gcDebt
-	if snap.cmtLookups > 0 {
-		sm.CMTHitRate = float64(snap.cmtHits) / float64(snap.cmtLookups)
+	if al, ok := r.Scheme.(interface{ Allocator() *ftl.Allocator }); ok {
+		if a := al.Allocator(); a != nil {
+			sm.GCDebtPages = a.GCDebtPages()
+		}
 	}
-}
-
-// fillSample populates a sample from live replay state — the serial
-// engine's fill callback. It runs only when a sampler is installed, so its
-// allocations (the per-sample busy slice) never touch the untraced path.
-func (r *Runner) fillSample(sm *obs.Sample, res *Result, queueDepth int, hostPagesWritten int64) {
-	alloc, cmt := r.obsSources()
-	r.applyObsSnap(sm, res, r.takeObsSnap(alloc, cmt), queueDepth, hostPagesWritten, nil)
+	if cs, ok := r.Scheme.(interface{ CMTStats() cache.CMTStats }); ok {
+		if st := cs.CMTStats(); st.Lookups > 0 {
+			sm.CMTHitRate = float64(st.Hits) / float64(st.Lookups)
+		}
+	}
 }

@@ -32,11 +32,9 @@ func scenarioStream(t *testing.T, name string, scale float64) []trace.Request {
 }
 
 // TestScenarioReplayDeterminismMatrix is the scenario acceptance gate: for
-// every builtin scenario (plus the MSR trace wrapped as a scenario), replay
-// through the serial engine and the parallel engine at several worker
-// counts must produce byte-identical Results — and the whole pipeline
-// (generation included) must be reproducible across runs, proven by
-// comparing the JSON of two independent generate+replay passes.
+// every builtin scenario (plus the MSR trace wrapped as a scenario), two
+// independent replays of the same stream must produce byte-identical
+// Results.
 func TestScenarioReplayDeterminismMatrix(t *testing.T) {
 	type cell struct {
 		name string
@@ -56,34 +54,24 @@ func TestScenarioReplayDeterminismMatrix(t *testing.T) {
 		}
 		cells = append(cells, cell{"msr-trace", st.Requests})
 	}
-	workerCounts := []int{2, 5}
 	if testing.Short() {
 		cells = cells[:2]
-		workerCounts = []int{3}
 	}
 	for _, c := range cells {
 		for _, kind := range []SchemeKind{KindAcross, KindFTL} {
-			serial := replaySerial(t, kind, c.reqs, 0, false)
-			for _, w := range workerCounts {
-				par := replayParallel(t, kind, c.reqs, 0, w, false, ParallelOptions{})
-				assertIdentical(t, serial, par, c.name+"/"+string(kind))
-			}
+			first := replaySerial(t, kind, c.reqs, 0)
+			again := replaySerial(t, kind, c.reqs, 0)
+			assertIdentical(t, first, again, c.name+"/"+string(kind))
 		}
 	}
 }
 
 // TestScenarioPipelineReproducible re-runs generation and replay from
 // scratch and compares the Results: the full scenario pipeline is a
-// deterministic function of (scenario, device), across runs and engines.
+// deterministic function of (scenario, device) across runs.
 func TestScenarioPipelineReproducible(t *testing.T) {
-	run := func(workers int) *Result {
-		reqs := scenarioStream(t, "mixed", 0.002)
-		if workers > 1 {
-			return replayParallel(t, KindAcross, reqs, 4, workers, false, ParallelOptions{})
-		}
-		return replaySerial(t, KindAcross, reqs, 4, false)
+	run := func() *Result {
+		return replaySerial(t, KindAcross, scenarioStream(t, "mixed", 0.002), 4)
 	}
-	first := run(1)
-	assertIdentical(t, first, run(1), "serial re-run")
-	assertIdentical(t, first, run(4), "parallel vs serial")
+	assertIdentical(t, run(), run(), "re-run")
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -34,7 +33,7 @@ func newSnapRunner(t *testing.T, kind SchemeKind, cachePages int) *Runner {
 
 // replayObserved replays reqs and returns the result plus the metrics
 // NDJSON and rendered timeline tables the run produced.
-func replaySnapObserved(t *testing.T, r *Runner, reqs []trace.Request, qd, workers int) (*Result, string, string) {
+func replaySnapObserved(t *testing.T, r *Runner, reqs []trace.Request, qd int) (*Result, string, string) {
 	t.Helper()
 	smp, err := obs.NewSampler(25)
 	if err != nil {
@@ -43,12 +42,7 @@ func replaySnapObserved(t *testing.T, r *Runner, reqs []trace.Request, qd, worke
 	var ndjson bytes.Buffer
 	smp.SetSink(obs.NewJSONLMetrics(&ndjson))
 	r.SetSampler(smp)
-	var res *Result
-	if workers > 1 {
-		res, err = r.ReplayParallel(reqs, qd, ParallelOptions{Workers: workers})
-	} else {
-		res, err = r.ReplayQD(reqs, qd)
-	}
+	res, err := r.ReplayQD(reqs, qd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +57,7 @@ func replaySnapObserved(t *testing.T, r *Runner, reqs []trace.Request, qd, worke
 
 // The headline guarantee: age→snapshot→restore→replay is indistinguishable
 // from the uninterrupted age→replay run — Results, metrics NDJSON and
-// timeline tables byte for byte — for every scheme, under both the serial
-// and the parallel engine.
+// timeline tables byte for byte — for every scheme.
 func TestSnapshotDifferentialMatrix(t *testing.T) {
 	for _, kind := range snapKinds() {
 		kind := kind
@@ -75,7 +68,7 @@ func TestSnapshotDifferentialMatrix(t *testing.T) {
 			if err := cont.Age(DefaultAging()); err != nil {
 				t.Fatal(err)
 			}
-			wantRes, wantMetrics, wantTables := replaySnapObserved(t, cont, reqs, 8, 1)
+			wantRes, wantMetrics, wantTables := replaySnapObserved(t, cont, reqs, 8)
 
 			snapped := newSnapRunner(t, kind, 0)
 			if err := snapped.Age(DefaultAging()); err != nil {
@@ -86,20 +79,17 @@ func TestSnapshotDifferentialMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			for _, workers := range []int{1, 3} {
-				restored, err := Restore(blob)
-				if err != nil {
-					t.Fatalf("Restore: %v", err)
-				}
-				label := fmt.Sprintf("restored-workers-%d", workers)
-				gotRes, gotMetrics, gotTables := replaySnapObserved(t, restored, reqs, 8, workers)
-				assertIdentical(t, wantRes, gotRes, label)
-				if gotMetrics != wantMetrics {
-					t.Errorf("%s: metrics NDJSON differs from continuous run", label)
-				}
-				if gotTables != wantTables {
-					t.Errorf("%s: timeline tables differ from continuous run", label)
-				}
+			restored, err := Restore(blob)
+			if err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			gotRes, gotMetrics, gotTables := replaySnapObserved(t, restored, reqs, 8)
+			assertIdentical(t, wantRes, gotRes, "restored")
+			if gotMetrics != wantMetrics {
+				t.Error("restored: metrics NDJSON differs from continuous run")
+			}
+			if gotTables != wantTables {
+				t.Error("restored: timeline tables differ from continuous run")
 			}
 		})
 	}

@@ -11,6 +11,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -104,8 +105,11 @@ func (s *Store) Put(key string, v any) error {
 	return nil
 }
 
-// Get unmarshals the entry for key into v. The bool reports whether the
-// entry existed; an existing-but-corrupt entry is an error.
+// Get unmarshals the entry for key into v. The bool reports whether a
+// usable entry existed. An entry that does not decode is quarantined — moved
+// aside as <key>.json.corrupt, a suffix Has and Keys ignore — and reported
+// as a miss, so the work is redone instead of Has answering "stored" for an
+// entry every Get fails on.
 func (s *Store) Get(key string, v any) (bool, error) {
 	p, err := s.path(key)
 	if err != nil {
@@ -119,9 +123,26 @@ func (s *Store) Get(key string, v any) (bool, error) {
 		return false, fmt.Errorf("store: reading entry %s: %w", key, err)
 	}
 	if err := json.Unmarshal(b, v); err != nil {
-		return false, fmt.Errorf("store: decoding entry %s: %w", key, err)
+		if qerr := s.quarantine(p, b); qerr != nil {
+			return false, fmt.Errorf("store: decoding entry %s: %w (quarantine failed: %v)", key, err, qerr)
+		}
+		return false, nil
 	}
 	return true, nil
+}
+
+// quarantine renames an undecodable entry file out of the key space. It
+// runs under the Put lock and only if the file still holds the bytes that
+// failed to decode, so an entry a concurrent Put just committed is never
+// moved.
+func (s *Store) quarantine(p string, bad []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cur, err := os.ReadFile(p)
+	if err != nil || !bytes.Equal(cur, bad) {
+		return nil
+	}
+	return os.Rename(p, p+".corrupt")
 }
 
 // Has reports whether an entry for key exists.

@@ -72,6 +72,38 @@ func TestGetMissing(t *testing.T) {
 	}
 }
 
+// A truncated entry must not poison its key: Get moves it aside and reports
+// a miss, after which Has and Keys agree the key is absent and a fresh Put
+// is served normally.
+func TestGetQuarantinesCorruptEntry(t *testing.T) {
+	s, _ := Open(t.TempDir())
+	key, _ := HashJSON("corrupt")
+	if err := s.Put(key, entry{Name: "lun1", Score: 1}); err != nil {
+		t.Fatal(err)
+	}
+	p := filepath.Join(s.Dir(), key[:2], key+".json")
+	if err := os.Truncate(p, 5); err != nil {
+		t.Fatal(err)
+	}
+	var v entry
+	if ok, err := s.Get(key, &v); ok || err != nil {
+		t.Fatalf("corrupt entry: ok=%v err=%v, want a miss", ok, err)
+	}
+	if s.Has(key) || s.Len() != 0 {
+		t.Fatalf("quarantined key still listed: Has=%v Len=%d", s.Has(key), s.Len())
+	}
+	if _, err := os.Stat(p + ".corrupt"); err != nil {
+		t.Fatalf("quarantine file missing: %v", err)
+	}
+	want := entry{Name: "lun1", Score: 2}
+	if err := s.Put(key, want); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := s.Get(key, &v); !ok || err != nil || v != want {
+		t.Fatalf("after re-Put: ok=%v err=%v v=%+v", ok, err, v)
+	}
+}
+
 func TestMalformedKeyRejected(t *testing.T) {
 	s, _ := Open(t.TempDir())
 	for _, key := range []string{"", "short", "../../etc/passwd", "ABCDEF0123456789", "zz40aa0011223344"} {
