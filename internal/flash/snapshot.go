@@ -14,20 +14,22 @@ import (
 // selection-equivalent to the live one).
 func (a *Array) SnapshotState(enc *snapshot.Encoder) error {
 	enc.Tag("flash")
-	states := make([]byte, len(a.state))
+	states := enc.ByteSlab(len(a.state))
 	for i, st := range a.state {
 		states[i] = byte(st)
 	}
-	enc.Bytes(states)
-	kinds := make([]byte, len(a.tags))
-	keys := make([]int64, len(a.tags))
-	aux := make([]int64, len(a.tags))
-	for i, tg := range a.tags {
-		kinds[i], keys[i], aux[i] = tg.Kind, tg.Key, tg.Aux
+	kinds := enc.ByteSlab(len(a.tags))
+	for i := range a.tags {
+		kinds[i] = a.tags[i].Kind
 	}
-	enc.Bytes(kinds)
-	enc.I64s(keys)
-	enc.I64s(aux)
+	keys := enc.I64Slab(len(a.tags))
+	for i := range a.tags {
+		keys.Set(i, a.tags[i].Key)
+	}
+	aux := enc.I64Slab(len(a.tags))
+	for i := range a.tags {
+		aux.Set(i, a.tags[i].Aux)
+	}
 	enc.I32s(a.writePtr)
 	enc.I32s(a.validCount)
 	enc.I64s(a.eraseCount)
@@ -38,17 +40,19 @@ func (a *Array) SnapshotState(enc *snapshot.Encoder) error {
 }
 
 // RestoreState reads state written by SnapshotState into an array built for
-// the same geometry, validating sizes and per-page/per-block invariants,
-// then rebuilds the victim index from the restored block metadata.
+// the same geometry — each column decoded straight from the body into the
+// array, validating sizes first and per-page/per-block invariants on the
+// way — and rebuilds the victim index from the restored block metadata. A
+// receiver whose restore failed is left part-written and must be dropped.
 func (a *Array) RestoreState(dec *snapshot.Decoder) error {
 	dec.Tag("flash")
-	states := dec.Bytes()
-	kinds := dec.Bytes()
-	keys := dec.I64s()
-	aux := dec.I64s()
-	writePtr := dec.I32s()
-	validCount := dec.I32s()
-	eraseCount := dec.I64s()
+	states := dec.BytesView()
+	kinds := dec.BytesView()
+	keys := dec.I64View()
+	aux := dec.I64View()
+	writePtr := dec.I32View()
+	validCount := dec.I32View()
+	eraseCount := dec.I64View()
 	erases := dec.I64()
 	programs := dec.I64()
 	reads := dec.I64()
@@ -57,47 +61,40 @@ func (a *Array) RestoreState(dec *snapshot.Decoder) error {
 	}
 
 	pages, blocks := int(a.Geo.TotalPages()), int(a.Geo.TotalBlocks())
-	if len(states) != pages || len(kinds) != pages || len(keys) != pages || len(aux) != pages {
+	if len(states) != pages || len(kinds) != pages || keys.Len() != pages || aux.Len() != pages {
 		return fmt.Errorf("flash: snapshot page arrays sized %d/%d/%d/%d, geometry has %d pages",
-			len(states), len(kinds), len(keys), len(aux), pages)
+			len(states), len(kinds), keys.Len(), aux.Len(), pages)
 	}
-	if len(writePtr) != blocks || len(validCount) != blocks || len(eraseCount) != blocks {
+	if writePtr.Len() != blocks || validCount.Len() != blocks || eraseCount.Len() != blocks {
 		return fmt.Errorf("flash: snapshot block arrays sized %d/%d/%d, geometry has %d blocks",
-			len(writePtr), len(validCount), len(eraseCount), blocks)
+			writePtr.Len(), validCount.Len(), eraseCount.Len(), blocks)
 	}
 	for i, st := range states {
 		if PageState(st) > PageInvalid {
 			return fmt.Errorf("flash: snapshot page %d has invalid state %d", i, st)
 		}
+		a.state[i] = PageState(st)
+		a.tags[i] = Tag{Kind: kinds[i], Key: keys.At(i), Aux: aux.At(i)}
 	}
 	ppb := int32(a.Geo.PagesPerBlock)
-	for b := range writePtr {
-		if writePtr[b] < 0 || writePtr[b] > ppb {
-			return fmt.Errorf("flash: snapshot block %d write pointer %d outside [0,%d]", b, writePtr[b], ppb)
-		}
-		if validCount[b] < 0 || validCount[b] > writePtr[b] {
-			return fmt.Errorf("flash: snapshot block %d valid count %d outside [0,%d]", b, validCount[b], writePtr[b])
-		}
-		if eraseCount[b] < 0 {
-			return fmt.Errorf("flash: snapshot block %d negative erase count", b)
-		}
-	}
-
-	for i := range a.state {
-		a.state[i] = PageState(states[i])
-		a.tags[i] = Tag{Kind: kinds[i], Key: keys[i], Aux: aux[i]}
-	}
-	copy(a.writePtr, writePtr)
-	copy(a.validCount, validCount)
-	copy(a.eraseCount, eraseCount)
-	a.erases, a.programs, a.reads = erases, programs, reads
-
 	a.vidx.init(&a.Geo)
 	for b := range a.writePtr {
-		if a.writePtr[b] == ppb {
+		wp, vc, ec := writePtr.At(b), validCount.At(b), eraseCount.At(b)
+		if wp < 0 || wp > ppb {
+			return fmt.Errorf("flash: snapshot block %d write pointer %d outside [0,%d]", b, wp, ppb)
+		}
+		if vc < 0 || vc > wp {
+			return fmt.Errorf("flash: snapshot block %d valid count %d outside [0,%d]", b, vc, wp)
+		}
+		if ec < 0 {
+			return fmt.Errorf("flash: snapshot block %d negative erase count", b)
+		}
+		a.writePtr[b], a.validCount[b], a.eraseCount[b] = wp, vc, ec
+		if wp == ppb {
 			bid := BlockID(b)
-			a.vidx.blockFilled(a.Geo.PlaneOfBlock(bid), bid, int(a.validCount[b]))
+			a.vidx.blockFilled(a.Geo.PlaneOfBlock(bid), bid, int(vc))
 		}
 	}
+	a.erases, a.programs, a.reads = erases, programs, reads
 	return nil
 }

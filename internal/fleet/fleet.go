@@ -31,6 +31,16 @@ func (s Spec) Validate(conf ssdconf.Config) error {
 	return err
 }
 
+// LogicalSectors returns the usable capacity of a volume of this spec over
+// devices of the given configuration, without building any devices.
+func (s Spec) LogicalSectors(conf ssdconf.Config) (int64, error) {
+	geo, err := resolveGeometry(&conf, s)
+	if err != nil {
+		return 0, err
+	}
+	return geo.logicalSectors(), nil
+}
+
 // Options tunes a fleet replay. It only changes speed, never the Result.
 type Options struct {
 	// Workers bounds how many devices replay concurrently in open-loop
@@ -74,25 +84,28 @@ func New(kind sim.SchemeKind, conf ssdconf.Config, spec Spec) (*Volume, error) {
 
 // FromSnapshot builds a fleet by restoring every device from one warm
 // single-device snapshot (scheme kind and configuration come from the
-// blob): the fleet analogue of the fork-from-checkpoint sweep — N restores
-// instead of N agings, with state identical to aging each device afresh
-// (aging is seeded, so same-config devices age identically).
+// blob): the fleet analogue of the fork-from-checkpoint sweep — one verified
+// open and N forks instead of N agings, with state identical to aging each
+// device afresh (aging is seeded, so same-config devices age identically).
 func FromSnapshot(blob []byte, spec Spec) (*Volume, error) {
-	first, err := sim.Restore(blob)
+	cp, err := sim.OpenCheckpoint(blob)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: restoring device 0: %w", err)
+		return nil, fmt.Errorf("fleet: opening the checkpoint: %w", err)
 	}
-	geo, err := resolveGeometry(first.Conf, spec)
+	return FromCheckpoint(cp, spec)
+}
+
+// FromCheckpoint is FromSnapshot for a checkpoint the caller already holds
+// open: every device is a fork of it, and nothing is verified again.
+func FromCheckpoint(cp *sim.Checkpoint, spec Spec) (*Volume, error) {
+	conf := cp.Conf
+	geo, err := resolveGeometry(&conf, spec)
 	if err != nil {
 		return nil, err
 	}
-	v := &Volume{Kind: first.Kind, Conf: first.Conf, geo: geo, Runners: []*sim.Runner{first}}
-	for i := 1; i < spec.Devices; i++ {
-		r, err := sim.Restore(blob)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: restoring device %d: %w", i, err)
-		}
-		v.Runners = append(v.Runners, r)
+	v := &Volume{Kind: cp.Kind, Conf: &conf, geo: geo, Runners: make([]*sim.Runner, spec.Devices)}
+	if err := v.forkWarm(cp, 0); err != nil {
+		return nil, err
 	}
 	return v, nil
 }
@@ -147,25 +160,35 @@ func (v *Volume) AgeCtx(ctx context.Context, a sim.Aging) error {
 	if err != nil {
 		return fmt.Errorf("fleet: checkpointing aged device 0: %w", err)
 	}
-	return v.forkWarm(blob, 1)
+	cp, err := sim.OpenCheckpoint(blob)
+	if err != nil {
+		return fmt.Errorf("fleet: opening device 0's checkpoint: %w", err)
+	}
+	return v.forkWarm(cp, 1)
 }
 
 // RestoreWarm forks every device from a warm single-device snapshot taken
-// with the volume's scheme kind and configuration — the service layer's
-// path when a stored aging checkpoint already exists.
-func (v *Volume) RestoreWarm(blob []byte) error { return v.forkWarm(blob, 0) }
+// with the volume's scheme kind and configuration.
+func (v *Volume) RestoreWarm(blob []byte) error {
+	cp, err := sim.OpenCheckpoint(blob)
+	if err != nil {
+		return fmt.Errorf("fleet: opening the checkpoint: %w", err)
+	}
+	return v.forkWarm(cp, 0)
+}
 
-func (v *Volume) forkWarm(blob []byte, from int) error {
+// forkWarm replaces devices from..N-1 with forks of one open checkpoint.
+func (v *Volume) forkWarm(cp *sim.Checkpoint, from int) error {
+	if cp.Kind != v.Kind {
+		return fmt.Errorf("fleet: checkpoint scheme %s does not match volume scheme %s", cp.Kind, v.Kind)
+	}
+	if cp.Conf != *v.Conf {
+		return fmt.Errorf("fleet: checkpoint configuration does not match the volume's devices")
+	}
 	for i := from; i < len(v.Runners); i++ {
-		r, err := sim.Restore(blob)
+		r, err := cp.Fork()
 		if err != nil {
 			return fmt.Errorf("fleet: forking device %d from checkpoint: %w", i, err)
-		}
-		if r.Kind != v.Kind {
-			return fmt.Errorf("fleet: checkpoint scheme %s does not match volume scheme %s", r.Kind, v.Kind)
-		}
-		if *r.Conf != *v.Conf {
-			return fmt.Errorf("fleet: checkpoint configuration does not match the volume's devices")
 		}
 		v.Runners[i] = r
 	}

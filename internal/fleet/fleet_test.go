@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"across/internal/sim"
@@ -234,6 +235,64 @@ func TestFleetAgeForksIdenticalDevices(t *testing.T) {
 	assertFleetIdentical(t, ares, fres, "aged vs FromSnapshot")
 	if ares.WarmupWrites == 0 {
 		t.Error("aged volume reports zero warm-up writes")
+	}
+}
+
+// TestFromSnapshotOpensOnce checks what a fleet built from one blob costs:
+// one verified open plus a fork per further device, not an open per device.
+// An open allocates what a fork does plus the inflated body, the inflater
+// and the audit, so the bytes allocated tell the two apart.
+func TestFromSnapshotOpensOnce(t *testing.T) {
+	r, err := sim.NewRunner(sim.KindFTL, fleetConf())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Age(sim.DefaultAging()); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(f func()) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	var cp *sim.Checkpoint
+	open := allocated(func() {
+		if cp, err = sim.OpenCheckpoint(blob); err == nil {
+			_, err = cp.Fork() // the runner the open built
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork := allocated(func() { _, err = cp.Fork() })
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const devices = 4
+	var v *Volume
+	fleet := allocated(func() { v, err = FromSnapshot(blob, Spec{Devices: devices, Layout: LayoutConcat}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("open+fork %.0f B, fork %.0f B, %d-device FromSnapshot %.0f B", open, fork, devices, fleet)
+	if limit := open + (devices-1)*fork + (open-fork)/2; fleet > limit {
+		t.Errorf("FromSnapshot allocated %.0f B, more than one open and %d forks (%.0f B): it opens per device", fleet, devices-1, limit)
+	}
+	for i, d := range v.Runners {
+		b, err := d.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, blob) {
+			t.Errorf("device %d does not snapshot to the blob it was forked from", i)
+		}
 	}
 }
 

@@ -45,12 +45,12 @@ type Allocator struct {
 	pagesPlane   int64
 	threshold    int64 // GC trigger in pages
 	onMigrate    MigrateFunc
-	salvage      SalvageFunc  // optional scheme-driven reclamation
-	victimPolicy VictimPolicy // GC victim selection
-	maxVictims   int          // partial GC: victims per invocation (0 = unbounded)
-	wearLevel    bool         // pick least-worn free blocks
-	refScan      bool         // use the reference victim scan instead of the index
-	gcScratch    []flash.PPN  // reused per-victim valid-page list (no steady-state allocs)
+	salvage      SalvageFunc                                     // optional scheme-driven reclamation
+	victimPolicy VictimPolicy                                    // GC victim selection
+	maxVictims   int                                             // partial GC: victims per invocation (0 = unbounded)
+	wearLevel    bool                                            // pick least-worn free blocks
+	refScan      bool                                            // use the reference victim scan instead of the index
+	gcScratch    []flash.PPN                                     // reused per-victim valid-page list (no steady-state allocs)
 	gcVictims    func(plane flash.PlaneID, victim flash.BlockID) // test hook, may be nil
 }
 

@@ -19,11 +19,10 @@ func (a *Allocator) SnapshotState(enc *snapshot.Encoder) error {
 	enc.I64(int64(len(a.planes)))
 	for pl := range a.planes {
 		st := &a.planes[pl]
-		free := make([]int64, len(st.freeBlocks))
+		free := enc.I64Slab(len(st.freeBlocks))
 		for i, b := range st.freeBlocks {
-			free[i] = int64(b)
+			free.Set(i, int64(b))
 		}
-		enc.I64s(free)
 		enc.I64(int64(st.active))
 		enc.I64(int64(st.gcActive))
 		enc.I64(st.freePages)
@@ -48,7 +47,7 @@ func (a *Allocator) RestoreState(dec *snapshot.Decoder) error {
 	}
 	geo := a.dev.Array.Geo
 	for pl := range a.planes {
-		free := dec.I64s()
+		free := dec.I64View()
 		active := dec.I64()
 		gcActive := dec.I64()
 		freePages := dec.I64()
@@ -58,7 +57,8 @@ func (a *Allocator) RestoreState(dec *snapshot.Decoder) error {
 		lo, hi := geo.BlocksOfPlane(flash.PlaneID(pl))
 		st := &a.planes[pl]
 		st.freeBlocks = st.freeBlocks[:0]
-		for _, b := range free {
+		for i := 0; i < free.Len(); i++ {
+			b := free.At(i)
 			if b < int64(lo) || b >= int64(hi) {
 				return fmt.Errorf("ftl: snapshot free block %d outside plane %d [%d,%d)", b, pl, lo, hi)
 			}
@@ -90,32 +90,32 @@ func (m *MapStore) SnapshotState(enc *snapshot.Encoder) error {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	ppns := make([]int64, len(ids))
-	for i, id := range ids {
-		ppns[i] = int64(m.loc[id])
-	}
 	enc.I64s(ids)
-	enc.I64s(ppns)
+	ppns := enc.I64Slab(len(ids))
+	for i, id := range ids {
+		ppns.Set(i, int64(m.loc[id]))
+	}
 	return nil
 }
 
 // RestoreState reads state written by SnapshotState, rebuilding the map.
 func (m *MapStore) RestoreState(dec *snapshot.Decoder) error {
 	dec.Tag("mapstore")
-	ids := dec.I64s()
-	ppns := dec.I64s()
+	ids := dec.I64View()
+	ppns := dec.I64View()
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if len(ids) != len(ppns) {
-		return fmt.Errorf("ftl: snapshot map store columns sized %d/%d", len(ids), len(ppns))
+	if ids.Len() != ppns.Len() {
+		return fmt.Errorf("ftl: snapshot map store columns sized %d/%d", ids.Len(), ppns.Len())
 	}
-	loc := make(map[int64]flash.PPN, len(ids))
-	for i, id := range ids {
+	loc := make(map[int64]flash.PPN, ids.Len())
+	for i := 0; i < ids.Len(); i++ {
+		id := ids.At(i)
 		if _, dup := loc[id]; dup {
 			return fmt.Errorf("ftl: snapshot map store page %d duplicated", id)
 		}
-		loc[id] = flash.PPN(ppns[i])
+		loc[id] = flash.PPN(ppns.At(i))
 	}
 	m.loc = loc
 	return nil

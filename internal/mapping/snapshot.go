@@ -11,14 +11,14 @@ import (
 // AIdx columns.
 func (t *PMT) SnapshotState(enc *snapshot.Encoder) error {
 	enc.Tag("pmt")
-	ppns := make([]int64, len(t.entries))
-	aidx := make([]int32, len(t.entries))
-	for i, e := range t.entries {
-		ppns[i] = int64(e.PPN)
-		aidx[i] = e.AIdx
+	ppns := enc.I64Slab(len(t.entries))
+	for i := range t.entries {
+		ppns.Set(i, int64(t.entries[i].PPN))
 	}
-	enc.I64s(ppns)
-	enc.I32s(aidx)
+	aidx := enc.I32Slab(len(t.entries))
+	for i := range t.entries {
+		aidx.Set(i, t.entries[i].AIdx)
+	}
 	return nil
 }
 
@@ -26,16 +26,16 @@ func (t *PMT) SnapshotState(enc *snapshot.Encoder) error {
 // for the same logical-page count.
 func (t *PMT) RestoreState(dec *snapshot.Decoder) error {
 	dec.Tag("pmt")
-	ppns := dec.I64s()
-	aidx := dec.I32s()
+	ppns := dec.I64View()
+	aidx := dec.I32View()
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if len(ppns) != len(t.entries) || len(aidx) != len(t.entries) {
-		return fmt.Errorf("mapping: snapshot PMT has %d/%d entries, receiver has %d", len(ppns), len(aidx), len(t.entries))
+	if ppns.Len() != len(t.entries) || aidx.Len() != len(t.entries) {
+		return fmt.Errorf("mapping: snapshot PMT has %d/%d entries, receiver has %d", ppns.Len(), aidx.Len(), len(t.entries))
 	}
 	for i := range t.entries {
-		t.entries[i] = PMTEntry{PPN: flash.PPN(ppns[i]), AIdx: aidx[i]}
+		t.entries[i] = PMTEntry{PPN: flash.PPN(ppns.At(i)), AIdx: aidx.At(i)}
 	}
 	return nil
 }
@@ -46,23 +46,31 @@ func (t *PMT) RestoreState(dec *snapshot.Decoder) error {
 // counters.
 func (a *AMT) SnapshotState(enc *snapshot.Encoder) error {
 	enc.Tag("amt")
-	lpns := make([]int64, len(a.entries))
-	offs := make([]int32, len(a.entries))
-	sizes := make([]int32, len(a.entries))
-	appns := make([]int64, len(a.entries))
-	inUse := make([]byte, len(a.entries))
-	for i, e := range a.entries {
-		lpns[i], offs[i], sizes[i] = e.LPN, e.Off, e.Size
-		appns[i] = int64(e.APPN)
-		if a.inUse[i] {
+	n := len(a.entries)
+	lpns := enc.I64Slab(n)
+	for i := range a.entries {
+		lpns.Set(i, a.entries[i].LPN)
+	}
+	offs := enc.I32Slab(n)
+	for i := range a.entries {
+		offs.Set(i, a.entries[i].Off)
+	}
+	sizes := enc.I32Slab(n)
+	for i := range a.entries {
+		sizes.Set(i, a.entries[i].Size)
+	}
+	appns := enc.I64Slab(n)
+	for i := range a.entries {
+		appns.Set(i, int64(a.entries[i].APPN))
+	}
+	inUse := enc.ByteSlab(n)
+	for i, u := range a.inUse {
+		if u {
 			inUse[i] = 1
+		} else {
+			inUse[i] = 0
 		}
 	}
-	enc.I64s(lpns)
-	enc.I32s(offs)
-	enc.I32s(sizes)
-	enc.I64s(appns)
-	enc.Bytes(inUse)
 	enc.I32s(a.free)
 	enc.I64(int64(a.live))
 	enc.I64(int64(a.peak))
@@ -73,20 +81,20 @@ func (a *AMT) SnapshotState(enc *snapshot.Encoder) error {
 // pool (the AMT grows by appending, so a fresh receiver starts empty).
 func (a *AMT) RestoreState(dec *snapshot.Decoder) error {
 	dec.Tag("amt")
-	lpns := dec.I64s()
-	offs := dec.I32s()
-	sizes := dec.I32s()
-	appns := dec.I64s()
-	inUse := dec.Bytes()
+	lpns := dec.I64View()
+	offs := dec.I32View()
+	sizes := dec.I32View()
+	appns := dec.I64View()
+	inUse := dec.BytesView()
 	free := dec.I32s()
 	live := dec.I64()
 	peak := dec.I64()
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	n := len(lpns)
-	if len(offs) != n || len(sizes) != n || len(appns) != n || len(inUse) != n {
-		return fmt.Errorf("mapping: snapshot AMT columns sized %d/%d/%d/%d/%d", n, len(offs), len(sizes), len(appns), len(inUse))
+	n := lpns.Len()
+	if offs.Len() != n || sizes.Len() != n || appns.Len() != n || len(inUse) != n {
+		return fmt.Errorf("mapping: snapshot AMT columns sized %d/%d/%d/%d/%d", n, offs.Len(), sizes.Len(), appns.Len(), len(inUse))
 	}
 	liveCount := 0
 	for i, u := range inUse {
@@ -109,10 +117,10 @@ func (a *AMT) RestoreState(dec *snapshot.Decoder) error {
 	a.entries = make([]AMTEntry, n)
 	a.inUse = make([]bool, n)
 	for i := range a.entries {
-		a.entries[i] = AMTEntry{LPN: lpns[i], Off: offs[i], Size: sizes[i], APPN: flash.PPN(appns[i])}
+		a.entries[i] = AMTEntry{LPN: lpns.At(i), Off: offs.At(i), Size: sizes.At(i), APPN: flash.PPN(appns.At(i))}
 		a.inUse[i] = inUse[i] == 1
 	}
-	a.free = append([]int32(nil), free...)
+	a.free = free
 	a.live = int(live)
 	a.peak = int(peak)
 	return nil

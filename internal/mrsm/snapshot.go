@@ -34,27 +34,27 @@ func (s *Scheme) RestoreState(dec *snapshot.Decoder) error {
 	if err := s.RestoreBase(dec); err != nil {
 		return err
 	}
-	subLoc := dec.I64s()
-	pageOwner := dec.I64s()
-	pageLive := dec.I32s()
-	nodeDirty := dec.I32s()
+	subLoc := dec.I64View()
+	pageOwner := dec.I64View()
+	pageLive := dec.I32View()
+	nodeDirty := dec.I32View()
 	bufList := dec.I64s()
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if len(subLoc) != len(s.subLoc) || len(pageOwner) != len(s.pageOwner) ||
-		len(pageLive) != len(s.pageLive) || len(nodeDirty) != len(s.nodeDirty) {
+	if subLoc.Len() != len(s.subLoc) || pageOwner.Len() != len(s.pageOwner) ||
+		pageLive.Len() != len(s.pageLive) || nodeDirty.Len() != len(s.nodeDirty) {
 		return fmt.Errorf("mrsm: snapshot arrays sized %d/%d/%d/%d, receiver has %d/%d/%d/%d",
-			len(subLoc), len(pageOwner), len(pageLive), len(nodeDirty),
+			subLoc.Len(), pageOwner.Len(), pageLive.Len(), nodeDirty.Len(),
 			len(s.subLoc), len(s.pageOwner), len(s.pageLive), len(s.nodeDirty))
 	}
 	if len(bufList) > s.subPerPg {
 		return fmt.Errorf("mrsm: snapshot pack buffer holds %d sub-pages, page fits %d", len(bufList), s.subPerPg)
 	}
-	copy(s.subLoc, subLoc)
-	copy(s.pageOwner, pageOwner)
-	copy(s.pageLive, pageLive)
-	copy(s.nodeDirty, nodeDirty)
+	subLoc.CopyTo(s.subLoc)
+	pageOwner.CopyTo(s.pageOwner)
+	pageLive.CopyTo(s.pageLive)
+	nodeDirty.CopyTo(s.nodeDirty)
 	s.bufList = append(s.bufList[:0], bufList...)
 	if err := s.cmt.RestoreState(dec); err != nil {
 		return err

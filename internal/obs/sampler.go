@@ -16,10 +16,10 @@ type Sample struct {
 	TimeMs float64 `json:"t_ms"`
 
 	// Interval window (since the previous sample).
-	Requests     int64   `json:"requests"`      // requests completed in the window
-	ReadMeanMs   float64 `json:"read_mean_ms"`  // mean read latency in the window
-	WriteMeanMs  float64 `json:"write_mean_ms"` // mean write latency in the window
-	QueueDepth   int     `json:"queue_depth"`   // in-flight requests at sample time
+	Requests     int64     `json:"requests"`       // requests completed in the window
+	ReadMeanMs   float64   `json:"read_mean_ms"`   // mean read latency in the window
+	WriteMeanMs  float64   `json:"write_mean_ms"`  // mean write latency in the window
+	QueueDepth   int       `json:"queue_depth"`    // in-flight requests at sample time
 	ChipBusyFrac []float64 `json:"chip_busy_frac"` // per-chip busy fraction over the window
 
 	// Gauges at sample time.
@@ -62,14 +62,14 @@ type Sampler struct {
 	sink     MetricsSink
 	reg      *Registry
 
-	samples []Sample
-	started bool
-	next    float64
-	prevT   float64
+	samples  []Sample
+	started  bool
+	next     float64
+	prevT    float64
 	prevBusy []float64
 
-	intReads, intWrites       int64
-	intReadLat, intWriteLat   float64
+	intReads, intWrites     int64
+	intReadLat, intWriteLat float64
 
 	err error
 }

@@ -1,0 +1,73 @@
+package service
+
+import (
+	"sync"
+
+	"across/internal/sim"
+)
+
+// checkpointBudget bounds the inflated checkpoint bodies a server keeps
+// open between jobs: room for every scheme of a dozen Experiment-size
+// device configurations (7.5 MB each, 24 MB for MRSM), or one Table 1
+// device. A checkpoint larger than the whole budget is forked and dropped.
+const checkpointBudget = 256 << 20
+
+// checkpointCache holds opened (verified and audited) aging checkpoints by
+// AgingKey, so a sweep's jobs fork from memory instead of re-reading and
+// re-verifying the same store entry. The key hashes everything the aged
+// state depends on, so an entry cannot go stale. Eviction is
+// least-recently-forked first, by body bytes against a fixed budget.
+type checkpointCache struct {
+	mu      sync.Mutex
+	budget  int
+	bytes   int
+	clock   uint64 // ticks once per get/put; orders entries by last fork
+	entries map[string]*cachedCheckpoint
+}
+
+type cachedCheckpoint struct {
+	cp       *sim.Checkpoint
+	lastFork uint64
+}
+
+func newCheckpointCache(budget int) *checkpointCache {
+	return &checkpointCache{budget: budget, entries: make(map[string]*cachedCheckpoint)}
+}
+
+// get returns the checkpoint cached under key, which the caller is about to
+// fork, or nil.
+func (c *checkpointCache) get(key string) *sim.Checkpoint {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entries[key]
+	if e == nil {
+		return nil
+	}
+	c.clock++
+	e.lastFork = c.clock
+	return e.cp
+}
+
+// put caches a checkpoint the caller is about to fork, evicting the
+// least-recently-forked entries until the budget holds.
+func (c *checkpointCache) put(key string, cp *sim.Checkpoint) {
+	size := cp.BodyBytes()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if size > c.budget || c.entries[key] != nil {
+		return
+	}
+	for c.bytes+size > c.budget {
+		var oldest string
+		for k, e := range c.entries {
+			if oldest == "" || e.lastFork < c.entries[oldest].lastFork {
+				oldest = k
+			}
+		}
+		c.bytes -= c.entries[oldest].cp.BodyBytes()
+		delete(c.entries, oldest)
+	}
+	c.clock++
+	c.entries[key] = &cachedCheckpoint{cp: cp, lastFork: c.clock}
+	c.bytes += size
+}

@@ -1,0 +1,190 @@
+package service
+
+import (
+	"bytes"
+	"fmt"
+	"net/http"
+	"sync"
+	"testing"
+	"time"
+
+	"across/internal/jobs"
+	"across/internal/sim"
+	"across/internal/ssdconf"
+)
+
+// agedSeeded is a tiny aged FTL replay; the seed gives each submission its
+// own content key and trace while all of them share one aging key.
+const agedSeeded = `{"type":"replay","scheme":"FTL","profile":"lun1","scale":0.001,"age":true,"seed":%d}`
+
+func (c *checkpointCache) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
+
+// Eight jobs sharing a stored checkpoint, submitted at once to a four-worker
+// server (run under -race): the checkpoint is opened once, under the flight
+// lock, and forked eight times outside it, and every job's result is the one
+// a server running the same jobs one after another produces.
+func TestSharedCheckpointOpensOnceForksConcurrently(t *testing.T) {
+	srv, ts := newTestServer(t, t.TempDir())
+	submitAndWait(t, ts.URL, fmt.Sprintf(agedSeeded, 0)) // ages and stores the checkpoint
+
+	const n = 8
+	ids := make([]string, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			code, st := postJSON(t, ts.URL+"/api/v1/jobs", fmt.Sprintf(agedSeeded, i+1))
+			if code != http.StatusAccepted {
+				t.Errorf("submit %d = %d, want 202", i, code)
+				return
+			}
+			ids[i] = st.ID
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	results := make([][]byte, n)
+	for i, id := range ids {
+		final := pollState(t, ts.URL, id, 60*time.Second)
+		if jobs.State(final.State) != jobs.StateSucceeded {
+			t.Fatalf("job %s finished %s (error %q)", id, final.State, final.Error)
+		}
+		if !hasSpan(final, "restore") || hasSpan(final, "age") {
+			t.Errorf("job %s spans = %v, want a restore span and no age", id, spanNames(final))
+		}
+		_, doc := fetchResult(t, ts.URL, id)
+		results[i] = doc["result"]
+	}
+	m := scrapeMetrics(t, ts.URL)
+	for name, want := range map[string]float64{
+		"acrossd_snapshot_ages_total":     1,
+		"acrossd_snapshot_opens_total":    1,
+		"acrossd_snapshot_restores_total": n,
+	} {
+		if m[name] != want {
+			t.Errorf("%s = %v, want %v", name, m[name], want)
+		}
+	}
+	if got := srv.checkpoints.len(); got != 1 {
+		t.Errorf("cache holds %d checkpoints, want 1", got)
+	}
+
+	_, serial := newTestServer(t, t.TempDir())
+	for i := 0; i < n; i++ {
+		st := submitAndWait(t, serial.URL, fmt.Sprintf(agedSeeded, i+1))
+		_, doc := fetchResult(t, serial.URL, st.ID)
+		if !bytes.Equal(doc["result"], results[i]) {
+			t.Errorf("job %d: concurrent fork's result differs from the serial run's", i)
+		}
+	}
+}
+
+// A stored checkpoint that does not open — garbage, or a valid snapshot of
+// another device — is not cached, and the job ages instead; the checkpoint
+// that aging stores then serves the next job.
+func TestUnusableStoredCheckpointIsNotCached(t *testing.T) {
+	fresh := func(kind sim.SchemeKind, conf ssdconf.Config) []byte {
+		r, err := sim.NewRunner(kind, conf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	flipped := fresh(sim.KindFTL, ssdconf.Experiment())
+	flipped[len(flipped)/2] ^= 0x40
+	akey := agingKeyOf(t, ReplaySpec{Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true})
+	for _, tc := range []struct {
+		name string
+		blob []byte
+	}{
+		{"garbage", []byte("AXSN but not really a snapshot")},
+		{"bit-flipped", flipped},
+		{"other-device", fresh(sim.KindFTL, ssdconf.Experiment().WithPageBytes(4096))},
+		{"other-scheme", fresh(sim.KindDFTL, ssdconf.Experiment())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, ts := newTestServer(t, t.TempDir())
+			if err := srv.Store().Put(akey, &SnapshotEntry{Key: akey, Kind: "snapshot", Scheme: "FTL", Blob: tc.blob}); err != nil {
+				t.Fatal(err)
+			}
+			first := submitAndWait(t, ts.URL, fmt.Sprintf(agedSeeded, 1))
+			if !hasSpan(first, "restore") || !hasSpan(first, "age") {
+				t.Errorf("first job spans = %v, want a failed restore and then an age", spanNames(first))
+			}
+			if opens := counterValue(srv, "snapshot_opens"); opens != 0 {
+				t.Errorf("snapshot_opens = %v after an unusable checkpoint, want 0", opens)
+			}
+			if got := srv.checkpoints.len(); got != 0 {
+				t.Errorf("cache holds %d checkpoints after an unusable one, want 0", got)
+			}
+
+			second := submitAndWait(t, ts.URL, fmt.Sprintf(agedSeeded, 2))
+			if !hasSpan(second, "restore") || hasSpan(second, "age") {
+				t.Errorf("second job spans = %v, want a restore span and no age", spanNames(second))
+			}
+			if ages, opens := counterValue(srv, "snapshot_ages"), counterValue(srv, "snapshot_opens"); ages != 1 || opens != 1 {
+				t.Errorf("snapshot_ages = %v, snapshot_opens = %v; want 1 and 1", ages, opens)
+			}
+		})
+	}
+}
+
+// The cache is bounded by the bytes of the bodies it holds: going over the
+// budget evicts whichever entry was forked longest ago, and a checkpoint
+// larger than the whole budget is not kept at all.
+func TestCheckpointCacheEvictsLeastRecentlyForked(t *testing.T) {
+	conf := ssdconf.Table1()
+	conf.Channels, conf.ChipsPerChan, conf.DiesPerChip, conf.PlanesPerDie = 2, 1, 1, 1
+	conf.BlocksPerPlane, conf.PagesPerBlock = 16, 8
+	open := func() *sim.Checkpoint {
+		r, err := sim.NewRunner(sim.KindFTL, conf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := sim.OpenCheckpoint(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp
+	}
+	a, b, c := open(), open(), open()
+	size := a.BodyBytes()
+
+	cache := newCheckpointCache(2*size + size/2)
+	cache.put("a", a)
+	cache.put("b", b)
+	if cache.get("a") != a { // a is now the more recently forked
+		t.Fatal("a missing before the budget was reached")
+	}
+	cache.put("c", c)
+	if cache.get("b") != nil {
+		t.Error("b, the least recently forked, survived going over budget")
+	}
+	if cache.get("a") != a || cache.get("c") != c {
+		t.Error("a or c evicted; only b should have gone")
+	}
+	if cache.bytes != 2*size {
+		t.Errorf("cache accounts %d bytes for two %d-byte bodies", cache.bytes, size)
+	}
+
+	small := newCheckpointCache(size - 1)
+	small.put("a", a)
+	if small.get("a") != nil || small.bytes != 0 {
+		t.Error("a checkpoint larger than the whole budget was cached")
+	}
+}

@@ -44,6 +44,7 @@ import (
 	"across/internal/jobs"
 	"across/internal/obs"
 	"across/internal/sim"
+	"across/internal/ssdconf"
 	"across/internal/store"
 )
 
@@ -99,10 +100,12 @@ type Server struct {
 	nextID  uint64
 
 	// flightMu guards aging: one lock per aging-checkpoint key, so
-	// concurrent jobs that share a warm state age it exactly once and the
-	// rest fork from the stored snapshot (see ReplaySpec.AgingKey).
-	flightMu sync.Mutex
-	aging    map[string]*sync.Mutex
+	// concurrent jobs that share a warm state age it exactly once, open
+	// its stored snapshot exactly once, and the rest fork from the open
+	// checkpoint (see ReplaySpec.AgingKey and warmStart).
+	flightMu    sync.Mutex
+	aging       map[string]*sync.Mutex
+	checkpoints *checkpointCache
 }
 
 // New builds a Server (opening or creating its store) and starts its worker
@@ -129,12 +132,14 @@ func New(cfg Config) (*Server, error) {
 		records: make(map[string]*jobRecord),
 		byKey:   make(map[string]*jobRecord),
 		aging:   make(map[string]*sync.Mutex),
+
+		checkpoints: newCheckpointCache(checkpointBudget),
 	}
 	// Pre-register so /metrics always shows every series, zeroed.
 	for _, name := range []string{
 		"jobs_submitted", "jobs_deduped", "jobs_cached",
 		"jobs_succeeded", "jobs_failed", "jobs_cancelled",
-		"snapshot_ages", "snapshot_restores",
+		"snapshot_ages", "snapshot_opens", "snapshot_restores",
 	} {
 		s.counter(name, 0)
 	}
@@ -171,18 +176,69 @@ func (s *Server) loadAgingSnapshot(key, scheme string) []byte {
 	return e.Blob
 }
 
-// ageAndStore runs the aging phase and checkpoints the warm state under the
-// aging key. Snapshot or store failures are deliberately non-fatal: the job
-// still has its aged device in hand, later jobs just re-age.
-func (s *Server) ageAndStore(ctx context.Context, r *sim.Runner, key, scheme string) error {
-	if err := r.AgeCtx(ctx, sim.DefaultAging()); err != nil {
-		return err
+// warmStart resolves a job's aging phase under the key's flight lock, which
+// it holds only for the work that must happen once per key. With a usable
+// checkpoint — cached, or opened from the store and then cached — it opens
+// the job's "restore" span, counts the job's forks and returns the
+// checkpoint for the caller to fork outside the lock, so jobs sharing a key
+// fork concurrently. With none it ages a fresh device and stores its
+// snapshot: a single-device job gets that runner back; a fleet job, which
+// forks every device, gets the snapshot as an open checkpoint.
+func (s *Server) warmStart(ctx context.Context, akey string, sp *ReplaySpec, conf ssdconf.Config, spl *spanLog) (cp *sim.Checkpoint, r *sim.Runner, err error) {
+	defer s.agingFlight(akey)()
+	kind := sim.SchemeKind(sp.Scheme)
+	if cp = s.checkpoints.get(akey); cp != nil {
+		spl.next("restore")
+	} else if warm := s.loadAgingSnapshot(akey, sp.Scheme); warm != nil {
+		spl.next("restore")
+		// An unusable checkpoint (decode error, scheme/config drift) is not
+		// fatal and is not cached — the job falls back to aging.
+		cp = s.openCheckpoint(akey, warm, kind, conf)
+	}
+	if cp != nil {
+		forks := 1
+		if sp.Fleet != nil {
+			forks = sp.Fleet.Devices
+		}
+		s.counter("snapshot_restores", int64(forks))
+		return cp, nil, nil
+	}
+	spl.next("age")
+	if r, err = sim.NewRunner(kind, conf); err != nil {
+		return nil, nil, err
+	}
+	if err = r.AgeCtx(ctx, sim.DefaultAging()); err != nil {
+		return nil, nil, err
 	}
 	s.counter("snapshot_ages", 1)
-	if blob, err := r.Snapshot(); err == nil {
-		_ = s.store.Put(key, &SnapshotEntry{Key: key, Kind: "snapshot", Scheme: scheme, Blob: blob})
+	// A snapshot or store failure costs only reuse: this job has its aged
+	// device in hand, later jobs just re-age.
+	blob, err := r.Snapshot()
+	if err == nil {
+		_ = s.store.Put(akey, &SnapshotEntry{Key: akey, Kind: "snapshot", Scheme: sp.Scheme, Blob: blob})
 	}
-	return nil
+	if sp.Fleet == nil {
+		return nil, r, nil
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("service: checkpointing the aged device: %w", err)
+	}
+	if cp = s.openCheckpoint(akey, blob, kind, conf); cp == nil {
+		return nil, nil, fmt.Errorf("service: the aged device's checkpoint does not open")
+	}
+	return cp, nil, nil
+}
+
+// openCheckpoint verifies a checkpoint blob and caches it under its aging
+// key, or returns nil when it is unusable for the scheme and configuration.
+func (s *Server) openCheckpoint(akey string, blob []byte, kind sim.SchemeKind, conf ssdconf.Config) *sim.Checkpoint {
+	cp, err := sim.OpenCheckpoint(blob)
+	if err != nil || cp.Kind != kind || cp.Conf != conf {
+		return nil
+	}
+	s.counter("snapshot_opens", 1)
+	s.checkpoints.put(akey, cp)
+	return cp
 }
 
 // Store returns the server's result store.
@@ -664,6 +720,7 @@ var metricHelp = map[string]string{
 	"jobs_failed":       "Jobs that exhausted their retries and failed.",
 	"jobs_cancelled":    "Jobs cancelled before completion.",
 	"snapshot_ages":     "Aging runs executed and checkpointed (one per aging key).",
+	"snapshot_opens":    "Checkpoint blobs verified, audited and opened for forking.",
 	"snapshot_restores": "Replay jobs forked from a stored aging checkpoint.",
 }
 

@@ -575,10 +575,7 @@ func (s *Server) runReplay(ctx context.Context, key string, sp ReplaySpec, hub *
 	if err != nil {
 		return nil, err
 	}
-	r, err := sim.NewRunner(sim.SchemeKind(sp.Scheme), conf)
-	if err != nil {
-		return nil, err
-	}
+	var r *sim.Runner
 	var agingAttrs []string
 	if sp.Age {
 		akey, err := sp.AgingKey()
@@ -586,29 +583,17 @@ func (s *Server) runReplay(ctx context.Context, key string, sp ReplaySpec, hub *
 			return nil, err
 		}
 		agingAttrs = []string{"aging_key", akey}
-		// One aging run per checkpoint key: concurrent jobs sharing the
-		// key queue on the flight lock, and all but the first find the
-		// stored snapshot and fork from it.
-		unlock := s.agingFlight(akey)
-		restored := false
-		if warm := s.loadAgingSnapshot(akey, sp.Scheme); warm != nil {
-			spl.next("restore")
-			// An unusable checkpoint (decode error, scheme/config drift)
-			// is not fatal — the job falls back to aging from scratch.
-			if r2, err := sim.Restore(warm); err == nil && r2.Kind == sim.SchemeKind(sp.Scheme) && *r2.Conf == conf {
-				r = r2
-				restored = true
-				s.counter("snapshot_restores", 1)
-			}
+		var cp *sim.Checkpoint
+		if cp, r, err = s.warmStart(ctx, akey, &sp, conf, spl); err != nil {
+			return nil, err
 		}
-		if !restored {
-			spl.next("age")
-			if err := s.ageAndStore(ctx, r, akey, sp.Scheme); err != nil {
-				unlock()
+		if cp != nil {
+			if r, err = cp.Fork(); err != nil {
 				return nil, err
 			}
 		}
-		unlock()
+	} else if r, err = sim.NewRunner(sim.SchemeKind(sp.Scheme), conf); err != nil {
+		return nil, err
 	}
 	smp, err := obs.NewSampler(s.cfg.SampleIntervalMs)
 	if err != nil {
@@ -633,25 +618,26 @@ func (s *Server) runReplay(ctx context.Context, key string, sp ReplaySpec, hub *
 	return entry, nil
 }
 
-// runFleetReplay executes one fleet replay job: build the N-device volume,
-// warm it by forking every device from the single-device AgingKey
-// checkpoint (aging device 0 and storing the checkpoint if none exists —
-// the same store entry non-fleet jobs use), then replay the trace through
-// the layout. Fleet replays have no per-request progress sampler yet, so
-// the stored entry carries no sample series; determinism still holds — the
-// fleet engines are bit-identical for every worker count.
+// runFleetReplay executes one fleet replay job: build the N-device volume
+// by forking every device from the single-device AgingKey checkpoint (aging
+// one device and storing the checkpoint if none exists — the same store
+// entry non-fleet jobs use), then replay the trace through the layout.
+// Fleet replays have no per-request progress sampler yet, so the stored
+// entry carries no sample series; determinism still holds — the fleet
+// engines are bit-identical for every worker count.
 func (s *Server) runFleetReplay(ctx context.Context, key string, sp ReplaySpec, spl *spanLog) (*Entry, error) {
 	spl.next("generate")
 	conf := sp.config()
 	fspec := sp.fleetSpec()
-	v, err := fleet.New(sim.SchemeKind(sp.Scheme), conf, fspec)
+	sectors, err := fspec.LogicalSectors(conf)
 	if err != nil {
 		return nil, err
 	}
-	reqs, err := sp.requests(v.LogicalSectors())
+	reqs, err := sp.requests(sectors)
 	if err != nil {
 		return nil, err
 	}
+	var v *fleet.Volume
 	var agingAttrs []string
 	if sp.Age {
 		akey, err := sp.AgingKey()
@@ -659,34 +645,17 @@ func (s *Server) runFleetReplay(ctx context.Context, key string, sp ReplaySpec, 
 			return nil, err
 		}
 		agingAttrs = []string{"aging_key", akey}
-		// Same flight lock and store entry as single-device jobs: the first
-		// job ages once, everyone else — fleet or not — forks from the blob.
-		unlock := s.agingFlight(akey)
-		restored := false
-		if warm := s.loadAgingSnapshot(akey, sp.Scheme); warm != nil {
-			spl.next("restore")
-			if err := v.RestoreWarm(warm); err == nil {
-				restored = true
-				s.counter("snapshot_restores", int64(fspec.Devices))
-			}
+		// Same flight lock, store entry and cache as single-device jobs: the
+		// first job ages once, everyone else — fleet or not — forks.
+		cp, _, err := s.warmStart(ctx, akey, &sp, conf, spl)
+		if err != nil {
+			return nil, err
 		}
-		if !restored {
-			spl.next("age")
-			if err := s.ageAndStore(ctx, v.Runners[0], akey, sp.Scheme); err != nil {
-				unlock()
-				return nil, err
-			}
-			blob, err := v.WarmSnapshot()
-			if err != nil {
-				unlock()
-				return nil, err
-			}
-			if err := v.RestoreWarm(blob); err != nil {
-				unlock()
-				return nil, err
-			}
+		if v, err = fleet.FromCheckpoint(cp, fspec); err != nil {
+			return nil, err
 		}
-		unlock()
+	} else if v, err = fleet.New(sim.SchemeKind(sp.Scheme), conf, fspec); err != nil {
+		return nil, err
 	}
 	workers := sp.Workers
 	if workers == 0 {

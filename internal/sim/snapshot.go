@@ -2,14 +2,16 @@
 // complete mutable simulator state — scheme mapping structures, flash
 // array, allocator/GC state, DRAM caches, host cache, chip and bus clocks,
 // and the aging bookkeeping — into a self-describing versioned container;
-// Restore reconstructs a replay-ready Runner from it. A sweep can therefore
-// age a device once per (config, aging) pair and fork every variant replay
-// from the checkpoint instead of re-aging.
+// OpenCheckpoint verifies such a container once and Checkpoint.Fork builds
+// a replay-ready Runner from it. A sweep can therefore age a device once
+// per (config, aging) pair, open the checkpoint once, and fork every
+// variant replay from it instead of re-aging.
 package sim
 
 import (
 	"encoding/json"
 	"fmt"
+	"sync/atomic"
 
 	"across/internal/check"
 	"across/internal/hostcache"
@@ -47,22 +49,74 @@ func (r *Runner) Snapshot() ([]byte, error) {
 	return enc.Finish()
 }
 
-// Restore reconstructs a replay-ready Runner from a snapshot produced by
-// Snapshot: it validates the container, rebuilds the scheme stack from the
-// embedded configuration (including a host-cache wrap when one was
-// captured), restores every component's state, and then runs the device
-// auditor over the result — a snapshot whose state violates the mapping/
-// flash invariants (tampered, or from a buggy writer) is rejected rather
-// than replayed. Schemes that cannot be audited skip that final check.
+// Checkpoint is an opened snapshot: a blob whose container, checksum, state
+// shape and device invariants OpenCheckpoint has verified once, kept as its
+// inflated body so that any number of runners can be forked from it without
+// verifying again. The body is immutable — Fork only reads it, and restored
+// components copy what they keep — so a Checkpoint is safe for concurrent
+// use and a fork can never see another fork's writes.
+type Checkpoint struct {
+	// Kind and Conf are the scheme and device configuration the snapshot
+	// was taken with.
+	Kind SchemeKind
+	Conf ssdconf.Config
+
+	body snapshot.Body
+	// first is the runner OpenCheckpoint decoded and audited, handed to the
+	// first Fork so that opening and forking once decodes once.
+	first atomic.Pointer[Runner]
+}
+
+// OpenCheckpoint verifies a snapshot produced by Snapshot, everything a
+// blob from disk or the network must pass before a runner is built from it:
+// the container (magic, version, flags, bounded inflate, SHA-256), the full
+// decode into a scheme stack rebuilt from the embedded configuration
+// (including a host-cache wrap when one was captured), every component's
+// shape validation, and the device auditor over the result — a snapshot
+// whose state violates the mapping/flash invariants (tampered, or from a
+// buggy writer) is rejected rather than replayed. Schemes that cannot be
+// audited skip that final check.
 //
-// Restore supports schemes as built by NewScheme; a snapshot taken from a
-// scheme constructed with non-default structural options (e.g. a custom
-// DFTL resident-page budget) fails the shape validation cleanly.
-func Restore(blob []byte) (*Runner, error) {
-	dec, err := snapshot.NewDecoder(blob)
+// It supports schemes as built by NewScheme; a snapshot taken from a scheme
+// constructed with non-default structural options (e.g. a custom DFTL
+// resident-page budget) fails the shape validation cleanly.
+func OpenCheckpoint(blob []byte) (*Checkpoint, error) {
+	body, err := snapshot.OpenBody(blob)
 	if err != nil {
 		return nil, err
 	}
+	c := &Checkpoint{body: body}
+	r, err := c.decode()
+	if err != nil {
+		return nil, err
+	}
+	if chk, err := check.New(r.Scheme, check.Options{}); err == nil {
+		if err := chk.Audit(); err != nil {
+			return nil, fmt.Errorf("sim: restored state failed audit: %w", err)
+		}
+	}
+	c.Kind, c.Conf = r.Kind, *r.Conf
+	c.first.Store(r)
+	return c, nil
+}
+
+// BodyBytes returns the size of the inflated body the checkpoint holds.
+func (c *Checkpoint) BodyBytes() int { return c.body.Len() }
+
+// Fork returns a new replay-ready Runner in the checkpointed state: a fresh
+// scheme stack restored from the verified body by the same RestoreState
+// code that opened it, with no inflate, no hash and no second audit. Every
+// fork owns all of its state.
+func (c *Checkpoint) Fork() (*Runner, error) {
+	if r := c.first.Swap(nil); r != nil {
+		return r, nil
+	}
+	return c.decode()
+}
+
+// decode builds a runner from the body.
+func (c *Checkpoint) decode() (*Runner, error) {
+	dec := c.body.Decoder()
 	dec.Tag("sim")
 	kind := SchemeKind(dec.Str())
 	confJSON := dec.Str()
@@ -102,17 +156,22 @@ func Restore(blob []byte) (*Runner, error) {
 	if err := dec.Finish(); err != nil {
 		return nil, err
 	}
-	r := &Runner{
+	return &Runner{
 		Conf:         &conf,
 		Kind:         kind,
 		Scheme:       scheme,
 		warmed:       warmed,
 		warmupWrites: warmupWrites,
+	}, nil
+}
+
+// Restore reconstructs a replay-ready Runner from a snapshot produced by
+// Snapshot: OpenCheckpoint, then one Fork. A caller that wants several
+// runners from one blob holds the Checkpoint and forks it instead.
+func Restore(blob []byte) (*Runner, error) {
+	c, err := OpenCheckpoint(blob)
+	if err != nil {
+		return nil, err
 	}
-	if chk, err := check.New(scheme, check.Options{}); err == nil {
-		if err := chk.Audit(); err != nil {
-			return nil, fmt.Errorf("sim: restored state failed audit: %w", err)
-		}
-	}
-	return r, nil
+	return c.Fork()
 }

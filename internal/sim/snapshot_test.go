@@ -207,6 +207,16 @@ func TestRestoreKeepsAgedState(t *testing.T) {
 	}
 }
 
+// openers are the two entries through which untrusted snapshot bytes reach
+// the simulator; whatever one rejects the other must reject too.
+var openers = []struct {
+	name string
+	open func([]byte) error
+}{
+	{"Restore", func(b []byte) error { _, err := Restore(b); return err }},
+	{"OpenCheckpoint", func(b []byte) error { _, err := OpenCheckpoint(b); return err }},
+}
+
 // Container-level tampering: bit flips, truncation and version skew are all
 // rejected with the right typed error.
 func TestRestoreRejectsTamperedContainer(t *testing.T) {
@@ -218,28 +228,33 @@ func TestRestoreRejectsTamperedContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	flipped := append([]byte(nil), blob...)
 	flipped[len(flipped)/2] ^= 0x40
-	if _, err := Restore(flipped); err == nil {
-		t.Error("bit-flipped snapshot restored")
-	}
-
-	if _, err := Restore(blob[:len(blob)/3]); err == nil {
-		t.Error("truncated snapshot restored")
-	}
-	if _, err := Restore(blob[:4]); !errors.Is(err, snapshot.ErrTruncated) {
-		t.Errorf("header-truncated snapshot: err = %v, want ErrTruncated", err)
-	}
-
 	skewed := append([]byte(nil), blob...)
 	skewed[4]++ // bump the format version's low byte
-	if _, err := Restore(skewed); !errors.Is(err, snapshot.ErrVersion) {
-		t.Errorf("version-skewed snapshot: err = %v, want ErrVersion", err)
-	}
 
-	if _, err := Restore([]byte("not a snapshot at all")); err == nil {
-		t.Error("garbage restored")
+	for _, tc := range []struct {
+		name string
+		blob []byte
+		want error // nil: any error will do
+	}{
+		{"bit-flipped", flipped, nil},
+		{"truncated", blob[:len(blob)/3], nil},
+		{"header-truncated", blob[:4], snapshot.ErrTruncated},
+		{"version-skewed", skewed, snapshot.ErrVersion},
+		{"garbage", []byte("not a snapshot at all"), nil},
+	} {
+		for _, o := range openers {
+			t.Run(tc.name+"/"+o.name, func(t *testing.T) {
+				err := o.open(tc.blob)
+				if err == nil {
+					t.Fatal("tampered snapshot accepted")
+				}
+				if tc.want != nil && !errors.Is(err, tc.want) {
+					t.Errorf("err = %v, want %v", err, tc.want)
+				}
+			})
+		}
 	}
 }
 
@@ -262,10 +277,14 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Restore(blob); err == nil {
-		t.Fatal("corrupt-state snapshot passed the post-restore audit")
-	} else if !strings.Contains(err.Error(), "audit") {
-		t.Errorf("err = %v, want an audit failure", err)
+	for _, o := range openers {
+		t.Run(o.name, func(t *testing.T) {
+			if err := o.open(blob); err == nil {
+				t.Fatal("corrupt-state snapshot passed the post-restore audit")
+			} else if !strings.Contains(err.Error(), "audit") {
+				t.Errorf("err = %v, want an audit failure", err)
+			}
+		})
 	}
 }
 

@@ -18,6 +18,15 @@
 // slices produced by Encoder and consumed by Decoder. Section tags (Tag)
 // are embedded as strings and verified on decode, so a structural mismatch
 // between writer and reader fails loudly instead of misinterpreting bytes.
+// A slice is a slab — a u64 count, then fixed-width little-endian elements
+// — which the Encoder lets a component fill in place (ByteSlab, I32Slab,
+// I64Slab) and the Decoder hands back as a read-only view of the body
+// (BytesView, I32View, I64View), so a column is never copied on its way
+// between a component's arrays and the body.
+//
+// Open verifies a container once and yields its Body; a Body is immutable
+// and any number of Decoders may read it, concurrently — the basis of
+// sim.Checkpoint, which forks many runners from one verified body.
 //
 // Determinism: every encoder input is produced in a canonical order
 // (map-backed state is serialised sorted by key), DEFLATE at a fixed level
@@ -38,6 +47,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Version is the snapshot format version written by this package. Decoders
@@ -78,7 +88,10 @@ var (
 // appends the component's complete mutable state to the encoder and
 // RestoreState reads it back into a freshly constructed (same-config)
 // receiver. Restore must validate sizes against the receiver's
-// config-derived structure rather than allocating from decoded values.
+// config-derived structure rather than allocating from decoded values, and
+// must copy whatever it keeps out of the decoder's views: the body under
+// them is shared and read-only. A receiver whose RestoreState failed is
+// part-written and must be dropped.
 type Snapshotter interface {
 	SnapshotState(enc *Encoder) error
 	RestoreState(dec *Decoder) error
@@ -87,21 +100,23 @@ type Snapshotter interface {
 // Encoder builds a snapshot body. Methods never fail; Finish seals the
 // container (checksum + compression + header) and returns the blob.
 type Encoder struct {
-	body bytes.Buffer
-	tmp  [8]byte
+	body []byte
 }
 
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
 
-func (e *Encoder) u32(v uint32) {
-	binary.LittleEndian.PutUint32(e.tmp[:4], v)
-	e.body.Write(e.tmp[:4])
-}
+func (e *Encoder) u32(v uint32) { e.body = binary.LittleEndian.AppendUint32(e.body, v) }
 
-func (e *Encoder) u64(v uint64) {
-	binary.LittleEndian.PutUint64(e.tmp[:8], v)
-	e.body.Write(e.tmp[:8])
+func (e *Encoder) u64(v uint64) { e.body = binary.LittleEndian.AppendUint64(e.body, v) }
+
+// slab writes the count prefix of an n-element slab and returns its
+// n*elemSize data bytes for the caller to fill in place.
+func (e *Encoder) slab(n, elemSize int) []byte {
+	e.u64(uint64(n))
+	start := len(e.body)
+	e.body = slices.Grow(e.body, n*elemSize)[:start+n*elemSize]
+	return e.body[start:]
 }
 
 // Tag writes a named section marker. Decoders verify the same name at the
@@ -111,14 +126,14 @@ func (e *Encoder) Tag(name string) { e.Str(name) }
 // Bool writes a boolean as one byte (0 or 1).
 func (e *Encoder) Bool(v bool) {
 	if v {
-		e.body.WriteByte(1)
+		e.body = append(e.body, 1)
 	} else {
-		e.body.WriteByte(0)
+		e.body = append(e.body, 0)
 	}
 }
 
 // U8 writes one byte.
-func (e *Encoder) U8(v uint8) { e.body.WriteByte(v) }
+func (e *Encoder) U8(v uint8) { e.body = append(e.body, v) }
 
 // I32 writes a fixed-width 32-bit integer.
 func (e *Encoder) I32(v int32) { e.u32(uint32(v)) }
@@ -132,38 +147,60 @@ func (e *Encoder) F64(v float64) { e.u64(math.Float64bits(v)) }
 // Str writes a length-prefixed UTF-8 string.
 func (e *Encoder) Str(s string) {
 	e.u32(uint32(len(s)))
-	e.body.WriteString(s)
+	e.body = append(e.body, s...)
 }
 
 // Bytes writes a length-prefixed byte slice.
-func (e *Encoder) Bytes(b []byte) {
-	e.u64(uint64(len(b)))
-	e.body.Write(b)
-}
+func (e *Encoder) Bytes(b []byte) { copy(e.ByteSlab(len(b)), b) }
 
 // I32s writes a length-prefixed []int32.
 func (e *Encoder) I32s(v []int32) {
-	e.u64(uint64(len(v)))
-	for _, x := range v {
-		e.u32(uint32(x))
+	w := e.I32Slab(len(v))
+	for i, x := range v {
+		w.Set(i, x)
 	}
 }
 
 // I64s writes a length-prefixed []int64.
 func (e *Encoder) I64s(v []int64) {
-	e.u64(uint64(len(v)))
-	for _, x := range v {
-		e.u64(uint64(x))
+	w := e.I64Slab(len(v))
+	for i, x := range v {
+		w.Set(i, x)
 	}
 }
 
 // F64s writes a length-prefixed []float64.
 func (e *Encoder) F64s(v []float64) {
-	e.u64(uint64(len(v)))
-	for _, x := range v {
-		e.u64(math.Float64bits(x))
+	w := e.I64Slab(len(v))
+	for i, x := range v {
+		w.Set(i, int64(math.Float64bits(x)))
 	}
 }
+
+// ByteSlab, I32Slab and I64Slab write the length prefix of an n-element
+// slice and return its elements for the caller to set, every one, in place
+// — the way a component serialises one column of an array of structs
+// without building the column first. The window is valid only until the
+// next Encoder call.
+func (e *Encoder) ByteSlab(n int) []byte { return e.slab(n, 1) }
+
+// I32Slab is ByteSlab for an []int32 column.
+func (e *Encoder) I32Slab(n int) I32Slab { return I32Slab{e.slab(n, 4)} }
+
+// I64Slab is ByteSlab for an []int64 column.
+func (e *Encoder) I64Slab(n int) I64Slab { return I64Slab{e.slab(n, 8)} }
+
+// I32Slab is the write window of one []int32 slab inside an encoder's body.
+type I32Slab struct{ b []byte }
+
+// Set stores element i.
+func (s I32Slab) Set(i int, v int32) { binary.LittleEndian.PutUint32(s.b[i*4:], uint32(v)) }
+
+// I64Slab is the write window of one []int64 slab inside an encoder's body.
+type I64Slab struct{ b []byte }
+
+// Set stores element i.
+func (s I64Slab) Set(i int, v int64) { binary.LittleEndian.PutUint64(s.b[i*8:], uint64(v)) }
 
 // Finish seals the body into a self-describing snapshot (AXSN) container:
 // header with version, flags, uncompressed length and SHA-256 of the
@@ -180,14 +217,23 @@ func Seal(containerMagic string, version uint32, e *Encoder) ([]byte, error) {
 	if len(containerMagic) != 4 {
 		return nil, fmt.Errorf("%w: magic %q must be 4 bytes", ErrFormat, containerMagic)
 	}
-	raw := e.body.Bytes()
+	raw := e.body
 	if len(raw) > maxBody {
 		return nil, fmt.Errorf("%w: body %d bytes exceeds %d", ErrFormat, len(raw), maxBody)
 	}
 	sum := sha256.Sum256(raw)
 
-	var comp bytes.Buffer
-	fw, err := flate.NewWriter(&comp, flate.BestSpeed)
+	// Header and compressed body go into one buffer, sized for the 9:1 or
+	// better an aged device compresses at so it rarely regrows.
+	out := bytes.NewBuffer(make([]byte, 0, headerSize+len(raw)/8))
+	var hdr [headerSize]byte
+	copy(hdr[:4], containerMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], version)
+	binary.LittleEndian.PutUint32(hdr[8:], flagCompressed)
+	binary.LittleEndian.PutUint64(hdr[12:], uint64(len(raw)))
+	copy(hdr[20:], sum[:])
+	out.Write(hdr[:])
+	fw, err := flate.NewWriter(out, flate.BestSpeed)
 	if err != nil {
 		return nil, err
 	}
@@ -197,16 +243,22 @@ func Seal(containerMagic string, version uint32, e *Encoder) ([]byte, error) {
 	if err := fw.Close(); err != nil {
 		return nil, err
 	}
-
-	out := make([]byte, 0, headerSize+comp.Len())
-	out = append(out, containerMagic...)
-	out = binary.LittleEndian.AppendUint32(out, version)
-	out = binary.LittleEndian.AppendUint32(out, flagCompressed)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(raw)))
-	out = append(out, sum[:]...)
-	out = append(out, comp.Bytes()...)
-	return out, nil
+	return out.Bytes(), nil
 }
+
+// Body is the verified, inflated body of a container: Open has checked the
+// header and the SHA-256, so whatever reads the bytes may trust that they
+// are the bytes the writer sealed. A Body is immutable — nothing in this
+// package writes to it and the views a Decoder hands out must not be
+// written through — which is what lets any number of Decoders read one Body
+// at the same time.
+type Body struct{ b []byte }
+
+// Len returns the body's size in bytes.
+func (b Body) Len() int { return len(b.b) }
+
+// Decoder returns a new decoder positioned at the body's first byte.
+func (b Body) Decoder() *Decoder { return &Decoder{body: b.b} }
 
 // Decoder reads a snapshot body with a sticky error: after the first
 // failure every subsequent read returns a zero value and Err/Finish report
@@ -223,30 +275,49 @@ type Decoder struct {
 // at the first byte. Hostile inputs yield a typed error, never a panic, and
 // decompression work is bounded by the declared (capped) body length.
 func NewDecoder(blob []byte) (*Decoder, error) {
-	return Open(magic, Version, blob)
+	body, err := OpenBody(blob)
+	if err != nil {
+		return nil, err
+	}
+	return body.Decoder(), nil
 }
+
+// OpenBody validates a snapshot (AXSN) container and returns its body.
+func OpenBody(blob []byte) (Body, error) { return open(magic, Version, blob) }
 
 // Open is the inverse of Seal: it validates a container carrying the given
 // magic and version and returns a decoder over its body, with the same
 // hostile-input hardening as snapshot decoding.
 func Open(containerMagic string, wantVersion uint32, blob []byte) (*Decoder, error) {
+	body, err := open(containerMagic, wantVersion, blob)
+	if err != nil {
+		return nil, err
+	}
+	return body.Decoder(), nil
+}
+
+// maxInflate is DEFLATE's largest possible expansion: a 258-byte match
+// costs at least two bits.
+const maxInflate = 1032
+
+func open(containerMagic string, wantVersion uint32, blob []byte) (Body, error) {
 	if len(blob) < headerSize {
-		return nil, fmt.Errorf("%w: %d bytes, want at least %d", ErrTruncated, len(blob), headerSize)
+		return Body{}, fmt.Errorf("%w: %d bytes, want at least %d", ErrTruncated, len(blob), headerSize)
 	}
 	if string(blob[:4]) != containerMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrFormat, blob[:4])
+		return Body{}, fmt.Errorf("%w: bad magic %q", ErrFormat, blob[:4])
 	}
 	version := binary.LittleEndian.Uint32(blob[4:8])
 	if version != wantVersion {
-		return nil, fmt.Errorf("%w: got %d, support %d", ErrVersion, version, wantVersion)
+		return Body{}, fmt.Errorf("%w: got %d, support %d", ErrVersion, version, wantVersion)
 	}
 	flags := binary.LittleEndian.Uint32(blob[8:12])
 	if flags&^uint32(knownFlags) != 0 {
-		return nil, fmt.Errorf("%w: unknown flags %#x", ErrFormat, flags)
+		return Body{}, fmt.Errorf("%w: unknown flags %#x", ErrFormat, flags)
 	}
 	ulen := binary.LittleEndian.Uint64(blob[12:20])
 	if ulen > maxBody {
-		return nil, fmt.Errorf("%w: implausible body length %d", ErrFormat, ulen)
+		return Body{}, fmt.Errorf("%w: implausible body length %d", ErrFormat, ulen)
 	}
 	var sum [sha256.Size]byte
 	copy(sum[:], blob[20:20+sha256.Size])
@@ -254,30 +325,37 @@ func Open(containerMagic string, wantVersion uint32, blob []byte) (*Decoder, err
 	var body []byte
 	payload := blob[headerSize:]
 	if flags&flagCompressed != 0 {
-		// Decompress at most ulen+1 bytes: a body that overruns its
-		// declared length is rejected without inflating further, so a
-		// decompression bomb costs no more than the cap.
+		// One buffer, sized from the header but never beyond what the payload
+		// present could inflate to, so a hostile length cannot drive
+		// allocation. The extra byte is where a body that overruns its
+		// declared length shows: it is rejected without inflating further.
+		body = make([]byte, min(ulen, maxInflate*uint64(len(payload)))+1)
 		fr := flate.NewReader(bytes.NewReader(payload))
-		var buf bytes.Buffer
-		n, err := io.Copy(&buf, io.LimitReader(fr, int64(ulen)+1))
+		n := 0
+		var err error
+		for n < len(body) && err == nil {
+			var m int
+			m, err = fr.Read(body[n:])
+			n += m
+		}
 		fr.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
+		if err != nil && err != io.EOF {
+			return Body{}, fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
 		}
 		if uint64(n) != ulen {
-			return nil, fmt.Errorf("%w: body is %d bytes, header says %d", ErrCorrupt, n, ulen)
+			return Body{}, fmt.Errorf("%w: body is %d bytes, header says %d", ErrCorrupt, n, ulen)
 		}
-		body = buf.Bytes()
+		body = body[:n]
 	} else {
 		if uint64(len(payload)) != ulen {
-			return nil, fmt.Errorf("%w: body is %d bytes, header says %d", ErrCorrupt, len(payload), ulen)
+			return Body{}, fmt.Errorf("%w: body is %d bytes, header says %d", ErrCorrupt, len(payload), ulen)
 		}
-		body = payload
+		body = bytes.Clone(payload) // a Body must not change when the caller's blob does
 	}
 	if sha256.Sum256(body) != sum {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+		return Body{}, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	return &Decoder{body: body}, nil
+	return Body{body}, nil
 }
 
 // Err returns the sticky decode error, if any.
@@ -406,52 +484,84 @@ func (d *Decoder) Str() string {
 }
 
 // Bytes reads a length-prefixed byte slice (copied out of the body).
-func (d *Decoder) Bytes() []byte {
-	n := d.count(1)
-	b := d.need(n)
-	if b == nil {
-		return nil
+func (d *Decoder) Bytes() []byte { return bytes.Clone(d.BytesView()) }
+
+// BytesView, I32View and I64View read a length-prefixed slice with one
+// bounds check and return it as a view of the body — no copy, no
+// allocation — for a receiver to decode straight into its own arrays. A
+// view is read-only (the body may be shared with other decoders) and must
+// not be retained past the restore. After a decode error the view is empty.
+func (d *Decoder) BytesView() []byte { return d.need(d.count(1)) }
+
+// I32View is BytesView for an []int32 slab.
+func (d *Decoder) I32View() I32View { return I32View{d.need(4 * d.count(4))} }
+
+// I64View is BytesView for an []int64 slab.
+func (d *Decoder) I64View() I64View { return I64View{d.need(8 * d.count(8))} }
+
+// I32View is a read-only view of one []int32 slab of a body.
+type I32View struct{ b []byte }
+
+// Len returns the element count.
+func (v I32View) Len() int { return len(v.b) / 4 }
+
+// At returns element i.
+func (v I32View) At(i int) int32 { return int32(binary.LittleEndian.Uint32(v.b[i*4:])) }
+
+// CopyTo decodes the slab into dst, which must have Len elements.
+func (v I32View) CopyTo(dst []int32) {
+	for i := range dst {
+		dst[i] = v.At(i)
 	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+}
+
+// I64View is a read-only view of one []int64 slab of a body.
+type I64View struct{ b []byte }
+
+// Len returns the element count.
+func (v I64View) Len() int { return len(v.b) / 8 }
+
+// At returns element i.
+func (v I64View) At(i int) int64 { return int64(binary.LittleEndian.Uint64(v.b[i*8:])) }
+
+// CopyTo decodes the slab into dst, which must have Len elements.
+func (v I64View) CopyTo(dst []int64) {
+	for i := range dst {
+		dst[i] = v.At(i)
+	}
 }
 
 // I32s reads a length-prefixed []int32.
 func (d *Decoder) I32s() []int32 {
-	n := d.count(4)
+	v := d.I32View()
 	if d.err != nil {
 		return nil
 	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = d.I32()
-	}
+	out := make([]int32, v.Len())
+	v.CopyTo(out)
 	return out
 }
 
 // I64s reads a length-prefixed []int64.
 func (d *Decoder) I64s() []int64 {
-	n := d.count(8)
+	v := d.I64View()
 	if d.err != nil {
 		return nil
 	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = d.I64()
-	}
+	out := make([]int64, v.Len())
+	v.CopyTo(out)
 	return out
 }
 
 // F64s reads a length-prefixed []float64.
 func (d *Decoder) F64s() []float64 {
-	n := d.count(8)
+	v := d.I64View()
 	if d.err != nil {
 		return nil
 	}
-	out := make([]float64, n)
+	out := make([]float64, v.Len())
 	for i := range out {
-		out[i] = d.F64()
+		out[i] = math.Float64frombits(uint64(v.At(i)))
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -252,4 +253,104 @@ func sealRaw(body []byte) []byte {
 func sha(b []byte) []byte {
 	s := sha256.Sum256(b)
 	return s[:]
+}
+
+// Slabs filled in place and views read in place are the same format as the
+// slice methods: a column written either way reads back either way, and the
+// two encodings are byte-identical.
+func TestSlabsAndViewsMatchSlices(t *testing.T) {
+	i32 := []int32{-3, 0, 1 << 30}
+	i64 := []int64{-1 << 62, 7, 0, 42}
+	raw := []byte{9, 8, 7}
+
+	slices := NewEncoder()
+	slices.Bytes(raw)
+	slices.I32s(i32)
+	slices.I64s(i64)
+	want, err := slices.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	slabs := NewEncoder()
+	copy(slabs.ByteSlab(len(raw)), raw)
+	w32 := slabs.I32Slab(len(i32))
+	for i, v := range i32 {
+		w32.Set(i, v)
+	}
+	w64 := slabs.I64Slab(len(i64))
+	for i, v := range i64 {
+		w64.Set(i, v)
+	}
+	got, err := slabs.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("slab-encoded container differs from the slice-encoded one")
+	}
+
+	body, err := OpenBody(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := body.Decoder()
+	if v := d.BytesView(); !bytes.Equal(v, raw) {
+		t.Errorf("bytes view = %v", v)
+	}
+	v32 := d.I32View()
+	back32 := make([]int32, v32.Len())
+	v32.CopyTo(back32)
+	v64 := d.I64View()
+	if v32.Len() != len(i32) || v64.Len() != len(i64) {
+		t.Fatalf("views hold %d/%d elements, want %d/%d", v32.Len(), v64.Len(), len(i32), len(i64))
+	}
+	for i, v := range i32 {
+		if back32[i] != v || v32.At(i) != v {
+			t.Errorf("i32[%d] = %d / %d, want %d", i, back32[i], v32.At(i), v)
+		}
+	}
+	for i, v := range i64 {
+		if v64.At(i) != v {
+			t.Errorf("i64[%d] = %d, want %d", i, v64.At(i), v)
+		}
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	// A second decoder over the same body starts from the top.
+	if v := body.Decoder().BytesView(); !bytes.Equal(v, raw) {
+		t.Errorf("second decoder's first view = %v", v)
+	}
+}
+
+// A view's length prefix is bounded by the bytes that remain, like a
+// slice's: a hostile count arms the sticky error and yields an empty view.
+func TestViewRejectsHostileLength(t *testing.T) {
+	body := binary.LittleEndian.AppendUint64(nil, 1<<40)
+	d, err := NewDecoder(sealRaw(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := d.I64View(); v.Len() != 0 || !errors.Is(d.Err(), ErrCorrupt) {
+		t.Errorf("view of %d elements, err %v; want empty and ErrCorrupt", v.Len(), d.Err())
+	}
+}
+
+// The inflate buffer is sized from the header but capped by what the
+// payload present could expand to: a 60-byte container claiming the largest
+// body the format allows is rejected after allocating next to nothing.
+func TestOpenHostileLengthAllocatesLittle(t *testing.T) {
+	blob := writeSample(t)[:headerSize+8]
+	binary.LittleEndian.PutUint64(blob[12:20], maxBody)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewDecoder(blob)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("err = %v, want ErrCorrupt", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("a %d-byte container claiming %d bytes made Open allocate %d", len(blob), uint64(maxBody), got)
+	}
 }
