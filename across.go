@@ -306,11 +306,13 @@ type CheckOptions = check.Options
 // collection.
 func ExperimentConfigDefaults() experiments.Config { return experiments.DefaultConfig() }
 
-// ExperimentIDs lists the regenerable paper artifacts
-// (table1, table2, fig2, fig4, fig8–fig14).
+// ExperimentIDs lists, sorted, every id RunExperiment accepts: the paper
+// artifacts (table1, table2, fig2, fig4, fig8–fig14) and the extension
+// studies (ext-*).
 func ExperimentIDs() []string { return experiments.IDs() }
 
-// RunExperiment regenerates one paper table/figure, writing it to w.
+// RunExperiment regenerates one paper table/figure or extension study,
+// writing it to w.
 func RunExperiment(id string, cfg experiments.Config, w io.Writer) error {
 	s, err := experiments.NewSession(cfg)
 	if err != nil {

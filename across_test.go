@@ -97,7 +97,7 @@ func TestConfigConstructors(t *testing.T) {
 
 // extensionIDs mirrors the extension registry for the count check.
 func extensionIDs() []string {
-	return []string{"ext-tail", "ext-wear", "ext-dftl", "ext-util", "ext-timeline"}
+	return []string{"ext-tail", "ext-wear", "ext-dftl", "ext-util", "ext-timeline", "ext-fleet", "ext-scenario"}
 }
 
 func TestExperimentIDsAndRunner(t *testing.T) {

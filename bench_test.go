@@ -288,31 +288,6 @@ func BenchmarkAblationWearLeveling(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayThroughput measures raw simulator speed (requests/s) for
-// each scheme, without the experiment-harness overhead.
-func BenchmarkReplayThroughput(b *testing.B) {
-	conf := benchSSD()
-	reqs := benchTrace(b, conf)
-	for _, kind := range sim.Kinds() {
-		b.Run(string(kind), func(b *testing.B) {
-			r, err := sim.NewRunner(kind, conf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := r.Age(sim.DefaultAging()); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.Replay(reqs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "req/s")
-		})
-	}
-}
-
 func itoa(n int) string {
 	if n == 0 {
 		return "0"

@@ -7,9 +7,12 @@
 //	experiments -run fig9,fig11      # selected artifacts only
 //	experiments -scale 0.2           # replay 20% of the Table 2 trace lengths
 //	experiments -full                # full Table 1 geometry and trace lengths
+//	experiments -ext                 # ... followed by every extension study
 //	experiments -out results.txt     # also write the report to a file
 //
-// Artifacts: table1 table2 fig2 fig4 fig8 fig9 fig10 fig11 fig12 fig13 fig14.
+// Artifacts: table1 table2 fig2 fig4 fig8 fig9 fig10 fig11 fig12 fig13 fig14;
+// -list prints them with the extension studies (ext-*). One invocation is
+// one session, so experiments that share replays run them once.
 package main
 
 import (
@@ -21,8 +24,18 @@ import (
 	"time"
 
 	"across"
+	"across/internal/experiments"
 	"across/internal/profiling"
 )
+
+// ids lists a slice of the registry in its own order.
+func ids(es []experiments.Experiment) []string {
+	out := make([]string, len(es))
+	for i, e := range es {
+		out[i] = e.ID
+	}
+	return out
+}
 
 func main() {
 	var (
@@ -32,7 +45,7 @@ func main() {
 		noAge   = flag.Bool("no-age", false, "skip the 90%-used device warm-up (faster, less faithful)")
 		workers = flag.Int("workers", 0, "parallel replays (default GOMAXPROCS)")
 		out     = flag.String("out", "", "also write the report to this file")
-		ext     = flag.Bool("ext", false, "also run the extension studies (ext-tail, ext-wear, ext-dftl, ext-util, ext-timeline)")
+		ext     = flag.Bool("ext", false, "also run the extension studies ("+strings.Join(ids(experiments.Extensions()), ", ")+")")
 		seed    = flag.Int64("seed", 0, "workload seed offset (stability checks)")
 		format  = flag.String("format", "text", "table format: text, markdown, csv")
 		list    = flag.Bool("list", false, "list experiment ids and exit")
@@ -90,22 +103,15 @@ func main() {
 		cfg.SSD.String(), cfg.Scale, cfg.Age)
 
 	start := time.Now()
-	var err error
-	if *runList == "" {
-		err = across.RunAllExperiments(cfg, w)
-		if err == nil && *ext {
-			for _, id := range []string{"ext-tail", "ext-wear", "ext-dftl", "ext-util", "ext-timeline"} {
-				if err = across.RunExperiment(id, cfg, w); err != nil {
-					break
-				}
-			}
-		}
-	} else {
-		for _, id := range strings.Split(*runList, ",") {
-			if err = across.RunExperiment(strings.TrimSpace(id), cfg, w); err != nil {
-				break
-			}
-		}
+	run := ids(experiments.All())
+	if *runList != "" {
+		run = strings.Split(*runList, ",")
+	} else if *ext {
+		run = append(run, ids(experiments.Extensions())...)
+	}
+	sess, err := experiments.NewSession(cfg)
+	for i := 0; err == nil && i < len(run); i++ {
+		err = experiments.RunOne(strings.TrimSpace(run[i]), sess, w)
 	}
 	if err != nil {
 		if outFile != nil {

@@ -12,7 +12,10 @@ import (
 // cites the partial-GC long-tail line of work), the per-block wear
 // distribution behind the erase-count endurance metric, and a DFTL bracket
 // that separates table-spilling overhead from sub-page-granularity
-// overhead.
+// overhead — and the two studies that take the schemes beyond one SSD under
+// one stationary trace: striped multi-device volumes (ext-fleet) and
+// temporal, multi-tenant scenarios (ext-scenario). cmd/experiments -ext runs
+// them in this order.
 func Extensions() []Experiment {
 	return []Experiment{
 		extTailExperiment(),
@@ -20,6 +23,8 @@ func Extensions() []Experiment {
 		extDFTLExperiment(),
 		extUtilExperiment(),
 		extTimelineExperiment(),
+		extFleetExperiment(),
+		extScenarioExperiment(),
 	}
 }
 

@@ -256,8 +256,17 @@ func (s *Session) run(k runKey) (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	conf := s.Cfg.SSD.WithPageBytes(k.pageBytes)
-	r, err := sim.NewRunner(k.kind, conf)
+	r, err := s.warm(k.kind, s.Cfg.SSD.WithPageBytes(k.pageBytes))
+	if err != nil {
+		return nil, err
+	}
+	return r.ReplayCtx(s.ctx, reqs)
+}
+
+// warm builds a device and, when the session ages, warms it to the §4.1
+// state.
+func (s *Session) warm(kind sim.SchemeKind, conf ssdconf.Config) (*sim.Runner, error) {
+	r, err := sim.NewRunner(kind, conf)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +275,7 @@ func (s *Session) run(k runKey) (*sim.Result, error) {
 			return nil, err
 		}
 	}
-	return r.ReplayCtx(s.ctx, reqs)
+	return r, nil
 }
 
 // lunNames lists the profile names in Table 2 order.

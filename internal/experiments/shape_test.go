@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
+	"across/internal/report"
 	"across/internal/sim"
 	"across/internal/trace"
 	"across/internal/workload"
@@ -134,5 +136,117 @@ func TestFig14ShapeAcrossWinsAtEveryPageSize(t *testing.T) {
 				t.Errorf("%s @%dKB: Across erases > FTL", lun, pb/1024)
 			}
 		}
+	}
+}
+
+// TestExtFleetShape pins what ext-fleet is cited for (EXPERIMENTS.md, "Fleet
+// saturation"): striping below the page size leaves no across-page request
+// for Across-FTL to re-align, so it collapses onto the baseline request for
+// request; at 64 KB chunks the across-page traffic survives the split and
+// Across-FTL's peak throughput beats the baseline's on every layout.
+func TestExtFleetShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 168 fleet replays")
+	}
+	s := quickSession(t)
+	cells, err := s.fleetSweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type cellKey struct {
+		scheme  sim.SchemeKind
+		layout  string
+		chunkKB int
+	}
+	byKey := map[cellKey]report.FleetCell{}
+	kneed := 0
+	for _, c := range cells {
+		byKey[cellKey{sim.SchemeKind(c.Scheme), c.Layout, c.ChunkKB}] = c
+		if len(c.Points) < 4 {
+			t.Errorf("%s %s %dKB: %d QD points, want >= 4", c.Scheme, c.Layout, c.ChunkKB, len(c.Points))
+		}
+		if c.KneeQD > 0 {
+			kneed++
+		}
+	}
+	if want := 4 * 7; len(byKey) != want {
+		t.Fatalf("%d distinct cells, want %d", len(byKey), want)
+	}
+	if kneed < len(cells)/2 {
+		t.Errorf("only %d of %d cells have a knee", kneed, len(cells))
+	}
+	pageKB := s.Cfg.SSD.PageBytes / 1024
+	for k, a := range byKey {
+		if k.scheme != sim.KindAcross {
+			continue
+		}
+		f := byKey[cellKey{sim.KindFTL, k.layout, k.chunkKB}]
+		switch {
+		case k.chunkKB > 0 && k.chunkKB < pageKB:
+			if a.SubAcross != 0 || f.SubAcross != 0 {
+				t.Errorf("%s %dKB: sub-request across ratio %.3f / %.3f, want 0", k.layout, k.chunkKB, a.SubAcross, f.SubAcross)
+			}
+			// Equal to within the AMT lookups Across-FTL still pays (~1e-5).
+			for i := range a.Points {
+				at, ft := a.Points[i].Throughput, f.Points[i].Throughput
+				if math.Abs(at-ft) > 1e-3*ft {
+					t.Errorf("%s %dKB QD %d: Across-FTL %.1f req/s != FTL %.1f under sub-page striping",
+						k.layout, k.chunkKB, a.Points[i].QD, at, ft)
+				}
+			}
+		case k.chunkKB == 0 || k.chunkKB == 64:
+			if a.Peak() <= f.Peak() {
+				t.Errorf("%s %dKB: Across-FTL peak %.0f req/s <= FTL %.0f", k.layout, k.chunkKB, a.Peak(), f.Peak())
+			}
+		}
+	}
+}
+
+// TestExtScenarioShape pins ext-scenario's matrix and the claim
+// EXPERIMENTS.md makes from it: on the 8 KB device Across-FTL writes no
+// more flash per host page than the baseline under any temporal or tenant
+// structure.
+func TestExtScenarioShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 32 replays")
+	}
+	s := quickSession(t)
+	cells, err := s.scenarioMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type cellKey struct {
+		scheme   sim.SchemeKind
+		scenario string
+		pageKB   int
+	}
+	byKey := map[cellKey]scenarioCell{}
+	for _, c := range cells {
+		byKey[cellKey{c.Scheme, c.Scenario, c.PageKB}] = c
+	}
+	for _, kind := range studyKinds() {
+		for _, name := range []string{"stationary", "burst", "daynight", "mixed"} {
+			for _, kb := range []int{8, 16} {
+				c, ok := byKey[cellKey{kind, name, kb}]
+				if !ok {
+					t.Errorf("cell %s/%s/%dKB missing", kind, name, kb)
+					continue
+				}
+				if c.Requests <= 0 || c.Throughput <= 0 || c.WAF <= 0 {
+					t.Errorf("%s/%s/%dKB: requests %d, throughput %.1f, WAF %.3f — all must be positive",
+						kind, name, kb, c.Requests, c.Throughput, c.WAF)
+				}
+				if name == "mixed" && c.Cohorts != 3 {
+					t.Errorf("%s/mixed/%dKB: %d cohorts, want 3", kind, kb, c.Cohorts)
+				}
+			}
+			a, f := byKey[cellKey{sim.KindAcross, name, 8}], byKey[cellKey{sim.KindFTL, name, 8}]
+			if a.WAF > f.WAF {
+				t.Errorf("%s/8KB: Across-FTL WAF %.3f > FTL %.3f", name, a.WAF, f.WAF)
+			}
+		}
+	}
+	if len(cells) != len(byKey) || len(byKey) != 4*4*2 {
+		t.Errorf("%d cells, %d distinct, want 32", len(cells), len(byKey))
 	}
 }

@@ -42,14 +42,9 @@ func extTimelineExperiment() Experiment {
 				}
 			}
 			for _, kind := range sim.Kinds() {
-				r, err := sim.NewRunner(kind, s.Cfg.SSD)
+				r, err := s.warm(kind, s.Cfg.SSD)
 				if err != nil {
 					return err
-				}
-				if s.Cfg.Age {
-					if err := r.Age(sim.DefaultAging()); err != nil {
-						return err
-					}
 				}
 				smp, err := obs.NewSampler(interval)
 				if err != nil {

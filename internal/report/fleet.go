@@ -8,14 +8,10 @@ import (
 // QDPoint is one cell of a fleet saturation sweep: the closed-loop operating
 // point at one queue depth.
 type QDPoint struct {
-	QD         int     `json:"qd"`
-	Throughput float64 `json:"throughput_rps"` // logical requests / simulated second
-	ReadP99    float64 `json:"read_p99_ms"`
-	WriteP99   float64 `json:"write_p99_ms"`
-	AvgRead    float64 `json:"avg_read_ms"`
-	AvgWrite   float64 `json:"avg_write_ms"`
-	UtilMin    float64 `json:"util_min"` // least-busy device utilisation
-	UtilMax    float64 `json:"util_max"` // busiest device utilisation
+	QD         int
+	Throughput float64 // logical requests / simulated second
+	ReadP99    float64 // ms
+	WriteP99   float64 // ms
 }
 
 // Knee finds the saturation knee of a throughput-vs-queue-depth curve: the
@@ -48,36 +44,39 @@ func Knee(pts []QDPoint) int {
 }
 
 // FleetCell is one (scheme, layout, chunk) cell of the fleet sweep: the QD
-// curve plus the per-layout fragmentation and balance summary taken at the
-// deepest queue depth.
+// curve plus the fragmentation summary of what the layout did to the trace.
 type FleetCell struct {
-	Scheme       string    `json:"scheme"`
-	Layout       string    `json:"layout"`
-	Devices      int       `json:"devices"`
-	ChunkKB      int       `json:"chunk_kb"` // 0 for concat (no striping)
-	Points       []QDPoint `json:"points"`
-	KneeQD       int       `json:"knee_qd"` // 0 when no knee was detected
-	Fanout       float64   `json:"fanout"`  // sub-requests per logical request
-	AcrossRatio  float64   `json:"logical_across_ratio"`
-	SubAcross    float64   `json:"sub_across_ratio"`
-	SubUnaligned float64   `json:"sub_unaligned_ratio"`
+	Scheme       string
+	Layout       string
+	ChunkKB      int // 0 for concat (no striping)
+	Points       []QDPoint
+	KneeQD       int     // 0 when no knee was detected
+	Fanout       float64 // sub-requests per logical request
+	AcrossRatio  float64 // across-page share of the logical requests
+	SubAcross    float64 // across-page share of the sub-requests they split into
+	SubUnaligned float64 // unaligned share of the sub-requests
 }
 
-// SaturationTable renders one row per fleet cell: knee, peak throughput,
+// Peak returns the cell's highest throughput over its QD points.
+func (c FleetCell) Peak() float64 {
+	var peak float64
+	for _, p := range c.Points {
+		if p.Throughput > peak {
+			peak = p.Throughput
+		}
+	}
+	return peak
+}
+
+// SaturationTable tabulates one row per fleet cell: knee, peak throughput,
 // p99 at the knee, and the re-fragmentation ratios that explain the
 // chunk-size sensitivity.
-func SaturationTable(title string, cells []FleetCell, w io.Writer) {
+func SaturationTable(title string, cells []FleetCell) *Table {
 	t := New(title,
 		"scheme", "layout", "chunk", "knee QD", "peak req/s", "p99 rd @knee", "p99 wr @knee",
 		"fanout", "across% log", "across% sub", "unaligned% sub")
 	for _, c := range cells {
 		kneeQD, p99r, p99w := "-", "-", "-"
-		var peak float64
-		for _, p := range c.Points {
-			if p.Throughput > peak {
-				peak = p.Throughput
-			}
-		}
 		for _, p := range c.Points {
 			if c.KneeQD != 0 && p.QD == c.KneeQD {
 				kneeQD = fmt.Sprintf("%d", p.QD)
@@ -88,11 +87,11 @@ func SaturationTable(title string, cells []FleetCell, w io.Writer) {
 		if c.ChunkKB > 0 {
 			chunk = fmt.Sprintf("%d KB", c.ChunkKB)
 		}
-		t.Add(c.Scheme, c.Layout, chunk, kneeQD, F(peak, 0),
+		t.Add(c.Scheme, c.Layout, chunk, kneeQD, F(c.Peak(), 0),
 			p99r, p99w, F(c.Fanout, 2), Pct(c.AcrossRatio), Pct(c.SubAcross), Pct(c.SubUnaligned))
 	}
 	t.Note = "knee: kneedle point of the throughput-vs-QD curve; across%/unaligned%: request alignment classes before (log) and after (sub) layout splitting"
-	t.Render(w)
+	return t
 }
 
 // FleetDeviceRow is one device's line in the per-device balance table.

@@ -47,7 +47,7 @@ func TestKneeConcaveEarly(t *testing.T) {
 
 func TestSaturationTableRenders(t *testing.T) {
 	cells := []FleetCell{{
-		Scheme: "Across-FTL", Layout: "raid0", Devices: 4, ChunkKB: 64,
+		Scheme: "Across-FTL", Layout: "raid0", ChunkKB: 64,
 		Points: []QDPoint{
 			{QD: 1, Throughput: 100, ReadP99: 1, WriteP99: 2},
 			{QD: 8, Throughput: 600, ReadP99: 3, WriteP99: 5},
@@ -56,7 +56,7 @@ func TestSaturationTableRenders(t *testing.T) {
 		KneeQD: 8, Fanout: 1.4, AcrossRatio: 0.31, SubAcross: 0.12, SubUnaligned: 0.4,
 	}}
 	var b strings.Builder
-	SaturationTable("fleet saturation", cells, &b)
+	SaturationTable("fleet saturation", cells).Render(&b)
 	out := b.String()
 	for _, want := range []string{"Across-FTL", "raid0", "64 KB", "8", "620", "31.0%"} {
 		if !strings.Contains(out, want) {

@@ -401,6 +401,26 @@ func TestExperimentJob(t *testing.T) {
 	if res.ID != "table1" || !strings.Contains(res.Output, "Table 1") {
 		t.Fatalf("experiment output looks wrong: id=%q output=%q", res.ID, res.Output)
 	}
+
+	// The extension studies are entries of the same registry, so they are
+	// jobs with no service change: the submission validates, and cancelling
+	// stops the study (too long to run to completion here) through the
+	// session's context.
+	for _, id := range []string{"ext-fleet", "ext-scenario"} {
+		code, st := postJSON(t, ts.URL+"/api/v1/jobs", `{"type":"experiment","id":"`+id+`"}`)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s submit = %d, want 202", id, code)
+		}
+		resp, err := http.Post(ts.URL+"/api/v1/jobs/"+st.ID+"/cancel", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		final := pollState(t, ts.URL, st.ID, 10*time.Second)
+		if jobs.State(final.State) != jobs.StateCancelled {
+			t.Fatalf("%s finished %s, want cancelled (error %q)", id, final.State, final.Error)
+		}
+	}
 }
 
 // TestProgressStream reads a job's NDJSON progress stream and checks it

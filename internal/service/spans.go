@@ -7,13 +7,13 @@ import (
 	"time"
 )
 
-// Span is one phase of a job's lifecycle — queued, generate, age, replay,
-// store — with wall-clock bounds relative to submission and a few
-// explanatory attributes (engine, worker count, epoch sizing). Spans are the
-// per-job execution trace: they render inline in the job status and as a
-// Chrome trace_event document at /api/v1/jobs/{id}/trace, so a replay's
-// phase breakdown can be eyeballed in Perfetto next to the simulated
-// timeline the replay itself emits.
+// Span is one phase of a job's lifecycle — queued, generate, age or restore,
+// replay, store — with wall-clock bounds relative to submission and a few
+// explanatory attributes (aging key, engine, worker count, fleet layout).
+// Spans are the per-job execution trace: they render inline in the job
+// status and as a Chrome trace_event document at /api/v1/jobs/{id}/trace, so
+// a replay's phase breakdown can be eyeballed in Perfetto next to the
+// simulated timeline the replay itself emits.
 type Span struct {
 	Name    string            `json:"name"`
 	StartMs float64           `json:"start_ms"`

@@ -16,11 +16,14 @@ var checkedDocs = []string{"README.md", "ARCHITECTURE.md", "DESIGN.md", "EXPERIM
 var (
 	mdLink  = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 	mdFence = regexp.MustCompile("(?s)```.*?```")
+	mdCmd   = regexp.MustCompile(`\./cmd/\w+`)
 )
 
 // TestMarkdownLinksResolve checks every relative [text](target) link in
 // checkedDocs: the target file must exist, and a #fragment must match a
-// heading slug (GitHub slugging rules) in the target document.
+// heading slug (GitHub slugging rules) in the target document. Every
+// ./cmd/<name> a document mentions, code fences included, must be a
+// directory, so a documented command cannot name a binary that is gone.
 func TestMarkdownLinksResolve(t *testing.T) {
 	anchors := map[string]map[string]bool{}
 	for _, doc := range checkedDocs {
@@ -34,6 +37,11 @@ func TestMarkdownLinksResolve(t *testing.T) {
 		body, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, cmd := range mdCmd.FindAllString(string(body), -1) {
+			if fi, err := os.Stat(cmd); err != nil || !fi.IsDir() {
+				t.Errorf("%s: %s is not a command in this repository", doc, cmd)
+			}
 		}
 		text := mdFence.ReplaceAllString(string(body), "")
 		for _, m := range mdLink.FindAllStringSubmatch(text, -1) {
