@@ -49,7 +49,7 @@ func RecoverWithOptions(dev *ftl.Device, opts Options) (*Scheme, error) {
 		cmt:  cache.NewCMT(conf.PageBytes/conf.AMTEntryBytes, opts.AMTCachePages),
 		opts: opts,
 	}
-	s.ms = ftl.NewMapStore(s.Dev, s.Al)
+	s.ms = ftl.NewMapStore(s.Dev, s.Al, amtPages(conf))
 	s.Al.SetMigrate(s.migrate)
 
 	geo := dev.Array.Geo

@@ -98,9 +98,16 @@ func NewWithOptions(conf *ssdconf.Config, opts Options) (*Scheme, error) {
 		cmt:  cache.NewCMT(entriesPerPage, opts.AMTCachePages),
 		opts: opts,
 	}
-	s.ms = ftl.NewMapStore(s.Dev, s.Al)
+	s.ms = ftl.NewMapStore(s.Dev, s.Al, amtPages(conf))
 	s.Al.SetMigrate(s.migrate)
 	return s, nil
+}
+
+// amtPages bounds the AMT's translation-page ids. The PMT holds one AIdx per
+// logical page, so at most LogicalPages areas are live at once, and the AMT
+// recycles indices before growing: every index is below LogicalPages.
+func amtPages(conf *ssdconf.Config) int64 {
+	return conf.LogicalPages()/int64(conf.PageBytes/conf.AMTEntryBytes) + 1
 }
 
 // Name implements ftl.Scheme.

@@ -238,7 +238,7 @@ func seedOrphanPage(t *testing.T, arr *flash.Array) {
 			continue
 		}
 		ppn := geo.FirstPage(b) + flash.PPN(wp)
-		if err := arr.Program(ppn, flash.Tag{Kind: ftl.TagData, Key: 1 << 40}); err != nil {
+		if err := arr.Program(ppn, flash.Tag{Kind: ftl.TagData, Key: 1 << 30}); err != nil {
 			t.Fatal(err)
 		}
 		return

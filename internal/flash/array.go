@@ -42,7 +42,22 @@ var (
 	ErrReadUnwritten      = errors.New("flash: reading an unwritten page")
 	ErrEraseWithValid     = errors.New("flash: erasing a block with valid pages")
 	ErrInvalidateNotValid = errors.New("flash: invalidating a non-valid page")
+	// ErrTagRange: a Kind above MaxKind or a Key beyond 32 bits, which the
+	// packed page metadata cannot hold; the page is left free.
+	ErrTagRange = errors.New("flash: tag outside the packed metadata's range")
+	// ErrGeometryTooLarge: the per-page tables are indexed and keyed by
+	// 32-bit integers (4 TiB at 8 KB pages, 256 times Table 1).
+	ErrGeometryTooLarge = errors.New("flash: geometry exceeds the 32-bit table limit")
 )
+
+// CheckIndex32 refuses a table of n entries that 32-bit columns cannot
+// index. Constructors call it before allocating.
+func CheckIndex32(what string, n int64) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("%w: %d %s, limit %d", ErrGeometryTooLarge, n, what, math.MaxInt32)
+	}
+	return nil
+}
 
 // Tag is the out-of-band metadata programmed with a page. Garbage collection
 // reads it back to find the owner of a live page so the owning mapping
@@ -55,23 +70,34 @@ type Tag struct {
 	Aux  int64 // scheme-specific extra (Across-FTL packs LPN/Off/Size here)
 }
 
-// NilTag is stored on free pages.
+// NilTag is what TagOf answers for a page that is free or invalid.
 var NilTag = Tag{Kind: 0xFF, Key: -1}
+
+// A page's metadata byte holds its state in the low two bits and its tag
+// kind in the six above, which makes MaxKind the largest programmable Kind.
+// The zero byte is a free page, so a fresh array needs no initialisation.
+const (
+	stateMask = 0b11
+	kindShift = 2
+	MaxKind   = 62
+)
 
 // Array is the NAND flash array: pure state machine, no timing. Timing and
 // operation counting live in the ftl.Device facade so that the same array
 // can be driven by warm-up (untimed) and measured phases.
 //
-// Storage is flattened into two contiguous device-wide arrays indexed by
-// PPN (page states and OOB tags) plus three per-block metadata arrays
-// indexed by BlockID. The flat layout keeps GC migration scans, recovery
-// scans, CountStates and WearStats cache-friendly and makes the array
-// itself allocation-free after construction.
+// Storage is packed into device-wide columns indexed by PPN — a metadata
+// byte, a 32-bit tag key, and a tag aux column that exists only once a page
+// has been programmed with a non-zero Aux (only Across-FTL does) — plus
+// three per-block arrays indexed by BlockID: 5 bytes a page, 13 with aux
+// (DESIGN §7). Invalidate and Erase change the metadata byte alone: TagOf
+// answers NilTag for a page that is not valid, so stale keys never show.
 type Array struct {
 	Geo Geometry
 
-	state []PageState // per page, indexed by PPN
-	tags  []Tag       // per page, indexed by PPN
+	meta []uint8 // per page: state | kind<<kindShift
+	key  []int32 // per page: Tag.Key, meaningful while the page is valid
+	aux  []int64 // per page: Tag.Aux; nil until the first non-zero Aux
 
 	writePtr   []int32 // per block: next programmable page index
 	validCount []int32 // per block: pages in PageValid
@@ -90,16 +116,16 @@ func NewArray(c *ssdconf.Config) (*Array, error) {
 		return nil, err
 	}
 	geo := NewGeometry(c)
+	if err := CheckIndex32("physical pages", geo.TotalPages()); err != nil {
+		return nil, err
+	}
 	a := &Array{
 		Geo:        geo,
-		state:      make([]PageState, geo.TotalPages()),
-		tags:       make([]Tag, geo.TotalPages()),
+		meta:       make([]uint8, geo.TotalPages()),
+		key:        make([]int32, geo.TotalPages()),
 		writePtr:   make([]int32, geo.TotalBlocks()),
 		validCount: make([]int32, geo.TotalBlocks()),
 		eraseCount: make([]int64, geo.TotalBlocks()),
-	}
-	for i := range a.tags {
-		a.tags[i] = NilTag
 	}
 	a.vidx.init(&geo)
 	return a, nil
@@ -115,20 +141,31 @@ func MustNewArray(c *ssdconf.Config) *Array {
 }
 
 // State returns the state of a page.
-func (a *Array) State(p PPN) PageState { return a.state[p] }
+func (a *Array) State(p PPN) PageState { return PageState(a.meta[p] & stateMask) }
 
-// TagOf returns the OOB tag of a page (NilTag if free).
-func (a *Array) TagOf(p PPN) Tag { return a.tags[p] }
+// TagOf returns the OOB tag of a valid page, NilTag for any other.
+func (a *Array) TagOf(p PPN) Tag {
+	m := a.meta[p]
+	if PageState(m&stateMask) != PageValid {
+		return NilTag
+	}
+	t := Tag{Kind: m >> kindShift, Key: int64(a.key[p])}
+	if a.aux != nil {
+		t.Aux = a.aux[p]
+	}
+	return t
+}
 
 // Program writes one page with the given OOB tag. NAND constraints are
 // enforced: the page must be free and must be the next page in its block's
-// program order.
+// program order. A tag the packed columns cannot hold is refused with
+// ErrTagRange rather than truncated.
 func (a *Array) Program(p PPN, tag Tag) error {
 	if err := a.Geo.CheckPPN(p); err != nil {
 		return err
 	}
-	if a.state[p] != PageFree {
-		return fmt.Errorf("%w: ppn %d is %v", ErrProgramNotFree, p, a.state[p])
+	if st := a.State(p); st != PageFree {
+		return fmt.Errorf("%w: ppn %d is %v", ErrProgramNotFree, p, st)
 	}
 	bid := a.Geo.BlockOf(p)
 	idx := a.Geo.PageIndexOf(p)
@@ -136,8 +173,9 @@ func (a *Array) Program(p PPN, tag Tag) error {
 		return fmt.Errorf("%w: ppn %d index %d, block cursor %d",
 			ErrProgramOutOfOrder, p, idx, a.writePtr[bid])
 	}
-	a.state[p] = PageValid
-	a.tags[p] = tag
+	if err := a.setValid(p, tag); err != nil {
+		return err
+	}
 	a.writePtr[bid]++
 	a.validCount[bid]++
 	a.programs++
@@ -148,6 +186,23 @@ func (a *Array) Program(p PPN, tag Tag) error {
 	return nil
 }
 
+// setValid stores a page's tag and marks it valid; nothing is written for a
+// tag the columns cannot hold.
+func (a *Array) setValid(p PPN, tag Tag) error {
+	if tag.Kind > MaxKind || int64(int32(tag.Key)) != tag.Key {
+		return fmt.Errorf("%w: ppn %d, tag %+v", ErrTagRange, p, tag)
+	}
+	if a.aux == nil && tag.Aux != 0 {
+		a.aux = make([]int64, len(a.meta))
+	}
+	if a.aux != nil {
+		a.aux[p] = tag.Aux
+	}
+	a.meta[p] = uint8(PageValid) | tag.Kind<<kindShift
+	a.key[p] = int32(tag.Key)
+	return nil
+}
+
 // Read checks that a page holds data (valid or stale). Reading invalid pages
 // is physically possible and the merged-read path of Across-FTL never does
 // it, but GC-era diagnostics may; only unwritten pages are an error.
@@ -155,7 +210,7 @@ func (a *Array) Read(p PPN) error {
 	if err := a.Geo.CheckPPN(p); err != nil {
 		return err
 	}
-	if a.state[p] == PageFree {
+	if a.State(p) == PageFree {
 		return fmt.Errorf("%w: ppn %d", ErrReadUnwritten, p)
 	}
 	a.reads++
@@ -167,12 +222,11 @@ func (a *Array) Invalidate(p PPN) error {
 	if err := a.Geo.CheckPPN(p); err != nil {
 		return err
 	}
-	if a.state[p] != PageValid {
-		return fmt.Errorf("%w: ppn %d is %v", ErrInvalidateNotValid, p, a.state[p])
+	if st := a.State(p); st != PageValid {
+		return fmt.Errorf("%w: ppn %d is %v", ErrInvalidateNotValid, p, st)
 	}
 	bid := a.Geo.BlockOf(p)
-	a.state[p] = PageInvalid
-	a.tags[p] = NilTag
+	a.meta[p] = uint8(PageInvalid)
 	a.validCount[bid]--
 	if int(a.writePtr[bid]) == a.Geo.PagesPerBlock {
 		a.vidx.blockValidDec(a.Geo.PlaneOfBlock(bid), bid, int(a.validCount[bid]))
@@ -190,11 +244,7 @@ func (a *Array) Erase(bid BlockID) error {
 		return fmt.Errorf("%w: block %d has %d valid pages", ErrEraseWithValid, bid, a.validCount[bid])
 	}
 	first := a.Geo.FirstPage(bid)
-	end := first + PPN(a.Geo.PagesPerBlock)
-	for p := first; p < end; p++ {
-		a.state[p] = PageFree
-		a.tags[p] = NilTag
-	}
+	clear(a.meta[first : first+PPN(a.Geo.PagesPerBlock)])
 	if int(a.writePtr[bid]) == a.Geo.PagesPerBlock {
 		a.vidx.blockErased(a.Geo.PlaneOfBlock(bid), bid)
 	}
@@ -287,7 +337,7 @@ func (a *Array) AppendValidPages(dst []PPN, bid BlockID) []PPN {
 	first := a.Geo.FirstPage(bid)
 	end := first + PPN(a.writePtr[bid])
 	for p := first; p < end; p++ {
-		if a.state[p] == PageValid {
+		if a.State(p) == PageValid {
 			dst = append(dst, p)
 		}
 	}

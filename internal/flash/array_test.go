@@ -2,6 +2,7 @@ package flash
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -272,5 +273,90 @@ func TestPageStateString(t *testing.T) {
 	}
 	if PageState(9).String() == "" {
 		t.Error("unknown state should still render")
+	}
+}
+
+// past32 is Table 1 grown to exactly 2^31 pages: one more than the 32-bit
+// columns can index. Nothing may be allocated for it.
+func past32() ssdconf.Config {
+	c := ssdconf.Table1()
+	c.BlocksPerPlane = (1 << 31) / (c.PlanesTotal() * c.PagesPerBlock)
+	return c
+}
+
+func TestNewArrayRefusesGeometryPast32Bits(t *testing.T) {
+	c := past32()
+	if got := c.PagesTotal(); got != math.MaxInt32+1 {
+		t.Fatalf("test geometry has %d pages, want %d", got, int64(math.MaxInt32)+1)
+	}
+	if _, err := NewArray(&c); !errors.Is(err, ErrGeometryTooLarge) {
+		t.Fatalf("NewArray(2^31 pages) err = %v, want ErrGeometryTooLarge", err)
+	}
+}
+
+func TestProgramRefusesTagOutsidePackedRange(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tag  Tag
+		ok   bool
+	}{
+		{"largest kind", Tag{Kind: MaxKind, Key: 1}, true},
+		{"kind 63", Tag{Kind: MaxKind + 1, Key: 1}, false},
+		{"nil tag", NilTag, false},
+		{"key -1", Tag{Kind: 1, Key: -1}, true},
+		{"largest key", Tag{Kind: 1, Key: math.MaxInt32}, true},
+		{"key 2^31", Tag{Kind: 1, Key: math.MaxInt32 + 1}, false},
+		{"key 2^40", Tag{Kind: 1, Key: 1 << 40}, false},
+		{"key below -2^31", Tag{Kind: 1, Key: math.MinInt32 - 1}, false},
+		{"wide aux", Tag{Kind: 1, Key: 1, Aux: math.MinInt64}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := tinyArray(t)
+			err := a.Program(0, tc.tag)
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("Program(%+v): %v", tc.tag, err)
+				}
+				if got := a.TagOf(0); got != tc.tag {
+					t.Fatalf("TagOf = %+v, want %+v", got, tc.tag)
+				}
+				return
+			}
+			if !errors.Is(err, ErrTagRange) {
+				t.Fatalf("Program(%+v) err = %v, want ErrTagRange", tc.tag, err)
+			}
+			if a.State(0) != PageFree || a.WritePtr(0) != 0 || a.TotalPrograms() != 0 {
+				t.Fatalf("refused program left state %v, cursor %d, %d programs", a.State(0), a.WritePtr(0), a.TotalPrograms())
+			}
+		})
+	}
+}
+
+// Invalidate and Erase leave the key and aux columns alone, so the columns
+// hold stale values that must never show: a dead page answers NilTag, and a
+// page programmed again answers exactly its new tag.
+func TestStaleTagColumnsNeverShow(t *testing.T) {
+	a := tinyArray(t)
+	if err := a.Program(0, Tag{Kind: 1, Key: 7, Aux: 99}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Invalidate(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.TagOf(0); got != NilTag {
+		t.Fatalf("invalid page shows tag %+v", got)
+	}
+	if err := a.Erase(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.TagOf(0); got != NilTag {
+		t.Fatalf("erased page shows tag %+v", got)
+	}
+	want := Tag{Kind: 2, Key: 8}
+	if err := a.Program(0, want); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.TagOf(0); got != want {
+		t.Fatalf("reprogrammed page shows %+v, want %+v", got, want)
 	}
 }

@@ -12,23 +12,28 @@ import (
 // rebuilt on restore rather than serialised (its lazily advanced minBucket
 // lower bound does not affect victim selection, so a rebuilt index is
 // selection-equivalent to the live one).
+//
+// The format predates the packed columns and does not move with them: state
+// and kind are byte columns, key and aux 64-bit ones, and a page that is not
+// valid carries NilTag whatever its columns still hold — TagOf's answer.
 func (a *Array) SnapshotState(enc *snapshot.Encoder) error {
 	enc.Tag("flash")
-	states := enc.ByteSlab(len(a.state))
-	for i, st := range a.state {
-		states[i] = byte(st)
+	n := len(a.meta)
+	states := enc.ByteSlab(n)
+	for i, m := range a.meta {
+		states[i] = m & stateMask
 	}
-	kinds := enc.ByteSlab(len(a.tags))
-	for i := range a.tags {
-		kinds[i] = a.tags[i].Kind
+	kinds := enc.ByteSlab(n)
+	for i := range kinds {
+		kinds[i] = a.TagOf(PPN(i)).Kind
 	}
-	keys := enc.I64Slab(len(a.tags))
-	for i := range a.tags {
-		keys.Set(i, a.tags[i].Key)
+	keys := enc.I64Slab(n)
+	for i := 0; i < n; i++ {
+		keys.Set(i, a.TagOf(PPN(i)).Key)
 	}
-	aux := enc.I64Slab(len(a.tags))
-	for i := range a.tags {
-		aux.Set(i, a.tags[i].Aux)
+	aux := enc.I64Slab(n)
+	for i := 0; i < n; i++ {
+		aux.Set(i, a.TagOf(PPN(i)).Aux)
 	}
 	enc.I32s(a.writePtr)
 	enc.I32s(a.validCount)
@@ -40,10 +45,12 @@ func (a *Array) SnapshotState(enc *snapshot.Encoder) error {
 }
 
 // RestoreState reads state written by SnapshotState into an array built for
-// the same geometry — each column decoded straight from the body into the
+// the same geometry — each column narrowed straight from the body into the
 // array, validating sizes first and per-page/per-block invariants on the
 // way — and rebuilds the victim index from the restored block metadata. A
-// receiver whose restore failed is left part-written and must be dropped.
+// tag the packed columns cannot hold, or any tag on a page that is not
+// valid, is refused as snapshot.ErrCorrupt. A receiver whose restore failed
+// is left part-written and must be dropped.
 func (a *Array) RestoreState(dec *snapshot.Decoder) error {
 	dec.Tag("flash")
 	states := dec.BytesView()
@@ -73,8 +80,15 @@ func (a *Array) RestoreState(dec *snapshot.Decoder) error {
 		if PageState(st) > PageInvalid {
 			return fmt.Errorf("flash: snapshot page %d has invalid state %d", i, st)
 		}
-		a.state[i] = PageState(st)
-		a.tags[i] = Tag{Kind: kinds[i], Key: keys.At(i), Aux: aux.At(i)}
+		tag := Tag{Kind: kinds[i], Key: keys.At(i), Aux: aux.At(i)}
+		if PageState(st) != PageValid {
+			if tag != NilTag {
+				return fmt.Errorf("%w: flash page %d is %v but carries tag %+v", snapshot.ErrCorrupt, i, PageState(st), tag)
+			}
+			a.meta[i] = st
+		} else if err := a.setValid(PPN(i), tag); err != nil {
+			return fmt.Errorf("%w: %w", snapshot.ErrCorrupt, err)
+		}
 	}
 	ppb := int32(a.Geo.PagesPerBlock)
 	a.vidx.init(&a.Geo)

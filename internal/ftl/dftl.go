@@ -41,8 +41,8 @@ func NewDFTLWithCache(conf *ssdconf.Config, residentPages int) (*DFTL, error) {
 		return nil, err
 	}
 	entriesPerPage := conf.PageBytes / conf.MapEntryBytes
+	totalPages := base.PMT.Len()/int64(entriesPerPage) + 1
 	if residentPages == 0 {
-		totalPages := int(base.PMT.Len()/int64(entriesPerPage)) + 1
 		residentPages = int(float64(totalPages) * DefaultDFTLCacheFrac)
 	}
 	if residentPages < 2 {
@@ -52,7 +52,7 @@ func NewDFTLWithCache(conf *ssdconf.Config, residentPages int) (*DFTL, error) {
 		Base: base,
 		cmt:  cache.NewCMTDense(entriesPerPage, residentPages, base.PMT.Len()),
 	}
-	s.ms = NewMapStore(s.Dev, s.Al)
+	s.ms = NewMapStore(s.Dev, s.Al, totalPages)
 	s.Al.SetMigrate(s.migrate)
 	return s, nil
 }

@@ -1,6 +1,8 @@
 package ftl
 
 import (
+	"fmt"
+
 	"across/internal/cache"
 	"across/internal/flash"
 )
@@ -18,19 +20,37 @@ import (
 type MapStore struct {
 	dev *Device
 	al  *Allocator
-	loc map[int64]flash.PPN
+	// loc is dense over the owner's translation-page ids, NilPPN where a
+	// page was never materialised: Load and Flush are on MRSM's and DFTL's
+	// per-request path, where a hash lookup showed in the profile.
+	loc      []int32
+	resident int
 }
 
-// NewMapStore creates an empty store.
-func NewMapStore(dev *Device, al *Allocator) *MapStore {
-	return &MapStore{dev: dev, al: al, loc: make(map[int64]flash.PPN)}
+// NewMapStore creates an empty store for translation-page ids [0, pages);
+// the owner knows its table size up front, as for cache.NewCMTDense.
+func NewMapStore(dev *Device, al *Allocator, pages int64) *MapStore {
+	m := &MapStore{dev: dev, al: al, loc: make([]int32, pages)}
+	for i := range m.loc {
+		m.loc[i] = int32(flash.NilPPN)
+	}
+	return m
+}
+
+// at returns a translation page's flash location, NilPPN when it has none
+// (never flushed, or an id outside the table).
+func (m *MapStore) at(pageID int64) flash.PPN {
+	if pageID < 0 || pageID >= int64(len(m.loc)) {
+		return flash.NilPPN
+	}
+	return flash.PPN(m.loc[pageID])
 }
 
 // Load charges the flash read for a translation-page miss, returning the
 // completion time (now if the page was never materialised).
 func (m *MapStore) Load(pageID int64, now float64) (float64, error) {
-	ppn, ok := m.loc[pageID]
-	if !ok {
+	ppn := m.at(pageID)
+	if ppn == flash.NilPPN {
 		return now, nil
 	}
 	return m.dev.Read(ppn, now, OpMap)
@@ -39,6 +59,9 @@ func (m *MapStore) Load(pageID int64, now float64) (float64, error) {
 // Flush writes a dirty translation page to a fresh flash page, invalidating
 // its previous location, and returns the completion time.
 func (m *MapStore) Flush(pageID int64, now float64) (float64, error) {
+	if pageID < 0 || pageID >= int64(len(m.loc)) {
+		return now, fmt.Errorf("ftl: translation page %d outside the map store's %d pages", pageID, len(m.loc))
+	}
 	ppn, err := m.al.AllocPage(now)
 	if err != nil {
 		return now, err
@@ -47,26 +70,28 @@ func (m *MapStore) Flush(pageID int64, now float64) (float64, error) {
 	if err != nil {
 		return now, err
 	}
-	if old, ok := m.loc[pageID]; ok {
+	if old := flash.PPN(m.loc[pageID]); old != flash.NilPPN {
 		if err := m.dev.Invalidate(old); err != nil {
 			return now, err
 		}
+	} else {
+		m.resident++
 	}
-	m.loc[pageID] = ppn
+	m.loc[pageID] = int32(ppn)
 	return done, nil
 }
 
 // OnMigrate repoints a translation page after GC moved it.
 func (m *MapStore) OnMigrate(pageID int64, old, new flash.PPN) bool {
-	if cur, ok := m.loc[pageID]; ok && cur == old {
-		m.loc[pageID] = new
+	if cur := m.at(pageID); cur != flash.NilPPN && cur == old {
+		m.loc[pageID] = int32(new)
 		return true
 	}
 	return false
 }
 
 // Resident returns the number of materialised translation pages.
-func (m *MapStore) Resident() int { return len(m.loc) }
+func (m *MapStore) Resident() int { return m.resident }
 
 // ApplyEffect executes the flash work a CMT touch demands and returns the
 // time the mapping entry is usable. A dirty-victim flush is background work:

@@ -11,8 +11,9 @@ import (
 // block, it seals the remaining pages with dummy programs (immediately
 // invalidated) so the allocator's "blocks are either erased or full"
 // invariant holds after a crash — the same thing real controllers do when
-// they close open blocks at mount.
-const TagPad uint8 = 0xF0
+// they close open blocks at mount. It is the last kind a page can carry
+// (flash.MaxKind), well clear of the scheme kinds that count up from zero.
+const TagPad uint8 = flash.MaxKind
 
 // RecoverAllocator rebuilds allocation state over a device whose array
 // already holds data (a "crashed" device): fully erased blocks return to

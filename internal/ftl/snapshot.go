@@ -2,7 +2,6 @@ package ftl
 
 import (
 	"fmt"
-	"sort"
 
 	"across/internal/flash"
 	"across/internal/snapshot"
@@ -80,25 +79,31 @@ func (a *Allocator) RestoreState(dec *snapshot.Decoder) error {
 	return nil
 }
 
-// SnapshotState appends the translation-page location map sorted by page id
-// (map iteration order is nondeterministic; sorting keeps the encoding
-// canonical).
+// SnapshotState appends the materialised translation pages as parallel id
+// and location columns in ascending id order, the format's canonical one.
 func (m *MapStore) SnapshotState(enc *snapshot.Encoder) error {
 	enc.Tag("mapstore")
-	ids := make([]int64, 0, len(m.loc))
-	for id := range m.loc {
-		ids = append(ids, id)
+	ids := enc.I64Slab(m.resident)
+	n := 0
+	for id, ppn := range m.loc {
+		if flash.PPN(ppn) != flash.NilPPN {
+			ids.Set(n, int64(id))
+			n++
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	enc.I64s(ids)
-	ppns := enc.I64Slab(len(ids))
-	for i, id := range ids {
-		ppns.Set(i, int64(m.loc[id]))
+	ppns := enc.I64Slab(m.resident)
+	n = 0
+	for _, ppn := range m.loc {
+		if flash.PPN(ppn) != flash.NilPPN {
+			ppns.Set(n, int64(ppn))
+			n++
+		}
 	}
 	return nil
 }
 
-// RestoreState reads state written by SnapshotState, rebuilding the map.
+// RestoreState reads state written by SnapshotState, refusing a duplicated
+// id, an id outside the owner's table and a location outside the device.
 func (m *MapStore) RestoreState(dec *snapshot.Decoder) error {
 	dec.Tag("mapstore")
 	ids := dec.I64View()
@@ -109,15 +114,20 @@ func (m *MapStore) RestoreState(dec *snapshot.Decoder) error {
 	if ids.Len() != ppns.Len() {
 		return fmt.Errorf("ftl: snapshot map store columns sized %d/%d", ids.Len(), ppns.Len())
 	}
-	loc := make(map[int64]flash.PPN, ids.Len())
 	for i := 0; i < ids.Len(); i++ {
-		id := ids.At(i)
-		if _, dup := loc[id]; dup {
+		id, ppn := ids.At(i), flash.PPN(ppns.At(i))
+		if id < 0 || id >= int64(len(m.loc)) {
+			return fmt.Errorf("%w: map store page %d outside [0,%d)", snapshot.ErrCorrupt, id, len(m.loc))
+		}
+		if flash.PPN(m.loc[id]) != flash.NilPPN {
 			return fmt.Errorf("ftl: snapshot map store page %d duplicated", id)
 		}
-		loc[id] = flash.PPN(ppns.At(i))
+		if err := m.dev.Array.Geo.CheckPPN(ppn); err != nil {
+			return fmt.Errorf("%w: map store page %d: %v", snapshot.ErrCorrupt, id, err)
+		}
+		m.loc[id] = int32(ppn)
 	}
-	m.loc = loc
+	m.resident = ids.Len()
 	return nil
 }
 

@@ -62,6 +62,9 @@ func (b *Base) AuditPMT() error {
 		if ppn == flash.NilPPN {
 			continue
 		}
+		if err := b.Dev.Array.Geo.CheckPPN(ppn); err != nil {
+			return fmt.Errorf("pmt: lpn %d: %w", lpn, err)
+		}
 		if st := b.Dev.Array.State(ppn); st != flash.PageValid {
 			return fmt.Errorf("pmt: lpn %d maps to %v page %d", lpn, st, ppn)
 		}
@@ -107,12 +110,16 @@ func (b *Base) ResolvePMT(sec int64) (SectorSource, error) {
 // translation page must be a valid flash page tagged as that translation
 // page.
 func (m *MapStore) Audit() error {
-	for id, ppn := range m.loc {
+	for id := range m.loc {
+		ppn := flash.PPN(m.loc[id])
+		if ppn == flash.NilPPN {
+			continue
+		}
 		if st := m.dev.Array.State(ppn); st != flash.PageValid {
 			return fmt.Errorf("mapstore: translation page %d is %v page %d", id, st, ppn)
 		}
 		tag := m.dev.Array.TagOf(ppn)
-		if tag.Kind != TagMap || tag.Key != id {
+		if tag.Kind != TagMap || tag.Key != int64(id) {
 			return fmt.Errorf("mapstore: translation page %d page %d has foreign tag %+v", id, ppn, tag)
 		}
 	}
@@ -120,11 +127,13 @@ func (m *MapStore) Audit() error {
 }
 
 // VisitPages enumerates the flash pages holding materialised translation
-// pages. Iteration order is map order (nondeterministic); callers must be
-// order-insensitive.
+// pages, in translation-page id order.
 func (m *MapStore) VisitPages(fn func(flash.PPN) error) error {
 	for _, ppn := range m.loc {
-		if err := fn(ppn); err != nil {
+		if flash.PPN(ppn) == flash.NilPPN {
+			continue
+		}
+		if err := fn(flash.PPN(ppn)); err != nil {
 			return err
 		}
 	}

@@ -1,11 +1,15 @@
 package mapping
 
 import (
+	"bytes"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"across/internal/flash"
+	"across/internal/snapshot"
 )
 
 func TestPMTStartsUnmapped(t *testing.T) {
@@ -247,5 +251,91 @@ func TestAMTMatchesReferenceModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The PPN column is 32 bits wide: a PPN that does not fit is refused, by
+// panic from SetPPN (a caller bug: flash.NewArray refuses such a device) and
+// as snapshot.ErrCorrupt from RestoreState — never stored truncated.
+func TestPMTRefusesPPNPast32Bits(t *testing.T) {
+	pmt := NewPMT(2)
+	pmt.SetPPN(0, math.MaxInt32)
+	if got := pmt.PPNOf(0); got != math.MaxInt32 {
+		t.Fatalf("PPNOf = %d, want %d", got, math.MaxInt32)
+	}
+	for _, ppn := range []flash.PPN{math.MaxInt32 + 1, 1 << 40, math.MinInt32 - 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetPPN(%d) did not panic", ppn)
+				}
+			}()
+			pmt.SetPPN(1, ppn)
+		}()
+		if got := pmt.PPNOf(1); got != flash.NilPPN {
+			t.Fatalf("refused SetPPN(%d) stored %d", ppn, got)
+		}
+
+		enc := snapshot.NewEncoder()
+		enc.Tag("pmt")
+		enc.I64s([]int64{3, int64(ppn)})
+		enc.I32s([]int32{NoAIdx, NoAIdx})
+		blob, err := enc.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := snapshot.NewDecoder(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := NewPMT(2).RestoreState(dec); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("RestoreState(PPN %d) err = %v, want snapshot.ErrCorrupt", ppn, err)
+		}
+	}
+}
+
+// The AIdx column exists only once an LPN has been remapped; until then the
+// table answers NoAIdx everywhere, clears are free, and the encoding is the
+// one a fully allocated table writes.
+func TestPMTAIdxColumnIsLazy(t *testing.T) {
+	encode := func(p *PMT) []byte {
+		enc := snapshot.NewEncoder()
+		if err := p.SnapshotState(enc); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := enc.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	lazy, full := NewPMT(4), NewPMT(4)
+	lazy.SetPPN(1, 9)
+	full.SetPPN(1, 9)
+	full.SetAIdx(2, 5)
+	full.ClearAIdx(2)
+	lazy.ClearAIdx(2)
+	if lazy.aidx != nil {
+		t.Fatal("ClearAIdx allocated the AIdx column")
+	}
+	if full.aidx == nil {
+		t.Fatal("SetAIdx did not allocate the AIdx column")
+	}
+	if !bytes.Equal(encode(lazy), encode(full)) {
+		t.Fatal("a PMT without an AIdx column encodes differently from one with every AIdx cleared")
+	}
+	dec, err := snapshot.NewDecoder(encode(lazy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := NewPMT(4)
+	if err := restored.RestoreState(dec); err != nil {
+		t.Fatal(err)
+	}
+	if restored.aidx != nil {
+		t.Fatal("restoring an all-NoAIdx table allocated the AIdx column")
+	}
+	if restored.Get(1) != (PMTEntry{PPN: 9, AIdx: NoAIdx}) {
+		t.Fatalf("restored entry = %+v", restored.Get(1))
 	}
 }

@@ -14,81 +14,98 @@ import (
 // ("-1" in the paper).
 const NoAIdx int32 = -1
 
-// PMTEntry is one logical page's translation state.
+// PMTEntry is one logical page's translation state, as Get reports it.
 type PMTEntry struct {
 	PPN  flash.PPN // current physical page (NilPPN if never written)
 	AIdx int32     // index into the AMT, or NoAIdx
 }
 
-// PMT is the page mapping table: a dense array indexed by LPN. The baseline
-// FTL and MRSM ignore the AIdx field; Across-FTL uses it as the first level
-// of its two-level table.
+// PMT is the page mapping table: a dense table indexed by LPN, stored as
+// two 32-bit columns. The AIdx column — the first level of Across-FTL's
+// two-level table — is allocated by the first SetAIdx, so the baseline FTL,
+// DFTL and MRSM, which never call it, pay 4 bytes a page (DESIGN §7).
 type PMT struct {
-	entries []PMTEntry
+	ppn  []int32
+	aidx []int32 // nil until the first SetAIdx; nil reads as NoAIdx everywhere
 }
 
 // NewPMT creates a PMT for n logical pages, all unmapped.
 func NewPMT(n int64) *PMT {
-	e := make([]PMTEntry, n)
-	for i := range e {
-		e[i] = PMTEntry{PPN: flash.NilPPN, AIdx: NoAIdx}
+	t := &PMT{ppn: make([]int32, n)}
+	fillNeg1(t.ppn)
+	return t
+}
+
+// fillNeg1 sets every element to -1 (NilPPN and NoAIdx alike).
+func fillNeg1(col []int32) {
+	for i := range col {
+		col[i] = -1
 	}
-	return &PMT{entries: e}
 }
 
 // Len returns the number of logical pages.
-func (t *PMT) Len() int64 { return int64(len(t.entries)) }
+func (t *PMT) Len() int64 { return int64(len(t.ppn)) }
 
 func (t *PMT) check(lpn int64) {
-	if lpn < 0 || lpn >= int64(len(t.entries)) {
-		panic(fmt.Sprintf("mapping: LPN %d out of range [0,%d)", lpn, len(t.entries)))
+	if lpn < 0 || lpn >= int64(len(t.ppn)) {
+		panic(fmt.Sprintf("mapping: LPN %d out of range [0,%d)", lpn, len(t.ppn)))
 	}
 }
 
 // Get returns the entry for an LPN.
 func (t *PMT) Get(lpn int64) PMTEntry {
-	t.check(lpn)
-	return t.entries[lpn]
+	return PMTEntry{PPN: t.PPNOf(lpn), AIdx: t.AIdxOf(lpn)}
 }
 
 // PPNOf returns the mapped physical page of an LPN (NilPPN if unmapped).
 func (t *PMT) PPNOf(lpn int64) flash.PPN {
 	t.check(lpn)
-	return t.entries[lpn].PPN
+	return flash.PPN(t.ppn[lpn])
 }
 
 // SetPPN updates the physical mapping of an LPN, returning the previous PPN
-// so the caller can invalidate it.
+// so the caller can invalidate it. A PPN beyond 32 bits is a caller bug
+// (flash.NewArray refuses such a device) and panics rather than truncating.
 func (t *PMT) SetPPN(lpn int64, ppn flash.PPN) (old flash.PPN) {
 	t.check(lpn)
-	old = t.entries[lpn].PPN
-	t.entries[lpn].PPN = ppn
+	if flash.PPN(int32(ppn)) != ppn {
+		panic(fmt.Sprintf("mapping: PPN %d does not fit the 32-bit table", ppn))
+	}
+	old = flash.PPN(t.ppn[lpn])
+	t.ppn[lpn] = int32(ppn)
 	return old
 }
 
 // AIdxOf returns the across-table index of an LPN (NoAIdx if not remapped).
 func (t *PMT) AIdxOf(lpn int64) int32 {
 	t.check(lpn)
-	return t.entries[lpn].AIdx
+	if t.aidx == nil {
+		return NoAIdx
+	}
+	return t.aidx[lpn]
 }
 
 // SetAIdx points an LPN at an AMT entry.
 func (t *PMT) SetAIdx(lpn int64, idx int32) {
 	t.check(lpn)
-	t.entries[lpn].AIdx = idx
+	if t.aidx == nil {
+		if idx == NoAIdx {
+			return
+		}
+		t.aidx = make([]int32, len(t.ppn))
+		fillNeg1(t.aidx)
+	}
+	t.aidx[lpn] = idx
 }
 
 // ClearAIdx removes an LPN's across-page remapping (used by ARollback).
-func (t *PMT) ClearAIdx(lpn int64) {
-	t.check(lpn)
-	t.entries[lpn].AIdx = NoAIdx
-}
+func (t *PMT) ClearAIdx(lpn int64) { t.SetAIdx(lpn, NoAIdx) }
 
 // MappedPages counts LPNs with a physical mapping; used by aging checks.
 func (t *PMT) MappedPages() int64 {
 	var n int64
-	for i := range t.entries {
-		if t.entries[i].PPN != flash.NilPPN {
+	for _, p := range t.ppn {
+		if flash.PPN(p) != flash.NilPPN {
 			n++
 		}
 	}

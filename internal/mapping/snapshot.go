@@ -8,22 +8,24 @@ import (
 )
 
 // SnapshotState appends the full page mapping table as parallel PPN and
-// AIdx columns.
+// AIdx columns, widened to the format's 64- and 32-bit slabs; an AIdx
+// column that was never allocated is written as all NoAIdx.
 func (t *PMT) SnapshotState(enc *snapshot.Encoder) error {
 	enc.Tag("pmt")
-	ppns := enc.I64Slab(len(t.entries))
-	for i := range t.entries {
-		ppns.Set(i, int64(t.entries[i].PPN))
+	ppns := enc.I64Slab(len(t.ppn))
+	for i, p := range t.ppn {
+		ppns.Set(i, int64(p))
 	}
-	aidx := enc.I32Slab(len(t.entries))
-	for i := range t.entries {
-		aidx.Set(i, t.entries[i].AIdx)
+	aidx := enc.I32Slab(len(t.ppn))
+	for i := range t.ppn {
+		aidx.Set(i, t.AIdxOf(int64(i)))
 	}
 	return nil
 }
 
 // RestoreState reads state written by SnapshotState into a PMT constructed
-// for the same logical-page count.
+// for the same logical-page count, narrowing as it goes: a PPN the 32-bit
+// column cannot hold is refused as snapshot.ErrCorrupt.
 func (t *PMT) RestoreState(dec *snapshot.Decoder) error {
 	dec.Tag("pmt")
 	ppns := dec.I64View()
@@ -31,11 +33,16 @@ func (t *PMT) RestoreState(dec *snapshot.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if ppns.Len() != len(t.entries) || aidx.Len() != len(t.entries) {
-		return fmt.Errorf("mapping: snapshot PMT has %d/%d entries, receiver has %d", ppns.Len(), aidx.Len(), len(t.entries))
+	if ppns.Len() != len(t.ppn) || aidx.Len() != len(t.ppn) {
+		return fmt.Errorf("mapping: snapshot PMT has %d/%d entries, receiver has %d", ppns.Len(), aidx.Len(), len(t.ppn))
 	}
-	for i := range t.entries {
-		t.entries[i] = PMTEntry{PPN: flash.PPN(ppns.At(i)), AIdx: aidx.At(i)}
+	for i := range t.ppn {
+		p := ppns.At(i)
+		if int64(int32(p)) != p {
+			return fmt.Errorf("%w: PMT entry %d holds PPN %d, beyond the 32-bit table", snapshot.ErrCorrupt, i, p)
+		}
+		t.ppn[i] = int32(p)
+		t.SetAIdx(int64(i), aidx.At(i))
 	}
 	return nil
 }

@@ -22,8 +22,8 @@ func (s *Scheme) AuditMapping() error {
 		if loc == unmapped {
 			continue
 		}
-		ppn := flash.PPN(loc / int64(s.subPerPg))
-		slot := int(loc % int64(s.subPerPg))
+		ppn := flash.PPN(loc / int32(s.subPerPg))
+		slot := int(loc % int32(s.subPerPg))
 		if st := s.Dev.Array.State(ppn); st != flash.PageValid {
 			return fmt.Errorf("mrsm audit: sub %d maps to %v page %d", sub, st, ppn)
 		}
@@ -34,7 +34,7 @@ func (s *Scheme) AuditMapping() error {
 		if s.pageLive[ppn] == 0 {
 			return fmt.Errorf("mrsm audit: sub %d maps to page %d with no slot census", sub, ppn)
 		}
-		if got := s.pageOwner[loc]; got != sub {
+		if got := int64(s.pageOwner[loc]); got != sub {
 			return fmt.Errorf("mrsm audit: sub %d claims page %d slot %d, census says sub %d",
 				sub, ppn, slot, got)
 		}
@@ -44,9 +44,9 @@ func (s *Scheme) AuditMapping() error {
 	// pages keep a fully cleared census segment (installPack relies on it).
 	for i, live := range s.pageLive {
 		ppn := flash.PPN(i)
-		base := int64(i) * int64(s.subPerPg)
+		base := int32(i) * int32(s.subPerPg)
 		counted := 0
-		for slot := int64(0); slot < int64(s.subPerPg); slot++ {
+		for slot := int32(0); slot < int32(s.subPerPg); slot++ {
 			sub := s.pageOwner[base+slot]
 			if sub == unmapped {
 				continue
@@ -55,7 +55,7 @@ func (s *Scheme) AuditMapping() error {
 			if live == 0 {
 				return fmt.Errorf("mrsm audit: dead page %d still owns sub %d in slot %d", ppn, sub, slot)
 			}
-			if sub < 0 || sub >= int64(len(s.subLoc)) {
+			if sub < 0 || int(sub) >= len(s.subLoc) {
 				return fmt.Errorf("mrsm audit: page %d slot %d holds out-of-range sub %d", ppn, slot, sub)
 			}
 			if s.subLoc[sub] != base+slot {
@@ -121,7 +121,7 @@ func (s *Scheme) ResolveSector(sec int64) (ftl.SectorSource, error) {
 	}
 	return ftl.SectorSource{
 		Kind: ftl.SrcFlash,
-		PPN:  flash.PPN(loc / int64(s.subPerPg)),
+		PPN:  flash.PPN(loc / int32(s.subPerPg)),
 		Tag:  flash.Tag{Kind: ftl.TagMRSM, Key: -1},
 	}, nil
 }

@@ -15,6 +15,7 @@
 package mrsm
 
 import (
+	"fmt"
 	"math"
 
 	"across/internal/cache"
@@ -46,7 +47,8 @@ const nodeEntries = 256
 // keeps MRSM's mapping-table flushes proportional to its data writes.
 const maxNodeDirty = 12
 
-const unmapped = int64(-1)
+// unmapped marks an empty entry of the location and census tables.
+const unmapped = -1
 
 // Scheme is the MRSM implementation of ftl.Scheme.
 type Scheme struct {
@@ -56,7 +58,9 @@ type Scheme struct {
 	subSec   int // sectors per sub-page
 	depth    int // tree lookup cost in DRAM accesses
 
-	subLoc []int64 // logical sub-page -> physical sub-slot
+	// The three per-sub-page / per-page tables are 32- and 8-bit columns:
+	// New refuses a geometry whose slot space does not fit (DESIGN §7).
+	subLoc []int32 // logical sub-page -> physical sub-slot
 
 	// Packed-page census, flat over the physical page space: pageOwner names
 	// the logical sub-page held by each physical sub-slot (unmapped when
@@ -65,8 +69,8 @@ type Scheme struct {
 	// packed pages are created and killed on every flush/invalidate, and
 	// both the map's bucket churn and the census allocations were the
 	// scheme's dominant steady-state allocation sources.
-	pageOwner []int64 // ppn*subPerPg + slot -> logical sub-page
-	pageLive  []int32 // ppn -> live slot count
+	pageOwner []int32 // ppn*subPerPg + slot -> logical sub-page
+	pageLive  []uint8 // ppn -> live slot count
 
 	cmt       *cache.CMT    // cached mapping table over sub-page entries
 	ms        *ftl.MapStore // flash residence of spilled map pages
@@ -82,11 +86,11 @@ type Scheme struct {
 	// keeps the steady-state request path allocation-free.
 	ppnScratch []flash.PPN
 
-	// subsPool recycles the pack-buffer snapshots taken by takeBuffer;
-	// entries may be in flight across a nested GC flush, hence a pool
-	// rather than a single scratch slice.
+	// subsPool recycles the pack buffers takeBuffer detaches; entries may
+	// be in flight across a nested GC flush, hence a pool rather than a
+	// single scratch slice.
 	subsPool  [][]int64
-	ownersBuf []int64 // salvage's snapshot of a victim's slot owners
+	ownersBuf []int32 // salvage's snapshot of a victim's slot owners
 }
 
 // New builds MRSM on a fresh device. The DRAM budget (by default the size of
@@ -94,11 +98,20 @@ type Scheme struct {
 // mapping table; with the default sizing ~40% stays in DRAM, matching the
 // paper's 42.1%.
 func New(conf *ssdconf.Config) (*Scheme, error) {
+	if err := conf.Validate(); err != nil {
+		return nil, err
+	}
+	subPerPg := conf.SubPagesPerPg
+	if err := flash.CheckIndex32("physical sub-page slots", conf.PagesTotal()*int64(subPerPg)); err != nil {
+		return nil, err
+	}
+	if subPerPg > math.MaxUint8 {
+		return nil, fmt.Errorf("%w: %d sub-pages per page, limit %d", flash.ErrGeometryTooLarge, subPerPg, math.MaxUint8)
+	}
 	base, err := ftl.NewBase(conf)
 	if err != nil {
 		return nil, err
 	}
-	subPerPg := conf.SubPagesPerPg
 	totalSub := conf.LogicalPages() * int64(subPerPg)
 	nodeBytes := int64(nodeEntries * conf.MRSMEntryBytes)
 	residentNodes := int(conf.DRAMBudget() / nodeBytes)
@@ -109,9 +122,9 @@ func New(conf *ssdconf.Config) (*Scheme, error) {
 		subPerPg:  subPerPg,
 		subSec:    conf.SectorsPerPage() / subPerPg,
 		depth:     treeDepth(totalSub),
-		subLoc:    make([]int64, totalSub),
-		pageOwner: make([]int64, totalPages*int64(subPerPg)),
-		pageLive:  make([]int32, totalPages),
+		subLoc:    make([]int32, totalSub),
+		pageOwner: make([]int32, totalPages*int64(subPerPg)),
+		pageLive:  make([]uint8, totalPages),
 		cmt:       cache.NewCMTDense(nodeEntries, residentNodes, totalSub),
 		nodeDirty: make([]int32, numNodes),
 	}
@@ -121,7 +134,7 @@ func New(conf *ssdconf.Config) (*Scheme, error) {
 	for i := range s.pageOwner {
 		s.pageOwner[i] = unmapped
 	}
-	s.ms = ftl.NewMapStore(s.Dev, s.Al)
+	s.ms = ftl.NewMapStore(s.Dev, s.Al, numNodes)
 	s.Al.SetMigrate(s.migrate)
 	s.Al.SetSalvage(s.salvage)
 	return s, nil
@@ -168,9 +181,9 @@ func (s *Scheme) migrate(tag flash.Tag, old, new flash.PPN) {
 		if s.pageLive[old] == 0 {
 			panic("mrsm: GC moved a packed page the scheme does not own")
 		}
-		oldBase := int64(old) * int64(s.subPerPg)
-		newBase := int64(new) * int64(s.subPerPg)
-		for slot := int64(0); slot < int64(s.subPerPg); slot++ {
+		oldBase := int32(old) * int32(s.subPerPg)
+		newBase := int32(new) * int32(s.subPerPg)
+		for slot := int32(0); slot < int32(s.subPerPg); slot++ {
 			sub := s.pageOwner[oldBase+slot]
 			s.pageOwner[oldBase+slot] = unmapped
 			s.pageOwner[newBase+slot] = sub
@@ -229,8 +242,8 @@ func (s *Scheme) invalidateSub(sub int64) error {
 	if loc == unmapped {
 		return nil
 	}
-	ppn := flash.PPN(loc / int64(s.subPerPg))
-	if s.pageOwner[loc] != sub || s.pageLive[ppn] == 0 {
+	ppn := flash.PPN(loc / int32(s.subPerPg))
+	if int64(s.pageOwner[loc]) != sub || s.pageLive[ppn] == 0 {
 		panic("mrsm: sub-page location table out of sync")
 	}
 	s.pageOwner[loc] = unmapped
@@ -267,15 +280,16 @@ func (s *Scheme) flushPackGC(pl flash.PlaneID, issue float64) (float64, error) {
 	return s.installPack(ppn, subs, issue, ftl.OpGC)
 }
 
-// takeBuffer detaches the current pack-buffer contents into a pooled slice;
-// installPack returns the slice to the pool once the mappings are installed.
+// takeBuffer detaches the current pack buffer, leaving a pooled empty one in
+// its place; installPack returns the detached slice to the pool once the
+// mappings are installed.
 func (s *Scheme) takeBuffer() []int64 {
-	var subs []int64
+	subs := s.bufList
 	if n := len(s.subsPool); n > 0 {
-		subs, s.subsPool = s.subsPool[n-1][:0], s.subsPool[:n-1]
+		s.bufList, s.subsPool = s.subsPool[n-1][:0], s.subsPool[:n-1]
+	} else {
+		s.bufList = make([]int64, 0, s.subPerPg)
 	}
-	subs = append(subs, s.bufList...)
-	s.bufList = s.bufList[:0]
 	return subs
 }
 
@@ -296,12 +310,12 @@ func (s *Scheme) installPack(ppn flash.PPN, subs []int64, issue float64, class f
 	if err != nil {
 		return issue, err
 	}
-	base := int64(ppn) * int64(s.subPerPg)
+	base := int32(ppn) * int32(s.subPerPg)
 	for slot, sub := range subs {
-		s.pageOwner[base+int64(slot)] = sub
-		s.subLoc[sub] = base + int64(slot)
+		s.pageOwner[base+int32(slot)] = int32(sub)
+		s.subLoc[sub] = base + int32(slot)
 	}
-	s.pageLive[ppn] = int32(len(subs))
+	s.pageLive[ppn] = uint8(len(subs))
 	s.subsPool = append(s.subsPool, subs)
 	return done, nil
 }
@@ -332,10 +346,10 @@ func (s *Scheme) salvage(tag flash.Tag, old flash.PPN, pl flash.PlaneID, now flo
 		if sub == unmapped {
 			continue
 		}
-		if err := s.invalidateSub(sub); err != nil {
+		if err := s.invalidateSub(int64(sub)); err != nil {
 			return false, err
 		}
-		s.bufList = append(s.bufList, sub)
+		s.bufList = append(s.bufList, int64(sub))
 		if len(s.bufList) == s.subPerPg {
 			if _, err := s.flushPackGC(pl, now); err != nil {
 				return false, err
@@ -384,7 +398,7 @@ func (s *Scheme) Write(r trace.Request, now float64) (float64, error) {
 			// Assemble the new sub-page from the old copy if one exists on
 			// flash (buffered copies merge in RAM for free).
 			if loc := s.subLoc[sub]; loc != unmapped {
-				ppn := flash.PPN(loc / int64(s.subPerPg))
+				ppn := flash.PPN(loc / int32(s.subPerPg))
 				seen := false
 				for _, p := range readPages {
 					if p == ppn {
@@ -472,7 +486,7 @@ func (s *Scheme) Read(r trace.Request, now float64) (float64, error) {
 			continue
 		}
 		if loc := s.subLoc[sub]; loc != unmapped {
-			ppn := flash.PPN(loc / int64(s.subPerPg))
+			ppn := flash.PPN(loc / int32(s.subPerPg))
 			i := len(ppns)
 			for i > 0 && ppns[i-1] > ppn {
 				i--

@@ -1,6 +1,7 @@
 package mrsm
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -309,9 +310,9 @@ func (s *Scheme) audit() error {
 		if s.Dev.Array.State(ppn) != flash.PageValid {
 			return errAudit("page %d is %v with %d live slots", int64(i), s.Dev.Array.State(ppn), want)
 		}
-		base := int64(i) * int64(s.subPerPg)
+		base := int32(i) * int32(s.subPerPg)
 		live := 0
-		for slot := int64(0); slot < int64(s.subPerPg); slot++ {
+		for slot := int32(0); slot < int32(s.subPerPg); slot++ {
 			sub := s.pageOwner[base+slot]
 			if sub == unmapped {
 				continue
@@ -329,9 +330,9 @@ func (s *Scheme) audit() error {
 		if loc == unmapped {
 			continue
 		}
-		ppn := flash.PPN(loc / int64(s.subPerPg))
-		slot := int(loc % int64(s.subPerPg))
-		if s.pageLive[ppn] == 0 || s.pageOwner[loc] != int64(sub) {
+		ppn := flash.PPN(loc / int32(s.subPerPg))
+		slot := int(loc % int32(s.subPerPg))
+		if s.pageLive[ppn] == 0 || s.pageOwner[loc] != int32(sub) {
 			return errAudit("sub %d points at page %d slot %d which does not own it", sub, int64(ppn), slot)
 		}
 	}
@@ -340,4 +341,23 @@ func (s *Scheme) audit() error {
 
 func errAudit(format string, args ...any) error {
 	return fmt.Errorf("mrsm audit: "+format, args...)
+}
+
+// MRSM's tables index physical sub-page slots with 32 bits and count a
+// page's live slots in 8: a geometry past either limit is refused from the
+// Config alone, before the device is built.
+func TestNewRefusesGeometryPast32Bits(t *testing.T) {
+	slots := ssdconf.Table1() // 2^29 pages × 4 sub-pages: the array fits, the slot table does not
+	slots.BlocksPerPlane = (1 << 31) / (slots.PlanesTotal() * slots.PagesPerBlock * slots.SubPagesPerPg)
+	wide := ssdconf.Tiny() // 512 sub-pages in a 256 KB page
+	wide.PageBytes = 512 * ssdconf.SectorBytes
+	wide.SubPagesPerPg = 512
+	for name, c := range map[string]ssdconf.Config{"2^31 slots": slots, "512 sub-pages per page": wide} {
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%s: test geometry invalid: %v", name, err)
+		}
+		if _, err := New(&c); !errors.Is(err, flash.ErrGeometryTooLarge) {
+			t.Errorf("%s: New err = %v, want flash.ErrGeometryTooLarge", name, err)
+		}
+	}
 }

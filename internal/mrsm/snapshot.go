@@ -15,9 +15,12 @@ func (s *Scheme) SnapshotState(enc *snapshot.Encoder) error {
 	if err := s.SnapshotBase(enc); err != nil {
 		return err
 	}
-	enc.I64s(s.subLoc)
-	enc.I64s(s.pageOwner)
-	enc.I32s(s.pageLive)
+	widen(enc.I64Slab(len(s.subLoc)), s.subLoc)
+	widen(enc.I64Slab(len(s.pageOwner)), s.pageOwner)
+	live := enc.I32Slab(len(s.pageLive))
+	for i, n := range s.pageLive {
+		live.Set(i, int32(n))
+	}
 	enc.I32s(s.nodeDirty)
 	enc.I64s(s.bufList)
 	if err := s.cmt.SnapshotState(enc); err != nil {
@@ -26,9 +29,30 @@ func (s *Scheme) SnapshotState(enc *snapshot.Encoder) error {
 	return s.ms.SnapshotState(enc)
 }
 
+// widen writes a 32-bit column into the 64-bit slab the format gives it.
+func widen(dst snapshot.I64Slab, col []int32) {
+	for i, v := range col {
+		dst.Set(i, int64(v))
+	}
+}
+
+// narrow is widen's inverse. It refuses any value but unmapped or an index
+// into the other table (limit is its length) as snapshot.ErrCorrupt.
+func narrow(dst []int32, src snapshot.I64View, limit int, what string) error {
+	for i := range dst {
+		v := src.At(i)
+		if v < unmapped || v >= int64(limit) {
+			return fmt.Errorf("%w: mrsm %s entry %d is %d, outside [-1,%d)", snapshot.ErrCorrupt, what, i, v, limit)
+		}
+		dst[i] = int32(v)
+	}
+	return nil
+}
+
 // RestoreState implements snapshot.Snapshotter. All array sizes are derived
 // from the configuration the receiver was built with, so mismatches mean
-// the snapshot belongs to a different device and are rejected.
+// the snapshot belongs to a different device and are rejected; so is any
+// entry that does not fit the receiver's slot space.
 func (s *Scheme) RestoreState(dec *snapshot.Decoder) error {
 	dec.Tag("scheme:MRSM")
 	if err := s.RestoreBase(dec); err != nil {
@@ -51,9 +75,24 @@ func (s *Scheme) RestoreState(dec *snapshot.Decoder) error {
 	if len(bufList) > s.subPerPg {
 		return fmt.Errorf("mrsm: snapshot pack buffer holds %d sub-pages, page fits %d", len(bufList), s.subPerPg)
 	}
-	subLoc.CopyTo(s.subLoc)
-	pageOwner.CopyTo(s.pageOwner)
-	pageLive.CopyTo(s.pageLive)
+	for _, sub := range bufList {
+		if sub < 0 || sub >= int64(len(s.subLoc)) {
+			return fmt.Errorf("%w: mrsm pack buffer holds sub-page %d, outside [0,%d)", snapshot.ErrCorrupt, sub, len(s.subLoc))
+		}
+	}
+	if err := narrow(s.subLoc, subLoc, len(s.pageOwner), "location"); err != nil {
+		return err
+	}
+	if err := narrow(s.pageOwner, pageOwner, len(s.subLoc), "census"); err != nil {
+		return err
+	}
+	for i := range s.pageLive {
+		n := pageLive.At(i)
+		if n < 0 || int(n) > s.subPerPg {
+			return fmt.Errorf("%w: mrsm page %d has %d live slots, page fits %d", snapshot.ErrCorrupt, i, n, s.subPerPg)
+		}
+		s.pageLive[i] = uint8(n)
+	}
 	nodeDirty.CopyTo(s.nodeDirty)
 	s.bufList = append(s.bufList[:0], bufList...)
 	if err := s.cmt.RestoreState(dec); err != nil {

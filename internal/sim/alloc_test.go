@@ -1,11 +1,19 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"across/internal/acrossftl"
+	"across/internal/ssdconf"
+	"across/internal/workload"
+)
 
 // TestSteadyStateReplayAllocations locks in the replay loop's allocation
 // behaviour: after one warm-up replay has grown every scratch buffer, a
 // further replay of the same trace must stay under a small per-request
-// allocation budget AND under an absolute per-replay ceiling. All three
+// allocation budget AND under an absolute per-replay ceiling. All four
 // schemes are allocation-free per request: only the per-replay Result and
 // its metric buckets remain. MRSM reached parity once its packed-page
 // census, node-dirty ledger and pack-buffer index moved off maps (map
@@ -21,6 +29,7 @@ func TestSteadyStateReplayAllocations(t *testing.T) {
 		{KindFTL, 0.05},
 		{KindAcross, 0.05},
 		{KindMRSM, 0.05},
+		{KindDFTL, 0.05},
 	} {
 		t.Run(string(tc.kind), func(t *testing.T) {
 			r, err := NewRunner(tc.kind, smallConf())
@@ -54,5 +63,80 @@ func TestSteadyStateReplayAllocations(t *testing.T) {
 					allocs, maxPerReplay)
 			}
 		})
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race, under
+// which heap sizes measure the detector's shadow memory, not the simulator.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			return true
+		}
+	}
+	return false
+}
+
+// liveHeap returns the bytes of live heap objects after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestRunnerHeapBudget locks the host footprint of a runner in bytes per
+// physical page on the gc-churn device (ssdconf.Scaled(16), 1 Mi pages), so
+// a later change cannot silently re-widen a per-page column (DESIGN §7).
+// With 25-byte page records, a 16-byte PMT entry and 64-bit MRSM tables the
+// same probe read 39.5 / 39.5 / 39.5 / 103.7 (FTL / DFTL / Across-FTL /
+// MRSM); the packed tables read 9.0 / 9.0 / 9.0 / 40.2, and Across-FTL 20.6
+// once a replay has created areas and so its lazy tag-aux and AIdx columns.
+func TestRunnerHeapBudget(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("heap sizes are meaningless under the race detector")
+	}
+	conf := ssdconf.Scaled(16)
+	// perPage is the live heap a runner added, per physical page; the runner
+	// is passed in so that it is still reachable when the heap is read.
+	perPage := func(r *Runner, before uint64) float64 {
+		defer runtime.KeepAlive(r)
+		return (float64(liveHeap()) - float64(before)) / float64(conf.PagesTotal())
+	}
+	for _, tc := range []struct {
+		kind   SchemeKind
+		budget float64
+	}{
+		{KindFTL, 12}, {KindDFTL, 12}, {KindAcross, 12}, {KindMRSM, 46},
+	} {
+		before := liveHeap()
+		r, err := NewRunner(tc.kind, conf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := perPage(r, before)
+		t.Logf("%s: %.1f B/page at construction", tc.kind, got)
+		if got > tc.budget {
+			t.Errorf("%s: runner holds %.1f B/page, budget %.0f — a per-page table was widened", tc.kind, got, tc.budget)
+		}
+		if tc.kind != KindAcross {
+			continue
+		}
+		reqs, err := workload.Generate(workload.LunProfiles()[0].Scale(0.01), conf.LogicalSectors())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Replay(reqs); err != nil {
+			t.Fatal(err)
+		}
+		if r.Scheme.(*acrossftl.Scheme).Stats().DirectWrites == 0 {
+			t.Fatal("the replay created no across-page area: the lazy columns were not exercised")
+		}
+		got = perPage(r, before)
+		t.Logf("%s: %.1f B/page after creating across-page areas", tc.kind, got)
+		if got > 24 {
+			t.Errorf("%s: runner holds %.1f B/page with its lazy columns, budget 24", tc.kind, got)
+		}
 	}
 }

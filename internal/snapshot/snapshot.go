@@ -28,11 +28,10 @@
 // and any number of Decoders may read it, concurrently — the basis of
 // sim.Checkpoint, which forks many runners from one verified body.
 //
-// Determinism: every encoder input is produced in a canonical order
-// (map-backed state is serialised sorted by key), DEFLATE at a fixed level
-// is deterministic for a given input, and the checksum covers the
-// uncompressed body — so encode→decode→encode reproduces the container
-// byte for byte. The decoder is hardened against hostile inputs (fuzzed by
+// Determinism: every encoder input is produced in a canonical order (sparse
+// tables are serialised in ascending key order), DEFLATE at a fixed level is
+// deterministic for a given input, and the checksum covers the uncompressed
+// body — so encode→decode→encode reproduces the container byte for byte. The decoder is hardened against hostile inputs (fuzzed by
 // FuzzSnapshotDecode): it never allocates from header-claimed sizes beyond
 // what the input actually contains, bounds every read, and returns typed
 // errors instead of panicking.
@@ -47,7 +46,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 )
 
 // Version is the snapshot format version written by this package. Decoders
@@ -99,24 +97,45 @@ type Snapshotter interface {
 
 // Encoder builds a snapshot body. Methods never fail; Finish seals the
 // container (checksum + compression + header) and returns the blob.
+//
+// The body is a list of chunks and never moves: a write takes the room left
+// in the last chunk or opens a new one — chunkBytes for small fields, its
+// own size for a big column. One growing buffer recopied everything before
+// each column as it reallocated, and that transient set the peak memory of
+// a process that snapshots a large device.
 type Encoder struct {
-	body []byte
+	chunks [][]byte
+	size   int // body length: the sum of the chunks' lengths
 }
+
+const chunkBytes = 64 << 10
 
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
 
-func (e *Encoder) u32(v uint32) { e.body = binary.LittleEndian.AppendUint32(e.body, v) }
+// extend appends n zero bytes to the body and returns them for the caller
+// to fill in.
+func (e *Encoder) extend(n int) []byte {
+	last := len(e.chunks) - 1
+	if last < 0 || cap(e.chunks[last])-len(e.chunks[last]) < n {
+		e.chunks = append(e.chunks, make([]byte, 0, max(n, chunkBytes)))
+		last++
+	}
+	c := e.chunks[last]
+	e.chunks[last] = c[:len(c)+n]
+	e.size += n
+	return e.chunks[last][len(c):]
+}
 
-func (e *Encoder) u64(v uint64) { e.body = binary.LittleEndian.AppendUint64(e.body, v) }
+func (e *Encoder) u32(v uint32) { binary.LittleEndian.PutUint32(e.extend(4), v) }
+
+func (e *Encoder) u64(v uint64) { binary.LittleEndian.PutUint64(e.extend(8), v) }
 
 // slab writes the count prefix of an n-element slab and returns its
 // n*elemSize data bytes for the caller to fill in place.
 func (e *Encoder) slab(n, elemSize int) []byte {
 	e.u64(uint64(n))
-	start := len(e.body)
-	e.body = slices.Grow(e.body, n*elemSize)[:start+n*elemSize]
-	return e.body[start:]
+	return e.extend(n * elemSize)
 }
 
 // Tag writes a named section marker. Decoders verify the same name at the
@@ -126,14 +145,14 @@ func (e *Encoder) Tag(name string) { e.Str(name) }
 // Bool writes a boolean as one byte (0 or 1).
 func (e *Encoder) Bool(v bool) {
 	if v {
-		e.body = append(e.body, 1)
+		e.U8(1)
 	} else {
-		e.body = append(e.body, 0)
+		e.U8(0)
 	}
 }
 
 // U8 writes one byte.
-func (e *Encoder) U8(v uint8) { e.body = append(e.body, v) }
+func (e *Encoder) U8(v uint8) { e.extend(1)[0] = v }
 
 // I32 writes a fixed-width 32-bit integer.
 func (e *Encoder) I32(v int32) { e.u32(uint32(v)) }
@@ -147,7 +166,7 @@ func (e *Encoder) F64(v float64) { e.u64(math.Float64bits(v)) }
 // Str writes a length-prefixed UTF-8 string.
 func (e *Encoder) Str(s string) {
 	e.u32(uint32(len(s)))
-	e.body = append(e.body, s...)
+	copy(e.extend(len(s)), s)
 }
 
 // Bytes writes a length-prefixed byte slice.
@@ -178,7 +197,7 @@ func (e *Encoder) F64s(v []float64) {
 }
 
 // ByteSlab, I32Slab and I64Slab write the length prefix of an n-element
-// slice and return its elements for the caller to set, every one, in place
+// slice and return its elements, all zero, for the caller to set in place
 // — the way a component serialises one column of an array of structs
 // without building the column first. The window is valid only until the
 // next Encoder call.
@@ -217,28 +236,33 @@ func Seal(containerMagic string, version uint32, e *Encoder) ([]byte, error) {
 	if len(containerMagic) != 4 {
 		return nil, fmt.Errorf("%w: magic %q must be 4 bytes", ErrFormat, containerMagic)
 	}
-	raw := e.body
-	if len(raw) > maxBody {
-		return nil, fmt.Errorf("%w: body %d bytes exceeds %d", ErrFormat, len(raw), maxBody)
+	if e.size > maxBody {
+		return nil, fmt.Errorf("%w: body %d bytes exceeds %d", ErrFormat, e.size, maxBody)
 	}
-	sum := sha256.Sum256(raw)
+	// Hash and deflate are streams: chunk boundaries do not show in the output.
+	sum := sha256.New()
+	for _, c := range e.chunks {
+		sum.Write(c)
+	}
 
 	// Header and compressed body go into one buffer, sized for the 9:1 or
 	// better an aged device compresses at so it rarely regrows.
-	out := bytes.NewBuffer(make([]byte, 0, headerSize+len(raw)/8))
+	out := bytes.NewBuffer(make([]byte, 0, headerSize+e.size/8))
 	var hdr [headerSize]byte
 	copy(hdr[:4], containerMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], version)
 	binary.LittleEndian.PutUint32(hdr[8:], flagCompressed)
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(len(raw)))
-	copy(hdr[20:], sum[:])
+	binary.LittleEndian.PutUint64(hdr[12:], uint64(e.size))
+	sum.Sum(hdr[:20])
 	out.Write(hdr[:])
 	fw, err := flate.NewWriter(out, flate.BestSpeed)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := fw.Write(raw); err != nil {
-		return nil, err
+	for _, c := range e.chunks {
+		if _, err := fw.Write(c); err != nil {
+			return nil, err
+		}
 	}
 	if err := fw.Close(); err != nil {
 		return nil, err
