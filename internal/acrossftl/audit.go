@@ -167,3 +167,18 @@ func (s *Scheme) ResolveSector(sec int64) (ftl.SectorSource, error) {
 		Tag:  flash.Tag{Kind: ftl.TagData, Key: lpn},
 	}, nil
 }
+
+// VisitWritten implements check.SectorResolver, the bulk form of
+// ResolveSector: the mapped pages, then every area ResolveSector can reach —
+// through PMT.AIdxOf, never by scanning AMT slots, so a leaked slot marks
+// nothing — cut to the two pages it is consulted for.
+func (s *Scheme) VisitWritten(fn func(start, end int64)) {
+	s.Base.VisitWritten(fn)
+	spp := int64(s.SPP)
+	for lpn := int64(0); lpn < s.PMT.Len(); lpn++ {
+		if a, ok := s.areaAt(lpn); ok {
+			sp := s.spanOf(a.e)
+			fn(max(sp.Start, lpn*spp), min(sp.End, (lpn+2)*spp))
+		}
+	}
+}

@@ -47,8 +47,15 @@ type Auditable interface {
 // SectorResolver is a scheme that can say where a logical sector's current
 // contents live. Resolution must be side-effect-free: it may not touch
 // caches, charge costs, or move data.
+//
+// VisitWritten is the bulk form of "ResolveSector(sec).Kind != SrcUnwritten":
+// it calls fn with runs [start, end) whose union is exactly the sectors
+// ResolveSector gives a source, reached the way ResolveSector reaches them.
+// Runs may overlap, arrive in any order and extend past the device's last
+// sector. It is observation only, like resolution, and has no error path.
 type SectorResolver interface {
 	ResolveSector(sec int64) (ftl.SectorSource, error)
+	VisitWritten(fn func(start, end int64))
 }
 
 // Options configures a Checker.

@@ -91,12 +91,34 @@ func (c *Checker) isWritten(sec int64) bool {
 	return c.written[sec>>6]&(1<<uint(sec&63)) != 0
 }
 
+// setWrittenRun marks sectors [start, end) written, a word at a time. The
+// part of a run outside the device is dropped: a scheme's last logical page
+// may reach past LogicalSectors.
+func (c *Checker) setWrittenRun(start, end int64) {
+	start, end = max(start, 0), min(end, c.logicalSectors)
+	if start >= end {
+		return
+	}
+	first, last := start>>6, (end-1)>>6
+	head := ^uint64(0) << uint(start&63)
+	tail := ^uint64(0) >> uint(63-(end-1)&63)
+	if first == last {
+		c.written[first] |= head & tail
+		return
+	}
+	c.written[first] |= head
+	for w := first + 1; w < last; w++ {
+		c.written[w] = ^uint64(0)
+	}
+	c.written[last] |= tail
+}
+
 // BeginReplay arms the checker for a measured phase. The engine calls it
 // right after Device.ResetMeasurement, so the attribution identities compare
 // array totals against freshly zeroed counters. The shadow bitset is seeded
-// from the scheme's current resolution — aged or recovered state counts as
-// written — which makes liveness checkable without having observed the
-// warm-up.
+// from the scheme's current resolution, enumerated in runs by VisitWritten —
+// aged or recovered state counts as written — which makes liveness checkable
+// without having observed the warm-up. The error is always nil.
 func (c *Checker) BeginReplay() error {
 	arr := c.dev.Array
 	c.began = true
@@ -119,20 +141,9 @@ func (c *Checker) BeginReplay() error {
 		words := (c.logicalSectors + 63) / 64
 		if c.written == nil {
 			c.written = make([]uint64, words)
-		} else {
-			for i := range c.written {
-				c.written[i] = 0
-			}
 		}
-		for sec := int64(0); sec < c.logicalSectors; sec++ {
-			src, err := c.res.ResolveSector(sec)
-			if err != nil {
-				return fmt.Errorf("check: seeding shadow model: %w", err)
-			}
-			if src.Kind != ftl.SrcUnwritten {
-				c.setWritten(sec)
-			}
-		}
+		clear(c.written)
+		c.res.VisitWritten(c.setWrittenRun)
 	}
 	return nil
 }
@@ -303,11 +314,8 @@ func (c *Checker) Audit() error {
 	words := (geo.TotalPages() + 63) / 64
 	if c.owned == nil {
 		c.owned = make([]uint64, words)
-	} else {
-		for i := range c.owned {
-			c.owned[i] = 0
-		}
 	}
+	clear(c.owned)
 	var ownedCount int64
 	err := c.aud.VisitOwned(func(p flash.PPN) error {
 		if err := geo.CheckPPN(p); err != nil {

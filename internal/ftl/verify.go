@@ -88,9 +88,11 @@ func (b *Base) VisitPMT(fn func(flash.PPN) error) error {
 	return nil
 }
 
-// ResolvePMT is the page-level resolution shared by Baseline and DFTL: the
-// sector lives wherever its logical page is mapped.
-func (b *Base) ResolvePMT(sec int64) (SectorSource, error) {
+// ResolveSector implements check.SectorResolver for Baseline and DFTL, which
+// resolve at page level: the sector lives wherever its logical page is
+// mapped (for DFTL, residence of the mapping entry affects timing, not
+// placement).
+func (b *Base) ResolveSector(sec int64) (SectorSource, error) {
 	if sec < 0 || sec >= b.Conf.LogicalSectors() {
 		return SectorSource{}, fmt.Errorf("ftl: sector %d outside device", sec)
 	}
@@ -104,6 +106,21 @@ func (b *Base) ResolvePMT(sec int64) (SectorSource, error) {
 		PPN:  ppn,
 		Tag:  flash.Tag{Kind: TagData, Key: lpn},
 	}, nil
+}
+
+// VisitWritten implements check.SectorResolver, the bulk form of
+// ResolveSector: one run per stretch of consecutive mapped pages.
+func (b *Base) VisitWritten(fn func(start, end int64)) {
+	spp, n := int64(b.SPP), b.PMT.Len()
+	for lpn := int64(0); lpn < n; lpn++ {
+		if b.PMT.PPNOf(lpn) == flash.NilPPN {
+			continue
+		}
+		first := lpn
+		for lpn++; lpn < n && b.PMT.PPNOf(lpn) != flash.NilPPN; lpn++ {
+		}
+		fn(first*spp, lpn*spp)
+	}
 }
 
 // Audit verifies the map store's referential integrity: every materialised
@@ -147,9 +164,6 @@ func (s *Baseline) AuditMapping() error { return s.AuditPMT() }
 // VisitOwned implements check.Auditable for the baseline FTL.
 func (s *Baseline) VisitOwned(fn func(flash.PPN) error) error { return s.VisitPMT(fn) }
 
-// ResolveSector implements check.SectorResolver for the baseline FTL.
-func (s *Baseline) ResolveSector(sec int64) (SectorSource, error) { return s.ResolvePMT(sec) }
-
 // AuditMapping implements check.Auditable for DFTL: the baseline's PMT plus
 // the flash-resident translation pages behind the cached mapping table.
 func (s *DFTL) AuditMapping() error {
@@ -166,8 +180,3 @@ func (s *DFTL) VisitOwned(fn func(flash.PPN) error) error {
 	}
 	return s.ms.VisitPages(fn)
 }
-
-// ResolveSector implements check.SectorResolver for DFTL: residence of the
-// mapping entry affects timing, not placement, so resolution is the
-// baseline's.
-func (s *DFTL) ResolveSector(sec int64) (SectorSource, error) { return s.ResolvePMT(sec) }

@@ -107,6 +107,14 @@ func (s *Scheme) ResolveSector(sec int64) (ftl.SectorSource, error) {
 	return ftl.SectorSource{}, fmt.Errorf("hostcache: inner scheme %s does not support resolution", s.inner.Name())
 }
 
+// VisitWritten forwards to the inner scheme (see ResolveSector); an inner
+// scheme that cannot resolve has nothing to visit.
+func (s *Scheme) VisitWritten(fn func(start, end int64)) {
+	if v, ok := s.inner.(interface{ VisitWritten(func(start, end int64)) }); ok {
+		v.VisitWritten(fn)
+	}
+}
+
 // Write implements ftl.Scheme: write-through. A full-page slice leaves the
 // page resident (its DRAM copy is complete); a partial slice of a
 // non-resident page cannot create a complete copy, so the page is evicted

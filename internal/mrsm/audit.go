@@ -125,3 +125,22 @@ func (s *Scheme) ResolveSector(sec int64) (ftl.SectorSource, error) {
 		Tag:  flash.Tag{Kind: ftl.TagMRSM, Key: -1},
 	}, nil
 }
+
+// VisitWritten implements check.SectorResolver, the bulk form of
+// ResolveSector: one run per stretch of consecutive mapped sub-pages, then
+// the sub-pages staged in the pack buffer.
+func (s *Scheme) VisitWritten(fn func(start, end int64)) {
+	sec, n := int64(s.subSec), int64(len(s.subLoc))
+	for sub := int64(0); sub < n; sub++ {
+		if s.subLoc[sub] == unmapped {
+			continue
+		}
+		first := sub
+		for sub++; sub < n && s.subLoc[sub] != unmapped; sub++ {
+		}
+		fn(first*sec, sub*sec)
+	}
+	for _, sub := range s.bufList {
+		fn(sub*sec, (sub+1)*sec)
+	}
+}

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"across/internal/snapshot"
 	"across/internal/trace"
@@ -27,10 +29,10 @@ const TraceV2Magic = "AXT2"
 // required by DecodeStream.
 const TraceV2Version = 1
 
-// maxTraceRequests bounds the request count a decoder will accept; with
-// 21 bytes per encoded request this is ~2 GiB of body, far beyond any real
-// artifact and small enough to stop allocation bombs.
-const maxTraceRequests = 100_000_000
+// recordBytes is the size of one request in the body. The requests are one
+// slab of fixed-width little-endian records — f64 time, u8 op, i64 offset,
+// i32 count — written and read in place.
+const recordBytes = 8 + 1 + 8 + 4
 
 // EncodeStream seals a generated stream into a trace-v2 container.
 func EncodeStream(s *Stream) ([]byte, error) {
@@ -46,12 +48,13 @@ func EncodeStream(s *Stream) ([]byte, error) {
 		e.I64(c.Sectors)
 	}
 	e.Tag("reqs")
-	e.I64(int64(len(s.Requests)))
-	for _, r := range s.Requests {
-		e.F64(r.Time)
-		e.U8(uint8(r.Op))
-		e.I64(r.Offset)
-		e.I32(int32(r.Count))
+	w := e.Slab(len(s.Requests), recordBytes)
+	for i, r := range s.Requests {
+		rec := w[i*recordBytes:][:recordBytes]
+		binary.LittleEndian.PutUint64(rec[0:], math.Float64bits(r.Time))
+		rec[8] = uint8(r.Op)
+		binary.LittleEndian.PutUint64(rec[9:], uint64(r.Offset))
+		binary.LittleEndian.PutUint32(rec[17:], uint32(int32(r.Count)))
 	}
 	return snapshot.Seal(TraceV2Magic, TraceV2Version, e)
 }
@@ -84,24 +87,27 @@ func DecodeStream(blob []byte) (*Stream, error) {
 		})
 	}
 	d.Tag("reqs")
-	nr := d.I64()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if nr < 0 || nr > maxTraceRequests {
-		return nil, fmt.Errorf("%w: implausible request count %d", snapshot.ErrCorrupt, nr)
-	}
-	for i := int64(0); i < nr && d.Err() == nil; i++ {
-		r := trace.Request{
-			Time:   d.F64(),
-			Op:     trace.Op(d.U8()),
-			Offset: d.I64(),
-			Count:  int(d.I32()),
-		}
-		s.Requests = append(s.Requests, r)
-	}
+	// One view of every record: the count is refused, before anything is
+	// allocated, unless the body really holds that many.
+	v := d.Slab(recordBytes)
 	if err := d.Finish(); err != nil {
 		return nil, err
+	}
+	s.Requests = make([]trace.Request, len(v)/recordBytes)
+	for i := range s.Requests {
+		rec := v[i*recordBytes:][:recordBytes]
+		op, count := rec[8], int32(binary.LittleEndian.Uint32(rec[17:]))
+		// No writer produces these, and a forged container's checksum is
+		// the forger's: refuse them here, not request by request mid-replay.
+		if op > uint8(trace.OpWrite) || count <= 0 {
+			return nil, fmt.Errorf("%w: request %d has op %d, count %d", snapshot.ErrCorrupt, i, op, count)
+		}
+		s.Requests[i] = trace.Request{
+			Time:   math.Float64frombits(binary.LittleEndian.Uint64(rec[0:])),
+			Op:     trace.Op(op),
+			Offset: int64(binary.LittleEndian.Uint64(rec[9:])),
+			Count:  int(count),
+		}
 	}
 	return s, nil
 }

@@ -3,7 +3,14 @@ package scenario
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"across/internal/snapshot"
 )
@@ -121,6 +128,8 @@ func FuzzTraceV2Decode(f *testing.F) {
 	mut := bytes.Clone(blob)
 	mut[30] ^= 0xff
 	f.Add(mut)
+	f.Add(forgedContainer(f, 2, 8))
+	f.Add(forgedContainer(f, 1, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := DecodeStream(data)
@@ -136,8 +145,177 @@ func FuzzTraceV2Decode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded container rejected: %v", err)
 		}
-		if len(back.Requests) != len(st.Requests) {
-			t.Fatalf("round-trip lost requests: %d vs %d", len(back.Requests), len(st.Requests))
+		if !slices.Equal(back.Requests, st.Requests) {
+			t.Fatalf("round trip changed the requests (%d vs %d)", len(back.Requests), len(st.Requests))
 		}
 	})
+}
+
+// forgedContainer seals, with a correct checksum, a one-tenant stream whose
+// second request carries the given op byte and count: what an attacker who
+// recomputes the SHA-256 can hand the decoder.
+func forgedContainer(tb testing.TB, op uint8, count int32) []byte {
+	tb.Helper()
+	e := snapshot.NewEncoder()
+	e.Tag("meta")
+	e.Str("forged")
+	e.I64(testSectors)
+	e.I64(0)
+	e.Tag("reqs")
+	e.I64(2)
+	for i, rec := range []struct {
+		op    uint8
+		count int32
+	}{{1, 8}, {op, count}} {
+		e.F64(float64(i))
+		e.U8(rec.op)
+		e.I64(int64(i) * 64)
+		e.I32(rec.count)
+	}
+	blob, err := snapshot.Seal(TraceV2Magic, TraceV2Version, e)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob
+}
+
+// TestTraceV2RejectsUnwritableRecords: an op byte other than 0/1 or a
+// non-positive count is refused at decode, by record index, even though the
+// container's checksum is right.
+func TestTraceV2RejectsUnwritableRecords(t *testing.T) {
+	if st, err := DecodeStream(forgedContainer(t, 0, 1)); err != nil || len(st.Requests) != 2 {
+		t.Fatalf("well-formed hand-built container: %v", err)
+	}
+	for _, tc := range []struct {
+		op    uint8
+		count int32
+	}{{2, 8}, {255, 8}, {1, 0}, {0, -4}} {
+		_, err := DecodeStream(forgedContainer(t, tc.op, tc.count))
+		if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "request 1") {
+			t.Errorf("op %d count %d: got %v, want ErrCorrupt naming request 1", tc.op, tc.count, err)
+		}
+	}
+}
+
+// TestTraceV2GoldenV1 decodes a container the commit before the in-place
+// codec wrote ("mixed" at scale 0.001) and re-encodes it to its own bytes:
+// the record layout did not move.
+func TestTraceV2GoldenV1(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "mixed-v1.axt2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := DecodeStream(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sampleStream(t); !slices.Equal(st.Requests, want.Requests) || !slices.Equal(st.Cohorts, want.Cohorts) {
+		t.Error("golden container does not decode to the stream that was sealed into it")
+	}
+	blob, err := EncodeStream(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(blob, golden) {
+		t.Fatal("golden container does not re-encode to its own bytes")
+	}
+}
+
+// benchStream is "mixed" at the scale the study-cold ledger workload uses
+// (about 300 k requests).
+func benchStream(tb testing.TB, scale float64) *Stream {
+	tb.Helper()
+	sc, err := Builtin("mixed")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st, err := sc.Scale(scale).Generate(1 << 24)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
+
+// TestTraceV2CodecAllocations locks the codec's allocation shape. Nothing is
+// allocated per request: encoding allocates the body's 64 KiB chunks,
+// decoding the inflated body and one exact-size Requests slice. What is left
+// over belongs to DEFLATE, which allocates tables per compressed block.
+func TestTraceV2CodecAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	st := benchStream(t, 0.02)
+	blob, err := EncodeStream(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nr := len(st.Requests)
+	body := nr * recordBytes
+	if nr < 30_000 {
+		t.Fatalf("stream has only %d requests", nr)
+	}
+	enc := testing.AllocsPerRun(5, func() {
+		if _, err := EncodeStream(st); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(2*body/(64<<10) + 32); enc > limit {
+		t.Errorf("encoding %d requests made %v allocations, want at most %v (two per body chunk)", nr, enc, limit)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	dec := testing.AllocsPerRun(5, func() {
+		if _, err := DecodeStream(blob); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	if limit := float64(nr/256 + 32); dec > limit {
+		t.Errorf("decoding %d requests made %v allocations, want at most %v", nr, dec, limit)
+	}
+	// AllocsPerRun runs the function once to warm up, then 5 times.
+	perRun := (after.TotalAlloc - before.TotalAlloc) / 6
+	if limit := uint64(body + nr*int(unsafe.Sizeof(st.Requests[0])) + 256<<10); perRun > limit {
+		t.Errorf("decoding %d requests allocated %d bytes, want at most %d (the body and one exact slice)", nr, perRun, limit)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race, under
+// which allocation counts are the detector's as much as the code's.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			return true
+		}
+	}
+	return false
+}
+
+func BenchmarkTraceV2Encode(b *testing.B) {
+	st := benchStream(b, 0.2)
+	b.SetBytes(int64(len(st.Requests)) * recordBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodeStream(st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkTraceV2Decode(b *testing.B) {
+	st := benchStream(b, 0.2)
+	blob, err := EncodeStream(st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(st.Requests)) * recordBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeStream(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -131,9 +131,12 @@ func (e *Encoder) u32(v uint32) { binary.LittleEndian.PutUint32(e.extend(4), v) 
 
 func (e *Encoder) u64(v uint64) { binary.LittleEndian.PutUint64(e.extend(8), v) }
 
-// slab writes the count prefix of an n-element slab and returns its
-// n*elemSize data bytes for the caller to fill in place.
-func (e *Encoder) slab(n, elemSize int) []byte {
+// Slab writes the count prefix of an n-element slab and returns its
+// n*elemSize data bytes, all zero, for the caller to fill in place — the
+// way a component serialises one column of an array of structs without
+// building the column first, or a stream its fixed-width records. The
+// window is valid only until the next Encoder call.
+func (e *Encoder) Slab(n, elemSize int) []byte {
 	e.u64(uint64(n))
 	return e.extend(n * elemSize)
 }
@@ -196,18 +199,13 @@ func (e *Encoder) F64s(v []float64) {
 	}
 }
 
-// ByteSlab, I32Slab and I64Slab write the length prefix of an n-element
-// slice and return its elements, all zero, for the caller to set in place
-// — the way a component serialises one column of an array of structs
-// without building the column first. The window is valid only until the
-// next Encoder call.
-func (e *Encoder) ByteSlab(n int) []byte { return e.slab(n, 1) }
+// ByteSlab, I32Slab and I64Slab are Slab for a []byte, []int32 or []int64
+// column.
+func (e *Encoder) ByteSlab(n int) []byte { return e.Slab(n, 1) }
 
-// I32Slab is ByteSlab for an []int32 column.
-func (e *Encoder) I32Slab(n int) I32Slab { return I32Slab{e.slab(n, 4)} }
+func (e *Encoder) I32Slab(n int) I32Slab { return I32Slab{e.Slab(n, 4)} }
 
-// I64Slab is ByteSlab for an []int64 column.
-func (e *Encoder) I64Slab(n int) I64Slab { return I64Slab{e.slab(n, 8)} }
+func (e *Encoder) I64Slab(n int) I64Slab { return I64Slab{e.Slab(n, 8)} }
 
 // I32Slab is the write window of one []int32 slab inside an encoder's body.
 type I32Slab struct{ b []byte }
@@ -510,18 +508,19 @@ func (d *Decoder) Str() string {
 // Bytes reads a length-prefixed byte slice (copied out of the body).
 func (d *Decoder) Bytes() []byte { return bytes.Clone(d.BytesView()) }
 
-// BytesView, I32View and I64View read a length-prefixed slice with one
-// bounds check and return it as a view of the body — no copy, no
-// allocation — for a receiver to decode straight into its own arrays. A
-// view is read-only (the body may be shared with other decoders) and must
-// not be retained past the restore. After a decode error the view is empty.
-func (d *Decoder) BytesView() []byte { return d.need(d.count(1)) }
+// Slab reads a slab of elemSize-byte elements with one bounds check — the
+// count is refused unless the body still holds that many — and returns it
+// as a view of the body: no copy, no allocation, for a receiver to decode
+// straight into its own arrays. A view is read-only (the body may be shared
+// with other decoders) and must not be retained past the restore. After a
+// decode error the view is empty.
+func (d *Decoder) Slab(elemSize int) []byte { return d.need(elemSize * d.count(elemSize)) }
 
-// I32View is BytesView for an []int32 slab.
-func (d *Decoder) I32View() I32View { return I32View{d.need(4 * d.count(4))} }
-
-// I64View is BytesView for an []int64 slab.
-func (d *Decoder) I64View() I64View { return I64View{d.need(8 * d.count(8))} }
+// BytesView, I32View and I64View are Slab for a []byte, []int32 or []int64
+// column.
+func (d *Decoder) BytesView() []byte { return d.Slab(1) }
+func (d *Decoder) I32View() I32View  { return I32View{d.Slab(4)} }
+func (d *Decoder) I64View() I64View  { return I64View{d.Slab(8)} }
 
 // I32View is a read-only view of one []int32 slab of a body.
 type I32View struct{ b []byte }

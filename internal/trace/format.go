@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"strconv"
 	"strings"
@@ -42,137 +44,204 @@ func byteRangeToSectors(offB, sizeB int64) (startSec int64, count int, err error
 //
 // with the timestamp in seconds (epoch or relative), response time in
 // seconds (often empty), io_type "R"/"W", offset and size in bytes.
-// Reader accepts that format (ignoring the recorded response time, which the
+// ReadAll accepts that format (ignoring the recorded response time, which the
 // simulator recomputes) and Writer emits it, so real LUN traces drop in
 // unchanged and generated traces can be inspected with standard tools.
 
-// Reader parses a SYSTOR-format trace stream.
-type Reader struct {
-	s        *bufio.Scanner
-	line     int
-	baseTime float64
-	started  bool
-}
+// Both dialects go through one parser. They differ in the field count, in
+// the column and spelling of the direction and in the unit of the timestamp;
+// offset and size are columns 4 and 5 of either.
+//
+// Grammar: a line ends at '\n' and may be any length. It is trimmed of
+// Unicode white space (which takes a CR with it) and skipped if that leaves
+// nothing or a leading '#'; the rest splits at every comma, and each field
+// is trimmed the same way before it is read.
 
-// NewReader wraps an io.Reader holding CSV trace text.
-func NewReader(r io.Reader) *Reader {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 64*1024), 1024*1024)
-	return &Reader{s: s}
-}
-
-// Read returns the next request, io.EOF at end of stream, or a descriptive
-// error naming the offending line. Timestamps are rebased so the first
-// request arrives at t=0, and converted from seconds to milliseconds.
-func (r *Reader) Read() (Request, error) {
-	for r.s.Scan() {
-		r.line++
-		line := strings.TrimSpace(r.s.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		req, err := r.parse(line)
-		if err != nil {
-			return Request{}, fmt.Errorf("trace: line %d: %w", r.line, err)
-		}
-		return req, nil
-	}
-	if err := r.s.Err(); err != nil {
-		return Request{}, err
-	}
-	return Request{}, io.EOF
-}
-
-func (r *Reader) parse(line string) (Request, error) {
-	f := strings.Split(line, ",")
-	if len(f) != 6 {
-		return Request{}, fmt.Errorf("want 6 comma-separated fields, got %d", len(f))
-	}
-	ts, err := strconv.ParseFloat(strings.TrimSpace(f[0]), 64)
-	if err != nil {
-		return Request{}, fmt.Errorf("bad timestamp %q: %v", f[0], err)
-	}
-	if math.IsNaN(ts) || math.IsInf(ts, 0) {
-		return Request{}, fmt.Errorf("non-finite timestamp %q", f[0])
-	}
-	var op Op
-	switch strings.ToUpper(strings.TrimSpace(f[2])) {
-	case "R":
-		op = OpRead
-	case "W":
-		op = OpWrite
-	default:
-		return Request{}, fmt.Errorf("bad io_type %q (want R or W)", f[2])
-	}
-	offB, err := strconv.ParseInt(strings.TrimSpace(f[4]), 10, 64)
-	if err != nil {
-		return Request{}, fmt.Errorf("bad offset %q: %v", f[4], err)
-	}
-	sizeB, err := strconv.ParseInt(strings.TrimSpace(f[5]), 10, 64)
-	if err != nil {
-		return Request{}, fmt.Errorf("bad size %q: %v", f[5], err)
-	}
-	startSec, count, err := byteRangeToSectors(offB, sizeB)
-	if err != nil {
-		return Request{}, err
-	}
-	if !r.started {
-		r.baseTime = ts
-		r.started = true
-	}
-	return Request{
-		Time:   (ts - r.baseTime) * 1000, // s -> ms, rebased
-		Op:     op,
-		Offset: startSec,
-		Count:  count,
-	}, nil
-}
+// ReadAll slurps an entire SYSTOR-format trace. Timestamps are rebased so
+// the first request arrives at t=0 and converted from seconds to
+// milliseconds; an error names the offending line.
+func ReadAll(r io.Reader) ([]Request, error) { return readAll(r, "systor") }
 
 // ReadAllAuto slurps an entire trace, sniffing the format (SYSTOR '17 or
 // MSR Cambridge) from the first non-empty, non-comment line.
-func ReadAllAuto(r io.Reader) ([]Request, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	first := ""
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line != "" && line[0] != '#' {
-			first = line
-			break
+func ReadAllAuto(r io.Reader) ([]Request, error) { return readAll(r, "") }
+
+// readAll reads all of r into one buffer, allocated once when r can say how
+// much it holds (a bytes or strings Reader, a file), and parses it.
+func readAll(r io.Reader, format string) ([]Request, error) {
+	var buf bytes.Buffer
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		buf.Grow(r.Len() + bytes.MinRead)
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			buf.Grow(int(fi.Size()) + bytes.MinRead)
 		}
 	}
-	format, err := DetectFormat(first)
+	_, err := buf.ReadFrom(r)
+	if err == nil && format == "" {
+		format, err = DetectFormat(string(firstDataLine(buf.Bytes())))
+	}
 	if err != nil {
 		return nil, err
 	}
-	if format == "msr" {
-		return ReadAllMSR(strings.NewReader(string(data)))
-	}
-	return ReadAll(strings.NewReader(string(data)))
+	return parse(buf.Bytes(), format == "msr")
 }
 
-// ReadAll slurps an entire trace.
-func ReadAll(r io.Reader) ([]Request, error) {
-	tr := NewReader(r)
-	var out []Request
-	for {
-		req, err := tr.Read()
-		if err == io.EOF {
-			return out, nil
+// firstDataLine returns the first line that is neither blank nor a comment,
+// trimmed; nil if there is none.
+func firstDataLine(data []byte) []byte {
+	for len(data) > 0 {
+		var line []byte
+		line, data, _ = bytes.Cut(data, newline)
+		if line = bytes.TrimSpace(line); len(line) > 0 && line[0] != '#' {
+			return line
 		}
+	}
+	return nil
+}
+
+var newline = []byte{'\n'}
+
+// parse walks trace text once: per line, one pass for its end and its
+// commas, then four fields read in place. Nothing is copied and the result
+// is allocated once, from the newline count.
+func parse(data []byte, msr bool) ([]Request, error) {
+	out := make([]Request, 0, bytes.Count(data, newline)+1)
+	prefix, scale := "trace: line", 1000.0 // SYSTOR timestamps are seconds
+	if msr {
+		prefix, scale = "trace: msr line", 1
+	}
+	var base float64
+	for pos, lineNo := 0, 1; pos < len(data); lineNo++ {
+		line := data[pos:]
+		if end := bytes.IndexByte(line, '\n'); end >= 0 {
+			line = line[:end]
+		}
+		pos += len(line) + 1
+		if head := trimField(line); len(head) == 0 || head[0] == '#' {
+			continue
+		}
+		// comma[i] is where field i ends. A line with more commas than any
+		// dialect has wraps around and is refused on its count.
+		var comma [8]int
+		n := 0
+		for i, c := range line {
+			if c == ',' {
+				comma[n&7] = i
+				n++
+			}
+		}
+		t, req, err := parseRecord(line, &comma, n, msr)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s %d: %w", prefix, lineNo, err)
 		}
+		if len(out) == 0 {
+			base = t
+		}
+		req.Time = (t - base) * scale
 		out = append(out, req)
 	}
+	return out, nil
+}
+
+// parseRecord reads one data line whose n commas parse found. It returns the
+// timestamp in the dialect's own unit (seconds, or milliseconds for MSR).
+func parseRecord(line []byte, comma *[8]int, n int, msr bool) (t float64, req Request, err error) {
+	want, opCol := 6, 2
+	if msr {
+		want, opCol = 7, 3
+	}
+	if n+1 != want {
+		return 0, req, fmt.Errorf("want %d comma-separated fields, got %d", want, n+1)
+	}
+	comma[n] = len(line)
+	// field is column i > 0, trimmed.
+	field := func(i int) []byte { return trimField(line[comma[i-1]+1 : comma[i]]) }
+	// quoted is field i as the messages show it: cut from the trimmed line,
+	// itself untrimmed.
+	quoted := func(i int) string { return strings.Split(strings.TrimSpace(string(line)), ",")[i] }
+
+	if ts := trimField(line[:comma[0]]); msr {
+		var ticks int64
+		ticks, err = atoi(ts)
+		t = float64(ticks) * windowsTick
+	} else {
+		t, err = strconv.ParseFloat(string(ts), 64)
+	}
+	op, okOp := parseOp(field(opCol), msr)
+	offB, errOff := atoi(field(4))
+	sizeB, errSize := atoi(field(5))
+	switch {
+	case err != nil:
+		err = fmt.Errorf("bad timestamp %q: %v", quoted(0), err)
+	case math.IsNaN(t) || math.IsInf(t, 0):
+		err = fmt.Errorf("non-finite timestamp %q", quoted(0))
+	case !okOp && msr:
+		err = fmt.Errorf("bad type %q (want Read or Write)", quoted(opCol))
+	case !okOp:
+		err = fmt.Errorf("bad io_type %q (want R or W)", quoted(opCol))
+	case errOff != nil:
+		err = fmt.Errorf("bad offset %q: %v", quoted(4), errOff)
+	case errSize != nil:
+		err = fmt.Errorf("bad size %q: %v", quoted(5), errSize)
+	default:
+		req = Request{Op: op}
+		req.Offset, req.Count, err = byteRangeToSectors(offB, sizeB)
+	}
+	return t, req, err
+}
+
+// trimField is bytes.TrimSpace, which has nothing to remove from a field
+// whose first and last bytes are printable ASCII: every white-space rune
+// starts and ends with a byte outside that range.
+func trimField(b []byte) []byte {
+	if n := len(b); n > 0 && b[0] > ' ' && b[0] < 0x7f && b[n-1] > ' ' && b[n-1] < 0x7f {
+		return b
+	}
+	return bytes.TrimSpace(b)
+}
+
+// atoi is strconv.ParseInt(b, 10, 64) for a trimmed field. A run of up to 18
+// digits — every real offset, size and tick count — cannot overflow and
+// takes the loop; a sign, a longer run or junk gets strconv's verdict and
+// its error text.
+func atoi(b []byte) (int64, error) {
+	if len(b) == 0 || len(b) > 18 {
+		return strconv.ParseInt(string(b), 10, 64)
+	}
+	var v int64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return strconv.ParseInt(string(b), 10, 64)
+		}
+		v = v*10 + int64(c-'0')
+	}
+	return v, nil
+}
+
+// parseOp reads a trimmed direction field: R or W in any case for SYSTOR, and
+// for MSR Read or Write too. Only the collections' own spellings skip the
+// Unicode case mapping.
+func parseOp(f []byte, msr bool) (Op, bool) {
+	s := string(f)
+	if s != "R" && s != "W" && s != "Read" && s != "Write" {
+		s = strings.ToLower(s)
+	}
+	switch {
+	case s == "R" || s == "r" || msr && (s == "Read" || s == "read"):
+		return OpRead, true
+	case s == "W" || s == "w" || msr && (s == "Write" || s == "write"):
+		return OpWrite, true
+	}
+	return 0, false
 }
 
 // Writer emits requests in the SYSTOR CSV format.
 type Writer struct {
-	w   *bufio.Writer
-	lun int
+	w    *bufio.Writer
+	lun  int
+	line []byte // the line being built, reused
 }
 
 // NewWriter creates a Writer; lun fills the trace's LUN column.
@@ -180,10 +249,21 @@ func NewWriter(w io.Writer, lun int) *Writer {
 	return &Writer{w: bufio.NewWriter(w), lun: lun}
 }
 
-// Write emits one request.
+// Write emits one request, formatted as "%.6f,%.6f,%s,%d,%d,%d\n" of the
+// timestamp in seconds, a zero response time, the op, the LUN and the byte
+// offset and size.
 func (w *Writer) Write(req Request) error {
-	_, err := fmt.Fprintf(w.w, "%.6f,%.6f,%s,%d,%d,%d\n",
-		req.Time/1000, 0.0, req.Op, w.lun, req.Offset*512, int64(req.Count)*512)
+	b := strconv.AppendFloat(w.line[:0], req.Time/1000, 'f', 6, 64)
+	b = append(b, ",0.000000,"...)
+	b = append(b, req.Op.String()...)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(w.lun), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, req.Offset*512, 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(req.Count)*512, 10)
+	w.line = append(b, '\n')
+	_, err := w.w.Write(w.line)
 	return err
 }
 

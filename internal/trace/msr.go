@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
@@ -21,112 +19,20 @@ import (
 // windowsTick is the filetime resolution in milliseconds.
 const windowsTick = 1e-4 // 100 ns
 
-// MSRReader parses an MSR Cambridge-format trace stream.
-type MSRReader struct {
-	s        *bufio.Scanner
-	line     int
-	baseTime float64
-	started  bool
-}
-
-// NewMSRReader wraps an io.Reader holding MSR CSV trace text.
-func NewMSRReader(r io.Reader) *MSRReader {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 64*1024), 1024*1024)
-	return &MSRReader{s: s}
-}
-
-// Read returns the next request, io.EOF at end of stream, or an error
-// naming the offending line. Timestamps are rebased to t=0 and converted
-// to milliseconds.
-func (r *MSRReader) Read() (Request, error) {
-	for r.s.Scan() {
-		r.line++
-		line := strings.TrimSpace(r.s.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		req, err := r.parse(line)
-		if err != nil {
-			return Request{}, fmt.Errorf("trace: msr line %d: %w", r.line, err)
-		}
-		return req, nil
-	}
-	if err := r.s.Err(); err != nil {
-		return Request{}, err
-	}
-	return Request{}, io.EOF
-}
-
-func (r *MSRReader) parse(line string) (Request, error) {
-	f := strings.Split(line, ",")
-	if len(f) != 7 {
-		return Request{}, fmt.Errorf("want 7 comma-separated fields, got %d", len(f))
-	}
-	ticks, err := strconv.ParseInt(strings.TrimSpace(f[0]), 10, 64)
-	if err != nil {
-		return Request{}, fmt.Errorf("bad timestamp %q: %v", f[0], err)
-	}
-	var op Op
-	switch strings.ToLower(strings.TrimSpace(f[3])) {
-	case "read", "r":
-		op = OpRead
-	case "write", "w":
-		op = OpWrite
-	default:
-		return Request{}, fmt.Errorf("bad type %q (want Read or Write)", f[3])
-	}
-	offB, err := strconv.ParseInt(strings.TrimSpace(f[4]), 10, 64)
-	if err != nil {
-		return Request{}, fmt.Errorf("bad offset %q: %v", f[4], err)
-	}
-	sizeB, err := strconv.ParseInt(strings.TrimSpace(f[5]), 10, 64)
-	if err != nil {
-		return Request{}, fmt.Errorf("bad size %q: %v", f[5], err)
-	}
-	startSec, count, err := byteRangeToSectors(offB, sizeB)
-	if err != nil {
-		return Request{}, err
-	}
-	t := float64(ticks) * windowsTick
-	if !r.started {
-		r.baseTime = t
-		r.started = true
-	}
-	return Request{
-		Time:   t - r.baseTime,
-		Op:     op,
-		Offset: startSec,
-		Count:  count,
-	}, nil
-}
-
-// ReadAllMSR slurps an entire MSR-format trace.
-func ReadAllMSR(r io.Reader) ([]Request, error) {
-	tr := NewMSRReader(r)
-	var out []Request
-	for {
-		req, err := tr.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, req)
-	}
-}
+// ReadAllMSR slurps an entire MSR-format trace. Timestamps are rebased to
+// t=0 and converted to milliseconds; an error names the offending line.
+func ReadAllMSR(r io.Reader) ([]Request, error) { return readAll(r, "msr") }
 
 // DetectFormat sniffs whether trace text is SYSTOR (6 fields, R/W in field
 // 3) or MSR (7 fields, Read/Write in field 4); it returns "systor", "msr"
 // or an error. Only the first non-empty line is examined.
 func DetectFormat(firstLine string) (string, error) {
-	f := strings.Split(strings.TrimSpace(firstLine), ",")
-	switch len(f) {
+	n := strings.Count(strings.TrimSpace(firstLine), ",") + 1
+	switch n {
 	case 6:
 		return "systor", nil
 	case 7:
 		return "msr", nil
 	}
-	return "", fmt.Errorf("trace: unrecognised format (%d fields)", len(f))
+	return "", fmt.Errorf("trace: unrecognised format (%d fields)", n)
 }

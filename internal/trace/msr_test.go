@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"io"
 	"strings"
 	"testing"
 )
@@ -62,9 +61,8 @@ func TestMSRReaderRejectsCorruptLines(t *testing.T) {
 }
 
 func TestMSRReaderEOF(t *testing.T) {
-	r := NewMSRReader(strings.NewReader("\n\n"))
-	if _, err := r.Read(); err != io.EOF {
-		t.Fatalf("err = %v, want io.EOF", err)
+	if reqs, err := ReadAllMSR(strings.NewReader("\n\n")); err != nil || len(reqs) != 0 {
+		t.Fatalf("blank stream = (%v, %v), want no requests and no error", reqs, err)
 	}
 }
 

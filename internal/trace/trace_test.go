@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -260,8 +259,7 @@ func TestAcrossMonotoneInPageSize(t *testing.T) {
 }
 
 func TestReaderEOFIsClean(t *testing.T) {
-	r := NewReader(strings.NewReader(""))
-	if _, err := r.Read(); err != io.EOF {
-		t.Fatalf("empty stream err = %v, want io.EOF", err)
+	if reqs, err := ReadAll(strings.NewReader("")); err != nil || len(reqs) != 0 {
+		t.Fatalf("empty stream = (%v, %v), want no requests and no error", reqs, err)
 	}
 }
