@@ -42,6 +42,7 @@ type Geometry struct {
 	Chips          int
 	planesPerChip  int
 	pagesPerPlane  int64
+	pagesPerChip   int64
 	totalPages     int64
 	totalBlocks    int64
 }
@@ -56,6 +57,7 @@ func NewGeometry(c *ssdconf.Config) Geometry {
 		planesPerChip:  c.DiesPerChip * c.PlanesPerDie,
 	}
 	g.pagesPerPlane = int64(c.BlocksPerPlane) * int64(c.PagesPerBlock)
+	g.pagesPerChip = g.pagesPerPlane * int64(g.planesPerChip)
 	g.totalBlocks = int64(g.Planes) * int64(c.BlocksPerPlane)
 	g.totalPages = g.totalBlocks * int64(c.PagesPerBlock)
 	return g
@@ -92,8 +94,10 @@ func (g *Geometry) ChipOfPlane(pl PlaneID) ChipID {
 	return ChipID(int(pl) / g.planesPerChip)
 }
 
-// ChipOf returns the chip that services operations on a page.
-func (g *Geometry) ChipOf(p PPN) ChipID { return g.ChipOfPlane(g.PlaneOf(p)) }
+// ChipOf returns the chip that services operations on a page: one division
+// in place of ChipOfPlane(PlaneOf(p))'s three, which truncating division
+// lets compose.
+func (g *Geometry) ChipOf(p PPN) ChipID { return ChipID(int64(p) / g.pagesPerChip) }
 
 // ChannelOfChip returns the channel of a chip given chips per channel; it is
 // only needed for reporting.

@@ -16,6 +16,7 @@ type Base struct {
 	PMT  *mapping.PMT
 	SPP  int // sectors per page
 
+	sectors  int64       // Conf.LogicalSectors(), which costs float arithmetic per call
 	splitBuf []PageSlice // reused by Split; valid until the next Split call
 }
 
@@ -26,11 +27,12 @@ func NewBase(conf *ssdconf.Config) (Base, error) {
 		return Base{}, err
 	}
 	b := Base{
-		Conf: conf,
-		Dev:  dev,
-		Al:   NewAllocator(dev, nil),
-		PMT:  mapping.NewPMT(conf.LogicalPages()),
-		SPP:  conf.SectorsPerPage(),
+		Conf:    conf,
+		Dev:     dev,
+		Al:      NewAllocator(dev, nil),
+		PMT:     mapping.NewPMT(conf.LogicalPages()),
+		SPP:     conf.SectorsPerPage(),
+		sectors: conf.LogicalSectors(),
 	}
 	return b, nil
 }
@@ -44,7 +46,7 @@ func (b *Base) Allocator() *Allocator { return b.Al }
 
 // CheckRequest validates a request against the device's logical size.
 func (b *Base) CheckRequest(r trace.Request) error {
-	return r.Validate(b.Conf.LogicalSectors())
+	return r.Validate(b.sectors)
 }
 
 // PageSlice is one logical page's share of a request: the touched sector

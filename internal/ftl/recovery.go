@@ -90,11 +90,12 @@ func recoverBase(dev *Device) (Base, error) {
 		return Base{}, err
 	}
 	b := Base{
-		Conf: dev.Conf,
-		Dev:  dev,
-		Al:   al,
-		PMT:  mapping.NewPMT(dev.Conf.LogicalPages()),
-		SPP:  dev.Conf.SectorsPerPage(),
+		Conf:    dev.Conf,
+		Dev:     dev,
+		Al:      al,
+		PMT:     mapping.NewPMT(dev.Conf.LogicalPages()),
+		SPP:     dev.Conf.SectorsPerPage(),
+		sectors: dev.Conf.LogicalSectors(),
 	}
 	return b, nil
 }

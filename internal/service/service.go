@@ -78,7 +78,7 @@ type jobRecord struct {
 
 	job    *jobs.Job    // nil for cache-served records
 	cached bool         // served from the store without running
-	hub    *progressHub // nil for experiment jobs
+	hub    *progressHub // nil for experiment and cache-served jobs
 	spans  *spanLog     // nil for experiment and cache-served jobs
 
 	submitted time.Time
@@ -630,9 +630,28 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// serveSeries copies a record's stored sample series to w and reports
+// whether it had one. The entry is the commit point, so a series whose entry
+// is absent stays unreachable; the entries of fleet and experiment jobs and
+// of older daemons (which kept the series inline) have no sibling.
+func (s *Server) serveSeries(w http.ResponseWriter, rec *jobRecord) bool {
+	if !s.store.Has(rec.key) {
+		return false
+	}
+	f, err := s.store.OpenSibling(rec.key, samplesExt)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	io.Copy(w, f)
+	return true
+}
+
 // handleProgress streams a job's metric samples as NDJSON: first the
-// retained history, then live samples until the job finishes. For finished
-// (or cache-served) jobs the stored series is replayed and the stream ends.
+// retained history, then live samples until the job finishes. For a
+// succeeded (or cache-served) job the stored series is copied and the stream
+// ends.
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	rec := s.record(r.PathValue("id"))
 	if rec == nil {
@@ -640,6 +659,12 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	history, live, cancel, ok := rec.hub.Subscribe()
+	if !ok {
+		s.serveSeries(w, rec)
+		return
+	}
+	defer cancel()
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	flush := func() {
@@ -647,19 +672,6 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-
-	if rec.hub == nil {
-		// Experiment job or cache-served record: replay the stored series.
-		if e, err := s.entry(rec); err == nil && e != nil {
-			for i := range e.Samples {
-				enc.Encode(&e.Samples[i])
-			}
-		}
-		flush()
-		return
-	}
-	history, live, cancel := rec.hub.Subscribe()
-	defer cancel()
 	for i := range history {
 		enc.Encode(&history[i])
 	}
@@ -685,19 +697,8 @@ func (s *Server) handleMetricsArtifact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	e, err := s.entry(rec)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "loading artifact: %v", err)
-		return
-	}
-	if e == nil {
+	if !s.serveSeries(w, rec) {
 		writeError(w, http.StatusNotFound, "no stored artifact for job %s", rec.id)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for i := range e.Samples {
-		enc.Encode(&e.Samples[i])
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"across/internal/experiments"
@@ -546,15 +547,33 @@ type ExperimentResult struct {
 	Output string `json:"output"`
 }
 
-// Entry is one stored job outcome: the spec that produced it, the result
-// document, and (for replay jobs) the sampled progress series as a
-// retrievable artifact.
+// Entry is one stored job outcome: the spec that produced it and the result
+// document. A single-device replay's sampled progress series is stored
+// beside it, as the sibling <key>.samples.ndjson (see putSeries).
 type Entry struct {
-	Key     string          `json:"key"`
-	Kind    string          `json:"kind"` // "replay" | "experiment"
-	Spec    json.RawMessage `json:"spec"`
-	Result  json.RawMessage `json:"result"`
-	Samples []obs.Sample    `json:"samples,omitempty"`
+	Key    string          `json:"key"`
+	Kind   string          `json:"kind"` // "replay" | "experiment"
+	Spec   json.RawMessage `json:"spec"`
+	Result json.RawMessage `json:"result"`
+}
+
+// samplesExt names a replay entry's sibling: the sample series as the NDJSON
+// /progress and /artifacts/metrics serve, one json.Encoder line per sample.
+const samplesExt = ".samples.ndjson"
+
+// putSeries stores a replay's sample series as its entry's sibling. It runs
+// before the entry's Put, whose rename commits both: a series without an
+// entry is unreachable (serveSeries) until a rerun overwrites it.
+func (s *Server) putSeries(key string, samples []obs.Sample) error {
+	return s.store.PutSibling(key, samplesExt, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		for i := range samples {
+			if err := enc.Encode(&samples[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // runReplay executes one replay job: generate (or regenerate) the trace,
@@ -563,8 +582,9 @@ type Entry struct {
 // entry. Store failures are marked Transient so the scheduler's
 // retry-with-backoff gets a chance to ride out disk hiccups.
 //
-// Every replay job streams progress and stores its sampled series. Each
-// phase is recorded in the job's span log.
+// Every replay job streams progress and stores its sampled series, in the
+// store phase and before the entry. Each phase is recorded in the job's span
+// log.
 func (s *Server) runReplay(ctx context.Context, key string, sp ReplaySpec, hub *progressHub, spl *spanLog) (*Entry, error) {
 	if sp.Fleet != nil {
 		return s.runFleetReplay(ctx, key, sp, spl)
@@ -607,13 +627,17 @@ func (s *Server) runReplay(ctx context.Context, key string, sp ReplaySpec, hub *
 		return nil, err
 	}
 	spl.next("store", "engine", "serial", "workers", "1")
-	entry, err := buildEntry(key, "replay", sp, replayResultDoc(res), smp.Samples())
+	entry, err := buildEntry(key, "replay", sp, replayResultDoc(res))
 	if err != nil {
 		return nil, err
+	}
+	if err := s.putSeries(key, smp.Samples()); err != nil {
+		return nil, jobs.Transient(err)
 	}
 	if err := s.store.Put(key, entry); err != nil {
 		return nil, jobs.Transient(err)
 	}
+	hub.Release()
 	spl.next("")
 	return entry, nil
 }
@@ -623,7 +647,7 @@ func (s *Server) runReplay(ctx context.Context, key string, sp ReplaySpec, hub *
 // one device and storing the checkpoint if none exists — the same store
 // entry non-fleet jobs use), then replay the trace through the layout.
 // Fleet replays have no per-request progress sampler yet, so the stored
-// entry carries no sample series; determinism still holds — the fleet
+// entry has no series sibling; determinism still holds — the fleet
 // engines are bit-identical for every worker count.
 func (s *Server) runFleetReplay(ctx context.Context, key string, sp ReplaySpec, spl *spanLog) (*Entry, error) {
 	spl.next("generate")
@@ -676,7 +700,7 @@ func (s *Server) runFleetReplay(ctx context.Context, key string, sp ReplaySpec, 
 		"devices", fmt.Sprint(v.Devices()),
 		"layout", string(v.Layout()),
 		"chunk_sectors", fmt.Sprint(v.ChunkSectors()))
-	entry, err := buildEntry(key, "replay", sp, fleetResultDoc(res, conf.Chips()), nil)
+	entry, err := buildEntry(key, "replay", sp, fleetResultDoc(res, conf.Chips()))
 	if err != nil {
 		return nil, err
 	}
@@ -700,7 +724,7 @@ func (s *Server) runExperiment(ctx context.Context, key string, sp ExperimentSpe
 	if err := experiments.RunOne(sp.ID, sess, &buf); err != nil {
 		return nil, err
 	}
-	entry, err := buildEntry(key, "experiment", sp, &ExperimentResult{ID: sp.ID, Output: buf.String()}, nil)
+	entry, err := buildEntry(key, "experiment", sp, &ExperimentResult{ID: sp.ID, Output: buf.String()})
 	if err != nil {
 		return nil, err
 	}
@@ -710,7 +734,7 @@ func (s *Server) runExperiment(ctx context.Context, key string, sp ExperimentSpe
 	return entry, nil
 }
 
-func buildEntry(key, kind string, spec, result any, samples []obs.Sample) (*Entry, error) {
+func buildEntry(key, kind string, spec, result any) (*Entry, error) {
 	sb, err := json.Marshal(spec)
 	if err != nil {
 		return nil, fmt.Errorf("service: encoding spec: %w", err)
@@ -719,5 +743,5 @@ func buildEntry(key, kind string, spec, result any, samples []obs.Sample) (*Entr
 	if err != nil {
 		return nil, fmt.Errorf("service: encoding result: %w", err)
 	}
-	return &Entry{Key: key, Kind: kind, Spec: sb, Result: rb, Samples: samples}, nil
+	return &Entry{Key: key, Kind: kind, Spec: sb, Result: rb}, nil
 }

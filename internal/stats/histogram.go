@@ -30,14 +30,50 @@ type Histogram struct {
 	max     float64
 }
 
-// bucketOf maps a value to its bucket index.
+// bucketOfLog2 defines the bucketing, for x = v/bucketBase >= 1: bucket
+// 1 + floor(subdiv*log2(x)) as floating point computes it, the last bucket
+// being the overflow.
+func bucketOfLog2(x float64) int {
+	idx := 1 + int(math.Log2(x)*subdiv)
+	if idx >= nBuckets {
+		return nBuckets - 1 // overflow
+	}
+	return idx
+}
+
+// bucketBound[i] is the smallest x that bucketOfLog2 puts in bucket i or a
+// later one: the float beside 2^((i-1)/subdiv) at which its answer steps.
+// Bucket 1 starts at the domain's edge and needs none.
+var bucketBound = func() (b [nBuckets]float64) {
+	for i := 2; i < nBuckets; i++ {
+		x := math.Exp2(float64(i-1) / subdiv)
+		for bucketOfLog2(x) >= i {
+			x = math.Nextafter(x, 0)
+		}
+		for bucketOfLog2(x) < i {
+			x = math.Nextafter(x, math.Inf(1))
+		}
+		b[i] = x
+	}
+	return b
+}()
+
+// bucketOf maps a value to its bucket index, bucketOfLog2's without the
+// logarithm. The exponent of x is the octave and its top three mantissa bits
+// the linear eighth; subdiv*log2(1+f) - subdiv*f is in [0, 1) for f in
+// [0, 1), so the bucket is that guess or the next, and one compare against
+// the next bucket's bound decides.
 func bucketOf(v float64) int {
 	if v < bucketBase {
 		return 0 // underflow
 	}
-	idx := 1 + int(math.Log2(v/bucketBase)*subdiv)
-	if idx >= nBuckets {
-		return nBuckets - 1 // overflow
+	x := v / bucketBase
+	idx := int(math.Float64bits(x)>>49) - 1023*subdiv + 1
+	if idx >= nBuckets-1 {
+		return bucketOfLog2(x) // overflow, +Inf, NaN
+	}
+	if x >= bucketBound[idx+1] {
+		idx++
 	}
 	return idx
 }

@@ -200,3 +200,57 @@ func TestMomentsMatchesNaiveOnRandomData(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestBucketOfMatchesLog2 pins the table-driven bucketOf to the formula it
+// replaced, which is the contract: log-uniform random values over the whole
+// range and beyond it, every table boundary ± 2 ulp, and the edges — 0,
+// values below bucketBase, the overflow, and the values the formula has no
+// bucket for (+Inf, MaxFloat64 and NaN index out of range, before and after).
+func TestBucketOfMatchesLog2(t *testing.T) {
+	formula := func(v float64) int {
+		if v < bucketBase {
+			return 0
+		}
+		idx := 1 + int(math.Log2(v/bucketBase)*subdiv)
+		if idx >= nBuckets {
+			return nBuckets - 1
+		}
+		return idx
+	}
+	check := func(v float64) {
+		t.Helper()
+		if got, want := bucketOf(v), formula(v); got != want {
+			t.Fatalf("bucketOf(%g) = %d, the Log2 formula says %d", v, got, want)
+		}
+	}
+	n := 2_000_000
+	if testing.Short() {
+		n = 100_000
+	}
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < n; i++ {
+		check(bucketBase * math.Exp2(rng.Float64()*(octaves+4)-2))
+	}
+	for i := 2; i < nBuckets; i++ {
+		if lo := bucketOfLog2(math.Nextafter(bucketBound[i], 0)); lo != i-1 || bucketOfLog2(bucketBound[i]) != i {
+			t.Fatalf("bucketBound[%d] = %g is not where the formula steps from %d to %d", i, bucketBound[i], i-1, i)
+		}
+		// v/bucketBase rounds, so walk v around the boundary's preimage.
+		up, down := bucketBound[i]*bucketBase, bucketBound[i]*bucketBase
+		for d := 0; d <= 4; d++ {
+			check(up)
+			check(down)
+			up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, 0)
+		}
+	}
+	for _, v := range []float64{0, math.SmallestNonzeroFloat64, 1e-9, math.Nextafter(bucketBase, 0), bucketBase,
+		math.Nextafter(bucketBase, 1), 1, 1e6, bucketBase * math.Exp2(octaves), 1e300,
+		math.MaxFloat64, math.Inf(1), math.NaN(), -1, math.Inf(-1)} {
+		check(v)
+	}
+	var h Histogram
+	h.Add(-1) // clamped to 0, the underflow bucket
+	if h.buckets[0] != 1 || h.Min() != 0 {
+		t.Fatalf("Add(-1): underflow bucket %d, min %v", h.buckets[0], h.Min())
+	}
+}

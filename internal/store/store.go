@@ -5,17 +5,21 @@
 // and completed results survive daemon restarts: a resubmitted job whose
 // key is present is served from disk without touching the simulator.
 //
-// Layout: <dir>/<key[:2]>/<key>.json, one JSON document per entry, written
-// atomically (temp file + rename) so a crash mid-write never leaves a
-// half-entry that a later Get would misparse.
+// Layout: <dir>/<key[:2]>/<key>.json, one compact JSON document per entry,
+// written atomically (temp file + rename) so a crash mid-write never leaves
+// a half-entry that a later Get would misparse. Bulk data that readers only
+// ever copy lives beside its entry as a sibling file, <key><ext>, written
+// the same way and before the entry: the entry's rename is the commit point.
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -70,37 +74,76 @@ func (s *Store) path(key string) (string, error) {
 }
 
 // Put writes v as the entry for key, atomically replacing any previous
-// entry.
+// entry. The document is compact JSON, encoded once and streamed into the
+// temp file.
 func (s *Store) Put(key string, v any) error {
 	p, err := s.path(key)
 	if err != nil {
 		return err
 	}
-	b, err := json.MarshalIndent(v, "", " ")
-	if err != nil {
-		return fmt.Errorf("store: encoding entry %s: %w", key, err)
+	return s.writeFile(p, func(w io.Writer) error { return json.NewEncoder(w).Encode(v) })
+}
+
+// siblingPath maps a key and an extension to the sibling file beside the
+// key's entry. The extension must not collide with anything Keys counts.
+func (s *Store) siblingPath(key, ext string) (string, error) {
+	if len(ext) < 2 || ext[0] != '.' || strings.HasSuffix(ext, ".json") || strings.ContainsAny(ext, `/\`) {
+		return "", fmt.Errorf("store: malformed sibling extension %q", ext)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+	p, err := s.path(key)
+	return strings.TrimSuffix(p, ".json") + ext, err
+}
+
+// PutSibling writes what write produces as <key><ext> beside the key's
+// entry, atomically like Put. A sibling is not an entry: Has, Keys and Len
+// ignore it, Delete removes it, and it is meant to be written before the
+// entry that makes it reachable.
+func (s *Store) PutSibling(key, ext string, write func(io.Writer) error) error {
+	p, err := s.siblingPath(key, ext)
+	if err != nil {
+		return err
+	}
+	return s.writeFile(p, write)
+}
+
+// OpenSibling opens the sibling <key><ext> for reading; the error of an
+// absent one satisfies errors.Is(err, fs.ErrNotExist).
+func (s *Store) OpenSibling(key, ext string) (*os.File, error) {
+	p, err := s.siblingPath(key, ext)
+	if err != nil {
+		return nil, err
+	}
+	return os.Open(p)
+}
+
+// writeFile streams write into a temp file in p's directory and renames it
+// over p. Only the rename takes the store lock (see quarantine), so
+// concurrent writers encode and write in parallel.
+func (s *Store) writeFile(p string, write func(io.Writer) error) error {
+	dir, name := filepath.Split(p)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(p), "."+key[:8]+".tmp-*")
+	tmp, err := os.CreateTemp(dir, "."+name[:8]+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	_, werr := tmp.Write(b)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return fmt.Errorf("store: writing entry %s: %w", key, werr)
-		}
-		return fmt.Errorf("store: closing entry %s: %w", key, cerr)
+	bw := bufio.NewWriterSize(tmp, 32<<10)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		s.mu.Lock()
+		err = os.Rename(tmp.Name(), p)
+		s.mu.Unlock()
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("store: committing entry %s: %w", key, err)
+		return fmt.Errorf("store: writing %s: %w", name, err)
 	}
 	return nil
 }
@@ -155,14 +198,21 @@ func (s *Store) Has(key string) bool {
 	return err == nil
 }
 
-// Delete removes the entry for key (no error if absent).
+// Delete removes the entry for key, then its siblings (no error if absent).
 func (s *Store) Delete(key string) error {
 	p, err := s.path(key)
 	if err != nil {
 		return err
 	}
-	if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: deleting entry %s: %w", key, err)
+	// The key is a hex digest, so the pattern has no metacharacters.
+	files, _ := filepath.Glob(strings.TrimSuffix(p, ".json") + ".*")
+	for _, f := range append([]string{p}, files...) {
+		if strings.HasSuffix(f, ".corrupt") {
+			continue
+		}
+		if err := os.Remove(f); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("store: deleting %s: %w", filepath.Base(f), err)
+		}
 	}
 	return nil
 }

@@ -1,11 +1,20 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 type entry struct {
@@ -191,17 +200,8 @@ func TestAtomicPutLeavesNoTempDebris(t *testing.T) {
 	if ok, err := s.Get(key, &got); !ok || err != nil || got.Name != "v2" {
 		t.Fatalf("overwrite: ok=%v err=%v got=%+v", ok, err, got)
 	}
-	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() && strings.Contains(d.Name(), ".tmp-") {
-			t.Errorf("temp debris left behind: %s", p)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	if debris := tempDebris(t, dir); len(debris) != 0 {
+		t.Errorf("temp debris left behind: %v", debris)
 	}
 }
 
@@ -229,4 +229,268 @@ func TestConcurrentPutGet(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+func tempDebris(t *testing.T, dir string) []string {
+	t.Helper()
+	var debris []string
+	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.Contains(d.Name(), ".tmp-") {
+			debris = append(debris, p)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return debris
+}
+
+// TestSiblingLifecycle: a sibling is not an entry — Keys, Len and Has do not
+// see it — it outlives a Put of its entry and goes with Delete.
+func TestSiblingLifecycle(t *testing.T) {
+	s, _ := Open(t.TempDir())
+	key, _ := HashJSON("sibling")
+	const ext, body = ".samples.ndjson", "{\"t_ms\":1}\n{\"t_ms\":2}\n"
+	if _, err := s.OpenSibling(key, ext); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("OpenSibling of an absent sibling: %v, want fs.ErrNotExist", err)
+	}
+	if err := s.PutSibling(key, ext, func(w io.Writer) error {
+		_, err := io.WriteString(w, body)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if keys, _ := s.Keys(); len(keys) != 0 || s.Len() != 0 || s.Has(key) {
+		t.Fatalf("a lone sibling is visible as an entry: Keys=%v Len=%d Has=%v", keys, s.Len(), s.Has(key))
+	}
+	if err := s.Put(key, entry{Name: "lun1"}); err != nil {
+		t.Fatal(err)
+	}
+	if keys, _ := s.Keys(); len(keys) != 1 || keys[0] != key || s.Len() != 1 {
+		t.Fatalf("Keys = %v (Len %d), want the one entry", keys, s.Len())
+	}
+	f, err := s.OpenSibling(key, ext)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(f)
+	f.Close()
+	if err != nil || string(got) != body {
+		t.Fatalf("sibling after its entry's Put = %q (%v), want %q", got, err, body)
+	}
+	if err := s.Delete(key); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.OpenSibling(key, ext); !errors.Is(err, fs.ErrNotExist) || s.Has(key) {
+		t.Fatalf("Delete left the sibling or the entry behind (open: %v, Has=%v)", err, s.Has(key))
+	}
+}
+
+func TestSiblingRejectsBadExtension(t *testing.T) {
+	s, _ := Open(t.TempDir())
+	key, _ := HashJSON("ext")
+	for _, ext := range []string{"", ".", ".json", ".x.json", "ndjson", "./x", ".a/b", `.a\b`, ".." + string(filepath.Separator) + "x"} {
+		if err := s.PutSibling(key, ext, func(io.Writer) error { return nil }); err == nil {
+			t.Errorf("PutSibling accepted extension %q", ext)
+		}
+		if f, err := s.OpenSibling(key, ext); err == nil {
+			f.Close()
+			t.Errorf("OpenSibling accepted extension %q", ext)
+		}
+	}
+	if err := s.PutSibling("../../etc/passwd", ".x", func(io.Writer) error { return nil }); err == nil {
+		t.Error("PutSibling accepted a malformed key")
+	}
+}
+
+// TestFailedWriteLeavesNothing: a writer that fails — after bytes reached the
+// temp file, or short of the buffer — and a value that does not encode leave
+// neither a temp file nor the file they were writing.
+func TestFailedWriteLeavesNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir)
+	key, _ := HashJSON("failed")
+	for _, tc := range []struct {
+		written int
+		err     error
+	}{{100 << 10, errors.New("boom")}, {10, io.ErrShortWrite}} {
+		err := s.PutSibling(key, ".x", func(w io.Writer) error {
+			io.WriteString(w, strings.Repeat("x", tc.written))
+			return tc.err
+		})
+		if !errors.Is(err, tc.err) {
+			t.Fatalf("PutSibling = %v, want the writer's %v", err, tc.err)
+		}
+	}
+	if _, err := s.OpenSibling(key, ".x"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a failed write left a sibling: %v", err)
+	}
+	if err := s.Put(key, func() {}); err == nil {
+		t.Fatal("Put encoded a func")
+	}
+	if debris := tempDebris(t, dir); len(debris) != 0 || s.Has(key) {
+		t.Fatalf("failed writes left debris %v (Has=%v)", debris, s.Has(key))
+	}
+}
+
+// blob is a 1 MB entry in the shape of the store's largest: base64 of a
+// checkpoint-sized byte slice beside a few scalars.
+type blob struct {
+	Key  string `json:"key"`
+	Kind string `json:"kind"`
+	Blob []byte `json:"blob"`
+}
+
+func bigBlob() *blob {
+	b := &blob{Key: "k", Kind: "snapshot", Blob: make([]byte, 768<<10)}
+	for i := range b.Blob {
+		b.Blob[i] = byte(i * 7)
+	}
+	return b
+}
+
+// TestPutIsCompactAndEquivalent: the file Put writes is the document
+// MarshalIndent used to write with the insignificant whitespace gone, and
+// decodes to the same value.
+func TestPutIsCompactAndEquivalent(t *testing.T) {
+	s, _ := Open(t.TempDir())
+	key, _ := HashJSON("compact")
+	type nested struct {
+		Name    string             `json:"name"`
+		Spec    json.RawMessage    `json:"spec"`
+		Series  []entry            `json:"series"`
+		Custom  map[string]float64 `json:"custom"`
+		Escaped string             `json:"escaped"`
+	}
+	want := nested{
+		Name:    "lun1",
+		Spec:    json.RawMessage(`{"type":"replay","scale":0.01}`),
+		Series:  []entry{{"a", 1.5}, {"b", 1e-9}, {"c", 3e21}},
+		Custom:  map[string]float64{"z": 1, "a": 2},
+		Escaped: "<tag> & \u2028 \"quoted\"\n",
+	}
+	if err := s.Put(key, &want); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(filepath.Join(s.Dir(), key[:2], key+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented, err := json.MarshalIndent(&want, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	if err := json.Compact(&a, file); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&b, indented); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("Put wrote\n%s\nMarshalIndent compacts to\n%s", a.Bytes(), b.Bytes())
+	}
+	if len(file) != a.Len()+1 || file[len(file)-1] != '\n' {
+		t.Fatalf("entry file is %d bytes, its compact form %d: want compact JSON and one newline", len(file), a.Len())
+	}
+	var got nested
+	if ok, err := s.Get(key, &got); !ok || err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Get = %+v (ok=%v err=%v), want %+v", got, ok, err, want)
+	}
+}
+
+// TestPutTransientAllocation: Put streams the one encoding into the temp
+// file; beyond encoding/json's own pooled buffer, a 1 MB entry costs it the
+// write buffer and small change, not further copies of the document. (The
+// count is the allocator's, so it means nothing under the race detector.)
+func TestPutTransientAllocation(t *testing.T) {
+	bi, _ := debug.ReadBuildInfo()
+	for _, st := range bi.Settings {
+		if st.Key == "-race" && st.Value == "true" {
+			t.Skip("allocation sizes under -race are the detector's")
+		}
+	}
+	s, _ := Open(t.TempDir())
+	v := bigBlob()
+	key, _ := HashJSON("alloc")
+	// encoding/json pools its buffer per P and the collector empties the pool:
+	// keep the collector out, and take the cheapest of enough Puts that one
+	// must find the buffer an earlier one returned.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	least := ^uint64(0)
+	for i := 0; i <= runtime.GOMAXPROCS(0); i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := s.Put(key, v); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > 256<<10 {
+		t.Fatalf("Put of a 1 MB entry allocated %d KiB, want at most 256", least>>10)
+	}
+	if fi, err := os.Stat(filepath.Join(s.Dir(), key[:2], key+".json")); err != nil || fi.Size() < 1<<20 {
+		t.Fatalf("the entry is not 1 MB: %v %v", fi, err)
+	}
+}
+
+// blocking encodes as 1 MB of JSON, but only once released; started reports
+// that its Put has reached the encode, temp file open.
+type blocking struct {
+	started chan<- struct{}
+	release <-chan struct{}
+}
+
+func (b blocking) MarshalJSON() ([]byte, error) {
+	b.started <- struct{}{}
+	<-b.release
+	return json.Marshal(strings.Repeat("x", 1<<20))
+}
+
+// TestConcurrentPutsOverlap: the store-wide lock covers a Put's rename only,
+// so two Puts to different keys encode and write at the same time — both
+// temp files exist before either is renamed.
+func TestConcurrentPutsOverlap(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir)
+	started, release := make(chan struct{}), make(chan struct{})
+	errs := make(chan error, 2)
+	var keys []string
+	for _, name := range []string{"first", "second"} {
+		key, _ := HashJSON(name)
+		keys = append(keys, key)
+		go func() { errs <- s.Put(key, blocking{started, release}) }()
+	}
+	for range keys {
+		select {
+		case <-started:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the second Put did not start while the first was mid-write: Put holds the lock across its write")
+		}
+	}
+	if debris := tempDebris(t, dir); len(debris) != 2 {
+		t.Fatalf("temp files while both Puts are mid-encode: %v, want two", debris)
+	}
+	for _, key := range keys {
+		if s.Has(key) {
+			t.Fatalf("entry %s is visible before its Put finished", key)
+		}
+	}
+	close(release)
+	for range keys {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, key := range keys {
+		var got string
+		if ok, err := s.Get(key, &got); !ok || err != nil || len(got) != 1<<20 {
+			t.Fatalf("Get(%s): ok=%v err=%v len=%d", key, ok, err, len(got))
+		}
+	}
+	if debris := tempDebris(t, dir); len(debris) != 0 {
+		t.Fatalf("temp debris left behind: %v", debris)
+	}
 }
