@@ -136,7 +136,7 @@ func (s *Scheme) VisitOwned(fn func(flash.PPN) error) error {
 // covers sectors inside pages L and L+1, so a sector in page M consults the
 // areas keyed at M and M-1.
 func (s *Scheme) ResolveSector(sec int64) (ftl.SectorSource, error) {
-	if sec < 0 || sec >= s.Conf.LogicalSectors() {
+	if sec < 0 || sec >= s.LogicalSectors() {
 		return ftl.SectorSource{}, fmt.Errorf("acrossftl: sector %d outside device", sec)
 	}
 	lpn := sec / int64(s.SPP)

@@ -3,6 +3,7 @@ package acrossftl
 import (
 	"fmt"
 
+	"across/internal/ftl"
 	"across/internal/snapshot"
 )
 
@@ -79,4 +80,13 @@ func (s *Scheme) RestoreState(dec *snapshot.Decoder) error {
 		AcrossReads:          dec.I64(),
 	}
 	return dec.Err()
+}
+
+// CopyState makes the scheme a copy of src, an Across-FTL *Scheme built for
+// the same configuration (see ftl.Baseline.CopyState), and returns the
+// bytes copied. The per-request scratch buffers are not state.
+func (s *Scheme) CopyState(src ftl.Scheme) int64 {
+	from := src.(*Scheme)
+	s.opts, s.stats = from.opts, from.stats
+	return s.CopyBase(&from.Base) + s.AMT.CopyState(from.AMT) + s.cmt.CopyState(from.cmt) + s.ms.CopyState(from.ms)
 }

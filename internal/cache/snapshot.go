@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"unsafe"
 
 	"across/internal/snapshot"
 )
@@ -110,4 +111,24 @@ func (c *CMT) RestoreState(dec *snapshot.Decoder) error {
 		CleanEvicts: dec.I64(),
 	}
 	return dec.Err()
+}
+
+// CopyState makes the LRU a copy of src, an LRU of the same capacity and
+// mode: src's residents re-inserted LRU-first, as RestoreState does, which
+// reproduces its recency order. It returns the bytes of the nodes built.
+func (l *LRU) CopyState(src *LRU) int64 {
+	for l.head != nil {
+		l.Remove(l.head.key)
+	}
+	for n := src.tail; n != nil; n = n.prev {
+		l.Touch(n.key, n.dirty)
+	}
+	return int64(unsafe.Sizeof(lruNode{})) * int64(l.size)
+}
+
+// CopyState makes the CMT a copy of src, a CMT of the same shape, and
+// returns the bytes copied.
+func (c *CMT) CopyState(src *CMT) int64 {
+	c.stats = src.stats
+	return c.lru.CopyState(src.lru)
 }

@@ -34,3 +34,11 @@ func (s *Scheduler) RestoreState(dec *snapshot.Decoder) error {
 	s.ops = ops
 	return nil
 }
+
+// CopyState makes the scheduler a copy of src, a scheduler for the same
+// chip count, and returns the bytes copied.
+func (s *Scheduler) CopyState(src *Scheduler) int64 {
+	n := copy(s.busyUntil, src.busyUntil) + copy(s.busyTime, src.busyTime)
+	s.ops = src.ops
+	return 8 * int64(n)
+}

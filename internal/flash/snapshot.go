@@ -2,6 +2,7 @@ package flash
 
 import (
 	"fmt"
+	"slices"
 
 	"across/internal/snapshot"
 )
@@ -111,4 +112,18 @@ func (a *Array) RestoreState(dec *snapshot.Decoder) error {
 	}
 	a.erases, a.programs, a.reads = erases, programs, reads
 	return nil
+}
+
+// CopyState makes the array a copy of src, an array of the same geometry,
+// column by column — victim index included, so nothing is rebuilt or
+// checked — and returns the bytes copied. The lazy aux column stays nil
+// when src never allocated it.
+func (a *Array) CopyState(src *Array) int64 {
+	n := copy(a.meta, src.meta) + 4*copy(a.key, src.key) +
+		4*copy(a.writePtr, src.writePtr) + 4*copy(a.validCount, src.validCount) + 8*copy(a.eraseCount, src.eraseCount) +
+		8*copy(a.vidx.buckets, src.vidx.buckets) + 8*copy(a.vidx.reclaimable, src.vidx.reclaimable) +
+		8*copy(a.vidx.minBucket, src.vidx.minBucket)
+	a.aux = slices.Clone(src.aux)
+	a.erases, a.programs, a.reads = src.erases, src.programs, src.reads
+	return int64(n + 8*len(a.aux))
 }

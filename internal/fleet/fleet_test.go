@@ -240,8 +240,9 @@ func TestFleetAgeForksIdenticalDevices(t *testing.T) {
 
 // TestFromSnapshotOpensOnce checks what a fleet built from one blob costs:
 // one verified open plus a fork per further device, not an open per device.
-// An open allocates what a fork does plus the inflated body, the inflater
-// and the audit, so the bytes allocated tell the two apart.
+// An open allocates what two forks do (the decoded template and its trial
+// fork) plus the inflated body, the inflater and the audit, so the bytes
+// allocated tell the two apart.
 func TestFromSnapshotOpensOnce(t *testing.T) {
 	r, err := sim.NewRunner(sim.KindFTL, fleetConf())
 	if err != nil {
@@ -264,7 +265,7 @@ func TestFromSnapshotOpensOnce(t *testing.T) {
 	var cp *sim.Checkpoint
 	open := allocated(func() {
 		if cp, err = sim.OpenCheckpoint(blob); err == nil {
-			_, err = cp.Fork() // the runner the open built
+			_, err = cp.Fork() // device 0
 		}
 	})
 	if err != nil {

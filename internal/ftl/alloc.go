@@ -70,6 +70,7 @@ func NewAllocator(dev *Device, onMigrate MigrateFunc) *Allocator {
 		st.active, st.gcActive = -1, -1
 		st.freePages = a.pagesPlane
 		// Push in reverse so block lo is popped first (deterministic).
+		st.freeBlocks = make([]flash.BlockID, 0, hi-lo)
 		for b := hi - 1; b >= lo; b-- {
 			st.freeBlocks = append(st.freeBlocks, b)
 		}

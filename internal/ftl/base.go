@@ -16,7 +16,7 @@ type Base struct {
 	PMT  *mapping.PMT
 	SPP  int // sectors per page
 
-	sectors  int64       // Conf.LogicalSectors(), which costs float arithmetic per call
+	sectors  int64       // see LogicalSectors
 	splitBuf []PageSlice // reused by Split; valid until the next Split call
 }
 
@@ -43,6 +43,11 @@ func (b *Base) Device() *Device { return b.Dev }
 // Allocator exposes the page allocator (ablation and differential-test
 // hooks reach victim-policy switches through it).
 func (b *Base) Allocator() *Allocator { return b.Al }
+
+// LogicalSectors returns Conf.LogicalSectors(), computed once: the config
+// method costs float arithmetic per call, which per-sector callers (the
+// shadow checker's ResolveSector) cannot afford.
+func (b *Base) LogicalSectors() int64 { return b.sectors }
 
 // CheckRequest validates a request against the device's logical size.
 func (b *Base) CheckRequest(r trace.Request) error {

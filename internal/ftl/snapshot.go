@@ -238,3 +238,47 @@ func (s *DFTL) RestoreState(dec *snapshot.Decoder) error {
 	}
 	return dec.Err()
 }
+
+// CopyState makes the allocator a copy of src, an allocator over the same
+// geometry and policy, and returns the bytes copied.
+func (a *Allocator) CopyState(src *Allocator) int64 {
+	var n int
+	for pl := range a.planes {
+		st, from := &a.planes[pl], &src.planes[pl]
+		st.freeBlocks = append(st.freeBlocks[:0], from.freeBlocks...)
+		st.active, st.gcActive, st.freePages = from.active, from.gcActive, from.freePages
+		n += len(st.freeBlocks)
+	}
+	a.rr = src.rr
+	return 8 * int64(n)
+}
+
+// CopyState makes the store a copy of src, a store over the same
+// translation-page ids, and returns the bytes copied.
+func (m *MapStore) CopyState(src *MapStore) int64 {
+	m.resident = src.resident
+	return 4 * int64(copy(m.loc, src.loc))
+}
+
+// CopyBase copies the state SnapshotBase writes from src, a Base built for
+// the same configuration, and returns the bytes copied. Schemes embed Base
+// and call this first from their CopyState.
+func (b *Base) CopyBase(src *Base) int64 {
+	b.Dev.Count = src.Dev.Count
+	return b.Dev.Sched.CopyState(src.Dev.Sched) + b.Dev.Bus.CopyState(src.Dev.Bus) +
+		b.Dev.Array.CopyState(src.Dev.Array) + b.Al.CopyState(src.Al) + b.PMT.CopyState(src.PMT)
+}
+
+// CopyState makes the scheme a copy of src, a *Baseline built for the same
+// configuration, without decoding or re-checking anything: the fork path of
+// sim.Checkpoint, whose template has passed RestoreState and the audit. It
+// returns the bytes copied.
+func (s *Baseline) CopyState(src Scheme) int64 {
+	return s.CopyBase(&src.(*Baseline).Base)
+}
+
+// CopyState is Baseline.CopyState for DFTL; src must be a *DFTL.
+func (s *DFTL) CopyState(src Scheme) int64 {
+	from := src.(*DFTL)
+	return s.CopyBase(&from.Base) + s.cmt.CopyState(from.cmt) + s.ms.CopyState(from.ms)
+}

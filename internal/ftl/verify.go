@@ -93,7 +93,7 @@ func (b *Base) VisitPMT(fn func(flash.PPN) error) error {
 // mapped (for DFTL, residence of the mapping entry affects timing, not
 // placement).
 func (b *Base) ResolveSector(sec int64) (SectorSource, error) {
-	if sec < 0 || sec >= b.Conf.LogicalSectors() {
+	if sec < 0 || sec >= b.sectors {
 		return SectorSource{}, fmt.Errorf("ftl: sector %d outside device", sec)
 	}
 	lpn := sec / int64(b.SPP)

@@ -31,19 +31,21 @@ type Stats struct {
 
 // Scheme wraps an inner FTL scheme with a page-granularity read cache.
 type Scheme struct {
-	inner ftl.Scheme
-	lru   *cache.LRU
-	spp   int
-	stats Stats
+	inner   ftl.Scheme
+	lru     *cache.LRU
+	spp     int
+	sectors int64 // the device's logical size, computed once
+	stats   Stats
 }
 
 // Wrap builds the cache in front of inner with capacity for cachePages
 // logical pages.
 func Wrap(inner ftl.Scheme, cachePages int) *Scheme {
 	return &Scheme{
-		inner: inner,
-		lru:   cache.NewLRU(cachePages),
-		spp:   inner.Device().Conf.SectorsPerPage(),
+		inner:   inner,
+		lru:     cache.NewLRU(cachePages),
+		spp:     inner.Device().Conf.SectorsPerPage(),
+		sectors: inner.Device().Conf.LogicalSectors(),
 	}
 }
 
@@ -148,7 +150,7 @@ func (s *Scheme) Write(r trace.Request, now float64) (float64, error) {
 // Read implements ftl.Scheme: a request whose pages are all resident costs
 // one DRAM access per page; otherwise it passes through and populates.
 func (s *Scheme) Read(r trace.Request, now float64) (float64, error) {
-	if err := r.Validate(s.Device().Conf.LogicalSectors()); err != nil {
+	if err := r.Validate(s.sectors); err != nil {
 		return now, err
 	}
 	first, last := r.FirstLPN(s.spp), r.LastLPN(s.spp)

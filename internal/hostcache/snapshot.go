@@ -3,6 +3,7 @@ package hostcache
 import (
 	"fmt"
 
+	"across/internal/ftl"
 	"across/internal/snapshot"
 )
 
@@ -49,4 +50,13 @@ func (s *Scheme) RestoreState(dec *snapshot.Decoder) error {
 		Inserted:   dec.I64(),
 	}
 	return dec.Err()
+}
+
+// CopyState makes the wrapper and the scheme it wraps copies of src's, a
+// *Scheme wrapping the same kind of scheme with the same capacity, and
+// returns the bytes copied.
+func (s *Scheme) CopyState(src ftl.Scheme) int64 {
+	from := src.(*Scheme)
+	s.stats = from.stats
+	return s.inner.(interface{ CopyState(ftl.Scheme) int64 }).CopyState(from.inner) + s.lru.CopyState(from.lru)
 }

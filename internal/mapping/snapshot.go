@@ -2,6 +2,8 @@ package mapping
 
 import (
 	"fmt"
+	"slices"
+	"unsafe"
 
 	"across/internal/flash"
 	"across/internal/snapshot"
@@ -131,4 +133,22 @@ func (a *AMT) RestoreState(dec *snapshot.Decoder) error {
 	a.live = int(live)
 	a.peak = int(peak)
 	return nil
+}
+
+// CopyState makes the table a copy of src, a PMT of the same length, and
+// returns the bytes copied. The lazy AIdx column stays nil when src never
+// allocated it.
+func (t *PMT) CopyState(src *PMT) int64 {
+	n := copy(t.ppn, src.ppn)
+	t.aidx = slices.Clone(src.aidx)
+	return 4 * int64(n+len(t.aidx))
+}
+
+// CopyState makes the table a copy of src and returns the bytes copied.
+func (a *AMT) CopyState(src *AMT) int64 {
+	a.entries = slices.Clone(src.entries)
+	a.inUse = slices.Clone(src.inUse)
+	a.free = slices.Clone(src.free)
+	a.live, a.peak = src.live, src.peak
+	return int64(int(unsafe.Sizeof(AMTEntry{}))*len(a.entries) + len(a.inUse) + 4*len(a.free))
 }

@@ -108,7 +108,7 @@ func (s *Scheme) VisitOwned(fn func(flash.PPN) error) error {
 // resolves ownership through the slot census — so the expected OOB tag is
 // the anonymous TagMRSM.
 func (s *Scheme) ResolveSector(sec int64) (ftl.SectorSource, error) {
-	if sec < 0 || sec >= s.Conf.LogicalSectors() {
+	if sec < 0 || sec >= s.LogicalSectors() {
 		return ftl.SectorSource{}, fmt.Errorf("mrsm: sector %d outside device", sec)
 	}
 	sub := sec / int64(s.subSec)

@@ -128,12 +128,8 @@ func New(conf *ssdconf.Config) (*Scheme, error) {
 		cmt:       cache.NewCMTDense(nodeEntries, residentNodes, totalSub),
 		nodeDirty: make([]int32, numNodes),
 	}
-	for i := range s.subLoc {
-		s.subLoc[i] = unmapped
-	}
-	for i := range s.pageOwner {
-		s.pageOwner[i] = unmapped
-	}
+	fillUnmapped(s.subLoc)
+	fillUnmapped(s.pageOwner)
 	s.ms = ftl.NewMapStore(s.Dev, s.Al, numNodes)
 	s.Al.SetMigrate(s.migrate)
 	s.Al.SetSalvage(s.salvage)
@@ -149,6 +145,18 @@ func treeDepth(n int64) int {
 		d = 2
 	}
 	return d
+}
+
+// fillUnmapped empties a table by doubling copies: a fork builds both per
+// job, and memmove fills them several times faster than a store per entry.
+func fillUnmapped(col []int32) {
+	if len(col) == 0 {
+		return
+	}
+	col[0] = unmapped
+	for n := 1; n < len(col); n *= 2 {
+		copy(col[n:], col[:n])
+	}
 }
 
 // Name implements ftl.Scheme.

@@ -361,3 +361,23 @@ func TestNewRefusesGeometryPast32Bits(t *testing.T) {
 		}
 	}
 }
+
+// No request boundary leaves sub-pages in the pack buffer, so a checkpoint
+// never holds any; CopyState carries the buffer all the same, as the
+// snapshot format does, and into memory of the copy's own.
+func TestCopyStateCarriesThePackBuffer(t *testing.T) {
+	src, _ := tinyScheme(t)
+	write(t, src, 0, 4, 0)
+	src.bufList = append(src.bufList, 7, 9)
+	dst, _ := tinyScheme(t)
+	dst.CopyState(src)
+	if len(dst.bufList) != 2 || dst.bufList[0] != 7 || dst.bufList[1] != 9 {
+		t.Fatalf("copied pack buffer = %v, want [7 9]", dst.bufList)
+	}
+	if dst.bufList[0] = 1; src.bufList[0] != 7 {
+		t.Error("the copy's pack buffer aliases the source's")
+	}
+	if dst.Dev.Count != src.Dev.Count || dst.subLoc[0] != src.subLoc[0] {
+		t.Error("the copy differs from the source in the state the write left")
+	}
+}

@@ -3,6 +3,7 @@ package mrsm
 import (
 	"fmt"
 
+	"across/internal/ftl"
 	"across/internal/snapshot"
 )
 
@@ -102,4 +103,15 @@ func (s *Scheme) RestoreState(dec *snapshot.Decoder) error {
 		return err
 	}
 	return dec.Err()
+}
+
+// CopyState makes the scheme a copy of src, an MRSM *Scheme built for the
+// same configuration (see ftl.Baseline.CopyState), and returns the bytes
+// copied. Request-scoped scratch is not state.
+func (s *Scheme) CopyState(src ftl.Scheme) int64 {
+	from := src.(*Scheme)
+	s.bufList = append(s.bufList[:0], from.bufList...)
+	n := 4*copy(s.subLoc, from.subLoc) + 4*copy(s.pageOwner, from.pageOwner) + copy(s.pageLive, from.pageLive) +
+		4*copy(s.nodeDirty, from.nodeDirty) + 8*len(s.bufList)
+	return int64(n) + s.CopyBase(&from.Base) + s.cmt.CopyState(from.cmt) + s.ms.CopyState(from.ms)
 }

@@ -140,8 +140,8 @@ func TestUnusableStoredCheckpointIsNotCached(t *testing.T) {
 	}
 }
 
-// The cache is bounded by the bytes of the bodies it holds: going over the
-// budget evicts whichever entry was forked longest ago, and a checkpoint
+// The cache is bounded by the bytes of the templates it holds: going over
+// the budget evicts whichever entry was forked longest ago, and a checkpoint
 // larger than the whole budget is not kept at all.
 func TestCheckpointCacheEvictsLeastRecentlyForked(t *testing.T) {
 	conf := ssdconf.Table1()
@@ -163,7 +163,7 @@ func TestCheckpointCacheEvictsLeastRecentlyForked(t *testing.T) {
 		return cp
 	}
 	a, b, c := open(), open(), open()
-	size := a.BodyBytes()
+	size := a.Bytes()
 
 	cache := newCheckpointCache(2*size + size/2)
 	cache.put("a", a)
@@ -178,8 +178,10 @@ func TestCheckpointCacheEvictsLeastRecentlyForked(t *testing.T) {
 	if cache.get("a") != a || cache.get("c") != c {
 		t.Error("a or c evicted; only b should have gone")
 	}
-	if cache.bytes != 2*size {
-		t.Errorf("cache accounts %d bytes for two %d-byte bodies", cache.bytes, size)
+	// Three gets found their key (a, then a and c after the miss on b), one
+	// put evicted, and two templates remain.
+	if hits, evictions, bytes := cache.stats(); hits != 3 || evictions != 1 || bytes != 2*size {
+		t.Errorf("cache reports %d hits, %d evictions, %d bytes; want 3, 1 and two %d-byte templates", hits, evictions, bytes, size)
 	}
 
 	small := newCheckpointCache(size - 1)

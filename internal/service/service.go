@@ -765,6 +765,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	p.Gauge("acrossd_scheduler_draining", "1 while the scheduler is draining and rejecting submissions.", draining)
 	p.Gauge("acrossd_store_entries", "Entries in the content-addressed result store.", float64(s.store.Len()))
+	hits, evictions, held := s.checkpoints.stats()
+	p.Counter("acrossd_checkpoint_cache_hits", "Aged jobs that forked a checkpoint already open in memory.", float64(hits))
+	p.Counter("acrossd_checkpoint_cache_evictions", "Open checkpoints dropped, least recently forked first, to hold the cache's byte budget.", float64(evictions))
+	p.Gauge("acrossd_checkpoint_cache_bytes", "Bytes of state the open checkpoints retain; each fork copies its checkpoint's share.", float64(held))
 	if err := p.Err(); err != nil {
 		writeError(w, http.StatusInternalServerError, "rendering metrics: %v", err)
 		return

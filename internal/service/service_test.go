@@ -212,6 +212,8 @@ func TestMetricsExposition(t *testing.T) {
 		"acrossd_jobs_submitted_total", "acrossd_jobs_deduped_total",
 		"acrossd_jobs_cached_total", "acrossd_jobs_succeeded_total",
 		"acrossd_jobs_failed_total", "acrossd_jobs_cancelled_total",
+		"acrossd_checkpoint_cache_hits_total", "acrossd_checkpoint_cache_evictions_total",
+		"acrossd_checkpoint_cache_bytes",
 	} {
 		if v, ok := m[name]; !ok || v != 0 {
 			t.Errorf("%s = %v, %v; want present and 0 on a fresh server", name, v, ok)

@@ -78,8 +78,11 @@ func raceEnabled() bool {
 	return false
 }
 
-// liveHeap returns the bytes of live heap objects after a collection.
+// liveHeap returns the bytes of live heap objects after two collections:
+// what a sync.Pool parked or a finalizer guards survives the first, and
+// would read as memory the code between two probes had freed.
 func liveHeap() uint64 {
+	runtime.GC()
 	runtime.GC()
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
@@ -93,6 +96,8 @@ func liveHeap() uint64 {
 // same probe read 39.5 / 39.5 / 39.5 / 103.7 (FTL / DFTL / Across-FTL /
 // MRSM); the packed tables read 9.0 / 9.0 / 9.0 / 40.2, and Across-FTL 20.6
 // once a replay has created areas and so its lazy tag-aux and AIdx columns.
+// A runner forked from a checkpoint of each state is held to the same
+// budget: CopyState leaves a lazy column nil where the template's is.
 func TestRunnerHeapBudget(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("heap sizes are meaningless under the race detector")
@@ -103,6 +108,23 @@ func TestRunnerHeapBudget(t *testing.T) {
 	perPage := func(r *Runner, before uint64) float64 {
 		defer runtime.KeepAlive(r)
 		return (float64(liveHeap()) - float64(before)) / float64(conf.PagesTotal())
+	}
+	forkPerPage := func(r *Runner) float64 {
+		blob, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := OpenCheckpoint(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer runtime.KeepAlive(cp)
+		before := liveHeap()
+		f, err := cp.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return perPage(f, before)
 	}
 	for _, tc := range []struct {
 		kind   SchemeKind
@@ -119,6 +141,9 @@ func TestRunnerHeapBudget(t *testing.T) {
 		t.Logf("%s: %.1f B/page at construction", tc.kind, got)
 		if got > tc.budget {
 			t.Errorf("%s: runner holds %.1f B/page, budget %.0f — a per-page table was widened", tc.kind, got, tc.budget)
+		}
+		if got = forkPerPage(r); got > tc.budget {
+			t.Errorf("%s: a fork of that runner holds %.1f B/page, budget %.0f", tc.kind, got, tc.budget)
 		}
 		if tc.kind != KindAcross {
 			continue
@@ -137,6 +162,51 @@ func TestRunnerHeapBudget(t *testing.T) {
 		t.Logf("%s: %.1f B/page after creating across-page areas", tc.kind, got)
 		if got > 24 {
 			t.Errorf("%s: runner holds %.1f B/page with its lazy columns, budget 24", tc.kind, got)
+		}
+		if got = forkPerPage(r); got > 24 {
+			t.Errorf("%s: a fork of that runner holds %.1f B/page, budget 24", tc.kind, got)
+		}
+	}
+}
+
+// TestCheckpointRetainsNoBody holds an open checkpoint to what it says it
+// holds: one template, Bytes() of it, and neither the blob's inflated body
+// (three times that) nor any runner it has forked.
+func TestCheckpointRetainsNoBody(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("heap sizes are meaningless under the race detector")
+	}
+	for _, kind := range Kinds() {
+		r, err := NewRunner(kind, ssdconf.Experiment())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Age(DefaultAging()); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r = nil
+		before := liveHeap()
+		cp, err := OpenCheckpoint(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cp.Fork(); err != nil {
+			t.Fatal(err)
+		}
+		retained := float64(liveHeap()) - float64(before)
+		runtime.KeepAlive(cp)
+		runtime.KeepAlive(blob) // counted in before, so it must be in after
+		t.Logf("%s: an open checkpoint retains %.0f bytes, Bytes() %d", kind, retained, cp.Bytes())
+		if retained > 1.25*float64(cp.Bytes()) {
+			t.Errorf("%s: an open checkpoint retains %.0f bytes, %.2fx its Bytes() of %d (budget 1.25x)",
+				kind, retained, retained/float64(cp.Bytes()), cp.Bytes())
+		}
+		if float64(cp.Bytes()) > retained {
+			t.Errorf("%s: Bytes() reports %d, more than the %.0f bytes the checkpoint holds", kind, cp.Bytes(), retained)
 		}
 	}
 }

@@ -2,11 +2,14 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"across/internal/acrossftl"
 	"across/internal/ssdconf"
 )
 
@@ -103,6 +106,243 @@ func TestForkMatchesRestore(t *testing.T) {
 	}
 }
 
+// forkCase is one checkpoint the fork-by-copy tests open: every scheme
+// NewScheme builds, bare and host-cache wrapped, checkpointed straight after
+// aging and again in the middle of a replay.
+type forkCase struct {
+	name string
+	kind SchemeKind
+	blob []byte
+}
+
+func forkCases(t *testing.T) []forkCase {
+	t.Helper()
+	var cases []forkCase
+	for _, kind := range append(Kinds(), KindDFTL) {
+		for _, cachePages := range []int{0, 64} {
+			name := string(kind)
+			if cachePages > 0 {
+				name += "+cache"
+			}
+			r := newSnapRunner(t, kind, cachePages)
+			if err := r.Age(DefaultAging()); err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, forkCase{name + "/aged", kind, mustSnapshot(t, r)})
+			if _, err := r.ReplayQD(smallTrace(t, 0.005), 4); err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, forkCase{name + "/mid-replay", kind, mustSnapshot(t, r)})
+		}
+	}
+	return cases
+}
+
+// The mid-replay checkpoints hold the state an aged device does not: MRSM
+// sub-pages waiting in the pack buffer, live across-page areas, dirty
+// translation pages in a CMT. Without them the tests below would pass over
+// columns that were never exercised.
+func TestForkCasesHoldTransientState(t *testing.T) {
+	for _, tc := range forkCases(t) {
+		if tc.name != "MRSM/mid-replay" && tc.name != "Across-FTL/mid-replay" {
+			continue
+		}
+		cp, err := OpenCheckpoint(tc.blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scheme := reflect.ValueOf(cp.template.Scheme).Elem()
+		dirty := false
+		for n := scheme.FieldByName("cmt").Elem().FieldByName("lru").Elem().FieldByName("head"); !n.IsNil(); n = n.Elem().FieldByName("next") {
+			dirty = dirty || n.Elem().FieldByName("dirty").Bool()
+		}
+		if !dirty {
+			t.Errorf("%s: no dirty translation page in the CMT", tc.name)
+		}
+		if a, ok := cp.template.Scheme.(*acrossftl.Scheme); ok && a.AMT.Live() == 0 {
+			t.Errorf("%s: no live across-page area", tc.name)
+		}
+	}
+}
+
+// A fork is the checkpointed state, and forking leaves the template alone:
+// a fork re-snapshots to the blob; so does a second fork taken after the
+// first has replayed; and so does the template itself, still.
+func TestForkSnapshotsToTheBlob(t *testing.T) {
+	reqs := smallTrace(t, 0.005)
+	for _, tc := range forkCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			cp, err := OpenCheckpoint(tc.blob)
+			if err != nil {
+				t.Fatalf("OpenCheckpoint: %v", err)
+			}
+			first := mustFork(t, cp)
+			if !bytes.Equal(mustSnapshot(t, first), tc.blob) {
+				t.Fatal("the fork's Snapshot() differs from the blob")
+			}
+			if _, err := first.ReplayQD(reqs, 4); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(mustSnapshot(t, mustFork(t, cp)), tc.blob) {
+				t.Error("a fork taken after another fork replayed no longer snapshots to the blob")
+			}
+			if !bytes.Equal(mustSnapshot(t, cp.template), tc.blob) {
+				t.Error("the template no longer snapshots to the blob: a fork wrote to it")
+			}
+		})
+	}
+}
+
+// forkScratch names the fields a fork need not take from its template:
+// request-scoped scratch, callbacks bound to their own scheme, and observers.
+// TestForkSharesNoState skips exactly these, so a field added to any state
+// struct fails there until CopyState copies it or it is named here.
+var forkScratch = map[string]bool{
+	"ftl.Allocator.onMigrate": true, // bound to the owning scheme by its constructor
+	"ftl.Allocator.salvage":   true, // likewise
+	"ftl.Allocator.gcVictims": true, // test hook
+}
+
+// stateWalk compares two runners field by field through every pointer,
+// slice, map and interface: anything but forkScratch must be equal, and no
+// backing array, map or pointee may be the same memory on both sides.
+type stateWalk struct {
+	t    *testing.T
+	seen map[[2]uintptr]bool
+}
+
+func (w *stateWalk) walk(path string, a, b reflect.Value) {
+	if a.Kind() != b.Kind() || (a.Kind() != reflect.Invalid && a.Type() != b.Type()) {
+		w.t.Errorf("%s: %v on one side, %v on the other", path, a.Kind(), b.Kind())
+		return
+	}
+	switch a.Kind() {
+	case reflect.Bool:
+		if a.Bool() != b.Bool() {
+			w.t.Errorf("%s: %v vs %v", path, a.Bool(), b.Bool())
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		if a.Int() != b.Int() {
+			w.t.Errorf("%s: %d vs %d", path, a.Int(), b.Int())
+		}
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		if a.Uint() != b.Uint() {
+			w.t.Errorf("%s: %d vs %d", path, a.Uint(), b.Uint())
+		}
+	case reflect.Float64:
+		if a.Float() != b.Float() {
+			w.t.Errorf("%s: %v vs %v", path, a.Float(), b.Float())
+		}
+	case reflect.String:
+		if a.String() != b.String() {
+			w.t.Errorf("%s: %q vs %q", path, a.String(), b.String())
+		}
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			name := a.Type().String() + "." + a.Type().Field(i).Name
+			if !forkScratch[name] {
+				w.walk(name, a.Field(i), b.Field(i))
+			}
+		}
+	case reflect.Ptr, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			if a.IsNil() != b.IsNil() {
+				w.t.Errorf("%s: nil on one side only", path)
+			}
+			return
+		}
+		if a.Kind() == reflect.Ptr {
+			if a.Pointer() == b.Pointer() {
+				w.t.Errorf("%s: both sides point at the same %v", path, a.Type().Elem())
+				return
+			}
+			pair := [2]uintptr{a.Pointer(), b.Pointer()}
+			if w.seen[pair] {
+				return
+			}
+			w.seen[pair] = true
+		}
+		w.walk(path, a.Elem(), b.Elem())
+	case reflect.Slice:
+		if a.Len() != b.Len() || a.IsNil() != b.IsNil() {
+			w.t.Errorf("%s: len %d (nil %v) vs len %d (nil %v)", path, a.Len(), a.IsNil(), b.Len(), b.IsNil())
+			return
+		}
+		if a.Cap() > 0 && a.Pointer() == b.Pointer() {
+			w.t.Errorf("%s: both sides share one backing array", path)
+			return
+		}
+		for i := 0; i < a.Len(); i++ {
+			w.walk(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i))
+		}
+	case reflect.Map:
+		if a.Len() != b.Len() || a.IsNil() != b.IsNil() {
+			w.t.Errorf("%s: %d keys (nil %v) vs %d keys (nil %v)", path, a.Len(), a.IsNil(), b.Len(), b.IsNil())
+			return
+		}
+		if !a.IsNil() && a.Pointer() == b.Pointer() {
+			w.t.Errorf("%s: both sides share one map", path)
+			return
+		}
+		for it := a.MapRange(); it.Next(); {
+			if v := b.MapIndex(it.Key()); v.IsValid() {
+				w.walk(fmt.Sprintf("%s[%v]", path, it.Key()), it.Value(), v)
+			} else {
+				w.t.Errorf("%s: key %v on one side only", path, it.Key())
+			}
+		}
+	default: // a func, a channel: nothing a copy could be checked against
+		w.t.Errorf("%s: a %v is neither state the walk can compare nor listed in forkScratch", path, a.Kind())
+	}
+}
+
+// CopyState copies every field and shares none: template against fork, and
+// fork against fork.
+func TestForkSharesNoState(t *testing.T) {
+	for _, tc := range forkCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			cp, err := OpenCheckpoint(tc.blob)
+			if err != nil {
+				t.Fatalf("OpenCheckpoint: %v", err)
+			}
+			a, b := mustFork(t, cp), mustFork(t, cp)
+			for _, pair := range [][2]*Runner{{cp.template, a}, {a, b}} {
+				w := stateWalk{t: t, seen: map[[2]uintptr]bool{}}
+				w.walk("Runner", reflect.ValueOf(pair[0]), reflect.ValueOf(pair[1]))
+			}
+		})
+	}
+}
+
+// A fork replays as a Restore of the same blob does, open loop aside at
+// queue depth 1 and 8.
+func TestForkReplaysLikeRestore(t *testing.T) {
+	reqs := smallTrace(t, 0.01)
+	for _, tc := range forkCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			cp, err := OpenCheckpoint(tc.blob)
+			if err != nil {
+				t.Fatalf("OpenCheckpoint: %v", err)
+			}
+			for _, qd := range []int{1, 8} {
+				restored, err := Restore(tc.blob)
+				if err != nil {
+					t.Fatalf("Restore: %v", err)
+				}
+				want, err := restored.ReplayQD(reqs, qd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := mustFork(t, cp).ReplayQD(reqs, qd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertIdentical(t, want, got, fmt.Sprintf("fork at QD %d", qd))
+			}
+		})
+	}
+}
+
 // Forks of one checkpoint may be taken and replayed concurrently (run under
 // -race): every goroutine gets the same result.
 func TestForkConcurrently(t *testing.T) {
@@ -135,27 +375,25 @@ func TestForkConcurrently(t *testing.T) {
 }
 
 // TestForkAllocations bounds what a fork costs beyond the state it returns:
-// the decoders write each slab straight into the new scheme's arrays, so the
-// bytes a fork allocates stay within a quarter of the bytes it retains.
-// Decoding through per-column temporaries, as the codec once did, doubles
-// them.
+// the template's columns are copied straight into the new scheme's arrays,
+// so the bytes a fork allocates stay within a quarter of the bytes it
+// retains. Copying through per-column temporaries would double them.
 func TestForkAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("heap sizes are meaningless under the race detector")
+	}
 	for _, kind := range Kinds() {
 		t.Run(string(kind), func(t *testing.T) {
 			cp, err := OpenCheckpoint(agedBlob(t, kind, 0))
 			if err != nil {
 				t.Fatal(err)
 			}
-			mustFork(t, cp) // the runner the open built; later forks decode
 
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
+			heap := liveHeap()
 			kept := mustFork(t, cp)
-			runtime.GC()
-			runtime.ReadMemStats(&after)
-			retained := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+			retained := float64(liveHeap()) - float64(heap)
 			runtime.KeepAlive(kept)
+			var before, after runtime.MemStats
 
 			const runs = 3
 			var forkErr error
@@ -171,8 +409,8 @@ func TestForkAllocations(t *testing.T) {
 			}
 			// AllocsPerRun calls the function once more than it counts.
 			allocated := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
-			t.Logf("%s: fork allocates %.0f bytes in %.0f objects, retains %.0f (body %d)",
-				kind, allocated, allocs, retained, cp.BodyBytes())
+			t.Logf("%s: fork allocates %.0f bytes in %.0f objects, retains %.0f (Bytes() %d)",
+				kind, allocated, allocs, retained, cp.Bytes())
 			if allocated > 1.25*retained {
 				t.Errorf("fork allocates %.0f bytes for %.0f retained (%.2fx, budget 1.25x)",
 					allocated, retained, allocated/retained)
@@ -207,45 +445,48 @@ func TestStoredSnapshotsStillLoad(t *testing.T) {
 	}
 }
 
-// BenchmarkCheckpoint prices the seam on the Experiment device, per scheme:
-// Open is what a blob costs once (inflate, hash, decode, audit), Fork what
-// every runner after the first costs.
+// BenchmarkCheckpoint prices the seam per device and scheme, on the
+// Experiment device acrossd's jobs use and the 1 Mi-page gc-churn one: Open
+// is what a blob costs once (inflate, hash, decode, audit, one trial fork),
+// Fork what every runner costs. DESIGN §13 quotes it and CI runs it once.
 func BenchmarkCheckpoint(b *testing.B) {
-	for _, kind := range Kinds() {
-		r, err := NewRunner(kind, ssdconf.Experiment())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := r.Age(DefaultAging()); err != nil {
-			b.Fatal(err)
-		}
-		blob, err := r.Snapshot()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run("Open/"+string(kind), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := OpenCheckpoint(blob); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("Fork/"+string(kind), func(b *testing.B) {
-			cp, err := OpenCheckpoint(blob)
+	for _, dev := range []struct {
+		name string
+		conf ssdconf.Config
+	}{{"Experiment", ssdconf.Experiment()}, {"Scaled16", ssdconf.Scaled(16)}} {
+		for _, kind := range Kinds() {
+			r, err := NewRunner(kind, dev.conf)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := cp.Fork(); err != nil { // the runner the open built
+			if err := r.Age(DefaultAging()); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := cp.Fork(); err != nil {
+			blob, err := r.Snapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(dev.name+"/Open/"+string(kind), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := OpenCheckpoint(blob); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(dev.name+"/Fork/"+string(kind), func(b *testing.B) {
+				cp, err := OpenCheckpoint(blob)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := cp.Fork(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

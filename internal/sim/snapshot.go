@@ -2,18 +2,19 @@
 // complete mutable simulator state — scheme mapping structures, flash
 // array, allocator/GC state, DRAM caches, host cache, chip and bus clocks,
 // and the aging bookkeeping — into a self-describing versioned container;
-// OpenCheckpoint verifies such a container once and Checkpoint.Fork builds
-// a replay-ready Runner from it. A sweep can therefore age a device once
-// per (config, aging) pair, open the checkpoint once, and fork every
-// variant replay from it instead of re-aging.
+// Restore verifies and decodes such a container into a replay-ready Runner;
+// OpenCheckpoint keeps that runner and Checkpoint.Fork copies it. A sweep
+// can therefore age a device once per (config, aging) pair, open the
+// checkpoint once, and fork every variant replay from it instead of
+// re-aging.
 package sim
 
 import (
 	"encoding/json"
 	"fmt"
-	"sync/atomic"
 
 	"across/internal/check"
+	"across/internal/ftl"
 	"across/internal/hostcache"
 	"across/internal/snapshot"
 	"across/internal/ssdconf"
@@ -49,74 +50,89 @@ func (r *Runner) Snapshot() ([]byte, error) {
 	return enc.Finish()
 }
 
-// Checkpoint is an opened snapshot: a blob whose container, checksum, state
-// shape and device invariants OpenCheckpoint has verified once, kept as its
-// inflated body so that any number of runners can be forked from it without
-// verifying again. The body is immutable — Fork only reads it, and restored
-// components copy what they keep — so a Checkpoint is safe for concurrent
-// use and a fork can never see another fork's writes.
+// Checkpoint is an opened snapshot: the one runner OpenCheckpoint decoded
+// from the blob, verified and audited, kept as a template that any number
+// of runners are forked from by plain state copy. Nothing replays on the
+// template, observes it or writes to it after OpenCheckpoint returns — Fork
+// only reads it, into tables the fork owns — so a Checkpoint is safe for
+// concurrent use and a fork can never see another fork's writes. The blob
+// and its inflated body are not kept.
 type Checkpoint struct {
 	// Kind and Conf are the scheme and device configuration the snapshot
 	// was taken with.
 	Kind SchemeKind
 	Conf ssdconf.Config
 
-	body snapshot.Body
-	// first is the runner OpenCheckpoint decoded and audited, handed to the
-	// first Fork so that opening and forking once decodes once.
-	first atomic.Pointer[Runner]
+	template *Runner
+	bytes    int64
 }
 
-// OpenCheckpoint verifies a snapshot produced by Snapshot, everything a
-// blob from disk or the network must pass before a runner is built from it:
-// the container (magic, version, flags, bounded inflate, SHA-256), the full
-// decode into a scheme stack rebuilt from the embedded configuration
-// (including a host-cache wrap when one was captured), every component's
-// shape validation, and the device auditor over the result — a snapshot
-// whose state violates the mapping/flash invariants (tampered, or from a
-// buggy writer) is rejected rather than replayed. Schemes that cannot be
-// audited skip that final check.
-//
-// It supports schemes as built by NewScheme; a snapshot taken from a scheme
-// constructed with non-default structural options (e.g. a custom DFTL
-// resident-page budget) fails the shape validation cleanly.
+// OpenCheckpoint is Restore with the runner kept, as the template every Fork
+// copies, instead of returned: the blob passes everything Restore documents,
+// once, and no fork repeats any of it.
 func OpenCheckpoint(blob []byte) (*Checkpoint, error) {
-	body, err := snapshot.OpenBody(blob)
+	r, err := Restore(blob)
 	if err != nil {
 		return nil, err
 	}
-	c := &Checkpoint{body: body}
-	r, err := c.decode()
-	if err != nil {
+	c := &Checkpoint{Kind: r.Kind, Conf: *r.Conf, template: r}
+	// One trial fork sizes the checkpoint by what a fork copies, and shows
+	// that the template forks before anything is handed one.
+	if _, c.bytes, err = c.fork(); err != nil {
 		return nil, err
 	}
-	if chk, err := check.New(r.Scheme, check.Options{}); err == nil {
-		if err := chk.Audit(); err != nil {
-			return nil, fmt.Errorf("sim: restored state failed audit: %w", err)
-		}
-	}
-	c.Kind, c.Conf = r.Kind, *r.Conf
-	c.first.Store(r)
 	return c, nil
 }
 
-// BodyBytes returns the size of the inflated body the checkpoint holds.
-func (c *Checkpoint) BodyBytes() int { return c.body.Len() }
+// Bytes returns the size of the state a Fork copies, which is also what the
+// checkpoint's template retains.
+func (c *Checkpoint) Bytes() int64 { return c.bytes }
 
 // Fork returns a new replay-ready Runner in the checkpointed state: a fresh
-// scheme stack restored from the verified body by the same RestoreState
-// code that opened it, with no inflate, no hash and no second audit. Every
+// scheme stack with the template's state copied into it column by column —
+// no decode, no check that already passed at open, no second audit. Every
 // fork owns all of its state.
 func (c *Checkpoint) Fork() (*Runner, error) {
-	if r := c.first.Swap(nil); r != nil {
-		return r, nil
-	}
-	return c.decode()
+	r, _, err := c.fork()
+	return r, err
 }
 
-// decode builds a runner from the body.
-func (c *Checkpoint) decode() (*Runner, error) {
-	dec := c.body.Decoder()
+func (c *Checkpoint) fork() (*Runner, int64, error) {
+	conf, t := c.Conf, c.template
+	scheme, err := NewScheme(c.Kind, &conf)
+	if err != nil {
+		return nil, 0, err
+	}
+	if hc, ok := t.Scheme.(*hostcache.Scheme); ok {
+		scheme = hostcache.Wrap(scheme, hc.CachePages())
+	}
+	cp, ok := scheme.(interface{ CopyState(ftl.Scheme) int64 })
+	if !ok {
+		return nil, 0, fmt.Errorf("sim: scheme %s does not support forking", scheme.Name())
+	}
+	n := cp.CopyState(t.Scheme)
+	return &Runner{Conf: &conf, Kind: c.Kind, Scheme: scheme, warmed: t.warmed, warmupWrites: t.warmupWrites}, n, nil
+}
+
+// Restore reconstructs a replay-ready Runner from a snapshot produced by
+// Snapshot, after everything a blob from disk or the network must pass
+// before a runner is built from it: the container (magic, version, flags,
+// bounded inflate, SHA-256), the full decode into a scheme stack rebuilt
+// from the embedded configuration (including a host-cache wrap when one was
+// captured), every component's shape validation, and the device auditor
+// over the result — a snapshot whose state violates the mapping/flash
+// invariants (tampered, or from a buggy writer) is rejected rather than
+// replayed. Schemes that cannot be audited skip that final check.
+//
+// It supports schemes as built by NewScheme; a snapshot taken from a scheme
+// constructed with non-default structural options (e.g. a custom DFTL
+// resident-page budget) fails the shape validation cleanly. A caller that
+// wants several runners from one blob opens a Checkpoint and forks it.
+func Restore(blob []byte) (*Runner, error) {
+	dec, err := snapshot.NewDecoder(blob)
+	if err != nil {
+		return nil, err
+	}
 	dec.Tag("sim")
 	kind := SchemeKind(dec.Str())
 	confJSON := dec.Str()
@@ -156,6 +172,11 @@ func (c *Checkpoint) decode() (*Runner, error) {
 	if err := dec.Finish(); err != nil {
 		return nil, err
 	}
+	if chk, err := check.New(scheme, check.Options{}); err == nil {
+		if err := chk.Audit(); err != nil {
+			return nil, fmt.Errorf("sim: restored state failed audit: %w", err)
+		}
+	}
 	return &Runner{
 		Conf:         &conf,
 		Kind:         kind,
@@ -163,15 +184,4 @@ func (c *Checkpoint) decode() (*Runner, error) {
 		warmed:       warmed,
 		warmupWrites: warmupWrites,
 	}, nil
-}
-
-// Restore reconstructs a replay-ready Runner from a snapshot produced by
-// Snapshot: OpenCheckpoint, then one Fork. A caller that wants several
-// runners from one blob holds the Checkpoint and forks it instead.
-func Restore(blob []byte) (*Runner, error) {
-	c, err := OpenCheckpoint(blob)
-	if err != nil {
-		return nil, err
-	}
-	return c.Fork()
 }

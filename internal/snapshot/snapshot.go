@@ -24,10 +24,6 @@
 // (BytesView, I32View, I64View), so a column is never copied on its way
 // between a component's arrays and the body.
 //
-// Open verifies a container once and yields its Body; a Body is immutable
-// and any number of Decoders may read it, concurrently — the basis of
-// sim.Checkpoint, which forks many runners from one verified body.
-//
 // Determinism: every encoder input is produced in a canonical order (sparse
 // tables are serialised in ascending key order), DEFLATE at a fixed level is
 // deterministic for a given input, and the checksum covers the uncompressed
@@ -88,8 +84,8 @@ var (
 // receiver. Restore must validate sizes against the receiver's
 // config-derived structure rather than allocating from decoded values, and
 // must copy whatever it keeps out of the decoder's views: the body under
-// them is shared and read-only. A receiver whose RestoreState failed is
-// part-written and must be dropped.
+// them is read-only, and a kept view would pin all of it. A receiver whose
+// RestoreState failed is part-written and must be dropped.
 type Snapshotter interface {
 	SnapshotState(enc *Encoder) error
 	RestoreState(dec *Decoder) error
@@ -268,20 +264,6 @@ func Seal(containerMagic string, version uint32, e *Encoder) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// Body is the verified, inflated body of a container: Open has checked the
-// header and the SHA-256, so whatever reads the bytes may trust that they
-// are the bytes the writer sealed. A Body is immutable — nothing in this
-// package writes to it and the views a Decoder hands out must not be
-// written through — which is what lets any number of Decoders read one Body
-// at the same time.
-type Body struct{ b []byte }
-
-// Len returns the body's size in bytes.
-func (b Body) Len() int { return len(b.b) }
-
-// Decoder returns a new decoder positioned at the body's first byte.
-func (b Body) Decoder() *Decoder { return &Decoder{body: b.b} }
-
 // Decoder reads a snapshot body with a sticky error: after the first
 // failure every subsequent read returns a zero value and Err/Finish report
 // the original cause. Callers may therefore decode a whole section and
@@ -296,16 +278,7 @@ type Decoder struct {
 // length, checksum), decompresses the body, and returns a decoder positioned
 // at the first byte. Hostile inputs yield a typed error, never a panic, and
 // decompression work is bounded by the declared (capped) body length.
-func NewDecoder(blob []byte) (*Decoder, error) {
-	body, err := OpenBody(blob)
-	if err != nil {
-		return nil, err
-	}
-	return body.Decoder(), nil
-}
-
-// OpenBody validates a snapshot (AXSN) container and returns its body.
-func OpenBody(blob []byte) (Body, error) { return open(magic, Version, blob) }
+func NewDecoder(blob []byte) (*Decoder, error) { return Open(magic, Version, blob) }
 
 // Open is the inverse of Seal: it validates a container carrying the given
 // magic and version and returns a decoder over its body, with the same
@@ -315,31 +288,31 @@ func Open(containerMagic string, wantVersion uint32, blob []byte) (*Decoder, err
 	if err != nil {
 		return nil, err
 	}
-	return body.Decoder(), nil
+	return &Decoder{body: body}, nil
 }
 
 // maxInflate is DEFLATE's largest possible expansion: a 258-byte match
 // costs at least two bits.
 const maxInflate = 1032
 
-func open(containerMagic string, wantVersion uint32, blob []byte) (Body, error) {
+func open(containerMagic string, wantVersion uint32, blob []byte) ([]byte, error) {
 	if len(blob) < headerSize {
-		return Body{}, fmt.Errorf("%w: %d bytes, want at least %d", ErrTruncated, len(blob), headerSize)
+		return nil, fmt.Errorf("%w: %d bytes, want at least %d", ErrTruncated, len(blob), headerSize)
 	}
 	if string(blob[:4]) != containerMagic {
-		return Body{}, fmt.Errorf("%w: bad magic %q", ErrFormat, blob[:4])
+		return nil, fmt.Errorf("%w: bad magic %q", ErrFormat, blob[:4])
 	}
 	version := binary.LittleEndian.Uint32(blob[4:8])
 	if version != wantVersion {
-		return Body{}, fmt.Errorf("%w: got %d, support %d", ErrVersion, version, wantVersion)
+		return nil, fmt.Errorf("%w: got %d, support %d", ErrVersion, version, wantVersion)
 	}
 	flags := binary.LittleEndian.Uint32(blob[8:12])
 	if flags&^uint32(knownFlags) != 0 {
-		return Body{}, fmt.Errorf("%w: unknown flags %#x", ErrFormat, flags)
+		return nil, fmt.Errorf("%w: unknown flags %#x", ErrFormat, flags)
 	}
 	ulen := binary.LittleEndian.Uint64(blob[12:20])
 	if ulen > maxBody {
-		return Body{}, fmt.Errorf("%w: implausible body length %d", ErrFormat, ulen)
+		return nil, fmt.Errorf("%w: implausible body length %d", ErrFormat, ulen)
 	}
 	var sum [sha256.Size]byte
 	copy(sum[:], blob[20:20+sha256.Size])
@@ -362,22 +335,22 @@ func open(containerMagic string, wantVersion uint32, blob []byte) (Body, error) 
 		}
 		fr.Close()
 		if err != nil && err != io.EOF {
-			return Body{}, fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
+			return nil, fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
 		}
 		if uint64(n) != ulen {
-			return Body{}, fmt.Errorf("%w: body is %d bytes, header says %d", ErrCorrupt, n, ulen)
+			return nil, fmt.Errorf("%w: body is %d bytes, header says %d", ErrCorrupt, n, ulen)
 		}
 		body = body[:n]
 	} else {
 		if uint64(len(payload)) != ulen {
-			return Body{}, fmt.Errorf("%w: body is %d bytes, header says %d", ErrCorrupt, len(payload), ulen)
+			return nil, fmt.Errorf("%w: body is %d bytes, header says %d", ErrCorrupt, len(payload), ulen)
 		}
-		body = bytes.Clone(payload) // a Body must not change when the caller's blob does
+		body = bytes.Clone(payload) // a decoder's views must not change when the caller's blob does
 	}
 	if sha256.Sum256(body) != sum {
-		return Body{}, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	return Body{body}, nil
+	return body, nil
 }
 
 // Err returns the sticky decode error, if any.
