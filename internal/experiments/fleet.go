@@ -29,20 +29,6 @@ var fleetChunksKB = []int{4, 8, 64}
 // studyKinds is the scheme axis of the studies: the paper's three plus DFTL.
 func studyKinds() []sim.SchemeKind { return append(sim.Kinds(), sim.KindDFTL) }
 
-// checkpoint warms one device and opens it as a checkpoint, so a study forks
-// every cell from it instead of ageing per cell.
-func (s *Session) checkpoint(kind sim.SchemeKind, conf ssdconf.Config) (*sim.Checkpoint, error) {
-	r, err := s.warm(kind, conf)
-	if err != nil {
-		return nil, err
-	}
-	blob, err := r.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return sim.OpenCheckpoint(blob)
-}
-
 // fleetSpecs enumerates the layout x chunk cells: concat ignores the chunk,
 // so it contributes one cell.
 func fleetSpecs() []fleet.Spec {

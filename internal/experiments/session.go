@@ -5,9 +5,10 @@
 // operation census), Figs 9–12 (the three-scheme comparison: response time,
 // flash ops, erases, overheads) and Figs 13–14 (the page-size case study).
 //
-// A Session memoises generated traces and finished runs so figures that
-// share the same replays (9, 10, 11, 12) do not recompute them, and runs
-// independent (scheme, trace, page-size) replays across a worker pool.
+// A Session memoises generated traces, warm devices and finished runs so
+// figures that share the same replays (9, 10, 11, 12) do not recompute them
+// and no (scheme, page size) is aged twice, and runs independent (scheme,
+// trace, page-size) replays across a worker pool.
 package experiments
 
 import (
@@ -83,7 +84,17 @@ type traceEntry struct {
 	err  error
 }
 
-// Session memoises traces and replays for one Config.
+// warmEntry singleflights one scheme's warm checkpoint the way traceEntry
+// does a trace, so workers that need the same warm device wait for one ageing
+// instead of each running their own.
+type warmEntry struct {
+	conf ssdconf.Config
+	once sync.Once
+	cp   *sim.Checkpoint
+	err  error
+}
+
+// Session memoises traces, warm checkpoints and replays for one Config.
 type Session struct {
 	Cfg Config
 
@@ -94,6 +105,7 @@ type Session struct {
 
 	mu      sync.Mutex
 	traces  map[string]*traceEntry
+	warmed  map[sim.SchemeKind]*warmEntry
 	results map[runKey]*sim.Result
 }
 
@@ -112,6 +124,7 @@ func NewSession(cfg Config) (*Session, error) {
 		Cfg:     cfg,
 		ctx:     context.Background(),
 		traces:  make(map[string]*traceEntry),
+		warmed:  make(map[sim.SchemeKind]*warmEntry),
 		results: make(map[runKey]*sim.Result),
 	}, nil
 }
@@ -256,26 +269,44 @@ func (s *Session) run(k runKey) (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := s.warm(k.kind, s.Cfg.SSD.WithPageBytes(k.pageBytes))
+	cp, err := s.checkpoint(k.kind, s.Cfg.SSD.WithPageBytes(k.pageBytes))
+	if err != nil {
+		return nil, err
+	}
+	r, err := cp.Fork()
 	if err != nil {
 		return nil, err
 	}
 	return r.ReplayCtx(s.ctx, reqs)
 }
 
-// warm builds a device and, when the session ages, warms it to the §4.1
-// state.
-func (s *Session) warm(kind sim.SchemeKind, conf ssdconf.Config) (*sim.Runner, error) {
-	r, err := sim.NewRunner(kind, conf)
-	if err != nil {
-		return nil, err
+// checkpoint returns (warming and caching on first use) the open checkpoint
+// of one scheme on one device: built and, when the session ages, aged to the
+// §4.1 state once, so every replay, timeline and study cell forks it instead
+// of ageing a device of its own. One device per scheme is kept, the one asked
+// for last: figures walk the page sizes one after another, and a checkpoint
+// is as large as the runner it copies.
+func (s *Session) checkpoint(kind sim.SchemeKind, conf ssdconf.Config) (*sim.Checkpoint, error) {
+	s.mu.Lock()
+	e := s.warmed[kind]
+	if e == nil || e.conf != conf {
+		e = &warmEntry{conf: conf}
+		s.warmed[kind] = e
 	}
-	if s.Cfg.Age {
-		if err := r.AgeCtx(s.ctx, sim.DefaultAging()); err != nil {
-			return nil, err
+	s.mu.Unlock()
+	e.once.Do(func() {
+		var r *sim.Runner
+		if r, e.err = sim.NewRunner(kind, conf); e.err != nil {
+			return
 		}
-	}
-	return r, nil
+		if s.Cfg.Age {
+			if e.err = r.AgeCtx(s.ctx, sim.DefaultAging()); e.err != nil {
+				return
+			}
+		}
+		e.cp, e.err = r.Checkpoint()
+	})
+	return e.cp, e.err
 }
 
 // lunNames lists the profile names in Table 2 order.

@@ -42,7 +42,11 @@ func extTimelineExperiment() Experiment {
 				}
 			}
 			for _, kind := range sim.Kinds() {
-				r, err := s.warm(kind, s.Cfg.SSD)
+				cp, err := s.checkpoint(kind, s.Cfg.SSD)
+				if err != nil {
+					return err
+				}
+				r, err := cp.Fork()
 				if err != nil {
 					return err
 				}

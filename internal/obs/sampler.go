@@ -153,8 +153,12 @@ func (s *Sampler) emit(now float64, fill func(*Sample)) {
 	if s.intWrites > 0 {
 		sm.WriteMeanMs = s.intWriteLat / float64(s.intWrites)
 	}
-	if dt := now - s.prevT; dt > 0 && len(sm.ChipBusyMs) > 0 {
+	// A fill that carved ChipBusyFrac from the allocation holding ChipBusyMs
+	// (sim's does) saves this one; it is zero either way.
+	if sm.ChipBusyFrac == nil || len(sm.ChipBusyFrac) != len(sm.ChipBusyMs) {
 		sm.ChipBusyFrac = make([]float64, len(sm.ChipBusyMs))
+	}
+	if dt := now - s.prevT; dt > 0 {
 		for i, b := range sm.ChipBusyMs {
 			var prev float64
 			if i < len(s.prevBusy) {
@@ -169,8 +173,6 @@ func (s *Sampler) emit(now float64, fill func(*Sample)) {
 			}
 			sm.ChipBusyFrac[i] = f
 		}
-	} else {
-		sm.ChipBusyFrac = make([]float64, len(sm.ChipBusyMs))
 	}
 	s.prevBusy = append(s.prevBusy[:0], sm.ChipBusyMs...)
 	if s.reg != nil {

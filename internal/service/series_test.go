@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -81,15 +82,20 @@ func simSeries(t *testing.T, srv *Server, spec string) []byte {
 	return buf.Bytes()
 }
 
+// seriesReplay is tinyReplay ten times as long: some 430 samples, whose
+// counters and busy times have the digits a real job's have.
+const seriesReplay = `{"type":"replay","scheme":"Across-FTL","profile":"lun1","scale":0.01,"seed":%d}`
+
 // TestRestartServesStoredSeries: what a finished job serves — result,
 // progress stream, metrics artifact — a restarted server serves byte for
 // byte from the store (the result document's "cached" member apart), the
 // series is the sampler's, one json.Encoder line per sample, and it lives
-// beside a small entry, not in it. A finished job's hub keeps no history:
-// its /progress is the same file.
+// beside a small entry, not in it, in a form under half the size of the
+// document it is served as. A finished job's hub keeps no history: its
+// /progress is formatted from the same file.
 func TestRestartServesStoredSeries(t *testing.T) {
 	dir := t.TempDir()
-	spec := fmt.Sprintf(tinyReplay, 21)
+	spec := fmt.Sprintf(seriesReplay, 21)
 	srv, ts := newTestServer(t, dir)
 	st := runToSuccess(t, ts.URL, spec, http.StatusAccepted)
 	result, progress, artifact := outcome(t, ts.URL, st.ID)
@@ -105,8 +111,12 @@ func TestRestartServesStoredSeries(t *testing.T) {
 		t.Fatalf("the finished job's hub still holds %d samples", n)
 	}
 	sibling, err := os.ReadFile(filepath.Join(dir, st.Key[:2], st.Key+samplesExt))
-	if err != nil || !bytes.Equal(sibling, artifact) {
-		t.Fatalf("sibling file: %v, %d bytes, want the artifact's %d", err, len(sibling), len(artifact))
+	if err != nil || len(sibling) >= len(artifact)/2 {
+		t.Fatalf("sibling file: %v, %d bytes, want under half the artifact's %d", err, len(sibling), len(artifact))
+	}
+	var stored bytes.Buffer
+	if samples, err := obs.DecodeSeries(sibling); err != nil || writeNDJSON(&stored, samples...) != nil || !bytes.Equal(stored.Bytes(), artifact) {
+		t.Fatalf("sibling file decodes (%v) to %d bytes of NDJSON, want the artifact's %d", err, stored.Len(), len(artifact))
 	}
 	entry, err := os.ReadFile(filepath.Join(dir, st.Key[:2], st.Key+".json"))
 	if err != nil || len(entry) > 4<<10 || bytes.Contains(entry, []byte(`"samples"`)) {
@@ -247,5 +257,122 @@ func TestSeriesWithoutEntryIsRerun(t *testing.T) {
 	_, _, artifact := outcome(t, ts.URL, st.ID)
 	if want := simSeries(t, srv, spec); !bytes.Equal(artifact, want) {
 		t.Fatalf("artifact after the rerun is %d bytes, the sampler's series %d", len(artifact), len(want))
+	}
+}
+
+// TestLegacySeriesIsCopied: a store the previous daemon wrote keeps the series
+// as the sibling <key>.samples.ndjson, already formatted. It is served as it
+// lies — and it lies as today's formatter would have written it: the fixture
+// (an entry and the first two lines of its sibling, both written by that
+// daemon) equals the head of the sampler's series.
+func TestLegacySeriesIsCopied(t *testing.T) {
+	entry, err := os.ReadFile(filepath.Join("testdata", "legacy-series.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	series, err := os.ReadFile(filepath.Join("testdata", "legacy-series"+legacySamplesExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old Entry
+	if err := json.Unmarshal(entry, &old); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, old.Key[:2]), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for ext, body := range map[string][]byte{".json": entry, legacySamplesExt: series} {
+		if err := os.WriteFile(filepath.Join(dir, old.Key[:2], old.Key+ext), body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, ts := newTestServer(t, dir)
+	st := runToSuccess(t, ts.URL, string(old.Spec), http.StatusOK)
+	if !st.Cached || st.Key != old.Key {
+		t.Fatalf("status %+v, want key %s served from the store", st, old.Key)
+	}
+	_, progress, artifact := outcome(t, ts.URL, st.ID)
+	if !bytes.Equal(artifact, series) || !bytes.Equal(progress, series) {
+		t.Fatalf("artifact %d bytes and /progress %d, want the legacy sibling's %d", len(artifact), len(progress), len(series))
+	}
+	if now := simSeries(t, srv, string(old.Spec)); !bytes.HasPrefix(now, series) || bytes.Count(series, []byte("\n")) != 2 {
+		t.Fatalf("the legacy sibling is not the first two lines of today's series:\n%s", series)
+	}
+}
+
+// TestTornSeriesIsNotServed: a series sibling cut short or altered anywhere
+// costs the series and nothing else. Every fetch of it answers as if it were
+// absent and is counted; no fetch serves a part of it; the entry stays where
+// it is and, the sibling repaired, serves the series again.
+func TestTornSeriesIsNotServed(t *testing.T) {
+	dir := t.TempDir()
+	spec := fmt.Sprintf(seriesReplay, 25)
+	_, ts := newTestServer(t, dir)
+	st := runToSuccess(t, ts.URL, spec, http.StatusAccepted)
+	_, doc := fetchResult(t, ts.URL, st.ID)
+	_, _, artifact := outcome(t, ts.URL, st.ID)
+	path := filepath.Join(dir, st.Key[:2], st.Key+samplesExt)
+	intact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, ts2 := newTestServer(t, dir)
+	torn := 0
+	for off := 0; off < len(intact); off += 4 << 10 {
+		flipped := bytes.Clone(intact)
+		flipped[min(off+off>>12, len(intact)-1)] ^= 0x10 // a different byte of each block
+		for _, blob := range [][]byte{intact[:off], flipped} {
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			expectNoSeries(t, ts2.URL, spec, doc["result"])
+			torn += 2 // the artifact fetch and the progress fetch
+		}
+	}
+	if torn < 80 {
+		t.Fatalf("only %d fetches of a torn sibling: the series is %d bytes", torn, len(intact))
+	}
+	if got := scrapeMetrics(t, ts2.URL)["acrossd_series_unreadable_total"]; got != float64(torn) {
+		t.Errorf("acrossd_series_unreadable_total = %v after %d fetches of a torn sibling", got, torn)
+	}
+	if corrupt, _ := filepath.Glob(filepath.Join(dir, "*", "*.corrupt")); len(corrupt) != 0 || !srv2.Store().Has(st.Key) {
+		t.Fatalf("a torn sibling cost the entry: quarantined %v", corrupt)
+	}
+	if err := os.WriteFile(path, intact, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st2 := runToSuccess(t, ts2.URL, spec, http.StatusOK)
+	if _, _, again := outcome(t, ts2.URL, st2.ID); !bytes.Equal(again, artifact) {
+		t.Fatalf("the repaired sibling serves %d bytes, want the artifact's %d", len(again), len(artifact))
+	}
+}
+
+// BenchmarkServeSeries prices the read path: one finished job's stored
+// series fetched through the handler — open, read, verify, decode, format.
+func BenchmarkServeSeries(b *testing.B) {
+	srv, err := New(Config{StoreDir: b.TempDir(), Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	post := httptest.NewRecorder()
+	h.ServeHTTP(post, httptest.NewRequest("POST", "/api/v1/jobs", strings.NewReader(fmt.Sprintf(seriesReplay, 26))))
+	var st jobStatus
+	if err := json.Unmarshal(post.Body.Bytes(), &st); err != nil || post.Code != http.StatusAccepted {
+		b.Fatalf("submit = %d: %v", post.Code, err)
+	}
+	rec := srv.record(st.ID)
+	<-rec.job.Done()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", "/api/v1/jobs/"+st.ID+"/artifacts/metrics", nil))
+		if w.Code != http.StatusOK {
+			b.Fatalf("artifact = %d", w.Code)
+		}
+		b.SetBytes(int64(w.Body.Len()))
 	}
 }

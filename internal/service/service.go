@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -140,6 +141,7 @@ func New(cfg Config) (*Server, error) {
 		"jobs_submitted", "jobs_deduped", "jobs_cached",
 		"jobs_succeeded", "jobs_failed", "jobs_cancelled",
 		"snapshot_ages", "snapshot_opens", "snapshot_restores",
+		"series_unreadable",
 	} {
 		s.counter(name, 0)
 	}
@@ -630,28 +632,68 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// serveSeries copies a record's stored sample series to w and reports
-// whether it had one. The entry is the commit point, so a series whose entry
-// is absent stays unreachable; the entries of fleet and experiment jobs and
-// of older daemons (which kept the series inline) have no sibling.
+// writeNDJSON is the one formatter of samples — a live job's history and
+// stream, a finished job's stored series: one json.Encoder line each.
+func writeNDJSON(w io.Writer, samples ...obs.Sample) error {
+	enc := json.NewEncoder(w)
+	for i := range samples {
+		if err := enc.Encode(&samples[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// maxSeriesBytes bounds the sibling serveSeries will read into memory; a
+// full-length Table 2 replay (100 x the 431 samples of a scale-0.01 job)
+// stores about 18 MB.
+const maxSeriesBytes = 1 << 30
+
+// serveSeries writes a record's stored sample series to w as NDJSON and
+// reports whether it had one. The entry is the commit point, so a series whose
+// entry is absent stays unreachable; the entries of fleet and experiment jobs
+// and of the oldest daemons (which kept the series inline) have no sibling. A
+// sibling that does not decode is a lost series, never a partial one and never
+// a reason to distrust the entry: it is counted and served as absent.
 func (s *Server) serveSeries(w http.ResponseWriter, rec *jobRecord) bool {
 	if !s.store.Has(rec.key) {
 		return false
 	}
 	f, err := s.store.OpenSibling(rec.key, samplesExt)
+	if errors.Is(err, fs.ErrNotExist) {
+		// A store written before the series was kept binary holds it already
+		// formatted (DESIGN §10 says when this branch may go).
+		if f, err = s.store.OpenSibling(rec.key, legacySamplesExt); err != nil {
+			return false
+		}
+		defer f.Close()
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		io.Copy(w, f)
+		return true
+	}
 	if err != nil {
 		return false
 	}
 	defer f.Close()
+	// Cut short by the bound, a sibling fails its checksum like any torn one.
+	blob, err := io.ReadAll(io.LimitReader(f, maxSeriesBytes))
+	var samples []obs.Sample
+	if err == nil {
+		samples, err = obs.DecodeSeries(blob)
+	}
+	if err != nil {
+		s.counter("series_unreadable", 1)
+		return false
+	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	io.Copy(w, f)
+	writeNDJSON(w, samples...)
 	return true
 }
 
 // handleProgress streams a job's metric samples as NDJSON: first the
 // retained history, then live samples until the job finishes. For a
-// succeeded (or cache-served) job the stored series is copied and the stream
-// ends.
+// succeeded (or cache-served) job the stored series is formatted and the
+// stream ends.
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	rec := s.record(r.PathValue("id"))
 	if rec == nil {
@@ -665,16 +707,13 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	flush := func() {
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-	for i := range history {
-		enc.Encode(&history[i])
-	}
+	writeNDJSON(w, history...)
 	flush()
 	clientGone := r.Context().Done()
 	for {
@@ -683,7 +722,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				return
 			}
-			enc.Encode(&sm)
+			writeNDJSON(w, sm)
 			flush()
 		case <-clientGone:
 			return
@@ -723,6 +762,7 @@ var metricHelp = map[string]string{
 	"snapshot_ages":     "Aging runs executed and checkpointed (one per aging key).",
 	"snapshot_opens":    "Checkpoint blobs verified, audited and opened for forking.",
 	"snapshot_restores": "Replay jobs forked from a stored aging checkpoint.",
+	"series_unreadable": "Fetches of a stored sample series that did not decode and were answered as if it were absent.",
 }
 
 // handleMetrics renders the service metrics in Prometheus text exposition
@@ -765,6 +805,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	p.Gauge("acrossd_scheduler_draining", "1 while the scheduler is draining and rejecting submissions.", draining)
 	p.Gauge("acrossd_store_entries", "Entries in the content-addressed result store.", float64(s.store.Len()))
+	p.Counter("acrossd_store_bytes_written", "Bytes this process committed to the store: entries, checkpoints and series siblings.", float64(s.store.BytesWritten()))
 	hits, evictions, held := s.checkpoints.stats()
 	p.Counter("acrossd_checkpoint_cache_hits", "Aged jobs that forked a checkpoint already open in memory.", float64(hits))
 	p.Counter("acrossd_checkpoint_cache_evictions", "Open checkpoints dropped, least recently forked first, to hold the cache's byte budget.", float64(evictions))

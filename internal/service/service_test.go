@@ -214,6 +214,7 @@ func TestMetricsExposition(t *testing.T) {
 		"acrossd_jobs_failed_total", "acrossd_jobs_cancelled_total",
 		"acrossd_checkpoint_cache_hits_total", "acrossd_checkpoint_cache_evictions_total",
 		"acrossd_checkpoint_cache_bytes",
+		"acrossd_series_unreadable_total", "acrossd_store_bytes_written_total",
 	} {
 		if v, ok := m[name]; !ok || v != 0 {
 			t.Errorf("%s = %v, %v; want present and 0 on a fresh server", name, v, ok)

@@ -549,7 +549,7 @@ type ExperimentResult struct {
 
 // Entry is one stored job outcome: the spec that produced it and the result
 // document. A single-device replay's sampled progress series is stored
-// beside it, as the sibling <key>.samples.ndjson (see putSeries).
+// beside it, as the sibling <key>.samples.axss (see putSeries).
 type Entry struct {
 	Key    string          `json:"key"`
 	Kind   string          `json:"kind"` // "replay" | "experiment"
@@ -557,22 +557,26 @@ type Entry struct {
 	Result json.RawMessage `json:"result"`
 }
 
-// samplesExt names a replay entry's sibling: the sample series as the NDJSON
-// /progress and /artifacts/metrics serve, one json.Encoder line per sample.
-const samplesExt = ".samples.ndjson"
+// samplesExt names a replay entry's sibling: the sample series as
+// obs.EncodeSeries writes it. legacySamplesExt is the sibling daemons before
+// that wrote: the same series already formatted as NDJSON.
+const (
+	samplesExt       = ".samples.axss"
+	legacySamplesExt = ".samples.ndjson"
+)
 
-// putSeries stores a replay's sample series as its entry's sibling. It runs
-// before the entry's Put, whose rename commits both: a series without an
-// entry is unreachable (serveSeries) until a rerun overwrites it.
+// putSeries stores a replay's sample series as its entry's sibling, in the
+// sampler's own terms: formatting it is left to whoever asks for it
+// (serveSeries). It runs before the entry's Put, whose rename commits both: a
+// series without an entry is unreachable until a rerun overwrites it.
 func (s *Server) putSeries(key string, samples []obs.Sample) error {
+	blob, err := obs.EncodeSeries(samples)
+	if err != nil {
+		return err
+	}
 	return s.store.PutSibling(key, samplesExt, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		for i := range samples {
-			if err := enc.Encode(&samples[i]); err != nil {
-				return err
-			}
-		}
-		return nil
+		_, err := w.Write(blob)
+		return err
 	})
 }
 

@@ -193,6 +193,49 @@ func TestForkSnapshotsToTheBlob(t *testing.T) {
 	}
 }
 
+// TestRunnerCheckpointMatchesOpenCheckpoint: a checkpoint taken straight from
+// a live runner is the one OpenCheckpoint(r.Snapshot()) opens — same kind,
+// configuration and size, forks that snapshot to the same blob — and it is
+// detached from the runner, which goes on replaying without its forks seeing
+// any of it.
+func TestRunnerCheckpointMatchesOpenCheckpoint(t *testing.T) {
+	reqs := smallTrace(t, 0.005)
+	for _, kind := range append(Kinds(), KindDFTL) {
+		for _, cachePages := range []int{0, 64} {
+			t.Run(fmt.Sprintf("%s/cache%d", kind, cachePages), func(t *testing.T) {
+				r := newSnapRunner(t, kind, cachePages)
+				if err := r.Age(DefaultAging()); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.ReplayQD(reqs, 4); err != nil {
+					t.Fatal(err)
+				}
+				blob := mustSnapshot(t, r)
+				cp, err := r.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				opened, err := OpenCheckpoint(blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cp.Kind != opened.Kind || cp.Conf != opened.Conf || cp.Bytes() != opened.Bytes() {
+					t.Fatalf("checkpoint of %s/%d bytes, the opened blob is %s/%d", cp.Kind, cp.Bytes(), opened.Kind, opened.Bytes())
+				}
+				if !bytes.Equal(mustSnapshot(t, mustFork(t, cp)), blob) {
+					t.Fatal("a fork of the runner's checkpoint differs from the runner's snapshot")
+				}
+				if _, err := r.ReplayQD(reqs, 4); err != nil {
+					t.Fatal(err)
+				}
+				if bytes.Equal(mustSnapshot(t, r), blob) || !bytes.Equal(mustSnapshot(t, mustFork(t, cp)), blob) {
+					t.Fatal("the runner replayed on and its checkpoint moved with it")
+				}
+			})
+		}
+	}
+}
+
 // forkScratch names the fields a fork need not take from its template:
 // request-scoped scratch, callbacks bound to their own scheme, and observers.
 // TestForkSharesNoState skips exactly these, so a field added to any state

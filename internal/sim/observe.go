@@ -32,11 +32,14 @@ func (r *Runner) Sampler() *obs.Sampler { return r.sampler }
 
 // fillSample populates a sample's gauge and cumulative fields from live
 // replay state. It runs only when a sampler is installed, so its
-// allocations (the per-sample busy slice) never touch the untraced path.
+// allocation (the per-sample busy columns) never touches the untraced path.
 func (r *Runner) fillSample(sm *obs.Sample, res *Result, queueDepth int, hostPagesWritten int64) {
 	dev := r.Scheme.Device()
 	sm.QueueDepth = queueDepth
-	sm.ChipBusyMs = make([]float64, dev.Sched.Chips())
+	// One allocation for both per-chip columns; the sampler fills the second.
+	chips := dev.Sched.Chips()
+	busy := make([]float64, 2*chips)
+	sm.ChipBusyMs, sm.ChipBusyFrac = busy[:chips:chips], busy[chips:]
 	for i := range sm.ChipBusyMs {
 		sm.ChipBusyMs[i] = dev.Sched.BusyTime(i)
 	}

@@ -51,12 +51,13 @@ func (r *Runner) Snapshot() ([]byte, error) {
 }
 
 // Checkpoint is an opened snapshot: the one runner OpenCheckpoint decoded
-// from the blob, verified and audited, kept as a template that any number
-// of runners are forked from by plain state copy. Nothing replays on the
-// template, observes it or writes to it after OpenCheckpoint returns — Fork
-// only reads it, into tables the fork owns — so a Checkpoint is safe for
-// concurrent use and a fork can never see another fork's writes. The blob
-// and its inflated body are not kept.
+// from the blob, verified and audited — or a copy of a live runner
+// (Runner.Checkpoint) — kept as a template that any number of runners are
+// forked from by plain state copy. Nothing replays on the template, observes
+// it or writes to it once the checkpoint exists — Fork only reads it, into
+// tables the fork owns — so a Checkpoint is safe for concurrent use and a
+// fork can never see another fork's writes. The blob and its inflated body
+// are not kept.
 type Checkpoint struct {
 	// Kind and Conf are the scheme and device configuration the snapshot
 	// was taken with.
@@ -81,6 +82,21 @@ func OpenCheckpoint(blob []byte) (*Checkpoint, error) {
 	if _, c.bytes, err = c.fork(); err != nil {
 		return nil, err
 	}
+	return c, nil
+}
+
+// Checkpoint opens a checkpoint of the runner's present state without the
+// trip through a blob — for a caller that warmed r itself and has nothing to
+// verify, which encoding, inflating, decoding and auditing would cost several
+// times the ageing. The template is a copy of r, so r stays the caller's to
+// replay on.
+func (r *Runner) Checkpoint() (*Checkpoint, error) {
+	c := &Checkpoint{Kind: r.Kind, Conf: *r.Conf, template: r}
+	t, n, err := c.fork()
+	if err != nil {
+		return nil, err
+	}
+	c.template, c.bytes = t, n
 	return c, nil
 }
 

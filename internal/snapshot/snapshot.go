@@ -227,6 +227,17 @@ func (e *Encoder) Finish() ([]byte, error) {
 // hardening as snapshot containers, reusable by other versioned binary
 // artifacts (the trace-v2 workload container is one). Open is its inverse.
 func Seal(containerMagic string, version uint32, e *Encoder) ([]byte, error) {
+	return seal(containerMagic, version, e, flagCompressed)
+}
+
+// SealRaw is Seal with the body stored as it is (flag bit 0 clear): for a
+// small artifact written on a hot path, where DEFLATE would cost more than
+// the bytes it saves. Open reads either.
+func SealRaw(containerMagic string, version uint32, e *Encoder) ([]byte, error) {
+	return seal(containerMagic, version, e, 0)
+}
+
+func seal(containerMagic string, version uint32, e *Encoder, flags uint32) ([]byte, error) {
 	if len(containerMagic) != 4 {
 		return nil, fmt.Errorf("%w: magic %q must be 4 bytes", ErrFormat, containerMagic)
 	}
@@ -238,16 +249,23 @@ func Seal(containerMagic string, version uint32, e *Encoder) ([]byte, error) {
 	for _, c := range e.chunks {
 		sum.Write(c)
 	}
-
-	// Header and compressed body go into one buffer, sized for the 9:1 or
-	// better an aged device compresses at so it rarely regrows.
-	out := bytes.NewBuffer(make([]byte, 0, headerSize+e.size/8))
 	var hdr [headerSize]byte
 	copy(hdr[:4], containerMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], version)
-	binary.LittleEndian.PutUint32(hdr[8:], flagCompressed)
+	binary.LittleEndian.PutUint32(hdr[8:], flags)
 	binary.LittleEndian.PutUint64(hdr[12:], uint64(e.size))
 	sum.Sum(hdr[:20])
+
+	if flags&flagCompressed == 0 {
+		out := append(make([]byte, 0, headerSize+e.size), hdr[:]...)
+		for _, c := range e.chunks {
+			out = append(out, c...)
+		}
+		return out, nil
+	}
+	// Header and compressed body go into one buffer, sized for the 9:1 or
+	// better an aged device compresses at so it rarely regrows.
+	out := bytes.NewBuffer(make([]byte, 0, headerSize+e.size/8))
 	out.Write(hdr[:])
 	fw, err := flate.NewWriter(out, flate.BestSpeed)
 	if err != nil {

@@ -236,6 +236,58 @@ func TestDecoderUncompressedBody(t *testing.T) {
 	}
 }
 
+// TestSealRawRoundTrip: SealRaw writes the container sealRaw builds by hand
+// — the flags word clear, the body's chunks verbatim behind the header — Open
+// reads it back, and sealing the same encoder compressed is unaffected.
+func TestSealRawRoundTrip(t *testing.T) {
+	fill := func() *Encoder {
+		e := NewEncoder()
+		e.Tag("raw")
+		col := e.I64Slab(3 * chunkBytes / 8) // a chunk of its own between two shared ones
+		for i := 0; i < 3*chunkBytes/8; i++ {
+			col.Set(i, int64(i)*7)
+		}
+		e.Str("tail")
+		return e
+	}
+	e := fill()
+	var body []byte
+	for _, c := range e.chunks {
+		body = append(body, c...)
+	}
+	raw, err := SealRaw(magic, Version, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, sealRaw(body)) {
+		t.Fatalf("SealRaw wrote %d bytes, the hand-built container is %d", len(raw), len(sealRaw(body)))
+	}
+	packed, err := Seal(magic, Version, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh, _ := fill().Finish(); !bytes.Equal(packed, fresh) || len(packed) >= len(raw) {
+		t.Fatalf("Seal after SealRaw wrote %d bytes, a fresh encoder %d, raw %d", len(packed), len(fresh), len(raw))
+	}
+	for name, blob := range map[string][]byte{"raw": raw, "compressed": packed} {
+		d, err := Open(magic, Version, blob)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		d.Tag("raw")
+		col := d.I64View()
+		if col.Len() != 3*chunkBytes/8 || col.At(col.Len()-1) != int64(col.Len()-1)*7 {
+			t.Errorf("%s: column of %d", name, col.Len())
+		}
+		if got := d.Str(); got != "tail" || d.Finish() != nil {
+			t.Errorf("%s: tail %q, %v", name, got, d.Finish())
+		}
+	}
+	if _, err := SealRaw("toolong", Version, e); !errors.Is(err, ErrFormat) {
+		t.Errorf("SealRaw with a 7-byte magic: %v", err)
+	}
+}
+
 // sealRaw wraps a body in an uncompressed container (test helper mirroring
 // what Finish does for the compressed path).
 func sealRaw(body []byte) []byte {

@@ -7,9 +7,10 @@
 //
 // Layout: <dir>/<key[:2]>/<key>.json, one compact JSON document per entry,
 // written atomically (temp file + rename) so a crash mid-write never leaves
-// a half-entry that a later Get would misparse. Bulk data that readers only
-// ever copy lives beside its entry as a sibling file, <key><ext>, written
-// the same way and before the entry: the entry's rename is the commit point.
+// a half-entry that a later Get would misparse. Bulk data that a reader of
+// the entry does not need lives beside it as a sibling file, <key><ext>,
+// written the same way and before the entry: the entry's rename is the commit
+// point.
 package store
 
 import (
@@ -25,6 +26,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // HashJSON computes the canonical content address of v: the SHA-256 of its
@@ -43,8 +45,9 @@ func HashJSON(v any) (string, error) {
 // Store is a directory of content-addressed JSON entries. All methods are
 // safe for concurrent use.
 type Store struct {
-	dir string
-	mu  sync.Mutex
+	dir     string
+	mu      sync.Mutex
+	written atomic.Int64
 }
 
 // Open creates (if needed) and opens the store rooted at dir.
@@ -60,6 +63,10 @@ func Open(dir string) (*Store, error) {
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
+
+// BytesWritten counts the bytes of every entry and sibling this Store has
+// committed since Open.
+func (s *Store) BytesWritten() int64 { return s.written.Load() }
 
 // path maps a key to its entry file, rejecting anything that is not a hex
 // digest (keys are never user-controlled paths).
@@ -133,6 +140,10 @@ func (s *Store) writeFile(p string, write func(io.Writer) error) error {
 	if err == nil {
 		err = bw.Flush()
 	}
+	var size int64
+	if err == nil {
+		size, err = tmp.Seek(0, io.SeekCurrent) // written front to back: the offset is the length
+	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
@@ -145,6 +156,7 @@ func (s *Store) writeFile(p string, write func(io.Writer) error) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: writing %s: %w", name, err)
 	}
+	s.written.Add(size)
 	return nil
 }
 

@@ -494,3 +494,35 @@ func TestConcurrentPutsOverlap(t *testing.T) {
 		t.Fatalf("temp debris left behind: %v", debris)
 	}
 }
+
+// TestBytesWrittenCountsCommittedFiles: BytesWritten is the size of every
+// entry and sibling committed since Open — not of writes that failed, not of
+// what an earlier process left in the directory.
+func TestBytesWrittenCountsCommittedFiles(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir)
+	key, _ := HashJSON("counted")
+	if err := s.Put(key, bigBlob()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutSibling(key, ".x", func(w io.Writer) error {
+		_, err := io.WriteString(w, strings.Repeat("x", 100<<10))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s.PutSibling(key, ".y", func(w io.Writer) error {
+		io.WriteString(w, strings.Repeat("y", 100<<10))
+		return errors.New("boom")
+	})
+	entry, err := os.Stat(filepath.Join(dir, key[:2], key+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.BytesWritten(), entry.Size()+100<<10; got != want {
+		t.Fatalf("BytesWritten = %d, want the entry's %d + the sibling's %d", got, entry.Size(), 100<<10)
+	}
+	if again, _ := Open(dir); again.BytesWritten() != 0 {
+		t.Fatalf("a reopened store starts at %d bytes written", again.BytesWritten())
+	}
+}
