@@ -20,22 +20,26 @@ import (
 func (a *Array) SnapshotState(enc *snapshot.Encoder) error {
 	enc.Tag("flash")
 	n := len(a.meta)
-	states := enc.ByteSlab(n)
-	for i, m := range a.meta {
-		states[i] = m & stateMask
-	}
-	kinds := enc.ByteSlab(n)
-	for i := range kinds {
-		kinds[i] = a.TagOf(PPN(i)).Kind
-	}
-	keys := enc.I64Slab(n)
-	for i := 0; i < n; i++ {
-		keys.Set(i, a.TagOf(PPN(i)).Key)
-	}
-	aux := enc.I64Slab(n)
-	for i := 0; i < n; i++ {
-		aux.Set(i, a.TagOf(PPN(i)).Aux)
-	}
+	enc.Column(n, 1, func(dst []byte, first int) {
+		for i, m := range a.meta[first : first+len(dst)] {
+			dst[i] = m & stateMask
+		}
+	})
+	enc.Column(n, 1, func(dst []byte, first int) {
+		for i := range dst {
+			dst[i] = a.TagOf(PPN(first + i)).Kind
+		}
+	})
+	enc.Column(n, 8, func(dst []byte, first int) {
+		for i := range len(dst) / 8 {
+			snapshot.PutI64(dst, i, a.TagOf(PPN(first+i)).Key)
+		}
+	})
+	enc.Column(n, 8, func(dst []byte, first int) {
+		for i := range len(dst) / 8 {
+			snapshot.PutI64(dst, i, a.TagOf(PPN(first+i)).Aux)
+		}
+	})
 	enc.I32s(a.writePtr)
 	enc.I32s(a.validCount)
 	enc.I64s(a.eraseCount)
@@ -46,72 +50,123 @@ func (a *Array) SnapshotState(enc *snapshot.Encoder) error {
 }
 
 // RestoreState reads state written by SnapshotState into an array built for
-// the same geometry — each column narrowed straight from the body into the
-// array, validating sizes first and per-page/per-block invariants on the
-// way — and rebuilds the victim index from the restored block metadata. A
-// tag the packed columns cannot hold, or any tag on a page that is not
-// valid, is refused as snapshot.ErrCorrupt. A receiver whose restore failed
-// is left part-written and must be dropped.
+// the same geometry — each column narrowed block by block from the stream
+// into the array, its count held to the geometry and every element checked
+// against its range and against the columns that arrived before it — and
+// rebuilds the victim index from the restored block metadata. A tag the
+// packed columns cannot hold, or any part of a tag but NilTag's on a page
+// that is not valid, is refused as snapshot.ErrCorrupt. A receiver whose
+// restore failed is left part-written and must be dropped.
 func (a *Array) RestoreState(dec *snapshot.Decoder) error {
 	dec.Tag("flash")
-	states := dec.BytesView()
-	kinds := dec.BytesView()
-	keys := dec.I64View()
-	aux := dec.I64View()
-	writePtr := dec.I32View()
-	validCount := dec.I32View()
-	eraseCount := dec.I64View()
-	erases := dec.I64()
-	programs := dec.I64()
-	reads := dec.I64()
+	pages, blocks := len(a.meta), len(a.writePtr)
+	dec.Column(1, pages, func(src []byte, first int) error {
+		for i, st := range src {
+			if PageState(st) > PageInvalid {
+				return fmt.Errorf("flash: snapshot page %d has invalid state %d", first+i, st)
+			}
+		}
+		copy(a.meta[first:], src)
+		return nil
+	})
+	dec.Column(1, pages, func(src []byte, first int) error {
+		for i, kind := range src {
+			switch p := first + i; {
+			case a.meta[p] != uint8(PageValid): // the byte holds the state alone so far
+				if kind != NilTag.Kind {
+					return a.tagErr(p, "kind", int64(kind))
+				}
+			case kind > MaxKind:
+				return a.tagErr(p, "kind", int64(kind))
+			default:
+				a.meta[p] |= kind << kindShift
+			}
+		}
+		return nil
+	})
+	dec.Column(8, pages, func(src []byte, first int) error {
+		for i := range len(src) / 8 {
+			switch p, key := first+i, snapshot.I64(src, i); {
+			case a.meta[p]&stateMask != uint8(PageValid):
+				if key != NilTag.Key {
+					return a.tagErr(p, "key", key)
+				}
+			case int64(int32(key)) != key:
+				return a.tagErr(p, "key", key)
+			default:
+				a.key[p] = int32(key)
+			}
+		}
+		return nil
+	})
+	dec.Column(8, pages, func(src []byte, first int) error {
+		for i := range len(src) / 8 {
+			p, aux := first+i, snapshot.I64(src, i)
+			if a.meta[p]&stateMask != uint8(PageValid) {
+				if aux != NilTag.Aux {
+					return a.tagErr(p, "aux", aux)
+				}
+				continue
+			}
+			if a.aux == nil && aux != 0 {
+				a.aux = make([]int64, pages)
+			}
+			if a.aux != nil {
+				a.aux[p] = aux
+			}
+		}
+		return nil
+	})
+	ppb := int32(a.Geo.PagesPerBlock)
+	dec.Column(4, blocks, func(src []byte, first int) error {
+		for i := range len(src) / 4 {
+			wp := snapshot.I32(src, i)
+			if wp < 0 || wp > ppb {
+				return fmt.Errorf("flash: snapshot block %d write pointer %d outside [0,%d]", first+i, wp, ppb)
+			}
+			a.writePtr[first+i] = wp
+		}
+		return nil
+	})
+	dec.Column(4, blocks, func(src []byte, first int) error {
+		for i := range len(src) / 4 {
+			vc, wp := snapshot.I32(src, i), a.writePtr[first+i]
+			if vc < 0 || vc > wp {
+				return fmt.Errorf("flash: snapshot block %d valid count %d outside [0,%d]", first+i, vc, wp)
+			}
+			a.validCount[first+i] = vc
+		}
+		return nil
+	})
+	dec.Column(8, blocks, func(src []byte, first int) error {
+		for i := range len(src) / 8 {
+			if a.eraseCount[first+i] = snapshot.I64(src, i); a.eraseCount[first+i] < 0 {
+				return fmt.Errorf("flash: snapshot block %d negative erase count", first+i)
+			}
+		}
+		return nil
+	})
+	a.erases, a.programs, a.reads = dec.I64(), dec.I64(), dec.I64()
 	if err := dec.Err(); err != nil {
 		return err
 	}
-
-	pages, blocks := int(a.Geo.TotalPages()), int(a.Geo.TotalBlocks())
-	if len(states) != pages || len(kinds) != pages || keys.Len() != pages || aux.Len() != pages {
-		return fmt.Errorf("flash: snapshot page arrays sized %d/%d/%d/%d, geometry has %d pages",
-			len(states), len(kinds), keys.Len(), aux.Len(), pages)
-	}
-	if writePtr.Len() != blocks || validCount.Len() != blocks || eraseCount.Len() != blocks {
-		return fmt.Errorf("flash: snapshot block arrays sized %d/%d/%d, geometry has %d blocks",
-			writePtr.Len(), validCount.Len(), eraseCount.Len(), blocks)
-	}
-	for i, st := range states {
-		if PageState(st) > PageInvalid {
-			return fmt.Errorf("flash: snapshot page %d has invalid state %d", i, st)
-		}
-		tag := Tag{Kind: kinds[i], Key: keys.At(i), Aux: aux.At(i)}
-		if PageState(st) != PageValid {
-			if tag != NilTag {
-				return fmt.Errorf("%w: flash page %d is %v but carries tag %+v", snapshot.ErrCorrupt, i, PageState(st), tag)
-			}
-			a.meta[i] = st
-		} else if err := a.setValid(PPN(i), tag); err != nil {
-			return fmt.Errorf("%w: %w", snapshot.ErrCorrupt, err)
-		}
-	}
-	ppb := int32(a.Geo.PagesPerBlock)
 	a.vidx.init(&a.Geo)
-	for b := range a.writePtr {
-		wp, vc, ec := writePtr.At(b), validCount.At(b), eraseCount.At(b)
-		if wp < 0 || wp > ppb {
-			return fmt.Errorf("flash: snapshot block %d write pointer %d outside [0,%d]", b, wp, ppb)
-		}
-		if vc < 0 || vc > wp {
-			return fmt.Errorf("flash: snapshot block %d valid count %d outside [0,%d]", b, vc, wp)
-		}
-		if ec < 0 {
-			return fmt.Errorf("flash: snapshot block %d negative erase count", b)
-		}
-		a.writePtr[b], a.validCount[b], a.eraseCount[b] = wp, vc, ec
+	for b, wp := range a.writePtr {
 		if wp == ppb {
 			bid := BlockID(b)
-			a.vidx.blockFilled(a.Geo.PlaneOfBlock(bid), bid, int(vc))
+			a.vidx.blockFilled(a.Geo.PlaneOfBlock(bid), bid, int(a.validCount[b]))
 		}
 	}
-	a.erases, a.programs, a.reads = erases, programs, reads
 	return nil
+}
+
+// tagErr refuses one column's share of page p's tag: on a valid page a
+// value the packed column cannot hold, on any other anything but NilTag's.
+func (a *Array) tagErr(p int, what string, v int64) error {
+	if st := a.State(PPN(p)); st != PageValid {
+		return fmt.Errorf("%w: flash page %d is %v but carries tag %s %d", snapshot.ErrCorrupt, p, st, what, v)
+	}
+	return fmt.Errorf("%w: %w: ppn %d, tag %s %d", snapshot.ErrCorrupt, ErrTagRange, p, what, v)
 }
 
 // CopyState makes the array a copy of src, an array of the same geometry,

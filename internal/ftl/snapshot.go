@@ -18,10 +18,7 @@ func (a *Allocator) SnapshotState(enc *snapshot.Encoder) error {
 	enc.I64(int64(len(a.planes)))
 	for pl := range a.planes {
 		st := &a.planes[pl]
-		free := enc.I64Slab(len(st.freeBlocks))
-		for i, b := range st.freeBlocks {
-			free.Set(i, int64(b))
-		}
+		snapshot.I64Column(enc, st.freeBlocks)
 		enc.I64(int64(st.active))
 		enc.I64(int64(st.gcActive))
 		enc.I64(st.freePages)
@@ -46,22 +43,24 @@ func (a *Allocator) RestoreState(dec *snapshot.Decoder) error {
 	}
 	geo := a.dev.Array.Geo
 	for pl := range a.planes {
-		free := dec.I64View()
+		lo, hi := geo.BlocksOfPlane(flash.PlaneID(pl))
+		st := &a.planes[pl]
+		st.freeBlocks = st.freeBlocks[:0]
+		dec.Column(8, -1, func(src []byte, _ int) error {
+			for i := range len(src) / 8 {
+				b := snapshot.I64(src, i)
+				if b < int64(lo) || b >= int64(hi) {
+					return fmt.Errorf("ftl: snapshot free block %d outside plane %d [%d,%d)", b, pl, lo, hi)
+				}
+				st.freeBlocks = append(st.freeBlocks, flash.BlockID(b))
+			}
+			return nil
+		})
 		active := dec.I64()
 		gcActive := dec.I64()
 		freePages := dec.I64()
 		if err := dec.Err(); err != nil {
 			return err
-		}
-		lo, hi := geo.BlocksOfPlane(flash.PlaneID(pl))
-		st := &a.planes[pl]
-		st.freeBlocks = st.freeBlocks[:0]
-		for i := 0; i < free.Len(); i++ {
-			b := free.At(i)
-			if b < int64(lo) || b >= int64(hi) {
-				return fmt.Errorf("ftl: snapshot free block %d outside plane %d [%d,%d)", b, pl, lo, hi)
-			}
-			st.freeBlocks = append(st.freeBlocks, flash.BlockID(b))
 		}
 		for _, b := range []int64{active, gcActive} {
 			if b != -1 && (b < int64(lo) || b >= int64(hi)) {
@@ -83,22 +82,21 @@ func (a *Allocator) RestoreState(dec *snapshot.Decoder) error {
 // and location columns in ascending id order, the format's canonical one.
 func (m *MapStore) SnapshotState(enc *snapshot.Encoder) error {
 	enc.Tag("mapstore")
-	ids := enc.I64Slab(m.resident)
-	n := 0
-	for id, ppn := range m.loc {
-		if flash.PPN(ppn) != flash.NilPPN {
-			ids.Set(n, int64(id))
-			n++
-		}
+	// resident writes, for each resident page in id order, what of picks of
+	// it; a column's blocks arrive in order, so the walk resumes at next.
+	resident := func(of func(id int, ppn int32) int64) {
+		next := 0
+		enc.Column(m.resident, 8, func(dst []byte, _ int) {
+			for i := 0; i < len(dst)/8; next++ {
+				if ppn := m.loc[next]; flash.PPN(ppn) != flash.NilPPN {
+					snapshot.PutI64(dst, i, of(next, ppn))
+					i++
+				}
+			}
+		})
 	}
-	ppns := enc.I64Slab(m.resident)
-	n = 0
-	for _, ppn := range m.loc {
-		if flash.PPN(ppn) != flash.NilPPN {
-			ppns.Set(n, int64(ppn))
-			n++
-		}
-	}
+	resident(func(id int, _ int32) int64 { return int64(id) })
+	resident(func(_ int, ppn int32) int64 { return int64(ppn) })
 	return nil
 }
 
@@ -106,29 +104,31 @@ func (m *MapStore) SnapshotState(enc *snapshot.Encoder) error {
 // id, an id outside the owner's table and a location outside the device.
 func (m *MapStore) RestoreState(dec *snapshot.Decoder) error {
 	dec.Tag("mapstore")
-	ids := dec.I64View()
-	ppns := dec.I64View()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if ids.Len() != ppns.Len() {
-		return fmt.Errorf("ftl: snapshot map store columns sized %d/%d", ids.Len(), ppns.Len())
-	}
-	for i := 0; i < ids.Len(); i++ {
-		id, ppn := ids.At(i), flash.PPN(ppns.At(i))
-		if id < 0 || id >= int64(len(m.loc)) {
-			return fmt.Errorf("%w: map store page %d outside [0,%d)", snapshot.ErrCorrupt, id, len(m.loc))
+	var ids []int32 // wait for their locations; grows as they arrive
+	m.resident = dec.Column(8, -1, func(src []byte, _ int) error {
+		for i := range len(src) / 8 {
+			id := snapshot.I64(src, i)
+			if id < 0 || id >= int64(len(m.loc)) {
+				return fmt.Errorf("%w: map store page %d outside [0,%d)", snapshot.ErrCorrupt, id, len(m.loc))
+			}
+			ids = append(ids, int32(id))
 		}
-		if flash.PPN(m.loc[id]) != flash.NilPPN {
-			return fmt.Errorf("ftl: snapshot map store page %d duplicated", id)
+		return nil
+	})
+	dec.Column(8, m.resident, func(src []byte, first int) error {
+		for i := range len(src) / 8 {
+			id, ppn := ids[first+i], flash.PPN(snapshot.I64(src, i))
+			if flash.PPN(m.loc[id]) != flash.NilPPN {
+				return fmt.Errorf("ftl: snapshot map store page %d duplicated", id)
+			}
+			if err := m.dev.Array.Geo.CheckPPN(ppn); err != nil {
+				return fmt.Errorf("%w: map store page %d: %v", snapshot.ErrCorrupt, id, err)
+			}
+			m.loc[id] = int32(ppn)
 		}
-		if err := m.dev.Array.Geo.CheckPPN(ppn); err != nil {
-			return fmt.Errorf("%w: map store page %d: %v", snapshot.ErrCorrupt, id, err)
-		}
-		m.loc[id] = int32(ppn)
-	}
-	m.resident = ids.Len()
-	return nil
+		return nil
+	})
+	return dec.Err()
 }
 
 // SnapshotBase appends the state shared by every scheme: chip and bus

@@ -10,18 +10,16 @@ import (
 )
 
 // SnapshotState appends the full page mapping table as parallel PPN and
-// AIdx columns, widened to the format's 64- and 32-bit slabs; an AIdx
+// AIdx columns, widened to the format's 64- and 32-bit columns; an AIdx
 // column that was never allocated is written as all NoAIdx.
 func (t *PMT) SnapshotState(enc *snapshot.Encoder) error {
 	enc.Tag("pmt")
-	ppns := enc.I64Slab(len(t.ppn))
-	for i, p := range t.ppn {
-		ppns.Set(i, int64(p))
-	}
-	aidx := enc.I32Slab(len(t.ppn))
-	for i := range t.ppn {
-		aidx.Set(i, t.AIdxOf(int64(i)))
-	}
+	snapshot.I64Column(enc, t.ppn)
+	enc.Column(len(t.ppn), 4, func(dst []byte, first int) {
+		for i := range len(dst) / 4 {
+			snapshot.PutI32(dst, i, t.AIdxOf(int64(first+i)))
+		}
+	})
 	return nil
 }
 
@@ -30,23 +28,23 @@ func (t *PMT) SnapshotState(enc *snapshot.Encoder) error {
 // column cannot hold is refused as snapshot.ErrCorrupt.
 func (t *PMT) RestoreState(dec *snapshot.Decoder) error {
 	dec.Tag("pmt")
-	ppns := dec.I64View()
-	aidx := dec.I32View()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if ppns.Len() != len(t.ppn) || aidx.Len() != len(t.ppn) {
-		return fmt.Errorf("mapping: snapshot PMT has %d/%d entries, receiver has %d", ppns.Len(), aidx.Len(), len(t.ppn))
-	}
-	for i := range t.ppn {
-		p := ppns.At(i)
-		if int64(int32(p)) != p {
-			return fmt.Errorf("%w: PMT entry %d holds PPN %d, beyond the 32-bit table", snapshot.ErrCorrupt, i, p)
+	dec.Column(8, len(t.ppn), func(src []byte, first int) error {
+		for i := range len(src) / 8 {
+			p := snapshot.I64(src, i)
+			if int64(int32(p)) != p {
+				return fmt.Errorf("%w: PMT entry %d holds PPN %d, beyond the 32-bit table", snapshot.ErrCorrupt, first+i, p)
+			}
+			t.ppn[first+i] = int32(p)
 		}
-		t.ppn[i] = int32(p)
-		t.SetAIdx(int64(i), aidx.At(i))
-	}
-	return nil
+		return nil
+	})
+	dec.Column(4, len(t.ppn), func(src []byte, first int) error {
+		for i := range len(src) / 4 {
+			t.SetAIdx(int64(first+i), snapshot.I32(src, i))
+		}
+		return nil
+	})
+	return dec.Err()
 }
 
 // SnapshotState appends the across-page mapping table: the entry pool as
@@ -56,30 +54,34 @@ func (t *PMT) RestoreState(dec *snapshot.Decoder) error {
 func (a *AMT) SnapshotState(enc *snapshot.Encoder) error {
 	enc.Tag("amt")
 	n := len(a.entries)
-	lpns := enc.I64Slab(n)
-	for i := range a.entries {
-		lpns.Set(i, a.entries[i].LPN)
-	}
-	offs := enc.I32Slab(n)
-	for i := range a.entries {
-		offs.Set(i, a.entries[i].Off)
-	}
-	sizes := enc.I32Slab(n)
-	for i := range a.entries {
-		sizes.Set(i, a.entries[i].Size)
-	}
-	appns := enc.I64Slab(n)
-	for i := range a.entries {
-		appns.Set(i, int64(a.entries[i].APPN))
-	}
-	inUse := enc.ByteSlab(n)
-	for i, u := range a.inUse {
-		if u {
-			inUse[i] = 1
-		} else {
-			inUse[i] = 0
+	enc.Column(n, 8, func(dst []byte, first int) {
+		for i := range len(dst) / 8 {
+			snapshot.PutI64(dst, i, a.entries[first+i].LPN)
 		}
-	}
+	})
+	enc.Column(n, 4, func(dst []byte, first int) {
+		for i := range len(dst) / 4 {
+			snapshot.PutI32(dst, i, a.entries[first+i].Off)
+		}
+	})
+	enc.Column(n, 4, func(dst []byte, first int) {
+		for i := range len(dst) / 4 {
+			snapshot.PutI32(dst, i, a.entries[first+i].Size)
+		}
+	})
+	enc.Column(n, 8, func(dst []byte, first int) {
+		for i := range len(dst) / 8 {
+			snapshot.PutI64(dst, i, int64(a.entries[first+i].APPN))
+		}
+	})
+	enc.Column(n, 1, func(dst []byte, first int) {
+		for i := range dst {
+			dst[i] = 0
+			if a.inUse[first+i] {
+				dst[i] = 1
+			}
+		}
+	})
 	enc.I32s(a.free)
 	enc.I64(int64(a.live))
 	enc.I64(int64(a.peak))
@@ -87,47 +89,63 @@ func (a *AMT) SnapshotState(enc *snapshot.Encoder) error {
 }
 
 // RestoreState reads state written by SnapshotState, rebuilding the entry
-// pool (the AMT grows by appending, so a fresh receiver starts empty).
+// pool (the AMT grows by appending, so a fresh receiver starts empty): the
+// first column grows it as its blocks arrive, never by the count claimed,
+// and the others must match it.
 func (a *AMT) RestoreState(dec *snapshot.Decoder) error {
 	dec.Tag("amt")
-	lpns := dec.I64View()
-	offs := dec.I32View()
-	sizes := dec.I32View()
-	appns := dec.I64View()
-	inUse := dec.BytesView()
+	a.entries = a.entries[:0]
+	n := dec.Column(8, -1, func(src []byte, _ int) error {
+		a.entries = slices.Grow(a.entries, len(src)/8)
+		for i := range len(src) / 8 {
+			a.entries = append(a.entries, AMTEntry{LPN: snapshot.I64(src, i)})
+		}
+		return nil
+	})
+	dec.Column(4, n, func(src []byte, first int) error {
+		for i := range len(src) / 4 {
+			a.entries[first+i].Off = snapshot.I32(src, i)
+		}
+		return nil
+	})
+	dec.Column(4, n, func(src []byte, first int) error {
+		for i := range len(src) / 4 {
+			a.entries[first+i].Size = snapshot.I32(src, i)
+		}
+		return nil
+	})
+	dec.Column(8, n, func(src []byte, first int) error {
+		for i := range len(src) / 8 {
+			a.entries[first+i].APPN = flash.PPN(snapshot.I64(src, i))
+		}
+		return nil
+	})
+	a.inUse = make([]bool, n) // n elements have arrived: the count is no longer a claim
+	liveCount := 0
+	dec.Column(1, n, func(src []byte, first int) error {
+		for i, u := range src {
+			if u > 1 {
+				return fmt.Errorf("mapping: snapshot AMT in-use byte %d is %d", first+i, u)
+			}
+			a.inUse[first+i] = u == 1
+			liveCount += int(u)
+		}
+		return nil
+	})
 	free := dec.I32s()
 	live := dec.I64()
 	peak := dec.I64()
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	n := lpns.Len()
-	if offs.Len() != n || sizes.Len() != n || appns.Len() != n || len(inUse) != n {
-		return fmt.Errorf("mapping: snapshot AMT columns sized %d/%d/%d/%d/%d", n, offs.Len(), sizes.Len(), appns.Len(), len(inUse))
-	}
-	liveCount := 0
-	for i, u := range inUse {
-		if u > 1 {
-			return fmt.Errorf("mapping: snapshot AMT in-use byte %d is %d", i, u)
-		}
-		if u == 1 {
-			liveCount++
-		}
-	}
 	if int64(liveCount) != live || live > peak || int64(len(free))+live != int64(n) {
 		return fmt.Errorf("mapping: snapshot AMT accounting inconsistent (live %d, counted %d, peak %d, free %d, slots %d)",
 			live, liveCount, peak, len(free), n)
 	}
 	for _, f := range free {
-		if f < 0 || int(f) >= n || inUse[f] == 1 {
+		if f < 0 || int(f) >= n || a.inUse[f] {
 			return fmt.Errorf("mapping: snapshot AMT free index %d invalid", f)
 		}
-	}
-	a.entries = make([]AMTEntry, n)
-	a.inUse = make([]bool, n)
-	for i := range a.entries {
-		a.entries[i] = AMTEntry{LPN: lpns.At(i), Off: offs.At(i), Size: sizes.At(i), APPN: flash.PPN(appns.At(i))}
-		a.inUse[i] = inUse[i] == 1
 	}
 	a.free = free
 	a.live = int(live)

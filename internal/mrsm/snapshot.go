@@ -16,12 +16,9 @@ func (s *Scheme) SnapshotState(enc *snapshot.Encoder) error {
 	if err := s.SnapshotBase(enc); err != nil {
 		return err
 	}
-	widen(enc.I64Slab(len(s.subLoc)), s.subLoc)
-	widen(enc.I64Slab(len(s.pageOwner)), s.pageOwner)
-	live := enc.I32Slab(len(s.pageLive))
-	for i, n := range s.pageLive {
-		live.Set(i, int32(n))
-	}
+	snapshot.I64Column(enc, s.subLoc)
+	snapshot.I64Column(enc, s.pageOwner)
+	snapshot.I32Column(enc, s.pageLive)
 	enc.I32s(s.nodeDirty)
 	enc.I64s(s.bufList)
 	if err := s.cmt.SnapshotState(enc); err != nil {
@@ -30,24 +27,20 @@ func (s *Scheme) SnapshotState(enc *snapshot.Encoder) error {
 	return s.ms.SnapshotState(enc)
 }
 
-// widen writes a 32-bit column into the 64-bit slab the format gives it.
-func widen(dst snapshot.I64Slab, col []int32) {
-	for i, v := range col {
-		dst.Set(i, int64(v))
-	}
-}
-
-// narrow is widen's inverse. It refuses any value but unmapped or an index
-// into the other table (limit is its length) as snapshot.ErrCorrupt.
-func narrow(dst []int32, src snapshot.I64View, limit int, what string) error {
-	for i := range dst {
-		v := src.At(i)
-		if v < unmapped || v >= int64(limit) {
-			return fmt.Errorf("%w: mrsm %s entry %d is %d, outside [-1,%d)", snapshot.ErrCorrupt, what, i, v, limit)
+// narrow reads a 64-bit column into a 32-bit table of the receiver's size.
+// It refuses any value but unmapped or an index into the other table (limit
+// is its length) as snapshot.ErrCorrupt.
+func narrow(dec *snapshot.Decoder, dst []int32, limit int, what string) {
+	dec.Column(8, len(dst), func(src []byte, first int) error {
+		for i := range len(src) / 8 {
+			v := snapshot.I64(src, i)
+			if v < unmapped || v >= int64(limit) {
+				return fmt.Errorf("%w: mrsm %s entry %d is %d, outside [-1,%d)", snapshot.ErrCorrupt, what, first+i, v, limit)
+			}
+			dst[first+i] = int32(v)
 		}
-		dst[i] = int32(v)
-	}
-	return nil
+		return nil
+	})
 }
 
 // RestoreState implements snapshot.Snapshotter. All array sizes are derived
@@ -59,19 +52,27 @@ func (s *Scheme) RestoreState(dec *snapshot.Decoder) error {
 	if err := s.RestoreBase(dec); err != nil {
 		return err
 	}
-	subLoc := dec.I64View()
-	pageOwner := dec.I64View()
-	pageLive := dec.I32View()
-	nodeDirty := dec.I32View()
+	narrow(dec, s.subLoc, len(s.pageOwner), "location")
+	narrow(dec, s.pageOwner, len(s.subLoc), "census")
+	dec.Column(4, len(s.pageLive), func(src []byte, first int) error {
+		for i := range len(src) / 4 {
+			n := snapshot.I32(src, i)
+			if n < 0 || int(n) > s.subPerPg {
+				return fmt.Errorf("%w: mrsm page %d has %d live slots, page fits %d", snapshot.ErrCorrupt, first+i, n, s.subPerPg)
+			}
+			s.pageLive[first+i] = uint8(n)
+		}
+		return nil
+	})
+	dec.Column(4, len(s.nodeDirty), func(src []byte, first int) error {
+		for i := range len(src) / 4 {
+			s.nodeDirty[first+i] = snapshot.I32(src, i)
+		}
+		return nil
+	})
 	bufList := dec.I64s()
 	if err := dec.Err(); err != nil {
 		return err
-	}
-	if subLoc.Len() != len(s.subLoc) || pageOwner.Len() != len(s.pageOwner) ||
-		pageLive.Len() != len(s.pageLive) || nodeDirty.Len() != len(s.nodeDirty) {
-		return fmt.Errorf("mrsm: snapshot arrays sized %d/%d/%d/%d, receiver has %d/%d/%d/%d",
-			subLoc.Len(), pageOwner.Len(), pageLive.Len(), nodeDirty.Len(),
-			len(s.subLoc), len(s.pageOwner), len(s.pageLive), len(s.nodeDirty))
 	}
 	if len(bufList) > s.subPerPg {
 		return fmt.Errorf("mrsm: snapshot pack buffer holds %d sub-pages, page fits %d", len(bufList), s.subPerPg)
@@ -81,20 +82,6 @@ func (s *Scheme) RestoreState(dec *snapshot.Decoder) error {
 			return fmt.Errorf("%w: mrsm pack buffer holds sub-page %d, outside [0,%d)", snapshot.ErrCorrupt, sub, len(s.subLoc))
 		}
 	}
-	if err := narrow(s.subLoc, subLoc, len(s.pageOwner), "location"); err != nil {
-		return err
-	}
-	if err := narrow(s.pageOwner, pageOwner, len(s.subLoc), "census"); err != nil {
-		return err
-	}
-	for i := range s.pageLive {
-		n := pageLive.At(i)
-		if n < 0 || int(n) > s.subPerPg {
-			return fmt.Errorf("%w: mrsm page %d has %d live slots, page fits %d", snapshot.ErrCorrupt, i, n, s.subPerPg)
-		}
-		s.pageLive[i] = uint8(n)
-	}
-	nodeDirty.CopyTo(s.nodeDirty)
 	s.bufList = append(s.bufList[:0], bufList...)
 	if err := s.cmt.RestoreState(dec); err != nil {
 		return err

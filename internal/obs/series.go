@@ -9,7 +9,7 @@ import (
 )
 
 // A stored sample series is a snapshot container (own magic, SHA-256 over the
-// body, not compressed) whose body is one i64 slab and a run of strings:
+// body, not compressed) whose body is one i64 column and a run of strings:
 //
 //	word 0     the number of samples, n
 //	n records  seriesWords words per sample: the scalar fields in declaration
@@ -36,10 +36,9 @@ func EncodeSeries(samples []Sample) ([]byte, error) {
 	for i := range samples {
 		chipVals += len(samples[i].ChipBusyFrac) + len(samples[i].ChipBusyMs)
 	}
-	enc := snapshot.NewEncoder()
-	words := enc.I64Slab(1 + len(samples)*seriesWords + chipVals)
-	words.Set(0, int64(len(samples)))
-	w, c := 1, 1+len(samples)*seriesWords
+	enc := snapshot.NewRawContainer(seriesMagic, seriesVersion)
+	enc.I64(int64(1 + len(samples)*seriesWords + chipVals)) // the column's count, then its words
+	enc.I64(int64(len(samples)))
 	for i := range samples {
 		s := &samples[i]
 		for _, v := range [seriesWords]int64{
@@ -51,13 +50,13 @@ func EncodeSeries(samples []Sample) ([]byte, error) {
 			lenOrNil(s.ChipBusyMs == nil, len(s.ChipBusyMs)),
 			lenOrNil(s.Custom == nil, len(s.Custom)),
 		} {
-			words.Set(w, v)
-			w++
+			enc.I64(v)
 		}
-		for _, col := range [2][]float64{s.ChipBusyFrac, s.ChipBusyMs} {
+	}
+	for i := range samples {
+		for _, col := range [2][]float64{samples[i].ChipBusyFrac, samples[i].ChipBusyMs} {
 			for _, v := range col {
-				words.Set(c, fbits(v))
-				c++
+				enc.F64(v)
 			}
 		}
 	}
@@ -73,7 +72,7 @@ func EncodeSeries(samples []Sample) ([]byte, error) {
 			enc.F64(samples[i].Custom[k])
 		}
 	}
-	return snapshot.SealRaw(seriesMagic, seriesVersion, enc)
+	return enc.Finish()
 }
 
 func fbits(v float64) int64 { return int64(math.Float64bits(v)) }
@@ -94,18 +93,31 @@ func DecodeSeries(blob []byte) ([]Sample, error) {
 	if err != nil {
 		return nil, err
 	}
-	words := dec.I64View()
+	// The count is believed only as far as the words present bear it out.
+	words := dec.Count(8)
+	n := dec.I64()
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
-	// The count is believed only as far as the words present bear it out.
-	if words.Len() == 0 || words.At(0) < 0 || words.At(0) > int64((words.Len()-1)/seriesWords) {
-		return nil, fmt.Errorf("%w: series of %d words cannot hold the samples it counts", snapshot.ErrCorrupt, words.Len())
+	if words == 0 || n < 0 || n > int64((words-1)/seriesWords) {
+		return nil, fmt.Errorf("%w: series of %d words cannot hold the samples it counts", snapshot.ErrCorrupt, words)
 	}
-	samples := make([]Sample, words.At(0))
-	vals := make([]float64, words.Len()-1-len(samples)*seriesWords)
+	samples := make([]Sample, n)
+	lens := make([][3]int64, n) // of ChipBusyFrac, ChipBusyMs and Custom
+	for i := range samples {
+		s := &samples[i]
+		s.TimeMs, s.Requests, s.ReadMeanMs, s.WriteMeanMs, s.QueueDepth = dec.F64(), dec.I64(), dec.F64(), dec.F64(), int(dec.I64())
+		s.GCDebtPages, s.WAF, s.CMTHitRate = dec.I64(), dec.F64(), dec.F64()
+		s.CumRequests, s.CumReads, s.CumWrites, s.CumReadLatSumMs, s.CumWriteLatSumMs = dec.I64(), dec.I64(), dec.I64(), dec.F64(), dec.F64()
+		s.CumFlashReads, s.CumFlashWrites, s.CumErases, s.CumGCInvocations, s.CumHostPagesWritten = dec.I64(), dec.I64(), dec.I64(), dec.I64(), dec.I64()
+		lens[i] = [3]int64{dec.I64(), dec.I64(), dec.I64()}
+	}
+	vals := make([]float64, words-1-len(samples)*seriesWords)
 	for i := range vals {
-		vals[i] = math.Float64frombits(uint64(words.At(words.Len() - len(vals) + i)))
+		vals[i] = dec.F64()
+	}
+	if err := dec.Err(); err != nil {
+		return nil, err
 	}
 	// take cuts the next n chip values off vals, capped so that an append to
 	// one sample's slice cannot reach its neighbour's.
@@ -122,19 +134,13 @@ func DecodeSeries(blob []byte) ([]Sample, error) {
 	}
 	for i := range samples {
 		s := &samples[i]
-		w := 1 + i*seriesWords
-		f := func(j int) float64 { return math.Float64frombits(uint64(words.At(w + j))) }
-		s.TimeMs, s.Requests, s.ReadMeanMs, s.WriteMeanMs, s.QueueDepth = f(0), words.At(w+1), f(2), f(3), int(words.At(w+4))
-		s.GCDebtPages, s.WAF, s.CMTHitRate = words.At(w+5), f(6), f(7)
-		s.CumRequests, s.CumReads, s.CumWrites, s.CumReadLatSumMs, s.CumWriteLatSumMs = words.At(w+8), words.At(w+9), words.At(w+10), f(11), f(12)
-		s.CumFlashReads, s.CumFlashWrites, s.CumErases, s.CumGCInvocations, s.CumHostPagesWritten = words.At(w+13), words.At(w+14), words.At(w+15), words.At(w+16), words.At(w+17)
-		if s.ChipBusyFrac, err = take(words.At(w + 18)); err != nil {
+		if s.ChipBusyFrac, err = take(lens[i][0]); err != nil {
 			return nil, err
 		}
-		if s.ChipBusyMs, err = take(words.At(w + 19)); err != nil {
+		if s.ChipBusyMs, err = take(lens[i][1]); err != nil {
 			return nil, err
 		}
-		custom := words.At(w + 20)
+		custom := lens[i][2]
 		if custom < -1 {
 			return nil, fmt.Errorf("%w: custom length %d", snapshot.ErrCorrupt, custom)
 		}

@@ -178,9 +178,9 @@ func goldenSeries(t testing.TB) (blob, served []byte) {
 // sealWords seals a body of one i64 slab, as a forger of series would.
 func sealWords(t testing.TB, magic string, words ...int64) []byte {
 	t.Helper()
-	enc := snapshot.NewEncoder()
+	enc := snapshot.NewRawContainer(magic, seriesVersion)
 	enc.I64s(words)
-	blob, err := snapshot.SealRaw(magic, seriesVersion, enc)
+	blob, err := enc.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +197,9 @@ func forgedSeries(t testing.TB) map[string][]byte {
 		return w
 	}
 	golden, _ := goldenSeries(t)
-	compressed := snapshot.NewEncoder()
+	compressed := snapshot.NewContainer(seriesMagic, seriesVersion)
 	compressed.I64s([]int64{0})
-	deflated, err := snapshot.Seal(seriesMagic, seriesVersion, compressed)
+	deflated, err := compressed.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestSeriesDecodeRejects(t *testing.T) {
 		b[at] ^= 1
 		cases[fmt.Sprintf("bit flipped at %d", at)] = b
 	}
-	unsorted := snapshot.NewEncoder()
+	unsorted := snapshot.NewRawContainer(seriesMagic, seriesVersion)
 	w := append([]int64{1}, make([]int64, seriesWords)...)
 	w[1+18], w[1+19], w[1+20] = -1, -1, 2
 	unsorted.I64s(w)
@@ -245,7 +245,7 @@ func TestSeriesDecodeRejects(t *testing.T) {
 		unsorted.Str(k)
 		unsorted.F64(1)
 	}
-	cases["custom keys descending"], _ = snapshot.SealRaw(seriesMagic, seriesVersion, unsorted)
+	cases["custom keys descending"], _ = unsorted.Finish()
 	for name, blob := range cases {
 		samples, err := DecodeSeries(blob)
 		if err == nil || !typed(err) || samples != nil {
@@ -254,6 +254,40 @@ func TestSeriesDecodeRejects(t *testing.T) {
 	}
 	if samples, err := DecodeSeries(forgedSeries(t)["deflated zero series"]); err != nil || len(samples) != 0 {
 		t.Errorf("a compressed container of an empty series: %d samples, %v", len(samples), err)
+	}
+}
+
+// TestSeriesTamperSweep: one byte flipped per 4 KiB of a stored series, and a
+// cut at every 4 KiB, raw as a job stores it and compressed as Open also
+// reads it (where the words arrive before the digest is checked): a typed
+// refusal every time, never samples.
+func TestSeriesTamperSweep(t *testing.T) {
+	golden, _ := goldenSeries(t)
+	packed := snapshot.NewContainer(seriesMagic, seriesVersion)
+	for _, b := range golden[52:] {
+		packed.U8(b)
+	}
+	deflated, err := packed.Finish()
+	if samples, derr := DecodeSeries(deflated); err != nil || derr != nil || len(samples) == 0 {
+		t.Fatalf("the golden series, compressed: %d samples, %v, %v", len(samples), err, derr)
+	}
+	for _, blob := range [][]byte{golden, deflated} {
+		refused := func(what string, damaged []byte) {
+			t.Helper()
+			samples, err := DecodeSeries(damaged)
+			if samples != nil || (!errors.Is(err, snapshot.ErrCorrupt) && !errors.Is(err, snapshot.ErrTruncated)) {
+				t.Errorf("%s of %d: %d samples, err %v; want none and ErrCorrupt or ErrTruncated", what, len(blob), len(samples), err)
+			}
+		}
+		for at := 52; at < len(blob); at += 4096 {
+			flipped := bytes.Clone(blob)
+			flipped[at] ^= 0x20
+			refused(fmt.Sprintf("byte %d flipped", at), flipped)
+		}
+		for cut := 0; cut < len(blob); cut += 4096 {
+			refused(fmt.Sprintf("cut at %d", cut), blob[:cut])
+		}
+		refused("last byte cut", blob[:len(blob)-1])
 	}
 }
 
@@ -270,6 +304,36 @@ func FuzzSeriesDecode(f *testing.F) {
 	huge := bytes.Clone(golden[:60])
 	binary.LittleEndian.PutUint64(huge[12:], 1<<30) // the header claims a 1 GiB body
 	f.Add(huge)
+	// The golden series many times over in a compressed container, where words
+	// arrive split across the codec's window, and a word count the header's
+	// length allows but the payload present could never inflate to.
+	samples, err := DecodeSeries(golden)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var many []Sample
+	for range 20 {
+		many = append(many, samples...)
+	}
+	raw, err := EncodeSeries(many)
+	if err != nil {
+		f.Fatal(err)
+	}
+	wide := snapshot.NewContainer(seriesMagic, seriesVersion)
+	for _, b := range raw[52:] {
+		wide.U8(b)
+	}
+	wideBlob, err := wide.Finish()
+	if back, derr := DecodeSeries(wideBlob); err != nil || derr != nil || len(back) != len(many) || len(raw) < 300<<10 {
+		f.Fatalf("wide seed: %d samples in %d bytes, %v, %v", len(back), len(raw), err, derr)
+	}
+	f.Add(wideBlob)
+	claims := snapshot.NewContainer(seriesMagic, seriesVersion)
+	claims.I64(1 << 27)
+	claims.I64(1 << 20)
+	claimsBlob, _ := claims.Finish()
+	binary.LittleEndian.PutUint64(claimsBlob[12:], 8+8<<27)
+	f.Add(claimsBlob)
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		samples, err := DecodeSeries(blob)
 		if err != nil {
@@ -310,8 +374,10 @@ func ndjsonOrNil(samples []Sample) []byte {
 }
 
 // TestSeriesCodecAllocations: encoding allocates per series, not per sample
-// — ten times the samples, the same handful of allocations — and decoding
-// allocates the samples, their per-chip values and nothing per sample.
+// — ten times the samples, the same handful of allocations and one more per
+// 256 KiB piece of a container whose length is not known up front (plus the
+// list of them) — and decoding allocates the samples, their per-chip values
+// and nothing per sample.
 func TestSeriesCodecAllocations(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts under -race are the detector's")
@@ -329,8 +395,8 @@ func TestSeriesCodecAllocations(t *testing.T) {
 	enc := func(s []Sample) float64 {
 		return testing.AllocsPerRun(10, func() { blob, _ = EncodeSeries(s) })
 	}
-	if a, b := enc(small), enc(large); a > 12 || b > a {
-		t.Errorf("EncodeSeries allocates %v times for 431 samples and %v for 4310; want a handful, the same for both", a, b)
+	if a, b := enc(small), enc(large); a > 12 || b > a+float64(len(blob)>>18)+4 {
+		t.Errorf("EncodeSeries allocates %v times for 431 samples and %v for the %d bytes of 4310; want a handful, and one more per 256 KiB", a, b, len(blob))
 	}
 	if a := testing.AllocsPerRun(10, func() { _, _ = DecodeSeries(blob) }); a > 8 {
 		t.Errorf("DecodeSeries allocates %v times for 4310 samples; want a handful", a)

@@ -30,13 +30,13 @@ const TraceV2Magic = "AXT2"
 const TraceV2Version = 1
 
 // recordBytes is the size of one request in the body. The requests are one
-// slab of fixed-width little-endian records — f64 time, u8 op, i64 offset,
-// i32 count — written and read in place.
+// column of fixed-width little-endian records — f64 time, u8 op, i64 offset,
+// i32 count — written into and read out of the codec's window.
 const recordBytes = 8 + 1 + 8 + 4
 
 // EncodeStream seals a generated stream into a trace-v2 container.
 func EncodeStream(s *Stream) ([]byte, error) {
-	e := snapshot.NewEncoder()
+	e := snapshot.NewContainer(TraceV2Magic, TraceV2Version)
 	e.Tag("meta")
 	e.Str(s.Scenario)
 	e.I64(s.LogicalSectors)
@@ -48,20 +48,22 @@ func EncodeStream(s *Stream) ([]byte, error) {
 		e.I64(c.Sectors)
 	}
 	e.Tag("reqs")
-	w := e.Slab(len(s.Requests), recordBytes)
-	for i, r := range s.Requests {
-		rec := w[i*recordBytes:][:recordBytes]
-		binary.LittleEndian.PutUint64(rec[0:], math.Float64bits(r.Time))
-		rec[8] = uint8(r.Op)
-		binary.LittleEndian.PutUint64(rec[9:], uint64(r.Offset))
-		binary.LittleEndian.PutUint32(rec[17:], uint32(int32(r.Count)))
-	}
-	return snapshot.Seal(TraceV2Magic, TraceV2Version, e)
+	e.Column(len(s.Requests), recordBytes, func(dst []byte, first int) {
+		for i, r := range s.Requests[first : first+len(dst)/recordBytes] {
+			rec := dst[i*recordBytes:][:recordBytes]
+			binary.LittleEndian.PutUint64(rec[0:], math.Float64bits(r.Time))
+			rec[8] = uint8(r.Op)
+			binary.LittleEndian.PutUint64(rec[9:], uint64(r.Offset))
+			binary.LittleEndian.PutUint32(rec[17:], uint32(int32(r.Count)))
+		}
+	})
+	return e.Finish()
 }
 
 // DecodeStream opens a trace-v2 container and reconstructs the stream.
-// Hostile inputs (fuzzed by FuzzTraceV2Decode) yield a typed snapshot error,
-// never a panic, and allocation is bounded by the bytes actually present.
+// Hostile inputs (fuzzed by FuzzTraceV2Decode) yield a typed snapshot error
+// and no stream, never a panic, and allocation is bounded by what the bytes
+// actually present could inflate to.
 func DecodeStream(blob []byte) (*Stream, error) {
 	d, err := snapshot.Open(TraceV2Magic, TraceV2Version, blob)
 	if err != nil {
@@ -87,27 +89,32 @@ func DecodeStream(blob []byte) (*Stream, error) {
 		})
 	}
 	d.Tag("reqs")
-	// One view of every record: the count is refused, before anything is
-	// allocated, unless the body really holds that many.
-	v := d.Slab(recordBytes)
+	// One exact slice: the count is refused, before anything is allocated,
+	// unless the payload could inflate to that many records.
+	n := d.Count(recordBytes)
+	if d.Err() == nil {
+		s.Requests = make([]trace.Request, n)
+	}
+	d.Blocks(n, recordBytes, func(src []byte, first int) error {
+		for i := range len(src) / recordBytes {
+			rec := src[i*recordBytes:][:recordBytes]
+			op, count := rec[8], int32(binary.LittleEndian.Uint32(rec[17:]))
+			// No writer produces these, and a forged container's checksum is
+			// the forger's: refuse them here, not request by request mid-replay.
+			if op > uint8(trace.OpWrite) || count <= 0 {
+				return fmt.Errorf("%w: request %d has op %d, count %d", snapshot.ErrCorrupt, first+i, op, count)
+			}
+			s.Requests[first+i] = trace.Request{
+				Time:   math.Float64frombits(binary.LittleEndian.Uint64(rec[0:])),
+				Op:     trace.Op(op),
+				Offset: int64(binary.LittleEndian.Uint64(rec[9:])),
+				Count:  int(count),
+			}
+		}
+		return nil
+	})
 	if err := d.Finish(); err != nil {
 		return nil, err
-	}
-	s.Requests = make([]trace.Request, len(v)/recordBytes)
-	for i := range s.Requests {
-		rec := v[i*recordBytes:][:recordBytes]
-		op, count := rec[8], int32(binary.LittleEndian.Uint32(rec[17:]))
-		// No writer produces these, and a forged container's checksum is
-		// the forger's: refuse them here, not request by request mid-replay.
-		if op > uint8(trace.OpWrite) || count <= 0 {
-			return nil, fmt.Errorf("%w: request %d has op %d, count %d", snapshot.ErrCorrupt, i, op, count)
-		}
-		s.Requests[i] = trace.Request{
-			Time:   math.Float64frombits(binary.LittleEndian.Uint64(rec[0:])),
-			Op:     trace.Op(op),
-			Offset: int64(binary.LittleEndian.Uint64(rec[9:])),
-			Count:  int(count),
-		}
 	}
 	return s, nil
 }

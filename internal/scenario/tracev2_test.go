@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,6 +15,7 @@ import (
 	"unsafe"
 
 	"across/internal/snapshot"
+	"across/internal/trace"
 )
 
 func sampleStream(t *testing.T) *Stream {
@@ -130,6 +133,30 @@ func FuzzTraceV2Decode(f *testing.F) {
 	f.Add(mut)
 	f.Add(forgedContainer(f, 2, 8))
 	f.Add(forgedContainer(f, 1, 0))
+	// Records split across the codec's window, and a record count the
+	// header's length allows but the payload present could never inflate to.
+	wide := &Stream{Scenario: "wide", LogicalSectors: testSectors, Requests: make([]trace.Request, 40000)}
+	for i := range wide.Requests {
+		wide.Requests[i] = trace.Request{Time: float64(i), Op: trace.Op(i & 1), Offset: int64(i) * 8, Count: 1 + i%64}
+	}
+	wideBlob, err := EncodeStream(wide)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wideBlob)
+	claims := snapshot.NewContainer(TraceV2Magic, TraceV2Version)
+	claims.Tag("meta")
+	claims.Str("claims")
+	claims.I64(testSectors)
+	claims.I64(0)
+	claims.Tag("reqs")
+	claims.I64(1 << 26)
+	claimsBlob, err := claims.Finish()
+	if err != nil {
+		f.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(claimsBlob[12:], 1<<31)
+	f.Add(claimsBlob)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := DecodeStream(data)
@@ -156,7 +183,7 @@ func FuzzTraceV2Decode(f *testing.F) {
 // recomputes the SHA-256 can hand the decoder.
 func forgedContainer(tb testing.TB, op uint8, count int32) []byte {
 	tb.Helper()
-	e := snapshot.NewEncoder()
+	e := snapshot.NewContainer(TraceV2Magic, TraceV2Version)
 	e.Tag("meta")
 	e.Str("forged")
 	e.I64(testSectors)
@@ -172,7 +199,7 @@ func forgedContainer(tb testing.TB, op uint8, count int32) []byte {
 		e.I64(int64(i) * 64)
 		e.I32(rec.count)
 	}
-	blob, err := snapshot.Seal(TraceV2Magic, TraceV2Version, e)
+	blob, err := e.Finish()
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -221,6 +248,39 @@ func TestTraceV2GoldenV1(t *testing.T) {
 	}
 }
 
+// TestTraceV2TamperSweep: the records are filled in before the container's
+// digest is checked, so a damaged container — one byte flipped per 4 KiB of
+// the golden one and of one several windows long, or cut at every 4 KiB —
+// must come back as a typed refusal and never as a stream.
+func TestTraceV2TamperSweep(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "mixed-v1.axt2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := EncodeStream(benchStream(t, 0.02))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blob := range [][]byte{golden, wide} {
+		refused := func(what string, damaged []byte) {
+			t.Helper()
+			st, err := DecodeStream(damaged)
+			if st != nil || (!errors.Is(err, snapshot.ErrCorrupt) && !errors.Is(err, snapshot.ErrTruncated)) {
+				t.Errorf("%s of %d: stream %v, err %v; want no stream and ErrCorrupt or ErrTruncated", what, len(blob), st != nil, err)
+			}
+		}
+		for at := 52; at < len(blob); at += 4096 {
+			flipped := bytes.Clone(blob)
+			flipped[at] ^= 0x20
+			refused(fmt.Sprintf("byte %d flipped", at), flipped)
+		}
+		for cut := 0; cut < len(blob); cut += 4096 {
+			refused(fmt.Sprintf("cut at %d", cut), blob[:cut])
+		}
+		refused("last byte cut", blob[:len(blob)-1])
+	}
+}
+
 // benchStream is "mixed" at the scale the study-cold ledger workload uses
 // (about 300 k requests).
 func benchStream(tb testing.TB, scale float64) *Stream {
@@ -237,30 +297,31 @@ func benchStream(tb testing.TB, scale float64) *Stream {
 }
 
 // TestTraceV2CodecAllocations locks the codec's allocation shape. Nothing is
-// allocated per request: encoding allocates the body's 64 KiB chunks,
-// decoding the inflated body and one exact-size Requests slice. What is left
-// over belongs to DEFLATE, which allocates tables per compressed block.
+// allocated per request and no body is ever held: encoding allocates the
+// codec's window and the pieces the container is collected in, decoding the
+// window and one exact-size Requests slice. What is left over belongs to
+// DEFLATE, which allocates tables per compressed block.
 func TestTraceV2CodecAllocations(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	st := benchStream(t, 0.02)
+	st := benchStream(t, 0.08)
 	blob, err := EncodeStream(st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nr := len(st.Requests)
 	body := nr * recordBytes
-	if nr < 30_000 {
-		t.Fatalf("stream has only %d requests", nr)
+	if body < 2<<20 {
+		t.Fatalf("stream has only %d requests: its body would fit the decode allowance", nr)
 	}
 	enc := testing.AllocsPerRun(5, func() {
 		if _, err := EncodeStream(st); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if limit := float64(2*body/(64<<10) + 32); enc > limit {
-		t.Errorf("encoding %d requests made %v allocations, want at most %v (two per body chunk)", nr, enc, limit)
+	if limit := float64(len(blob)/(256<<10) + 32); enc > limit {
+		t.Errorf("encoding %d requests made %v allocations, want at most %v (one per 256 KiB of container)", nr, enc, limit)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -275,8 +336,8 @@ func TestTraceV2CodecAllocations(t *testing.T) {
 	}
 	// AllocsPerRun runs the function once to warm up, then 5 times.
 	perRun := (after.TotalAlloc - before.TotalAlloc) / 6
-	if limit := uint64(body + nr*int(unsafe.Sizeof(st.Requests[0])) + 256<<10); perRun > limit {
-		t.Errorf("decoding %d requests allocated %d bytes, want at most %d (the body and one exact slice)", nr, perRun, limit)
+	if limit := uint64(nr*int(unsafe.Sizeof(st.Requests[0])) + 1<<20); perRun > limit {
+		t.Errorf("decoding %d requests (a %d-byte body) allocated %d bytes, want at most %d (one exact slice + 1 MiB)", nr, body, perRun, limit)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -51,6 +52,7 @@ func TestSharedCheckpointOpensOnceForksConcurrently(t *testing.T) {
 		t.FailNow()
 	}
 	results := make([][]byte, n)
+	how := map[string]int{} // the restore spans' checkpoint attribute
 	for i, id := range ids {
 		final := pollState(t, ts.URL, id, 60*time.Second)
 		if jobs.State(final.State) != jobs.StateSucceeded {
@@ -59,8 +61,23 @@ func TestSharedCheckpointOpensOnceForksConcurrently(t *testing.T) {
 		if !hasSpan(final, "restore") || hasSpan(final, "age") {
 			t.Errorf("job %s spans = %v, want a restore span and no age", id, spanNames(final))
 		}
+		for _, sp := range final.Spans {
+			if sp.Name != "restore" {
+				continue
+			}
+			how[sp.Attrs["checkpoint"]]++
+			// The one job that opened the blob says what it moved.
+			blob, _ := strconv.Atoi(sp.Attrs["blob_bytes"])
+			body, _ := strconv.Atoi(sp.Attrs["body_bytes"])
+			if opened := sp.Attrs["checkpoint"] == "opened"; opened != (blob > 0) || opened != (body > blob) {
+				t.Errorf("job %s restore attrs = %v", id, sp.Attrs)
+			}
+		}
 		_, doc := fetchResult(t, ts.URL, id)
 		results[i] = doc["result"]
+	}
+	if how["opened"] != 1 || how["cached"] != n-1 {
+		t.Errorf("restore spans say %v, want one opened and %d cached", how, n-1)
 	}
 	m := scrapeMetrics(t, ts.URL)
 	for name, want := range map[string]float64{

@@ -2,9 +2,12 @@ package service
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -231,5 +234,48 @@ func TestScenarioTraceJobEndToEnd(t *testing.T) {
 	}
 	if res.Requests == 0 {
 		t.Fatalf("trace job replayed no requests: %+v", res)
+	}
+}
+
+// A submission reads its trace_path once — validate and Key share the read,
+// the parse and the SHA-256 — and the job reads it once more for itself; a
+// file over the bound is refused with a 400 before any of it is read.
+func TestScenarioTracePathReadOncePerSubmitAndBounded(t *testing.T) {
+	var opens atomic.Int64
+	openTraceFile = func(path string) (*os.File, error) {
+		opens.Add(1)
+		return os.Open(path)
+	}
+	defer func() { openTraceFile = os.Open }()
+
+	_, ts := newTestServer(t, t.TempDir())
+	abs, err := filepath.Abs(msrFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitAndWait(t, ts.URL, `{"type":"replay","scheme":"FTL","scale":1,"scenario":{"trace_path":"`+abs+`"}}`)
+	if got := opens.Load(); got != 2 {
+		t.Errorf("a trace_path submission and its job opened the file %d times, want 2 (the handler once, the job once)", got)
+	}
+
+	// A sparse file one byte over the bound: nothing of it is ever read.
+	big := filepath.Join(t.TempDir(), "big.csv")
+	f, err := os.Create(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(maxTraceFileBytes + 1); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json",
+		strings.NewReader(`{"type":"replay","scheme":"FTL","scenario":{"trace_path":"`+big+`"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "bound") {
+		t.Errorf("over-bound trace file: %d %s, want 400 naming the bound", resp.StatusCode, msg)
 	}
 }

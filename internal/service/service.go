@@ -39,12 +39,14 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
 	"across/internal/jobs"
 	"across/internal/obs"
 	"across/internal/sim"
+	"across/internal/snapshot"
 	"across/internal/ssdconf"
 	"across/internal/store"
 )
@@ -181,9 +183,10 @@ func (s *Server) loadAgingSnapshot(key, scheme string) []byte {
 // warmStart resolves a job's aging phase under the key's flight lock, which
 // it holds only for the work that must happen once per key. With a usable
 // checkpoint — cached, or opened from the store and then cached — it opens
-// the job's "restore" span, counts the job's forks and returns the
-// checkpoint for the caller to fork outside the lock, so jobs sharing a key
-// fork concurrently. With none it ages a fresh device and stores its
+// the job's "restore" span, marked checkpoint=cached or checkpoint=opened
+// (with the blob's and its body's size: why that job's restore was the slow
+// one), counts the job's forks and returns the checkpoint for the caller to
+// fork outside the lock, so jobs sharing a key fork concurrently. With none it ages a fresh device and stores its
 // snapshot: a single-device job gets that runner back; a fleet job, which
 // forks every device, gets the snapshot as an open checkpoint.
 func (s *Server) warmStart(ctx context.Context, akey string, sp *ReplaySpec, conf ssdconf.Config, spl *spanLog) (cp *sim.Checkpoint, r *sim.Runner, err error) {
@@ -191,8 +194,12 @@ func (s *Server) warmStart(ctx context.Context, akey string, sp *ReplaySpec, con
 	kind := sim.SchemeKind(sp.Scheme)
 	if cp = s.checkpoints.get(akey); cp != nil {
 		spl.next("restore")
+		spl.attr("checkpoint", "cached")
 	} else if warm := s.loadAgingSnapshot(akey, sp.Scheme); warm != nil {
+		// The job that opens the blob is the slow one, and says so.
 		spl.next("restore")
+		spl.attr("checkpoint", "opened", "blob_bytes", strconv.Itoa(len(warm)),
+			"body_bytes", strconv.FormatInt(snapshot.BodyLen(warm), 10))
 		// An unusable checkpoint (decode error, scheme/config drift) is not
 		// fatal and is not cached — the job falls back to aging.
 		cp = s.openCheckpoint(akey, warm, kind, conf)
@@ -388,11 +395,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		sp.normalise()
-		if err := sp.validate(); err != nil {
+		var once scenarioOnce // validate and Key read a trace_path once between them
+		if err := sp.validateOnce(&once); err != nil {
 			writeError(w, http.StatusBadRequest, "invalid replay spec: %v", err)
 			return
 		}
-		if key, err = sp.Key(); err != nil {
+		if key, err = sp.keyOnce(&once); err != nil {
 			writeError(w, http.StatusInternalServerError, "keying spec: %v", err)
 			return
 		}

@@ -47,14 +47,26 @@ func (l *spanLog) next(name string, kv ...string) {
 	defer l.mu.Unlock()
 	now := l.sinceBase()
 	l.open.EndMs = now
+	l.attrLocked(kv)
+	l.done = append(l.done, l.open)
+	l.open = Span{Name: name, StartMs: now}
+}
+
+// attr attaches kv pairs to the open span: what a phase learns about itself
+// as it starts.
+func (l *spanLog) attr(kv ...string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.attrLocked(kv)
+}
+
+func (l *spanLog) attrLocked(kv []string) {
 	for i := 0; i+1 < len(kv); i += 2 {
 		if l.open.Attrs == nil {
 			l.open.Attrs = make(map[string]string)
 		}
 		l.open.Attrs[kv[i]] = kv[i+1]
 	}
-	l.done = append(l.done, l.open)
-	l.open = Span{Name: name, StartMs: now}
 }
 
 // Spans copies the completed spans.

@@ -96,11 +96,39 @@ type ScenarioSpec struct {
 	TracePath string `json:"trace_path,omitempty"`
 }
 
+// maxTraceFileBytes bounds the file a scenario's trace_path may name: it is
+// read whole, by the submit handler and again by the job.
+const maxTraceFileBytes = 256 << 20
+
+// openTraceFile opens a trace_path; a test counts the opens through it.
+var openTraceFile = os.Open
+
+// readTraceFile reads a trace_path whole, refusing one over the bound
+// before any of it is read or parsed.
+func readTraceFile(path string) ([]byte, error) {
+	f, err := openTraceFile(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if fi, err := f.Stat(); err != nil {
+		return nil, err
+	} else if fi.Size() > maxTraceFileBytes {
+		return nil, fmt.Errorf("trace file %s is %d bytes, over the %d-byte bound", path, fi.Size(), maxTraceFileBytes)
+	}
+	// The bound again, for a file that grows or has no size to report.
+	data, err := io.ReadAll(io.LimitReader(f, maxTraceFileBytes+1))
+	if err == nil && len(data) > maxTraceFileBytes {
+		err = fmt.Errorf("trace file %s is over the %d-byte bound", path, maxTraceFileBytes)
+	}
+	return data, err
+}
+
 // baseScenario resolves the scenario block into a scenario plus the
 // SHA-256 of the trace file's bytes ("" for builtins).
 func (sp *ReplaySpec) baseScenario() (scenario.Scenario, string, error) {
 	if sp.Scenario.TracePath != "" {
-		data, err := os.ReadFile(sp.Scenario.TracePath)
+		data, err := readTraceFile(sp.Scenario.TracePath)
 		if err != nil {
 			return scenario.Scenario{}, "", err
 		}
@@ -123,6 +151,24 @@ func (sp *ReplaySpec) resolvedScenario() (scenario.Scenario, string, error) {
 		return scenario.Scenario{}, "", err
 	}
 	return sc.Scale(sp.Scale).WithSeedOffset(sp.Seed), traceSHA, nil
+}
+
+// scenarioOnce resolves a spec's scenario block at most once — for a
+// trace_path a file read, a parse and a SHA-256 — however many of validate
+// and Key ask: a submission shares one between the two.
+type scenarioOnce struct {
+	done     bool
+	sc       scenario.Scenario
+	traceSHA string
+	err      error
+}
+
+func (o *scenarioOnce) get(sp *ReplaySpec) (scenario.Scenario, string, error) {
+	if !o.done {
+		o.sc, o.traceSHA, o.err = sp.resolvedScenario()
+		o.done = true
+	}
+	return o.sc, o.traceSHA, o.err
 }
 
 // requests produces the job's request stream: the scenario engine when a
@@ -182,7 +228,9 @@ func (sp *ReplaySpec) normalise() {
 	}
 }
 
-func (sp *ReplaySpec) validate() error {
+func (sp *ReplaySpec) validate() error { return sp.validateOnce(&scenarioOnce{}) }
+
+func (sp *ReplaySpec) validateOnce(once *scenarioOnce) error {
 	switch sim.SchemeKind(sp.Scheme) {
 	case sim.KindFTL, sim.KindMRSM, sim.KindAcross, sim.KindDFTL:
 	default:
@@ -216,7 +264,7 @@ func (sp *ReplaySpec) validate() error {
 		// partitions fail at submit time, not inside a scheduled job. A
 		// single-device check is conservative for fleet jobs: the volume's
 		// logical space is never smaller than one device's.
-		sc, _, err := sp.resolvedScenario()
+		sc, _, err := once.get(sp)
 		if err != nil {
 			return err
 		}
@@ -267,9 +315,11 @@ func (sp *ReplaySpec) profile() (workload.Profile, error) {
 // the trace file's bytes plus their resolved post-Scale request counts)
 // under scenario-specific Kinds, so equivalent spellings dedupe and a
 // changed trace file or a different scale re-runs.
-func (sp *ReplaySpec) Key() (string, error) {
+func (sp *ReplaySpec) Key() (string, error) { return sp.keyOnce(&scenarioOnce{}) }
+
+func (sp *ReplaySpec) keyOnce(once *scenarioOnce) (string, error) {
 	if sp.Scenario != nil {
-		sc, traceSHA, err := sp.resolvedScenario()
+		sc, traceSHA, err := once.get(sp)
 		if err != nil {
 			return "", err
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"across/internal/acrossftl"
+	"across/internal/snapshot"
 	"across/internal/ssdconf"
 )
 
@@ -462,6 +463,53 @@ func TestForkAllocations(t *testing.T) {
 	}
 }
 
+// TestSnapshotCodecAllocations bounds what the codec costs beyond what it
+// returns, on the Experiment device: neither end holds a body, so a restore
+// allocates the runner it returns and little else (the whole-body codec
+// allocated 4.4x and 3.4x the runner for FTL and MRSM), and a snapshot the
+// blob it returns, the pieces the blob was collected in and the DEFLATE
+// writer (it allocated 12-13x the blob).
+func TestSnapshotCodecAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("heap sizes are meaningless under the race detector")
+	}
+	for _, kind := range []SchemeKind{KindFTL, KindMRSM} {
+		t.Run(string(kind), func(t *testing.T) {
+			r, err := NewRunner(kind, ssdconf.Experiment())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Age(DefaultAging()); err != nil {
+				t.Fatal(err)
+			}
+			blob := mustSnapshot(t, r)
+			cp, err := OpenCheckpoint(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocated := func(f func() error) float64 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if err := f(); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				return float64(after.TotalAlloc - before.TotalAlloc)
+			}
+			restore := allocated(func() error { _, err := Restore(blob); return err })
+			snap := allocated(func() error { _, err := r.Snapshot(); return err })
+			t.Logf("%s: body %d, blob %d, runner %d bytes; Restore allocates %.0f, Snapshot %.0f",
+				kind, snapshot.BodyLen(blob), len(blob), cp.Bytes(), restore, snap)
+			if budget := 1.25*float64(cp.Bytes()) + 1<<20; restore > budget {
+				t.Errorf("Restore allocates %.0f bytes for a %d-byte runner (budget %.0f)", restore, cp.Bytes(), budget)
+			}
+			if budget := 3*float64(len(blob)) + 1<<20; snap > budget {
+				t.Errorf("Snapshot allocates %.0f bytes for a %d-byte blob (budget %.0f)", snap, len(blob), budget)
+			}
+		})
+	}
+}
+
 // The container is still version 1, byte for byte: testdata/snapshot-v1
 // holds checkpoints written by the commit before the slab codec (a 2-channel
 // 16×16-page device, aged, then a short replay), and each must open here
@@ -509,6 +557,25 @@ func BenchmarkCheckpoint(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			// Both ends of the codec, priced per byte of body moved.
+			b.Run(dev.name+"/Snapshot/"+string(kind), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(snapshot.BodyLen(blob))
+				for i := 0; i < b.N; i++ {
+					if _, err := r.Snapshot(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(dev.name+"/Restore/"+string(kind), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(snapshot.BodyLen(blob))
+				for i := 0; i < b.N; i++ {
+					if _, err := Restore(blob); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 			b.Run(dev.name+"/Open/"+string(kind), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

@@ -11,6 +11,7 @@ package sim
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"across/internal/check"
@@ -56,8 +57,8 @@ func (r *Runner) Snapshot() ([]byte, error) {
 // forked from by plain state copy. Nothing replays on the template, observes
 // it or writes to it once the checkpoint exists — Fork only reads it, into
 // tables the fork owns — so a Checkpoint is safe for concurrent use and a
-// fork can never see another fork's writes. The blob and its inflated body
-// are not kept.
+// fork can never see another fork's writes. The blob is not kept, and its
+// inflated body never existed: the open streamed it into the template.
 type Checkpoint struct {
 	// Kind and Conf are the scheme and device configuration the snapshot
 	// was taken with.
@@ -132,13 +133,17 @@ func (c *Checkpoint) fork() (*Runner, int64, error) {
 
 // Restore reconstructs a replay-ready Runner from a snapshot produced by
 // Snapshot, after everything a blob from disk or the network must pass
-// before a runner is built from it: the container (magic, version, flags,
-// bounded inflate, SHA-256), the full decode into a scheme stack rebuilt
-// from the embedded configuration (including a host-cache wrap when one was
-// captured), every component's shape validation, and the device auditor
-// over the result — a snapshot whose state violates the mapping/flash
-// invariants (tampered, or from a buggy writer) is rejected rather than
-// replayed. Schemes that cannot be audited skip that final check.
+// before a runner is returned from it: the container's header (magic,
+// version, flags), the full decode — streamed, a window at a time — into a
+// scheme stack rebuilt from the embedded configuration (including a
+// host-cache wrap when one was captured), every component's shape and range
+// validation on the way in, the body's length and SHA-256 once all of it
+// has been read, and the device auditor over the result — a snapshot whose
+// state violates the mapping/flash invariants (tampered, or from a buggy
+// writer) is rejected rather than replayed. Schemes that cannot be audited
+// skip that final check. The digest comes after the decode, so a refusal
+// by a component may be damage the digest would have named: every refusal
+// of the body is reported as snapshot.ErrCorrupt.
 //
 // It supports schemes as built by NewScheme; a snapshot taken from a scheme
 // constructed with non-default structural options (e.g. a custom DFTL
@@ -149,6 +154,24 @@ func Restore(blob []byte) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
+	r, err := decodeRunner(dec)
+	if err != nil {
+		if !errors.Is(err, snapshot.ErrCorrupt) {
+			err = fmt.Errorf("%w: %w", snapshot.ErrCorrupt, err)
+		}
+		return nil, err
+	}
+	if chk, err := check.New(r.Scheme, check.Options{}); err == nil {
+		if err := chk.Audit(); err != nil {
+			return nil, fmt.Errorf("sim: restored state failed audit: %w", err)
+		}
+	}
+	return r, nil
+}
+
+// decodeRunner reads a whole snapshot body into a runner built from the
+// configuration it opens with, and verifies the container behind it.
+func decodeRunner(dec *snapshot.Decoder) (*Runner, error) {
 	dec.Tag("sim")
 	kind := SchemeKind(dec.Str())
 	confJSON := dec.Str()
@@ -188,16 +211,5 @@ func Restore(blob []byte) (*Runner, error) {
 	if err := dec.Finish(); err != nil {
 		return nil, err
 	}
-	if chk, err := check.New(scheme, check.Options{}); err == nil {
-		if err := chk.Audit(); err != nil {
-			return nil, fmt.Errorf("sim: restored state failed audit: %w", err)
-		}
-	}
-	return &Runner{
-		Conf:         &conf,
-		Kind:         kind,
-		Scheme:       scheme,
-		warmed:       warmed,
-		warmupWrites: warmupWrites,
-	}, nil
+	return &Runner{Conf: &conf, Kind: kind, Scheme: scheme, warmed: warmed, warmupWrites: warmupWrites}, nil
 }

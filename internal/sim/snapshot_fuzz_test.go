@@ -49,6 +49,23 @@ func FuzzSnapshotDecode(f *testing.F) {
 	for _, b := range outOfRangeBlobs(f) {
 		f.Add(b.blob)
 	}
+	// A body several windows long, so columns arrive split across them, and
+	// a column count the header's length allows but the payload present could
+	// never inflate to.
+	wide, err := NewRunner(KindMRSM, smallConf())
+	if err != nil {
+		f.Fatal(err)
+	}
+	wideBlob, err := wide.Snapshot()
+	if err != nil || snapshot.BodyLen(wideBlob) < 512<<10 {
+		f.Fatalf("wide seed: body of %d bytes, %v", snapshot.BodyLen(wideBlob), err)
+	}
+	f.Add(wideBlob)
+	claims := reseal(f, blob, func(body []byte) {
+		binary.LittleEndian.PutUint64(body[sectionAt(f, body, "flash"):], 1<<30)
+	})
+	binary.LittleEndian.PutUint64(claims[12:], 1<<31)
+	f.Add(claims)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		restored, err := Restore(data)

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -255,6 +256,44 @@ func TestRestoreRejectsTamperedContainer(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// The tamper sweep. The body's digest is verified after the receiver was
+// filled, so between a damaged payload and a runner stand the per-element
+// checks, the length and overrun checks and, last, the SHA-256: one byte
+// flipped per 4 KiB of a real MRSM and a real Across-FTL checkpoint, and a
+// cut at every 4 KiB, must each come back from both openers as a typed
+// refusal and never as a runner.
+func TestTamperSweepNeverYieldsARunner(t *testing.T) {
+	for _, kind := range []SchemeKind{KindMRSM, KindAcross} {
+		blob := agedBlob(t, kind, 0)
+		if _, err := Restore(blob); err != nil {
+			t.Fatalf("%s: the untouched checkpoint does not open: %v", kind, err)
+		}
+		const header = 52
+		refused := func(what string, damaged []byte) {
+			t.Helper()
+			r, err := Restore(damaged)
+			cp, cerr := OpenCheckpoint(damaged)
+			if r != nil || cp != nil {
+				t.Fatalf("%s, %s: Restore returned %v, OpenCheckpoint %v; want neither", kind, what, r, cp)
+			}
+			for _, err := range []error{err, cerr} {
+				if !errors.Is(err, snapshot.ErrCorrupt) && !errors.Is(err, snapshot.ErrTruncated) {
+					t.Errorf("%s, %s: err = %v, want ErrCorrupt or ErrTruncated", kind, what, err)
+				}
+			}
+		}
+		for at := header; at < len(blob); at += 4096 {
+			flipped := bytes.Clone(blob)
+			flipped[at] ^= 0x04
+			refused(fmt.Sprintf("byte %d of %d flipped", at, len(blob)), flipped)
+		}
+		for cut := 0; cut < len(blob); cut += 4096 {
+			refused(fmt.Sprintf("cut at %d of %d", cut, len(blob)), blob[:cut])
+		}
+		refused("last byte cut", blob[:len(blob)-1])
 	}
 }
 

@@ -18,19 +18,32 @@
 // slices produced by Encoder and consumed by Decoder. Section tags (Tag)
 // are embedded as strings and verified on decode, so a structural mismatch
 // between writer and reader fails loudly instead of misinterpreting bytes.
-// A slice is a slab — a u64 count, then fixed-width little-endian elements
-// — which the Encoder lets a component fill in place (ByteSlab, I32Slab,
-// I64Slab) and the Decoder hands back as a read-only view of the body
-// (BytesView, I32View, I64View), so a column is never copied on its way
-// between a component's arrays and the body.
+// A slice is a column — a u64 count, then fixed-width little-endian elements.
+//
+// Neither side ever holds the body. Both work through one window of
+// windowBytes: the Encoder hashes and deflates the window each time it
+// fills and patches the header's length and digest in at Finish; the Decoder
+// inflates into the window, hashes what arrives and hands it out. A big
+// column crosses the window a block at a time (Encoder.Column,
+// Decoder.Column), straight between a component's arrays and the stream, so
+// the memory a snapshot or a restore needs beyond the state itself does not
+// grow with the device.
+//
+// It follows that the digest is verified after the receiver was filled, at
+// Decoder.Finish, not before. Nothing ever rested on the other order: every
+// element is range-checked on its way into a receiver whether or not the
+// digest will match, a receiver whose restore failed is dropped, and nothing
+// decoded may be used before Finish has returned nil.
 //
 // Determinism: every encoder input is produced in a canonical order (sparse
 // tables are serialised in ascending key order), DEFLATE at a fixed level is
-// deterministic for a given input, and the checksum covers the uncompressed
-// body — so encode→decode→encode reproduces the container byte for byte. The decoder is hardened against hostile inputs (fuzzed by
-// FuzzSnapshotDecode): it never allocates from header-claimed sizes beyond
-// what the input actually contains, bounds every read, and returns typed
-// errors instead of panicking.
+// deterministic for a given input whatever the sizes of the writes that
+// delivered it, and the checksum covers the uncompressed body — so
+// encode→decode→encode reproduces the container byte for byte. The decoder
+// is hardened against hostile inputs (fuzzed by FuzzSnapshotDecode): no
+// count is believed beyond what the payload present could inflate to,
+// nothing is inflated past one byte beyond the declared length, every read
+// is bounded, and errors are typed, never a panic.
 package snapshot
 
 import (
@@ -40,8 +53,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"math"
+	"slices"
 )
 
 // Version is the snapshot format version written by this package. Decoders
@@ -56,9 +71,13 @@ const (
 	knownFlags     = flagCompressed
 
 	// maxBody bounds the uncompressed body length a decoder will accept.
-	// A full Table 1 device serialises to well under 1 GiB; the cap stops
+	// A full Table 1 device serialises to well under 2 GiB; the cap stops
 	// decompression bombs long before they hurt.
 	maxBody = 1 << 31
+
+	// windowBytes is all of a body that an Encoder or a Decoder holds at
+	// once, and the largest block a column is moved in.
+	windowBytes = 256 << 10
 )
 
 // Typed decode errors. Errors returned by Decoder methods and NewDecoder
@@ -82,59 +101,136 @@ var (
 // appends the component's complete mutable state to the encoder and
 // RestoreState reads it back into a freshly constructed (same-config)
 // receiver. Restore must validate sizes against the receiver's
-// config-derived structure rather than allocating from decoded values, and
-// must copy whatever it keeps out of the decoder's views: the body under
-// them is read-only, and a kept view would pin all of it. A receiver whose
-// RestoreState failed is part-written and must be dropped.
+// config-derived structure rather than allocating from decoded values, check
+// every element on its way in (the body's digest is only verified once all
+// of it has been read), and copy what it keeps out of the blocks a column
+// arrives in: they are the decoder's window. A receiver whose RestoreState
+// failed is part-written and must be dropped.
 type Snapshotter interface {
 	SnapshotState(enc *Encoder) error
 	RestoreState(dec *Decoder) error
 }
 
-// Encoder builds a snapshot body. Methods never fail; Finish seals the
-// container (checksum + compression + header) and returns the blob.
-//
-// The body is a list of chunks and never moves: a write takes the room left
-// in the last chunk or opens a new one — chunkBytes for small fields, its
-// own size for a big column. One growing buffer recopied everything before
-// each column as it reallocated, and that transient set the peak memory of
-// a process that snapshots a large device.
+// PutI32, PutI64, I32 and I64 write and read element i of a block of a
+// 32- or 64-bit column.
+func PutI32(b []byte, i int, v int32) { binary.LittleEndian.PutUint32(b[i*4:], uint32(v)) }
+func PutI64(b []byte, i int, v int64) { binary.LittleEndian.PutUint64(b[i*8:], uint64(v)) }
+func I32(b []byte, i int) int32       { return int32(binary.LittleEndian.Uint32(b[i*4:])) }
+func I64(b []byte, i int) int64       { return int64(binary.LittleEndian.Uint64(b[i*8:])) }
+
+// Encoder writes a container as a stream: the body passes through one
+// window, hashed and deflated (or, for a raw container, copied) each time
+// the window fills, and Finish patches its length and SHA-256 into the
+// header. Methods never fail; the first error is kept for Finish.
 type Encoder struct {
-	chunks [][]byte
-	size   int // body length: the sum of the chunks' lengths
+	out  pieces        // the header, then the payload as it is produced
+	sum  hash.Hash     // over the body flushed so far
+	fw   *flate.Writer // nil: the body is stored as it is
+	win  []byte        // body bytes not yet hashed and written
+	size int64         // body bytes flushed
+	err  error
 }
 
-const chunkBytes = 64 << 10
+// NewEncoder returns an encoder of a snapshot (AXSN) container.
+func NewEncoder() *Encoder { return NewContainer(magic, Version) }
 
-// NewEncoder returns an empty encoder.
-func NewEncoder() *Encoder { return &Encoder{} }
+// NewContainer returns an encoder of a container carrying an arbitrary
+// 4-byte magic and format version — the same layout, determinism and
+// hardening as snapshot containers, reusable by other versioned binary
+// artifacts (the trace-v2 workload container is one). Open is its inverse.
+func NewContainer(containerMagic string, version uint32) *Encoder {
+	return newEncoder(containerMagic, version, flagCompressed)
+}
 
-// extend appends n zero bytes to the body and returns them for the caller
-// to fill in.
-func (e *Encoder) extend(n int) []byte {
-	last := len(e.chunks) - 1
-	if last < 0 || cap(e.chunks[last])-len(e.chunks[last]) < n {
-		e.chunks = append(e.chunks, make([]byte, 0, max(n, chunkBytes)))
-		last++
+// NewRawContainer is NewContainer with the body stored as it is (flag bit 0
+// clear): for a small artifact written on a hot path, where DEFLATE would
+// cost more than the bytes it saves. Open reads either.
+func NewRawContainer(containerMagic string, version uint32) *Encoder {
+	return newEncoder(containerMagic, version, 0)
+}
+
+func newEncoder(containerMagic string, version, flags uint32) *Encoder {
+	e := &Encoder{sum: sha256.New(), win: make([]byte, 0, windowBytes)}
+	if len(containerMagic) != 4 {
+		e.err = fmt.Errorf("%w: magic %q must be 4 bytes", ErrFormat, containerMagic)
+		return e
 	}
-	c := e.chunks[last]
-	e.chunks[last] = c[:len(c)+n]
-	e.size += n
-	return e.chunks[last][len(c):]
+	var hdr [headerSize]byte
+	copy(hdr[:4], containerMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], version)
+	binary.LittleEndian.PutUint32(hdr[8:], flags)
+	e.out.Write(hdr[:])
+	if flags&flagCompressed != 0 {
+		e.fw, e.err = flate.NewWriter(&e.out, flate.BestSpeed)
+	}
+	return e
 }
 
-func (e *Encoder) u32(v uint32) { binary.LittleEndian.PutUint32(e.extend(4), v) }
+// pieces collects a container whose length is not known until it ends, in
+// windowBytes pieces that never move — a buffer that doubled would, by the
+// end, have allocated twice what it holds and copied as much.
+type pieces [][]byte
 
-func (e *Encoder) u64(v uint64) { binary.LittleEndian.PutUint64(e.extend(8), v) }
+func (p *pieces) Write(b []byte) (int, error) {
+	for rest := b; len(rest) > 0; {
+		i := len(*p) - 1
+		if i < 0 || len((*p)[i]) == cap((*p)[i]) {
+			*p = append(*p, make([]byte, 0, windowBytes))
+			i++
+		}
+		last := (*p)[i]
+		k := copy(last[len(last):cap(last)], rest)
+		(*p)[i], rest = last[:len(last)+k], rest[k:]
+	}
+	return len(b), nil
+}
 
-// Slab writes the count prefix of an n-element slab and returns its
-// n*elemSize data bytes, all zero, for the caller to fill in place — the
-// way a component serialises one column of an array of structs without
-// building the column first, or a stream its fixed-width records. The
-// window is valid only until the next Encoder call.
-func (e *Encoder) Slab(n, elemSize int) []byte {
+// flush hashes and writes out the window. Hash and deflate are streams: where
+// one window ends and the next begins does not show in the output.
+func (e *Encoder) flush() {
+	if e.err == nil {
+		e.sum.Write(e.win)
+		if e.fw != nil {
+			_, e.err = e.fw.Write(e.win)
+		} else {
+			e.out.Write(e.win)
+		}
+	}
+	e.size += int64(len(e.win))
+	e.win = e.win[:0]
+}
+
+// room returns the next n bytes of the body, at most a window's worth, for
+// the caller to fill before its next Encoder call.
+func (e *Encoder) room(n int) []byte {
+	if cap(e.win)-len(e.win) < n {
+		e.flush()
+	}
+	w := len(e.win)
+	e.win = e.win[:w+n]
+	return e.win[w:]
+}
+
+func (e *Encoder) u32(v uint32) { binary.LittleEndian.PutUint32(e.room(4), v) }
+
+func (e *Encoder) u64(v uint64) { binary.LittleEndian.PutUint64(e.room(8), v) }
+
+// Column writes a column of n elements of elemSize bytes: the count, then
+// the elements, which fill produces a block at a time in order — dst is a
+// whole number of elements, the first of them element first of the column,
+// and every byte of it is fill's to write. It is how a component serialises
+// one column of an array of structs without building the column first.
+func (e *Encoder) Column(n, elemSize int, fill func(dst []byte, first int)) {
 	e.u64(uint64(n))
-	return e.extend(n * elemSize)
+	for first := 0; first < n; {
+		k := min(n-first, (cap(e.win)-len(e.win))/elemSize)
+		if k == 0 {
+			e.flush()
+			continue
+		}
+		fill(e.room(k*elemSize), first)
+		first += k
+	}
 }
 
 // Tag writes a named section marker. Decoders verify the same name at the
@@ -151,7 +247,7 @@ func (e *Encoder) Bool(v bool) {
 }
 
 // U8 writes one byte.
-func (e *Encoder) U8(v uint8) { e.extend(1)[0] = v }
+func (e *Encoder) U8(v uint8) { e.room(1)[0] = v }
 
 // I32 writes a fixed-width 32-bit integer.
 func (e *Encoder) I32(v int32) { e.u32(uint32(v)) }
@@ -165,155 +261,103 @@ func (e *Encoder) F64(v float64) { e.u64(math.Float64bits(v)) }
 // Str writes a length-prefixed UTF-8 string.
 func (e *Encoder) Str(s string) {
 	e.u32(uint32(len(s)))
-	copy(e.extend(len(s)), s)
+	for len(s) > 0 {
+		if len(e.win) == cap(e.win) {
+			e.flush()
+		}
+		n := copy(e.win[len(e.win):cap(e.win)], s)
+		e.win, s = e.win[:len(e.win)+n], s[n:]
+	}
 }
-
-// Bytes writes a length-prefixed byte slice.
-func (e *Encoder) Bytes(b []byte) { copy(e.ByteSlab(len(b)), b) }
 
 // I32s writes a length-prefixed []int32.
-func (e *Encoder) I32s(v []int32) {
-	w := e.I32Slab(len(v))
-	for i, x := range v {
-		w.Set(i, x)
-	}
-}
+func (e *Encoder) I32s(v []int32) { I32Column(e, v) }
 
 // I64s writes a length-prefixed []int64.
-func (e *Encoder) I64s(v []int64) {
-	w := e.I64Slab(len(v))
-	for i, x := range v {
-		w.Set(i, x)
-	}
+func (e *Encoder) I64s(v []int64) { I64Column(e, v) }
+
+// I32Column and I64Column write a table of any integer type as the 32- or
+// 64-bit column the format gives it: how a packed table keeps the width it
+// was first written at.
+func I32Column[T ~uint8 | ~int32](e *Encoder, col []T) {
+	e.Column(len(col), 4, func(dst []byte, first int) {
+		for i, v := range col[first : first+len(dst)/4] {
+			PutI32(dst, i, int32(v))
+		}
+	})
+}
+
+func I64Column[T ~int32 | ~int64](e *Encoder, col []T) {
+	e.Column(len(col), 8, func(dst []byte, first int) {
+		for i, v := range col[first : first+len(dst)/8] {
+			PutI64(dst, i, int64(v))
+		}
+	})
 }
 
 // F64s writes a length-prefixed []float64.
 func (e *Encoder) F64s(v []float64) {
-	w := e.I64Slab(len(v))
-	for i, x := range v {
-		w.Set(i, int64(math.Float64bits(x)))
-	}
+	e.Column(len(v), 8, func(dst []byte, first int) {
+		for i := range len(dst) / 8 {
+			PutI64(dst, i, int64(math.Float64bits(v[first+i])))
+		}
+	})
 }
 
-// ByteSlab, I32Slab and I64Slab are Slab for a []byte, []int32 or []int64
-// column.
-func (e *Encoder) ByteSlab(n int) []byte { return e.Slab(n, 1) }
-
-func (e *Encoder) I32Slab(n int) I32Slab { return I32Slab{e.Slab(n, 4)} }
-
-func (e *Encoder) I64Slab(n int) I64Slab { return I64Slab{e.Slab(n, 8)} }
-
-// I32Slab is the write window of one []int32 slab inside an encoder's body.
-type I32Slab struct{ b []byte }
-
-// Set stores element i.
-func (s I32Slab) Set(i int, v int32) { binary.LittleEndian.PutUint32(s.b[i*4:], uint32(v)) }
-
-// I64Slab is the write window of one []int64 slab inside an encoder's body.
-type I64Slab struct{ b []byte }
-
-// Set stores element i.
-func (s I64Slab) Set(i int, v int64) { binary.LittleEndian.PutUint64(s.b[i*8:], uint64(v)) }
-
-// Finish seals the body into a self-describing snapshot (AXSN) container:
-// header with version, flags, uncompressed length and SHA-256 of the
-// uncompressed body, followed by the DEFLATE-compressed body.
+// Finish seals the container — the last window, the end of the DEFLATE
+// stream, then the body's length and SHA-256 into the header — and returns
+// it. The encoder is spent.
 func (e *Encoder) Finish() ([]byte, error) {
-	return Seal(magic, Version, e)
+	e.flush()
+	if e.err == nil && e.fw != nil {
+		e.err = e.fw.Close()
+	}
+	if e.err == nil && e.size > maxBody {
+		e.err = fmt.Errorf("%w: body %d bytes exceeds %d", ErrFormat, e.size, maxBody)
+	}
+	if e.err != nil {
+		return nil, e.err
+	}
+	blob := bytes.Join(e.out, nil) // one slice of exactly the container's length
+	binary.LittleEndian.PutUint64(blob[12:], uint64(e.size))
+	e.sum.Sum(blob[:20])
+	return blob, nil
 }
 
-// Seal seals an encoder's body into a container carrying an arbitrary
-// 4-byte magic and format version — the same layout, determinism and
-// hardening as snapshot containers, reusable by other versioned binary
-// artifacts (the trace-v2 workload container is one). Open is its inverse.
-func Seal(containerMagic string, version uint32, e *Encoder) ([]byte, error) {
-	return seal(containerMagic, version, e, flagCompressed)
-}
-
-// SealRaw is Seal with the body stored as it is (flag bit 0 clear): for a
-// small artifact written on a hot path, where DEFLATE would cost more than
-// the bytes it saves. Open reads either.
-func SealRaw(containerMagic string, version uint32, e *Encoder) ([]byte, error) {
-	return seal(containerMagic, version, e, 0)
-}
-
-func seal(containerMagic string, version uint32, e *Encoder, flags uint32) ([]byte, error) {
-	if len(containerMagic) != 4 {
-		return nil, fmt.Errorf("%w: magic %q must be 4 bytes", ErrFormat, containerMagic)
-	}
-	if e.size > maxBody {
-		return nil, fmt.Errorf("%w: body %d bytes exceeds %d", ErrFormat, e.size, maxBody)
-	}
-	// Hash and deflate are streams: chunk boundaries do not show in the output.
-	sum := sha256.New()
-	for _, c := range e.chunks {
-		sum.Write(c)
-	}
-	var hdr [headerSize]byte
-	copy(hdr[:4], containerMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], version)
-	binary.LittleEndian.PutUint32(hdr[8:], flags)
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(e.size))
-	sum.Sum(hdr[:20])
-
-	if flags&flagCompressed == 0 {
-		out := append(make([]byte, 0, headerSize+e.size), hdr[:]...)
-		for _, c := range e.chunks {
-			out = append(out, c...)
-		}
-		return out, nil
-	}
-	// Header and compressed body go into one buffer, sized for the 9:1 or
-	// better an aged device compresses at so it rarely regrows.
-	out := bytes.NewBuffer(make([]byte, 0, headerSize+e.size/8))
-	out.Write(hdr[:])
-	fw, err := flate.NewWriter(out, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range e.chunks {
-		if _, err := fw.Write(c); err != nil {
-			return nil, err
-		}
-	}
-	if err := fw.Close(); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
-}
-
-// Decoder reads a snapshot body with a sticky error: after the first
-// failure every subsequent read returns a zero value and Err/Finish report
-// the original cause. Callers may therefore decode a whole section and
-// check the error once.
+// Decoder reads a container's body as a stream, with a sticky error: after
+// the first failure every subsequent read returns a zero value and
+// Err/Finish report the original cause. Callers may therefore decode a whole
+// section and check the error once. What a Decoder has handed out is only
+// known to be the body the header's digest names once Finish returns nil.
 type Decoder struct {
-	body []byte
-	off  int
-	err  error
+	src   io.Reader // inflates the payload; nil once it has ended, and for a stored body, which is its own window
+	win   []byte    // win[r:w] has been inflated and hashed and is not yet handed out
+	r, w  int
+	off   int64     // body bytes handed out
+	got   int64     // body bytes inflated
+	ulen  int64     // the body length the header declares
+	bound int64     // the most the body can hold: ulen, or less when the payload cannot inflate to it
+	sum   hash.Hash // over the got bytes
+	want  [sha256.Size]byte
+	err   error
 }
 
-// NewDecoder validates a snapshot (AXSN) container (magic, version, flags,
-// length, checksum), decompresses the body, and returns a decoder positioned
-// at the first byte. Hostile inputs yield a typed error, never a panic, and
-// decompression work is bounded by the declared (capped) body length.
+// NewDecoder validates the header of a snapshot (AXSN) container and returns
+// a decoder positioned at the first byte of its body. Hostile inputs yield a
+// typed error, never a panic, and decompression work is bounded by the
+// declared (capped) body length.
 func NewDecoder(blob []byte) (*Decoder, error) { return Open(magic, Version, blob) }
-
-// Open is the inverse of Seal: it validates a container carrying the given
-// magic and version and returns a decoder over its body, with the same
-// hostile-input hardening as snapshot decoding.
-func Open(containerMagic string, wantVersion uint32, blob []byte) (*Decoder, error) {
-	body, err := open(containerMagic, wantVersion, blob)
-	if err != nil {
-		return nil, err
-	}
-	return &Decoder{body: body}, nil
-}
 
 // maxInflate is DEFLATE's largest possible expansion: a 258-byte match
 // costs at least two bits.
 const maxInflate = 1032
 
-func open(containerMagic string, wantVersion uint32, blob []byte) ([]byte, error) {
+// Open is the inverse of NewContainer and NewRawContainer: it validates the
+// header of a container carrying the given magic and version (magic,
+// version, flags, plausible length) and returns a decoder over its body,
+// with the same hostile-input hardening as snapshot decoding. The body's
+// length and SHA-256 are checked by Finish.
+func Open(containerMagic string, wantVersion uint32, blob []byte) (*Decoder, error) {
 	if len(blob) < headerSize {
 		return nil, fmt.Errorf("%w: %d bytes, want at least %d", ErrTruncated, len(blob), headerSize)
 	}
@@ -332,58 +376,56 @@ func open(containerMagic string, wantVersion uint32, blob []byte) ([]byte, error
 	if ulen > maxBody {
 		return nil, fmt.Errorf("%w: implausible body length %d", ErrFormat, ulen)
 	}
-	var sum [sha256.Size]byte
-	copy(sum[:], blob[20:20+sha256.Size])
-
-	var body []byte
+	d := &Decoder{ulen: int64(ulen), sum: sha256.New()}
+	copy(d.want[:], blob[20:headerSize])
 	payload := blob[headerSize:]
 	if flags&flagCompressed != 0 {
-		// One buffer, sized from the header but never beyond what the payload
-		// present could inflate to, so a hostile length cannot drive
-		// allocation. The extra byte is where a body that overruns its
-		// declared length shows: it is rejected without inflating further.
-		body = make([]byte, min(ulen, maxInflate*uint64(len(payload)))+1)
-		fr := flate.NewReader(bytes.NewReader(payload))
-		n := 0
-		var err error
-		for n < len(body) && err == nil {
-			var m int
-			m, err = fr.Read(body[n:])
-			n += m
-		}
-		fr.Close()
-		if err != nil && err != io.EOF {
-			return nil, fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
-		}
-		if uint64(n) != ulen {
-			return nil, fmt.Errorf("%w: body is %d bytes, header says %d", ErrCorrupt, n, ulen)
-		}
-		body = body[:n]
-	} else {
-		if uint64(len(payload)) != ulen {
-			return nil, fmt.Errorf("%w: body is %d bytes, header says %d", ErrCorrupt, len(payload), ulen)
-		}
-		body = bytes.Clone(payload) // a decoder's views must not change when the caller's blob does
+		// A count is believed only as far as the payload present could
+		// inflate, so a hostile length cannot drive a receiver's allocation.
+		d.bound = int64(min(ulen, maxInflate*uint64(len(payload))))
+		d.src = flate.NewReader(bytes.NewReader(payload))
+		d.win = make([]byte, windowBytes)
+		return d, nil
 	}
-	if sha256.Sum256(body) != sum {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	if uint64(len(payload)) != ulen {
+		return nil, fmt.Errorf("%w: body is %d bytes, header says %d", ErrCorrupt, len(payload), ulen)
 	}
-	return body, nil
+	// A stored body is read where it lies, never written to.
+	d.win, d.w, d.got, d.bound = payload, len(payload), d.ulen, d.ulen
+	d.sum.Write(payload)
+	return d, nil
+}
+
+// BodyLen returns the uncompressed body length the header of a container
+// declares — what Finish will hold the body to — or 0 for a blob too short
+// to have a header.
+func BodyLen(blob []byte) int64 {
+	if len(blob) < headerSize {
+		return 0
+	}
+	return int64(binary.LittleEndian.Uint64(blob[12:20]))
 }
 
 // Err returns the sticky decode error, if any.
 func (d *Decoder) Err() error { return d.err }
 
-// Finish reports the sticky error, or ErrCorrupt if decoding stopped short
-// of the body's end (trailing bytes mean writer/reader drift).
+// Finish reports the sticky error; otherwise it is where the container is
+// verified: ErrCorrupt if decoding stopped short of the body's end (trailing
+// bytes mean writer/reader drift), if the payload holds less or more than
+// the declared length — an overrun is refused without inflating further —
+// or if the SHA-256 of what was read is not the header's.
 func (d *Decoder) Finish() error {
-	if d.err != nil {
-		return d.err
+	if d.err == nil && d.off != d.ulen {
+		d.fail("%d trailing bytes", d.ulen-d.off)
 	}
-	if d.off != len(d.body) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.body)-d.off)
+	for d.err == nil && d.src != nil {
+		d.r, d.w = 0, 0
+		d.inflate()
 	}
-	return nil
+	if d.err == nil && [sha256.Size]byte(d.sum.Sum(nil)) != d.want {
+		d.fail("checksum mismatch")
+	}
+	return d.err
 }
 
 func (d *Decoder) fail(format string, args ...any) {
@@ -392,34 +434,110 @@ func (d *Decoder) fail(format string, args ...any) {
 	}
 }
 
-// need returns the next n body bytes, or nil after arming the sticky error.
+// inflate reads once from the source into the free end of the window. It
+// asks for no more than one byte beyond the declared length: that byte is
+// where a body that overruns it shows.
+func (d *Decoder) inflate() {
+	room := d.win[d.w:min(int64(len(d.win)), int64(d.w)+d.ulen+1-d.got)]
+	n, err := d.src.Read(room)
+	d.sum.Write(room[:n])
+	d.w += n
+	d.got += int64(n)
+	switch {
+	case d.got > d.ulen:
+		d.fail("body overruns the %d bytes the header says", d.ulen)
+	case err == io.EOF:
+		d.src = nil
+		if d.got != d.ulen {
+			d.fail("body is %d bytes, header says %d", d.got, d.ulen)
+		}
+	case err != nil:
+		d.fail("inflate: %v", err)
+	}
+}
+
+// fill makes the window hold at least n unread bytes, n no more than the
+// window; it reports false, with the sticky error armed, if the body ends
+// first.
+func (d *Decoder) fill(n int) bool {
+	if d.src != nil {
+		d.w = copy(d.win, d.win[d.r:d.w])
+		d.r = 0
+	}
+	for d.w-d.r < n && d.err == nil {
+		if d.src == nil {
+			d.fail("need %d bytes, %d remain", n, d.w-d.r)
+			break
+		}
+		d.inflate()
+	}
+	return d.err == nil
+}
+
+// need returns the next n body bytes, n no more than the window, or nil
+// after arming the sticky error.
 func (d *Decoder) need(n int) []byte {
-	if d.err != nil {
+	if d.err != nil || (d.w-d.r < n && !d.fill(n)) {
 		return nil
 	}
-	if n < 0 || len(d.body)-d.off < n {
-		d.fail("need %d bytes, %d remain", n, len(d.body)-d.off)
-		return nil
-	}
-	b := d.body[d.off : d.off+n]
-	d.off += n
+	b := d.win[d.r : d.r+n]
+	d.r += n
+	d.off += int64(n)
 	return b
 }
 
-// count reads a u64 length prefix for elements of elemSize bytes, bounding
-// it by the bytes actually remaining so hostile prefixes cannot drive
-// allocation.
-func (d *Decoder) count(elemSize int) int {
+// Count reads the u64 count of a column of elemSize-byte elements, bounding
+// it by the bytes the body can still hold so a hostile prefix cannot drive
+// allocation. The elements follow, to be read by Blocks or field by field.
+func (d *Decoder) Count(elemSize int) int {
 	b := d.need(8)
 	if b == nil {
 		return 0
 	}
 	n := binary.LittleEndian.Uint64(b)
-	if n > uint64((len(d.body)-d.off)/elemSize) {
+	if n > uint64(d.remain()/int64(elemSize)) {
 		d.fail("length %d exceeds remaining body", n)
 		return 0
 	}
 	return int(n)
+}
+
+// remain is the most the body can still hold.
+func (d *Decoder) remain() int64 { return max(d.bound-d.off, 0) }
+
+// Blocks reads the next n elements of elemSize bytes and hands them to each
+// in order, a window's worth at most at a time: src is a whole number of
+// elements, the first of them element first of the n. src is the decoder's
+// window — read-only, and gone when each returns. An error from each becomes
+// the sticky error and ends the read.
+func (d *Decoder) Blocks(n, elemSize int, each func(src []byte, first int) error) {
+	for first := 0; first < n && d.err == nil; {
+		k := min(n-first, (d.w-d.r)/elemSize)
+		if k == 0 {
+			d.fill(min(n-first, len(d.win)/elemSize) * elemSize)
+			continue
+		}
+		if err := each(d.need(k*elemSize), first); err != nil {
+			d.err = err
+		}
+		first += k
+	}
+}
+
+// Column reads a column written by Encoder.Column into a receiver that
+// holds want elements — any number if want is negative — through Blocks,
+// and returns the count. A count that is not want is refused before any
+// element is read.
+func (d *Decoder) Column(elemSize, want int, each func(src []byte, first int) error) int {
+	n := d.Count(elemSize)
+	if d.err == nil && want >= 0 && n != want {
+		d.fail("column of %d elements, receiver holds %d", n, want)
+	}
+	d.Blocks(n, elemSize, each)
+	if d.err != nil {
+		return 0
+	}
+	return n
 }
 
 // Tag consumes a section marker and fails the decode if it does not match.
@@ -474,13 +592,7 @@ func (d *Decoder) I64() int64 {
 }
 
 // F64 reads an IEEE-754 double.
-func (d *Decoder) F64() float64 {
-	b := d.need(8)
-	if b == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
+func (d *Decoder) F64() float64 { return math.Float64frombits(uint64(d.I64())) }
 
 // Str reads a length-prefixed string.
 func (d *Decoder) Str() string {
@@ -488,94 +600,46 @@ func (d *Decoder) Str() string {
 	if b == nil {
 		return ""
 	}
-	n := binary.LittleEndian.Uint32(b)
-	if n > uint32(len(d.body)-d.off) {
+	n := int64(binary.LittleEndian.Uint32(b))
+	if n > d.remain() {
 		d.fail("string length %d exceeds remaining body", n)
 		return ""
 	}
-	return string(d.need(int(n)))
+	if n <= int64(len(d.win)) {
+		return string(d.need(int(n)))
+	}
+	var s []byte // grows as the bytes arrive, not by the length claimed
+	d.Blocks(int(n), 1, func(src []byte, _ int) error {
+		s = append(s, src...)
+		return nil
+	})
+	return string(s)
 }
 
-// Bytes reads a length-prefixed byte slice (copied out of the body).
-func (d *Decoder) Bytes() []byte { return bytes.Clone(d.BytesView()) }
-
-// Slab reads a slab of elemSize-byte elements with one bounds check — the
-// count is refused unless the body still holds that many — and returns it
-// as a view of the body: no copy, no allocation, for a receiver to decode
-// straight into its own arrays. A view is read-only (the body may be shared
-// with other decoders) and must not be retained past the restore. After a
-// decode error the view is empty.
-func (d *Decoder) Slab(elemSize int) []byte { return d.need(elemSize * d.count(elemSize)) }
-
-// BytesView, I32View and I64View are Slab for a []byte, []int32 or []int64
-// column.
-func (d *Decoder) BytesView() []byte { return d.Slab(1) }
-func (d *Decoder) I32View() I32View  { return I32View{d.Slab(4)} }
-func (d *Decoder) I64View() I64View  { return I64View{d.Slab(8)} }
-
-// I32View is a read-only view of one []int32 slab of a body.
-type I32View struct{ b []byte }
-
-// Len returns the element count.
-func (v I32View) Len() int { return len(v.b) / 4 }
-
-// At returns element i.
-func (v I32View) At(i int) int32 { return int32(binary.LittleEndian.Uint32(v.b[i*4:])) }
-
-// CopyTo decodes the slab into dst, which must have Len elements.
-func (v I32View) CopyTo(dst []int32) {
-	for i := range dst {
-		dst[i] = v.At(i)
+// column reads a column of any length into a slice that grows as the blocks
+// arrive, never by the count claimed.
+func column[T any](d *Decoder, elemSize int, at func(b []byte, i int) T) []T {
+	out := []T{}
+	d.Column(elemSize, -1, func(src []byte, _ int) error {
+		out = slices.Grow(out, len(src)/elemSize)
+		for i := range len(src) / elemSize {
+			out = append(out, at(src, i))
+		}
+		return nil
+	})
+	if d.err != nil {
+		return nil
 	}
-}
-
-// I64View is a read-only view of one []int64 slab of a body.
-type I64View struct{ b []byte }
-
-// Len returns the element count.
-func (v I64View) Len() int { return len(v.b) / 8 }
-
-// At returns element i.
-func (v I64View) At(i int) int64 { return int64(binary.LittleEndian.Uint64(v.b[i*8:])) }
-
-// CopyTo decodes the slab into dst, which must have Len elements.
-func (v I64View) CopyTo(dst []int64) {
-	for i := range dst {
-		dst[i] = v.At(i)
-	}
+	return out
 }
 
 // I32s reads a length-prefixed []int32.
-func (d *Decoder) I32s() []int32 {
-	v := d.I32View()
-	if d.err != nil {
-		return nil
-	}
-	out := make([]int32, v.Len())
-	v.CopyTo(out)
-	return out
-}
+func (d *Decoder) I32s() []int32 { return column(d, 4, I32) }
 
 // I64s reads a length-prefixed []int64.
-func (d *Decoder) I64s() []int64 {
-	v := d.I64View()
-	if d.err != nil {
-		return nil
-	}
-	out := make([]int64, v.Len())
-	v.CopyTo(out)
-	return out
-}
+func (d *Decoder) I64s() []int64 { return column(d, 8, I64) }
 
 // F64s reads a length-prefixed []float64.
 func (d *Decoder) F64s() []float64 {
-	v := d.I64View()
-	if d.err != nil {
-		return nil
-	}
-	out := make([]float64, v.Len())
-	for i := range out {
-		out[i] = math.Float64frombits(uint64(v.At(i)))
-	}
-	return out
+	return column(d, 8, func(b []byte, i int) float64 { return math.Float64frombits(uint64(I64(b, i))) })
 }

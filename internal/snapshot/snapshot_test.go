@@ -21,7 +21,7 @@ func writeSample(t *testing.T) []byte {
 	e.I64(1 << 40)
 	e.F64(3.5)
 	e.Str("hello, snapshot")
-	e.Bytes([]byte{1, 2, 3})
+	e.Column(3, 1, func(dst []byte, _ int) { copy(dst, []byte{1, 2, 3}) })
 	e.I32s([]int32{-1, 0, 1})
 	e.I64s([]int64{-9, 9})
 	e.F64s([]float64{0.25, -0.5})
@@ -32,12 +32,10 @@ func writeSample(t *testing.T) []byte {
 	return blob
 }
 
-func TestRoundTripPrimitives(t *testing.T) {
-	blob := writeSample(t)
-	d, err := NewDecoder(blob)
-	if err != nil {
-		t.Fatalf("NewDecoder: %v", err)
-	}
+// readSample reads what writeSample wrote, reporting any value that came back
+// wrong, and returns Finish's verdict on the container.
+func readSample(t *testing.T, d *Decoder) error {
+	t.Helper()
 	d.Tag("sample")
 	if !d.Bool() || d.Bool() {
 		t.Error("bool mismatch")
@@ -57,9 +55,12 @@ func TestRoundTripPrimitives(t *testing.T) {
 	if got := d.Str(); got != "hello, snapshot" {
 		t.Errorf("str = %q", got)
 	}
-	if got := d.Bytes(); !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Errorf("bytes = %v", got)
-	}
+	d.Column(1, 3, func(src []byte, _ int) error {
+		if !bytes.Equal(src, []byte{1, 2, 3}) {
+			t.Errorf("bytes = %v", src)
+		}
+		return nil
+	})
 	if got := d.I32s(); len(got) != 3 || got[0] != -1 || got[2] != 1 {
 		t.Errorf("i32s = %v", got)
 	}
@@ -69,7 +70,15 @@ func TestRoundTripPrimitives(t *testing.T) {
 	if got := d.F64s(); len(got) != 2 || got[0] != 0.25 || got[1] != -0.5 {
 		t.Errorf("f64s = %v", got)
 	}
-	if err := d.Finish(); err != nil {
+	return d.Finish()
+}
+
+func TestRoundTripPrimitives(t *testing.T) {
+	d, err := NewDecoder(writeSample(t))
+	if err != nil {
+		t.Fatalf("NewDecoder: %v", err)
+	}
+	if err := readSample(t, d); err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
 }
@@ -89,8 +98,18 @@ func TestDecoderRejectsTruncatedContainer(t *testing.T) {
 			t.Errorf("len %d: err = %v, want ErrTruncated", n, err)
 		}
 	}
-	// Truncating the compressed payload corrupts the stream.
-	if _, err := NewDecoder(blob[:len(blob)-3]); !errors.Is(err, ErrCorrupt) {
+	// Truncating the compressed payload corrupts the stream: the header still
+	// opens, and the decode ends in ErrCorrupt at Finish at the latest.
+	d, err := NewDecoder(blob[:len(blob)-3])
+	if err != nil {
+		t.Fatalf("NewDecoder of a whole header: %v", err)
+	}
+	if d.Tag("sample"); d.Err() == nil {
+		for d.Err() == nil {
+			d.U8()
+		}
+	}
+	if err := d.Finish(); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("truncated payload: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -122,7 +141,12 @@ func TestDecoderRejectsUnknownFlags(t *testing.T) {
 func TestDecoderRejectsChecksumFlip(t *testing.T) {
 	blob := writeSample(t)
 	blob[20] ^= 0xFF // first checksum byte
-	if _, err := NewDecoder(blob); !errors.Is(err, ErrCorrupt) {
+	d, err := NewDecoder(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every value reads back right; only Finish can tell.
+	if err := readSample(t, d); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("err = %v, want ErrCorrupt", err)
 	}
 }
@@ -236,38 +260,31 @@ func TestDecoderUncompressedBody(t *testing.T) {
 	}
 }
 
-// TestSealRawRoundTrip: SealRaw writes the container sealRaw builds by hand
-// — the flags word clear, the body's chunks verbatim behind the header — Open
-// reads it back, and sealing the same encoder compressed is unaffected.
+// TestSealRawRoundTrip: a raw container is the one sealRaw builds by hand —
+// the flags word clear, the body verbatim behind the header — Open reads it
+// back, and the same body sealed compressed is smaller and reads the same.
 func TestSealRawRoundTrip(t *testing.T) {
-	fill := func() *Encoder {
-		e := NewEncoder()
+	const n = 3 * windowBytes / 8 // a column that spans several windows
+	fill := func(e *Encoder) []byte {
 		e.Tag("raw")
-		col := e.I64Slab(3 * chunkBytes / 8) // a chunk of its own between two shared ones
-		for i := 0; i < 3*chunkBytes/8; i++ {
-			col.Set(i, int64(i)*7)
-		}
+		e.Column(n, 8, func(dst []byte, first int) {
+			for i := range len(dst) / 8 {
+				PutI64(dst, i, int64(first+i)*7)
+			}
+		})
 		e.Str("tail")
-		return e
+		blob, err := e.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
 	}
-	e := fill()
-	var body []byte
-	for _, c := range e.chunks {
-		body = append(body, c...)
+	raw, packed := fill(NewRawContainer(magic, Version)), fill(NewEncoder())
+	if body := raw[headerSize:]; !bytes.Equal(raw, sealRaw(body)) || len(body) != 4+3+8+8*n+4+4 {
+		t.Fatalf("raw container of %d bytes is not the hand-built one", len(raw))
 	}
-	raw, err := SealRaw(magic, Version, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, sealRaw(body)) {
-		t.Fatalf("SealRaw wrote %d bytes, the hand-built container is %d", len(raw), len(sealRaw(body)))
-	}
-	packed, err := Seal(magic, Version, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh, _ := fill().Finish(); !bytes.Equal(packed, fresh) || len(packed) >= len(raw) {
-		t.Fatalf("Seal after SealRaw wrote %d bytes, a fresh encoder %d, raw %d", len(packed), len(fresh), len(raw))
+	if len(packed) >= len(raw) {
+		t.Fatalf("compressed container is %d bytes, raw %d", len(packed), len(raw))
 	}
 	for name, blob := range map[string][]byte{"raw": raw, "compressed": packed} {
 		d, err := Open(magic, Version, blob)
@@ -275,16 +292,20 @@ func TestSealRawRoundTrip(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		d.Tag("raw")
-		col := d.I64View()
-		if col.Len() != 3*chunkBytes/8 || col.At(col.Len()-1) != int64(col.Len()-1)*7 {
-			t.Errorf("%s: column of %d", name, col.Len())
+		last := int64(-1)
+		got := d.Column(8, n, func(src []byte, first int) error {
+			last = I64(src, len(src)/8-1)
+			return nil
+		})
+		if got != n || last != int64(n-1)*7 {
+			t.Errorf("%s: column of %d ending in %d", name, got, last)
 		}
 		if got := d.Str(); got != "tail" || d.Finish() != nil {
 			t.Errorf("%s: tail %q, %v", name, got, d.Finish())
 		}
 	}
-	if _, err := SealRaw("toolong", Version, e); !errors.Is(err, ErrFormat) {
-		t.Errorf("SealRaw with a 7-byte magic: %v", err)
+	if _, err := NewRawContainer("toolong", Version).Finish(); !errors.Is(err, ErrFormat) {
+		t.Errorf("a container with a 7-byte magic: %v", err)
 	}
 }
 
@@ -307,16 +328,19 @@ func sha(b []byte) []byte {
 	return s[:]
 }
 
-// Slabs filled in place and views read in place are the same format as the
-// slice methods: a column written either way reads back either way, and the
-// two encodings are byte-identical.
-func TestSlabsAndViewsMatchSlices(t *testing.T) {
+// Columns filled and read a block at a time are the same format as the slice
+// methods: a column written either way reads back either way, and the two
+// encodings are byte-identical.
+func TestColumnsMatchSlices(t *testing.T) {
 	i32 := []int32{-3, 0, 1 << 30}
 	i64 := []int64{-1 << 62, 7, 0, 42}
 	raw := []byte{9, 8, 7}
 
 	slices := NewEncoder()
-	slices.Bytes(raw)
+	slices.I64(int64(len(raw))) // a count is a u64; the elements may follow as fields
+	for _, b := range raw {
+		slices.U8(b)
+	}
 	slices.I32s(i32)
 	slices.I64s(i64)
 	want, err := slices.Finish()
@@ -324,46 +348,55 @@ func TestSlabsAndViewsMatchSlices(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	slabs := NewEncoder()
-	copy(slabs.ByteSlab(len(raw)), raw)
-	w32 := slabs.I32Slab(len(i32))
-	for i, v := range i32 {
-		w32.Set(i, v)
+	cols := NewEncoder()
+	cols.Column(len(raw), 1, func(dst []byte, first int) { copy(dst, raw[first:]) })
+	cols.Column(len(i32), 4, func(dst []byte, first int) {
+		for i := range len(dst) / 4 {
+			PutI32(dst, i, i32[first+i])
+		}
+	})
+	cols.I64(int64(len(i64)))
+	for _, v := range i64 {
+		cols.I64(v)
 	}
-	w64 := slabs.I64Slab(len(i64))
-	for i, v := range i64 {
-		w64.Set(i, v)
-	}
-	got, err := slabs.Finish()
+	got, err := cols.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("slab-encoded container differs from the slice-encoded one")
+		t.Fatal("column-encoded container differs from the slice-encoded one")
 	}
 
 	d, err := NewDecoder(got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := d.BytesView(); !bytes.Equal(v, raw) {
-		t.Errorf("bytes view = %v", v)
-	}
-	v32 := d.I32View()
-	back32 := make([]int32, v32.Len())
-	v32.CopyTo(back32)
-	v64 := d.I64View()
-	if v32.Len() != len(i32) || v64.Len() != len(i64) {
-		t.Fatalf("views hold %d/%d elements, want %d/%d", v32.Len(), v64.Len(), len(i32), len(i64))
-	}
-	for i, v := range i32 {
-		if back32[i] != v || v32.At(i) != v {
-			t.Errorf("i32[%d] = %d / %d, want %d", i, back32[i], v32.At(i), v)
+	d.Column(1, len(raw), func(src []byte, first int) error {
+		if !bytes.Equal(src, raw[first:first+len(src)]) {
+			t.Errorf("bytes block at %d = %v", first, src)
 		}
+		return nil
+	})
+	back32 := make([]int32, len(i32))
+	if n := d.Column(4, -1, func(src []byte, first int) error {
+		for i := range len(src) / 4 {
+			back32[first+i] = I32(src, i)
+		}
+		return nil
+	}); n != len(i32) {
+		t.Fatalf("i32 column holds %d elements, want %d", n, len(i32))
+	}
+	if n := d.Count(8); n != len(i64) {
+		t.Fatalf("i64 column holds %d elements, want %d", n, len(i64))
 	}
 	for i, v := range i64 {
-		if v64.At(i) != v {
-			t.Errorf("i64[%d] = %d, want %d", i, v64.At(i), v)
+		if got := d.I64(); got != v {
+			t.Errorf("i64[%d] = %d, want %d", i, got, v)
+		}
+	}
+	for i, v := range i32 {
+		if back32[i] != v {
+			t.Errorf("i32[%d] = %d, want %d", i, back32[i], v)
 		}
 	}
 	if err := d.Finish(); err != nil {
@@ -371,28 +404,45 @@ func TestSlabsAndViewsMatchSlices(t *testing.T) {
 	}
 }
 
-// A view's length prefix is bounded by the bytes that remain, like a
-// slice's: a hostile count arms the sticky error and yields an empty view.
-func TestViewRejectsHostileLength(t *testing.T) {
-	body := binary.LittleEndian.AppendUint64(nil, 1<<40)
-	d, err := NewDecoder(sealRaw(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := d.I64View(); v.Len() != 0 || !errors.Is(d.Err(), ErrCorrupt) {
-		t.Errorf("view of %d elements, err %v; want empty and ErrCorrupt", v.Len(), d.Err())
+// A column's count is bounded by the bytes that remain, like a slice's, and
+// held to the receiver's: a hostile or a foreign count arms the sticky
+// error before any block is handed out.
+func TestColumnRejectsHostileLength(t *testing.T) {
+	for name, tc := range map[string]struct {
+		count uint64
+		want  int
+	}{"beyond the body": {1 << 40, -1}, "not the receiver's": {1, 2}} {
+		body := binary.LittleEndian.AppendUint64(nil, tc.count)
+		body = append(body, make([]byte, 8)...)
+		d, err := NewDecoder(sealRaw(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := d.Column(8, tc.want, func([]byte, int) error {
+			t.Errorf("%s: a block was handed out", name)
+			return nil
+		})
+		if n != 0 || !errors.Is(d.Err(), ErrCorrupt) {
+			t.Errorf("%s: column of %d elements, err %v; want none and ErrCorrupt", name, n, d.Err())
+		}
 	}
 }
 
-// The inflate buffer is sized from the header but capped by what the
-// payload present could expand to: a 60-byte container claiming the largest
-// body the format allows is rejected after allocating next to nothing.
+// Nothing is sized from the header: a 60-byte container claiming the largest
+// body the format allows, and a column as long, is rejected after allocating
+// a window and next to nothing else.
 func TestOpenHostileLengthAllocatesLittle(t *testing.T) {
 	blob := writeSample(t)[:headerSize+8]
 	binary.LittleEndian.PutUint64(blob[12:20], maxBody)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := NewDecoder(blob)
+	d, err := NewDecoder(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Tag("sample")
+	d.I64s()
+	err = d.Finish()
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Errorf("err = %v, want ErrCorrupt", err)
