@@ -251,7 +251,11 @@ func NewRunnerWithHostCache(s Scheme, cfg Config, cachePages int) (*Runner, erro
 // snapshot produced by Runner.Snapshot (DESIGN §13). The snapshot embeds
 // the scheme kind, device configuration and host-cache size, so no other
 // arguments are needed; the restored state is audited before the runner is
-// returned, and a tampered or truncated blob fails with a typed error.
+// returned, and a tampered or truncated blob fails with a typed error. A
+// snapshot is a cache of an aged device, not an archive: one written by
+// another format version is refused (naming the version found and the version
+// supported) and never migrated — re-create it with -snapshot-out, or
+// Runner.Snapshot.
 func RestoreRunner(blob []byte) (*Runner, error) { return sim.Restore(blob) }
 
 // Tracer receives span-style observability events from a replay: request

@@ -71,7 +71,7 @@ func runFleet(o fleetOpts) {
 		}
 		v, err = across.RestoreFleet(blob, spec)
 		if err != nil {
-			fatal(err)
+			fatal(snapshotErr(o.snapIn, err))
 		}
 	} else {
 		v, err = across.NewFleet(o.scheme, o.cfg, spec)

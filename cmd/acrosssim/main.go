@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -18,6 +19,7 @@ import (
 	"across/internal/fleet"
 	"across/internal/profiling"
 	"across/internal/report"
+	"across/internal/snapshot"
 )
 
 func main() {
@@ -120,7 +122,7 @@ func main() {
 		}
 		r, err = across.RestoreRunner(blob)
 		if err != nil {
-			fatal(err)
+			fatal(snapshotErr(*snapIn, err))
 		}
 		cfg = *r.Conf
 	}
@@ -268,6 +270,16 @@ func main() {
 		report.TimelineLatency(smp.Samples()).RenderTo(os.Stdout, *timeline)
 		report.TimelineUtilisation(smp.Samples()).RenderTo(os.Stdout, *timeline)
 	}
+}
+
+// snapshotErr names the file a -snapshot-in that does not open came from and,
+// for one of another format version, the way out: a snapshot is a cache of an
+// aged device, refused and made again, never migrated.
+func snapshotErr(file string, err error) error {
+	if errors.Is(err, snapshot.ErrVersion) {
+		return fmt.Errorf("%s: %w; re-create it with -snapshot-out", file, err)
+	}
+	return fmt.Errorf("%s: %w", file, err)
 }
 
 func fatal(err error) {

@@ -97,6 +97,26 @@ func TestAcrosssimWorkersNeedFleet(t *testing.T) {
 	}
 }
 
+// TestAcrosssimRefusesARetiredSnapshotVersion: a snapshot is a cache, so one
+// of an old format version is refused, single device and fleet alike — in one
+// line that names the file, both versions and the way out.
+func TestAcrosssimRefusesARetiredSnapshotVersion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns go run")
+	}
+	const old = "internal/sim/testdata/snapshot-v1/ftl.axsn"
+	for _, mode := range [][]string{nil, {"-fleet", "2"}} {
+		args := append([]string{"run", "./cmd/acrosssim", "-snapshot-in", old, "-profile", "lun1", "-scale", "0.002"}, mode...)
+		out, err := exec.Command("go", args...).CombinedOutput()
+		line, _, _ := strings.Cut(string(out), "\n")
+		for _, want := range []string{old, "got 1", "support 2", "re-create it with -snapshot-out"} {
+			if err == nil || !strings.Contains(line, want) {
+				t.Errorf("%v: err=%v, want a first line naming %q; output:\n%s", mode, err, want, out)
+			}
+		}
+	}
+}
+
 // TestBenchmarkModuleBuilds vets the nested benchmark module, which
 // `go test ./...` from the root does not reach: an API removal that breaks
 // benchmark/ fails tier-1 here, not at the next benchmark run.

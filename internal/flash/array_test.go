@@ -1,12 +1,14 @@
 package flash
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"across/internal/snapshot"
 	"across/internal/ssdconf"
 )
 
@@ -358,5 +360,83 @@ func TestStaleTagColumnsNeverShow(t *testing.T) {
 	}
 	if got := a.TagOf(0); got != want {
 		t.Fatalf("reprogrammed page shows %+v, want %+v", got, want)
+	}
+}
+
+// Equal states seal to equal bytes whatever was ever allocated: an array
+// whose aux column exists but whose every tagged page has since been
+// invalidated writes what one that never allocated it writes, and restoring
+// that allocates nothing. Once a valid page carries an Aux the column is
+// written, and comes back with stale entries of dead pages left out.
+func TestSnapshotIsCanonicalOverTheLazyAuxColumn(t *testing.T) {
+	seal := func(a *Array) []byte {
+		t.Helper()
+		enc := snapshot.NewEncoder()
+		if err := a.SnapshotState(enc); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := enc.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	open := func(blob []byte) *Array {
+		t.Helper()
+		dec, err := snapshot.NewDecoder(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := tinyArray(t)
+		if err := a.RestoreState(dec); err != nil {
+			t.Fatal(err)
+		}
+		if err := dec.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	never, once := tinyArray(t), tinyArray(t)
+	for a, aux := range map[*Array]int64{never: 0, once: 99} {
+		if err := a.Program(0, Tag{Kind: 1, Key: 7, Aux: aux}); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Invalidate(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Program(1, Tag{Kind: 1, Key: 7}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if never.aux != nil || once.aux == nil {
+		t.Fatalf("aux allocated: never %v, once %v; want false, true", never.aux != nil, once.aux != nil)
+	}
+	blob := seal(once)
+	if !bytes.Equal(blob, seal(never)) {
+		t.Fatal("an aux column that holds nothing shows in the snapshot")
+	}
+	if restored := open(blob); restored.aux != nil {
+		t.Error("restoring a snapshot without an aux column allocated one")
+	} else if !bytes.Equal(seal(restored), blob) {
+		t.Error("re-snapshot differs")
+	}
+
+	want := Tag{Kind: 2, Key: 8, Aux: 5}
+	if err := once.Program(2, want); err != nil {
+		t.Fatal(err)
+	}
+	withAux := seal(once)
+	if snapshot.BodyLen(withAux) != snapshot.BodyLen(blob)+8+8*int64(once.Geo.TotalPages()) {
+		t.Errorf("body grew from %d to %d bytes, want by one 64-bit column", snapshot.BodyLen(blob), snapshot.BodyLen(withAux))
+	}
+	restored := open(withAux)
+	if got := restored.TagOf(2); got != want {
+		t.Errorf("restored tag %+v, want %+v", got, want)
+	}
+	if restored.aux[0] != 0 || restored.key[0] != 0 {
+		t.Errorf("the dead page's columns hold key %d, aux %d after a restore, want what a new array holds", restored.key[0], restored.aux[0])
+	}
+	if !bytes.Equal(seal(restored), withAux) {
+		t.Error("re-snapshot with an aux column differs")
 	}
 }

@@ -14,32 +14,40 @@ import (
 // lower bound does not affect victim selection, so a rebuilt index is
 // selection-equivalent to the live one).
 //
-// The format predates the packed columns and does not move with them: state
-// and kind are byte columns, key and aux 64-bit ones, and a page that is not
-// valid carries NilTag whatever its columns still hold — TagOf's answer.
+// The page columns go out at the width the array holds them — the meta byte,
+// a 32-bit key, and aux behind a presence byte — in canonical form: a page
+// that is not valid carries NilTag whatever its columns still hold (TagOf's
+// answer: no kind bits, NilTag's key, no aux), and the aux column is present
+// exactly when some valid page carries a non-zero Aux, whether or not the
+// lazy slice was ever allocated.
 func (a *Array) SnapshotState(enc *snapshot.Encoder) error {
 	enc.Tag("flash")
 	n := len(a.meta)
 	enc.Column(n, 1, func(dst []byte, first int) {
 		for i, m := range a.meta[first : first+len(dst)] {
-			dst[i] = m & stateMask
+			if m&stateMask != uint8(PageValid) {
+				m &= stateMask
+			}
+			dst[i] = m
 		}
 	})
-	enc.Column(n, 1, func(dst []byte, first int) {
-		for i := range dst {
-			dst[i] = a.TagOf(PPN(first + i)).Kind
+	enc.Column(n, 4, func(dst []byte, first int) {
+		for i, key := range a.key[first : first+len(dst)/4] {
+			if a.State(PPN(first+i)) != PageValid {
+				key = int32(NilTag.Key)
+			}
+			snapshot.PutI32(dst, i, key)
 		}
 	})
-	enc.Column(n, 8, func(dst []byte, first int) {
-		for i := range len(dst) / 8 {
-			snapshot.PutI64(dst, i, a.TagOf(PPN(first+i)).Key)
-		}
-	})
-	enc.Column(n, 8, func(dst []byte, first int) {
-		for i := range len(dst) / 8 {
-			snapshot.PutI64(dst, i, a.TagOf(PPN(first+i)).Aux)
-		}
-	})
+	hasAux := a.hasAux()
+	enc.Bool(hasAux)
+	if hasAux {
+		enc.Column(n, 8, func(dst []byte, first int) {
+			for i := range len(dst) / 8 {
+				snapshot.PutI64(dst, i, a.TagOf(PPN(first+i)).Aux)
+			}
+		})
+	}
 	enc.I32s(a.writePtr)
 	enc.I32s(a.validCount)
 	enc.I64s(a.eraseCount)
@@ -49,74 +57,67 @@ func (a *Array) SnapshotState(enc *snapshot.Encoder) error {
 	return nil
 }
 
+// hasAux reports whether some valid page carries a non-zero Aux.
+func (a *Array) hasAux() bool {
+	for p, aux := range a.aux {
+		if aux != 0 && a.State(PPN(p)) == PageValid {
+			return true
+		}
+	}
+	return false
+}
+
 // RestoreState reads state written by SnapshotState into an array built for
-// the same geometry — each column narrowed block by block from the stream
-// into the array, its count held to the geometry and every element checked
+// the same geometry — each column copied block by block from the stream into
+// the array, its count held to the geometry and every element checked
 // against its range and against the columns that arrived before it — and
-// rebuilds the victim index from the restored block metadata. A tag the
-// packed columns cannot hold, or any part of a tag but NilTag's on a page
-// that is not valid, is refused as snapshot.ErrCorrupt. A receiver whose
-// restore failed is left part-written and must be dropped.
+// rebuilds the victim index from the restored block metadata. A kind above
+// MaxKind, any part of a tag but NilTag's on a page that is not valid, or an
+// aux column that is present and holds nothing, is refused as
+// snapshot.ErrCorrupt. A receiver whose restore failed is left part-written
+// and must be dropped.
 func (a *Array) RestoreState(dec *snapshot.Decoder) error {
 	dec.Tag("flash")
 	pages, blocks := len(a.meta), len(a.writePtr)
 	dec.Column(1, pages, func(src []byte, first int) error {
-		for i, st := range src {
-			if PageState(st) > PageInvalid {
+		for i, m := range src {
+			switch st, kind := PageState(m&stateMask), m>>kindShift; {
+			case st > PageInvalid:
 				return fmt.Errorf("flash: snapshot page %d has invalid state %d", first+i, st)
+			case st != PageValid && kind != 0, kind > MaxKind:
+				return tagErr(first+i, st, "kind", int64(kind))
 			}
 		}
 		copy(a.meta[first:], src)
 		return nil
 	})
-	dec.Column(1, pages, func(src []byte, first int) error {
-		for i, kind := range src {
-			switch p := first + i; {
-			case a.meta[p] != uint8(PageValid): // the byte holds the state alone so far
-				if kind != NilTag.Kind {
-					return a.tagErr(p, "kind", int64(kind))
-				}
-			case kind > MaxKind:
-				return a.tagErr(p, "kind", int64(kind))
-			default:
-				a.meta[p] |= kind << kindShift
+	dec.Column(4, pages, func(src []byte, first int) error {
+		for i := range len(src) / 4 {
+			p, key := first+i, snapshot.I32(src, i)
+			if st := a.State(PPN(p)); st == PageValid {
+				a.key[p] = key
+			} else if int64(key) != NilTag.Key {
+				return tagErr(p, st, "key", int64(key))
 			}
 		}
 		return nil
 	})
-	dec.Column(8, pages, func(src []byte, first int) error {
-		for i := range len(src) / 8 {
-			switch p, key := first+i, snapshot.I64(src, i); {
-			case a.meta[p]&stateMask != uint8(PageValid):
-				if key != NilTag.Key {
-					return a.tagErr(p, "key", key)
+	if dec.Bool() {
+		a.aux = make([]int64, pages)
+		dec.Column(8, pages, func(src []byte, first int) error {
+			for i := range len(src) / 8 {
+				p, aux := first+i, snapshot.I64(src, i)
+				if st := a.State(PPN(p)); st != PageValid && aux != NilTag.Aux {
+					return tagErr(p, st, "aux", aux)
 				}
-			case int64(int32(key)) != key:
-				return a.tagErr(p, "key", key)
-			default:
-				a.key[p] = int32(key)
-			}
-		}
-		return nil
-	})
-	dec.Column(8, pages, func(src []byte, first int) error {
-		for i := range len(src) / 8 {
-			p, aux := first+i, snapshot.I64(src, i)
-			if a.meta[p]&stateMask != uint8(PageValid) {
-				if aux != NilTag.Aux {
-					return a.tagErr(p, "aux", aux)
-				}
-				continue
-			}
-			if a.aux == nil && aux != 0 {
-				a.aux = make([]int64, pages)
-			}
-			if a.aux != nil {
 				a.aux[p] = aux
 			}
+			return nil
+		})
+		if dec.Err() == nil && !a.hasAux() {
+			return fmt.Errorf("%w: flash aux column is present and holds nothing", snapshot.ErrCorrupt)
 		}
-		return nil
-	})
+	}
 	ppb := int32(a.Geo.PagesPerBlock)
 	dec.Column(4, blocks, func(src []byte, first int) error {
 		for i := range len(src) / 4 {
@@ -160,10 +161,11 @@ func (a *Array) RestoreState(dec *snapshot.Decoder) error {
 	return nil
 }
 
-// tagErr refuses one column's share of page p's tag: on a valid page a
-// value the packed column cannot hold, on any other anything but NilTag's.
-func (a *Array) tagErr(p int, what string, v int64) error {
-	if st := a.State(PPN(p)); st != PageValid {
+// tagErr refuses one column's share of page p's tag: on a valid page a kind
+// the meta byte's six bits hold and Program refuses, on any other anything
+// but NilTag's.
+func tagErr(p int, st PageState, what string, v int64) error {
+	if st != PageValid {
 		return fmt.Errorf("%w: flash page %d is %v but carries tag %s %d", snapshot.ErrCorrupt, p, st, what, v)
 	}
 	return fmt.Errorf("%w: %w: ppn %d, tag %s %d", snapshot.ErrCorrupt, ErrTagRange, p, what, v)

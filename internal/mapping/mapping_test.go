@@ -2,7 +2,6 @@ package mapping
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -254,9 +253,10 @@ func TestAMTMatchesReferenceModel(t *testing.T) {
 	}
 }
 
-// The PPN column is 32 bits wide: a PPN that does not fit is refused, by
-// panic from SetPPN (a caller bug: flash.NewArray refuses such a device) and
-// as snapshot.ErrCorrupt from RestoreState — never stored truncated.
+// The PPN column is 32 bits wide: a PPN that does not fit is refused by panic
+// from SetPPN (a caller bug: flash.NewArray refuses such a device), never
+// stored truncated — and the snapshot writes the column at that width, so
+// what the table can hold is exactly what a checkpoint can say.
 func TestPMTRefusesPPNPast32Bits(t *testing.T) {
 	pmt := NewPMT(2)
 	pmt.SetPPN(0, math.MaxInt32)
@@ -275,22 +275,29 @@ func TestPMTRefusesPPNPast32Bits(t *testing.T) {
 		if got := pmt.PPNOf(1); got != flash.NilPPN {
 			t.Fatalf("refused SetPPN(%d) stored %d", ppn, got)
 		}
+	}
 
-		enc := snapshot.NewEncoder()
-		enc.Tag("pmt")
-		enc.I64s([]int64{3, int64(ppn)})
-		enc.I32s([]int32{NoAIdx, NoAIdx})
-		blob, err := enc.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := snapshot.NewDecoder(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := NewPMT(2).RestoreState(dec); !errors.Is(err, snapshot.ErrCorrupt) {
-			t.Errorf("RestoreState(PPN %d) err = %v, want snapshot.ErrCorrupt", ppn, err)
-		}
+	enc := snapshot.NewEncoder()
+	if err := pmt.SnapshotState(enc); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := enc.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(4+3) + 8 + 2*4 + 1; snapshot.BodyLen(blob) != want {
+		t.Errorf("a 2-entry PMT seals to a %d-byte body, want %d (tag, count, two 32-bit PPNs, no AIdx column)", snapshot.BodyLen(blob), want)
+	}
+	dec, err := snapshot.NewDecoder(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := NewPMT(2)
+	if err := restored.RestoreState(dec); err != nil || dec.Finish() != nil {
+		t.Fatalf("RestoreState: %v, Finish: %v", err, dec.Finish())
+	}
+	if restored.PPNOf(0) != math.MaxInt32 || restored.PPNOf(1) != flash.NilPPN {
+		t.Errorf("restored PPNs %d, %d; want %d, %d", restored.PPNOf(0), restored.PPNOf(1), math.MaxInt32, flash.NilPPN)
 	}
 }
 

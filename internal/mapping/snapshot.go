@@ -9,41 +9,47 @@ import (
 	"across/internal/snapshot"
 )
 
-// SnapshotState appends the full page mapping table as parallel PPN and
-// AIdx columns, widened to the format's 64- and 32-bit columns; an AIdx
-// column that was never allocated is written as all NoAIdx.
+// SnapshotState appends the full page mapping table as the 32-bit PPN column
+// it is held in, then the AIdx column behind a presence byte: present exactly
+// when some LPN has an AIdx, whether or not the lazy slice was ever
+// allocated, so equal tables write equal bytes.
 func (t *PMT) SnapshotState(enc *snapshot.Encoder) error {
 	enc.Tag("pmt")
-	snapshot.I64Column(enc, t.ppn)
-	enc.Column(len(t.ppn), 4, func(dst []byte, first int) {
-		for i := range len(dst) / 4 {
-			snapshot.PutI32(dst, i, t.AIdxOf(int64(first+i)))
-		}
-	})
+	enc.I32s(t.ppn)
+	hasAIdx := t.hasAIdx()
+	enc.Bool(hasAIdx)
+	if hasAIdx {
+		enc.I32s(t.aidx)
+	}
 	return nil
 }
 
+// hasAIdx reports whether some LPN has an AIdx.
+func (t *PMT) hasAIdx() bool {
+	return slices.ContainsFunc(t.aidx, func(idx int32) bool { return idx != NoAIdx })
+}
+
 // RestoreState reads state written by SnapshotState into a PMT constructed
-// for the same logical-page count, narrowing as it goes: a PPN the 32-bit
-// column cannot hold is refused as snapshot.ErrCorrupt.
+// for the same logical-page count. An AIdx column that is present and holds
+// nothing is refused as snapshot.ErrCorrupt.
 func (t *PMT) RestoreState(dec *snapshot.Decoder) error {
 	dec.Tag("pmt")
-	dec.Column(8, len(t.ppn), func(src []byte, first int) error {
-		for i := range len(src) / 8 {
-			p := snapshot.I64(src, i)
-			if int64(int32(p)) != p {
-				return fmt.Errorf("%w: PMT entry %d holds PPN %d, beyond the 32-bit table", snapshot.ErrCorrupt, first+i, p)
+	into := func(col []int32) {
+		dec.Column(4, len(col), func(src []byte, first int) error {
+			for i := range len(src) / 4 {
+				col[first+i] = snapshot.I32(src, i)
 			}
-			t.ppn[first+i] = int32(p)
+			return nil
+		})
+	}
+	into(t.ppn)
+	if dec.Bool() {
+		t.aidx = make([]int32, len(t.ppn))
+		into(t.aidx)
+		if dec.Err() == nil && !t.hasAIdx() {
+			return fmt.Errorf("%w: PMT AIdx column is present and holds nothing", snapshot.ErrCorrupt)
 		}
-		return nil
-	})
-	dec.Column(4, len(t.ppn), func(src []byte, first int) error {
-		for i := range len(src) / 4 {
-			t.SetAIdx(int64(first+i), snapshot.I32(src, i))
-		}
-		return nil
-	})
+	}
 	return dec.Err()
 }
 

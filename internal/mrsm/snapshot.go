@@ -16,9 +16,9 @@ func (s *Scheme) SnapshotState(enc *snapshot.Encoder) error {
 	if err := s.SnapshotBase(enc); err != nil {
 		return err
 	}
-	snapshot.I64Column(enc, s.subLoc)
-	snapshot.I64Column(enc, s.pageOwner)
-	snapshot.I32Column(enc, s.pageLive)
+	deltas(enc, s.subLoc)
+	deltas(enc, s.pageOwner)
+	enc.Column(len(s.pageLive), 1, func(dst []byte, first int) { copy(dst, s.pageLive[first:]) })
 	enc.I32s(s.nodeDirty)
 	enc.I64s(s.bufList)
 	if err := s.cmt.SnapshotState(enc); err != nil {
@@ -27,17 +27,35 @@ func (s *Scheme) SnapshotState(enc *snapshot.Encoder) error {
 	return s.ms.SnapshotState(enc)
 }
 
-// narrow reads a 64-bit column into a 32-bit table of the receiver's size.
-// It refuses any value but unmapped or an index into the other table (limit
-// is its length) as snapshot.ErrCorrupt.
-func narrow(dec *snapshot.Decoder, dst []int32, limit int, what string) {
-	dec.Column(8, len(dst), func(src []byte, first int) error {
-		for i := range len(src) / 8 {
-			v := snapshot.I64(src, i)
-			if v < unmapped || v >= int64(limit) {
+// deltas writes a 32-bit table as the wrapping differences between
+// neighbours, the first from zero. The location and census tables run in
+// long ascending stretches, which DEFLATE finds only once they are
+// differenced; no other column is written this way (DESIGN §13).
+func deltas(enc *snapshot.Encoder, col []int32) {
+	enc.Column(len(col), 4, func(dst []byte, first int) {
+		var prev int32
+		if first > 0 {
+			prev = col[first-1]
+		}
+		for i, v := range col[first : first+len(dst)/4] {
+			snapshot.PutI32(dst, i, v-prev)
+			prev = v
+		}
+	})
+}
+
+// undeltas reads a column written by deltas into a table of the receiver's
+// size. It refuses any reconstructed value but unmapped or an index into the
+// other table (limit is its length) as snapshot.ErrCorrupt.
+func undeltas(dec *snapshot.Decoder, dst []int32, limit int, what string) {
+	var v int32
+	dec.Column(4, len(dst), func(src []byte, first int) error {
+		for i := range len(src) / 4 {
+			v += snapshot.I32(src, i)
+			if v < unmapped || int(v) >= limit {
 				return fmt.Errorf("%w: mrsm %s entry %d is %d, outside [-1,%d)", snapshot.ErrCorrupt, what, first+i, v, limit)
 			}
-			dst[first+i] = int32(v)
+			dst[first+i] = v
 		}
 		return nil
 	})
@@ -52,16 +70,15 @@ func (s *Scheme) RestoreState(dec *snapshot.Decoder) error {
 	if err := s.RestoreBase(dec); err != nil {
 		return err
 	}
-	narrow(dec, s.subLoc, len(s.pageOwner), "location")
-	narrow(dec, s.pageOwner, len(s.subLoc), "census")
-	dec.Column(4, len(s.pageLive), func(src []byte, first int) error {
-		for i := range len(src) / 4 {
-			n := snapshot.I32(src, i)
-			if n < 0 || int(n) > s.subPerPg {
+	undeltas(dec, s.subLoc, len(s.pageOwner), "location")
+	undeltas(dec, s.pageOwner, len(s.subLoc), "census")
+	dec.Column(1, len(s.pageLive), func(src []byte, first int) error {
+		for i, n := range src {
+			if int(n) > s.subPerPg {
 				return fmt.Errorf("%w: mrsm page %d has %d live slots, page fits %d", snapshot.ErrCorrupt, first+i, n, s.subPerPg)
 			}
-			s.pageLive[first+i] = uint8(n)
 		}
+		copy(s.pageLive[first:], src)
 		return nil
 	})
 	dec.Column(4, len(s.nodeDirty), func(src []byte, first int) error {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"across/internal/jobs"
 	"across/internal/sim"
+	"across/internal/snapshot"
 	"across/internal/ssdconf"
 )
 
@@ -103,9 +105,10 @@ func TestSharedCheckpointOpensOnceForksConcurrently(t *testing.T) {
 	}
 }
 
-// A stored checkpoint that does not open — garbage, or a valid snapshot of
-// another device — is not cached, and the job ages instead; the checkpoint
-// that aging stores then serves the next job.
+// A stored checkpoint that does not open — garbage, a valid snapshot of
+// another device, or one of a retired format version — is not cached, and the
+// job says why, counts it and ages instead; the checkpoint that aging stores
+// over it then serves the next job, and a restarted server.
 func TestUnusableStoredCheckpointIsNotCached(t *testing.T) {
 	fresh := func(kind sim.SchemeKind, conf ssdconf.Config) []byte {
 		r, err := sim.NewRunner(kind, conf)
@@ -120,18 +123,32 @@ func TestUnusableStoredCheckpointIsNotCached(t *testing.T) {
 	}
 	flipped := fresh(sim.KindFTL, ssdconf.Experiment())
 	flipped[len(flipped)/2] ^= 0x40
+	version1, err := os.ReadFile("../sim/testdata/snapshot-v1/ftl.axsn")
+	if err != nil {
+		t.Fatal(err)
+	}
 	akey := agingKeyOf(t, ReplaySpec{Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true})
+	restoreAttrs := func(st jobStatus) map[string]string {
+		for _, sp := range st.Spans {
+			if sp.Name == "restore" {
+				return sp.Attrs
+			}
+		}
+		return nil
+	}
 	for _, tc := range []struct {
-		name string
-		blob []byte
+		name, reason string
+		blob         []byte
 	}{
-		{"garbage", []byte("AXSN but not really a snapshot")},
-		{"bit-flipped", flipped},
-		{"other-device", fresh(sim.KindFTL, ssdconf.Experiment().WithPageBytes(4096))},
-		{"other-scheme", fresh(sim.KindDFTL, ssdconf.Experiment())},
+		{"garbage", "corrupt", []byte("AXSN but not really a snapshot")},
+		{"bit-flipped", "corrupt", flipped},
+		{"other-device", "drift", fresh(sim.KindFTL, ssdconf.Experiment().WithPageBytes(4096))},
+		{"other-scheme", "drift", fresh(sim.KindDFTL, ssdconf.Experiment())},
+		{"version-1", "version", version1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, ts := newTestServer(t, t.TempDir())
+			dir := t.TempDir()
+			srv, ts := newTestServer(t, dir)
 			if err := srv.Store().Put(akey, &SnapshotEntry{Key: akey, Kind: "snapshot", Scheme: "FTL", Blob: tc.blob}); err != nil {
 				t.Fatal(err)
 			}
@@ -139,19 +156,43 @@ func TestUnusableStoredCheckpointIsNotCached(t *testing.T) {
 			if !hasSpan(first, "restore") || !hasSpan(first, "age") {
 				t.Errorf("first job spans = %v, want a failed restore and then an age", spanNames(first))
 			}
+			if a := restoreAttrs(first); a["checkpoint"] != "unusable" || a["reason"] != tc.reason {
+				t.Errorf("first job's restore span says %v, want checkpoint=unusable reason=%s", a, tc.reason)
+			}
 			if opens := counterValue(srv, "snapshot_opens"); opens != 0 {
 				t.Errorf("snapshot_opens = %v after an unusable checkpoint, want 0", opens)
 			}
+			if m := scrapeMetrics(t, ts.URL); m["acrossd_snapshot_unusable_total"] != 1 {
+				t.Errorf("acrossd_snapshot_unusable_total = %v, want 1", m["acrossd_snapshot_unusable_total"])
+			}
 			if got := srv.checkpoints.len(); got != 0 {
 				t.Errorf("cache holds %d checkpoints after an unusable one, want 0", got)
+			}
+			var stored SnapshotEntry
+			if ok, err := srv.Store().Get(akey, &stored); !ok || err != nil {
+				t.Fatalf("the aging key's entry: found %v, err %v", ok, err)
+			}
+			if _, err := snapshot.NewDecoder(stored.Blob); err != nil {
+				t.Errorf("the unusable checkpoint was not overwritten with one of this version: %v", err)
 			}
 
 			second := submitAndWait(t, ts.URL, fmt.Sprintf(agedSeeded, 2))
 			if !hasSpan(second, "restore") || hasSpan(second, "age") {
 				t.Errorf("second job spans = %v, want a restore span and no age", spanNames(second))
 			}
-			if ages, opens := counterValue(srv, "snapshot_ages"), counterValue(srv, "snapshot_opens"); ages != 1 || opens != 1 {
-				t.Errorf("snapshot_ages = %v, snapshot_opens = %v; want 1 and 1", ages, opens)
+			if ages, opens, unusable := counterValue(srv, "snapshot_ages"), counterValue(srv, "snapshot_opens"), counterValue(srv, "snapshot_unusable"); ages != 1 || opens != 1 || unusable != 1 {
+				t.Errorf("snapshot_ages = %v, snapshot_opens = %v, snapshot_unusable = %v; want 1, 1 and 1", ages, opens, unusable)
+			}
+
+			ts.Close()
+			srv.Close()
+			restarted, rts := newTestServer(t, dir)
+			again := submitAndWait(t, rts.URL, fmt.Sprintf(agedSeeded, 3))
+			if a := restoreAttrs(again); a["checkpoint"] != "opened" || hasSpan(again, "age") {
+				t.Errorf("on a restarted server the job's restore span says %v (spans %v), want checkpoint=opened and no age", a, spanNames(again))
+			}
+			if unusable := counterValue(restarted, "snapshot_unusable"); unusable != 0 {
+				t.Errorf("restarted server: snapshot_unusable = %v, want 0", unusable)
 			}
 		})
 	}

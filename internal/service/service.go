@@ -142,7 +142,7 @@ func New(cfg Config) (*Server, error) {
 	for _, name := range []string{
 		"jobs_submitted", "jobs_deduped", "jobs_cached",
 		"jobs_succeeded", "jobs_failed", "jobs_cancelled",
-		"snapshot_ages", "snapshot_opens", "snapshot_restores",
+		"snapshot_ages", "snapshot_opens", "snapshot_unusable", "snapshot_restores",
 		"series_unreadable",
 	} {
 		s.counter(name, 0)
@@ -186,8 +186,10 @@ func (s *Server) loadAgingSnapshot(key, scheme string) []byte {
 // the job's "restore" span, marked checkpoint=cached or checkpoint=opened
 // (with the blob's and its body's size: why that job's restore was the slow
 // one), counts the job's forks and returns the checkpoint for the caller to
-// fork outside the lock, so jobs sharing a key fork concurrently. With none it ages a fresh device and stores its
-// snapshot: a single-device job gets that runner back; a fleet job, which
+// fork outside the lock, so jobs sharing a key fork concurrently. With none —
+// or with a stored one that does not open, which that span and a counter say,
+// with the reason — it ages a fresh device and stores its snapshot, over the
+// unusable one: a single-device job gets that runner back; a fleet job, which
 // forks every device, gets the snapshot as an open checkpoint.
 func (s *Server) warmStart(ctx context.Context, akey string, sp *ReplaySpec, conf ssdconf.Config, spl *spanLog) (cp *sim.Checkpoint, r *sim.Runner, err error) {
 	defer s.agingFlight(akey)()
@@ -198,11 +200,16 @@ func (s *Server) warmStart(ctx context.Context, akey string, sp *ReplaySpec, con
 	} else if warm := s.loadAgingSnapshot(akey, sp.Scheme); warm != nil {
 		// The job that opens the blob is the slow one, and says so.
 		spl.next("restore")
-		spl.attr("checkpoint", "opened", "blob_bytes", strconv.Itoa(len(warm)),
-			"body_bytes", strconv.FormatInt(snapshot.BodyLen(warm), 10))
-		// An unusable checkpoint (decode error, scheme/config drift) is not
-		// fatal and is not cached — the job falls back to aging.
-		cp = s.openCheckpoint(akey, warm, kind, conf)
+		spl.attr("blob_bytes", strconv.Itoa(len(warm)), "body_bytes", strconv.FormatInt(snapshot.BodyLen(warm), 10))
+		var unusable string
+		if cp, unusable = s.openCheckpoint(akey, warm, kind, conf); cp != nil {
+			spl.attr("checkpoint", "opened")
+		} else {
+			// Not fatal and not cached: a checkpoint is a cache of what
+			// ageing computes, so the job falls back to ageing.
+			spl.attr("checkpoint", "unusable", "reason", unusable)
+			s.counter("snapshot_unusable", 1)
+		}
 	}
 	if cp != nil {
 		forks := 1
@@ -232,22 +239,30 @@ func (s *Server) warmStart(ctx context.Context, akey string, sp *ReplaySpec, con
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: checkpointing the aged device: %w", err)
 	}
-	if cp = s.openCheckpoint(akey, blob, kind, conf); cp == nil {
-		return nil, nil, fmt.Errorf("service: the aged device's checkpoint does not open")
+	cp, unusable := s.openCheckpoint(akey, blob, kind, conf)
+	if cp == nil {
+		return nil, nil, fmt.Errorf("service: the aged device's checkpoint does not open (%s)", unusable)
 	}
 	return cp, nil, nil
 }
 
 // openCheckpoint verifies a checkpoint blob and caches it under its aging
-// key, or returns nil when it is unusable for the scheme and configuration.
-func (s *Server) openCheckpoint(akey string, blob []byte, kind sim.SchemeKind, conf ssdconf.Config) *sim.Checkpoint {
+// key, or returns nil and why it is unusable: "version" for a container of
+// another format version, "corrupt" for any other blob that does not open,
+// "drift" for a checkpoint of another scheme or configuration.
+func (s *Server) openCheckpoint(akey string, blob []byte, kind sim.SchemeKind, conf ssdconf.Config) (*sim.Checkpoint, string) {
 	cp, err := sim.OpenCheckpoint(blob)
-	if err != nil || cp.Kind != kind || cp.Conf != conf {
-		return nil
+	switch {
+	case errors.Is(err, snapshot.ErrVersion):
+		return nil, "version"
+	case err != nil:
+		return nil, "corrupt"
+	case cp.Kind != kind || cp.Conf != conf:
+		return nil, "drift"
 	}
 	s.counter("snapshot_opens", 1)
 	s.checkpoints.put(akey, cp)
-	return cp
+	return cp, ""
 }
 
 // Store returns the server's result store.
@@ -769,6 +784,7 @@ var metricHelp = map[string]string{
 	"jobs_cancelled":    "Jobs cancelled before completion.",
 	"snapshot_ages":     "Aging runs executed and checkpointed (one per aging key).",
 	"snapshot_opens":    "Checkpoint blobs verified, audited and opened for forking.",
+	"snapshot_unusable": "Stored checkpoints that did not open (another format version, corrupt, or another device) and were re-aged over.",
 	"snapshot_restores": "Replay jobs forked from a stored aging checkpoint.",
 	"series_unreadable": "Fetches of a stored sample series that did not decode and were answered as if it were absent.",
 }

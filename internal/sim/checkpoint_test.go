@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,8 +12,11 @@ import (
 	"testing"
 
 	"across/internal/acrossftl"
+	"across/internal/hostcache"
 	"across/internal/snapshot"
 	"across/internal/ssdconf"
+	"across/internal/trace"
+	"across/internal/workload"
 )
 
 // agedBlob ages a runner (host-cache wrapped when cachePages > 0), replays a
@@ -510,17 +515,65 @@ func TestSnapshotCodecAllocations(t *testing.T) {
 	}
 }
 
-// The container is still version 1, byte for byte: testdata/snapshot-v1
-// holds checkpoints written by the commit before the slab codec (a 2-channel
-// 16×16-page device, aged, then a short replay), and each must open here
-// and re-snapshot to exactly the bytes it was read from.
-func TestStoredSnapshotsStillLoad(t *testing.T) {
-	files, err := filepath.Glob("testdata/snapshot-v1/*.axsn")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no stored snapshots found (err %v)", err)
+var update = flag.Bool("update", false, "rewrite testdata/snapshot-v2 from storedSnapshot's recipe")
+
+// storedSnapshots names the checkpoints testdata/snapshot-v2 holds: every
+// scheme, and Across-FTL once more behind a 16-page host cache.
+var storedSnapshots = []struct {
+	file       string
+	kind       SchemeKind
+	cachePages int
+}{
+	{"ftl.axsn", KindFTL, 0},
+	{"dftl.axsn", KindDFTL, 0},
+	{"mrsm.axsn", KindMRSM, 0},
+	{"across.axsn", KindAcross, 0},
+	{"across-hostcache.axsn", KindAcross, 16},
+}
+
+// storedSnapshot is the recipe of every stored checkpoint, version 1's
+// included: a 2-channel device of 16 blocks of 16 pages, aged, then lun1 at
+// scale 0.002 replayed open loop.
+func storedSnapshot(t *testing.T, kind SchemeKind, cachePages int) []byte {
+	t.Helper()
+	conf := ssdconf.Table1()
+	conf.Channels, conf.ChipsPerChan, conf.DiesPerChip, conf.PlanesPerDie = 2, 1, 1, 1
+	conf.BlocksPerPlane, conf.PagesPerBlock = 16, 16
+	r, err := NewRunner(kind, conf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, file := range files {
-		t.Run(filepath.Base(file), func(t *testing.T) {
+	if cachePages > 0 {
+		r.Scheme = hostcache.Wrap(r.Scheme, cachePages)
+	}
+	if err := r.Age(DefaultAging()); err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := workload.Generate(workload.LunProfiles()[0].Scale(0.002), conf.LogicalSectors())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Replay(reqs); err != nil {
+		t.Fatal(err)
+	}
+	return mustSnapshot(t, r)
+}
+
+// The container is version 2, byte for byte: testdata/snapshot-v2 holds one
+// checkpoint per entry of storedSnapshots, written by the commit that
+// introduced the version, and each must open here, pass the audit and
+// re-snapshot to exactly the bytes it was read from. After a format change,
+// `go test ./internal/sim -run TestStoredSnapshots -update` writes the next
+// set (into a directory renamed for the new version).
+func TestStoredSnapshotsStillLoad(t *testing.T) {
+	for _, s := range storedSnapshots {
+		t.Run(s.file, func(t *testing.T) {
+			file := filepath.Join("testdata", "snapshot-v2", s.file)
+			if *update {
+				if err := os.WriteFile(file, storedSnapshot(t, s.kind, s.cachePages), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 			blob, err := os.ReadFile(file)
 			if err != nil {
 				t.Fatal(err)
@@ -529,10 +582,28 @@ func TestStoredSnapshotsStillLoad(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Restore: %v", err)
 			}
+			if r.Kind != s.kind {
+				t.Errorf("restored a %s runner, want %s", r.Kind, s.kind)
+			}
 			if !bytes.Equal(mustSnapshot(t, r), blob) {
 				t.Error("re-snapshot differs from the stored bytes")
 			}
 		})
+	}
+}
+
+// A checkpoint is a cache, so an old version is refused, never migrated:
+// testdata/snapshot-v1 keeps one version-1 checkpoint to pin ErrVersion from
+// both openers.
+func TestStoredVersion1IsRefused(t *testing.T) {
+	blob, err := os.ReadFile("testdata/snapshot-v1/ftl.axsn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range openers {
+		if err := o.open(blob); !errors.Is(err, snapshot.ErrVersion) {
+			t.Errorf("%s: err = %v, want ErrVersion", o.name, err)
+		}
 	}
 }
 
@@ -597,6 +668,65 @@ func BenchmarkCheckpoint(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// lazyColumns reports whether a checkpoint carries the flash aux column and
+// the PMT AIdx column: their presence bytes.
+func lazyColumns(t *testing.T, blob []byte) (aux, aidx bool) {
+	t.Helper()
+	reseal(t, blob, func(body []byte) {
+		c := &bodyCursor{tb: t, body: body}
+		c.tag("flash").col(1)
+		c.col(4)
+		aux = body[c.off] == 1
+		c.tag("pmt").col(4)
+		aidx = body[c.off] == 1
+	})
+	return aux, aidx
+}
+
+// Canonical form survives the presence bytes: they follow what the columns
+// hold, never whether the lazy slices exist. An Across-FTL runner that has
+// re-aligned one across-page write carries both columns; once the pages
+// under the area are overwritten whole, nothing is tagged or remapped any
+// more, the runner still holds both slices, and it seals to the bytes of the
+// runners that never allocated them — the one Restore builds from those bytes
+// and its fork — as a fork that copied the empty slices does.
+func TestSnapshotIsCanonicalOverLazyColumns(t *testing.T) {
+	r := newSnapRunner(t, KindAcross, 0)
+	spp := int64(r.Conf.SectorsPerPage())
+	replay := func(reqs ...trace.Request) {
+		t.Helper()
+		if _, err := r.Replay(reqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replay(trace.Request{Op: trace.OpWrite, Offset: spp - 2, Count: 4})
+	if aux, aidx := lazyColumns(t, mustSnapshot(t, r)); !aux || !aidx {
+		t.Fatalf("after an across-page write: aux column %v, AIdx column %v; want both", aux, aidx)
+	}
+	replay(trace.Request{Time: 1, Op: trace.OpWrite, Offset: 0, Count: int(2 * spp)})
+	blob := mustSnapshot(t, r)
+	if aux, aidx := lazyColumns(t, blob); aux || aidx {
+		t.Fatalf("with the area gone: aux column %v, AIdx column %v; want neither", aux, aidx)
+	}
+	restored, err := Restore(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := r.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, err := OpenCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, other := range map[string]*Runner{"Restore": restored, "fork of the runner": mustFork(t, cp), "fork of the blob": mustFork(t, opened)} {
+		if !bytes.Equal(mustSnapshot(t, other), blob) {
+			t.Errorf("%s seals to other bytes than the runner it equals", name)
 		}
 	}
 }

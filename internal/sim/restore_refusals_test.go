@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -10,7 +12,7 @@ import (
 	"across/internal/snapshot"
 )
 
-// bodyCursor walks a version-1 snapshot body the way the decoders do, so a
+// bodyCursor walks a version-2 snapshot body the way the decoders do, so a
 // test can plant a defect at a named place.
 type bodyCursor struct {
 	tb   testing.TB
@@ -34,18 +36,60 @@ func (c *bodyCursor) col(elem int) (count, first, n int) {
 
 func (c *bodyCursor) skip(n int) *bodyCursor { c.off += n; return c }
 
+// optCol steps over a presence byte and, when it is set, the column of
+// elem-byte elements behind it; first is -1 for an absent column.
+func (c *bodyCursor) optCol(elem int) (presence, count, first int) {
+	presence, first = c.off, -1
+	if c.skip(1); c.body[presence] == 1 {
+		count, first, _ = c.col(elem)
+	}
+	return presence, count, first
+}
+
+// fill overwrites the column of elem-byte elements whose first is at first
+// with the byte b.
+func (c *bodyCursor) fill(first, elem int, b byte) {
+	n := int(binary.LittleEndian.Uint64(c.body[first-8:]))
+	for i := range c.body[first : first+n*elem] {
+		c.body[first+i] = b
+	}
+}
+
 func (c *bodyCursor) put64(off int, v int64) { binary.LittleEndian.PutUint64(c.body[off:], uint64(v)) }
 func (c *bodyCursor) put32(off int, v int32) { binary.LittleEndian.PutUint32(c.body[off:], uint32(v)) }
 
+// flashCols is where the page columns of a body's flash section lie: a page
+// in the state asked for, the first elements of the meta and key columns,
+// aux's presence byte and its first element (-1 when the column is absent).
+type flashCols struct{ page, metas, keys, auxPresent, aux int }
+
+// flashPage walks the flash section's page columns, leaving the cursor at the
+// block columns, and finds a page in the given state.
+func (c *bodyCursor) flashPage(state byte) (f flashCols) {
+	c.tag("flash")
+	var n int
+	_, f.metas, n = c.col(1)
+	_, f.keys, _ = c.col(4)
+	f.auxPresent, _, f.aux = c.optCol(8)
+	f.page = bytes.IndexFunc(c.body[f.metas:f.metas+n], func(m rune) bool { return byte(m)&3 == state })
+	if f.page < 0 {
+		c.tb.Fatalf("stored checkpoint has no page in state %d", state)
+	}
+	return f
+}
+
 // TestRestoreRefusesEveryPlantedDefect reaches, one at a time, the size,
-// range, tag, duplicate and accounting refusals of every RestoreState and of
-// Restore's own header — in stored version-1 checkpoints resealed with a
-// correct digest, so only the decoders stand between the defect and a
-// runner. The streamed codec checks each element as its column arrives
-// instead of after all columns are in view; this is the list showing that no
-// check went missing on the way. (Map-store and PMT refusals are also reached
-// directly in the ftl and mapping packages' tests, container and trailing-
-// byte refusals in the snapshot package's.)
+// range, tag, presence, duplicate and accounting refusals of every
+// RestoreState and of Restore's own header — in stored version-2 checkpoints
+// resealed with a correct digest, so only the decoders stand between the
+// defect and a runner. The streamed codec checks each element as its column
+// arrives instead of after all columns are in view; this is the list showing
+// that no check went missing on the way, nor when the columns took the
+// tables' widths: what version 1 refused and is not here — a PPN, a tag key
+// or an MRSM entry beyond 32 bits — version 2 has no bytes to say.
+// (Map-store and PMT refusals are also reached directly in the ftl and
+// mapping packages' tests, container and trailing-byte refusals in the
+// snapshot package's.)
 func TestRestoreRefusesEveryPlantedDefect(t *testing.T) {
 	const lruShape = 8 + 1 + 8 // capacity, dense, key space: what precedes an LRU's size
 	// simScalars returns the offset of cachePages, which warmed and
@@ -57,31 +101,18 @@ func TestRestoreRefusesEveryPlantedDefect(t *testing.T) {
 		}
 		return c.off
 	}
-	flashPage := func(c *bodyCursor, state byte) (page, kinds, keys, aux int) {
-		c.tag("flash")
-		_, states, n := c.col(1)
-		_, kinds, _ = c.col(1)
-		_, keys, _ = c.col(8)
-		_, aux, _ = c.col(8)
-		for p := 0; p < n; p++ {
-			if c.body[states+p] == state {
-				return p, kinds, keys, aux
-			}
-		}
-		c.tb.Fatalf("stored checkpoint has no page in state %d", state)
-		return
-	}
 	blockCols := func(c *bodyCursor) (writePtr, validCount, eraseCount int) {
-		flashPage(c, 1)
+		c.flashPage(1)
 		_, writePtr, _ = c.col(4)
 		_, validCount, _ = c.col(4)
 		_, eraseCount, _ = c.col(8)
 		return
 	}
+	// mrsmCols leaves the cursor behind the PMT, at MRSM's own columns:
+	// location, census, live counts, dirty counts.
 	mrsmCols := func(c *bodyCursor) *bodyCursor {
-		c.tag("pmt")
-		c.col(8)
-		c.col(4)
+		c.tag("pmt").col(4)
+		c.optCol(4)
 		return c
 	}
 	for _, tc := range []struct {
@@ -98,20 +129,33 @@ func TestRestoreRefusesEveryPlantedDefect(t *testing.T) {
 			c.put64(count, int64(n-1))
 		}},
 		{"flash state 3", "ftl.axsn", "invalid state", func(c *bodyCursor) {
-			_, states, _ := c.tag("flash").col(1)
-			c.body[states+5] = 3
+			_, metas, _ := c.tag("flash").col(1)
+			c.body[metas+5] = 3
+		}},
+		{"dead page with kind bits", "ftl.axsn", "carries tag kind", func(c *bodyCursor) {
+			f := c.flashPage(2)
+			c.body[f.metas+f.page] |= 1 << 2
 		}},
 		{"dead page with a key", "ftl.axsn", "carries tag key", func(c *bodyCursor) {
-			p, _, keys, _ := flashPage(c, 2)
-			c.put64(keys+8*p, 7)
+			f := c.flashPage(2)
+			c.put32(f.keys+4*f.page, 7)
 		}},
-		{"dead page with an aux", "ftl.axsn", "carries tag aux", func(c *bodyCursor) {
-			p, _, _, aux := flashPage(c, 0)
-			c.put64(aux+8*p, 7)
+		{"dead page with an aux", "across.axsn", "carries tag aux", func(c *bodyCursor) {
+			f := c.flashPage(0)
+			c.put64(f.aux+8*f.page, 7)
 		}},
 		{"valid page with kind 63", "ftl.axsn", "tag kind", func(c *bodyCursor) {
-			p, kinds, _, _ := flashPage(c, 1)
-			c.body[kinds+p] = 63
+			f := c.flashPage(1)
+			c.body[f.metas+f.page] = 1 | 63<<2
+		}},
+		{"aux presence byte 2", "ftl.axsn", "bad bool byte", func(c *bodyCursor) {
+			c.body[c.flashPage(1).auxPresent] = 2
+		}},
+		{"aux column present and all zero", "across.axsn", "holds nothing", func(c *bodyCursor) {
+			c.fill(c.flashPage(1).aux, 8, 0)
+		}},
+		{"aux column where none was written", "ftl.axsn", "receiver holds", func(c *bodyCursor) {
+			c.body[c.flashPage(1).auxPresent] = 1 // the block columns are read as an aux column of another size
 		}},
 		{"write pointer past the block", "ftl.axsn", "write pointer", func(c *bodyCursor) {
 			wp, _, _ := blockCols(c)
@@ -130,7 +174,7 @@ func TestRestoreRefusesEveryPlantedDefect(t *testing.T) {
 			c.put64(ec, -1)
 		}},
 		{"block column of another size", "ftl.axsn", "receiver holds", func(c *bodyCursor) {
-			flashPage(c, 1)
+			c.flashPage(1)
 			count, _, n := c.col(4)
 			c.put64(count, int64(n-1))
 		}},
@@ -153,27 +197,56 @@ func TestRestoreRefusesEveryPlantedDefect(t *testing.T) {
 			c.put64(c.off+16, 1<<40)
 		}},
 		// PMT
-		{"PMT AIdx column of another size", "ftl.axsn", "receiver holds", func(c *bodyCursor) {
-			c.tag("pmt").col(8)
-			count, _, n := c.col(4)
+		{"PMT PPN column of another size", "ftl.axsn", "receiver holds", func(c *bodyCursor) {
+			count, _, n := c.tag("pmt").col(4)
 			c.put64(count, int64(n-1))
 		}},
+		{"PMT AIdx column of another size", "across.axsn", "receiver holds", func(c *bodyCursor) {
+			c.tag("pmt").col(4)
+			_, count, _ := c.optCol(4)
+			c.put64(count, 3)
+		}},
+		{"PMT AIdx presence byte 2", "ftl.axsn", "bad bool byte", func(c *bodyCursor) {
+			c.tag("pmt").col(4)
+			c.body[c.off] = 2
+		}},
+		{"PMT AIdx column present and all NoAIdx", "across.axsn", "holds nothing", func(c *bodyCursor) {
+			c.tag("pmt").col(4)
+			_, _, first := c.optCol(4)
+			c.fill(first, 4, 0xFF)
+		}},
 		// MRSM
+		{"MRSM location delta that wraps", "mrsm.axsn", "location", func(c *bodyCursor) {
+			_, first, n := mrsmCols(c).col(4)
+			for i, v := 0, int32(0); i < n; i++ {
+				if v >= 1 { // the entry before is a slot above 0: the largest step from it wraps below -1
+					c.put32(first+4*i, math.MaxInt32)
+					return
+				}
+				v += int32(binary.LittleEndian.Uint32(c.body[first+4*i:]))
+			}
+			c.tb.Fatal("stored MRSM checkpoint maps no sub-page")
+		}},
 		{"MRSM census entry out of range", "mrsm.axsn", "census", func(c *bodyCursor) {
-			mrsmCols(c).col(8)
-			_, first, _ := c.col(8)
-			c.put64(first, 1<<40)
+			mrsmCols(c).col(4)
+			_, first, _ := c.col(4)
+			c.put32(first, 1<<30)
+		}},
+		{"MRSM census entry below unmapped", "mrsm.axsn", "census", func(c *bodyCursor) {
+			mrsmCols(c).col(4)
+			_, first, _ := c.col(4)
+			c.put32(first, -2)
 		}},
 		{"MRSM page with 99 live slots", "mrsm.axsn", "live slots", func(c *bodyCursor) {
-			mrsmCols(c).col(8)
-			c.col(8)
-			_, first, _ := c.col(4)
-			c.put32(first, 99)
+			mrsmCols(c).col(4)
+			c.col(4)
+			_, first, _ := c.col(1)
+			c.body[first] = 99
 		}},
 		{"MRSM dirty-count column of another size", "mrsm.axsn", "receiver holds", func(c *bodyCursor) {
-			mrsmCols(c).col(8)
-			c.col(8)
+			mrsmCols(c).col(4)
 			c.col(4)
+			c.col(1)
 			count, _, n := c.col(4)
 			c.put64(count, int64(n-1))
 		}},
@@ -221,7 +294,7 @@ func TestRestoreRefusesEveryPlantedDefect(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			stored, err := os.ReadFile("testdata/snapshot-v1/" + tc.fixture)
+			stored, err := os.ReadFile("testdata/snapshot-v2/" + tc.fixture)
 			if err != nil {
 				t.Fatal(err)
 			}

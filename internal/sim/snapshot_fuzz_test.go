@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"testing"
 
@@ -41,9 +42,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 	flipped := append([]byte(nil), blob...)
 	flipped[len(flipped)-1] ^= 0x01
 	f.Add(flipped)
-	skewed := append([]byte(nil), blob...)
-	skewed[4] = 0xFE
-	f.Add(skewed)
+	for _, version := range []byte{1, 3} { // the one retired and the next
+		skewed := append([]byte(nil), blob...)
+		skewed[4] = version
+		f.Add(skewed)
+	}
 	f.Add([]byte("AXSN"))
 	f.Add([]byte{})
 	for _, b := range outOfRangeBlobs(f) {
@@ -52,7 +55,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	// A body several windows long, so columns arrive split across them, and
 	// a column count the header's length allows but the payload present could
 	// never inflate to.
-	wide, err := NewRunner(KindMRSM, smallConf())
+	wideConf := smallConf()
+	wideConf.BlocksPerPlane *= 2
+	wide, err := NewRunner(KindMRSM, wideConf)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -93,14 +98,18 @@ func headerLen(blob []byte) int {
 	return header
 }
 
+// inflatedBody returns what the DEFLATE payload of blob inflates to.
+func inflatedBody(blob []byte) ([]byte, error) {
+	return io.ReadAll(flate.NewReader(bytes.NewReader(blob[headerLen(blob):])))
+}
+
 // reseal returns blob with mutate applied to its inflated body and the
 // header's length and SHA-256 recomputed: a container that passes every
 // container check, so only the state decoders stand between the planted
 // defect and a runner.
 func reseal(tb testing.TB, blob []byte, mutate func(body []byte)) []byte {
 	tb.Helper()
-	header := headerLen(blob)
-	body, err := io.ReadAll(flate.NewReader(bytes.NewReader(blob[header:])))
+	body, err := inflatedBody(blob)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -139,55 +148,52 @@ func slabAt(body []byte, off, elem int) (first, next, n int) {
 	return off + 8, off + 8 + n*elem, n
 }
 
-// outOfRangeBlobs plants, in stored version-1 checkpoints, the values the
-// 32-bit columns cannot hold and the tag a dead page must not carry. Each
-// blob is otherwise a checkpoint that opens.
+// outOfRangeBlobs plants, in stored version-2 checkpoints, what the columns
+// can still say and no table may hold: a PPN or a tag key outside the device,
+// a tag on a dead page, an MRSM entry reached by a difference that wraps, a
+// presence byte that is not a boolean. (Version 1 could also say a PPN, a tag
+// key or an MRSM entry beyond 32 bits, and refused them; the 32-bit columns
+// cannot.) Each blob is otherwise a checkpoint that opens.
 func outOfRangeBlobs(tb testing.TB) []namedBlob {
 	tb.Helper()
 	stored := func(name string) []byte {
-		blob, err := os.ReadFile("testdata/snapshot-v1/" + name)
+		blob, err := os.ReadFile("testdata/snapshot-v2/" + name)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		return blob
 	}
-	put := func(body []byte, off int, v uint64) { binary.LittleEndian.PutUint64(body[off:], v) }
-	// flashPage finds a page in the given state and returns its index and
-	// the offsets of the kind and key columns.
-	flashPage := func(body []byte, state byte) (page, kinds, keys int) {
-		states, next, n := slabAt(body, sectionAt(tb, body, "flash"), 1)
-		kinds, next, _ = slabAt(body, next, 1)
-		keys, _, _ = slabAt(body, next, 8)
-		page = bytes.IndexByte(body[states:states+n], state)
-		if page < 0 {
-			tb.Fatalf("stored checkpoint has no page in state %d", state)
-		}
-		return page, kinds, keys
+	// plant reseals a stored checkpoint around one defect.
+	plant := func(blob []byte, defect func(c *bodyCursor)) []byte {
+		return reseal(tb, blob, func(body []byte) { defect(&bodyCursor{tb: tb, body: body}) })
 	}
 	ftlBlob, mrsmBlob := stored("ftl.axsn"), stored("mrsm.axsn")
 	return []namedBlob{
-		{"pmt-ppn", snapshot.ErrCorrupt, reseal(tb, ftlBlob, func(body []byte) {
-			first, _, _ := slabAt(body, sectionAt(tb, body, "pmt"), 8)
-			put(body, first, 1<<40)
+		// What fits a column but not the device is the audit's to refuse.
+		{"pmt-ppn", nil, plant(ftlBlob, func(c *bodyCursor) {
+			_, first, _ := c.tag("pmt").col(4)
+			c.put32(first, -2) // neither a page nor NilPPN
 		})},
-		// Fits the column but not the device: the audit's to refuse.
-		{"pmt-ppn-past-device", nil, reseal(tb, ftlBlob, func(body []byte) {
-			first, _, _ := slabAt(body, sectionAt(tb, body, "pmt"), 8)
-			put(body, first, 1<<30)
+		{"pmt-ppn-past-device", nil, plant(ftlBlob, func(c *bodyCursor) {
+			_, first, _ := c.tag("pmt").col(4)
+			c.put32(first, 1<<30)
 		})},
-		{"flash-key", snapshot.ErrCorrupt, reseal(tb, ftlBlob, func(body []byte) {
-			page, _, keys := flashPage(body, 1) // a valid page
-			put(body, keys+8*page, 1<<40)
+		{"flash-key", nil, plant(ftlBlob, func(c *bodyCursor) {
+			f := c.flashPage(1) // a valid page, owned by an LPN past the device
+			c.put32(f.keys+4*f.page, 1<<30)
 		})},
-		{"invalid-page-tag", snapshot.ErrCorrupt, reseal(tb, ftlBlob, func(body []byte) {
-			page, kinds, _ := flashPage(body, 2) // an invalidated page
-			body[kinds+page] = 0
+		{"invalid-page-tag", snapshot.ErrCorrupt, plant(ftlBlob, func(c *bodyCursor) {
+			f := c.flashPage(2) // an invalidated page
+			c.body[f.metas+f.page] |= 1 << 2
 		})},
-		{"mrsm-subloc", snapshot.ErrCorrupt, reseal(tb, mrsmBlob, func(body []byte) {
-			_, next, _ := slabAt(body, sectionAt(tb, body, "pmt"), 8) // PPN column
-			_, next, _ = slabAt(body, next, 4)                        // AIdx column
-			first, _, _ := slabAt(body, next, 8)
-			put(body, first, 1<<40)
+		{"aux-presence", snapshot.ErrCorrupt, plant(ftlBlob, func(c *bodyCursor) {
+			c.body[c.flashPage(1).auxPresent] = 0x80
+		})},
+		{"mrsm-subloc", snapshot.ErrCorrupt, plant(mrsmBlob, func(c *bodyCursor) {
+			c.tag("pmt").col(4)
+			c.optCol(4)
+			_, first, _ := c.col(4)
+			c.put32(first, math.MinInt32) // the first difference, from zero
 		})},
 	}
 }
@@ -198,12 +204,12 @@ type namedBlob struct {
 	blob []byte
 }
 
-// A checkpoint whose columns hold what the packed tables or the device
-// cannot — written by a buggy or hostile writer, since the container itself
-// is intact — is refused by both openers instead of being narrowed and
-// installed, or indexing past a table in the audit.
+// A checkpoint whose columns hold what the tables or the device cannot —
+// written by a buggy or hostile writer, since the container itself is intact
+// — is refused by both openers instead of being installed, or indexing past
+// a table in the audit.
 func TestRestoreRejectsOutOfRangeColumns(t *testing.T) {
-	stored, err := os.ReadFile("testdata/snapshot-v1/ftl.axsn")
+	stored, err := os.ReadFile("testdata/snapshot-v2/ftl.axsn")
 	if err != nil {
 		t.Fatal(err)
 	}

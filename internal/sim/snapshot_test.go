@@ -262,9 +262,14 @@ func TestRestoreRejectsTamperedContainer(t *testing.T) {
 // The tamper sweep. The body's digest is verified after the receiver was
 // filled, so between a damaged payload and a runner stand the per-element
 // checks, the length and overrun checks and, last, the SHA-256: one byte
-// flipped per 4 KiB of a real MRSM and a real Across-FTL checkpoint, and a
+// flipped per 4 KiB of a real MRSM and a real Across-FTL checkpoint — of the
+// body, in the container's stored form, and of the DEFLATE payload — and a
 // cut at every 4 KiB, must each come back from both openers as a typed
-// refusal and never as a runner.
+// refusal and never as a runner. The digest is the body's, so the one flip
+// let past is one DEFLATE does not see (the distance of a match inside a run,
+// say): the test inflates the payload itself, and only when that gives the
+// checkpoint's body byte for byte, for at most one flip of a sweep, may the
+// openers open it — to the checkpoint's state.
 func TestTamperSweepNeverYieldsARunner(t *testing.T) {
 	for _, kind := range []SchemeKind{KindMRSM, KindAcross} {
 		blob := agedBlob(t, kind, 0)
@@ -272,6 +277,17 @@ func TestTamperSweepNeverYieldsARunner(t *testing.T) {
 			t.Fatalf("%s: the untouched checkpoint does not open: %v", kind, err)
 		}
 		const header = 52
+		body, err := inflatedBody(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The same body under the same digest, not deflated: every payload
+		// byte is a body byte.
+		stored := append(bytes.Clone(blob[:header]), body...)
+		stored[8] = 0
+		if _, err := Restore(stored); err != nil {
+			t.Fatalf("%s: the stored form of the checkpoint does not open: %v", kind, err)
+		}
 		refused := func(what string, damaged []byte) {
 			t.Helper()
 			r, err := Restore(damaged)
@@ -285,15 +301,38 @@ func TestTamperSweepNeverYieldsARunner(t *testing.T) {
 				}
 			}
 		}
+		for at := header; at < len(stored); at += 4096 {
+			flipped := bytes.Clone(stored)
+			flipped[at] ^= 0x04
+			refused(fmt.Sprintf("body byte %d of %d flipped", at-header, len(body)), flipped)
+		}
+		unseen := 0
 		for at := header; at < len(blob); at += 4096 {
 			flipped := bytes.Clone(blob)
 			flipped[at] ^= 0x04
-			refused(fmt.Sprintf("byte %d of %d flipped", at, len(blob)), flipped)
+			what := fmt.Sprintf("byte %d of %d flipped", at, len(blob))
+			if got, err := inflatedBody(flipped); err != nil || !bytes.Equal(got, body) {
+				refused(what, flipped)
+				continue
+			}
+			unseen++
+			r, err := Restore(flipped)
+			cp, cerr := OpenCheckpoint(flipped)
+			if err != nil || cerr != nil {
+				t.Fatalf("%s, %s, and the payload inflates to the checkpoint's body: Restore %v, OpenCheckpoint %v", kind, what, err, cerr)
+			}
+			if !bytes.Equal(mustSnapshot(t, r), blob) || !bytes.Equal(mustSnapshot(t, mustFork(t, cp)), blob) {
+				t.Fatalf("%s, %s: opened to a state that is not the checkpoint's", kind, what)
+			}
+		}
+		if unseen > 1 {
+			t.Errorf("%s: %d flips of the payload inflate to the checkpoint's body, want at most 1", kind, unseen)
 		}
 		for cut := 0; cut < len(blob); cut += 4096 {
 			refused(fmt.Sprintf("cut at %d of %d", cut, len(blob)), blob[:cut])
 		}
 		refused("last byte cut", blob[:len(blob)-1])
+		refused("stored form, last byte cut", stored[:len(stored)-1])
 	}
 }
 

@@ -8,7 +8,7 @@
 //
 //	offset  size  field
 //	0       4     magic "AXSN"
-//	4       4     format version (currently 1)
+//	4       4     format version (currently 2)
 //	8       4     flags (bit 0: body is DEFLATE-compressed)
 //	12      8     uncompressed body length in bytes
 //	20      32    SHA-256 of the uncompressed body
@@ -19,6 +19,13 @@
 // are embedded as strings and verified on decode, so a structural mismatch
 // between writer and reader fails loudly instead of misinterpreting bytes.
 // A slice is a column — a u64 count, then fixed-width little-endian elements.
+//
+// Version 2 writes every per-page, per-LPN and per-slot column at the width
+// the runner's table holds it — a byte, 32 or 64 bits, a lazily allocated
+// column behind a presence byte that says whether it holds anything — so the
+// body of a checkpoint is the size of the state it carries. A checkpoint is a
+// cache of a deterministic computation: old versions are refused with
+// ErrVersion and re-aged, never migrated, and no reader of version 1 is kept.
 //
 // Neither side ever holds the body. Both work through one window of
 // windowBytes: the Encoder hashes and deflates the window each time it
@@ -61,7 +68,7 @@ import (
 
 // Version is the snapshot format version written by this package. Decoders
 // reject any other version with ErrVersion.
-const Version = 1
+const Version = 2
 
 const (
 	magic      = "AXSN"
@@ -271,23 +278,19 @@ func (e *Encoder) Str(s string) {
 }
 
 // I32s writes a length-prefixed []int32.
-func (e *Encoder) I32s(v []int32) { I32Column(e, v) }
-
-// I64s writes a length-prefixed []int64.
-func (e *Encoder) I64s(v []int64) { I64Column(e, v) }
-
-// I32Column and I64Column write a table of any integer type as the 32- or
-// 64-bit column the format gives it: how a packed table keeps the width it
-// was first written at.
-func I32Column[T ~uint8 | ~int32](e *Encoder, col []T) {
-	e.Column(len(col), 4, func(dst []byte, first int) {
-		for i, v := range col[first : first+len(dst)/4] {
-			PutI32(dst, i, int32(v))
+func (e *Encoder) I32s(v []int32) {
+	e.Column(len(v), 4, func(dst []byte, first int) {
+		for i, x := range v[first : first+len(dst)/4] {
+			PutI32(dst, i, x)
 		}
 	})
 }
 
-func I64Column[T ~int32 | ~int64](e *Encoder, col []T) {
+// I64s writes a length-prefixed []int64.
+func (e *Encoder) I64s(v []int64) { I64Column(e, v) }
+
+// I64Column writes a table of any 64-bit integer type as a 64-bit column.
+func I64Column[T ~int64](e *Encoder, col []T) {
 	e.Column(len(col), 8, func(dst []byte, first int) {
 		for i, v := range col[first : first+len(dst)/8] {
 			PutI64(dst, i, int64(v))
