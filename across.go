@@ -18,6 +18,7 @@
 package across
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -193,29 +194,40 @@ func RunWithHostCache(s Scheme, cfg Config, cachePages int, reqs []Request, age 
 	return r.Replay(reqs)
 }
 
+// ErrRecoveryUnsupported is the error RecoverFromCrash wraps for a scheme
+// that cannot rebuild its mapping from flash alone (MRSM and DFTL); test for
+// it with errors.Is. The runner it was given is left untouched.
+var ErrRecoveryUnsupported = errors.New("across: crash recovery is not implemented")
+
 // RecoverFromCrash simulates power loss on a runner's device and remounts
 // it: all in-DRAM mapping state is discarded and rebuilt from the flash
 // array's out-of-band metadata (open blocks are sealed first, as real
-// controllers do). Supported for AcrossFTL and BaselineFTL. The returned
-// runner owns the same physical device; the old runner must not be used.
+// controllers do). A host data cache (NewRunnerWithHostCache) is DRAM too:
+// it comes back at its size and empty. Supported for AcrossFTL and
+// BaselineFTL; any other scheme fails with ErrRecoveryUnsupported. The
+// returned runner owns the same physical device; the old runner must not be
+// used.
 func RecoverFromCrash(r *Runner) (*Runner, error) {
 	dev := r.Scheme.Device()
+	var (
+		s   ftl.Scheme
+		err error
+	)
 	switch r.Kind {
 	case AcrossFTL:
-		s, err := acrossftl.Recover(dev)
-		if err != nil {
-			return nil, err
-		}
-		return &sim.Runner{Conf: r.Conf, Kind: r.Kind, Scheme: s}, nil
+		s, err = acrossftl.Recover(dev)
 	case BaselineFTL:
-		s, err := ftl.RecoverBaseline(dev)
-		if err != nil {
-			return nil, err
-		}
-		return &sim.Runner{Conf: r.Conf, Kind: r.Kind, Scheme: s}, nil
+		s, err = ftl.RecoverBaseline(dev)
 	default:
-		return nil, fmt.Errorf("across: crash recovery is not implemented for %s", r.Kind)
+		return nil, fmt.Errorf("%w for %s", ErrRecoveryUnsupported, r.Kind)
 	}
+	if err != nil {
+		return nil, err
+	}
+	if hc, ok := r.Scheme.(*hostcache.Scheme); ok {
+		s = hostcache.Wrap(s, hc.CachePages())
+	}
+	return &sim.Runner{Conf: r.Conf, Kind: r.Kind, Scheme: s}, nil
 }
 
 // Aging parameterises the §4.1 device warm-up (used/valid fractions, seed).

@@ -2,8 +2,14 @@ package across
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"across/internal/check"
+	"across/internal/ftl"
+	"across/internal/hostcache"
+	"across/internal/trace"
 )
 
 // tinyConfig keeps the public-API tests fast.
@@ -221,13 +227,95 @@ func TestRecoverFromCrashPublicAPI(t *testing.T) {
 	if after.Requests != before.Requests {
 		t.Fatal("recovered runner dropped requests")
 	}
-	// MRSM recovery is unsupported and must say so.
-	m, err := NewRunner(MRSM, cfg)
+}
+
+// TestRecoverFromCrashRefusal pins the refusal contract: a scheme that
+// cannot rebuild its mapping from flash says so with ErrRecoveryUnsupported.
+func TestRecoverFromCrashRefusal(t *testing.T) {
+	for _, kind := range []Scheme{MRSM, DFTL} {
+		r, err := NewRunner(kind, tinyConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := RecoverFromCrash(r)
+		if !errors.Is(err, ErrRecoveryUnsupported) || rec != nil {
+			t.Errorf("%s: RecoverFromCrash = (%v, %v), want ErrRecoveryUnsupported", kind, rec, err)
+		}
+	}
+}
+
+// TestRecoverFromCrashKeepsHostCache crashes a cached Across-FTL runner. The
+// recovered runner must still be a cached one, of the same size, and must
+// serve every write acknowledged before the crash from where it was.
+func TestRecoverFromCrashKeepsHostCache(t *testing.T) {
+	const cachePages = 256
+	cfg := tinyConfig()
+	r, err := NewRunnerWithHostCache(AcrossFTL, cfg, cachePages)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RecoverFromCrash(m); err == nil {
-		t.Fatal("MRSM recovery should be unsupported")
+	prof, _ := Profile("lun1")
+	reqs, err := GenerateTrace(prof.Scale(0.003), cfg.LogicalSectors())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Replay(reqs); err != nil {
+		t.Fatal(err)
+	}
+	var readBack []Request
+	acked := map[int64]ftl.SectorSource{}
+	for _, w := range reqs {
+		if w.Op != trace.OpWrite {
+			continue
+		}
+		readBack = append(readBack, Request{Time: w.Time, Op: trace.OpRead, Offset: w.Offset, Count: w.Count})
+		for sec := w.Offset; sec < w.End(); sec++ {
+			src, err := r.Scheme.(check.SectorResolver).ResolveSector(sec)
+			if err != nil || src.Kind == ftl.SrcUnwritten {
+				t.Fatalf("sector %d before the crash: (%+v, %v)", sec, src, err)
+			}
+			acked[sec] = src
+		}
+	}
+	if len(acked) == 0 {
+		t.Fatal("the trace wrote nothing; the read-back is vacuous")
+	}
+	name := r.Scheme.Name()
+
+	rec, err := RecoverFromCrash(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Scheme.Name(); got != name || name != "Across-FTL+cache" {
+		t.Fatalf("recovered runner is %q, want %q", got, name)
+	}
+	blob, err := rec.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreRunner(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hc, ok := restored.Scheme.(*hostcache.Scheme); !ok || hc.CachePages() != cachePages {
+		t.Fatalf("recovered runner's snapshot restores as %s, want a %d-page cache", restored.Scheme.Name(), cachePages)
+	}
+	for sec, want := range acked {
+		if got, err := rec.Scheme.(check.SectorResolver).ResolveSector(sec); err != nil || got != want {
+			t.Fatalf("sector %d: recovered source (%+v, %v), acknowledged at %+v", sec, got, err, want)
+		}
+	}
+	chk, err := rec.EnableChecks(CheckOptions{Shadow: true, AuditEvery: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rec.Replay(readBack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Scheme != name || chk.SectorChecks() < int64(len(acked)) {
+		t.Fatalf("read-back replayed as %s with %d sector checks, want %s and at least %d",
+			res.Scheme, chk.SectorChecks(), name, len(acked))
 	}
 }
 

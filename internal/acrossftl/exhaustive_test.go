@@ -25,12 +25,12 @@ func TestExhaustivePairsOverThreePages(t *testing.T) {
 
 	type ext struct {
 		off   int64
-		count int
+		count int32
 	}
 	var exts []ext
 	for off := int64(0); off < window; off++ {
 		for count := 1; count <= spp && off+int64(count) <= window; count++ {
-			exts = append(exts, ext{base + off, count})
+			exts = append(exts, ext{base + off, int32(count)})
 		}
 	}
 	t.Logf("enumerating %d x %d write pairs", len(exts), len(exts))
@@ -61,7 +61,7 @@ func TestExhaustivePairsOverThreePages(t *testing.T) {
 			// Read plans over the whole window must cover written sectors
 			// exactly once and never source area-covered sectors from
 			// normal pages.
-			plan := s.planRead(trace.Request{Op: trace.OpRead, Offset: base, Count: int(window)})
+			plan := s.planRead(trace.Request{Op: trace.OpRead, Offset: base, Count: int32(window)})
 			covered := map[int64]int{}
 			for _, src := range plan {
 				for sec := src.Start; sec < src.End; sec++ {

@@ -41,7 +41,7 @@ func TestRecoveryRebuildsMappingExactly(t *testing.T) {
 	region := c.LogicalSectors() / 2
 	for op := 0; op < 1500; op++ {
 		off := rng.Int63n(region - 40)
-		count := rng.Intn(30) + 1
+		count := rng.Int31n(30) + 1
 		if _, err := s.Write(trace.Request{Op: trace.OpWrite, Offset: off, Count: count}, float64(op)); err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestRecoveredSchemeKeepsWorking(t *testing.T) {
 	region := c.LogicalSectors() / 2
 	for op := 0; op < 1000; op++ {
 		off := rng.Int63n(region - 40)
-		if _, err := s.Write(trace.Request{Op: trace.OpWrite, Offset: off, Count: rng.Intn(30) + 1}, float64(op)); err != nil {
+		if _, err := s.Write(trace.Request{Op: trace.OpWrite, Offset: off, Count: rng.Int31n(30) + 1}, float64(op)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func TestRecoveredSchemeKeepsWorking(t *testing.T) {
 	// force GC on the recovered allocator (sealed blocks, rebuilt pools).
 	for op := 0; op < 3000; op++ {
 		off := rng.Int63n(region - 40)
-		count := rng.Intn(30) + 1
+		count := rng.Int31n(30) + 1
 		if rng.Intn(100) < 60 {
 			if _, err := rec.Write(trace.Request{Op: trace.OpWrite, Offset: off, Count: count}, float64(op)); err != nil {
 				t.Fatalf("post-recovery write %d: %v", op, err)

@@ -18,7 +18,7 @@ func tinyScheme(t *testing.T) (*Scheme, *ssdconf.Config) {
 	return s, &c
 }
 
-func mustWrite(t *testing.T, s *Scheme, off int64, count int, now float64) {
+func mustWrite(t *testing.T, s *Scheme, off int64, count int32, now float64) {
 	t.Helper()
 	r := trace.Request{Time: now, Op: trace.OpWrite, Offset: off, Count: count}
 	if _, err := s.Write(r, now); err != nil {
@@ -29,7 +29,7 @@ func mustWrite(t *testing.T, s *Scheme, off int64, count int, now float64) {
 	}
 }
 
-func mustRead(t *testing.T, s *Scheme, off int64, count int, now float64) {
+func mustRead(t *testing.T, s *Scheme, off int64, count int32, now float64) {
 	t.Helper()
 	r := trace.Request{Time: now, Op: trace.OpRead, Offset: off, Count: count}
 	if _, err := s.Read(r, now); err != nil {
@@ -294,7 +294,7 @@ func TestRandomWorkloadIntegrity(t *testing.T) {
 	region := c.LogicalSectors() / 2
 	for op := 0; op < 3000; op++ {
 		off := rng.Int63n(region - 40)
-		count := rng.Intn(36) + 1
+		count := rng.Int31n(36) + 1
 		now := float64(op)
 		if rng.Intn(100) < 55 {
 			r := trace.Request{Op: trace.OpWrite, Offset: off, Count: count, Time: now}

@@ -148,7 +148,7 @@ func writtenBaseline(t *testing.T) (*ftl.Baseline, *check.Checker) {
 	spp := conf.SectorsPerPage()
 	now := 0.0
 	for lpn := int64(0); lpn < 8; lpn++ {
-		req := trace.Request{Op: trace.OpWrite, Offset: lpn * int64(spp), Count: spp}
+		req := trace.Request{Op: trace.OpWrite, Offset: lpn * int64(spp), Count: int32(spp)}
 		if now, err = s.Write(req, now); err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestAuditDetectsMisdirectedMapping(t *testing.T) {
 		t.Fatal("audit missed a misdirected mapping")
 	}
 	spp := s.Conf.SectorsPerPage()
-	err := c.OnRead(trace.Request{Op: trace.OpRead, Offset: 3 * int64(spp), Count: spp})
+	err := c.OnRead(trace.Request{Op: trace.OpRead, Offset: 3 * int64(spp), Count: int32(spp)})
 	if err == nil || !strings.Contains(err.Error(), "misdirected") {
 		t.Fatalf("shadow check on misdirected read: %v", err)
 	}
@@ -196,7 +196,7 @@ func TestAuditDetectsLostWrite(t *testing.T) {
 		t.Fatalf("audit on leaked page: %v", err)
 	}
 	spp := s.Conf.SectorsPerPage()
-	err := c.OnRead(trace.Request{Op: trace.OpRead, Offset: 5 * int64(spp), Count: spp})
+	err := c.OnRead(trace.Request{Op: trace.OpRead, Offset: 5 * int64(spp), Count: int32(spp)})
 	if err == nil || !strings.Contains(err.Error(), "lost write") {
 		t.Fatalf("shadow check on lost write: %v", err)
 	}

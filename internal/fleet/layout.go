@@ -133,7 +133,7 @@ func (g geometry) split(r trace.Request, out []SubRequest) ([]SubRequest, error)
 		col := chunk % int64(g.dataDevices)
 		row := chunk / int64(g.dataDevices)
 		devOff := row*g.chunkSectors + within
-		sub := trace.Request{Time: r.Time, Op: r.Op, Offset: devOff, Count: int(take)}
+		sub := trace.Request{Time: r.Time, Op: r.Op, Offset: devOff, Count: int32(take)} // take <= r.Count
 		if g.layout == LayoutRAID10 && r.Op == trace.OpWrite {
 			out = append(out,
 				SubRequest{Device: int(col) * 2, Req: sub},

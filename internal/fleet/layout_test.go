@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -66,7 +67,7 @@ func TestSplitTiling(t *testing.T) {
 			if trial%2 == 0 {
 				op = trace.OpWrite
 			}
-			req := trace.Request{Op: op, Offset: off, Count: count}
+			req := trace.Request{Op: op, Offset: off, Count: int32(count)}
 			subs, err := g.split(req, nil)
 			if err != nil {
 				t.Fatalf("%s/%d: split(%v): %v", tc.layout, tc.devices, req, err)
@@ -198,6 +199,30 @@ func TestGeometryValidation(t *testing.T) {
 	for _, l := range Layouts() {
 		if got, err := ParseLayout(string(l)); err != nil || got != l {
 			t.Errorf("ParseLayout(%s) = %v, %v", l, got, err)
+		}
+	}
+}
+
+// TestSplitCountAtInt32Max splits the largest count a Request holds over
+// every layout, with chunks and devices small enough that fragments are cut
+// from it at every boundary kind: the fragments tile it, and none wraps.
+func TestSplitCountAtInt32Max(t *testing.T) {
+	const perDevice = 1 << 30 // sectors: a concat request spans three devices
+	for _, tc := range []struct {
+		layout Layout
+		chunk  int64
+	}{{LayoutConcat, perDevice}, {LayoutRAID0, 1 << 24}, {LayoutRAID10, 1 << 24}} {
+		g, err := newGeometry(tc.layout, 6, tc.chunk, perDevice)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []trace.Op{trace.OpRead, trace.OpWrite} {
+			req := trace.Request{Op: op, Offset: 12345, Count: math.MaxInt32}
+			subs, err := g.split(req, nil)
+			if err != nil {
+				t.Fatalf("%s: split(%v): %v", tc.layout, req, err)
+			}
+			checkTiling(t, g, req, subs)
 		}
 	}
 }

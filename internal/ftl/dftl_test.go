@@ -32,7 +32,7 @@ func TestDFTLDataPathMatchesBaseline(t *testing.T) {
 	region := c.LogicalSectors() / 2
 	for i := 0; i < 1500; i++ {
 		off := rng.Int63n(region - 40)
-		count := rng.Intn(32) + 1
+		count := int32(rng.Intn(32) + 1)
 		now := float64(i)
 		var r trace.Request
 		if rng.Intn(2) == 0 {

@@ -71,7 +71,7 @@ func churn(t *testing.T, s *Baseline, c *ssdconf.Config, n int, seed int64) {
 	pages := c.LogicalSectors() / int64(c.SectorsPerPage()) / 2
 	for i := 0; i < n; i++ {
 		lpn := rng.Int63n(pages)
-		r := trace.Request{Op: trace.OpWrite, Offset: lpn * int64(c.SectorsPerPage()), Count: c.SectorsPerPage()}
+		r := trace.Request{Op: trace.OpWrite, Offset: lpn * int64(c.SectorsPerPage()), Count: int32(c.SectorsPerPage())}
 		if _, err := s.Write(r, float64(i)); err != nil {
 			t.Fatalf("churn write %d: %v", i, err)
 		}

@@ -184,7 +184,7 @@ func TestRandomizedConsistencyWithUncachedScheme(t *testing.T) {
 	region := c.LogicalSectors() / 2
 	for i := 0; i < 2000; i++ {
 		off := rng.Int63n(region - 40)
-		count := rng.Intn(32) + 1
+		count := int32(rng.Intn(32) + 1)
 		now := float64(i)
 		if rng.Intn(2) == 0 {
 			r := trace.Request{Op: trace.OpWrite, Offset: off, Count: count, Time: now}

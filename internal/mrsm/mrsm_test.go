@@ -21,7 +21,7 @@ func tinyScheme(t *testing.T) (*Scheme, *ssdconf.Config) {
 	return s, &c
 }
 
-func write(t *testing.T, s *Scheme, off int64, count int, now float64) {
+func write(t *testing.T, s *Scheme, off int64, count int32, now float64) {
 	t.Helper()
 	if _, err := s.Write(trace.Request{Op: trace.OpWrite, Offset: off, Count: count, Time: now}, now); err != nil {
 		t.Fatalf("Write(off=%d,count=%d): %v", off, count, err)
@@ -31,7 +31,7 @@ func write(t *testing.T, s *Scheme, off int64, count int, now float64) {
 	}
 }
 
-func read(t *testing.T, s *Scheme, off int64, count int, now float64) {
+func read(t *testing.T, s *Scheme, off int64, count int32, now float64) {
 	t.Helper()
 	if _, err := s.Read(trace.Request{Op: trace.OpRead, Offset: off, Count: count, Time: now}, now); err != nil {
 		t.Fatalf("Read(off=%d,count=%d): %v", off, count, err)
@@ -54,7 +54,7 @@ func TestSubRange(t *testing.T) {
 	// Tiny config: 8 KB pages, 16 sectors, 4 sub-pages of 4 sectors.
 	cases := []struct {
 		off         int64
-		count       int
+		count       int32
 		first, last int64
 		fp, lp      bool
 	}{
@@ -276,7 +276,7 @@ func TestRandomWorkloadConsistency(t *testing.T) {
 	region := c.LogicalSectors() / 2
 	for op := 0; op < 4000; op++ {
 		off := rng.Int63n(region - 40)
-		count := rng.Intn(36) + 1
+		count := rng.Int31n(36) + 1
 		now := float64(op)
 		if rng.Intn(100) < 60 {
 			write(t, s, off, count, now)

@@ -320,7 +320,7 @@ func retimeTrace(c *Cohort, start, size int64) []trace.Request {
 	out := make([]trace.Request, 0, len(c.Trace))
 	for _, r := range c.Trace {
 		if int64(r.Count) > size {
-			r.Count = int(size)
+			r.Count = int32(size) // size < r.Count
 		}
 		off := r.Offset % size
 		if off+int64(r.Count) > size {

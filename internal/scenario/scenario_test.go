@@ -279,7 +279,7 @@ func TestTraceCohortWrapsIntoPartition(t *testing.T) {
 			Time:   float64(i),
 			Op:     trace.Op(i % 2),
 			Offset: int64(i) * 1003, // deliberately unaligned spread
-			Count:  (i % 24) + 1,
+			Count:  int32(i%24) + 1,
 		})
 	}
 	sc := Scenario{Name: "wrap", Cohorts: []Cohort{

@@ -54,7 +54,7 @@ func EncodeStream(s *Stream) ([]byte, error) {
 			binary.LittleEndian.PutUint64(rec[0:], math.Float64bits(r.Time))
 			rec[8] = uint8(r.Op)
 			binary.LittleEndian.PutUint64(rec[9:], uint64(r.Offset))
-			binary.LittleEndian.PutUint32(rec[17:], uint32(int32(r.Count)))
+			binary.LittleEndian.PutUint32(rec[17:], uint32(r.Count))
 		}
 	})
 	return e.Finish()
@@ -108,7 +108,7 @@ func DecodeStream(blob []byte) (*Stream, error) {
 				Time:   math.Float64frombits(binary.LittleEndian.Uint64(rec[0:])),
 				Op:     trace.Op(op),
 				Offset: int64(binary.LittleEndian.Uint64(rec[9:])),
-				Count:  int(count),
+				Count:  count,
 			}
 		}
 		return nil

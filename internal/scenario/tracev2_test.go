@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -137,7 +138,7 @@ func FuzzTraceV2Decode(f *testing.F) {
 	// header's length allows but the payload present could never inflate to.
 	wide := &Stream{Scenario: "wide", LogicalSectors: testSectors, Requests: make([]trace.Request, 40000)}
 	for i := range wide.Requests {
-		wide.Requests[i] = trace.Request{Time: float64(i), Op: trace.Op(i & 1), Offset: int64(i) * 8, Count: 1 + i%64}
+		wide.Requests[i] = trace.Request{Time: float64(i), Op: trace.Op(i & 1), Offset: int64(i) * 8, Count: 1 + int32(i%64)}
 	}
 	wideBlob, err := EncodeStream(wide)
 	if err != nil {
@@ -220,6 +221,32 @@ func TestTraceV2RejectsUnwritableRecords(t *testing.T) {
 		_, err := DecodeStream(forgedContainer(t, tc.op, tc.count))
 		if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "request 1") {
 			t.Errorf("op %d count %d: got %v, want ErrCorrupt naming request 1", tc.op, tc.count, err)
+		}
+	}
+}
+
+// TestTraceV2CountAtInt32Max: the largest count a Request holds survives the
+// record's i32 column both ways, and a recorded trace's request that outgrows
+// its partition is clamped to the partition, not wrapped.
+func TestTraceV2CountAtInt32Max(t *testing.T) {
+	const n = math.MaxInt32
+	st := &Stream{Scenario: "max", LogicalSectors: 1 << 42, Requests: []trace.Request{
+		{Time: 1, Op: trace.OpWrite, Offset: 1<<40 + 3, Count: n},
+		{Time: 2, Op: trace.OpRead, Offset: 0, Count: n},
+	}}
+	blob, err := EncodeStream(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeStream(blob)
+	if err != nil || !slices.Equal(got.Requests, st.Requests) {
+		t.Fatalf("round trip = (%+v, %v), want %+v", got, err, st.Requests)
+	}
+	const size = 1 << 20
+	out := retimeTrace(&Cohort{Trace: st.Requests}, 5*size, size)
+	for _, r := range out {
+		if r.Count != size || r.Offset != 5*size {
+			t.Fatalf("retimed %+v, want the whole %d-sector partition at %d", r, size, 5*size)
 		}
 	}
 }

@@ -77,7 +77,7 @@ func (r *Runner) AgeCtx(ctx context.Context, a Aging) error {
 			default:
 			}
 		}
-		req := trace.Request{Op: trace.OpWrite, Offset: lpn * int64(spp), Count: spp}
+		req := trace.Request{Op: trace.OpWrite, Offset: lpn * int64(spp), Count: int32(spp)}
 		if _, err := r.Scheme.Write(req, 0); err != nil {
 			return fmt.Errorf("sim: aging fill at lpn %d: %w", lpn, err)
 		}
@@ -114,7 +114,7 @@ func (r *Runner) AgeCtx(ctx context.Context, a Aging) error {
 		prevUsed = used
 		for i := 0; i < checkEvery && wrote < maxWrites; i++ {
 			lpn := rng.Int63n(validPages)
-			req := trace.Request{Op: trace.OpWrite, Offset: lpn * int64(spp), Count: spp}
+			req := trace.Request{Op: trace.OpWrite, Offset: lpn * int64(spp), Count: int32(spp)}
 			if _, err := r.Scheme.Write(req, 0); err != nil {
 				return fmt.Errorf("sim: aging overwrite at lpn %d: %w", lpn, err)
 			}

@@ -707,7 +707,7 @@ func TestSnapshotIsCanonicalOverLazyColumns(t *testing.T) {
 	if aux, aidx := lazyColumns(t, mustSnapshot(t, r)); !aux || !aidx {
 		t.Fatalf("after an across-page write: aux column %v, AIdx column %v; want both", aux, aidx)
 	}
-	replay(trace.Request{Time: 1, Op: trace.OpWrite, Offset: 0, Count: int(2 * spp)})
+	replay(trace.Request{Time: 1, Op: trace.OpWrite, Offset: 0, Count: int32(2 * spp)})
 	blob := mustSnapshot(t, r)
 	if aux, aidx := lazyColumns(t, blob); aux || aidx {
 		t.Fatalf("with the area gone: aux column %v, AIdx column %v; want neither", aux, aidx)

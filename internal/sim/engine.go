@@ -311,7 +311,7 @@ func (r *Runner) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int) 
 		res.foldRecord(buckets, reqRecord{
 			op:      req.Op,
 			class:   class,
-			count:   int32(req.Count),
+			count:   req.Count,
 			lat:     lat,
 			flushes: (dev.Count.DataWrites + dev.Count.GCWrites) - wBefore,
 			reads:   (dev.Count.DataReads + dev.Count.GCReads) - rBefore,

@@ -275,7 +275,7 @@ func TestChipUtilisationBurstArrival(t *testing.T) {
 			Time:   float64(i) * 0.001, // all within 0.26 ms
 			Op:     trace.OpWrite,
 			Offset: int64(i*spp) % conf.LogicalSectors(),
-			Count:  spp,
+			Count:  int32(spp),
 		})
 	}
 	r, err := NewRunner(KindFTL, conf)

@@ -20,7 +20,7 @@ const maxRequestBytes int64 = 1 << 30
 // outwards like a block layer. It rejects the degenerate and overflowing
 // extents fuzzed trace files produce: non-positive sizes, negative offsets,
 // implausibly large requests, and offset+size sums past int64.
-func byteRangeToSectors(offB, sizeB int64) (startSec int64, count int, err error) {
+func byteRangeToSectors(offB, sizeB int64) (startSec int64, count int32, err error) {
 	if sizeB <= 0 {
 		return 0, 0, fmt.Errorf("non-positive size %d", sizeB)
 	}
@@ -35,7 +35,7 @@ func byteRangeToSectors(offB, sizeB int64) (startSec int64, count int, err error
 	}
 	startSec = offB / 512
 	endSec := (offB + sizeB + 511) / 512
-	return startSec, int(endSec - startSec), nil
+	return startSec, int32(endSec - startSec), nil // at most maxCount
 }
 
 // The SYSTOR '17 LUN collection stores one request per CSV line:

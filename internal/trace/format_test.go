@@ -19,10 +19,10 @@ func syntheticCSV(tb testing.TB, n int, msr bool) []byte {
 	now := 0.0
 	for i := 0; i < n; i++ {
 		now += rng.ExpFloat64() * 3
-		r := Request{Time: now, Op: Op(rng.Intn(2)), Offset: rng.Int63n(1<<23) * 8, Count: 1 + rng.Intn(128)}
+		r := Request{Time: now, Op: Op(rng.Intn(2)), Offset: rng.Int63n(1<<23) * 8, Count: 1 + rng.Int31n(128)}
 		if msr {
 			fmt.Fprintf(&buf, "%d,hm,0,%s,%d,%d,%d\n", 128166372003061629+int64(now*1e4),
-				[]string{"Read", "Write"}[r.Op], r.Offset*512, r.Count*512, 1000+i%977)
+				[]string{"Read", "Write"}[r.Op], r.Offset*512, int64(r.Count)*512, 1000+i%977)
 		} else if err := w.Write(r); err != nil {
 			tb.Fatal(err)
 		}
@@ -89,8 +89,8 @@ func TestWriterMatchesSprintf(t *testing.T) {
 			Time:   math.Float64frombits(rng.Uint64()),
 			Op:     Op(rng.Intn(2)),
 			Offset: rng.Int63() >> uint(rng.Intn(64)),
-			Count:  int(rng.Int31() >> uint(rng.Intn(32))),
-		}, Request{Time: rng.Float64() * 1e9, Op: OpWrite, Offset: rng.Int63n(1 << 30), Count: 1 + rng.Intn(256)})
+			Count:  rng.Int31() >> uint(rng.Intn(32)),
+		}, Request{Time: rng.Float64() * 1e9, Op: OpWrite, Offset: rng.Int63n(1 << 30), Count: 1 + rng.Int31n(256)})
 	}
 	for _, lun := range []int{0, 6, -2} {
 		var got bytes.Buffer

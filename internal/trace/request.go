@@ -53,12 +53,26 @@ func (c Class) String() string {
 
 // Request is one block-level I/O. Offset and Count are in 512 B sectors;
 // Time is in milliseconds from the start of the trace.
+//
+// The record is 24 bytes: Time and Offset, then Count as an int32 with Op in
+// what would otherwise be the struct's tail padding. Traces are held whole,
+// millions of requests at a time, so the width is the simulator's memory.
+// Every parser caps a request at maxRequestBytes (maxCount sectors, far
+// below math.MaxInt32), so a Count that reaches a Request always fits; code
+// that multiplies or sums counts widens to int64 first.
 type Request struct {
 	Time   float64
-	Op     Op
 	Offset int64
-	Count  int
+	Count  int32
+	Op     Op
 }
+
+// maxCount is the largest sector count a parsed request can carry: a
+// maxRequestBytes extent that straddles a sector boundary at both ends. The
+// conversion is the build-time proof that Count holds every count the
+// parsers admit: a maxRequestBytes/512 + 1 above math.MaxInt32 overflows the
+// constant and fails the build, so raising the cap cannot truncate a count.
+const maxCount = int32(maxRequestBytes/512 + 1)
 
 // End returns the exclusive sector end of the request.
 func (r Request) End() int64 { return r.Offset + int64(r.Count) }
@@ -80,10 +94,10 @@ func (r Request) Classify(spp int) Class {
 		return ClassUnaligned
 	}
 	pages := r.Pages(spp)
-	if r.Count <= spp && pages == 2 {
+	if int(r.Count) <= spp && pages == 2 {
 		return ClassAcross
 	}
-	if r.Offset%int64(spp) == 0 && r.Count%spp == 0 {
+	if r.Offset%int64(spp) == 0 && int(r.Count)%spp == 0 {
 		return ClassAligned
 	}
 	return ClassUnaligned

@@ -132,8 +132,8 @@ func TestToolsConservation(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			ta += rng.Float64() * 5
 			tb += rng.Float64() * 5
-			a = append(a, Request{Time: ta, Offset: rng.Int63n(1000), Count: 1 + rng.Intn(8)})
-			b = append(b, Request{Time: tb, Offset: rng.Int63n(1000), Count: 1 + rng.Intn(8)})
+			a = append(a, Request{Time: ta, Offset: rng.Int63n(1000), Count: 1 + rng.Int31n(8)})
+			b = append(b, Request{Time: tb, Offset: rng.Int63n(1000), Count: 1 + rng.Int31n(8)})
 		}
 		merged := Interleave(a, b)
 		if len(merged) != len(a)+len(b) {

@@ -1,10 +1,14 @@
 package trace
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // The 8 KB page of Table 1 holds 16 sectors.
@@ -161,7 +165,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 				Time:   tm,
 				Op:     Op(rng.Intn(2)),
 				Offset: rng.Int63n(1 << 20),
-				Count:  rng.Intn(64) + 1,
+				Count:  rng.Int31n(64) + 1,
 			})
 		}
 		var sb strings.Builder
@@ -245,7 +249,7 @@ func TestAcrossMonotoneInPageSize(t *testing.T) {
 			reqs = append(reqs, Request{
 				Op:     Op(rng.Intn(2)),
 				Offset: rng.Int63n(1 << 16),
-				Count:  rng.Intn(8) + 1, // <= 8 sectors <= every page size
+				Count:  rng.Int31n(8) + 1, // <= 8 sectors <= every page size
 			})
 		}
 		r8 := Measure(reqs, 8).AcrossRatio()
@@ -261,5 +265,67 @@ func TestAcrossMonotoneInPageSize(t *testing.T) {
 func TestReaderEOFIsClean(t *testing.T) {
 	if reqs, err := ReadAll(strings.NewReader("")); err != nil || len(reqs) != 0 {
 		t.Fatalf("empty stream = (%v, %v), want no requests and no error", reqs, err)
+	}
+}
+
+// TestRequestLayout pins the packed record: every trace the simulator holds
+// is a slice of these, so a widened field costs every holder a third more.
+func TestRequestLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got != 24 {
+		t.Fatalf("trace.Request is %d bytes, want 24", got)
+	}
+}
+
+// TestCountAtInt32Max drives the largest count a Request can hold through the
+// request's own arithmetic and the CSV writer: nothing may wrap at 32 bits.
+// The parsers admit at most maxCount, far below it.
+func TestCountAtInt32Max(t *testing.T) {
+	const n = math.MaxInt32
+	off := int64(1)<<40 + 3
+	r := Request{Time: 1, Op: OpWrite, Offset: off, Count: n}
+	if got, want := r.End(), off+n; got != want {
+		t.Fatalf("End = %d, want %d", got, want)
+	}
+	if got, want := r.Pages(spp8k), 1<<27+1; got != want {
+		t.Fatalf("Pages = %d, want %d", got, want)
+	}
+	if got := r.Classify(spp8k); got != ClassUnaligned {
+		t.Fatalf("Classify = %v, want unaligned", got)
+	}
+	aligned := Request{Op: OpWrite, Offset: 1 << 40, Count: n - n%spp8k}
+	if got := aligned.Classify(spp8k); got != ClassAligned {
+		t.Fatalf("page-multiple count at the limit: Classify = %v, want aligned", got)
+	}
+	if err := r.Validate(r.End()); err != nil {
+		t.Fatalf("Validate at the device end: %v", err)
+	}
+	if err := r.Validate(r.End() - 1); err == nil {
+		t.Fatal("Validate accepted a request one sector past the device end")
+	}
+
+	var buf bytes.Buffer
+	w := NewWriter(&buf, 0)
+	if err := w.Write(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("0.001000,0.000000,W,0,%d,%d\n", off*512, int64(n)*512)
+	if buf.String() != want {
+		t.Fatalf("Writer wrote %q, want %q", buf.String(), want)
+	}
+	// Read back, the same line is over the parser's cap and refused whole,
+	// not truncated into some smaller count.
+	if reqs, err := ReadAll(&buf); err == nil || !strings.Contains(err.Error(), "implausible size") {
+		t.Fatalf("ReadAll of a %d-sector request = (%v, %v), want the size cap", n, reqs, err)
+	}
+
+	// The largest request the parser does admit: a 1 GiB extent straddling
+	// sector boundaries at both ends.
+	line := fmt.Sprintf("0,0,R,0,%d,%d\n", 511, maxRequestBytes)
+	reqs, err := ReadAll(strings.NewReader(line))
+	if err != nil || len(reqs) != 1 || reqs[0].Count != maxCount || reqs[0].Offset != 0 {
+		t.Fatalf("ReadAll(%q) = (%v, %v), want one request of %d sectors", line, reqs, err, maxCount)
 	}
 }

@@ -380,7 +380,7 @@ func (g *Generator) Next() (trace.Request, bool) {
 			off = g.footprint - int64(count)
 		}
 	}
-	return trace.Request{Time: g.now, Op: op, Offset: off, Count: count}, true
+	return trace.Request{Time: g.now, Op: op, Offset: off, Count: int32(count)}, true
 }
 
 // Generate materialises the whole trace.

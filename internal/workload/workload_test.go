@@ -2,7 +2,10 @@ package workload
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"across/internal/ssdconf"
 	"across/internal/trace"
@@ -230,4 +233,57 @@ func TestGeneratorWorksOnExperimentGeometry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestGenerateAllocations locks the generator's allocation shape: beyond
+// what NewGenerator allocates (the object population and the random source),
+// Generate allocates one exact slice of requests and nothing per request.
+func TestGenerateAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	// A collection would count the runtime's own allocations as f's.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	p := LunProfiles()[0]
+	p.Requests = 100_000
+	// measure returns f's allocations and bytes per run. AllocsPerRun runs
+	// f once to warm up, then runs times.
+	measure := func(f func()) (float64, uint64) {
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, f)
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+	}
+	popAllocs, popBytes := measure(func() {
+		if _, err := NewGenerator(p, testLogical); err != nil {
+			t.Fatal(err)
+		}
+	})
+	genAllocs, genBytes := measure(func() {
+		if reqs, err := Generate(p, testLogical); err != nil || len(reqs) != p.Requests {
+			t.Fatalf("generated %d of %d requests: %v", len(reqs), p.Requests, err)
+		}
+	})
+	if genAllocs != popAllocs+1 {
+		t.Errorf("Generate made %v allocations, want NewGenerator's %v plus one", genAllocs, popAllocs)
+	}
+	// A large allocation is rounded up to whole 8 KiB pages.
+	want := uint64(p.Requests) * uint64(unsafe.Sizeof(trace.Request{}))
+	if got := genBytes - popBytes; got < want || got >= want+8<<10 {
+		t.Errorf("Generate allocated %d bytes beyond the population, want one %d-byte slice", got, want)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race, under
+// which allocation counts are the detector's as much as the code's.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			return true
+		}
+	}
+	return false
 }
