@@ -18,16 +18,11 @@
 package across
 
 import (
-	"errors"
-	"fmt"
 	"io"
 
-	"across/internal/acrossftl"
 	"across/internal/check"
 	"across/internal/experiments"
 	"across/internal/fleet"
-	"across/internal/ftl"
-	"across/internal/hostcache"
 	"across/internal/obs"
 	"across/internal/scenario"
 	"across/internal/sim"
@@ -178,14 +173,10 @@ func Run(s Scheme, cfg Config, reqs []Request, age bool) (*Result, error) {
 // knob). Writes are write-through, so flush counts and erase counts are
 // unaffected; repeated reads of resident pages are served at DRAM speed.
 func RunWithHostCache(s Scheme, cfg Config, cachePages int, reqs []Request, age bool) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	inner, err := sim.NewScheme(s, &cfg)
+	r, err := NewRunnerWithHostCache(s, cfg, cachePages)
 	if err != nil {
 		return nil, err
 	}
-	r := &sim.Runner{Conf: &cfg, Kind: s, Scheme: hostcache.Wrap(inner, cachePages)}
 	if age {
 		if err := r.Age(sim.DefaultAging()); err != nil {
 			return nil, err
@@ -197,7 +188,7 @@ func RunWithHostCache(s Scheme, cfg Config, cachePages int, reqs []Request, age 
 // ErrRecoveryUnsupported is the error RecoverFromCrash wraps for a scheme
 // that cannot rebuild its mapping from flash alone (MRSM and DFTL); test for
 // it with errors.Is. The runner it was given is left untouched.
-var ErrRecoveryUnsupported = errors.New("across: crash recovery is not implemented")
+var ErrRecoveryUnsupported = sim.ErrRecoveryUnsupported
 
 // RecoverFromCrash simulates power loss on a runner's device and remounts
 // it: all in-DRAM mapping state is discarded and rebuilt from the flash
@@ -207,28 +198,7 @@ var ErrRecoveryUnsupported = errors.New("across: crash recovery is not implement
 // BaselineFTL; any other scheme fails with ErrRecoveryUnsupported. The
 // returned runner owns the same physical device; the old runner must not be
 // used.
-func RecoverFromCrash(r *Runner) (*Runner, error) {
-	dev := r.Scheme.Device()
-	var (
-		s   ftl.Scheme
-		err error
-	)
-	switch r.Kind {
-	case AcrossFTL:
-		s, err = acrossftl.Recover(dev)
-	case BaselineFTL:
-		s, err = ftl.RecoverBaseline(dev)
-	default:
-		return nil, fmt.Errorf("%w for %s", ErrRecoveryUnsupported, r.Kind)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if hc, ok := r.Scheme.(*hostcache.Scheme); ok {
-		s = hostcache.Wrap(s, hc.CachePages())
-	}
-	return &sim.Runner{Conf: r.Conf, Kind: r.Kind, Scheme: s}, nil
-}
+func RecoverFromCrash(r *Runner) (*Runner, error) { return sim.Recover(r) }
 
 // Aging parameterises the §4.1 device warm-up (used/valid fractions, seed).
 type Aging = sim.Aging
@@ -249,14 +219,7 @@ func NewRunner(s Scheme, cfg Config) (*Runner, error) { return sim.NewRunner(s, 
 // RunWithHostCache, for callers that also need to age the device, attach
 // observability, or replay several traces.
 func NewRunnerWithHostCache(s Scheme, cfg Config, cachePages int) (*Runner, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	inner, err := sim.NewScheme(s, &cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &sim.Runner{Conf: &cfg, Kind: s, Scheme: hostcache.Wrap(inner, cachePages)}, nil
+	return sim.NewRunnerWithHostCache(s, cfg, cachePages)
 }
 
 // RestoreRunner reconstructs a replay-ready Runner from a warm-state

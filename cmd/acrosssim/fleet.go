@@ -9,90 +9,61 @@ import (
 	"across/internal/ssdconf"
 )
 
-// fleetOpts carries the parsed fleet-mode flags from main to runFleet.
-type fleetOpts struct {
-	devices int
-	layout  string
-	chunkKB int
-
-	scheme     across.Scheme
-	cfg        across.Config
-	scenario   scenarioOpts
-	traceFile  string
-	profile    string
-	scale      float64
-	pageBytes  int
-	noAge      bool
-	qd         int
-	workers    int
-	snapIn     string
-	snapOut    string
-	check      bool
-	cachePages int
-	traceOut   string
-	metricsOut string
-	timeline   string
-}
-
 // runFleet is the -fleet mode of acrosssim: build (or fork from a snapshot)
 // an N-device volume, replay the trace through the layout, and print the
 // fleet summary plus the per-device balance table.
-func runFleet(o fleetOpts) {
+func runFleet(scheme across.Scheme, cfg across.Config) {
 	// Single-device observability artifacts have no fleet story yet: each
 	// device would need its own tracer/sampler file. Reject rather than
 	// silently produce a device-0-only artifact.
 	switch {
-	case o.cachePages > 0:
+	case *cachePages > 0:
 		fatal(fmt.Errorf("-cachepages is not supported with -fleet"))
-	case o.traceOut != "":
+	case *traceOut != "":
 		fatal(fmt.Errorf("-trace-out is not supported with -fleet"))
-	case o.metricsOut != "":
+	case *metricsOut != "":
 		fatal(fmt.Errorf("-metrics-out is not supported with -fleet"))
-	case o.timeline != "":
+	case *timeline != "":
 		fatal(fmt.Errorf("-timeline is not supported with -fleet"))
 	}
-	layout, err := across.ParseFleetLayout(o.layout)
+	check := *checkFlag || *auditEvery > 0
+	fleetLayout, err := across.ParseFleetLayout(*layout)
 	if err != nil {
 		fatal(err)
 	}
 	spec := across.FleetSpec{
-		Devices:      o.devices,
-		Layout:       layout,
-		ChunkSectors: int64(o.chunkKB) * 1024 / ssdconf.SectorBytes,
+		Devices:      *fleetN,
+		Layout:       fleetLayout,
+		ChunkSectors: int64(*chunkKB) * 1024 / ssdconf.SectorBytes,
 	}
 
 	var v *across.Fleet
-	if o.snapIn != "" {
+	if *snapIn != "" {
 		// The snapshot fixes each device: scheme kind and geometry come from
 		// the blob, every device forks from the same warm state.
-		blob, err := os.ReadFile(o.snapIn)
+		blob, err := os.ReadFile(*snapIn)
 		if err != nil {
 			fatal(err)
 		}
 		v, err = across.RestoreFleet(blob, spec)
 		if err != nil {
-			fatal(snapshotErr(o.snapIn, err))
+			fatal(snapshotErr(*snapIn, err))
 		}
 	} else {
-		v, err = across.NewFleet(o.scheme, o.cfg, spec)
+		v, err = across.NewFleet(scheme, cfg, spec)
 		if err != nil {
 			fatal(err)
 		}
-		if !o.noAge {
+		if !*noAge {
 			if err := v.Age(across.DefaultAging()); err != nil {
 				fatal(err)
 			}
 		}
 	}
-	cfg := *v.Conf
+	cfg = *v.Conf
 
-	var reqs []across.Request
-	if o.scenario.active() {
-		reqs = loadScenarioStream(o.scenario, v.LogicalSectors())
-	} else {
-		reqs = loadTrace(o.traceFile, o.profile, o.scale, v.LogicalSectors())
-	}
-	st := across.TraceStats(reqs, o.pageBytes)
+	reqs := loadRequests(v.LogicalSectors())
+	st := across.TraceStats(reqs, *pageBytes)
 	fmt.Printf("device : %s\n", cfg.String())
 	fmt.Printf("fleet  : %d devices, %s, chunk %d KB, %.1f GiB logical\n",
 		v.Devices(), v.Layout(), v.ChunkSectors()*ssdconf.SectorBytes/1024,
@@ -100,22 +71,22 @@ func runFleet(o fleetOpts) {
 	fmt.Printf("trace  : %d requests, write ratio %.1f%%, avg write %.1f KB, across-page %.1f%%\n",
 		st.Requests, 100*st.WriteRatio(), st.AvgWriteKB(), 100*st.AcrossRatio())
 
-	if o.snapOut != "" {
+	if *snapOut != "" {
 		blob, err := v.WarmSnapshot()
 		if err != nil {
 			fatal(err)
 		}
-		if err := os.WriteFile(o.snapOut, blob, 0o644); err != nil {
+		if err := os.WriteFile(*snapOut, blob, 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("snapshot: %d bytes (device 0; RestoreFleet forks all devices from it) -> %s\n", len(blob), o.snapOut)
+		fmt.Printf("snapshot: %d bytes (device 0; RestoreFleet forks all devices from it) -> %s\n", len(blob), *snapOut)
 	}
 
-	res, err := v.ReplayQD(reqs, o.qd, across.FleetOptions{Workers: o.workers})
+	res, err := v.ReplayQD(reqs, *qd, across.FleetOptions{Workers: *workers})
 	if err != nil {
 		fatal(err)
 	}
-	if o.check {
+	if check {
 		if err := v.Audit(); err != nil {
 			fatal(err)
 		}
@@ -134,7 +105,7 @@ func runFleet(o fleetOpts) {
 	fmt.Printf("writes : %d flash programs (data %d, gc %d, map %d)\n",
 		c.FlashWrites(), c.DataWrites, c.GCWrites, c.MapWrites)
 	fmt.Printf("erases : %d across the fleet\n", c.Erases)
-	if o.check {
+	if check {
 		fmt.Printf("verify : clean — all %d devices audited\n", v.Devices())
 	}
 	fmt.Println()
@@ -156,34 +127,4 @@ func fleetDeviceRows(res *across.FleetResult, chips int) []report.FleetDeviceRow
 		}
 	}
 	return rows
-}
-
-// loadTrace reads a CSV trace file or synthesises a profile trace sized to
-// logicalSectors (the fleet volume's capacity in fleet mode).
-func loadTrace(traceFile, profile string, scale float64, logicalSectors int64) []across.Request {
-	switch {
-	case traceFile != "":
-		f, err := os.Open(traceFile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		reqs, err := across.ReadTraceAuto(f)
-		if err != nil {
-			fatal(err)
-		}
-		return reqs
-	case profile != "":
-		p, err := across.Profile(profile)
-		if err != nil {
-			fatal(err)
-		}
-		reqs, err := across.GenerateTrace(p.Scale(scale), logicalSectors)
-		if err != nil {
-			fatal(err)
-		}
-		return reqs
-	}
-	fatal(fmt.Errorf("need -trace FILE or -profile lunN"))
-	return nil
 }

@@ -17,64 +17,48 @@ import (
 
 	"across"
 	"across/internal/fleet"
-	"across/internal/profiling"
 	"across/internal/report"
+	"across/internal/sim"
 	"across/internal/snapshot"
 )
 
+var (
+	schemeName = flag.String("scheme", string(across.AcrossFTL), sim.KindList(" | "))
+	traceFile  = flag.String("trace", "", "SYSTOR-format CSV trace file")
+	profile    = flag.String("profile", "", "built-in workload profile (lun1..lun6)")
+	scale      = flag.Float64("scale", 0.05, "fraction of the generated request count (with -profile or a builtin -scenario; -scenario trace replays the full trace unless -scale is given explicitly)")
+	pageBytes  = flag.Int("page", 8192, "flash page size in bytes (4096, 8192, 16384)")
+	full       = flag.Bool("full", false, "full 128 GiB Table 1 geometry")
+	noAge      = flag.Bool("no-age", false, "skip device aging")
+	qd         = flag.Int("qd", 0, "bound outstanding requests (0 = open loop)")
+	workers    = flag.Int("workers", 1, "fleet device parallelism (with -fleet; results are bit-identical for any value)")
+	cachePages = flag.Int("cachepages", 0, "host DRAM data cache in pages (0 = none)")
+
+	scenarioName = flag.String("scenario", "", "scenario workload: builtin name (stationary | burst | daynight | mixed) or \"trace\" to wrap -trace as a cohort")
+	scenarioIn   = flag.String("scenario-in", "", "replay a stored trace-v2 scenario stream instead of generating one")
+	scenarioOut  = flag.String("scenario-out", "", "write the generated scenario stream as a trace-v2 container to FILE")
+
+	fleetN  = flag.Int("fleet", 0, "compose N devices into one logical volume (0 = single device)")
+	layout  = flag.String("layout", "raid0", "fleet layout: concat | raid0 | raid10 (with -fleet)")
+	chunkKB = flag.Int("chunk-kb", fleet.DefaultChunkKB, "fleet stripe chunk in KB (with -fleet; ignored by concat)")
+
+	snapOut = flag.String("snapshot-out", "", "write a warm-state snapshot of the (aged) device to FILE before replaying")
+	snapIn  = flag.String("snapshot-in", "", "restore the device from a warm-state snapshot instead of building and aging one (-scheme/-page/-full/-no-age/-cachepages come from the snapshot and are ignored)")
+
+	checkFlag  = flag.Bool("check", false, "verify the replay: shadow model on every request, device audit at end of run")
+	auditEvery = flag.Int64("audit-every", 0, "with -check: also run the device-wide audit every N requests (implies -check)")
+
+	traceOut   = flag.String("trace-out", "", "write an execution trace (.jsonl = event lines; anything else = Chrome trace_event JSON for Perfetto)")
+	metricsOut = flag.String("metrics-out", "", "write sampled time-series metrics as JSONL")
+	metricsInt = flag.Float64("metrics-interval-ms", 50, "sampling interval in simulated ms (with -metrics-out or -timeline)")
+	timeline   = flag.String("timeline", "", "print sampled timeline tables after the run (text | markdown | csv)")
+)
+
 func main() {
-	var (
-		schemeName = flag.String("scheme", "Across-FTL", "FTL | MRSM | Across-FTL")
-		traceFile  = flag.String("trace", "", "SYSTOR-format CSV trace file")
-		profile    = flag.String("profile", "", "built-in workload profile (lun1..lun6)")
-		scale      = flag.Float64("scale", 0.05, "fraction of the generated request count (with -profile or a builtin -scenario; -scenario trace replays the full trace unless -scale is given explicitly)")
-		pageBytes  = flag.Int("page", 8192, "flash page size in bytes (4096, 8192, 16384)")
-		full       = flag.Bool("full", false, "full 128 GiB Table 1 geometry")
-		noAge      = flag.Bool("no-age", false, "skip device aging")
-		qd         = flag.Int("qd", 0, "bound outstanding requests (0 = open loop)")
-		workers    = flag.Int("workers", 1, "fleet device parallelism (with -fleet; results are bit-identical for any value)")
-		cachePages = flag.Int("cachepages", 0, "host DRAM data cache in pages (0 = none)")
-
-		scenarioName = flag.String("scenario", "", "scenario workload: builtin name (stationary | burst | daynight | mixed) or \"trace\" to wrap -trace as a cohort")
-		scenarioIn   = flag.String("scenario-in", "", "replay a stored trace-v2 scenario stream instead of generating one")
-		scenarioOut  = flag.String("scenario-out", "", "write the generated scenario stream as a trace-v2 container to FILE")
-
-		fleetN  = flag.Int("fleet", 0, "compose N devices into one logical volume (0 = single device)")
-		layout  = flag.String("layout", "raid0", "fleet layout: concat | raid0 | raid10 (with -fleet)")
-		chunkKB = flag.Int("chunk-kb", fleet.DefaultChunkKB, "fleet stripe chunk in KB (with -fleet; ignored by concat)")
-
-		snapOut = flag.String("snapshot-out", "", "write a warm-state snapshot of the (aged) device to FILE before replaying")
-		snapIn  = flag.String("snapshot-in", "", "restore the device from a warm-state snapshot instead of building and aging one (-scheme/-page/-full/-no-age/-cachepages come from the snapshot and are ignored)")
-
-		checkFlag  = flag.Bool("check", false, "verify the replay: shadow model on every request, device audit at end of run")
-		auditEvery = flag.Int64("audit-every", 0, "with -check: also run the device-wide audit every N requests (implies -check)")
-
-		traceOut   = flag.String("trace-out", "", "write an execution trace (.jsonl = event lines; anything else = Chrome trace_event JSON for Perfetto)")
-		metricsOut = flag.String("metrics-out", "", "write sampled time-series metrics as JSONL")
-		metricsInt = flag.Float64("metrics-interval-ms", 50, "sampling interval in simulated ms (with -metrics-out or -timeline)")
-		timeline   = flag.String("timeline", "", "print sampled timeline tables after the run (text | markdown | csv)")
-	)
-	prof := profiling.Register()
 	flag.Parse()
-	if err := prof.Start(); err != nil {
+	scheme, err := sim.ParseKind(*schemeName)
+	if err != nil {
 		fatal(err)
-	}
-	defer func() {
-		if err := prof.Stop(); err != nil {
-			fmt.Fprintln(os.Stderr, "acrosssim:", err)
-		}
-	}()
-
-	var scheme across.Scheme
-	switch *schemeName {
-	case "FTL":
-		scheme = across.BaselineFTL
-	case "MRSM":
-		scheme = across.MRSM
-	case "Across-FTL":
-		scheme = across.AcrossFTL
-	default:
-		fatal(fmt.Errorf("unknown scheme %q (want FTL, MRSM or Across-FTL)", *schemeName))
 	}
 
 	cfg := across.ExperimentConfig()
@@ -83,27 +67,8 @@ func main() {
 	}
 	cfg = cfg.WithPageBytes(*pageBytes)
 
-	scaleSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "scale" {
-			scaleSet = true
-		}
-	})
-	scOpts := scenarioOpts{
-		name: *scenarioName, inFile: *scenarioIn, outFile: *scenarioOut,
-		trace: *traceFile, scale: *scale, scaleSet: scaleSet,
-	}
-
 	if *fleetN > 0 {
-		runFleet(fleetOpts{
-			devices: *fleetN, layout: *layout, chunkKB: *chunkKB,
-			scheme: scheme, cfg: cfg, scenario: scOpts,
-			traceFile: *traceFile, profile: *profile, scale: *scale, pageBytes: *pageBytes,
-			noAge: *noAge, qd: *qd, workers: *workers,
-			snapIn: *snapIn, snapOut: *snapOut,
-			check: *checkFlag || *auditEvery > 0, cachePages: *cachePages,
-			traceOut: *traceOut, metricsOut: *metricsOut, timeline: *timeline,
-		})
+		runFleet(scheme, cfg)
 		return
 	}
 	if *workers > 1 {
@@ -114,7 +79,6 @@ func main() {
 	// come from the blob, so restore before trace generation and let the
 	// embedded config drive workload sizing.
 	var r *across.Runner
-	var err error
 	if *snapIn != "" {
 		blob, rerr := os.ReadFile(*snapIn)
 		if rerr != nil {
@@ -127,45 +91,14 @@ func main() {
 		cfg = *r.Conf
 	}
 
-	var reqs []across.Request
-	switch {
-	case scOpts.active():
-		reqs = loadScenarioStream(scOpts, cfg.LogicalSectors())
-	case *traceFile != "":
-		f, err := os.Open(*traceFile)
-		if err != nil {
-			fatal(err)
-		}
-		// Auto-detect SYSTOR '17 vs MSR Cambridge format.
-		reqs, err = across.ReadTraceAuto(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-	case *profile != "":
-		p, err := across.Profile(*profile)
-		if err != nil {
-			fatal(err)
-		}
-		reqs, err = across.GenerateTrace(p.Scale(*scale), cfg.LogicalSectors())
-		if err != nil {
-			fatal(err)
-		}
-	default:
-		fatal(fmt.Errorf("need -trace FILE or -profile lunN"))
-	}
-
+	reqs := loadRequests(cfg.LogicalSectors())
 	st := across.TraceStats(reqs, *pageBytes)
 	fmt.Printf("device : %s\n", cfg.String())
 	fmt.Printf("trace  : %d requests, write ratio %.1f%%, avg write %.1f KB, across-page %.1f%%\n",
 		st.Requests, 100*st.WriteRatio(), st.AvgWriteKB(), 100*st.AcrossRatio())
 
 	if r == nil {
-		if *cachePages > 0 {
-			r, err = across.NewRunnerWithHostCache(scheme, cfg, *cachePages)
-		} else {
-			r, err = across.NewRunner(scheme, cfg)
-		}
+		r, err = across.NewRunnerWithHostCache(scheme, cfg, *cachePages)
 		if err != nil {
 			fatal(err)
 		}
@@ -270,6 +203,40 @@ func main() {
 		report.TimelineLatency(smp.Samples()).RenderTo(os.Stdout, *timeline)
 		report.TimelineUtilisation(smp.Samples()).RenderTo(os.Stdout, *timeline)
 	}
+}
+
+// loadRequests is the one trace loader of both modes: a scenario stream, a
+// CSV trace file, or a profile trace sized to logicalSectors (the device's,
+// or the fleet volume's in fleet mode).
+func loadRequests(logicalSectors int64) []across.Request {
+	switch {
+	case *scenarioName != "" || *scenarioIn != "":
+		return loadScenarioStream(logicalSectors)
+	case *traceFile != "":
+		f, err := os.Open(*traceFile)
+		if err != nil {
+			fatal(err)
+		}
+		defer f.Close()
+		// Auto-detect SYSTOR '17 vs MSR Cambridge format.
+		reqs, err := across.ReadTraceAuto(f)
+		if err != nil {
+			fatal(err)
+		}
+		return reqs
+	case *profile != "":
+		p, err := across.Profile(*profile)
+		if err != nil {
+			fatal(err)
+		}
+		reqs, err := across.GenerateTrace(p.Scale(*scale), logicalSectors)
+		if err != nil {
+			fatal(err)
+		}
+		return reqs
+	}
+	fatal(fmt.Errorf("need -trace FILE or -profile lunN"))
+	return nil
 }
 
 // snapshotErr names the file a -snapshot-in that does not open came from and,

@@ -1,33 +1,22 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 
 	"across"
 )
 
-// scenarioOpts carries the parsed scenario flags from main to the loader.
-type scenarioOpts struct {
-	name     string  // builtin scenario name, or "trace" to wrap -trace
-	inFile   string  // trace-v2 container to replay instead of generating
-	outFile  string  // write the generated stream as a trace-v2 container
-	trace    string  // real-trace CSV for name == "trace"
-	scale    float64 // request-count scale applied before generation
-	scaleSet bool    // -scale was given explicitly (not the 0.05 default)
-}
-
-func (o scenarioOpts) active() bool { return o.name != "" || o.inFile != "" }
-
 // loadScenarioStream produces the request stream for scenario mode: either
 // decoding a stored trace-v2 container (-scenario-in) or building the named
 // scenario — a builtin, or a real trace wrapped as a cohort — and generating
 // it for the device. The generated stream is optionally sealed back to a
 // trace-v2 file (-scenario-out), and the scenario summary is printed.
-func loadScenarioStream(o scenarioOpts, logicalSectors int64) []across.Request {
+func loadScenarioStream(logicalSectors int64) []across.Request {
 	var stream *across.ScenarioStream
-	if o.inFile != "" {
-		blob, err := os.ReadFile(o.inFile)
+	if *scenarioIn != "" {
+		blob, err := os.ReadFile(*scenarioIn)
 		if err != nil {
 			fatal(err)
 		}
@@ -37,15 +26,15 @@ func loadScenarioStream(o scenarioOpts, logicalSectors int64) []across.Request {
 		}
 		if stream.LogicalSectors != logicalSectors {
 			fatal(fmt.Errorf("scenario stream %s was generated for %d logical sectors, device has %d",
-				o.inFile, stream.LogicalSectors, logicalSectors))
+				*scenarioIn, stream.LogicalSectors, logicalSectors))
 		}
 	} else {
 		var sc across.Scenario
-		if o.name == "trace" {
-			if o.trace == "" {
+		if *scenarioName == "trace" {
+			if *traceFile == "" {
 				fatal(fmt.Errorf("-scenario trace needs -trace FILE"))
 			}
-			f, err := os.Open(o.trace)
+			f, err := os.Open(*traceFile)
 			if err != nil {
 				fatal(err)
 			}
@@ -60,20 +49,20 @@ func loadScenarioStream(o scenarioOpts, logicalSectors int64) []across.Request {
 			// quick-run knob, and silently truncating a recorded workload
 			// would change the experiment. An explicit -scale still
 			// truncates — loudly.
-			if o.scaleSet {
-				sc = sc.Scale(o.scale)
+			if scaleSet() {
+				sc = sc.Scale(*scale)
 				if kept := len(sc.Cohorts[0].Trace); kept < len(reqs) {
 					fmt.Printf("scale  : -scale %g keeps the trace's first %d of %d requests\n",
-						o.scale, kept, len(reqs))
+						*scale, kept, len(reqs))
 				}
 			}
 		} else {
 			var err error
-			sc, err = across.BuiltinScenario(o.name)
+			sc, err = across.BuiltinScenario(*scenarioName)
 			if err != nil {
 				fatal(err)
 			}
-			sc = sc.Scale(o.scale)
+			sc = sc.Scale(*scale)
 		}
 		var err error
 		stream, err = sc.Generate(logicalSectors)
@@ -81,15 +70,15 @@ func loadScenarioStream(o scenarioOpts, logicalSectors int64) []across.Request {
 			fatal(err)
 		}
 	}
-	if o.outFile != "" {
+	if *scenarioOut != "" {
 		blob, err := across.EncodeScenarioStream(stream)
 		if err != nil {
 			fatal(err)
 		}
-		if err := os.WriteFile(o.outFile, blob, 0o644); err != nil {
+		if err := os.WriteFile(*scenarioOut, blob, 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("tracev2 : %d bytes -> %s\n", len(blob), o.outFile)
+		fmt.Printf("tracev2 : %d bytes -> %s\n", len(blob), *scenarioOut)
 	}
 	fmt.Printf("scenario: %s, %d cohorts\n", stream.Scenario, len(stream.Cohorts))
 	for _, c := range stream.Cohorts {
@@ -97,4 +86,12 @@ func loadScenarioStream(o scenarioOpts, logicalSectors int64) []across.Request {
 			c.Name, c.Requests, c.StartSector, c.Sectors)
 	}
 	return stream.Requests
+}
+
+// scaleSet reports whether -scale was given explicitly (not the 0.05
+// default).
+func scaleSet() bool {
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == "scale" })
+	return set
 }

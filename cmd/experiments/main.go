@@ -25,7 +25,6 @@ import (
 
 	"across"
 	"across/internal/experiments"
-	"across/internal/profiling"
 )
 
 // ids lists a slice of the registry in its own order.
@@ -54,16 +53,7 @@ func main() {
 		metricsOut = flag.String("metrics-out", "", "write the ext-timeline sampled metrics as JSONL here")
 		metricsInt = flag.Float64("metrics-interval-ms", 0, "ext-timeline sampling interval in simulated ms (0 = auto)")
 	)
-	prof := profiling.Register()
 	flag.Parse()
-	if err := prof.Start(); err != nil {
-		fatal(err)
-	}
-	defer func() {
-		if err := prof.Stop(); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-		}
-	}()
 
 	if *list {
 		for _, id := range across.ExperimentIDs() {

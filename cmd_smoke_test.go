@@ -47,6 +47,18 @@ func TestAcrosssimSmoke(t *testing.T) {
 	}
 }
 
+// TestAcrosssimDFTLSmoke: the CLI accepts every scheme the daemon does, the
+// extension DFTL included, and verifies it clean.
+func TestAcrosssimDFTLSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns go run")
+	}
+	out := runCmd(t, "./cmd/acrosssim", "-scheme", "DFTL", "-profile", "lun1", "-scale", "0.002", "-check")
+	if !strings.Contains(out, "scheme : DFTL") || !strings.Contains(out, "verify : clean") {
+		t.Errorf("DFTL run output wrong:\n%s", out)
+	}
+}
+
 // TestAcrosssimScenarioSmoke drives the scenario engine through the CLI:
 // generate a builtin scenario to a trace-v2 file, then replay the stored
 // container with -scenario-in on another scheme — generation, encode, decode

@@ -15,11 +15,11 @@ import (
 // mutates scheme or device state — so a checked replay produces a
 // bit-identical Result to an unchecked one.
 type Checker struct {
-	scheme ftl.Scheme
-	aud    Auditable
-	res    SectorResolver // nil unless Options.Shadow
-	dev    *ftl.Device
-	opts   Options
+	aud  Auditable
+	res  SectorResolver // nil unless Options.Shadow
+	al   *ftl.Allocator // nil when the scheme exposes none
+	dev  *ftl.Device
+	opts Options
 
 	logicalSectors int64
 
@@ -50,24 +50,27 @@ type Checker struct {
 	sectorChecks int64
 }
 
-// New builds a Checker for the scheme. The scheme must implement Auditable;
-// with opts.Shadow it must also implement SectorResolver. Wrapped schemes
-// (hostcache) forward both, so any stack built from the repository's schemes
-// is checkable.
+// New builds a Checker for the scheme. The scheme, or the scheme it wraps
+// (ftl.As), must implement Auditable; with opts.Shadow it must also
+// implement SectorResolver. A host-cached stack is checked through the
+// scheme beneath the cache, so any stack built from the repository's
+// schemes is checkable, and one that is not is refused here, not mid-replay.
 func New(s ftl.Scheme, opts Options) (*Checker, error) {
-	aud, ok := s.(Auditable)
+	aud, ok := ftl.As[Auditable](s)
 	if !ok {
 		return nil, fmt.Errorf("check: scheme %s does not implement Auditable", s.Name())
 	}
 	c := &Checker{
-		scheme:         s,
 		aud:            aud,
 		dev:            s.Device(),
 		opts:           opts,
 		logicalSectors: s.Device().Conf.LogicalSectors(),
 	}
+	if a, ok := ftl.As[interface{ Allocator() *ftl.Allocator }](s); ok {
+		c.al = a.Allocator()
+	}
 	if opts.Shadow {
-		res, ok := s.(SectorResolver)
+		res, ok := ftl.As[SectorResolver](s)
 		if !ok {
 			return nil, fmt.Errorf("check: scheme %s does not implement SectorResolver", s.Name())
 		}
@@ -293,7 +296,7 @@ func (c *Checker) Audit() error {
 	// Allocator free-space accounting: the plane's cached free-page count
 	// must equal the sum of programmable pages over its blocks. Between
 	// requests no reservation is outstanding, so the identity is exact.
-	if al := c.allocator(); al != nil {
+	if al := c.al; al != nil {
 		for pl := flash.PlaneID(0); int(pl) < geo.Planes; pl++ {
 			var free int64
 			lo, hi := geo.BlocksOfPlane(pl)
@@ -353,15 +356,6 @@ func (c *Checker) Audit() error {
 		if got, want := c.dev.Count.Erases, arr.TotalErases()-c.baseErases; got != want {
 			return fmt.Errorf("check: device counters attribute %d erases, array performed %d", got, want)
 		}
-	}
-	return nil
-}
-
-// allocator returns the scheme's page allocator when it exposes one (the
-// same capability discovery the metrics sampler uses).
-func (c *Checker) allocator() *ftl.Allocator {
-	if al, ok := c.scheme.(interface{ Allocator() *ftl.Allocator }); ok {
-		return al.Allocator()
 	}
 	return nil
 }

@@ -78,7 +78,7 @@ func TestCheckedReplayAllSchemes(t *testing.T) {
 }
 
 // TestCheckedReplayHostCache verifies the checker composes with the
-// hostcache wrapper (forwarded Auditable/SectorResolver).
+// hostcache wrapper (Auditable found beneath the cache with ftl.As).
 func TestCheckedReplayHostCache(t *testing.T) {
 	conf := smallConf()
 	inner, err := sim.NewScheme(sim.KindAcross, &conf)
@@ -108,14 +108,11 @@ func TestCheckerRejectsUncheckableScheme(t *testing.T) {
 	if _, err := check.New(opaqueScheme{inner}, check.Options{}); err == nil {
 		t.Fatal("opaque scheme accepted")
 	}
-	// Hostcache around an opaque scheme forwards the failure at audit time.
+	// Hostcache around an opaque scheme is refused at construction too: the
+	// checker looks beneath the cache and finds nothing to audit there.
 	hc := hostcache.Wrap(opaqueScheme{inner}, 4)
-	c, err := check.New(hc, check.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Audit(); err == nil || !strings.Contains(err.Error(), "does not support") {
-		t.Fatalf("audit through opaque inner scheme: %v", err)
+	if _, err := check.New(hc, check.Options{}); err == nil || !strings.Contains(err.Error(), "does not implement Auditable") {
+		t.Fatalf("checker over an opaque inner scheme: %v", err)
 	}
 }
 

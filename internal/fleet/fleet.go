@@ -254,9 +254,6 @@ func (v *Volume) step(sub SubRequest, issue float64) (subOutcome, error) {
 	}, nil
 }
 
-// statsResetter mirrors the sim engine's scheme-statistics reset hook.
-type statsResetter interface{ ResetStats() }
-
 // beginReplay resets every device's measurement state (timelines and
 // counters; mapping and wear state persist) and seeds the Result.
 func (v *Volume) beginReplay() *Result {
@@ -268,10 +265,7 @@ func (v *Volume) beginReplay() *Result {
 		PerDevice:    make([]DeviceReport, v.geo.devices),
 	}
 	for i, r := range v.Runners {
-		r.Scheme.Device().ResetMeasurement()
-		if sr, ok := r.Scheme.(statsResetter); ok {
-			sr.ResetStats()
-		}
+		r.ResetMeasurement()
 		res.PerDevice[i].Device = i
 	}
 	return res

@@ -264,6 +264,25 @@ type Scheme interface {
 	Device() *Device
 }
 
+// As finds a capability T — an interface such as check.Auditable — on s or,
+// when s wraps another scheme (Inner, as the host data cache does), on the
+// scheme beneath it, the way errors.As walks an error chain. The outermost
+// match wins, so a wrapper that implements T itself is asked first.
+func As[T any](s Scheme) (T, bool) {
+	for s != nil {
+		if c, ok := s.(T); ok {
+			return c, true
+		}
+		w, ok := s.(interface{ Inner() Scheme })
+		if !ok {
+			break
+		}
+		s = w.Inner()
+	}
+	var zero T
+	return zero, false
+}
+
 // errf wraps scheme-internal failures with the scheme name for diagnosis.
 func errf(scheme string, err error, format string, args ...any) error {
 	return fmt.Errorf("%s: %s: %w", scheme, fmt.Sprintf(format, args...), err)

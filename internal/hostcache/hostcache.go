@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"across/internal/cache"
-	"across/internal/flash"
 	"across/internal/ftl"
 	"across/internal/obs"
 	"across/internal/trace"
@@ -61,14 +60,12 @@ func (s *Scheme) TableBytes() int64 { return s.inner.TableBytes() }
 // Stats returns the cache census.
 func (s *Scheme) Stats() Stats { return s.stats }
 
-// Allocator forwards to the inner scheme's page allocator when it exposes
-// one (metrics sampling reads GC debt through it).
-func (s *Scheme) Allocator() *ftl.Allocator {
-	if al, ok := s.inner.(interface{ Allocator() *ftl.Allocator }); ok {
-		return al.Allocator()
-	}
-	return nil
-}
+// Inner returns the wrapped scheme. Capabilities the cache does not add
+// itself — auditing, the page allocator, the mapping-cache and Across-FTL
+// censuses — are found there with ftl.As: the data buffer holds copies,
+// never the sole copy (writes are write-through), so the inner scheme's
+// state is the device's.
+func (s *Scheme) Inner() ftl.Scheme { return s.inner }
 
 // ResetStats clears the census and forwards to the inner scheme.
 func (s *Scheme) ResetStats() {
@@ -78,28 +75,10 @@ func (s *Scheme) ResetStats() {
 	}
 }
 
-// AuditMapping forwards to the inner scheme so a cached stack stays
-// verifiable: the data buffer holds copies, never the sole copy (writes are
-// write-through), so the inner scheme's invariants are the device's.
-func (s *Scheme) AuditMapping() error {
-	if a, ok := s.inner.(interface{ AuditMapping() error }); ok {
-		return a.AuditMapping()
-	}
-	return fmt.Errorf("hostcache: inner scheme %s does not support auditing", s.inner.Name())
-}
-
-// VisitOwned forwards to the inner scheme (see AuditMapping).
-func (s *Scheme) VisitOwned(fn func(flash.PPN) error) error {
-	if v, ok := s.inner.(interface {
-		VisitOwned(func(flash.PPN) error) error
-	}); ok {
-		return v.VisitOwned(fn)
-	}
-	return fmt.Errorf("hostcache: inner scheme %s does not support auditing", s.inner.Name())
-}
-
 // ResolveSector forwards to the inner scheme: a cache hit serves a copy of
-// exactly the data the inner scheme's source holds.
+// exactly the data the inner scheme's source holds. It stays on the wrapper,
+// with VisitWritten, so a cached runner's Scheme is a check.SectorResolver
+// to a caller that holds only the stack.
 func (s *Scheme) ResolveSector(sec int64) (ftl.SectorSource, error) {
 	if r, ok := s.inner.(interface {
 		ResolveSector(int64) (ftl.SectorSource, error)

@@ -231,10 +231,8 @@ func (sp *ReplaySpec) normalise() {
 func (sp *ReplaySpec) validate() error { return sp.validateOnce(&scenarioOnce{}) }
 
 func (sp *ReplaySpec) validateOnce(once *scenarioOnce) error {
-	switch sim.SchemeKind(sp.Scheme) {
-	case sim.KindFTL, sim.KindMRSM, sim.KindAcross, sim.KindDFTL:
-	default:
-		return fmt.Errorf("unknown scheme %q", sp.Scheme)
+	if _, err := sim.ParseKind(sp.Scheme); err != nil {
+		return err
 	}
 	if sp.Scenario != nil {
 		if sp.Profile != "" {

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"across/internal/acrossftl"
 	"across/internal/check"
 	"across/internal/ftl"
-	"across/internal/mrsm"
 	"across/internal/obs"
 	"across/internal/ssdconf"
 	"across/internal/trace"
@@ -48,14 +46,7 @@ func (r *Runner) WarmupWrites() int64 { return r.warmupWrites }
 
 // NewRunner builds a scheme of the given kind on a fresh device.
 func NewRunner(kind SchemeKind, conf ssdconf.Config) (*Runner, error) {
-	if err := conf.Validate(); err != nil {
-		return nil, err
-	}
-	s, err := NewScheme(kind, &conf)
-	if err != nil {
-		return nil, err
-	}
-	return &Runner{Conf: &conf, Kind: kind, Scheme: s}, nil
+	return NewRunnerWithHostCache(kind, conf, 0)
 }
 
 // Replay runs a trace through the scheme open-loop (every request is
@@ -118,11 +109,7 @@ func (res *Result) foldRecord(buckets *[2][3]*OpClassMetrics, rec reqRecord) {
 // (direction, class) bucket preallocated, so the replay loop never hashes a
 // map key or allocates a metrics struct.
 func (r *Runner) beginReplay() (*Result, *[2][3]*OpClassMetrics) {
-	dev := r.Scheme.Device()
-	dev.ResetMeasurement()
-	if sr, ok := r.Scheme.(statsResetter); ok {
-		sr.ResetStats()
-	}
+	r.ResetMeasurement()
 	res := &Result{
 		Scheme:       r.Scheme.Name(),
 		ByBucket:     make(map[BucketKey]*OpClassMetrics, 6),
@@ -160,13 +147,25 @@ func (r *Runner) finishReplay(res *Result, reqs []trace.Request) {
 		}
 		res.MeasuredSpanMs = end - reqs[0].Time
 	}
-	switch s := r.Scheme.(type) {
-	case *acrossftl.Scheme:
-		st := s.Stats()
+	if a, ok := ftl.As[acrossCensus](r.Scheme); ok {
+		st := a.Stats()
 		res.Across = &st
-		res.CMT = s.CMTStats()
-	case *mrsm.Scheme:
-		res.CMT = s.CMTStats()
+	}
+	if e, _ := entryOf(r.Kind); e.cmtInResult {
+		if c, ok := ftl.As[cmtCensus](r.Scheme); ok {
+			res.CMT = c.CMTStats()
+		}
+	}
+}
+
+// ResetMeasurement zeroes the device's timelines and counters and the
+// scheme's statistics (on the scheme or, when wrapped, beneath it), keeping
+// mapping and wear state: what every replay, single-device or fleet, does
+// before it measures.
+func (r *Runner) ResetMeasurement() {
+	r.Scheme.Device().ResetMeasurement()
+	if sr, ok := ftl.As[statsResetter](r.Scheme); ok {
+		sr.ResetStats()
 	}
 }
 

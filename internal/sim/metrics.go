@@ -58,6 +58,15 @@ type WearSummary struct {
 	Max    int64   `json:"max"`
 }
 
+// The capabilities a replay reads its scheme-level figures through, found
+// with ftl.As on the scheme or the scheme a host cache wraps.
+type (
+	acrossCensus   interface{ Stats() acrossftl.Stats }
+	cmtCensus      interface{ CMTStats() cache.CMTStats }
+	allocatorOwner interface{ Allocator() *ftl.Allocator }
+	statsResetter  interface{ ResetStats() }
+)
+
 // Result is everything one replay produces.
 type Result struct {
 	Scheme   string
@@ -76,7 +85,7 @@ type Result struct {
 	ByBucket map[BucketKey]*OpClassMetrics
 
 	TableBytes int64
-	CMT        cache.CMTStats   // mapping-cache behaviour (zero for baseline)
+	CMT        cache.CMTStats   // mapping-cache behaviour (MRSM and Across-FTL; zero otherwise)
 	Across     *acrossftl.Stats // across-page census (Across-FTL only)
 
 	Wear WearSummary // per-block erase distribution (lifetime, not per-phase)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"across/internal/cache"
 	"across/internal/ftl"
 	"across/internal/obs"
 )
@@ -56,12 +55,12 @@ func (r *Runner) fillSample(sm *obs.Sample, res *Result, queueDepth int, hostPag
 	if hostPagesWritten > 0 {
 		sm.WAF = float64(sm.CumFlashWrites) / float64(hostPagesWritten)
 	}
-	if al, ok := r.Scheme.(interface{ Allocator() *ftl.Allocator }); ok {
+	if al, ok := ftl.As[allocatorOwner](r.Scheme); ok {
 		if a := al.Allocator(); a != nil {
 			sm.GCDebtPages = a.GCDebtPages()
 		}
 	}
-	if cs, ok := r.Scheme.(interface{ CMTStats() cache.CMTStats }); ok {
+	if cs, ok := ftl.As[cmtCensus](r.Scheme); ok {
 		if st := cs.CMTStats(); st.Lookups > 0 {
 			sm.CMTHitRate = float64(st.Hits) / float64(st.Lookups)
 		}

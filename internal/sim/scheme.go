@@ -8,10 +8,13 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 
 	"across/internal/acrossftl"
 	"across/internal/ftl"
+	"across/internal/hostcache"
 	"across/internal/mrsm"
 	"across/internal/ssdconf"
 )
@@ -31,25 +34,143 @@ const (
 	KindDFTL SchemeKind = "DFTL"
 )
 
-// Kinds returns the comparison order used in every figure.
-func Kinds() []SchemeKind { return []SchemeKind{KindFTL, KindMRSM, KindAcross} }
+// schemeEntry is one row of the scheme table.
+type schemeEntry struct {
+	kind  SchemeKind
+	build func(*ssdconf.Config) (ftl.Scheme, error)
+	// recover rebuilds the scheme's mapping from a crashed device's flash;
+	// nil when the scheme cannot (Recover refuses it).
+	recover func(*ftl.Device) (ftl.Scheme, error)
+	// cmtInResult puts the scheme's mapping-cache census in Result.CMT. DFTL
+	// has a CMT too, but its Result.CMT has always been zero and recorded
+	// result digests cover it; its hit rate reaches the sampler all the same.
+	cmtInResult bool
+}
 
-// NewScheme constructs the scheme on a fresh device.
-func NewScheme(kind SchemeKind, conf *ssdconf.Config) (ftl.Scheme, error) {
-	switch kind {
-	case KindFTL:
-		return ftl.NewBaseline(conf)
-	case KindMRSM:
-		return mrsm.New(conf)
-	case KindAcross:
-		return acrossftl.New(conf)
-	case KindDFTL:
-		return ftl.NewDFTL(conf)
-	default:
-		return nil, fmt.Errorf("sim: unknown scheme kind %q", kind)
+// schemes is the one place a scheme is named: NewScheme, ParseKind, the
+// host-cache stack and crash recovery all read it, and everything else finds
+// what a scheme can do by interface (ftl.As). The paper's three come first,
+// in Kinds' order.
+var schemes = []schemeEntry{
+	{kind: KindFTL, build: asScheme(ftl.NewBaseline), recover: asScheme(ftl.RecoverBaseline)},
+	{kind: KindMRSM, build: asScheme(mrsm.New), cmtInResult: true},
+	{kind: KindAcross, build: asScheme(acrossftl.New), recover: asScheme(acrossftl.Recover), cmtInResult: true},
+	{kind: KindDFTL, build: asScheme(ftl.NewDFTL)},
+}
+
+// asScheme adapts a constructor returning a concrete scheme to the table's
+// ftl.Scheme signature, keeping a failed constructor's result a nil interface.
+func asScheme[A any, S ftl.Scheme](f func(A) (S, error)) func(A) (ftl.Scheme, error) {
+	return func(a A) (ftl.Scheme, error) {
+		s, err := f(a)
+		if err != nil {
+			return nil, err
+		}
+		return s, nil
 	}
 }
 
-// statsResetter is implemented by schemes with scheme-level statistics that
-// must be cleared between warm-up and measurement.
-type statsResetter interface{ ResetStats() }
+// Kinds returns the comparison order used in every figure.
+func Kinds() []SchemeKind { return []SchemeKind{KindFTL, KindMRSM, KindAcross} }
+
+// ParseKind returns the kind a scheme name (as KindList spells it) selects.
+func ParseKind(name string) (SchemeKind, error) {
+	if e, ok := entryOf(SchemeKind(name)); ok {
+		return e.kind, nil
+	}
+	return "", fmt.Errorf("unknown scheme %q (want %s)", name, KindList(", "))
+}
+
+// KindList joins the table's scheme names with sep, for usage text: the
+// paper's three in Kinds' order, then the extensions.
+func KindList(sep string) string {
+	names := make([]string, len(schemes))
+	for i, e := range schemes {
+		names[i] = string(e.kind)
+	}
+	return strings.Join(names, sep)
+}
+
+func entryOf(kind SchemeKind) (schemeEntry, bool) {
+	for _, e := range schemes {
+		if e.kind == kind {
+			return e, true
+		}
+	}
+	return schemeEntry{}, false
+}
+
+// ErrRecoveryUnsupported is the error Recover wraps for a scheme that cannot
+// rebuild its mapping from flash alone; test for it with errors.Is.
+var ErrRecoveryUnsupported = errors.New("sim: crash recovery is not implemented")
+
+// NewScheme constructs the scheme on a fresh device.
+func NewScheme(kind SchemeKind, conf *ssdconf.Config) (ftl.Scheme, error) {
+	return newStack(kind, conf, 0, nil)
+}
+
+// newStack builds every scheme stack there is: kind's scheme — on a fresh
+// device for conf or, given a crashed device, rebuilt from its flash —
+// behind a host data cache of cachePages pages when cachePages > 0.
+func newStack(kind SchemeKind, conf *ssdconf.Config, cachePages int, crashed *ftl.Device) (ftl.Scheme, error) {
+	e, ok := entryOf(kind)
+	if !ok {
+		return nil, fmt.Errorf("sim: unknown scheme kind %q", kind)
+	}
+	var (
+		s   ftl.Scheme
+		err error
+	)
+	switch {
+	case crashed == nil:
+		s, err = e.build(conf)
+	case e.recover == nil:
+		return nil, fmt.Errorf("%w for %s", ErrRecoveryUnsupported, kind)
+	default:
+		s, err = e.recover(crashed)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if cachePages > 0 {
+		s = hostcache.Wrap(s, cachePages)
+	}
+	return s, nil
+}
+
+// cachePagesOf returns the host data cache size of a stack newStack built
+// (0 when it has none).
+func cachePagesOf(s ftl.Scheme) int {
+	if hc, ok := s.(*hostcache.Scheme); ok {
+		return hc.CachePages()
+	}
+	return 0
+}
+
+// NewRunnerWithHostCache builds a scheme of the given kind on a fresh
+// device, behind a host DRAM data cache of cachePages logical pages
+// (cachePages <= 0 builds none, as NewRunner does).
+func NewRunnerWithHostCache(kind SchemeKind, conf ssdconf.Config, cachePages int) (*Runner, error) {
+	if err := conf.Validate(); err != nil {
+		return nil, err
+	}
+	s, err := newStack(kind, &conf, cachePages, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Runner{Conf: &conf, Kind: kind, Scheme: s}, nil
+}
+
+// Recover simulates power loss on r's device and remounts it: all in-DRAM
+// mapping state is discarded and rebuilt from the flash array's out-of-band
+// metadata. A host data cache is DRAM too: it comes back at its size and
+// empty. A scheme without a recover function fails with
+// ErrRecoveryUnsupported and r is left untouched; otherwise the returned
+// runner owns the same physical device and r must not be used.
+func Recover(r *Runner) (*Runner, error) {
+	s, err := newStack(r.Kind, r.Conf, cachePagesOf(r.Scheme), r.Scheme.Device())
+	if err != nil {
+		return nil, err
+	}
+	return &Runner{Conf: r.Conf, Kind: r.Kind, Scheme: s}, nil
+}

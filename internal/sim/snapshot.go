@@ -16,7 +16,6 @@ import (
 
 	"across/internal/check"
 	"across/internal/ftl"
-	"across/internal/hostcache"
 	"across/internal/snapshot"
 	"across/internal/ssdconf"
 )
@@ -38,11 +37,7 @@ func (r *Runner) Snapshot() ([]byte, error) {
 	enc.Tag("sim")
 	enc.Str(string(r.Kind))
 	enc.Str(string(confJSON))
-	cachePages := 0
-	if hc, ok := r.Scheme.(*hostcache.Scheme); ok {
-		cachePages = hc.CachePages()
-	}
-	enc.I64(int64(cachePages))
+	enc.I64(int64(cachePagesOf(r.Scheme)))
 	enc.Bool(r.warmed)
 	enc.I64(r.warmupWrites)
 	if err := snap.SnapshotState(enc); err != nil {
@@ -116,12 +111,9 @@ func (c *Checkpoint) Fork() (*Runner, error) {
 
 func (c *Checkpoint) fork() (*Runner, int64, error) {
 	conf, t := c.Conf, c.template
-	scheme, err := NewScheme(c.Kind, &conf)
+	scheme, err := newStack(c.Kind, &conf, cachePagesOf(t.Scheme), nil)
 	if err != nil {
 		return nil, 0, err
-	}
-	if hc, ok := t.Scheme.(*hostcache.Scheme); ok {
-		scheme = hostcache.Wrap(scheme, hc.CachePages())
 	}
 	cp, ok := scheme.(interface{ CopyState(ftl.Scheme) int64 })
 	if !ok {
@@ -194,12 +186,9 @@ func decodeRunner(dec *snapshot.Decoder) (*Runner, error) {
 	if cachePages < 0 || cachePages > conf.LogicalPages() {
 		return nil, fmt.Errorf("sim: snapshot host cache of %d pages outside [0,%d]", cachePages, conf.LogicalPages())
 	}
-	scheme, err := NewScheme(kind, &conf)
+	scheme, err := newStack(kind, &conf, int(cachePages), nil)
 	if err != nil {
 		return nil, err
-	}
-	if cachePages > 0 {
-		scheme = hostcache.Wrap(scheme, int(cachePages))
 	}
 	snap, ok := scheme.(snapshot.Snapshotter)
 	if !ok {
