@@ -47,6 +47,53 @@ func TestAcrosssimSmoke(t *testing.T) {
 	}
 }
 
+// TestAcrosssimTraceArtifacts runs a traced, sampled replay through the CLI
+// and reads both artifacts back: the Chrome trace must be one JSON document
+// that holds events, and the metrics series one JSON object per line whose
+// closing sample has counted requests.
+func TestAcrosssimTraceArtifacts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns go run")
+	}
+	dir := t.TempDir()
+	tracePath, metricsPath := filepath.Join(dir, "lun1.trace.json"), filepath.Join(dir, "lun1.metrics.jsonl")
+	runCmd(t, "./cmd/acrosssim", "-profile", "lun1", "-scale", "0.005",
+		"-trace-out", tracePath, "-metrics-out", metricsPath, "-metrics-interval-ms", "50")
+
+	data, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	if len(doc.TraceEvents) == 0 {
+		t.Fatal("trace holds no events")
+	}
+
+	data, err = os.ReadFile(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	var sample struct {
+		CumRequests int64 `json:"cum_requests"`
+	}
+	for i, line := range lines { // an empty series is one empty line, refused here
+		sample.CumRequests = 0
+		if err := json.Unmarshal([]byte(line), &sample); err != nil {
+			t.Fatalf("metrics line %d is not a JSON object: %v", i+1, err)
+		}
+	}
+	if sample.CumRequests <= 0 {
+		t.Fatalf("the closing sample has %d requests", sample.CumRequests)
+	}
+	t.Logf("%d trace events, %d metric samples, final: %d requests", len(doc.TraceEvents), len(lines), sample.CumRequests)
+}
+
 // TestAcrosssimDFTLSmoke: the CLI accepts every scheme the daemon does, the
 // extension DFTL included, and verifies it clean.
 func TestAcrosssimDFTLSmoke(t *testing.T) {

@@ -79,23 +79,24 @@ func (s *Scheme) Audit() error {
 // auditAreaDisjointness verifies that no two live areas cover a common
 // sector. The write path maintains this by reconciling every conflicting
 // area (AMerge or ARollback) before installing a new one; were two areas to
-// overlap, reads of the shared sectors would be ambiguous. O(live areas²),
-// audit path only.
+// overlap, reads of the shared sectors would be ambiguous. It runs after
+// Audit, which proved that the PMT reaches every live area exactly once and
+// that an area keyed at L lies within pages L and L+1 — so only the areas
+// keyed at L and L+1 can overlap, and one pass comparing each area with the
+// previous one in key order proves every pair disjoint. Audit path only.
 func (s *Scheme) auditAreaDisjointness() error {
-	live := make([]area, 0, s.AMT.Live())
-	for idx := int32(0); int(idx) < s.AMT.Slots(); idx++ {
-		if s.AMT.InUse(idx) {
-			live = append(live, area{idx: idx, e: s.AMT.Get(idx)})
+	var prev area
+	seen := false
+	for lpn := int64(0); lpn < s.PMT.Len(); lpn++ {
+		a, ok := s.areaAt(lpn)
+		if !ok {
+			continue
 		}
-	}
-	for i := 0; i < len(live); i++ {
-		for j := i + 1; j < len(live); j++ {
-			a, b := live[i], live[j]
-			if s.spanOf(a.e).intersects(s.spanOf(b.e)) {
-				return fmt.Errorf("audit: areas %d %+v and %d %+v overlap",
-					a.idx, s.spanOf(a.e), b.idx, s.spanOf(b.e))
-			}
+		if seen && s.spanOf(a.e).intersects(s.spanOf(prev.e)) {
+			return fmt.Errorf("audit: areas %d %+v and %d %+v overlap",
+				prev.idx, s.spanOf(prev.e), a.idx, s.spanOf(a.e))
 		}
+		prev, seen = a, true
 	}
 	return nil
 }
@@ -129,43 +130,72 @@ func (s *Scheme) VisitOwned(fn func(flash.PPN) error) error {
 	return s.ms.VisitPages(fn)
 }
 
-// ResolveSector implements check.SectorResolver. Area coverage wins over the
+// ResolveRun implements check.SectorResolver. Area coverage wins over the
 // page mapping: an across write does not invalidate the underlying PMT pages
 // (they still hold sectors outside the area), so a covered sector's newest
 // copy is the area page even when a PMT page exists. An area keyed at LPN L
 // covers sectors inside pages L and L+1, so a sector in page M consults the
-// areas keyed at M and M-1.
-func (s *Scheme) ResolveSector(sec int64) (ftl.SectorSource, error) {
-	if sec < 0 || sec >= s.LogicalSectors() {
-		return ftl.SectorSource{}, fmt.Errorf("acrossftl: sector %d outside device", sec)
+// areas keyed at M and then M-1.
+//
+// A run outside any area ends at the page end or where an area begins in
+// the page. A run in the area keyed at M ends where the area does, and in
+// page M+1 no later than where the area keyed there begins, since that one
+// is consulted first; in the area keyed at M-1 it ends with the area, the
+// page, or where the area keyed at M begins.
+func (s *Scheme) ResolveRun(sec int64) (ftl.SectorSource, int64, error) {
+	n := s.LogicalSectors()
+	if sec < 0 || sec >= n {
+		return ftl.SectorSource{}, 0, fmt.Errorf("acrossftl: sector %d outside device", sec)
 	}
-	lpn := sec / int64(s.SPP)
+	spp := int64(s.SPP)
+	lpn := sec / spp
+	end := min((lpn+1)*spp, n)
 	for _, key := range [2]int64{lpn, lpn - 1} {
 		a, ok := s.areaAt(key)
 		if !ok {
 			continue
 		}
-		if sp := s.spanOf(a.e); sp.Start <= sec && sec < sp.End {
-			return ftl.SectorSource{
-				Kind: ftl.SrcFlash,
-				PPN:  a.e.APPN,
-				Tag: flash.Tag{
-					Kind: ftl.TagAcross,
-					Key:  int64(a.idx),
-					Aux:  packAux(a.e.LPN, a.e.Off, a.e.Size),
-				},
-			}, nil
+		sp := s.spanOf(a.e)
+		if sec < sp.Start {
+			end = min(end, sp.Start)
+			continue
 		}
+		if sec >= sp.End {
+			continue
+		}
+		runEnd := min(sp.End, (key+2)*spp, n)
+		if key == lpn {
+			if next, ok := s.areaAt(lpn + 1); ok {
+				runEnd = min(runEnd, max(s.spanOf(next.e).Start, end))
+			}
+		} else {
+			runEnd = min(runEnd, end)
+		}
+		return ftl.SectorSource{
+			Kind: ftl.SrcFlash,
+			PPN:  a.e.APPN,
+			Tag: flash.Tag{
+				Kind: ftl.TagAcross,
+				Key:  int64(a.idx),
+				Aux:  packAux(a.e.LPN, a.e.Off, a.e.Size),
+			},
+		}, runEnd, nil
 	}
 	ppn := s.PMT.PPNOf(lpn)
 	if ppn == flash.NilPPN {
-		return ftl.SectorSource{Kind: ftl.SrcUnwritten}, nil
+		return ftl.SectorSource{Kind: ftl.SrcUnwritten}, end, nil
 	}
 	return ftl.SectorSource{
 		Kind: ftl.SrcFlash,
 		PPN:  ppn,
 		Tag:  flash.Tag{Kind: ftl.TagData, Key: lpn},
-	}, nil
+	}, end, nil
+}
+
+// ResolveSector implements check.SectorResolver: ResolveRun without the end.
+func (s *Scheme) ResolveSector(sec int64) (ftl.SectorSource, error) {
+	src, _, err := s.ResolveRun(sec)
+	return src, err
 }
 
 // VisitWritten implements check.SectorResolver, the bulk form of

@@ -32,6 +32,35 @@ func TestSetWrittenRun(t *testing.T) {
 	}
 }
 
+// TestNextAndCountWritten checks the word-at-a-time scans OnRead runs against
+// the bit-at-a-time answer, for every range of a bitset with a partial last
+// word and a pattern that has empty words, full words and lone bits.
+func TestNextAndCountWritten(t *testing.T) {
+	const sectors = 4*64 + 40
+	c := &Checker{logicalSectors: sectors, written: make([]uint64, (sectors+63)/64)}
+	c.setWrittenRun(64, 128) // a full word
+	for _, sec := range []int64{0, 5, 63, 130, 191, 256, sectors - 1} {
+		c.setWritten(sec)
+	}
+	for start := int64(0); start <= sectors; start++ {
+		for end := start; end <= sectors; end++ {
+			next, count := end, int64(0)
+			for sec := end - 1; sec >= start; sec-- {
+				if c.isWritten(sec) {
+					next = sec
+					count++
+				}
+			}
+			if got := c.nextWritten(start, end); got != next {
+				t.Fatalf("nextWritten(%d, %d) = %d, want %d", start, end, got, next)
+			}
+			if got := c.countWritten(start, end); got != count {
+				t.Fatalf("countWritten(%d, %d) = %d, want %d", start, end, got, count)
+			}
+		}
+	}
+}
+
 // TestSetWrittenRunClipsToDevice: a scheme's last page may reach past
 // LogicalSectors (and a corrupt area below 0); only the part on the device is
 // marked, and nothing is written outside the bitset.

@@ -14,10 +14,11 @@
 //   - A data-integrity shadow model (Checker.OnWrite/OnRead) that tracks the
 //     set of live logical sectors and verifies, on every host request, that
 //     each written sector resolves to a live source whose OOB tag matches
-//     the owner's claim. The OOB tag plays the role of a content fingerprint
-//     (the simulator carries no user data): a lost write, a misdirected
-//     read, or a GC relocation that corrupts a mapping all surface as a tag
-//     or liveness mismatch.
+//     the owner's claim — once per run of sectors that share a source
+//     (SectorResolver.ResolveRun), not once per sector. The OOB tag plays
+//     the role of a content fingerprint (the simulator carries no user
+//     data): a lost write, a misdirected read, or a GC relocation that
+//     corrupts a mapping all surface as a tag or liveness mismatch.
 //
 // Schemes opt in structurally: they implement Auditable and SectorResolver
 // without importing this package (the SectorSource vocabulary lives in
@@ -48,12 +49,20 @@ type Auditable interface {
 // contents live. Resolution must be side-effect-free: it may not touch
 // caches, charge costs, or move data.
 //
+// ResolveRun is the one resolution path: the source of sec plus the
+// exclusive end of a run [sec, end), end > sec and within the device, every
+// sector of which resolves to a source equal to sec's. A run may stop short
+// of the longest such stretch, never past it; schemes cut it where their
+// source can change (a page, sub-page or area boundary). ResolveSector is
+// ResolveRun without the end.
+//
 // VisitWritten is the bulk form of "ResolveSector(sec).Kind != SrcUnwritten":
 // it calls fn with runs [start, end) whose union is exactly the sectors
 // ResolveSector gives a source, reached the way ResolveSector reaches them.
 // Runs may overlap, arrive in any order and extend past the device's last
 // sector. It is observation only, like resolution, and has no error path.
 type SectorResolver interface {
+	ResolveRun(sec int64) (src ftl.SectorSource, end int64, err error)
 	ResolveSector(sec int64) (ftl.SectorSource, error)
 	VisitWritten(fn func(start, end int64))
 }

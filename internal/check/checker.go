@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"math/bits"
 
 	"across/internal/flash"
 	"across/internal/ftl"
@@ -82,16 +83,41 @@ func New(s ftl.Scheme, opts Options) (*Checker, error) {
 // Audits returns how many device-wide audits have run.
 func (c *Checker) Audits() int64 { return c.audits }
 
-// SectorChecks returns how many per-sector shadow verifications have run.
+// SectorChecks returns how many sectors the shadow model has verified: every
+// sector of each write and every written sector of each read, though one
+// verification covers a whole run of sectors that share a source.
 func (c *Checker) SectorChecks() int64 { return c.sectorChecks }
 
 // Requests returns how many host requests the checker has observed since
 // BeginReplay.
 func (c *Checker) Requests() int64 { return c.reqs }
 
-func (c *Checker) setWritten(sec int64) { c.written[sec>>6] |= 1 << uint(sec&63) }
-func (c *Checker) isWritten(sec int64) bool {
-	return c.written[sec>>6]&(1<<uint(sec&63)) != 0
+// nextWritten returns the first written sector in [sec, end), or end; end
+// must not pass LogicalSectors.
+func (c *Checker) nextWritten(sec, end int64) int64 {
+	for sec < end {
+		if w := c.written[sec>>6] >> uint(sec&63); w != 0 {
+			return min(sec+int64(bits.TrailingZeros64(w)), end)
+		}
+		sec = (sec | 63) + 1
+	}
+	return end
+}
+
+// countWritten returns how many sectors of [start, end) are written; end
+// must not pass LogicalSectors.
+func (c *Checker) countWritten(start, end int64) int64 {
+	var n int
+	for start < end {
+		next := min((start|63)+1, end)
+		w := c.written[start>>6] >> uint(start&63)
+		if k := next - start; k < 64 {
+			w &= 1<<uint(k) - 1
+		}
+		n += bits.OnesCount64(w)
+		start = next
+	}
+	return int64(n)
 }
 
 // setWrittenRun marks sectors [start, end) written, a word at a time. The
@@ -151,43 +177,49 @@ func (c *Checker) BeginReplay() error {
 	return nil
 }
 
-// checkLive verifies one written sector's claimed source against the array.
-func (c *Checker) checkLive(sec int64) error {
-	c.sectorChecks++
-	src, err := c.res.ResolveSector(sec)
+// checkRun verifies the claimed source of the run that starts at the written
+// sector sec against the array, and returns the run's end: one resolution
+// and one array lookup for every sector that shares the source.
+func (c *Checker) checkRun(sec int64) (int64, error) {
+	src, end, err := c.res.ResolveRun(sec)
 	if err != nil {
-		return fmt.Errorf("sector %d: %w", sec, err)
+		return 0, fmt.Errorf("sector %d: %w", sec, err)
 	}
 	switch src.Kind {
 	case ftl.SrcUnwritten:
-		return fmt.Errorf("lost write: sector %d was written but has no source", sec)
+		return 0, fmt.Errorf("lost write: sector %d was written but has no source", sec)
 	case ftl.SrcBuffered:
-		return nil
+		return end, nil
 	case ftl.SrcFlash:
 		if st := c.dev.Array.State(src.PPN); st != flash.PageValid {
-			return fmt.Errorf("dangling source: sector %d resolves to %v page %d", sec, st, src.PPN)
+			return 0, fmt.Errorf("dangling source: sector %d resolves to %v page %d", sec, st, src.PPN)
 		}
 		if tag := c.dev.Array.TagOf(src.PPN); tag != src.Tag {
-			return fmt.Errorf("misdirected source: sector %d page %d holds tag %+v, owner expects %+v",
+			return 0, fmt.Errorf("misdirected source: sector %d page %d holds tag %+v, owner expects %+v",
 				sec, src.PPN, tag, src.Tag)
 		}
-		return nil
+		return end, nil
 	}
-	return fmt.Errorf("sector %d: unknown source kind %v", sec, src.Kind)
+	return 0, fmt.Errorf("sector %d: unknown source kind %v", sec, src.Kind)
 }
 
 // OnWrite verifies a completed host write: every sector of the request is
 // now live and must resolve to a valid, correctly tagged source. A write the
 // scheme dropped (or mapped to the wrong page) fails here, on the very
-// request that lost it.
+// request that lost it. SectorChecks counts every sector of the request.
 func (c *Checker) OnWrite(r trace.Request) error {
 	c.reqs++
 	if c.opts.Shadow {
-		for sec := r.Offset; sec < r.End(); sec++ {
-			c.setWritten(sec)
-			if err := c.checkLive(sec); err != nil {
+		start, stop := r.Offset, r.End()
+		c.setWrittenRun(start, stop)
+		for sec := start; sec < stop; {
+			end, err := c.checkRun(sec)
+			if err != nil {
 				return fmt.Errorf("check: after write: %w", err)
 			}
+			end = min(end, stop)
+			c.sectorChecks += end - sec
+			sec = end
 		}
 	}
 	return c.maybeAudit()
@@ -196,17 +228,20 @@ func (c *Checker) OnWrite(r trace.Request) error {
 // OnRead verifies a completed host read: every previously written sector in
 // the range must still resolve. Never-written sectors are unconstrained —
 // page-granularity materialisation (baseline RMW, MRSM sub-page staging)
-// legitimately gives them a source.
+// legitimately gives them a source. A run is verified if it holds a written
+// sector, and SectorChecks counts the written sectors.
 func (c *Checker) OnRead(r trace.Request) error {
 	c.reqs++
 	if c.opts.Shadow {
-		for sec := r.Offset; sec < r.End(); sec++ {
-			if !c.isWritten(sec) {
-				continue
-			}
-			if err := c.checkLive(sec); err != nil {
+		stop := min(r.End(), c.logicalSectors)
+		for sec := c.nextWritten(max(r.Offset, 0), stop); sec < stop; sec = c.nextWritten(sec, stop) {
+			end, err := c.checkRun(sec)
+			if err != nil {
 				return fmt.Errorf("check: after read: %w", err)
 			}
+			end = min(end, stop)
+			c.sectorChecks += c.countWritten(sec, end)
+			sec = end
 		}
 	}
 	return c.maybeAudit()

@@ -4,10 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"across/internal/acrossftl"
 	"across/internal/check"
 	"across/internal/flash"
 	"across/internal/ftl"
 	"across/internal/hostcache"
+	"across/internal/mapping"
 	"across/internal/sim"
 	"across/internal/ssdconf"
 	"across/internal/trace"
@@ -198,6 +200,51 @@ func TestAuditDetectsLostWrite(t *testing.T) {
 		t.Fatalf("shadow check on lost write: %v", err)
 	}
 	s.PMT.SetPPN(5, ppn)
+}
+
+// TestShadowDetectsCorruptAreaMidRequest: an across area whose page pointer
+// is repointed at a foreign page must fail the shadow check of a request
+// whose first run — the normally mapped head of the page — is healthy.
+func TestShadowDetectsCorruptAreaMidRequest(t *testing.T) {
+	conf := smallConf()
+	s, err := acrossftl.New(&conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spp := int64(conf.SectorsPerPage())
+	now := 0.0
+	for _, req := range []trace.Request{
+		{Op: trace.OpWrite, Offset: 3 * spp, Count: int32(2 * spp)},           // pages 3 and 4
+		{Op: trace.OpWrite, Offset: 3*spp + spp/2, Count: int32(3 * spp / 4)}, // an area keyed at 3
+	} {
+		if now, err = s.Write(req, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idx := s.PMT.AIdxOf(3)
+	if idx == mapping.NoAIdx {
+		t.Fatal("the across write left no area keyed at page 3")
+	}
+	c, err := check.New(s, check.Options{Shadow: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Dev.ResetMeasurement()
+	if err := c.BeginReplay(); err != nil {
+		t.Fatal(err)
+	}
+	both := trace.Request{Offset: 3 * spp, Count: int32(2 * spp)}
+	appn := s.AMT.Get(idx).APPN
+	s.AMT.SetAPPN(idx, s.PMT.PPNOf(3)) // the area now reads page 3's data
+	for _, op := range []func(trace.Request) error{c.OnRead, c.OnWrite} {
+		if err := op(both); err == nil || !strings.Contains(err.Error(), "misdirected") {
+			t.Fatalf("shadow check of a request over a repointed area: %v", err)
+		}
+	}
+	s.AMT.SetAPPN(idx, appn)
+	if err := c.OnRead(both); err != nil {
+		t.Fatalf("shadow check after repair: %v", err)
+	}
 }
 
 // TestAuditDetectsDoubleOwnership: two logical pages claiming one flash page

@@ -11,25 +11,23 @@ import (
 	"across/internal/sim"
 	"across/internal/ssdconf"
 	"across/internal/trace"
+	"across/internal/workload"
 )
 
-// perSectorSeed is the seeding loop BeginReplay used to run: one
-// ResolveSector call per logical sector. It is the oracle the bulk seed
-// (SectorResolver.VisitWritten) is pinned to. It also counts what the state
+// perSector resolves every logical sector with its own ResolveSector call:
+// the oracle the bulk seed (SectorResolver.VisitWritten) and the run ends
+// (SectorResolver.ResolveRun) are pinned to. It also counts what the state
 // under test contains, so a scenario cannot pass vacuously.
-func perSectorSeed(t testing.TB, s ftl.Scheme) (written []uint64, buffered, inAreas int) {
+func perSector(t testing.TB, s ftl.Scheme) (srcs []ftl.SectorSource, buffered, inAreas int) {
 	t.Helper()
 	res := s.(check.SectorResolver)
-	n := s.Device().Conf.LogicalSectors()
-	written = make([]uint64, (n+63)/64)
-	for sec := int64(0); sec < n; sec++ {
-		src, err := res.ResolveSector(sec)
+	srcs = make([]ftl.SectorSource, s.Device().Conf.LogicalSectors())
+	for sec := range srcs {
+		src, err := res.ResolveSector(int64(sec))
 		if err != nil {
-			t.Fatalf("seeding shadow model: %v", err)
+			t.Fatalf("resolving sector %d: %v", sec, err)
 		}
-		if src.Kind != ftl.SrcUnwritten {
-			written[sec>>6] |= 1 << uint(sec&63)
-		}
+		srcs[sec] = src
 		if src.Kind == ftl.SrcBuffered {
 			buffered++
 		}
@@ -37,7 +35,7 @@ func perSectorSeed(t testing.TB, s ftl.Scheme) (written []uint64, buffered, inAr
 			inAreas++
 		}
 	}
-	return written, buffered, inAreas
+	return srcs, buffered, inAreas
 }
 
 // seedsAgree arms a fresh checker on s and compares its bitset with the
@@ -51,7 +49,13 @@ func seedsAgree(t *testing.T, s ftl.Scheme) (buffered, inAreas int) {
 	if err := c.BeginReplay(); err != nil {
 		t.Fatal(err)
 	}
-	want, buffered, inAreas := perSectorSeed(t, s)
+	srcs, buffered, inAreas := perSector(t, s)
+	want := make([]uint64, (len(srcs)+63)/64)
+	for sec, src := range srcs {
+		if src.Kind != ftl.SrcUnwritten {
+			want[sec>>6] |= 1 << uint(sec&63)
+		}
+	}
 	if got := c.Written(); !slices.Equal(got, want) {
 		for w := range want {
 			if got[w] != want[w] {
@@ -64,11 +68,47 @@ func seedsAgree(t *testing.T, s ftl.Scheme) (buffered, inAreas int) {
 	return buffered, inAreas
 }
 
-// TestShadowSeedMatchesResolveSector pins the bulk seed to the resolver for
-// every scheme and a hostcache-wrapped one: on a fresh device, an aged one,
-// mid-replay (MRSM sub-pages still in the pack buffer, live Across-FTL
-// areas) and after crash recovery where the scheme has it.
-func TestShadowSeedMatchesResolveSector(t *testing.T) {
+// runsAgree checks ResolveRun at every sector against the oracle: the run is
+// not empty, and it ends no later than the stretch of sectors that resolve to
+// the same source as its first — which also keeps it on the device.
+func runsAgree(t *testing.T, s ftl.Scheme) (buffered, inAreas int) {
+	t.Helper()
+	srcs, buffered, inAreas := perSector(t, s)
+	n := int64(len(srcs))
+	// stretch[sec] is the end of the longest run from sec resolving like sec.
+	stretch := make([]int64, n)
+	for sec := n - 1; sec >= 0; sec-- {
+		stretch[sec] = sec + 1
+		if sec+1 < n && srcs[sec+1] == srcs[sec] {
+			stretch[sec] = stretch[sec+1]
+		}
+	}
+	res := s.(check.SectorResolver)
+	for sec := int64(0); sec < n; sec++ {
+		_, end, err := res.ResolveRun(sec)
+		if err != nil {
+			t.Fatalf("ResolveRun(%d): %v", sec, err)
+		}
+		if end <= sec || end > stretch[sec] {
+			t.Fatalf("ResolveRun(%d) ends at %d; sectors %d..%d resolve to %+v",
+				sec, end, sec, stretch[sec]-1, srcs[sec])
+		}
+	}
+	for _, sec := range []int64{-1, n} {
+		if _, _, err := res.ResolveRun(sec); err == nil {
+			t.Fatalf("ResolveRun(%d) outside a %d-sector device did not fail", sec, n)
+		}
+	}
+	return buffered, inAreas
+}
+
+// eachResolverState runs agree on every scheme and a hostcache-wrapped one,
+// in each state resolution must be right in: a fresh device, an aged one,
+// mid-replay (MRSM sub-pages still in the pack buffer, live Across-FTL areas)
+// and after crash recovery where the scheme has it. agree reports how many
+// sectors resolve to the pack buffer and to areas, so those cases cannot
+// pass vacuously.
+func eachResolverState(t *testing.T, agree func(*testing.T, ftl.Scheme) (buffered, inAreas int)) {
 	type variant struct {
 		name string
 		kind sim.SchemeKind
@@ -89,12 +129,12 @@ func TestShadowSeedMatchesResolveSector(t *testing.T) {
 			if v.wrap {
 				r.Scheme = hostcache.Wrap(inner, 64)
 			}
-			seedsAgree(t, r.Scheme) // (a) fresh
+			agree(t, r.Scheme) // (a) fresh
 
 			if err := r.Age(sim.DefaultAging()); err != nil {
 				t.Fatal(err)
 			}
-			seedsAgree(t, r.Scheme) // (b) aged
+			agree(t, r.Scheme) // (b) aged
 
 			// (c) mid-replay: requests straight at the scheme, so nothing
 			// flushes MRSM's pack buffer behind the last one.
@@ -114,10 +154,10 @@ func TestShadowSeedMatchesResolveSector(t *testing.T) {
 			for _, req := range smallTrace(t, 5, 0.05) {
 				write(req)
 			}
-			buffered, inAreas := seedsAgree(t, r.Scheme)
+			buffered, inAreas := agree(t, r.Scheme)
 			for i := int64(1); v.kind == sim.KindMRSM && buffered == 0 && i < 64; i++ {
 				write(trace.Request{Op: trace.OpWrite, Offset: i * 1000, Count: 1})
-				buffered, _ = seedsAgree(t, r.Scheme)
+				buffered, _ = agree(t, r.Scheme)
 			}
 			if v.kind == sim.KindMRSM && buffered == 0 {
 				t.Error("no sector resolves to the pack buffer; the mid-replay case is vacuous")
@@ -133,19 +173,26 @@ func TestShadowSeedMatchesResolveSector(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				seedsAgree(t, rec)
+				agree(t, rec)
 			case sim.KindAcross:
 				rec, err := acrossftl.Recover(inner.Device())
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, inAreas := seedsAgree(t, rec); inAreas == 0 {
+				if _, inAreas := agree(t, rec); inAreas == 0 {
 					t.Error("recovery kept no across area; the recovered case is vacuous")
 				}
 			}
 		})
 	}
 }
+
+// TestShadowSeedMatchesResolveSector pins the bulk seed to the resolver.
+func TestShadowSeedMatchesResolveSector(t *testing.T) { eachResolverState(t, seedsAgree) }
+
+// TestResolveRunMatchesResolveSector pins every run ResolveRun claims to the
+// per-sector resolution it stands for in the shadow model.
+func TestResolveRunMatchesResolveSector(t *testing.T) { eachResolverState(t, runsAgree) }
 
 // BenchmarkShadowSeed times arming the checker (BeginReplay: the shadow seed
 // plus the per-block baselines) on an aged Experiment device.
@@ -171,6 +218,80 @@ func BenchmarkShadowSeed(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkCheckedReplay times the replay a checked study runs — the first
+// tenth of lun1 ×0.4 on an aged Experiment device — per scheme, three ways:
+// plain; checked, i.e. the shadow model on every request plus the end-of-run
+// audit a checked replay always ends with; and that audit alone. Every
+// replay starts from its own fork of the aged device.
+func BenchmarkCheckedReplay(b *testing.B) {
+	conf := ssdconf.Experiment()
+	lun1, err := workload.LunProfile("lun1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs, err := workload.Generate(lun1.Scale(0.4), conf.LogicalSectors())
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs = reqs[:len(reqs)/10]
+	for _, kind := range sim.Kinds() {
+		b.Run(string(kind), func(b *testing.B) {
+			r, err := sim.NewRunner(kind, conf)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := r.Age(sim.DefaultAging()); err != nil {
+				b.Fatal(err)
+			}
+			aged, err := r.Checkpoint()
+			if err != nil {
+				b.Fatal(err)
+			}
+			fork := func(b *testing.B) *sim.Runner {
+				b.StopTimer()
+				defer b.StartTimer()
+				r, err := aged.Fork()
+				if err != nil {
+					b.Fatal(err)
+				}
+				return r
+			}
+			replay := func(b *testing.B, opts *check.Options) {
+				for i := 0; i < b.N; i++ {
+					r := fork(b)
+					if opts != nil {
+						if _, err := r.EnableChecks(*opts); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if _, err := r.Replay(reqs); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "req/s")
+			}
+			b.Run("plain", func(b *testing.B) { replay(b, nil) })
+			b.Run("checked", func(b *testing.B) { replay(b, &check.Options{Shadow: true}) })
+			b.Run("audit", func(b *testing.B) {
+				r := fork(b)
+				if _, err := r.Replay(reqs); err != nil {
+					b.Fatal(err)
+				}
+				c, err := check.New(r.Scheme, check.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := c.Audit(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		})
 	}
 }

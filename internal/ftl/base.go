@@ -45,8 +45,8 @@ func (b *Base) Device() *Device { return b.Dev }
 func (b *Base) Allocator() *Allocator { return b.Al }
 
 // LogicalSectors returns Conf.LogicalSectors(), computed once: the config
-// method costs float arithmetic per call, which per-sector callers (the
-// shadow checker's ResolveSector) cannot afford.
+// method costs float arithmetic per call, which per-run callers (the shadow
+// checker's ResolveRun) cannot afford.
 func (b *Base) LogicalSectors() int64 { return b.sectors }
 
 // CheckRequest validates a request against the device's logical size.

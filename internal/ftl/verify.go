@@ -88,24 +88,32 @@ func (b *Base) VisitPMT(fn func(flash.PPN) error) error {
 	return nil
 }
 
-// ResolveSector implements check.SectorResolver for Baseline and DFTL, which
+// ResolveRun implements check.SectorResolver for Baseline and DFTL, which
 // resolve at page level: the sector lives wherever its logical page is
 // mapped (for DFTL, residence of the mapping entry affects timing, not
-// placement).
-func (b *Base) ResolveSector(sec int64) (SectorSource, error) {
+// placement), so its run is the rest of the page.
+func (b *Base) ResolveRun(sec int64) (SectorSource, int64, error) {
 	if sec < 0 || sec >= b.sectors {
-		return SectorSource{}, fmt.Errorf("ftl: sector %d outside device", sec)
+		return SectorSource{}, 0, fmt.Errorf("ftl: sector %d outside device", sec)
 	}
-	lpn := sec / int64(b.SPP)
+	spp := int64(b.SPP)
+	lpn := sec / spp
+	end := min((lpn+1)*spp, b.sectors)
 	ppn := b.PMT.PPNOf(lpn)
 	if ppn == flash.NilPPN {
-		return SectorSource{Kind: SrcUnwritten}, nil
+		return SectorSource{Kind: SrcUnwritten}, end, nil
 	}
 	return SectorSource{
 		Kind: SrcFlash,
 		PPN:  ppn,
 		Tag:  flash.Tag{Kind: TagData, Key: lpn},
-	}, nil
+	}, end, nil
+}
+
+// ResolveSector implements check.SectorResolver: ResolveRun without the end.
+func (b *Base) ResolveSector(sec int64) (SectorSource, error) {
+	src, _, err := b.ResolveRun(sec)
+	return src, err
 }
 
 // VisitWritten implements check.SectorResolver, the bulk form of

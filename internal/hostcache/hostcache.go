@@ -75,20 +75,26 @@ func (s *Scheme) ResetStats() {
 	}
 }
 
-// ResolveSector forwards to the inner scheme: a cache hit serves a copy of
+// ResolveRun forwards to the inner scheme: a cache hit serves a copy of
 // exactly the data the inner scheme's source holds. It stays on the wrapper,
-// with VisitWritten, so a cached runner's Scheme is a check.SectorResolver
-// to a caller that holds only the stack.
-func (s *Scheme) ResolveSector(sec int64) (ftl.SectorSource, error) {
+// with ResolveSector and VisitWritten, so a cached runner's Scheme is a
+// check.SectorResolver to a caller that holds only the stack.
+func (s *Scheme) ResolveRun(sec int64) (ftl.SectorSource, int64, error) {
 	if r, ok := s.inner.(interface {
-		ResolveSector(int64) (ftl.SectorSource, error)
+		ResolveRun(int64) (ftl.SectorSource, int64, error)
 	}); ok {
-		return r.ResolveSector(sec)
+		return r.ResolveRun(sec)
 	}
-	return ftl.SectorSource{}, fmt.Errorf("hostcache: inner scheme %s does not support resolution", s.inner.Name())
+	return ftl.SectorSource{}, 0, fmt.Errorf("hostcache: inner scheme %s does not support resolution", s.inner.Name())
 }
 
-// VisitWritten forwards to the inner scheme (see ResolveSector); an inner
+// ResolveSector is ResolveRun without the end.
+func (s *Scheme) ResolveSector(sec int64) (ftl.SectorSource, error) {
+	src, _, err := s.ResolveRun(sec)
+	return src, err
+}
+
+// VisitWritten forwards to the inner scheme (see ResolveRun); an inner
 // scheme that cannot resolve has nothing to visit.
 func (s *Scheme) VisitWritten(fn func(start, end int64)) {
 	if v, ok := s.inner.(interface{ VisitWritten(func(start, end int64)) }); ok {

@@ -10,38 +10,37 @@ import (
 // AuditMapping implements check.Auditable: the sub-page location table, the
 // per-page slot census, the pack buffer and the map store must agree with
 // each other and with the flash array.
+//
+// Every pass is sequential over one table: the census page by page, then a
+// count over subLoc. The forward half of the bijection (every mapped
+// sub-page points into a valid, MRSM-tagged page whose census names it in
+// that slot) follows from the reverse pass plus the count, without a random
+// access per sub-page.
 func (s *Scheme) AuditMapping() error {
-	// Forward: every mapped sub-page points into a valid packed page whose
-	// census names it in exactly that slot. Buffered sub-pages must have no
-	// flash location (staging invalidates the old copy).
-	for sub := int64(0); sub < int64(len(s.subLoc)); sub++ {
-		loc := s.subLoc[sub]
-		if s.buffered(sub) && loc != unmapped {
+	// Pack buffer: never overfull, no sub-page staged twice, and a staged
+	// sub-page has no flash location (staging invalidates the old copy).
+	if len(s.bufList) >= s.subPerPg {
+		return fmt.Errorf("mrsm audit: pack buffer holds %d sub-pages, flush threshold is %d",
+			len(s.bufList), s.subPerPg)
+	}
+	for i, sub := range s.bufList {
+		if sub < 0 || sub >= int64(len(s.subLoc)) {
+			return fmt.Errorf("mrsm audit: buffer slot %d holds out-of-range sub %d", i, sub)
+		}
+		if loc := s.subLoc[sub]; loc != unmapped {
 			return fmt.Errorf("mrsm audit: buffered sub %d still has flash location %d", sub, loc)
 		}
-		if loc == unmapped {
-			continue
-		}
-		ppn := flash.PPN(loc / int32(s.subPerPg))
-		slot := int(loc % int32(s.subPerPg))
-		if st := s.Dev.Array.State(ppn); st != flash.PageValid {
-			return fmt.Errorf("mrsm audit: sub %d maps to %v page %d", sub, st, ppn)
-		}
-		tag := s.Dev.Array.TagOf(ppn)
-		if tag.Kind != ftl.TagMRSM {
-			return fmt.Errorf("mrsm audit: sub %d page %d has foreign tag %+v", sub, ppn, tag)
-		}
-		if s.pageLive[ppn] == 0 {
-			return fmt.Errorf("mrsm audit: sub %d maps to page %d with no slot census", sub, ppn)
-		}
-		if got := int64(s.pageOwner[loc]); got != sub {
-			return fmt.Errorf("mrsm audit: sub %d claims page %d slot %d, census says sub %d",
-				sub, ppn, slot, got)
+		for j := 0; j < i; j++ {
+			if s.bufList[j] == sub {
+				return fmt.Errorf("mrsm audit: sub %d staged in buffer slots %d and %d", sub, j, i)
+			}
 		}
 	}
-	// Reverse: every censused page is a valid flash page, its live count
-	// matches its occupied slots, every occupied slot points back, and dead
-	// pages keep a fully cleared census segment (installPack relies on it).
+	// Reverse: every censused page is a valid, MRSM-tagged flash page, its
+	// live count matches its occupied slots, every occupied slot points
+	// back, and dead pages keep a fully cleared census segment (installPack
+	// relies on it).
+	var occupied int64
 	for i, live := range s.pageLive {
 		ppn := flash.PPN(i)
 		base := int32(i) * int32(s.subPerPg)
@@ -63,27 +62,37 @@ func (s *Scheme) AuditMapping() error {
 					ppn, slot, sub, s.subLoc[sub])
 			}
 		}
+		occupied += int64(counted)
 		if live == 0 {
 			continue
 		}
 		if st := s.Dev.Array.State(ppn); st != flash.PageValid {
 			return fmt.Errorf("mrsm audit: censused page %d is %v", ppn, st)
 		}
+		if tag := s.Dev.Array.TagOf(ppn); tag.Kind != ftl.TagMRSM {
+			return fmt.Errorf("mrsm audit: censused page %d has foreign tag %+v", ppn, tag)
+		}
 		if counted != int(live) {
 			return fmt.Errorf("mrsm audit: page %d census live %d, counted %d", ppn, live, counted)
 		}
 	}
-	// Pack buffer: never overfull, and no sub-page staged twice.
-	if len(s.bufList) >= s.subPerPg {
-		return fmt.Errorf("mrsm audit: pack buffer holds %d sub-pages, flush threshold is %d",
-			len(s.bufList), s.subPerPg)
+	// Forward, by count: each occupied slot names a distinct sub-page that
+	// maps back to it, so the mapped sub-pages are exactly the slots' owners
+	// when there are as many of them as occupied slots. A surplus is a
+	// sub-page whose slot the census does not give it.
+	var mapped int64
+	for _, loc := range s.subLoc {
+		if loc != unmapped {
+			mapped++
+		}
 	}
-	for i, sub := range s.bufList {
-		for j := 0; j < i; j++ {
-			if s.bufList[j] == sub {
-				return fmt.Errorf("mrsm audit: sub %d staged in buffer slots %d and %d", sub, j, i)
+	if mapped != occupied {
+		for sub, loc := range s.subLoc {
+			if loc != unmapped && (loc < 0 || int(loc) >= len(s.pageOwner) || s.pageOwner[loc] != int32(sub)) {
+				return fmt.Errorf("mrsm audit: sub %d claims slot %d, which the census does not give it", sub, loc)
 			}
 		}
+		return fmt.Errorf("mrsm audit: %d sub-pages mapped, census holds %d", mapped, occupied)
 	}
 	return s.ms.Audit()
 }
@@ -102,28 +111,37 @@ func (s *Scheme) VisitOwned(fn func(flash.PPN) error) error {
 	return s.ms.VisitPages(fn)
 }
 
-// ResolveSector implements check.SectorResolver: the sector's sub-page is
+// ResolveRun implements check.SectorResolver: the sector's sub-page is
 // either staged in the pack buffer (newest copy in controller RAM) or lives
-// in the slot its location entry names. MRSM tags carry no owner key — GC
-// resolves ownership through the slot census — so the expected OOB tag is
-// the anonymous TagMRSM.
-func (s *Scheme) ResolveSector(sec int64) (ftl.SectorSource, error) {
-	if sec < 0 || sec >= s.LogicalSectors() {
-		return ftl.SectorSource{}, fmt.Errorf("mrsm: sector %d outside device", sec)
+// in the slot its location entry names, so its run is the rest of the
+// sub-page. MRSM tags carry no owner key — GC resolves ownership through the
+// slot census — so the expected OOB tag is the anonymous TagMRSM.
+func (s *Scheme) ResolveRun(sec int64) (ftl.SectorSource, int64, error) {
+	n := s.LogicalSectors()
+	if sec < 0 || sec >= n {
+		return ftl.SectorSource{}, 0, fmt.Errorf("mrsm: sector %d outside device", sec)
 	}
-	sub := sec / int64(s.subSec)
+	subSec := int64(s.subSec)
+	sub := sec / subSec
+	end := min((sub+1)*subSec, n)
 	if s.buffered(sub) {
-		return ftl.SectorSource{Kind: ftl.SrcBuffered}, nil
+		return ftl.SectorSource{Kind: ftl.SrcBuffered}, end, nil
 	}
 	loc := s.subLoc[sub]
 	if loc == unmapped {
-		return ftl.SectorSource{Kind: ftl.SrcUnwritten}, nil
+		return ftl.SectorSource{Kind: ftl.SrcUnwritten}, end, nil
 	}
 	return ftl.SectorSource{
 		Kind: ftl.SrcFlash,
 		PPN:  flash.PPN(loc / int32(s.subPerPg)),
 		Tag:  flash.Tag{Kind: ftl.TagMRSM, Key: -1},
-	}, nil
+	}, end, nil
+}
+
+// ResolveSector implements check.SectorResolver: ResolveRun without the end.
+func (s *Scheme) ResolveSector(sec int64) (ftl.SectorSource, error) {
+	src, _, err := s.ResolveRun(sec)
+	return src, err
 }
 
 // VisitWritten implements check.SectorResolver, the bulk form of
