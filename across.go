@@ -319,10 +319,6 @@ type Fleet = fleet.Volume
 // chunk size in sectors (0 picks the 64 KiB default; concat ignores it).
 type FleetSpec = fleet.Spec
 
-// FleetOptions tunes a fleet replay (open-loop device parallelism). It only
-// changes speed, never the Result.
-type FleetOptions = fleet.Options
-
 // FleetResult is everything one fleet replay measures: logical-request
 // latencies (join of the slowest fragment), fan-out, re-fragmentation
 // classes, and per-device balance reports.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -55,7 +56,7 @@ func runFleet(scheme across.Scheme, cfg across.Config) {
 			fatal(err)
 		}
 		if !*noAge {
-			if err := v.Age(across.DefaultAging()); err != nil {
+			if err := v.Age(context.Background(), across.DefaultAging()); err != nil {
 				fatal(err)
 			}
 		}
@@ -82,7 +83,7 @@ func runFleet(scheme across.Scheme, cfg across.Config) {
 		fmt.Printf("snapshot: %d bytes (device 0; RestoreFleet forks all devices from it) -> %s\n", len(blob), *snapOut)
 	}
 
-	res, err := v.ReplayQD(reqs, *qd, across.FleetOptions{Workers: *workers})
+	res, err := v.Replay(context.Background(), reqs, *qd)
 	if err != nil {
 		fatal(err)
 	}

@@ -31,7 +31,6 @@ var (
 	full       = flag.Bool("full", false, "full 128 GiB Table 1 geometry")
 	noAge      = flag.Bool("no-age", false, "skip device aging")
 	qd         = flag.Int("qd", 0, "bound outstanding requests (0 = open loop)")
-	workers    = flag.Int("workers", 1, "fleet device parallelism (with -fleet; results are bit-identical for any value)")
 	cachePages = flag.Int("cachepages", 0, "host DRAM data cache in pages (0 = none)")
 
 	scenarioName = flag.String("scenario", "", "scenario workload: builtin name (stationary | burst | daynight | mixed) or \"trace\" to wrap -trace as a cohort")
@@ -70,9 +69,6 @@ func main() {
 	if *fleetN > 0 {
 		runFleet(scheme, cfg)
 		return
-	}
-	if *workers > 1 {
-		fatal(fmt.Errorf("-workers %d needs -fleet: a single-device replay is serial", *workers))
 	}
 
 	// A snapshot fixes the device: scheme kind, geometry and host cache all

@@ -9,10 +9,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"across/internal/obs"
 )
 
 // runCmd go-runs one of the repository's commands from the module root and
@@ -143,16 +146,19 @@ func TestAcrosssimMSRScenarioSmoke(t *testing.T) {
 	}
 }
 
-// TestAcrosssimWorkersNeedFleet pins the one meaning of -workers, fleet
-// device parallelism: without -fleet, more than one worker is a usage error.
+// TestAcrosssimWorkersNeedFleet: acrosssim has no -workers flag, since a
+// fleet replays its devices serially, so it refuses one as undefined with
+// -fleet as well as without.
 func TestAcrosssimWorkersNeedFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go run")
 	}
-	out, err := exec.Command("go", "run", "./cmd/acrosssim",
-		"-profile", "lun1", "-scale", "0.002", "-no-age", "-workers", "4").CombinedOutput()
-	if err == nil || !strings.Contains(string(out), "-workers 4 needs -fleet") {
-		t.Errorf("-workers 4 without -fleet: err=%v, output:\n%s", err, out)
+	for _, mode := range [][]string{nil, {"-fleet", "2"}} {
+		args := append([]string{"run", "./cmd/acrosssim", "-profile", "lun1", "-scale", "0.002", "-no-age"}, mode...)
+		out, err := exec.Command("go", append(args, "-workers", "4")...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "flag provided but not defined: -workers") {
+			t.Errorf("-workers 4 %v: err=%v, output:\n%s", mode, err, out)
+		}
 	}
 }
 
@@ -301,12 +307,16 @@ func TestAcrossdSmoke(t *testing.T) {
 	resp.Body.Close()
 	var doc struct {
 		Result struct {
-			Requests int64 `json:"requests"`
+			Requests   int64   `json:"requests"`
+			AvgWriteMs float64 `json:"avg_write_ms"`
 		} `json:"result"`
 	}
-	if err := json.Unmarshal(body, &doc); err != nil || resp.StatusCode != http.StatusOK || doc.Result.Requests == 0 {
+	if err := json.Unmarshal(body, &doc); err != nil || resp.StatusCode != http.StatusOK ||
+		doc.Result.Requests <= 0 || doc.Result.AvgWriteMs <= 0 {
 		t.Fatalf("result: code=%d err=%v body=%s", resp.StatusCode, err, body)
 	}
+	checkDaemonMetrics(t, base)
+	checkJobSpans(t, base, st.ID, "queued", "generate", "replay", "store")
 
 	// Identical respec is answered from memory or store, not re-run.
 	resp, err = http.Post(base+"/api/v1/jobs", "application/json", strings.NewReader(spec))
@@ -334,5 +344,82 @@ func TestAcrossdSmoke(t *testing.T) {
 	}
 	if !strings.Contains(tail, "drained") {
 		t.Errorf("shutdown output missing drain message:\n%s", tail)
+	}
+}
+
+// getBody GETs url and returns the body, failing the test on a transport
+// error or a status other than 200.
+func getBody(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: code=%d err=%v body=%.300s", url, resp.StatusCode, err, body)
+	}
+	return body
+}
+
+// checkDaemonMetrics scrapes a daemon that has run one job: the page must be
+// valid Prometheus text, every counter must end in _total, the submission
+// must be counted, and the scheduler and store gauges must be present.
+func checkDaemonMetrics(t *testing.T, base string) {
+	t.Helper()
+	page := getBody(t, base+"/metrics")
+	if err := obs.ValidateProm(page); err != nil {
+		t.Fatalf("/metrics is not valid exposition format: %v", err)
+	}
+	samples := map[string]float64{}
+	for _, line := range strings.Split(string(page), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			if name, typ, _ := strings.Cut(name, " "); typ == "counter" && !strings.HasSuffix(name, "_total") {
+				t.Errorf("counter %s is not suffixed _total", name)
+			}
+			continue
+		}
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		name, value, _ := strings.Cut(line, " ")
+		name, _, _ = strings.Cut(name, "{")
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		samples[name] = v
+	}
+	if samples["acrossd_jobs_submitted_total"] < 1 {
+		t.Errorf("acrossd_jobs_submitted_total = %v after a submission", samples["acrossd_jobs_submitted_total"])
+	}
+	for _, gauge := range []string{"acrossd_scheduler_queued", "acrossd_store_entries"} {
+		if _, ok := samples[gauge]; !ok {
+			t.Errorf("/metrics has no %s", gauge)
+		}
+	}
+}
+
+// checkJobSpans fetches a job's span log as Chrome trace_event JSON and
+// requires a span of every given name.
+func checkJobSpans(t *testing.T, base, id string, want ...string) {
+	t.Helper()
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(getBody(t, base+"/api/v1/jobs/"+id+"/trace"), &doc); err != nil {
+		t.Fatalf("span trace is not JSON: %v", err)
+	}
+	have := map[string]bool{}
+	for _, e := range doc.TraceEvents {
+		have[e.Name] = true
+	}
+	for _, name := range want {
+		if !have[name] {
+			t.Errorf("job %s has no %q span; have %v", id, name, have)
+		}
 	}
 }

@@ -91,7 +91,7 @@ func (s *Session) fleetCell(cp *sim.Checkpoint, spec fleet.Spec, prof workload.P
 		if err != nil {
 			return cell, err
 		}
-		if res, err = v.ReplayQDCtx(s.ctx, reqs, qd, fleet.Options{}); err != nil {
+		if res, err = v.Replay(s.ctx, reqs, qd); err != nil {
 			return cell, err
 		}
 		cell.Points = append(cell.Points, report.QDPoint{

@@ -78,7 +78,7 @@ func (s *Session) scenarioMatrix() ([]scenarioCell, error) {
 				if err != nil {
 					return nil, err
 				}
-				res, err := r.ReplayCtx(s.ctx, st.Requests)
+				res, err := r.ReplayQDCtx(s.ctx, st.Requests, 0)
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s: %w", kind, st.Scenario, err)
 				}

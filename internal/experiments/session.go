@@ -277,7 +277,7 @@ func (s *Session) run(k runKey) (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.ReplayCtx(s.ctx, reqs)
+	return r.ReplayQDCtx(s.ctx, reqs, 0)
 }
 
 // checkpoint returns (warming and caching on first use) the open checkpoint

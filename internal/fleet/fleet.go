@@ -3,8 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"across/internal/check"
 	"across/internal/sim"
@@ -39,15 +37,6 @@ func (s Spec) LogicalSectors(conf ssdconf.Config) (int64, error) {
 		return 0, err
 	}
 	return geo.logicalSectors(), nil
-}
-
-// Options tunes a fleet replay. It only changes speed, never the Result.
-type Options struct {
-	// Workers bounds how many devices replay concurrently in open-loop
-	// mode (<= 1 replays devices serially). Closed-loop replays (qd > 0)
-	// are always stepped serially: the shared host queue couples every
-	// device's dispatch times, so there is nothing independent to overlap.
-	Workers int
 }
 
 // Volume is N independent simulated SSDs behind one logical address space.
@@ -136,55 +125,34 @@ func (v *Volume) ChunkSectors() int64 { return v.geo.chunkSectors }
 func (v *Volume) LogicalSectors() int64 { return v.geo.logicalSectors() }
 
 // Split appends the per-device fragments of one logical request to out and
-// returns it (exported for the tiling property tests; the replay engines
-// use the same function).
+// returns it (exported for the tiling property tests; Replay uses the same
+// function).
 func (v *Volume) Split(r trace.Request, out []SubRequest) ([]SubRequest, error) {
 	return v.geo.split(r, out)
 }
 
 // Age warms every device to the same §4.1 state: device 0 ages through its
-// scheme's ordinary write path, is checkpointed, and the remaining devices
-// fork from the checkpoint — byte-identical state at a fraction of the
-// cost, since seeded aging would produce the same state per device anyway.
-func (v *Volume) Age(a sim.Aging) error { return v.AgeCtx(context.Background(), a) }
-
-// AgeCtx is Age with cancellation (polled inside the device-0 aging loop).
-func (v *Volume) AgeCtx(ctx context.Context, a sim.Aging) error {
+// scheme's ordinary write path (polling ctx), and the remaining devices fork
+// from a checkpoint of it — byte-identical state at a fraction of the cost,
+// since seeded aging would produce the same state per device anyway. The
+// checkpoint is taken in memory: device 0 was warmed here, so there is no
+// blob to encode or verify.
+func (v *Volume) Age(ctx context.Context, a sim.Aging) error {
 	if err := v.Runners[0].AgeCtx(ctx, a); err != nil {
 		return err
 	}
 	if len(v.Runners) == 1 {
 		return nil
 	}
-	blob, err := v.Runners[0].Snapshot()
+	cp, err := v.Runners[0].Checkpoint()
 	if err != nil {
 		return fmt.Errorf("fleet: checkpointing aged device 0: %w", err)
-	}
-	cp, err := sim.OpenCheckpoint(blob)
-	if err != nil {
-		return fmt.Errorf("fleet: opening device 0's checkpoint: %w", err)
 	}
 	return v.forkWarm(cp, 1)
 }
 
-// RestoreWarm forks every device from a warm single-device snapshot taken
-// with the volume's scheme kind and configuration.
-func (v *Volume) RestoreWarm(blob []byte) error {
-	cp, err := sim.OpenCheckpoint(blob)
-	if err != nil {
-		return fmt.Errorf("fleet: opening the checkpoint: %w", err)
-	}
-	return v.forkWarm(cp, 0)
-}
-
 // forkWarm replaces devices from..N-1 with forks of one open checkpoint.
 func (v *Volume) forkWarm(cp *sim.Checkpoint, from int) error {
-	if cp.Kind != v.Kind {
-		return fmt.Errorf("fleet: checkpoint scheme %s does not match volume scheme %s", cp.Kind, v.Kind)
-	}
-	if cp.Conf != *v.Conf {
-		return fmt.Errorf("fleet: checkpoint configuration does not match the volume's devices")
-	}
 	for i := from; i < len(v.Runners); i++ {
 		r, err := cp.Fork()
 		if err != nil {
@@ -216,9 +184,7 @@ func (v *Volume) Audit() error {
 }
 
 // subOutcome is what one dispatched fragment contributes to the logical
-// join: its completion time and its device-counter deltas. Both engines
-// produce identical outcomes in identical per-device order, which is the
-// whole determinism argument (DESIGN §14).
+// join: its completion time and its device-counter deltas.
 type subOutcome struct {
 	done           float64
 	flushes, reads int64
@@ -271,8 +237,8 @@ func (v *Volume) beginReplay() *Result {
 	return res
 }
 
-// foldLogical applies one logical request's joined outcome to the Result.
-// Both engines call it in logical-request order with identical arguments.
+// foldLogical applies one logical request's joined outcome to the Result,
+// in logical-request order.
 func (res *Result) foldLogical(req trace.Request, class trace.Class, lat float64, subs int64, flushes, reads int64) {
 	res.Requests++
 	res.LogicalClasses[class]++
@@ -331,46 +297,19 @@ func (v *Volume) finishReplay(res *Result, reqs []trace.Request) {
 	}
 }
 
-// Replay runs a logical trace against the volume open-loop and collects a
-// fleet Result (see ReplayQDCtx for the closed-loop and cancellable forms).
-func (v *Volume) Replay(reqs []trace.Request, opt Options) (*Result, error) {
-	return v.ReplayQDCtx(context.Background(), reqs, 0, opt)
-}
-
-// ReplayQD replays with a fleet-level queue-depth bound: at most qd logical
+// Replay runs a logical trace against the volume and collects a fleet
+// Result. qd bounds the fleet-level queue depth: at most qd logical
 // requests are outstanding, and a request whose arrival finds the queue
 // full defers to the earliest logical completion — the closed-loop mode the
-// saturation sweep drives. qd <= 0 replays open-loop.
-func (v *Volume) ReplayQD(reqs []trace.Request, qd int, opt Options) (*Result, error) {
-	return v.ReplayQDCtx(context.Background(), reqs, qd, opt)
-}
-
-// ReplayQDCtx is ReplayQD with cancellation. The Result is bit-identical
-// for every Options.Workers value: the open-loop engine distributes whole
-// devices — whose states never interact — across workers and joins their
-// recorded outcomes in logical order, and the closed-loop engine is serial
-// by construction (DESIGN §14 gives the full argument).
-func (v *Volume) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int, opt Options) (*Result, error) {
+// saturation sweep drives. qd <= 0 replays open-loop. Logical requests are
+// taken in trace order and each fragment is dispatched inline, so the
+// Result is deterministic by construction (DESIGN §14). ctx is polled every
+// 64 requests.
+func (v *Volume) Replay(ctx context.Context, reqs []trace.Request, qd int) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	res := v.beginReplay()
-	if qd <= 0 && opt.Workers > 1 && len(v.Runners) > 1 {
-		if err := v.replayOpenParallel(ctx, reqs, res, opt.Workers); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	if err := v.replaySerial(ctx, reqs, res, qd); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// replaySerial is the reference engine: logical requests in trace order,
-// each fragment dispatched inline, the fleet-level queue gate applied
-// before splitting.
-func (v *Volume) replaySerial(ctx context.Context, reqs []trace.Request, res *Result, qd int) error {
 	spp := v.Conf.SectorsPerPage()
 	var (
 		inflight []float64
@@ -384,7 +323,7 @@ func (v *Volume) replaySerial(ctx context.Context, reqs []trace.Request, res *Re
 		if i&cancelCheckMask == 0 {
 			select {
 			case <-done:
-				return fmt.Errorf("fleet: replay cancelled at request %d/%d: %w", i, len(reqs), ctx.Err())
+				return nil, fmt.Errorf("fleet: replay cancelled at request %d/%d: %w", i, len(reqs), ctx.Err())
 			default:
 			}
 		}
@@ -411,14 +350,14 @@ func (v *Volume) replaySerial(ctx context.Context, reqs []trace.Request, res *Re
 		var err error
 		subs, err = v.geo.split(req, subs[:0])
 		if err != nil {
-			return fmt.Errorf("fleet: request %d: %w", i, err)
+			return nil, fmt.Errorf("fleet: request %d: %w", i, err)
 		}
 		join := issue
 		var flushes, reads int64
 		for _, sub := range subs {
 			out, err := v.step(sub, issue)
 			if err != nil {
-				return fmt.Errorf("fleet: request %d: %w", i, err)
+				return nil, fmt.Errorf("fleet: request %d: %w", i, err)
 			}
 			if out.done > join {
 				join = out.done
@@ -433,117 +372,5 @@ func (v *Volume) replaySerial(ctx context.Context, reqs []trace.Request, res *Re
 		res.foldLogical(req, req.Classify(spp), join-req.Time, int64(len(subs)), flushes, reads)
 	}
 	v.finishReplay(res, reqs)
-	return nil
-}
-
-// devWork is one device's pre-split work list in the open-loop parallel
-// engine: fragments in dispatch order, with the owning logical index.
-type devWork struct {
-	subs   []SubRequest
-	logIdx []int32
-	out    []subOutcome
-}
-
-// replayOpenParallel is the open-loop engine: issue times equal trace
-// arrivals, so every device's fragment sequence is known up front and the
-// devices — which share no state — replay concurrently. The join pass then
-// folds logical requests in trace order from the recorded outcomes,
-// reproducing the serial engine's folds bit for bit.
-func (v *Volume) replayOpenParallel(ctx context.Context, reqs []trace.Request, res *Result, workers int) error {
-	spp := v.Conf.SectorsPerPage()
-	n := len(v.Runners)
-	work := make([]devWork, n)
-	subsPer := make([]int32, len(reqs))
-	var scratch []SubRequest
-	for i, req := range reqs {
-		var err error
-		scratch, err = v.geo.split(req, scratch[:0])
-		if err != nil {
-			return fmt.Errorf("fleet: request %d: %w", i, err)
-		}
-		subsPer[i] = int32(len(scratch))
-		for _, sub := range scratch {
-			w := &work[sub.Device]
-			w.subs = append(w.subs, sub)
-			w.logIdx = append(w.logIdx, int32(i))
-			res.noteSub(sub, spp)
-		}
-	}
-
-	if workers > n {
-		workers = n
-	}
-	var (
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		failed  atomic.Bool
-		runErr  error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { runErr = err })
-		failed.Store(true)
-	}
-	next := make(chan int, n)
-	for d := 0; d < n; d++ {
-		next <- d
-	}
-	close(next)
-	done := ctx.Done()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for d := range next {
-				wk := &work[d]
-				wk.out = make([]subOutcome, len(wk.subs))
-				for k, sub := range wk.subs {
-					if k&cancelCheckMask == 0 {
-						select {
-						case <-done:
-							fail(fmt.Errorf("fleet: replay cancelled on device %d: %w", d, ctx.Err()))
-							return
-						default:
-						}
-						if failed.Load() {
-							return
-						}
-					}
-					out, err := v.step(sub, sub.Req.Time)
-					if err != nil {
-						fail(err)
-						return
-					}
-					wk.out[k] = out
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if runErr != nil {
-		return runErr
-	}
-
-	// Join pass: per-device cursors advance in lock-step with the logical
-	// order (each device's fragments were appended in that order), so the
-	// fold sees exactly the serial engine's per-request view.
-	cursor := make([]int, n)
-	for i, req := range reqs {
-		join := req.Time
-		var flushes, reads int64
-		for d := 0; d < n; d++ {
-			wk := &work[d]
-			for cursor[d] < len(wk.logIdx) && wk.logIdx[cursor[d]] == int32(i) {
-				out := wk.out[cursor[d]]
-				if out.done > join {
-					join = out.done
-				}
-				flushes += out.flushes
-				reads += out.reads
-				cursor[d]++
-			}
-		}
-		res.foldLogical(req, req.Classify(spp), join-req.Time, int64(subsPer[i]), flushes, reads)
-	}
-	v.finishReplay(res, reqs)
-	return nil
+	return res, nil
 }

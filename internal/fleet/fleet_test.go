@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"runtime"
@@ -48,7 +49,7 @@ func buildVolume(t *testing.T, kind sim.SchemeKind, spec Spec) *Volume {
 func assertFleetIdentical(t *testing.T, want, got *Result, label string) {
 	t.Helper()
 	if !reflect.DeepEqual(want, got) {
-		t.Errorf("%s: Result diverged from the serial reference", label)
+		t.Errorf("%s: Result diverged from the reference", label)
 		if want.Requests != got.Requests || want.SubRequests != got.SubRequests {
 			t.Errorf("%s: requests %d/%d vs %d/%d", label, want.Requests, want.SubRequests, got.Requests, got.SubRequests)
 		}
@@ -78,10 +79,8 @@ func assertFleetIdentical(t *testing.T, want, got *Result, label string) {
 }
 
 // TestFleetDeterminismMatrix is the fleet analogue of the sim engine's
-// determinism matrix: for every layout × queue depth, the Result must be
-// byte-identical for every Options.Workers value (the ISSUE's acceptance
-// bar). Open-loop runs exercise the parallel per-device engine; closed-loop
-// runs must route to the serial engine regardless of Workers.
+// determinism matrix: for every layout × queue depth, two freshly built
+// volumes replaying the same trace must produce byte-identical Results.
 func TestFleetDeterminismMatrix(t *testing.T) {
 	specs := []Spec{
 		{Devices: 3, Layout: LayoutConcat},
@@ -89,32 +88,30 @@ func TestFleetDeterminismMatrix(t *testing.T) {
 		{Devices: 4, Layout: LayoutRAID10, ChunkSectors: 16},
 	}
 	qds := []int{0, 8}
-	workerCounts := []int{2, 4, 8}
 	scale := 0.02
 	kind := sim.KindAcross
 	if testing.Short() {
 		specs = specs[1:2]
 		scale = 0.01
 	}
+	ctx := context.Background()
 	for _, spec := range specs {
 		ref := buildVolume(t, kind, spec)
 		reqs := fleetTrace(t, ref, scale)
 		for _, qd := range qds {
-			serial, err := buildVolume(t, kind, spec).ReplayQD(reqs, qd, Options{Workers: 1})
+			label := string(spec.Layout) + "/qd=" + itoa(qd)
+			first, err := buildVolume(t, kind, spec).Replay(ctx, reqs, qd)
 			if err != nil {
-				t.Fatalf("%s/qd=%d: serial: %v", spec.Layout, qd, err)
+				t.Fatalf("%s: first run: %v", label, err)
 			}
-			if serial.Requests != int64(len(reqs)) {
-				t.Fatalf("%s/qd=%d: replayed %d of %d requests", spec.Layout, qd, serial.Requests, len(reqs))
+			if first.Requests != int64(len(reqs)) {
+				t.Fatalf("%s: replayed %d of %d requests", label, first.Requests, len(reqs))
 			}
-			for _, workers := range workerCounts {
-				got, err := buildVolume(t, kind, spec).ReplayQD(reqs, qd, Options{Workers: workers})
-				if err != nil {
-					t.Fatalf("%s/qd=%d/workers=%d: %v", spec.Layout, qd, workers, err)
-				}
-				label := string(spec.Layout) + "/qd=" + itoa(qd) + "/workers=" + itoa(workers)
-				assertFleetIdentical(t, serial, got, label)
+			second, err := buildVolume(t, kind, spec).Replay(ctx, reqs, qd)
+			if err != nil {
+				t.Fatalf("%s: second run: %v", label, err)
 			}
+			assertFleetIdentical(t, first, second, label)
 		}
 	}
 }
@@ -142,7 +139,7 @@ func TestFleetConcatSingleDeviceMatchesSim(t *testing.T) {
 	v := buildVolume(t, sim.KindAcross, Spec{Devices: 1, Layout: LayoutConcat})
 	reqs := fleetTrace(t, v, 0.02)
 
-	fres, err := v.Replay(reqs, Options{})
+	fres, err := v.Replay(context.Background(), reqs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +199,7 @@ func TestFleetAgeForksIdenticalDevices(t *testing.T) {
 	aging.UsedFrac = 0.5
 
 	aged := buildVolume(t, sim.KindFTL, spec)
-	if err := aged.Age(aging); err != nil {
+	if err := aged.Age(context.Background(), aging); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := aged.WarmSnapshot()
@@ -224,11 +221,11 @@ func TestFleetAgeForksIdenticalDevices(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := fleetTrace(t, aged, 0.01)
-	ares, err := aged.Replay(reqs, Options{})
+	ares, err := aged.Replay(context.Background(), reqs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fres, err := forked.Replay(reqs, Options{})
+	fres, err := forked.Replay(context.Background(), reqs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,8 +294,11 @@ func TestFromSnapshotOpensOnce(t *testing.T) {
 	}
 }
 
-// TestFleetRestoreWarmValidates checks RestoreWarm's compatibility guard:
-// a checkpoint of a different scheme must be rejected.
+// TestFleetRestoreWarmValidates checks the one warm restore a fleet has,
+// FromSnapshot. The scheme and configuration come from the blob, so a
+// checkpoint of another scheme cannot mismatch the volume: it restores as a
+// volume of that scheme. What the restore must refuse is a damaged blob and
+// a layout the checkpoint's device cannot hold.
 func TestFleetRestoreWarmValidates(t *testing.T) {
 	other, err := sim.NewRunner(sim.KindMRSM, fleetConf())
 	if err != nil {
@@ -308,9 +308,30 @@ func TestFleetRestoreWarmValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := buildVolume(t, sim.KindFTL, Spec{Devices: 2, Layout: LayoutRAID0, ChunkSectors: 32})
-	if err := v.RestoreWarm(blob); err == nil {
-		t.Error("RestoreWarm accepted a checkpoint of a different scheme")
+	spec := Spec{Devices: 2, Layout: LayoutRAID0, ChunkSectors: 32}
+	v, err := FromSnapshot(blob, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Kind != sim.KindMRSM || *v.Conf != fleetConf() {
+		t.Errorf("restored a %s volume with config %+v, want the blob's MRSM device", v.Kind, *v.Conf)
+	}
+
+	damaged := bytes.Clone(blob)
+	damaged[len(damaged)/2] ^= 0xff
+	for name, b := range map[string][]byte{"flipped byte": damaged, "truncated": blob[:len(blob)/2]} {
+		if _, err := FromSnapshot(b, spec); err == nil {
+			t.Errorf("FromSnapshot accepted a %s blob", name)
+		}
+	}
+	conf := fleetConf()
+	for _, bad := range []Spec{
+		{Devices: 3, Layout: LayoutRAID10, ChunkSectors: 32},
+		{Devices: 2, Layout: LayoutRAID0, ChunkSectors: conf.LogicalSectors() + 1},
+	} {
+		if _, err := FromSnapshot(blob, bad); err == nil {
+			t.Errorf("FromSnapshot accepted spec %+v", bad)
+		}
 	}
 }
 
@@ -324,11 +345,11 @@ func TestFleetClosedLoopGate(t *testing.T) {
 	for i := range reqs {
 		reqs[i].Time = 0
 	}
-	open, err := buildVolume(t, sim.KindFTL, spec).Replay(reqs, Options{})
+	open, err := buildVolume(t, sim.KindFTL, spec).Replay(context.Background(), reqs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gated, err := buildVolume(t, sim.KindFTL, spec).ReplayQD(reqs, 1, Options{})
+	gated, err := buildVolume(t, sim.KindFTL, spec).Replay(context.Background(), reqs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,10 +368,60 @@ func TestFleetClosedLoopGate(t *testing.T) {
 func TestFleetAuditAfterReplay(t *testing.T) {
 	v := buildVolume(t, sim.KindAcross, Spec{Devices: 4, Layout: LayoutRAID10, ChunkSectors: 16})
 	reqs := fleetTrace(t, v, 0.01)
-	if _, err := v.Replay(reqs, Options{Workers: 4}); err != nil {
+	if _, err := v.Replay(context.Background(), reqs, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.Audit(); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkFleetReplay times an open-loop fleet replay — full-length lun1 on
+// a RAID-0 volume of 2 or 4 aged Experiment devices with 64 KiB chunks — per
+// scheme. Every replay starts from fresh forks of one aged checkpoint, and
+// only the replay is timed.
+func BenchmarkFleetReplay(b *testing.B) {
+	conf := ssdconf.Experiment()
+	lun1, err := workload.LunProfile("lun1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, kind := range sim.Kinds() {
+		b.Run(string(kind), func(b *testing.B) {
+			r, err := sim.NewRunner(kind, conf)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := r.Age(sim.DefaultAging()); err != nil {
+				b.Fatal(err)
+			}
+			aged, err := r.Checkpoint()
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, devices := range []int{2, 4} {
+				spec := Spec{Devices: devices, Layout: LayoutRAID0}
+				b.Run("raid0x"+itoa(devices), func(b *testing.B) {
+					var reqs []trace.Request
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						v, err := FromCheckpoint(aged, spec)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if reqs == nil {
+							if reqs, err = workload.Generate(lun1, v.LogicalSectors()); err != nil {
+								b.Fatal(err)
+							}
+						}
+						b.StartTimer()
+						if _, err := v.Replay(context.Background(), reqs, 0); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "req/s")
+				})
+			}
+		})
 	}
 }

@@ -113,7 +113,7 @@ func (g geometry) readDevice(col, row int64) int {
 // returns it. Fragments are emitted in ascending logical-address order; for
 // RAID-10 writes both mirrors of a fragment are emitted adjacently (even
 // mirror first). The fragment order is part of the determinism contract:
-// every engine dispatches sub-requests in exactly this order.
+// Replay dispatches sub-requests in exactly this order.
 func (g geometry) split(r trace.Request, out []SubRequest) ([]SubRequest, error) {
 	if r.Count <= 0 {
 		return out, fmt.Errorf("fleet: request with non-positive count %d", r.Count)

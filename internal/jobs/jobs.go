@@ -6,11 +6,8 @@
 // jobs, and a graceful drain that lets everything already accepted finish
 // before shutdown.
 //
-// The scheduler is parallelism-aware: jobs may be submitted with a Weight,
-// and at start each job receives a best-effort grant of CPU tokens
-// (readable inside the job via Parallelism(ctx)) to size its own internal
-// worker pool — e.g. a fleet replay's devices. Grants never delay a start,
-// so N independent single-weight replays still spread across N cores.
+// Every job runs on one worker and is serial inside: the pool's width is the
+// only parallelism, so N independent replays spread across N cores.
 //
 // The scheduler knows nothing about the simulator: a job is an opaque
 // func(ctx) (any, error). Cancellation reaches a running job only through
@@ -89,15 +86,10 @@ type Job struct {
 	Key string
 	// Priority orders the queue: higher runs first; FIFO within a priority.
 	Priority int
-	// Weight is how many CPU tokens the job would like while running (see
-	// SubmitOpts.Weight). The actual grant is best-effort and surfaced to
-	// the job body via Parallelism.
-	Weight int
 
 	fn      Func
 	timeout time.Duration
 	seq     uint64
-	granted int // CPU tokens actually granted (set when the job starts)
 
 	mu          sync.Mutex
 	state       State
@@ -133,14 +125,6 @@ func (j *Job) Attempts() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.attempts
-}
-
-// Granted returns the CPU tokens the scheduler gave the job when it started
-// (0 while still queued; at least 1 once running).
-func (j *Job) Granted() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.granted
 }
 
 // Done is closed when the job reaches a terminal state.
@@ -182,13 +166,6 @@ type Options struct {
 	// Backoff is the delay before the first retry; it doubles per attempt
 	// (default 50ms).
 	Backoff time.Duration
-	// CPUTokens is the core budget weighted jobs draw extra parallelism
-	// from (default: Workers). Every running job holds one token; a job
-	// submitted with Weight w is granted up to w-1 more from whatever the
-	// budget has spare. Grants are best-effort — a job is never blocked
-	// waiting for tokens — so a sweep of N single-weight replays still runs
-	// N-wide, while a lone weight-N job gets the whole budget.
-	CPUTokens int
 }
 
 func (o Options) withDefaults() Options {
@@ -200,9 +177,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Backoff <= 0 {
 		o.Backoff = 50 * time.Millisecond
-	}
-	if o.CPUTokens <= 0 {
-		o.CPUTokens = o.Workers
 	}
 	return o
 }
@@ -216,10 +190,6 @@ type Stats struct {
 	Cancelled int64 `json:"cancelled"`
 	Deduped   int64 `json:"deduped"`
 	Draining  bool  `json:"draining"`
-	// CPUTokens is the core budget; GrantedTokens how much of it running
-	// jobs currently hold (base token plus any weighted extras).
-	CPUTokens     int `json:"cpu_tokens"`
-	GrantedTokens int `json:"granted_tokens"`
 	// Workers and QueueCap echo the scheduler's configured capacities so a
 	// snapshot is interpretable on its own (queued/QueueCap is the
 	// saturation ratio health endpoints report).
@@ -243,7 +213,6 @@ type Scheduler struct {
 	seq      uint64
 	nextID   uint64
 	running  int
-	extra    int // weighted tokens lent to running jobs beyond their base one
 	draining bool
 	closed   bool
 	stats    Stats
@@ -281,12 +250,6 @@ type SubmitOpts struct {
 	Priority int
 	// Timeout overrides Options.DefaultTimeout for this job (0 = inherit).
 	Timeout time.Duration
-	// Weight is the CPU tokens the job would like while running (default
-	// and minimum 1). When the job starts, the scheduler grants it between
-	// 1 and Weight tokens depending on how much of Options.CPUTokens is
-	// spare, and the job body reads the grant with Parallelism(ctx) — e.g.
-	// to size a fleet replay's worker pool. Weight never delays a start.
-	Weight int
 }
 
 // Submit queues fn. The returned bool is true when an existing job was
@@ -313,20 +276,12 @@ func (s *Scheduler) Submit(opts SubmitOpts, fn Func) (*Job, bool, error) {
 	if timeout == 0 {
 		timeout = s.opts.DefaultTimeout
 	}
-	weight := opts.Weight
-	if weight < 1 {
-		weight = 1
-	}
-	if weight > s.opts.CPUTokens {
-		weight = s.opts.CPUTokens
-	}
 	s.nextID++
 	s.seq++
 	j := &Job{
 		ID:          fmt.Sprintf("j-%06d", s.nextID),
 		Key:         opts.Key,
 		Priority:    opts.Priority,
-		Weight:      weight,
 		fn:          fn,
 		timeout:     timeout,
 		seq:         s.seq,
@@ -415,8 +370,6 @@ func (s *Scheduler) Stats() Stats {
 	st.Queued = s.queue.Len()
 	st.Running = s.running
 	st.Draining = s.draining || s.closed
-	st.CPUTokens = s.opts.CPUTokens
-	st.GrantedTokens = s.running + s.extra
 	st.Workers = s.opts.Workers
 	st.QueueCap = s.opts.QueueCap
 	return st
@@ -494,49 +447,20 @@ func (s *Scheduler) worker() {
 		}
 		j := heap.Pop(&s.queue).(*Job)
 		s.running++
-		// Grant the job its base token plus whatever weighted extras the
-		// budget has spare. Best-effort: with every worker busy there is no
-		// spare and everyone runs at 1 — so a wide sweep of single-weight
-		// jobs saturates the cores, while a lone weighted job on an idle
-		// scheduler collects the whole budget.
-		extra := j.Weight - 1
-		if spare := s.opts.CPUTokens - s.running - s.extra; extra > spare {
-			extra = spare
-		}
-		if extra < 0 {
-			extra = 0
-		}
-		s.extra += extra
 		s.mu.Unlock()
 
-		s.runJob(j, 1+extra)
+		s.runJob(j)
 
 		s.mu.Lock()
 		s.running--
-		s.extra -= extra
 		s.idle.Broadcast()
 		s.mu.Unlock()
 	}
 }
 
-// parallelismKey carries a job's CPU-token grant in its context.
-type parallelismKey struct{}
-
-// Parallelism returns the CPU tokens granted to the job that owns ctx — the
-// concurrency a job body should use for its own internal parallelism (e.g.
-// fleet.Options.Workers). Outside a weighted job it returns 1, so it
-// is always safe to pass the result straight to a worker-pool size.
-func Parallelism(ctx context.Context) int {
-	if v, ok := ctx.Value(parallelismKey{}).(int); ok && v > 0 {
-		return v
-	}
-	return 1
-}
-
 // runJob executes one job with timeout, cancellation and transient-retry
-// semantics, then finalises its state. granted is the job's CPU-token
-// grant, exposed to the body via Parallelism.
-func (s *Scheduler) runJob(j *Job, granted int) {
+// semantics, then finalises its state.
+func (s *Scheduler) runJob(j *Job) {
 	j.mu.Lock()
 	if j.state.Terminal() { // cancelled while queued and already finished
 		j.mu.Unlock()
@@ -547,17 +471,18 @@ func (s *Scheduler) runJob(j *Job, granted int) {
 		s.finish(j, nil, context.Canceled)
 		return
 	}
-	ctx := context.WithValue(s.rootCtx, parallelismKey{}, granted)
-	var cancel context.CancelFunc
+	var (
+		ctx    context.Context
+		cancel context.CancelFunc
+	)
 	if j.timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, j.timeout)
+		ctx, cancel = context.WithTimeout(s.rootCtx, j.timeout)
 	} else {
-		ctx, cancel = context.WithCancel(ctx)
+		ctx, cancel = context.WithCancel(s.rootCtx)
 	}
 	j.state = StateRunning
 	j.startedAt = time.Now()
 	j.cancelRun = cancel
-	j.granted = granted
 	j.mu.Unlock()
 	defer cancel()
 

@@ -369,136 +369,3 @@ func TestConcurrentSubmitters(t *testing.T) {
 		return true
 	})
 }
-
-func TestWeightedGrantOnIdleScheduler(t *testing.T) {
-	s := New(Options{Workers: 4, CPUTokens: 8})
-	defer s.Close()
-	got := make(chan int, 1)
-	j, _, err := s.Submit(SubmitOpts{Weight: 8}, func(ctx context.Context) (any, error) {
-		got <- Parallelism(ctx)
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Wait(waitCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	// Idle scheduler, 8-token budget, one base token in use: the weighted
-	// job collects the whole budget.
-	if g := <-got; g != 8 {
-		t.Fatalf("Parallelism = %d, want 8", g)
-	}
-	if g := j.Granted(); g != 8 {
-		t.Fatalf("Granted = %d, want 8", g)
-	}
-}
-
-func TestWeightedGrantShrinksUnderLoad(t *testing.T) {
-	s := New(Options{Workers: 4, CPUTokens: 4})
-	defer s.Close()
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	// Occupy 3 of the 4 workers; each holds its base token.
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		_, _, err := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
-			wg.Done()
-			<-release
-			return nil, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	wg.Wait()
-	got := make(chan int, 1)
-	j, _, err := s.Submit(SubmitOpts{Weight: 4}, func(ctx context.Context) (any, error) {
-		got <- Parallelism(ctx)
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Wait(waitCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	// 3 base tokens are held, so only 1 of the 4-token budget is spare:
-	// the weight-4 job starts anyway with its base token and no extras.
-	if g := <-got; g != 1 {
-		t.Fatalf("Parallelism under load = %d, want 1 (best-effort, never blocks)", g)
-	}
-	close(release)
-}
-
-func TestWeightedTokensReturnAfterJob(t *testing.T) {
-	s := New(Options{Workers: 2, CPUTokens: 6})
-	defer s.Close()
-	run := func(weight int) int {
-		got := make(chan int, 1)
-		j, _, err := s.Submit(SubmitOpts{Weight: weight}, func(ctx context.Context) (any, error) {
-			got <- Parallelism(ctx)
-			return nil, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Wait(waitCtx(t)); err != nil {
-			t.Fatal(err)
-		}
-		return <-got
-	}
-	// Sequential weighted jobs each see the full spare budget: the tokens
-	// lent to the first are back before the second starts.
-	for i := 0; i < 3; i++ {
-		if g := run(6); g != 6 {
-			t.Fatalf("run %d: Parallelism = %d, want 6", i, g)
-		}
-	}
-	st := s.Stats()
-	if st.GrantedTokens != 0 || st.CPUTokens != 6 {
-		t.Fatalf("tokens leaked: %+v", st)
-	}
-}
-
-func TestWeightClampedToBudget(t *testing.T) {
-	s := New(Options{Workers: 1, CPUTokens: 3})
-	defer s.Close()
-	j, _, err := s.Submit(SubmitOpts{Weight: 100}, func(ctx context.Context) (any, error) {
-		return Parallelism(ctx), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Wait(waitCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	if j.Weight != 3 {
-		t.Fatalf("Weight = %d, want clamp to budget 3", j.Weight)
-	}
-	res, _ := j.Result()
-	if res.(int) != 3 {
-		t.Fatalf("grant = %v, want 3", res)
-	}
-}
-
-func TestParallelismDefaultsToOne(t *testing.T) {
-	if g := Parallelism(context.Background()); g != 1 {
-		t.Fatalf("Parallelism(plain ctx) = %d, want 1", g)
-	}
-	s := New(Options{Workers: 1})
-	defer s.Close()
-	j, _, err := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
-		return Parallelism(ctx), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Wait(waitCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	res, _ := j.Result()
-	if res.(int) != 1 {
-		t.Fatalf("unweighted grant = %v, want 1", res)
-	}
-}

@@ -48,7 +48,6 @@ func TestFleetKeyMatrix(t *testing.T) {
 		}
 	}
 	for name, mut := range map[string]func(*ReplaySpec){
-		"workers":  func(sp *ReplaySpec) { sp.Workers = 8 },
 		"priority": func(sp *ReplaySpec) { sp.Priority = 3 },
 		"timeout":  func(sp *ReplaySpec) { sp.TimeoutMs = 1000 },
 	} {
@@ -100,7 +99,7 @@ func TestFleetSpecValidation(t *testing.T) {
 func TestFleetJobEndToEnd(t *testing.T) {
 	s, ts := newTestServer(t, t.TempDir())
 	body := `{"type":"replay","scheme":"Across-FTL","profile":"lun1","scale":0.002,"age":true,` +
-		`"fleet":{"devices":4,"layout":"raid10","chunk_kb":16},"workers":4}`
+		`"fleet":{"devices":4,"layout":"raid10","chunk_kb":16}}`
 	code, st := postJSON(t, ts.URL+"/api/v1/jobs", body)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d, want 202", code)

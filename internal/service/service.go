@@ -397,7 +397,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		kind      string
 		priority  int
 		timeoutMs int64
-		weight    int
 		run       func(ctx context.Context, key string, hub *progressHub) (*Entry, error)
 		hub       *progressHub
 		spl       *spanLog
@@ -420,7 +419,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		kind, priority, timeoutMs = "replay", sp.Priority, sp.TimeoutMs
-		weight = sp.Workers
 		hub = newProgressHub()
 		spl = newSpanLog(time.Now())
 		run = func(ctx context.Context, key string, hub *progressHub) (*Entry, error) {
@@ -474,7 +472,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Key:      key,
 		Priority: priority,
 		Timeout:  time.Duration(timeoutMs) * time.Millisecond,
-		Weight:   weight,
 	}, func(ctx context.Context) (any, error) {
 		return run(ctx, key, hub)
 	})
@@ -821,8 +818,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Gauge("acrossd_scheduler_queue_cap", "Queue capacity; submissions beyond it are rejected.", float64(st.QueueCap))
 	p.Gauge("acrossd_scheduler_running", "Jobs currently executing.", float64(st.Running))
 	p.Gauge("acrossd_scheduler_workers", "Worker-pool size bounding concurrent jobs.", float64(st.Workers))
-	p.Gauge("acrossd_scheduler_cpu_tokens", "CPU-token budget weighted jobs draw parallelism from.", float64(st.CPUTokens))
-	p.Gauge("acrossd_scheduler_granted_tokens", "CPU tokens currently held by running jobs.", float64(st.GrantedTokens))
 	draining := 0.0
 	if st.Draining {
 		draining = 1
@@ -843,21 +838,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // healthz is the wire shape of /healthz: liveness plus enough occupancy to
-// steer a load balancer — queue depth against capacity and CPU-token
-// occupancy. Saturated means new submissions would be rejected right now
+// steer a load balancer — queue depth against capacity and running jobs
+// against workers. Saturated means new submissions would be rejected right now
 // (queue full or draining); the response then carries a Retry-After hint.
 type healthz struct {
-	Status        string  `json:"status"` // ok | saturated | draining
-	Queued        int     `json:"queued"`
-	QueueCap      int     `json:"queue_cap"`
-	QueueFill     float64 `json:"queue_fill"`
-	Running       int     `json:"running"`
-	Workers       int     `json:"workers"`
-	CPUTokens     int     `json:"cpu_tokens"`
-	GrantedTokens int     `json:"granted_tokens"`
-	TokenFill     float64 `json:"token_fill"`
-	Saturated     bool    `json:"saturated"`
-	Draining      bool    `json:"draining"`
+	Status    string  `json:"status"` // ok | saturated | draining
+	Queued    int     `json:"queued"`
+	QueueCap  int     `json:"queue_cap"`
+	QueueFill float64 `json:"queue_fill"`
+	Running   int     `json:"running"`
+	Workers   int     `json:"workers"`
+	Saturated bool    `json:"saturated"`
+	Draining  bool    `json:"draining"`
 }
 
 // healthzRetryAfterSeconds is the backoff hint sent with a saturated or
@@ -867,20 +859,15 @@ const healthzRetryAfterSeconds = "5"
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.sched.Stats()
 	h := healthz{
-		Status:        "ok",
-		Queued:        st.Queued,
-		QueueCap:      st.QueueCap,
-		Running:       st.Running,
-		Workers:       st.Workers,
-		CPUTokens:     st.CPUTokens,
-		GrantedTokens: st.GrantedTokens,
-		Draining:      st.Draining,
+		Status:   "ok",
+		Queued:   st.Queued,
+		QueueCap: st.QueueCap,
+		Running:  st.Running,
+		Workers:  st.Workers,
+		Draining: st.Draining,
 	}
 	if st.QueueCap > 0 {
 		h.QueueFill = float64(st.Queued) / float64(st.QueueCap)
-	}
-	if st.CPUTokens > 0 {
-		h.TokenFill = float64(st.GrantedTokens) / float64(st.CPUTokens)
 	}
 	h.Saturated = st.Queued >= st.QueueCap || st.Draining
 	switch {

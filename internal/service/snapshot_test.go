@@ -29,14 +29,12 @@ func agingKeyOf(t *testing.T, sp ReplaySpec) string {
 // The aging key must capture exactly what shapes the warm state — scheme,
 // device config, aging recipe — and nothing else. Workload knobs (aging is
 // workload-independent), measurement knobs (qd) and scheduling knobs
-// (workers, priority, timeout) must not fragment checkpoint reuse.
+// (priority, timeout) must not fragment checkpoint reuse.
 func TestAgingKeyExcludesWorkloadAndSchedulingKnobs(t *testing.T) {
 	base := ReplaySpec{Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true}
 	want := agingKeyOf(t, base)
 
 	same := map[string]ReplaySpec{
-		"workers": {Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true, Workers: 7,
-			Fleet: &FleetSpec{Devices: 2, Layout: "raid0"}},
 		"priority": {Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true, Priority: 9},
 		"timeout":  {Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true, TimeoutMs: 5000},
 		"qd":       {Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true, QD: 16},

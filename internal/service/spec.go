@@ -65,12 +65,6 @@ type ReplaySpec struct {
 
 	Priority  int   `json:"priority,omitempty"`
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	// Workers is a fleet job's device parallelism: 0 lets the scheduler's
-	// CPU-token grant decide, >1 asks for that many tokens. Only fleet
-	// specs accept >1 — a single-device replay is serial. A scheduling
-	// knob only (fleet results are bit-identical for any value), so it is
-	// excluded from the content key.
-	Workers int `json:"workers,omitempty"`
 }
 
 // FleetSpec is the fleet block of a replay submit-body: device count,
@@ -247,12 +241,6 @@ func (sp *ReplaySpec) validateOnce(once *scenarioOnce) error {
 	if sp.Scale <= 0 || sp.Scale > 1 {
 		return fmt.Errorf("scale %v out of (0,1]", sp.Scale)
 	}
-	if sp.Workers < 0 {
-		return fmt.Errorf("workers %d negative", sp.Workers)
-	}
-	if sp.Workers > 1 && sp.Fleet == nil {
-		return fmt.Errorf("workers %d needs a fleet spec: a single-device replay is serial", sp.Workers)
-	}
 	conf := sp.config()
 	if err := conf.Validate(); err != nil {
 		return err
@@ -380,8 +368,8 @@ func (sp *ReplaySpec) keyOnce(once *scenarioOnce) (string, error) {
 // phase produces: a hash over the scheme, the full device configuration and
 // the aging recipe — and nothing else. Aging (sim.DefaultAging) is
 // workload-independent, so profile/scale/seed do not belong here; neither
-// do measurement knobs (qd) nor scheduling knobs (workers, priority,
-// timeout), which must never fragment checkpoint reuse. Every job whose
+// do measurement knobs (qd) nor scheduling knobs (priority, timeout), which
+// must never fragment checkpoint reuse. Every job whose
 // AgingKey matches forks from one cached checkpoint instead of re-aging.
 func (sp *ReplaySpec) AgingKey() (string, error) {
 	return store.HashJSON(struct {
@@ -678,7 +666,7 @@ func (s *Server) runReplay(ctx context.Context, key string, sp ReplaySpec, hub *
 	if err != nil {
 		return nil, err
 	}
-	spl.next("store", "engine", "serial", "workers", "1")
+	spl.next("store")
 	entry, err := buildEntry(key, "replay", sp, replayResultDoc(res))
 	if err != nil {
 		return nil, err
@@ -699,8 +687,7 @@ func (s *Server) runReplay(ctx context.Context, key string, sp ReplaySpec, hub *
 // one device and storing the checkpoint if none exists — the same store
 // entry non-fleet jobs use), then replay the trace through the layout.
 // Fleet replays have no per-request progress sampler yet, so the stored
-// entry has no series sibling; determinism still holds — the fleet
-// engines are bit-identical for every worker count.
+// entry has no series sibling.
 func (s *Server) runFleetReplay(ctx context.Context, key string, sp ReplaySpec, spl *spanLog) (*Entry, error) {
 	spl.next("generate")
 	conf := sp.config()
@@ -733,22 +720,12 @@ func (s *Server) runFleetReplay(ctx context.Context, key string, sp ReplaySpec, 
 	} else if v, err = fleet.New(sim.SchemeKind(sp.Scheme), conf, fspec); err != nil {
 		return nil, err
 	}
-	workers := sp.Workers
-	if workers == 0 {
-		workers = jobs.Parallelism(ctx)
-	}
 	spl.next("replay", agingAttrs...)
-	res, err := v.ReplayQDCtx(ctx, reqs, sp.QD, fleet.Options{Workers: workers})
+	res, err := v.Replay(ctx, reqs, sp.QD)
 	if err != nil {
 		return nil, err
 	}
-	engine := "fleet-serial"
-	if sp.QD <= 0 && workers > 1 && fspec.Devices > 1 {
-		engine = "fleet-parallel"
-	}
 	spl.next("store",
-		"engine", engine,
-		"workers", fmt.Sprint(workers),
 		"devices", fmt.Sprint(v.Devices()),
 		"layout", string(v.Layout()),
 		"chunk_sectors", fmt.Sprint(v.ChunkSectors()))

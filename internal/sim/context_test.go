@@ -35,7 +35,7 @@ func TestReplayCtxCancelledAborts(t *testing.T) {
 	reqs := smallTrace(t, 0.01)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := r.ReplayCtx(ctx, reqs)
+	res, err := r.ReplayQDCtx(ctx, reqs, 0)
 	if err == nil {
 		t.Fatal("cancelled replay ran to completion")
 	}
@@ -63,7 +63,7 @@ func TestReplayCtxCancelMidway(t *testing.T) {
 	defer cancel()
 	tr := &cancelAtTracer{trigger: len(reqs) / 2, cancel: cancel}
 	r.SetTracer(tr)
-	_, err = r.ReplayCtx(ctx, reqs)
+	_, err = r.ReplayQDCtx(ctx, reqs, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("midway cancel: err = %v", err)
 	}
@@ -99,7 +99,7 @@ func TestReplayCtxBackgroundMatchesReplay(t *testing.T) {
 		}
 		var res *Result
 		if viaCtx {
-			res, err = r.ReplayCtx(context.Background(), reqs)
+			res, err = r.ReplayQDCtx(context.Background(), reqs, 0)
 		} else {
 			res, err = r.Replay(reqs)
 		}
@@ -110,6 +110,6 @@ func TestReplayCtxBackgroundMatchesReplay(t *testing.T) {
 	}
 	plain, viaCtx := run(false), run(true)
 	if plain.Counters != viaCtx.Counters || plain.TotalIOTime() != viaCtx.TotalIOTime() {
-		t.Fatalf("ReplayCtx(Background) diverged from Replay:\n%+v\nvs\n%+v", plain.Counters, viaCtx.Counters)
+		t.Fatalf("ReplayQDCtx(Background) diverged from Replay:\n%+v\nvs\n%+v", plain.Counters, viaCtx.Counters)
 	}
 }

@@ -67,13 +67,6 @@ func (r *Runner) ReplayQD(reqs []trace.Request, qd int) (*Result, error) {
 	return r.ReplayQDCtx(context.Background(), reqs, qd)
 }
 
-// ReplayCtx is Replay with cancellation: a cancelled or expired ctx aborts
-// the replay mid-trace (within cancelCheckMask+1 requests) and returns the
-// context's error.
-func (r *Runner) ReplayCtx(ctx context.Context, reqs []trace.Request) (*Result, error) {
-	return r.ReplayQDCtx(ctx, reqs, 0)
-}
-
 // reqRecord is everything the metric fold needs to know about one serviced
 // request.
 type reqRecord struct {
