@@ -101,8 +101,8 @@ func runFleet(scheme across.Scheme, cfg across.Config) {
 	fmt.Printf("volume : %.0f req/s over %.1f s makespan, fan-out %.2f sub-requests/request\n",
 		res.Throughput(), res.MeasuredSpanMs/1000, res.Fanout())
 	fmt.Printf("classes: across-page %.1f%% of logical requests -> %.1f%% of sub-requests (unaligned %.1f%% -> %.1f%%)\n",
-		100*res.LogicalClasses.Ratio(across.ClassAcross), 100*res.SubClasses.Ratio(across.ClassAcross),
-		100*res.LogicalClasses.Ratio(across.ClassUnaligned), 100*res.SubClasses.Ratio(across.ClassUnaligned))
+		100*res.LogicalClasses().Ratio(across.ClassAcross), 100*res.SubClasses.Ratio(across.ClassAcross),
+		100*res.LogicalClasses().Ratio(across.ClassUnaligned), 100*res.SubClasses.Ratio(across.ClassUnaligned))
 	fmt.Printf("writes : %d flash programs (data %d, gc %d, map %d)\n",
 		c.FlashWrites(), c.DataWrites, c.GCWrites, c.MapWrites)
 	fmt.Printf("erases : %d across the fleet\n", c.Erases)

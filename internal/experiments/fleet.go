@@ -103,7 +103,7 @@ func (s *Session) fleetCell(cp *sim.Checkpoint, spec fleet.Spec, prof workload.P
 	}
 	// Fragmentation is a property of layout and trace, not of queue depth.
 	cell.Fanout = res.Fanout()
-	cell.AcrossRatio = res.LogicalClasses.Ratio(trace.ClassAcross)
+	cell.AcrossRatio = res.LogicalClasses().Ratio(trace.ClassAcross)
 	cell.SubAcross = res.SubClasses.Ratio(trace.ClassAcross)
 	cell.SubUnaligned = res.SubClasses.Ratio(trace.ClassUnaligned)
 	if k := report.Knee(cell.Points); k >= 0 {

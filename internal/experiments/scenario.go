@@ -87,9 +87,7 @@ func (s *Session) scenarioMatrix() ([]scenarioCell, error) {
 					Cohorts: len(st.Cohorts), Requests: res.Requests,
 					AvgReadMs: res.AvgReadLatency(), AvgWriteMs: res.AvgWriteLatency(),
 					WrP99Ms: res.WriteLat.P99(), Erases: res.Counters.Erases,
-				}
-				if res.MeasuredSpanMs > 0 {
-					c.Throughput = float64(res.Requests) / (res.MeasuredSpanMs / 1000)
+					Throughput: res.Throughput(),
 				}
 				if host := hostPagesWritten(st.Requests, conf.SectorsPerPage()); host > 0 {
 					c.WAF = float64(res.Counters.DataWrites+res.Counters.GCWrites) / float64(host)

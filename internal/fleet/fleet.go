@@ -50,10 +50,6 @@ type Volume struct {
 	geo geometry
 }
 
-// cancelCheckMask mirrors the sim engine's cancellation cadence: the fleet
-// loop polls its context every cancelCheckMask+1 logical requests.
-const cancelCheckMask = 63
-
 // New builds a fleet of fresh devices of one scheme kind and configuration.
 func New(kind sim.SchemeKind, conf ssdconf.Config, spec Spec) (*Volume, error) {
 	geo, err := resolveGeometry(&conf, spec)
@@ -183,41 +179,44 @@ func (v *Volume) Audit() error {
 	return nil
 }
 
-// subOutcome is what one dispatched fragment contributes to the logical
-// join: its completion time and its device-counter deltas.
-type subOutcome struct {
-	done           float64
-	flushes, reads int64
-}
-
-// step dispatches one fragment to its device at time issue and returns the
-// outcome. Counter deltas attribute flash data traffic (host + GC) to the
-// logical request, mirroring the sim engine's per-request attribution.
-func (v *Volume) step(sub SubRequest, issue float64) (subOutcome, error) {
-	r := v.Runners[sub.Device]
-	dev := r.Scheme.Device()
-	wBefore := dev.Count.DataWrites + dev.Count.GCWrites
-	rBefore := dev.Count.DataReads + dev.Count.GCReads
-	var (
-		done float64
-		err  error
-	)
-	switch sub.Req.Op {
-	case trace.OpWrite:
-		done, err = r.Scheme.Write(sub.Req, issue)
-	case trace.OpRead:
-		done, err = r.Scheme.Read(sub.Req, issue)
-	default:
-		err = fmt.Errorf("fleet: unknown op %d", sub.Req.Op)
+// Replay runs a logical trace against the volume through sim's host loop
+// (sim.Measured.Drive) and collects a fleet Result. Each logical request is
+// split into per-device fragments, every fragment is dispatched to its
+// device at the request's issue time, and the request completes when its
+// slowest fragment does, with the flash traffic of all of them attributed
+// to it. qd bounds the fleet-level queue depth — at most qd logical
+// requests are outstanding, the closed-loop mode the saturation sweep
+// drives; qd <= 0 replays open-loop. The Result is deterministic by
+// construction (DESIGN §14). ctx is polled every 64 requests.
+func (v *Volume) Replay(ctx context.Context, reqs []trace.Request, qd int) (*Result, error) {
+	res := v.beginReplay()
+	spp := v.Conf.SectorsPerPage()
+	var subs []SubRequest
+	serve := func(i int, req trace.Request, issue float64) (sim.Served, error) {
+		var err error
+		if subs, err = v.geo.split(req, subs[:0]); err != nil {
+			return sim.Served{}, fmt.Errorf("request %d: %w", i, err)
+		}
+		join := sim.Served{Done: issue}
+		for _, sub := range subs {
+			s, err := v.Runners[sub.Device].Dispatch(sub.Req, issue)
+			if err != nil {
+				return sim.Served{}, fmt.Errorf("request %d: device %d servicing %v: %w", i, sub.Device, sub.Req, err)
+			}
+			if s.Done > join.Done {
+				join.Done = s.Done
+			}
+			join.Flushes += s.Flushes
+			join.Reads += s.Reads
+			res.noteSub(sub, spp)
+		}
+		return join, nil
 	}
-	if err != nil {
-		return subOutcome{}, fmt.Errorf("fleet: device %d servicing %v: %w", sub.Device, sub.Req, err)
+	if err := res.Drive(ctx, reqs, qd, spp, serve, v.horizon); err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	return subOutcome{
-		done:    done,
-		flushes: (dev.Count.DataWrites + dev.Count.GCWrites) - wBefore,
-		reads:   (dev.Count.DataReads + dev.Count.GCReads) - rBefore,
-	}, nil
+	v.reportDevices(res)
+	return res, nil
 }
 
 // beginReplay resets every device's measurement state (timelines and
@@ -233,31 +232,9 @@ func (v *Volume) beginReplay() *Result {
 	for i, r := range v.Runners {
 		r.ResetMeasurement()
 		res.PerDevice[i].Device = i
+		res.WarmupWrites += r.WarmupWrites()
 	}
 	return res
-}
-
-// foldLogical applies one logical request's joined outcome to the Result,
-// in logical-request order.
-func (res *Result) foldLogical(req trace.Request, class trace.Class, lat float64, subs int64, flushes, reads int64) {
-	res.Requests++
-	res.LogicalClasses[class]++
-	res.SubRequests += subs
-	b := &res.ByBucket[req.Op][class]
-	b.Requests++
-	b.Sectors += int64(req.Count)
-	b.LatencySum += lat
-	b.Flushes += flushes
-	b.FlashReads += reads
-	if req.Op == trace.OpWrite {
-		res.WriteCount++
-		res.WriteLatencySum += lat
-		res.WriteLat.Add(lat)
-	} else {
-		res.ReadCount++
-		res.ReadLatencySum += lat
-		res.ReadLat.Add(lat)
-	}
 }
 
 // noteSub records a fragment's routing in the per-device report.
@@ -268,12 +245,17 @@ func (res *Result) noteSub(sub SubRequest, spp int) {
 	d.Sectors += int64(sub.Req.Count)
 }
 
-// finishReplay collects end-of-run per-device state and the makespan. The
-// makespan matches the sim engine's definition — first arrival to the later
-// of the last arrival and any device's idle horizon — so a 1-device concat
-// volume reports exactly what a bare sim.Runner would.
-func (v *Volume) finishReplay(res *Result, reqs []trace.Request) {
+// horizon is the volume's idle horizon: the latest of its devices'.
+func (v *Volume) horizon() float64 {
 	var end float64
+	for _, r := range v.Runners {
+		end = max(end, r.Scheme.Device().Sched.Horizon())
+	}
+	return end
+}
+
+// reportDevices collects each device's end-of-run state.
+func (v *Volume) reportDevices(res *Result) {
 	for i, r := range v.Runners {
 		dev := r.Scheme.Device()
 		d := &res.PerDevice[i]
@@ -283,94 +265,5 @@ func (v *Volume) finishReplay(res *Result, reqs []trace.Request) {
 		for c := 0; c < dev.Sched.Chips(); c++ {
 			d.BusyMs += dev.Sched.BusyTime(c)
 		}
-		if h := dev.Sched.Horizon(); h > end {
-			end = h
-		}
-		res.WarmupWrites += r.WarmupWrites()
 	}
-	if n := len(reqs); n > 0 {
-		res.TraceSpanMs = reqs[n-1].Time - reqs[0].Time
-		if reqs[n-1].Time > end {
-			end = reqs[n-1].Time
-		}
-		res.MeasuredSpanMs = end - reqs[0].Time
-	}
-}
-
-// Replay runs a logical trace against the volume and collects a fleet
-// Result. qd bounds the fleet-level queue depth: at most qd logical
-// requests are outstanding, and a request whose arrival finds the queue
-// full defers to the earliest logical completion — the closed-loop mode the
-// saturation sweep drives. qd <= 0 replays open-loop. Logical requests are
-// taken in trace order and each fragment is dispatched inline, so the
-// Result is deterministic by construction (DESIGN §14). ctx is polled every
-// 64 requests.
-func (v *Volume) Replay(ctx context.Context, reqs []trace.Request, qd int) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	res := v.beginReplay()
-	spp := v.Conf.SectorsPerPage()
-	var (
-		inflight []float64
-		subs     []SubRequest
-	)
-	if qd > 0 {
-		inflight = make([]float64, 0, qd)
-	}
-	done := ctx.Done()
-	for i, req := range reqs {
-		if i&cancelCheckMask == 0 {
-			select {
-			case <-done:
-				return nil, fmt.Errorf("fleet: replay cancelled at request %d/%d: %w", i, len(reqs), ctx.Err())
-			default:
-			}
-		}
-		issue := req.Time
-		if qd > 0 {
-			for {
-				kept := inflight[:0]
-				earliest := -1.0
-				for _, c := range inflight {
-					if c > issue {
-						kept = append(kept, c)
-						if earliest < 0 || c < earliest {
-							earliest = c
-						}
-					}
-				}
-				inflight = kept
-				if len(inflight) < qd {
-					break
-				}
-				issue = earliest
-			}
-		}
-		var err error
-		subs, err = v.geo.split(req, subs[:0])
-		if err != nil {
-			return nil, fmt.Errorf("fleet: request %d: %w", i, err)
-		}
-		join := issue
-		var flushes, reads int64
-		for _, sub := range subs {
-			out, err := v.step(sub, issue)
-			if err != nil {
-				return nil, fmt.Errorf("fleet: request %d: %w", i, err)
-			}
-			if out.done > join {
-				join = out.done
-			}
-			flushes += out.flushes
-			reads += out.reads
-			res.noteSub(sub, spp)
-		}
-		if qd > 0 {
-			inflight = append(inflight, join)
-		}
-		res.foldLogical(req, req.Classify(spp), join-req.Time, int64(len(subs)), flushes, reads)
-	}
-	v.finishReplay(res, reqs)
-	return res, nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"across/internal/sim"
@@ -50,8 +51,8 @@ func assertFleetIdentical(t *testing.T, want, got *Result, label string) {
 	t.Helper()
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("%s: Result diverged from the reference", label)
-		if want.Requests != got.Requests || want.SubRequests != got.SubRequests {
-			t.Errorf("%s: requests %d/%d vs %d/%d", label, want.Requests, want.SubRequests, got.Requests, got.SubRequests)
+		if want.Requests != got.Requests || want.SubRequests() != got.SubRequests() {
+			t.Errorf("%s: requests %d/%d vs %d/%d", label, want.Requests, want.SubRequests(), got.Requests, got.SubRequests())
 		}
 		if want.ReadLatencySum != got.ReadLatencySum || want.WriteLatencySum != got.WriteLatencySum {
 			t.Errorf("%s: latency sums (%g,%g) vs (%g,%g)", label,
@@ -132,60 +133,106 @@ func itoa(v int) string {
 
 // TestFleetConcatSingleDeviceMatchesSim pins the fleet layer's zero-cost
 // abstraction: a 1-device concat volume issues exactly the scheme calls a
-// bare sim.Runner would, so the per-request aggregates must match the
-// single-device engine's field for field.
+// bare sim.Runner would, through the same host loop, so for every scheme
+// open- and closed-loop the whole measured core — counts, latency sums and
+// histograms, buckets, spans — must equal the single-device engine's.
 func TestFleetConcatSingleDeviceMatchesSim(t *testing.T) {
 	conf := fleetConf()
-	v := buildVolume(t, sim.KindAcross, Spec{Devices: 1, Layout: LayoutConcat})
-	reqs := fleetTrace(t, v, 0.02)
-
-	fres, err := v.Replay(context.Background(), reqs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := sim.NewRunner(sim.KindAcross, conf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sres, err := r.Replay(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if fres.Requests != sres.Requests || fres.ReadCount != sres.ReadCount || fres.WriteCount != sres.WriteCount {
-		t.Errorf("request counts diverged: fleet %d/%d/%d vs sim %d/%d/%d",
-			fres.Requests, fres.ReadCount, fres.WriteCount, sres.Requests, sres.ReadCount, sres.WriteCount)
-	}
-	if fres.SubRequests != fres.Requests {
-		t.Errorf("1-device concat fanned out: %d sub-requests for %d requests", fres.SubRequests, fres.Requests)
-	}
-	if fres.ReadLatencySum != sres.ReadLatencySum || fres.WriteLatencySum != sres.WriteLatencySum {
-		t.Errorf("latency sums diverged: fleet (%g,%g) vs sim (%g,%g)",
-			fres.ReadLatencySum, fres.WriteLatencySum, sres.ReadLatencySum, sres.WriteLatencySum)
-	}
-	if fres.Counters() != sres.Counters {
-		t.Errorf("counters diverged: fleet %+v vs sim %+v", fres.Counters(), sres.Counters)
-	}
-	if fres.MeasuredSpanMs != sres.MeasuredSpanMs || fres.TraceSpanMs != sres.TraceSpanMs {
-		t.Errorf("spans diverged: fleet (%g,%g) vs sim (%g,%g)",
-			fres.TraceSpanMs, fres.MeasuredSpanMs, sres.TraceSpanMs, sres.MeasuredSpanMs)
-	}
-	for op := 0; op < 2; op++ {
-		for class := 0; class < 3; class++ {
-			fb := fres.ByBucket[op][class]
-			key := sim.BucketKey{Op: trace.Op(op), Class: trace.Class(class)}
-			sb := sres.ByBucket[key]
-			if sb == nil {
-				if fb != (sim.OpClassMetrics{}) {
-					t.Errorf("bucket %v: fleet %+v vs missing sim bucket", key, fb)
-				}
-				continue
+	for _, kind := range append(sim.Kinds(), sim.KindDFTL) {
+		for _, qd := range []int{0, 1, 4} {
+			label := string(kind) + "/qd=" + itoa(qd)
+			v := buildVolume(t, kind, Spec{Devices: 1, Layout: LayoutConcat})
+			reqs := fleetTrace(t, v, 0.02)
+			fres, err := v.Replay(context.Background(), reqs, qd)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
-			if fb != *sb {
-				t.Errorf("bucket %v: fleet %+v vs sim %+v", key, fb, *sb)
+			r, err := sim.NewRunner(kind, conf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sres, err := r.ReplayQD(reqs, qd)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+
+			if fres.Measured != sres.Measured {
+				t.Errorf("%s: measured core diverged", label)
+				f, s := &fres.Measured, &sres.Measured
+				t.Errorf("%s: requests %d/%d/%d vs %d/%d/%d, latency sums (%g,%g) vs (%g,%g)", label,
+					f.Requests, f.ReadCount, f.WriteCount, s.Requests, s.ReadCount, s.WriteCount,
+					f.ReadLatencySum, f.WriteLatencySum, s.ReadLatencySum, s.WriteLatencySum)
+				t.Errorf("%s: p50/p99 read (%g,%g) vs (%g,%g), write (%g,%g) vs (%g,%g)", label,
+					f.ReadLat.P50(), f.ReadLat.P99(), s.ReadLat.P50(), s.ReadLat.P99(),
+					f.WriteLat.P50(), f.WriteLat.P99(), s.WriteLat.P50(), s.WriteLat.P99())
+				t.Errorf("%s: spans (%g,%g) vs (%g,%g), buckets %+v vs %+v", label,
+					f.TraceSpanMs, f.MeasuredSpanMs, s.TraceSpanMs, s.MeasuredSpanMs, f.ByBucket, s.ByBucket)
+			}
+			if fres.SubRequests() != fres.Requests || fres.SubClasses != fres.LogicalClasses() {
+				t.Errorf("%s: 1-device concat re-cut requests: %d sub-requests %v for %d requests %v", label,
+					fres.SubRequests(), fres.SubClasses, fres.Requests, fres.LogicalClasses())
+			}
+			if fres.Counters() != sres.Counters {
+				t.Errorf("%s: counters diverged: fleet %+v vs sim %+v", label, fres.Counters(), sres.Counters)
 			}
 		}
 	}
+}
+
+// TestFleetSteadyStateReplayAllocations is the fleet analogue of the sim
+// engine's allocation budget: once the devices are built, a replay
+// allocates a handful of objects — the Result, the per-device reports, the
+// loop's closures and scratch — however many requests it serves.
+func TestFleetSteadyStateReplayAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector instruments allocations")
+	}
+	const (
+		maxPerReplay = 16
+		maxPerReq    = 0.05
+	)
+	specs := []Spec{
+		{Devices: 1, Layout: LayoutConcat},
+		{Devices: 4, Layout: LayoutRAID0, ChunkSectors: 32},
+		{Devices: 4, Layout: LayoutRAID10, ChunkSectors: 16},
+	}
+	for _, kind := range append(sim.Kinds(), sim.KindDFTL) {
+		for _, spec := range specs {
+			label := string(kind) + "/" + string(spec.Layout) + "x" + itoa(spec.Devices)
+			v := buildVolume(t, kind, spec)
+			reqs := fleetTrace(t, v, 0.02)
+			if _, err := v.Replay(context.Background(), reqs, 0); err != nil { // warm scratch buffers
+				t.Fatalf("%s: %v", label, err)
+			}
+			var replayErr error
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := v.Replay(context.Background(), reqs, 0); err != nil {
+					replayErr = err
+				}
+			})
+			if replayErr != nil {
+				t.Fatalf("%s: %v", label, replayErr)
+			}
+			perReq := allocs / float64(len(reqs))
+			t.Logf("%s: %.0f allocs per replay of %d requests (%.4f/request)", label, allocs, len(reqs), perReq)
+			if allocs > maxPerReplay || perReq > maxPerReq {
+				t.Errorf("%s: a replay allocates %.0f objects (%.4f/request), ceiling %d (%.2f/request) — hot path regressed",
+					label, allocs, perReq, maxPerReplay, maxPerReq)
+			}
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race, under
+// which allocation counts measure the detector, not the simulator.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			return true
+		}
+	}
+	return false
 }
 
 // TestFleetAgeForksIdenticalDevices checks the fork-from-checkpoint warm-up:

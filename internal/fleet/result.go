@@ -3,7 +3,6 @@ package fleet
 import (
 	"across/internal/ftl"
 	"across/internal/sim"
-	"across/internal/stats"
 	"across/internal/trace"
 )
 
@@ -34,89 +33,51 @@ func (c ClassCounts) Ratio(i trace.Class) float64 {
 	return 0
 }
 
-// Result is everything one fleet replay measures. Latencies are logical:
-// a request's response time runs from its trace arrival to the completion
-// of its slowest sub-request (plus host-queue delay in closed-loop mode).
+// Result is everything one fleet replay measures. The measured core is
+// logical: a request's response time runs from its trace arrival to the
+// completion of its slowest sub-request (plus host-queue delay in
+// closed-loop mode), ByBucket classifies logical requests against the
+// device page size and sums the flash traffic of every fragment a request
+// fanned out to, and the makespan runs to the latest device's idle horizon.
 type Result struct {
 	Scheme       string `json:"scheme"`
 	Layout       Layout `json:"layout"`
 	Devices      int    `json:"devices"`
 	ChunkSectors int64  `json:"chunk_sectors"`
 
-	Requests   int64 `json:"requests"`
-	ReadCount  int64 `json:"reads"`
-	WriteCount int64 `json:"writes"`
+	sim.Measured
 
-	ReadLatencySum  float64 `json:"read_latency_sum_ms"`
-	WriteLatencySum float64 `json:"write_latency_sum_ms"`
-
-	// ReadLat / WriteLat hold the full logical-latency distributions; the
-	// saturation sweep's p99 columns come from here.
-	ReadLat  stats.Histogram `json:"-"`
-	WriteLat stats.Histogram `json:"-"`
-
-	// SubRequests counts device-local fragments dispatched (mirror writes
-	// count each copy); SubRequests/Requests is the layout's fan-out.
-	SubRequests int64 `json:"sub_requests"`
-
-	// LogicalClasses classifies logical requests against the device page
-	// size; SubClasses classifies the dispatched fragments the same way.
-	// Their difference is the re-fragmentation effect of the layout: a
-	// chunk size below the page size converts across-page requests into
-	// partial-page fragments and aligned requests into unaligned ones.
-	LogicalClasses ClassCounts `json:"logical_classes"`
-	SubClasses     ClassCounts `json:"sub_classes"`
-
-	// ByBucket aggregates logical requests per (direction, logical class),
-	// with flash-op attribution summed over every fragment the request
-	// fanned out to.
-	ByBucket [2][3]sim.OpClassMetrics `json:"by_bucket"`
+	// SubClasses classifies the dispatched fragments (mirror writes count
+	// each copy) against the device page size. Against LogicalClasses it
+	// shows the layout's re-fragmentation: a chunk size below the page size
+	// converts across-page requests into partial-page fragments and aligned
+	// requests into unaligned ones.
+	SubClasses ClassCounts `json:"sub_classes"`
 
 	PerDevice []DeviceReport `json:"per_device"`
-
-	// TraceSpanMs is the logical arrival span; MeasuredSpanMs runs from the
-	// first arrival to the latest of any device's idle horizon, the last
-	// completion and the last arrival — the utilisation and throughput
-	// denominator.
-	TraceSpanMs    float64 `json:"trace_span_ms"`
-	MeasuredSpanMs float64 `json:"measured_span_ms"`
-
-	// WarmupWrites sums the devices' aging programs (not in Counters).
-	WarmupWrites int64 `json:"warmup_writes"`
 }
 
-// AvgReadLatency returns the mean logical read response time in ms.
-func (r *Result) AvgReadLatency() float64 {
-	if r.ReadCount == 0 {
-		return 0
+// LogicalClasses counts logical requests per alignment class.
+func (r *Result) LogicalClasses() ClassCounts {
+	var c ClassCounts
+	for _, byClass := range r.ByBucket {
+		for class, m := range byClass {
+			c[class] += m.Requests
+		}
 	}
-	return r.ReadLatencySum / float64(r.ReadCount)
+	return c
 }
 
-// AvgWriteLatency returns the mean logical write response time in ms.
-func (r *Result) AvgWriteLatency() float64 {
-	if r.WriteCount == 0 {
-		return 0
-	}
-	return r.WriteLatencySum / float64(r.WriteCount)
-}
-
-// Throughput returns logical requests per simulated second over the
-// measured makespan (0 when the span is zero) — the y axis of the
-// saturation sweep.
-func (r *Result) Throughput() float64 {
-	if r.MeasuredSpanMs <= 0 {
-		return 0
-	}
-	return float64(r.Requests) / (r.MeasuredSpanMs / 1000)
-}
+// SubRequests counts the device-local fragments dispatched;
+// SubRequests/Requests is the layout's fan-out.
+func (r *Result) SubRequests() int64 { return r.SubClasses.Total() }
 
 // Fanout returns dispatched fragments per logical request.
 func (r *Result) Fanout() float64 {
 	if r.Requests == 0 {
 		return 0
 	}
-	return float64(r.SubRequests) / float64(r.Requests)
+	return float64(r.SubRequests()) / float64(r.Requests)
 }
 
 // DeviceUtilisation returns device d's busy fraction: its summed chip

@@ -260,47 +260,6 @@ func TestSeriesWithoutEntryIsRerun(t *testing.T) {
 	}
 }
 
-// TestLegacySeriesIsCopied: a store the previous daemon wrote keeps the series
-// as the sibling <key>.samples.ndjson, already formatted. It is served as it
-// lies — and it lies as today's formatter would have written it: the fixture
-// (an entry and the first two lines of its sibling, both written by that
-// daemon) equals the head of the sampler's series.
-func TestLegacySeriesIsCopied(t *testing.T) {
-	entry, err := os.ReadFile(filepath.Join("testdata", "legacy-series.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	series, err := os.ReadFile(filepath.Join("testdata", "legacy-series"+legacySamplesExt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var old Entry
-	if err := json.Unmarshal(entry, &old); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, old.Key[:2]), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for ext, body := range map[string][]byte{".json": entry, legacySamplesExt: series} {
-		if err := os.WriteFile(filepath.Join(dir, old.Key[:2], old.Key+ext), body, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv, ts := newTestServer(t, dir)
-	st := runToSuccess(t, ts.URL, string(old.Spec), http.StatusOK)
-	if !st.Cached || st.Key != old.Key {
-		t.Fatalf("status %+v, want key %s served from the store", st, old.Key)
-	}
-	_, progress, artifact := outcome(t, ts.URL, st.ID)
-	if !bytes.Equal(artifact, series) || !bytes.Equal(progress, series) {
-		t.Fatalf("artifact %d bytes and /progress %d, want the legacy sibling's %d", len(artifact), len(progress), len(series))
-	}
-	if now := simSeries(t, srv, string(old.Spec)); !bytes.HasPrefix(now, series) || bytes.Count(series, []byte("\n")) != 2 {
-		t.Fatalf("the legacy sibling is not the first two lines of today's series:\n%s", series)
-	}
-}
-
 // TestTornSeriesIsNotServed: a series sibling cut short or altered anywhere
 // costs the series and nothing else. Every fetch of it answers as if it were
 // absent and is counted; no fetch serves a part of it; the entry stays where

@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -680,17 +679,6 @@ func (s *Server) serveSeries(w http.ResponseWriter, rec *jobRecord) bool {
 		return false
 	}
 	f, err := s.store.OpenSibling(rec.key, samplesExt)
-	if errors.Is(err, fs.ErrNotExist) {
-		// A store written before the series was kept binary holds it already
-		// formatted (DESIGN §10 says when this branch may go).
-		if f, err = s.store.OpenSibling(rec.key, legacySamplesExt); err != nil {
-			return false
-		}
-		defer f.Close()
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		io.Copy(w, f)
-		return true
-	}
 	if err != nil {
 		return false
 	}

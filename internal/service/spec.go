@@ -443,14 +443,12 @@ func (sp *ExperimentSpec) Key() (string, error) {
 	}{keyVersion, "experiment/" + sp.ID, cfg.SSD, cfg.Scale, cfg.SeedOffset, cfg.Age, cfg.Format})
 }
 
-// ReplayResult is the stored, JSON-serialisable digest of a sim.Result
-// (the Result itself holds struct-keyed maps and histograms that do not
-// marshal).
-type ReplayResult struct {
-	Scheme   string `json:"scheme"`
-	Requests int64  `json:"requests"`
-	Reads    int64  `json:"reads"`
-	Writes   int64  `json:"writes"`
+// RequestDigest is what every stored replay digest opens with: request
+// counts and response-time means and tails (logical ones for a fleet).
+type RequestDigest struct {
+	Requests int64 `json:"requests"`
+	Reads    int64 `json:"reads"`
+	Writes   int64 `json:"writes"`
 
 	AvgReadMs  float64 `json:"avg_read_ms"`
 	AvgWriteMs float64 `json:"avg_write_ms"`
@@ -458,7 +456,40 @@ type ReplayResult struct {
 	ReadP99Ms  float64 `json:"read_p99_ms"`
 	WriteP50Ms float64 `json:"write_p50_ms"`
 	WriteP99Ms float64 `json:"write_p99_ms"`
-	TotalIOMs  float64 `json:"total_io_ms"`
+}
+
+func requestDigest(m *sim.Measured) RequestDigest {
+	return RequestDigest{
+		Requests:   m.Requests,
+		Reads:      m.ReadCount,
+		Writes:     m.WriteCount,
+		AvgReadMs:  m.AvgReadLatency(),
+		AvgWriteMs: m.AvgWriteLatency(),
+		ReadP50Ms:  m.ReadLat.P50(),
+		ReadP99Ms:  m.ReadLat.P99(),
+		WriteP50Ms: m.WriteLat.P50(),
+		WriteP99Ms: m.WriteLat.P99(),
+	}
+}
+
+// SpanDigest is what every stored replay digest closes with: the arrival
+// span, the measured makespan and the aging programs.
+type SpanDigest struct {
+	TraceSpanMs    float64 `json:"trace_span_ms"`
+	MeasuredSpanMs float64 `json:"measured_span_ms"`
+	WarmupWrites   int64   `json:"warmup_writes"`
+}
+
+func spanDigest(m *sim.Measured) SpanDigest {
+	return SpanDigest{TraceSpanMs: m.TraceSpanMs, MeasuredSpanMs: m.MeasuredSpanMs, WarmupWrites: m.WarmupWrites}
+}
+
+// ReplayResult is the stored, JSON-serialisable digest of a sim.Result
+// (the Result itself holds histograms that do not marshal).
+type ReplayResult struct {
+	Scheme string `json:"scheme"`
+	RequestDigest
+	TotalIOMs float64 `json:"total_io_ms"`
 
 	Counters   ftl.Counters    `json:"counters"`
 	Wear       sim.WearSummary `json:"wear"`
@@ -466,9 +497,7 @@ type ReplayResult struct {
 	UtilMin    float64         `json:"utilisation_min"`
 	UtilMax    float64         `json:"utilisation_max"`
 
-	TraceSpanMs    float64 `json:"trace_span_ms"`
-	MeasuredSpanMs float64 `json:"measured_span_ms"`
-	WarmupWrites   int64   `json:"warmup_writes"`
+	SpanDigest
 
 	AcrossAreas     int64   `json:"across_areas,omitempty"`
 	AcrossRollbacks float64 `json:"across_rollback_ratio,omitempty"`
@@ -477,25 +506,15 @@ type ReplayResult struct {
 func replayResultDoc(res *sim.Result) *ReplayResult {
 	umin, umax := res.UtilisationSpread()
 	doc := &ReplayResult{
-		Scheme:         res.Scheme,
-		Requests:       res.Requests,
-		Reads:          res.ReadCount,
-		Writes:         res.WriteCount,
-		AvgReadMs:      res.AvgReadLatency(),
-		AvgWriteMs:     res.AvgWriteLatency(),
-		ReadP50Ms:      res.ReadLat.P50(),
-		ReadP99Ms:      res.ReadLat.P99(),
-		WriteP50Ms:     res.WriteLat.P50(),
-		WriteP99Ms:     res.WriteLat.P99(),
-		TotalIOMs:      res.TotalIOTime(),
-		Counters:       res.Counters,
-		Wear:           res.Wear,
-		TableBytes:     res.TableBytes,
-		UtilMin:        umin,
-		UtilMax:        umax,
-		TraceSpanMs:    res.TraceSpanMs,
-		MeasuredSpanMs: res.MeasuredSpanMs,
-		WarmupWrites:   res.WarmupWrites,
+		Scheme:        res.Scheme,
+		RequestDigest: requestDigest(&res.Measured),
+		TotalIOMs:     res.TotalIOTime(),
+		Counters:      res.Counters,
+		Wear:          res.Wear,
+		TableBytes:    res.TableBytes,
+		UtilMin:       umin,
+		UtilMax:       umax,
+		SpanDigest:    spanDigest(&res.Measured),
 	}
 	if res.Across != nil {
 		doc.AcrossAreas = res.Across.AreasTouched()
@@ -514,16 +533,7 @@ type FleetReplayResult struct {
 	Devices int    `json:"devices"`
 	ChunkKB int64  `json:"chunk_kb"`
 
-	Requests int64 `json:"requests"`
-	Reads    int64 `json:"reads"`
-	Writes   int64 `json:"writes"`
-
-	AvgReadMs  float64 `json:"avg_read_ms"`
-	AvgWriteMs float64 `json:"avg_write_ms"`
-	ReadP50Ms  float64 `json:"read_p50_ms"`
-	ReadP99Ms  float64 `json:"read_p99_ms"`
-	WriteP50Ms float64 `json:"write_p50_ms"`
-	WriteP99Ms float64 `json:"write_p99_ms"`
+	RequestDigest
 
 	ThroughputRPS float64 `json:"throughput_rps"`
 	Fanout        float64 `json:"fanout"`
@@ -539,9 +549,7 @@ type FleetReplayResult struct {
 
 	PerDevice []fleet.DeviceReport `json:"per_device"`
 
-	TraceSpanMs    float64 `json:"trace_span_ms"`
-	MeasuredSpanMs float64 `json:"measured_span_ms"`
-	WarmupWrites   int64   `json:"warmup_writes"`
+	SpanDigest
 }
 
 func fleetResultDoc(res *fleet.Result, chips int) *FleetReplayResult {
@@ -551,28 +559,18 @@ func fleetResultDoc(res *fleet.Result, chips int) *FleetReplayResult {
 		Layout:             string(res.Layout),
 		Devices:            res.Devices,
 		ChunkKB:            res.ChunkSectors * ssdconf.SectorBytes / 1024,
-		Requests:           res.Requests,
-		Reads:              res.ReadCount,
-		Writes:             res.WriteCount,
-		AvgReadMs:          res.AvgReadLatency(),
-		AvgWriteMs:         res.AvgWriteLatency(),
-		ReadP50Ms:          res.ReadLat.P50(),
-		ReadP99Ms:          res.ReadLat.P99(),
-		WriteP50Ms:         res.WriteLat.P50(),
-		WriteP99Ms:         res.WriteLat.P99(),
+		RequestDigest:      requestDigest(&res.Measured),
 		ThroughputRPS:      res.Throughput(),
 		Fanout:             res.Fanout(),
-		SubRequests:        res.SubRequests,
-		LogicalAcrossRatio: res.LogicalClasses.Ratio(trace.ClassAcross),
+		SubRequests:        res.SubRequests(),
+		LogicalAcrossRatio: res.LogicalClasses().Ratio(trace.ClassAcross),
 		SubAcrossRatio:     res.SubClasses.Ratio(trace.ClassAcross),
 		SubUnalignedRatio:  res.SubClasses.Ratio(trace.ClassUnaligned),
 		Counters:           res.Counters(),
 		UtilMin:            umin,
 		UtilMax:            umax,
 		PerDevice:          res.PerDevice,
-		TraceSpanMs:        res.TraceSpanMs,
-		MeasuredSpanMs:     res.MeasuredSpanMs,
-		WarmupWrites:       res.WarmupWrites,
+		SpanDigest:         spanDigest(&res.Measured),
 	}
 }
 
@@ -594,12 +592,8 @@ type Entry struct {
 }
 
 // samplesExt names a replay entry's sibling: the sample series as
-// obs.EncodeSeries writes it. legacySamplesExt is the sibling daemons before
-// that wrote: the same series already formatted as NDJSON.
-const (
-	samplesExt       = ".samples.axss"
-	legacySamplesExt = ".samples.ndjson"
-)
+// obs.EncodeSeries writes it.
+const samplesExt = ".samples.axss"
 
 // putSeries stores a replay's sample series as its entry's sibling, in the
 // sampler's own terms: formatting it is left to whoever asks for it

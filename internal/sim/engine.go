@@ -11,12 +11,6 @@ import (
 	"across/internal/trace"
 )
 
-// cancelCheckMask bounds how stale a replay's view of its context can get:
-// cancellation is polled every cancelCheckMask+1 requests, so a cancelled or
-// timed-out ReplayQDCtx stops within 64 requests of the signal while the
-// uncancelled hot path pays only a nil-channel select once per 64 requests.
-const cancelCheckMask = 63
-
 // Runner owns one scheme instance over one simulated device and replays
 // traces against it.
 type Runner struct {
@@ -67,59 +61,124 @@ func (r *Runner) ReplayQD(reqs []trace.Request, qd int) (*Result, error) {
 	return r.ReplayQDCtx(context.Background(), reqs, qd)
 }
 
-// reqRecord is everything the metric fold needs to know about one serviced
-// request.
-type reqRecord struct {
-	op      trace.Op
-	class   trace.Class
-	count   int32
-	lat     float64
-	flushes int64
-	reads   int64
+// cancelCheckMask bounds how stale a replay's view of its context can get:
+// Drive polls cancellation every cancelCheckMask+1 requests, so a cancelled
+// or timed-out replay stops within 64 requests of the signal while the
+// uncancelled hot path pays only a nil-channel select once per 64 requests.
+const cancelCheckMask = 63
+
+// Served is what serving one host request yields: its completion time and
+// the flash data programs and reads (host and GC) attributed to it.
+type Served struct {
+	Done           float64
+	Flushes, Reads int64
 }
 
-// foldRecord applies one request's observations to the Result.
-func (res *Result) foldRecord(buckets *[2][3]*OpClassMetrics, rec reqRecord) {
-	res.Requests++
-	if rec.op == trace.OpWrite {
-		res.WriteCount++
-		res.WriteLatencySum += rec.lat
-		res.WriteLat.Add(rec.lat)
-	} else {
-		res.ReadCount++
-		res.ReadLatencySum += rec.lat
-		res.ReadLat.Add(rec.lat)
-	}
-	b := buckets[rec.op][rec.class]
-	b.Requests++
-	b.Sectors += int64(rec.count)
-	b.LatencySum += rec.lat
-	b.Flushes += rec.flushes
-	b.FlashReads += rec.reads
-}
+// ServeFunc serves request i of a replay, issued at time issue (its
+// arrival, or later when the host queue was full).
+type ServeFunc func(i int, req trace.Request, issue float64) (Served, error)
 
-// beginReplay resets measurement state and prepares the Result with every
-// (direction, class) bucket preallocated, so the replay loop never hashes a
-// map key or allocates a metrics struct.
-func (r *Runner) beginReplay() (*Result, *[2][3]*OpClassMetrics) {
-	r.ResetMeasurement()
-	res := &Result{
-		Scheme:       r.Scheme.Name(),
-		ByBucket:     make(map[BucketKey]*OpClassMetrics, 6),
-		WarmupWrites: r.warmupWrites,
+// Drive is the host loop every replay runs through, a device's or a
+// volume's. It takes reqs in trace order on the calling goroutine, has
+// serve service each one, and folds the response time — trace arrival to
+// completion, so host-queue delay counts — into m per direction and per
+// (direction, alignment class under spp sectors per page). qd bounds the
+// host queue: at most qd requests are outstanding, and a request whose
+// arrival finds the queue full is issued at the earliest completion
+// (closed loop, the way a host with qd in-flight commands drives a
+// device); qd <= 0 issues every request at its arrival (open loop). ctx is
+// polled every 64 requests. After the last request Drive sets the spans:
+// the makespan runs from the first arrival to the later of the last
+// arrival and horizon(), the time the device or devices go idle.
+func (m *Measured) Drive(ctx context.Context, reqs []trace.Request, qd, spp int, serve ServeFunc, horizon func() float64) error {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	buckets := new([2][3]*OpClassMetrics)
-	for _, op := range []trace.Op{trace.OpRead, trace.OpWrite} {
-		for _, class := range []trace.Class{trace.ClassAligned, trace.ClassAcross, trace.ClassUnaligned} {
-			buckets[op][class] = res.Bucket(op, class)
+	var inflight []float64 // completion times of outstanding requests (QD mode)
+	if qd > 0 {
+		inflight = make([]float64, 0, qd)
+	}
+	done := ctx.Done() // nil for Background: the select below always falls through
+	for i, req := range reqs {
+		if i&cancelCheckMask == 0 {
+			select {
+			case <-done:
+				return fmt.Errorf("replay cancelled at request %d/%d: %w", i, len(reqs), ctx.Err())
+			default:
+			}
 		}
+		issue := req.Time
+		if qd > 0 {
+			// Retire completed requests, then defer the issue to the
+			// earliest completion if the queue is still full.
+			for {
+				kept := inflight[:0]
+				earliest := -1.0
+				for _, c := range inflight {
+					if c > issue {
+						kept = append(kept, c)
+						if earliest < 0 || c < earliest {
+							earliest = c
+						}
+					}
+				}
+				inflight = kept
+				if len(inflight) < qd {
+					break
+				}
+				issue = earliest
+			}
+		}
+		s, err := serve(i, req, issue)
+		if err != nil {
+			return err
+		}
+		if qd > 0 {
+			inflight = append(inflight, s.Done)
+		}
+		m.fold(req, req.Classify(spp), s)
 	}
-	return res, buckets
+	if n := len(reqs); n > 0 {
+		m.TraceSpanMs = reqs[n-1].Time - reqs[0].Time
+		end := horizon()
+		if reqs[n-1].Time > end {
+			end = reqs[n-1].Time
+		}
+		m.MeasuredSpanMs = end - reqs[0].Time
+	}
+	return nil
+}
+
+// fold applies one served request to the measured core.
+func (m *Measured) fold(req trace.Request, class trace.Class, s Served) {
+	lat := s.Done - req.Time
+	m.Requests++
+	if req.Op == trace.OpWrite {
+		m.WriteCount++
+		m.WriteLatencySum += lat
+		m.WriteLat.Add(lat)
+	} else {
+		m.ReadCount++
+		m.ReadLatencySum += lat
+		m.ReadLat.Add(lat)
+	}
+	b := &m.ByBucket[req.Op][class]
+	b.Requests++
+	b.Sectors += int64(req.Count)
+	b.LatencySum += lat
+	b.Flushes += s.Flushes
+	b.FlashReads += s.Reads
+}
+
+// beginReplay resets measurement state and seeds the Result.
+func (r *Runner) beginReplay() *Result {
+	r.ResetMeasurement()
+	return &Result{Scheme: r.Scheme.Name(), Measured: Measured{WarmupWrites: r.warmupWrites}}
 }
 
 // finishReplay collects the end-of-run Result fields that are functions of
 // final device and scheme state.
-func (r *Runner) finishReplay(res *Result, reqs []trace.Request) {
+func (r *Runner) finishReplay(res *Result) {
 	dev := r.Scheme.Device()
 	res.Counters = dev.Count
 	res.TableBytes = r.Scheme.TableBytes()
@@ -128,17 +187,6 @@ func (r *Runner) finishReplay(res *Result, reqs []trace.Request) {
 	res.ChipBusyMs = make([]float64, dev.Sched.Chips())
 	for i := range res.ChipBusyMs {
 		res.ChipBusyMs[i] = dev.Sched.BusyTime(i)
-	}
-	if n := len(reqs); n > 0 {
-		res.TraceSpanMs = reqs[n-1].Time - reqs[0].Time
-		// The measured makespan runs to the device idle horizon: service
-		// (and GC) extends past the last arrival, so utilisation uses this
-		// denominator, not the arrival span.
-		end := dev.Sched.Horizon()
-		if reqs[n-1].Time > end {
-			end = reqs[n-1].Time
-		}
-		res.MeasuredSpanMs = end - reqs[0].Time
 	}
 	if a, ok := ftl.As[acrossCensus](r.Scheme); ok {
 		st := a.Stats()
@@ -162,20 +210,45 @@ func (r *Runner) ResetMeasurement() {
 	}
 }
 
-// ReplayQDCtx is ReplayQD with cancellation. The context is polled every
-// cancelCheckMask+1 requests, so long replays driven by a job scheduler can
-// be stopped promptly without the hot path paying a per-request check.
-func (r *Runner) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// Dispatch serves one request on this runner's scheme at time issue, with
+// no tracer, checker or sampler in the way: its completion time and the
+// flash data programs and reads (host and GC) it caused, read as deltas of
+// the device counters. A replay calls it once per request and a fleet once
+// per fragment.
+func (r *Runner) Dispatch(req trace.Request, issue float64) (Served, error) {
 	dev := r.Scheme.Device()
-	res, buckets := r.beginReplay()
-	spp := r.Conf.SectorsPerPage()
-	var inflight []float64 // completion times of outstanding requests (QD mode)
-	if qd > 0 {
-		inflight = make([]float64, 0, qd)
+	wBefore := dev.Count.DataWrites + dev.Count.GCWrites
+	rBefore := dev.Count.DataReads + dev.Count.GCReads
+	var (
+		done float64
+		err  error
+	)
+	switch req.Op {
+	case trace.OpWrite:
+		done, err = r.Scheme.Write(req, issue)
+	case trace.OpRead:
+		done, err = r.Scheme.Read(req, issue)
+	default:
+		err = fmt.Errorf("unknown op %d", req.Op)
 	}
+	if err != nil {
+		return Served{}, err
+	}
+	return Served{
+		Done:    done,
+		Flushes: (dev.Count.DataWrites + dev.Count.GCWrites) - wBefore,
+		Reads:   (dev.Count.DataReads + dev.Count.GCReads) - rBefore,
+	}, nil
+}
+
+// ReplayQDCtx is ReplayQD with cancellation: Drive polls ctx every 64
+// requests, so long replays driven by a job scheduler can be stopped
+// promptly without the hot path paying a per-request check. Each request
+// is served by Dispatch between the tracer, sampler and checker hooks.
+func (r *Runner) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int) (*Result, error) {
+	dev := r.Scheme.Device()
+	res := r.beginReplay()
+	spp := r.Conf.SectorsPerPage()
 
 	// Observability (nil-guarded: the untraced replay pays one branch per
 	// site and zero allocations). The sampler tracks its own in-flight set
@@ -204,37 +277,7 @@ func (r *Runner) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int) 
 		}
 	}
 
-	done := ctx.Done() // nil for Background: the select below always falls through
-	for i, req := range reqs {
-		if i&cancelCheckMask == 0 {
-			select {
-			case <-done:
-				return nil, fmt.Errorf("sim: replay cancelled at request %d/%d: %w", i, len(reqs), ctx.Err())
-			default:
-			}
-		}
-		issue := req.Time
-		if qd > 0 {
-			// Retire completed requests, then defer the issue to the
-			// earliest completion if the queue is still full.
-			for {
-				kept := inflight[:0]
-				earliest := -1.0
-				for _, c := range inflight {
-					if c > issue {
-						kept = append(kept, c)
-						if earliest < 0 || c < earliest {
-							earliest = c
-						}
-					}
-				}
-				inflight = kept
-				if len(inflight) < qd {
-					break
-				}
-				issue = earliest
-			}
-		}
+	serve := func(i int, req trace.Request, issue float64) (Served, error) {
 		if smp != nil {
 			// Retire the sampler's in-flight view and advance its clock
 			// before dispatch, so a boundary sample sees the state as of
@@ -248,27 +291,13 @@ func (r *Runner) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int) 
 			obsInflight = kept
 			smp.Tick(issue, fill)
 		}
-		class := req.Classify(spp)
 		if trc != nil {
-			trc.RequestStart(int64(i), req.Op == trace.OpWrite, uint8(class),
+			trc.RequestStart(int64(i), req.Op == trace.OpWrite, uint8(req.Classify(spp)),
 				req.Offset, int64(req.Count), int(req.LastLPN(spp)-req.FirstLPN(spp))+1, issue)
 		}
-		var (
-			done float64
-			err  error
-		)
-		wBefore := dev.Count.DataWrites + dev.Count.GCWrites
-		rBefore := dev.Count.DataReads + dev.Count.GCReads
-		switch req.Op {
-		case trace.OpWrite:
-			done, err = r.Scheme.Write(req, issue)
-		case trace.OpRead:
-			done, err = r.Scheme.Read(req, issue)
-		default:
-			err = fmt.Errorf("sim: request %d has unknown op %d", i, req.Op)
-		}
+		s, err := r.Dispatch(req, issue)
 		if err != nil {
-			return nil, fmt.Errorf("sim: replaying request %d (%v): %w", i, req, err)
+			return s, fmt.Errorf("replaying request %d (%v): %w", i, req, err)
 		}
 		if chk != nil {
 			var cerr error
@@ -278,36 +307,26 @@ func (r *Runner) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int) 
 				cerr = chk.OnRead(req)
 			}
 			if cerr != nil {
-				return nil, fmt.Errorf("sim: verification failed after request %d (%v): %w", i, req, cerr)
+				return s, fmt.Errorf("verification failed after request %d (%v): %w", i, req, cerr)
 			}
 		}
-		if qd > 0 {
-			inflight = append(inflight, done)
-		}
-		// Latency is measured from the trace arrival, so queueing delay in
-		// the host queue (QD mode) counts toward the response time.
-		lat := done - req.Time
 		if trc != nil {
-			trc.RequestEnd(int64(i), req.Op == trace.OpWrite, done)
+			trc.RequestEnd(int64(i), req.Op == trace.OpWrite, s.Done)
 		}
 		if smp != nil {
-			smp.Note(req.Op == trace.OpWrite, lat)
+			smp.Note(req.Op == trace.OpWrite, s.Done-req.Time)
 			if req.Op == trace.OpWrite {
 				hostPagesWritten += req.LastLPN(spp) - req.FirstLPN(spp) + 1
 			}
-			obsInflight = append(obsInflight, done)
-			if done > obsLastDone {
-				obsLastDone = done
+			obsInflight = append(obsInflight, s.Done)
+			if s.Done > obsLastDone {
+				obsLastDone = s.Done
 			}
 		}
-		res.foldRecord(buckets, reqRecord{
-			op:      req.Op,
-			class:   class,
-			count:   req.Count,
-			lat:     lat,
-			flushes: (dev.Count.DataWrites + dev.Count.GCWrites) - wBefore,
-			reads:   (dev.Count.DataReads + dev.Count.GCReads) - rBefore,
-		})
+		return s, nil
+	}
+	if err := res.Drive(ctx, reqs, qd, spp, serve, dev.Sched.Horizon); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 
 	if chk != nil {
@@ -316,7 +335,7 @@ func (r *Runner) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int) 
 		}
 	}
 
-	r.finishReplay(res, reqs)
+	r.finishReplay(res)
 	if smp != nil {
 		// The run ends when the last completion lands: bus transfers can
 		// finish after the chip-busy horizon, and arrivals can trail the

@@ -45,9 +45,7 @@ func assertIdentical(t *testing.T, want, got *Result, label string) {
 	if !reflect.DeepEqual(want.ChipBusyMs, got.ChipBusyMs) {
 		t.Errorf("%s: chip busy %v vs %v", label, want.ChipBusyMs, got.ChipBusyMs)
 	}
-	for k, wm := range want.ByBucket {
-		if gm := got.ByBucket[k]; gm == nil || *gm != *wm {
-			t.Errorf("%s: bucket %v %+v vs %+v", label, k, wm, got.ByBucket[k])
-		}
+	if want.ByBucket != got.ByBucket {
+		t.Errorf("%s: buckets %+v vs %+v", label, want.ByBucket, got.ByBucket)
 	}
 }

@@ -42,12 +42,6 @@ func (m OpClassMetrics) AvgLatency() float64 {
 	return m.LatencySum / float64(m.Requests)
 }
 
-// BucketKey indexes the per-class metrics.
-type BucketKey struct {
-	Op    trace.Op
-	Class trace.Class
-}
-
 // WearSummary is the per-block erase-count distribution after a run: the
 // wear-levelling view of endurance (a uniform distribution wears out later
 // than the same mean with a hot tail).
@@ -67,22 +61,99 @@ type (
 	statsResetter  interface{ ResetStats() }
 )
 
-// Result is everything one replay produces.
-type Result struct {
-	Scheme   string
-	Requests int64
+// Measured is the measured core of every host replay, one device or a
+// volume of them: the per-request response times the host loop (Drive)
+// folds per direction and per (direction, alignment class), and the span
+// the replay ran over. sim.Result and fleet.Result both embed it.
+type Measured struct {
+	Requests   int64 `json:"requests"`
+	ReadCount  int64 `json:"reads"`
+	WriteCount int64 `json:"writes"`
 
-	ReadCount, WriteCount           int64
-	ReadLatencySum, WriteLatencySum float64 // ms
+	ReadLatencySum  float64 `json:"read_latency_sum_ms"`
+	WriteLatencySum float64 `json:"write_latency_sum_ms"`
 
 	// ReadLat / WriteLat hold the full latency distributions; P99 and the
 	// other tail quantiles come from here.
-	ReadLat  stats.Histogram
-	WriteLat stats.Histogram
+	ReadLat  stats.Histogram `json:"-"`
+	WriteLat stats.Histogram `json:"-"`
+
+	// ByBucket aggregates requests per [direction][alignment class], with
+	// the flash data traffic (host and GC) each request caused.
+	ByBucket [2][3]OpClassMetrics `json:"by_bucket"`
+
+	// TraceSpanMs is the arrival span of the replayed trace.
+	TraceSpanMs float64 `json:"trace_span_ms"`
+	// MeasuredSpanMs is the measured-phase makespan: first arrival to the
+	// later of the last arrival and the idle horizon of every device
+	// replayed. Service and GC extend past the last arrival, so this — not
+	// TraceSpanMs — is the utilisation and throughput denominator.
+	MeasuredSpanMs float64 `json:"measured_span_ms"`
+
+	WarmupWrites int64 `json:"warmup_writes"` // page programs spent aging (not in the counters)
+}
+
+// AvgReadLatency returns the mean read response time (Fig 9a).
+func (m *Measured) AvgReadLatency() float64 {
+	if m.ReadCount == 0 {
+		return 0
+	}
+	return m.ReadLatencySum / float64(m.ReadCount)
+}
+
+// AvgWriteLatency returns the mean write response time (Fig 9b).
+func (m *Measured) AvgWriteLatency() float64 {
+	if m.WriteCount == 0 {
+		return 0
+	}
+	return m.WriteLatencySum / float64(m.WriteCount)
+}
+
+// TotalIOTime returns the summed response time of all requests in ms
+// (Fig 9c / Fig 14a report it in kiloseconds).
+func (m *Measured) TotalIOTime() float64 { return m.ReadLatencySum + m.WriteLatencySum }
+
+// Throughput returns requests per simulated second over the measured
+// makespan (0 when the span is zero) — the y axis of the saturation sweep.
+func (m *Measured) Throughput() float64 {
+	if m.MeasuredSpanMs <= 0 {
+		return 0
+	}
+	return float64(m.Requests) / (m.MeasuredSpanMs / 1000)
+}
+
+// Bucket returns the metrics bucket for a direction and alignment class.
+func (m *Measured) Bucket(op trace.Op, class trace.Class) *OpClassMetrics {
+	return &m.ByBucket[op][class]
+}
+
+// MergedNormal returns the combined non-across buckets for a direction:
+// the "Normal Req." series of Fig 4.
+func (m *Measured) MergedNormal(op trace.Op) OpClassMetrics {
+	var out OpClassMetrics
+	for _, class := range []trace.Class{trace.ClassAligned, trace.ClassUnaligned} {
+		b := &m.ByBucket[op][class]
+		out.Requests += b.Requests
+		out.Sectors += b.Sectors
+		out.LatencySum += b.LatencySum
+		out.Flushes += b.Flushes
+		out.FlashReads += b.FlashReads
+	}
+	return out
+}
+
+// AcrossBucket returns the across-page bucket for a direction.
+func (m *Measured) AcrossBucket(op trace.Op) OpClassMetrics {
+	return m.ByBucket[op][trace.ClassAcross]
+}
+
+// Result is everything one single-device replay produces: the measured
+// core and the device and scheme state at the end of the run.
+type Result struct {
+	Scheme string
+	Measured
 
 	Counters ftl.Counters // flash ops, erases, DRAM accesses (measured phase)
-
-	ByBucket map[BucketKey]*OpClassMetrics
 
 	TableBytes int64
 	CMT        cache.CMTStats   // mapping-cache behaviour (MRSM and Across-FTL; zero otherwise)
@@ -91,30 +162,17 @@ type Result struct {
 	Wear WearSummary // per-block erase distribution (lifetime, not per-phase)
 
 	// ChipBusyMs is the accumulated service time per chip during the
-	// measured phase; with the trace duration it gives per-chip utilisation
+	// measured phase; with the measured span it gives per-chip utilisation
 	// and shows how evenly dynamic allocation spreads load.
 	ChipBusyMs []float64
-	// TraceSpanMs is the arrival span of the replayed trace.
-	TraceSpanMs float64
-	// MeasuredSpanMs is the measured-phase makespan: first arrival to the
-	// later of the last arrival and the device idle horizon. Service and GC
-	// extend past the last arrival, so this — not TraceSpanMs — is the
-	// utilisation denominator.
-	MeasuredSpanMs float64
-
-	WarmupWrites int64 // page programs spent aging (not in Counters)
 }
 
 // ChipUtilisation returns per-chip busy fractions over the measured
 // makespan (nil when the span is zero). Dividing by the arrival span
 // instead would report fractions above 1.0 whenever service runs past the
-// last arrival — e.g. a burst trace whose requests all arrive up front;
-// results recorded before MeasuredSpanMs existed fall back to it.
+// last arrival — e.g. a burst trace whose requests all arrive up front.
 func (r *Result) ChipUtilisation() []float64 {
 	span := r.MeasuredSpanMs
-	if span <= 0 {
-		span = r.TraceSpanMs
-	}
 	if span <= 0 {
 		return nil
 	}
@@ -142,59 +200,4 @@ func (r *Result) UtilisationSpread() (min, max float64) {
 		}
 	}
 	return min, max
-}
-
-// AvgReadLatency returns the mean read response time (Fig 9a).
-func (r *Result) AvgReadLatency() float64 {
-	if r.ReadCount == 0 {
-		return 0
-	}
-	return r.ReadLatencySum / float64(r.ReadCount)
-}
-
-// AvgWriteLatency returns the mean write response time (Fig 9b).
-func (r *Result) AvgWriteLatency() float64 {
-	if r.WriteCount == 0 {
-		return 0
-	}
-	return r.WriteLatencySum / float64(r.WriteCount)
-}
-
-// TotalIOTime returns the summed response time of all requests in ms
-// (Fig 9c / Fig 14a report it in kiloseconds).
-func (r *Result) TotalIOTime() float64 { return r.ReadLatencySum + r.WriteLatencySum }
-
-// Bucket returns (allocating if needed) the metrics bucket for a key.
-func (r *Result) Bucket(op trace.Op, class trace.Class) *OpClassMetrics {
-	k := BucketKey{Op: op, Class: class}
-	m := r.ByBucket[k]
-	if m == nil {
-		m = &OpClassMetrics{}
-		r.ByBucket[k] = m
-	}
-	return m
-}
-
-// MergedNormal returns the combined non-across buckets for a direction:
-// the "Normal Req." series of Fig 4.
-func (r *Result) MergedNormal(op trace.Op) OpClassMetrics {
-	var out OpClassMetrics
-	for _, class := range []trace.Class{trace.ClassAligned, trace.ClassUnaligned} {
-		if m, ok := r.ByBucket[BucketKey{Op: op, Class: class}]; ok {
-			out.Requests += m.Requests
-			out.Sectors += m.Sectors
-			out.LatencySum += m.LatencySum
-			out.Flushes += m.Flushes
-			out.FlashReads += m.FlashReads
-		}
-	}
-	return out
-}
-
-// AcrossBucket returns the across-page bucket for a direction.
-func (r *Result) AcrossBucket(op trace.Op) OpClassMetrics {
-	if m, ok := r.ByBucket[BucketKey{Op: op, Class: trace.ClassAcross}]; ok {
-		return *m
-	}
-	return OpClassMetrics{}
 }

@@ -89,7 +89,7 @@ func TestPartialGCShortensTail(t *testing.T) {
 }
 
 func TestMergedNormalCombinesBuckets(t *testing.T) {
-	res := &Result{ByBucket: map[BucketKey]*OpClassMetrics{}}
+	res := &Result{}
 	res.Bucket(trace.OpWrite, trace.ClassAligned).Requests = 3
 	res.Bucket(trace.OpWrite, trace.ClassAligned).Sectors = 30
 	res.Bucket(trace.OpWrite, trace.ClassUnaligned).Requests = 2

@@ -131,9 +131,11 @@ func TestReplayCollectsCoherentMetrics(t *testing.T) {
 		// Bucket totals reconcile with direction totals.
 		var bucketReqs int64
 		var bucketLat float64
-		for _, m := range res.ByBucket {
-			bucketReqs += m.Requests
-			bucketLat += m.LatencySum
+		for _, byClass := range res.ByBucket {
+			for _, m := range byClass {
+				bucketReqs += m.Requests
+				bucketLat += m.LatencySum
+			}
 		}
 		if bucketReqs != res.Requests {
 			t.Errorf("%s: bucket requests %d != %d", kind, bucketReqs, res.Requests)
