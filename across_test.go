@@ -264,13 +264,14 @@ func TestRecoverFromCrashKeepsHostCache(t *testing.T) {
 	}
 	var readBack []Request
 	acked := map[int64]ftl.SectorSource{}
+	srcOf, _ := ftl.As[check.SectorResolver](r.Scheme)
 	for _, w := range reqs {
 		if w.Op != trace.OpWrite {
 			continue
 		}
 		readBack = append(readBack, Request{Time: w.Time, Op: trace.OpRead, Offset: w.Offset, Count: w.Count})
 		for sec := w.Offset; sec < w.End(); sec++ {
-			src, err := r.Scheme.(check.SectorResolver).ResolveSector(sec)
+			src, _, err := srcOf.ResolveRun(sec)
 			if err != nil || src.Kind == ftl.SrcUnwritten {
 				t.Fatalf("sector %d before the crash: (%+v, %v)", sec, src, err)
 			}
@@ -300,8 +301,9 @@ func TestRecoverFromCrashKeepsHostCache(t *testing.T) {
 	if hc, ok := restored.Scheme.(*hostcache.Scheme); !ok || hc.CachePages() != cachePages {
 		t.Fatalf("recovered runner's snapshot restores as %s, want a %d-page cache", restored.Scheme.Name(), cachePages)
 	}
+	srcOf, _ = ftl.As[check.SectorResolver](rec.Scheme)
 	for sec, want := range acked {
-		if got, err := rec.Scheme.(check.SectorResolver).ResolveSector(sec); err != nil || got != want {
+		if got, _, err := srcOf.ResolveRun(sec); err != nil || got != want {
 			t.Fatalf("sector %d: recovered source (%+v, %v), acknowledged at %+v", sec, got, err, want)
 		}
 	}

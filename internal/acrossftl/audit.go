@@ -192,14 +192,8 @@ func (s *Scheme) ResolveRun(sec int64) (ftl.SectorSource, int64, error) {
 	}, end, nil
 }
 
-// ResolveSector implements check.SectorResolver: ResolveRun without the end.
-func (s *Scheme) ResolveSector(sec int64) (ftl.SectorSource, error) {
-	src, _, err := s.ResolveRun(sec)
-	return src, err
-}
-
 // VisitWritten implements check.SectorResolver, the bulk form of
-// ResolveSector: the mapped pages, then every area ResolveSector can reach —
+// ResolveRun: the mapped pages, then every area ResolveRun can reach —
 // through PMT.AIdxOf, never by scanning AMT slots, so a leaked slot marks
 // nothing — cut to the two pages it is consulted for.
 func (s *Scheme) VisitWritten(fn func(start, end int64)) {

@@ -53,17 +53,16 @@ type Auditable interface {
 // exclusive end of a run [sec, end), end > sec and within the device, every
 // sector of which resolves to a source equal to sec's. A run may stop short
 // of the longest such stretch, never past it; schemes cut it where their
-// source can change (a page, sub-page or area boundary). ResolveSector is
-// ResolveRun without the end.
+// source can change (a page, sub-page or area boundary).
 //
-// VisitWritten is the bulk form of "ResolveSector(sec).Kind != SrcUnwritten":
-// it calls fn with runs [start, end) whose union is exactly the sectors
-// ResolveSector gives a source, reached the way ResolveSector reaches them.
+// VisitWritten is the bulk form of "ResolveRun(sec)'s source is not
+// SrcUnwritten": it calls fn with runs [start, end) whose union is exactly
+// the sectors ResolveRun gives a source, reached the way ResolveRun reaches
+// them.
 // Runs may overlap, arrive in any order and extend past the device's last
 // sector. It is observation only, like resolution, and has no error path.
 type SectorResolver interface {
 	ResolveRun(sec int64) (src ftl.SectorSource, end int64, err error)
-	ResolveSector(sec int64) (ftl.SectorSource, error)
 	VisitWritten(fn func(start, end int64))
 }
 

@@ -14,16 +14,27 @@ import (
 	"across/internal/workload"
 )
 
-// perSector resolves every logical sector with its own ResolveSector call:
-// the oracle the bulk seed (SectorResolver.VisitWritten) and the run ends
-// (SectorResolver.ResolveRun) are pinned to. It also counts what the state
-// under test contains, so a scenario cannot pass vacuously.
+// resolver finds s's SectorResolver, beneath a host cache if s is one.
+func resolver(t testing.TB, s ftl.Scheme) check.SectorResolver {
+	t.Helper()
+	res, ok := ftl.As[check.SectorResolver](s)
+	if !ok {
+		t.Fatalf("%s resolves no sectors", s.Name())
+	}
+	return res
+}
+
+// perSector resolves every logical sector with its own ResolveRun call,
+// keeping only the source: the oracle the bulk seed
+// (SectorResolver.VisitWritten) and the run ends (SectorResolver.ResolveRun)
+// are pinned to. It also counts what the state under test contains, so a
+// scenario cannot pass vacuously.
 func perSector(t testing.TB, s ftl.Scheme) (srcs []ftl.SectorSource, buffered, inAreas int) {
 	t.Helper()
-	res := s.(check.SectorResolver)
+	res := resolver(t, s)
 	srcs = make([]ftl.SectorSource, s.Device().Conf.LogicalSectors())
 	for sec := range srcs {
-		src, err := res.ResolveSector(int64(sec))
+		src, _, err := res.ResolveRun(int64(sec))
 		if err != nil {
 			t.Fatalf("resolving sector %d: %v", sec, err)
 		}
@@ -83,7 +94,7 @@ func runsAgree(t *testing.T, s ftl.Scheme) (buffered, inAreas int) {
 			stretch[sec] = stretch[sec+1]
 		}
 	}
-	res := s.(check.SectorResolver)
+	res := resolver(t, s)
 	for sec := int64(0); sec < n; sec++ {
 		_, end, err := res.ResolveRun(sec)
 		if err != nil {
@@ -187,7 +198,8 @@ func eachResolverState(t *testing.T, agree func(*testing.T, ftl.Scheme) (buffere
 	}
 }
 
-// TestShadowSeedMatchesResolveSector pins the bulk seed to the resolver.
+// TestShadowSeedMatchesResolveSector pins the bulk seed to the per-sector
+// resolution (perSector).
 func TestShadowSeedMatchesResolveSector(t *testing.T) { eachResolverState(t, seedsAgree) }
 
 // TestResolveRunMatchesResolveSector pins every run ResolveRun claims to the

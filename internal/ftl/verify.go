@@ -110,14 +110,8 @@ func (b *Base) ResolveRun(sec int64) (SectorSource, int64, error) {
 	}, end, nil
 }
 
-// ResolveSector implements check.SectorResolver: ResolveRun without the end.
-func (b *Base) ResolveSector(sec int64) (SectorSource, error) {
-	src, _, err := b.ResolveRun(sec)
-	return src, err
-}
-
 // VisitWritten implements check.SectorResolver, the bulk form of
-// ResolveSector: one run per stretch of consecutive mapped pages.
+// ResolveRun: one run per stretch of consecutive mapped pages.
 func (b *Base) VisitWritten(fn func(start, end int64)) {
 	spp, n := int64(b.SPP), b.PMT.Len()
 	for lpn := int64(0); lpn < n; lpn++ {

@@ -13,8 +13,6 @@
 package hostcache
 
 import (
-	"fmt"
-
 	"across/internal/cache"
 	"across/internal/ftl"
 	"across/internal/obs"
@@ -61,8 +59,10 @@ func (s *Scheme) TableBytes() int64 { return s.inner.TableBytes() }
 func (s *Scheme) Stats() Stats { return s.stats }
 
 // Inner returns the wrapped scheme. Capabilities the cache does not add
-// itself — auditing, the page allocator, the mapping-cache and Across-FTL
-// censuses — are found there with ftl.As: the data buffer holds copies,
+// itself — auditing, sector resolution, the page allocator, the
+// mapping-cache and Across-FTL censuses — are found there with ftl.As (a
+// cache hit serves a copy of exactly the data the inner scheme's source
+// holds): the data buffer holds copies,
 // never the sole copy (writes are write-through), so the inner scheme's
 // state is the device's.
 func (s *Scheme) Inner() ftl.Scheme { return s.inner }
@@ -72,33 +72,6 @@ func (s *Scheme) ResetStats() {
 	s.stats = Stats{}
 	if sr, ok := s.inner.(interface{ ResetStats() }); ok {
 		sr.ResetStats()
-	}
-}
-
-// ResolveRun forwards to the inner scheme: a cache hit serves a copy of
-// exactly the data the inner scheme's source holds. It stays on the wrapper,
-// with ResolveSector and VisitWritten, so a cached runner's Scheme is a
-// check.SectorResolver to a caller that holds only the stack.
-func (s *Scheme) ResolveRun(sec int64) (ftl.SectorSource, int64, error) {
-	if r, ok := s.inner.(interface {
-		ResolveRun(int64) (ftl.SectorSource, int64, error)
-	}); ok {
-		return r.ResolveRun(sec)
-	}
-	return ftl.SectorSource{}, 0, fmt.Errorf("hostcache: inner scheme %s does not support resolution", s.inner.Name())
-}
-
-// ResolveSector is ResolveRun without the end.
-func (s *Scheme) ResolveSector(sec int64) (ftl.SectorSource, error) {
-	src, _, err := s.ResolveRun(sec)
-	return src, err
-}
-
-// VisitWritten forwards to the inner scheme (see ResolveRun); an inner
-// scheme that cannot resolve has nothing to visit.
-func (s *Scheme) VisitWritten(fn func(start, end int64)) {
-	if v, ok := s.inner.(interface{ VisitWritten(func(start, end int64)) }); ok {
-		v.VisitWritten(fn)
 	}
 }
 

@@ -1,10 +1,11 @@
-// Package jobs is a bounded worker-pool job scheduler for simulation work:
-// the substrate under the acrossd daemon. It provides priority FIFO
-// queueing, content-addressed deduplication (two submissions with the same
-// key share one execution), per-job timeouts, retry with exponential
-// backoff for transient failures, cancellation of both queued and running
-// jobs, and a graceful drain that lets everything already accepted finish
-// before shutdown.
+// Package jobs is a bounded worker pool for simulation work: the substrate
+// under the acrossd daemon. It provides priority FIFO queueing, per-job
+// timeouts, retry with exponential backoff for transient failures,
+// cancellation of both queued and running jobs, and a graceful drain that
+// lets everything already accepted finish before shutdown. It keeps no
+// registry: once a job finishes, only the caller that submitted it holds
+// it, and that caller names, deduplicates and counts jobs itself
+// (internal/service does).
 //
 // Every job runs on one worker and is serial inside: the pool's width is the
 // only parallelism, so N independent replays spread across N cores.
@@ -79,11 +80,6 @@ var (
 
 // Job is one scheduled unit of work.
 type Job struct {
-	// ID is the scheduler-assigned identifier ("j-000001").
-	ID string
-	// Key is the content-address used for deduplication ("" = never
-	// deduplicated).
-	Key string
 	// Priority orders the queue: higher runs first; FIFO within a priority.
 	Priority int
 
@@ -91,16 +87,15 @@ type Job struct {
 	timeout time.Duration
 	seq     uint64
 
-	mu          sync.Mutex
-	state       State
-	result      any
-	err         error
-	attempts    int
-	cancelled   bool               // cancel requested (queued or running)
-	cancelRun   context.CancelFunc // cancels the running attempt
-	submittedAt time.Time
-	startedAt   time.Time
-	finishedAt  time.Time
+	mu         sync.Mutex
+	state      State
+	result     any
+	err        error
+	attempts   int
+	cancelled  bool               // cancel requested (queued or running)
+	cancelRun  context.CancelFunc // cancels the running attempt
+	startedAt  time.Time
+	finishedAt time.Time
 
 	done chan struct{}
 }
@@ -142,12 +137,39 @@ func (j *Job) Wait(ctx context.Context) error {
 	}
 }
 
-// Times returns the submit/start/finish timestamps (zero when the phase has
-// not been reached).
-func (j *Job) Times() (submitted, started, finished time.Time) {
+// Times returns the start/finish timestamps (zero when the phase has not
+// been reached).
+func (j *Job) Times() (started, finished time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.submittedAt, j.startedAt, j.finishedAt
+	return j.startedAt, j.finishedAt
+}
+
+// Cancel requests cancellation. A queued job finishes immediately as
+// cancelled; a running job's context is cancelled and it finishes as
+// cancelled once its Func returns. Cancel reports whether the job was not
+// already terminal.
+func (j *Job) Cancel() bool {
+	j.mu.Lock()
+	switch {
+	case j.state.Terminal():
+		j.mu.Unlock()
+		return false
+	case j.state == StateRunning:
+		j.cancelled = true
+		if j.cancelRun != nil {
+			j.cancelRun()
+		}
+		j.mu.Unlock()
+		return true
+	default:
+		// Queued: finish it as cancelled right away; the worker that later
+		// pops it sees a terminal job and skips it.
+		j.cancelled = true
+		j.mu.Unlock()
+		j.finish(nil, context.Canceled)
+		return true
+	}
 }
 
 // Options configures a Scheduler.
@@ -183,13 +205,9 @@ func (o Options) withDefaults() Options {
 
 // Stats is a point-in-time snapshot of scheduler occupancy.
 type Stats struct {
-	Queued    int   `json:"queued"`
-	Running   int   `json:"running"`
-	Succeeded int64 `json:"succeeded"`
-	Failed    int64 `json:"failed"`
-	Cancelled int64 `json:"cancelled"`
-	Deduped   int64 `json:"deduped"`
-	Draining  bool  `json:"draining"`
+	Queued   int  `json:"queued"`
+	Running  int  `json:"running"`
+	Draining bool `json:"draining"`
 	// Workers and QueueCap echo the scheduler's configured capacities so a
 	// snapshot is interpretable on its own (queued/QueueCap is the
 	// saturation ratio health endpoints report).
@@ -208,14 +226,10 @@ type Scheduler struct {
 	cond     *sync.Cond // signalled when the queue gains a job or the scheduler stops
 	idle     *sync.Cond // signalled when a job finishes (Drain waits on it)
 	queue    jobQueue
-	byID     map[string]*Job
-	byKey    map[string]*Job
 	seq      uint64
-	nextID   uint64
 	running  int
 	draining bool
 	closed   bool
-	stats    Stats
 
 	wg sync.WaitGroup
 }
@@ -228,8 +242,6 @@ func New(opts Options) *Scheduler {
 		opts:     opts,
 		rootCtx:  ctx,
 		rootStop: stop,
-		byID:     make(map[string]*Job),
-		byKey:    make(map[string]*Job),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.idle = sync.NewCond(&s.mu)
@@ -242,137 +254,51 @@ func New(opts Options) *Scheduler {
 
 // SubmitOpts tunes one submission.
 type SubmitOpts struct {
-	// Key deduplicates: if a non-terminal (or succeeded) job with the same
-	// key exists, it is returned instead of queueing a duplicate. Failed and
-	// cancelled jobs do not block resubmission.
-	Key string
 	// Priority orders the queue (higher first; FIFO within a priority).
 	Priority int
 	// Timeout overrides Options.DefaultTimeout for this job (0 = inherit).
 	Timeout time.Duration
 }
 
-// Submit queues fn. The returned bool is true when an existing job was
-// returned instead of queueing a new one (dedup hit).
-func (s *Scheduler) Submit(opts SubmitOpts, fn Func) (*Job, bool, error) {
+// Submit queues fn.
+func (s *Scheduler) Submit(opts SubmitOpts, fn Func) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining || s.closed {
-		return nil, false, ErrDraining
-	}
-	if opts.Key != "" {
-		if prev, ok := s.byKey[opts.Key]; ok {
-			st := prev.State()
-			if st != StateFailed && st != StateCancelled {
-				s.stats.Deduped++
-				return prev, true, nil
-			}
-		}
+		return nil, ErrDraining
 	}
 	if s.queue.Len() >= s.opts.QueueCap {
-		return nil, false, ErrQueueFull
+		return nil, ErrQueueFull
 	}
 	timeout := opts.Timeout
 	if timeout == 0 {
 		timeout = s.opts.DefaultTimeout
 	}
-	s.nextID++
 	s.seq++
 	j := &Job{
-		ID:          fmt.Sprintf("j-%06d", s.nextID),
-		Key:         opts.Key,
-		Priority:    opts.Priority,
-		fn:          fn,
-		timeout:     timeout,
-		seq:         s.seq,
-		state:       StateQueued,
-		submittedAt: time.Now(),
-		done:        make(chan struct{}),
-	}
-	s.byID[j.ID] = j
-	if j.Key != "" {
-		s.byKey[j.Key] = j
+		Priority: opts.Priority,
+		fn:       fn,
+		timeout:  timeout,
+		seq:      s.seq,
+		state:    StateQueued,
+		done:     make(chan struct{}),
 	}
 	heap.Push(&s.queue, j)
 	s.cond.Signal()
-	return j, false, nil
-}
-
-// Get returns a job by ID (nil when unknown).
-func (s *Scheduler) Get(id string) *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.byID[id]
-}
-
-// Lookup returns the job registered under a dedup key (nil when none).
-func (s *Scheduler) Lookup(key string) *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.byKey[key]
-}
-
-// Jobs returns every job the scheduler knows, in submission order.
-func (s *Scheduler) Jobs() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.byID))
-	for _, j := range s.byID {
-		out = append(out, j)
-	}
-	// Submission order == seq order.
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && out[k].seq < out[k-1].seq; k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
-	}
-	return out
-}
-
-// Cancel requests cancellation of a job. A queued job finishes immediately
-// as cancelled; a running job's context is cancelled and it finishes as
-// cancelled once its Func returns. Cancel reports whether the job existed
-// and was not already terminal.
-func (s *Scheduler) Cancel(id string) bool {
-	s.mu.Lock()
-	j, ok := s.byID[id]
-	s.mu.Unlock()
-	if !ok {
-		return false
-	}
-	j.mu.Lock()
-	switch {
-	case j.state.Terminal():
-		j.mu.Unlock()
-		return false
-	case j.state == StateRunning:
-		j.cancelled = true
-		if j.cancelRun != nil {
-			j.cancelRun()
-		}
-		j.mu.Unlock()
-		return true
-	default:
-		// Queued: finish it as cancelled right away; the worker that later
-		// pops it sees a terminal job and skips it.
-		j.cancelled = true
-		j.mu.Unlock()
-		s.finish(j, nil, context.Canceled)
-		return true
-	}
+	return j, nil
 }
 
 // Stats snapshots occupancy.
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.stats
-	st.Queued = s.queue.Len()
-	st.Running = s.running
-	st.Draining = s.draining || s.closed
-	st.Workers = s.opts.Workers
-	st.QueueCap = s.opts.QueueCap
-	return st
+	return Stats{
+		Queued:   s.queue.Len(),
+		Running:  s.running,
+		Draining: s.draining || s.closed,
+		Workers:  s.opts.Workers,
+		QueueCap: s.opts.QueueCap,
+	}
 }
 
 // Drain stops accepting new jobs and waits for every queued and running job
@@ -468,7 +394,7 @@ func (s *Scheduler) runJob(j *Job) {
 	}
 	if j.cancelled { // cancel raced the pop; finish does the bookkeeping
 		j.mu.Unlock()
-		s.finish(j, nil, context.Canceled)
+		j.finish(nil, context.Canceled)
 		return
 	}
 	var (
@@ -510,18 +436,16 @@ func (s *Scheduler) runJob(j *Job) {
 		backoff *= 2
 	}
 
-	s.finish(j, res, err)
+	j.finish(res, err)
 }
 
-// finish moves j to its terminal state. Never called with either lock held
-// (taking j.mu then s.mu while Submit takes s.mu then j.mu would invert
-// ordering, so the two are taken strictly in sequence here). The terminal
-// check makes racing finishers (a queued-cancel racing the worker's pop)
-// safe: only the caller that performs the transition closes done.
-func (s *Scheduler) finish(j *Job, res any, err error) {
+// finish moves j to its terminal state. The terminal check makes racing
+// finishers (a queued-cancel racing the worker's pop) safe: only the caller
+// that performs the transition closes done.
+func (j *Job) finish(res any, err error) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		j.mu.Unlock()
 		return
 	}
 	j.finishedAt = time.Now()
@@ -531,26 +455,14 @@ func (s *Scheduler) finish(j *Job, res any, err error) {
 		j.result = res
 	case j.cancelled || errors.Is(err, context.Canceled):
 		j.state = StateCancelled
-		j.err = fmt.Errorf("jobs: %s cancelled: %w", j.ID, err)
+		j.err = fmt.Errorf("jobs: cancelled: %w", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		j.state = StateFailed
-		j.err = fmt.Errorf("jobs: %s timed out after %s: %w", j.ID, j.timeout, err)
+		j.err = fmt.Errorf("jobs: timed out after %s: %w", j.timeout, err)
 	default:
 		j.state = StateFailed
 		j.err = err
 	}
-	state := j.state
-	j.mu.Unlock()
-	s.mu.Lock()
-	switch state {
-	case StateSucceeded:
-		s.stats.Succeeded++
-	case StateFailed:
-		s.stats.Failed++
-	case StateCancelled:
-		s.stats.Cancelled++
-	}
-	s.mu.Unlock()
 	close(j.done)
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -20,11 +21,11 @@ func waitCtx(t *testing.T) context.Context {
 func TestSubmitRunsToSuccess(t *testing.T) {
 	s := New(Options{Workers: 2})
 	defer s.Close()
-	j, dedup, err := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
+	j, err := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
 		return 42, nil
 	})
-	if err != nil || dedup {
-		t.Fatalf("Submit: dedup=%v err=%v", dedup, err)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
 	}
 	if err := j.Wait(waitCtx(t)); err != nil {
 		t.Fatalf("Wait: %v", err)
@@ -38,62 +39,6 @@ func TestSubmitRunsToSuccess(t *testing.T) {
 	}
 }
 
-func TestDedupByKey(t *testing.T) {
-	s := New(Options{Workers: 1})
-	defer s.Close()
-	gate := make(chan struct{})
-	var runs int32
-	var mu sync.Mutex
-	fn := func(ctx context.Context) (any, error) {
-		mu.Lock()
-		runs++
-		mu.Unlock()
-		<-gate
-		return "done", nil
-	}
-	j1, d1, err := s.Submit(SubmitOpts{Key: "k"}, fn)
-	if err != nil || d1 {
-		t.Fatalf("first submit: dedup=%v err=%v", d1, err)
-	}
-	j2, d2, err := s.Submit(SubmitOpts{Key: "k"}, fn)
-	if err != nil || !d2 {
-		t.Fatalf("second submit: dedup=%v err=%v", d2, err)
-	}
-	if j1 != j2 {
-		t.Fatalf("dedup returned a different job: %s vs %s", j1.ID, j2.ID)
-	}
-	close(gate)
-	if err := j1.Wait(waitCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if runs != 1 {
-		t.Fatalf("fn ran %d times, want 1", runs)
-	}
-	if st := s.Stats(); st.Deduped != 1 {
-		t.Fatalf("Deduped = %d, want 1", st.Deduped)
-	}
-}
-
-func TestFailedJobDoesNotBlockResubmission(t *testing.T) {
-	s := New(Options{Workers: 1})
-	defer s.Close()
-	j1, _, _ := s.Submit(SubmitOpts{Key: "k"}, func(ctx context.Context) (any, error) {
-		return nil, errors.New("boom")
-	})
-	_ = j1.Wait(waitCtx(t))
-	j2, dedup, err := s.Submit(SubmitOpts{Key: "k"}, func(ctx context.Context) (any, error) {
-		return "ok", nil
-	})
-	if err != nil || dedup {
-		t.Fatalf("resubmit after failure: dedup=%v err=%v", dedup, err)
-	}
-	if err := j2.Wait(waitCtx(t)); err != nil {
-		t.Fatalf("resubmitted job: %v", err)
-	}
-}
-
 // TestPriorityFIFO pins one worker on a gate job, queues mixed-priority
 // jobs, and asserts execution order: high priority first, FIFO within equal
 // priority.
@@ -101,7 +46,7 @@ func TestPriorityFIFO(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
 	gate := make(chan struct{})
-	blocker, _, err := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
+	blocker, err := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
 		<-gate
 		return nil, nil
 	})
@@ -111,7 +56,7 @@ func TestPriorityFIFO(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	mk := func(name string, prio int) *Job {
-		j, _, err := s.Submit(SubmitOpts{Priority: prio}, func(ctx context.Context) (any, error) {
+		j, err := s.Submit(SubmitOpts{Priority: prio}, func(ctx context.Context) (any, error) {
 			mu.Lock()
 			order = append(order, name)
 			mu.Unlock()
@@ -146,11 +91,11 @@ func TestCancelQueuedJob(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) { <-gate; return nil, nil })
-	j, _, _ := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
+	j, _ := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
 		t.Error("cancelled queued job must not run")
 		return nil, nil
 	})
-	if !s.Cancel(j.ID) {
+	if !j.Cancel() {
 		t.Fatal("Cancel returned false for a queued job")
 	}
 	_ = j.Wait(waitCtx(t))
@@ -163,13 +108,13 @@ func TestCancelRunningJob(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
 	started := make(chan struct{})
-	j, _, _ := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
+	j, _ := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
 	<-started
-	if !s.Cancel(j.ID) {
+	if !j.Cancel() {
 		t.Fatal("Cancel returned false for a running job")
 	}
 	if err := j.Wait(waitCtx(t)); !errors.Is(err, context.Canceled) {
@@ -183,7 +128,7 @@ func TestCancelRunningJob(t *testing.T) {
 func TestJobTimeout(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
-	j, _, _ := s.Submit(SubmitOpts{Timeout: 20 * time.Millisecond}, func(ctx context.Context) (any, error) {
+	j, _ := s.Submit(SubmitOpts{Timeout: 20 * time.Millisecond}, func(ctx context.Context) (any, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
@@ -200,7 +145,7 @@ func TestTransientRetryWithBackoff(t *testing.T) {
 	defer s.Close()
 	var calls int
 	var mu sync.Mutex
-	j, _, _ := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
+	j, _ := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
 		mu.Lock()
 		calls++
 		n := calls
@@ -221,7 +166,7 @@ func TestTransientRetryWithBackoff(t *testing.T) {
 func TestNonTransientIsNotRetried(t *testing.T) {
 	s := New(Options{Workers: 1, Retries: 5, Backoff: time.Millisecond})
 	defer s.Close()
-	j, _, _ := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
+	j, _ := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
 		return nil, errors.New("deterministic simulator error")
 	})
 	_ = j.Wait(waitCtx(t))
@@ -236,7 +181,7 @@ func TestNonTransientIsNotRetried(t *testing.T) {
 func TestTransientExhaustionFails(t *testing.T) {
 	s := New(Options{Workers: 1, Retries: 2, Backoff: time.Millisecond})
 	defer s.Close()
-	j, _, _ := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
+	j, _ := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
 		return nil, Transient(errors.New("still flaky"))
 	})
 	_ = j.Wait(waitCtx(t))
@@ -259,11 +204,11 @@ func TestQueueFull(t *testing.T) {
 	<-started // the blocker occupies the worker, not a queue slot
 	// Worker is busy; two more fill the queue.
 	for i := 0; i < 2; i++ {
-		if _, _, err := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) { return nil, nil }); err != nil {
+		if _, err := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) { return nil, nil }); err != nil {
 			t.Fatalf("fill %d: %v", i, err)
 		}
 	}
-	if _, _, err := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow submit = %v, want ErrQueueFull", err)
 	}
 }
@@ -274,7 +219,7 @@ func TestDrainFinishesOutstandingAndRejectsNew(t *testing.T) {
 	var mu sync.Mutex
 	var all []*Job
 	for i := 0; i < 8; i++ {
-		j, _, err := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
+		j, err := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
 			time.Sleep(5 * time.Millisecond)
 			mu.Lock()
 			done++
@@ -294,12 +239,12 @@ func TestDrainFinishesOutstandingAndRejectsNew(t *testing.T) {
 		t.Fatalf("drained with %d/8 jobs finished", done)
 	}
 	mu.Unlock()
-	for _, j := range all {
+	for i, j := range all {
 		if st := j.State(); st != StateSucceeded {
-			t.Fatalf("job %s state = %v after drain", j.ID, st)
+			t.Fatalf("job %d state = %v after drain", i, st)
 		}
 	}
-	if _, _, err := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrDraining) {
+	if _, err := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit after drain = %v, want ErrDraining", err)
 	}
 }
@@ -307,7 +252,7 @@ func TestDrainFinishesOutstandingAndRejectsNew(t *testing.T) {
 func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	s := New(Options{Workers: 1})
 	started := make(chan struct{})
-	j, _, _ := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
+	j, _ := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
 		close(started)
 		<-ctx.Done() // a well-behaved ctx-threading job
 		return nil, ctx.Err()
@@ -326,7 +271,7 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 func TestPanickingJobFails(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
-	j, _, _ := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
+	j, _ := s.Submit(SubmitOpts{}, func(ctx context.Context) (any, error) {
 		panic("job bug")
 	})
 	err := j.Wait(waitCtx(t))
@@ -336,36 +281,68 @@ func TestPanickingJobFails(t *testing.T) {
 }
 
 // TestConcurrentSubmitters hammers Submit/Cancel/Stats from many goroutines
-// (run with -race).
+// (run with -race). Every third job is cancelled as soon as it is submitted,
+// racing the worker's pop: the case finish's terminal check guards.
 func TestConcurrentSubmitters(t *testing.T) {
 	s := New(Options{Workers: 4, QueueCap: 4096})
 	defer s.Close()
+	type submitted struct {
+		j         *Job
+		ran       *atomic.Bool
+		cancel    bool // Cancel was called
+		cancelled bool // and returned true
+		want      int
+	}
 	var wg sync.WaitGroup
-	var jobs sync.Map
+	var mu sync.Mutex
+	var all []submitted
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				key := fmt.Sprintf("k-%d", (g*25+i)%40) // plenty of dedup collisions
-				j, _, err := s.Submit(SubmitOpts{Key: key, Priority: i % 3}, func(ctx context.Context) (any, error) {
-					return key, nil
+				n, ran := g*25+i, new(atomic.Bool)
+				j, err := s.Submit(SubmitOpts{Priority: i % 3}, func(ctx context.Context) (any, error) {
+					ran.Store(true)
+					return n, nil
 				})
 				if err != nil {
 					t.Errorf("submit: %v", err)
 					return
 				}
-				jobs.Store(j.ID, j)
+				sub := submitted{j: j, ran: ran, cancel: n%3 == 0, want: n}
+				if sub.cancel {
+					sub.cancelled = j.Cancel()
+				}
+				mu.Lock()
+				all = append(all, sub)
+				mu.Unlock()
 				s.Stats()
 			}
 		}(g)
 	}
 	wg.Wait()
 	ctx := waitCtx(t)
-	jobs.Range(func(_, v any) bool {
-		if err := v.(*Job).Wait(ctx); err != nil {
-			t.Errorf("job: %v", err)
+	var cancelled int
+	for _, sub := range all {
+		err := sub.j.Wait(ctx)
+		res, _ := sub.j.Result()
+		switch st := sub.j.State(); {
+		case st == StateSucceeded && err == nil && res == sub.want:
+			// A job that finished before Cancel, or ran to completion
+			// after it: its Func ignores ctx.
+		case st == StateCancelled && sub.cancelled && !sub.ran.Load() && errors.Is(err, context.Canceled):
+			// Cancelled while queued (or as the worker popped it): it never ran.
+			cancelled++
+		default:
+			t.Errorf("job %d (cancel=%v, Cancel()=%v, ran=%v): state %v, result %v, err %v",
+				sub.want, sub.cancel, sub.cancelled, sub.ran.Load(), st, res, err)
 		}
-		return true
-	})
+		if sub.cancel && !sub.cancelled && sub.j.State() != StateSucceeded {
+			t.Errorf("job %d: Cancel() = false on a job that was not yet terminal", sub.want)
+		}
+	}
+	if len(all) != 16*25 || cancelled == 0 {
+		t.Fatalf("%d jobs submitted, %d of them cancelled; want %d, some cancelled", len(all), cancelled, 16*25)
+	}
 }

@@ -138,14 +138,8 @@ func (s *Scheme) ResolveRun(sec int64) (ftl.SectorSource, int64, error) {
 	}, end, nil
 }
 
-// ResolveSector implements check.SectorResolver: ResolveRun without the end.
-func (s *Scheme) ResolveSector(sec int64) (ftl.SectorSource, error) {
-	src, _, err := s.ResolveRun(sec)
-	return src, err
-}
-
 // VisitWritten implements check.SectorResolver, the bulk form of
-// ResolveSector: one run per stretch of consecutive mapped sub-pages, then
+// ResolveRun: one run per stretch of consecutive mapped sub-pages, then
 // the sub-pages staged in the pack buffer.
 func (s *Scheme) VisitWritten(fn func(start, end int64)) {
 	sec, n := int64(s.subSec), int64(len(s.subLoc))

@@ -2,9 +2,9 @@
 // tracer with span-style events for every interesting simulator transition
 // (request arrival/completion, flash program/read/erase service spans,
 // garbage-collection spans with their victims, Across-FTL plan decisions,
-// mapping-cache and host-cache hits/misses), a counters+gauges registry for
-// scheme- or experiment-specific series, and a periodic Sampler that
-// snapshots time-series metrics on a simulated-clock interval.
+// mapping-cache and host-cache hits/misses), a periodic Sampler that
+// snapshots time-series metrics on a simulated-clock interval, and the
+// Prometheus text renderer acrossd's /metrics page is written with.
 //
 // Three sinks ship with the package:
 //

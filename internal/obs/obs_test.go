@@ -174,46 +174,6 @@ func TestIsNop(t *testing.T) {
 	}
 }
 
-func TestRegistryHandlesAndSnapshot(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("merges")
-	if r.Counter("merges") != c {
-		t.Error("re-registering a counter returned a new handle")
-	}
-	g := r.Gauge("frag")
-	if r.Gauge("frag") != g {
-		t.Error("re-registering a gauge returned a new handle")
-	}
-	c.Inc()
-	c.Add(2)
-	g.Set(0.5)
-	g.Add(0.25)
-
-	if got, want := strings.Join(r.Names(), ","), "merges,frag"; got != want {
-		t.Errorf("names %q, want registration order %q", got, want)
-	}
-	snap := r.Snapshot(nil)
-	if snap["merges"] != 3 || snap["frag"] != 0.75 {
-		t.Errorf("snapshot %v, want merges=3 frag=0.75", snap)
-	}
-	// Reuse fills the caller's map.
-	dst := map[string]float64{}
-	if got := r.Snapshot(dst); &got == nil || dst["merges"] != 3 {
-		t.Errorf("snapshot into dst gave %v", dst)
-	}
-}
-
-func TestRegistryNameClashPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x")
-	defer func() {
-		if recover() == nil {
-			t.Error("registering a gauge under a counter's name did not panic")
-		}
-	}()
-	r.Gauge("x")
-}
-
 // fillConst returns a fill callback reporting a fixed busy-rate per chip, so
 // interval busy fractions are predictable.
 func fillConst(busyRate []float64) func(*Sample) {
@@ -314,23 +274,6 @@ func TestSamplerBusyFractionDelta(t *testing.T) {
 	// Second window: busy went 2.5 → 5.0 ms over a 10 ms window → 0.25.
 	if f := samples[1].ChipBusyFrac[0]; math.Abs(f-0.25) > 1e-9 {
 		t.Errorf("steady-state busy fraction %v, want 0.25", f)
-	}
-}
-
-func TestSamplerRegistrySnapshot(t *testing.T) {
-	s, err := NewSampler(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewRegistry()
-	merges := reg.Counter("merges")
-	s.SetRegistry(reg)
-	fill := func(sm *Sample) {}
-	s.Tick(0, fill)
-	merges.Add(7)
-	s.Tick(10, fill)
-	if got := s.Samples()[0].Custom["merges"]; got != 7 {
-		t.Errorf("custom series snapshot %v, want 7", got)
 	}
 }
 

@@ -40,7 +40,8 @@ type Sample struct {
 	CumGCInvocations    int64     `json:"cum_gc_invocations"`
 	CumHostPagesWritten int64     `json:"cum_host_pages_written"`
 
-	// Custom carries the Sampler's Registry snapshot, if one is attached.
+	// Custom is named extra series. It is a member of the stored series
+	// format (EncodeSeries keeps it); nothing in the tree sets it.
 	Custom map[string]float64 `json:"custom,omitempty"`
 }
 
@@ -60,7 +61,6 @@ type MetricsSink interface {
 type Sampler struct {
 	interval float64
 	sink     MetricsSink
-	reg      *Registry
 
 	samples  []Sample
 	started  bool
@@ -85,13 +85,6 @@ func NewSampler(intervalMs float64) (*Sampler, error) {
 // SetSink streams every sample to ms as it is taken (samples are always
 // also retained in memory for Samples()).
 func (s *Sampler) SetSink(ms MetricsSink) { s.sink = ms }
-
-// SetRegistry attaches a custom-series registry snapshotted into every
-// sample's Custom map.
-func (s *Sampler) SetRegistry(r *Registry) { s.reg = r }
-
-// Registry returns the attached registry (nil if none).
-func (s *Sampler) Registry() *Registry { return s.reg }
 
 // IntervalMs returns the sampling interval.
 func (s *Sampler) IntervalMs() float64 { return s.interval }
@@ -175,9 +168,6 @@ func (s *Sampler) emit(now float64, fill func(*Sample)) {
 		}
 	}
 	s.prevBusy = append(s.prevBusy[:0], sm.ChipBusyMs...)
-	if s.reg != nil {
-		sm.Custom = s.reg.Snapshot(nil)
-	}
 	s.prevT = now
 	s.intReads, s.intWrites = 0, 0
 	s.intReadLat, s.intWriteLat = 0, 0

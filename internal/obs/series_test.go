@@ -417,7 +417,7 @@ func raceEnabled() bool {
 func benchSeries(b *testing.B) ([]Sample, []byte) {
 	samples := genSeries(rand.New(rand.NewSource(1)), 431, 16)
 	for i := range samples {
-		samples[i].Custom = nil // a daemon's sampler has no registry
+		samples[i].Custom = nil // nothing sets Custom on a daemon's samples
 	}
 	blob, err := EncodeSeries(samples)
 	if err != nil {

@@ -195,13 +195,12 @@ func legacyReplayKey(t *testing.T, sp *ReplaySpec) string {
 	return key
 }
 
-// counterValue reads one registry counter (-1 when absent).
+// counterValue reads one counter series (-1 when absent).
 func (s *Server) counterValue(name string) int64 {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
-	snap := s.reg.Snapshot(nil)
-	if v, ok := snap[name]; ok {
-		return int64(v)
+	if v, ok := s.counts[name]; ok {
+		return v
 	}
 	return -1
 }

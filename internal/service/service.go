@@ -7,8 +7,12 @@
 //     per-job timeouts, transient-failure retry, and graceful drain;
 //   - internal/store: a content-addressed on-disk result store, so a job
 //     submitted twice runs once and completed results survive restarts;
-//   - internal/obs: the Sampler feeds each replay's progress stream and the
-//     Registry backs /metrics.
+//   - internal/obs: the Sampler feeds each replay's progress stream and
+//     PromText renders /metrics.
+//
+// The Server is the one job registry: it names jobs, maps content keys to
+// records, decides which earlier record may answer a submission, and counts
+// outcomes. The pool below it only runs what it is given.
 //
 // API (all JSON):
 //
@@ -35,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -92,9 +97,11 @@ type Server struct {
 	sched *jobs.Scheduler
 	store *store.Store
 
-	regMu sync.Mutex // obs.Registry is not goroutine-safe
-	reg   *obs.Registry
+	regMu  sync.Mutex
+	counts map[string]int64 // the counter series /metrics renders, by name
 
+	// mu guards the job registry: every record by id, the latest record
+	// per content key, and submission order.
 	mu      sync.Mutex
 	records map[string]*jobRecord
 	byKey   map[string]*jobRecord
@@ -130,7 +137,7 @@ func New(cfg Config) (*Server, error) {
 			Backoff:        cfg.Backoff,
 		}),
 		store:   st,
-		reg:     obs.NewRegistry(),
+		counts:  make(map[string]int64, len(metricHelp)),
 		records: make(map[string]*jobRecord),
 		byKey:   make(map[string]*jobRecord),
 		aging:   make(map[string]*sync.Mutex),
@@ -138,13 +145,8 @@ func New(cfg Config) (*Server, error) {
 		checkpoints: newCheckpointCache(checkpointBudget),
 	}
 	// Pre-register so /metrics always shows every series, zeroed.
-	for _, name := range []string{
-		"jobs_submitted", "jobs_deduped", "jobs_cached",
-		"jobs_succeeded", "jobs_failed", "jobs_cancelled",
-		"snapshot_ages", "snapshot_opens", "snapshot_unusable", "snapshot_restores",
-		"series_unreadable",
-	} {
-		s.counter(name, 0)
+	for name := range metricHelp {
+		s.counts[name] = 0
 	}
 	return s, nil
 }
@@ -278,7 +280,7 @@ func (s *Server) Close() { s.sched.Close() }
 
 func (s *Server) counter(name string, delta int64) {
 	s.regMu.Lock()
-	s.reg.Counter(name).Add(delta)
+	s.counts[name] += delta
 	s.regMu.Unlock()
 }
 
@@ -327,13 +329,12 @@ type jobStatus struct {
 	Spans []Span          `json:"spans,omitempty"`
 }
 
-func (s *Server) status(rec *jobRecord, deduped bool) jobStatus {
+func (s *Server) status(rec *jobRecord) jobStatus {
 	st := jobStatus{
 		ID:          rec.id,
 		Key:         rec.key,
 		Kind:        rec.kind,
 		Cached:      rec.cached,
-		Deduped:     deduped,
 		Spec:        rec.spec,
 		SubmittedAt: rec.submitted.UTC().Format(time.RFC3339Nano),
 	}
@@ -350,7 +351,7 @@ func (s *Server) status(rec *jobRecord, deduped bool) jobStatus {
 	if _, err := j.Result(); err != nil {
 		st.Error = err.Error()
 	}
-	_, started, finished := j.Times()
+	started, finished := j.Times()
 	if !started.IsZero() {
 		st.StartedAt = started.UTC().Format(time.RFC3339Nano)
 	}
@@ -449,7 +450,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	// Dedup against a live (or completed-in-memory) record first.
 	if prev, ok := s.byKey[key]; ok && s.servable(prev) {
-		st := s.status(prev, true)
+		st := s.status(prev)
+		st.Deduped = true
 		s.mu.Unlock()
 		s.counter("jobs_deduped", 1)
 		writeJSON(w, http.StatusOK, st)
@@ -460,15 +462,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.store.Has(key) {
 		rec := s.newRecordLocked(key, kind, body, nil, nil, nil)
 		rec.cached = true
-		st := s.status(rec, false)
+		st := s.status(rec)
 		s.mu.Unlock()
 		s.counter("jobs_cached", 1)
 		writeJSON(w, http.StatusOK, st)
 		return
 	}
 
-	job, deduped, err := s.sched.Submit(jobs.SubmitOpts{
-		Key:      key,
+	job, err := s.sched.Submit(jobs.SubmitOpts{
 		Priority: priority,
 		Timeout:  time.Duration(timeoutMs) * time.Millisecond,
 	}, func(ctx context.Context) (any, error) {
@@ -484,7 +485,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec := s.newRecordLocked(key, kind, body, job, hub, spl)
-	st := s.status(rec, deduped)
+	st := s.status(rec)
 	s.mu.Unlock()
 
 	s.counter("jobs_submitted", 1)
@@ -559,7 +560,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	out := make([]jobStatus, 0, len(s.order))
 	for _, id := range s.order {
-		out = append(out, s.status(s.records[id], false))
+		out = append(out, s.status(s.records[id]))
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
@@ -572,7 +573,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	st := s.status(rec, false)
+	st := s.status(rec)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, st)
 }
@@ -587,9 +588,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job %s was served from the store; nothing to cancel", rec.id)
 		return
 	}
-	cancelled := s.sched.Cancel(rec.job.ID)
+	cancelled := rec.job.Cancel()
 	s.mu.Lock()
-	st := s.status(rec, false)
+	st := s.status(rec)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{"cancelled": cancelled, "job": st})
 }
@@ -758,8 +759,8 @@ func (s *Server) handleStoreKeys(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"keys": keys, "count": len(keys)})
 }
 
-// metricHelp documents the registry-backed series on the /metrics page;
-// names missing here fall back to a generic line rather than an empty HELP.
+// metricHelp names and documents the counter series on the /metrics page;
+// New registers each of them at zero.
 var metricHelp = map[string]string{
 	"jobs_submitted":    "Jobs accepted and queued for execution.",
 	"jobs_deduped":      "Submissions answered by a live job with the same content key.",
@@ -775,31 +776,21 @@ var metricHelp = map[string]string{
 }
 
 // handleMetrics renders the service metrics in Prometheus text exposition
-// format 0.0.4: every obs.Registry series (counters suffixed _total), then
-// scheduler occupancy and store size as gauges, all under the acrossd_
-// namespace. Registry series render in sorted name order so scrapes diff
-// cleanly.
+// format 0.0.4: every counter series (suffixed _total) in sorted name order
+// so scrapes diff cleanly, then scheduler occupancy and store size as
+// gauges, all under the acrossd_ namespace.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p := obs.NewPromText()
 	s.regMu.Lock()
-	names := append([]string(nil), s.reg.Names()...)
-	snap := s.reg.Snapshot(nil)
-	counters := make(map[string]bool, len(names))
-	for _, n := range names {
-		counters[n] = s.reg.IsCounter(n)
-	}
+	counts := maps.Clone(s.counts)
 	s.regMu.Unlock()
+	names := make([]string, 0, len(counts))
+	for n := range counts {
+		names = append(names, n)
+	}
 	sort.Strings(names)
 	for _, n := range names {
-		help := metricHelp[n]
-		if help == "" {
-			help = "Service series " + n + "."
-		}
-		if counters[n] {
-			p.Counter("acrossd_"+n, help, snap[n])
-		} else {
-			p.Gauge("acrossd_"+n, help, snap[n])
-		}
+		p.Counter("acrossd_"+n, metricHelp[n], float64(counts[n]))
 	}
 	st := s.sched.Stats()
 	p.Gauge("acrossd_scheduler_queued", "Jobs queued but not yet running.", float64(st.Queued))

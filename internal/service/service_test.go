@@ -277,6 +277,28 @@ func TestCancelMidReplay(t *testing.T) {
 	if code != http.StatusConflict {
 		t.Fatalf("result after cancel = %d, want 409", code)
 	}
+	resubmitRuns(t, ts.URL, long, st.ID)
+}
+
+// resubmitRuns submits spec again after the job prevID, which had it, failed
+// or was cancelled: such a record cannot answer for its key, so the service
+// must queue a new job under a new id rather than report a dedup hit.
+func resubmitRuns(t *testing.T, base, spec, prevID string) {
+	t.Helper()
+	resp, err := http.Post(base+"/api/v1/jobs", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var st jobStatus
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatalf("parsing response %q: %v", raw, err)
+	}
+	if resp.StatusCode != http.StatusAccepted || !strings.HasPrefix(st.ID, "job-") || st.ID == prevID ||
+		bytes.Contains(raw, []byte(`"deduped"`)) {
+		t.Fatalf("resubmit after %s = %d %s, want 202 with a new job id and no deduped member", prevID, resp.StatusCode, raw)
+	}
 }
 
 // TestJobTimeout gives a long job a tiny per-job timeout and expects a
@@ -295,6 +317,7 @@ func TestJobTimeout(t *testing.T) {
 	if !strings.Contains(final.Error, "deadline") {
 		t.Fatalf("error %q does not mention the deadline", final.Error)
 	}
+	resubmitRuns(t, ts.URL, long, st.ID)
 }
 
 // TestRestartServesFromStore runs a job to completion on one server, then

@@ -93,7 +93,7 @@ func hasSpan(st jobStatus, name string) bool {
 func counterValue(s *Server, name string) float64 {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
-	return s.reg.Snapshot(nil)[name]
+	return float64(s.counts[name])
 }
 
 // Two aged jobs that differ only in measurement and scheduling knobs (qd,
