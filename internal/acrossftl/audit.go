@@ -16,19 +16,33 @@ import (
 //   - PMT.AIdx and AMT entries reference each other bijectively;
 //   - every area is a legal across-page extent: it starts inside its first
 //     page, crosses exactly the one page boundary, and fits one flash page;
+//   - live areas are pairwise disjoint;
 //   - every area's physical page is valid and OOB-tagged as that area;
 //   - every mapped PMT page is valid flash tagged with the owning LPN.
-func (s *Scheme) Audit() error {
+func (s *Scheme) Audit() error { return s.auditTables(ftl.ClaimOf(nil)) }
+
+// auditTables is Audit as one walk in PMT key order, handing each page it has
+// verified — a mapped data page, then the page of the area keyed there — to
+// claim.
+func (s *Scheme) auditTables(claim ftl.Claim) error {
+	arr := s.Dev.Array
+	spp := int32(s.SPP)
 	liveSeen := 0
+	var order areaOrder
 	for lpn := int64(0); lpn < s.PMT.Len(); lpn++ {
 		e := s.PMT.Get(lpn)
 		if e.PPN != flash.NilPPN {
-			if st := s.Dev.Array.State(e.PPN); st != flash.PageValid {
-				return fmt.Errorf("audit: lpn %d maps to %v page %d", lpn, st, e.PPN)
+			if uint64(e.PPN) >= uint64(arr.Geo.TotalPages()) {
+				return fmt.Errorf("audit: lpn %d: %w", lpn, arr.Geo.CheckPPN(e.PPN))
 			}
-			tag := s.Dev.Array.TagOf(e.PPN)
-			if tag.Kind != ftl.TagData || tag.Key != lpn {
-				return fmt.Errorf("audit: lpn %d page %d has foreign tag %+v", lpn, e.PPN, tag)
+			if !arr.Holds(e.PPN, ftl.TagData, lpn) {
+				if st := arr.State(e.PPN); st != flash.PageValid {
+					return fmt.Errorf("audit: lpn %d maps to %v page %d", lpn, st, e.PPN)
+				}
+				return fmt.Errorf("audit: lpn %d page %d has foreign tag %+v", lpn, e.PPN, arr.TagOf(e.PPN))
+			}
+			if err := claim(e.PPN); err != nil {
+				return fmt.Errorf("audit: lpn %d: %w", lpn, err)
 			}
 		}
 		if e.AIdx == mapping.NoAIdx {
@@ -42,7 +56,6 @@ func (s *Scheme) Audit() error {
 		if a.LPN != lpn {
 			return fmt.Errorf("audit: AMT %d back-references lpn %d, PMT says %d", e.AIdx, a.LPN, lpn)
 		}
-		spp := int32(s.SPP)
 		if a.Off < 0 || a.Off >= spp {
 			return fmt.Errorf("audit: AMT %d offset %d outside first page", e.AIdx, a.Off)
 		}
@@ -55,19 +68,27 @@ func (s *Scheme) Audit() error {
 		if a.End() > 2*spp {
 			return fmt.Errorf("audit: AMT %d extends past the second page (end %d)", e.AIdx, a.End())
 		}
-		if st := s.Dev.Array.State(a.APPN); st != flash.PageValid {
-			return fmt.Errorf("audit: AMT %d area page %d is %v", e.AIdx, a.APPN, st)
+		if err := order.next(s, area{idx: e.AIdx, e: a}); err != nil {
+			return err
 		}
-		tag := s.Dev.Array.TagOf(a.APPN)
-		if tag.Kind != ftl.TagAcross || tag.Key != int64(e.AIdx) {
-			return fmt.Errorf("audit: AMT %d area page %d has foreign tag %+v", e.AIdx, a.APPN, tag)
+		if err := arr.Geo.CheckPPN(a.APPN); err != nil {
+			return fmt.Errorf("audit: AMT %d: %w", e.AIdx, err)
+		}
+		if !arr.Holds(a.APPN, ftl.TagAcross, int64(e.AIdx)) {
+			if st := arr.State(a.APPN); st != flash.PageValid {
+				return fmt.Errorf("audit: AMT %d area page %d is %v", e.AIdx, a.APPN, st)
+			}
+			return fmt.Errorf("audit: AMT %d area page %d has foreign tag %+v", e.AIdx, a.APPN, arr.TagOf(a.APPN))
 		}
 		// The OOB copy of the area geometry (the recovery record) must
 		// match the in-DRAM entry.
-		tLPN, tOff, tSize := unpackAux(tag.Aux)
+		tLPN, tOff, tSize := unpackAux(arr.TagOf(a.APPN).Aux)
 		if tLPN != a.LPN || tOff != a.Off || tSize != a.Size {
 			return fmt.Errorf("audit: AMT %d OOB geometry (%d,%d,%d) != entry (%d,%d,%d)",
 				e.AIdx, tLPN, tOff, tSize, a.LPN, a.Off, a.Size)
+		}
+		if err := claim(a.APPN); err != nil {
+			return fmt.Errorf("audit: AMT %d: %w", e.AIdx, err)
 		}
 	}
 	if liveSeen != s.AMT.Live() {
@@ -76,58 +97,52 @@ func (s *Scheme) Audit() error {
 	return nil
 }
 
-// auditAreaDisjointness verifies that no two live areas cover a common
-// sector. The write path maintains this by reconciling every conflicting
-// area (AMerge or ARollback) before installing a new one; were two areas to
-// overlap, reads of the shared sectors would be ambiguous. It runs after
-// Audit, which proved that the PMT reaches every live area exactly once and
-// that an area keyed at L lies within pages L and L+1 — so only the areas
-// keyed at L and L+1 can overlap, and one pass comparing each area with the
-// previous one in key order proves every pair disjoint. Audit path only.
-func (s *Scheme) auditAreaDisjointness() error {
-	var prev area
-	seen := false
-	for lpn := int64(0); lpn < s.PMT.Len(); lpn++ {
-		a, ok := s.areaAt(lpn)
-		if !ok {
-			continue
-		}
-		if seen && s.spanOf(a.e).intersects(s.spanOf(prev.e)) {
-			return fmt.Errorf("audit: areas %d %+v and %d %+v overlap",
-				prev.idx, s.spanOf(prev.e), a.idx, s.spanOf(a.e))
-		}
-		prev, seen = a, true
+// areaOrder proves live areas pairwise disjoint from one pass in PMT key
+// order. The write path keeps them so by reconciling every conflicting area
+// (AMerge or ARollback) before installing a new one; were two areas to
+// overlap, reads of the shared sectors would be ambiguous. Once the PMT is
+// known to reach every live area exactly once and an area keyed at L to lie
+// within pages L and L+1, only the areas keyed at L and L+1 can overlap, so
+// comparing each area with the one before it proves every pair disjoint.
+type areaOrder struct {
+	prev area
+	seen bool
+}
+
+// next compares a, the next live area in key order, with the previous one.
+func (o *areaOrder) next(s *Scheme, a area) error {
+	if o.seen && s.spanOf(a.e).intersects(s.spanOf(o.prev.e)) {
+		return fmt.Errorf("audit: areas %d %+v and %d %+v overlap",
+			o.prev.idx, s.spanOf(o.prev.e), a.idx, s.spanOf(a.e))
 	}
+	o.prev, o.seen = a, true
 	return nil
 }
 
-// AuditMapping implements check.Auditable: the two-level PMT+AMT audit plus
-// pairwise disjointness of live area extents and the AMT spill store.
-func (s *Scheme) AuditMapping() error {
-	if err := s.Audit(); err != nil {
-		return err
-	}
-	if err := s.auditAreaDisjointness(); err != nil {
-		return err
-	}
-	return s.ms.Audit()
-}
-
-// VisitOwned implements check.Auditable: the flash pages owned by the PMT
-// (normally mapped data), the AMT (across-area pages) and the map store
-// (spilled AMT translation pages).
-func (s *Scheme) VisitOwned(fn func(flash.PPN) error) error {
-	if err := s.VisitPMT(fn); err != nil {
-		return err
-	}
-	for idx := int32(0); int(idx) < s.AMT.Slots(); idx++ {
-		if s.AMT.InUse(idx) {
-			if err := fn(s.AMT.Get(idx).APPN); err != nil {
+// auditAreaDisjointness is the disjointness half of Audit on its own: one
+// areaOrder pass over the areas the PMT reaches.
+func (s *Scheme) auditAreaDisjointness() error {
+	var order areaOrder
+	for lpn := int64(0); lpn < s.PMT.Len(); lpn++ {
+		if a, ok := s.areaAt(lpn); ok {
+			if err := order.next(s, a); err != nil {
 				return err
 			}
 		}
 	}
-	return s.ms.VisitPages(fn)
+	return nil
+}
+
+// AuditMapping implements check.Auditable: Audit's one walk over the PMT and
+// the areas it reaches, then the AMT spill store. Each page it verifies — a
+// mapped data page, an area page, a spilled translation page — goes to the
+// claim when one is given.
+func (s *Scheme) AuditMapping(claim ...ftl.Claim) error {
+	own := ftl.ClaimOf(claim)
+	if err := s.auditTables(own); err != nil {
+		return err
+	}
+	return s.ms.Audit(own)
 }
 
 // ResolveRun implements check.SectorResolver. Area coverage wins over the

@@ -21,28 +21,25 @@
 //     corrupts a mapping all surface as a tag or liveness mismatch.
 //
 // Schemes opt in structurally: they implement Auditable and SectorResolver
-// without importing this package (the SectorSource vocabulary lives in
-// ftl). The sim engine drives an installed Checker behind nil guards, so
-// the disabled path — the default — costs zero allocations and one branch
-// per request, like the obs layer.
+// without importing this package (the SectorSource and Claim vocabulary
+// lives in ftl). The sim engine drives an installed Checker behind nil
+// guards, so the disabled path — the default — costs zero allocations and
+// one branch per request, like the obs layer.
 package check
 
-import (
-	"across/internal/flash"
-	"across/internal/ftl"
-)
+import "across/internal/ftl"
 
 // Auditable is a scheme whose mapping structures can be audited against the
 // flash array. AuditMapping verifies scheme-internal referential integrity
-// (every mapping entry references a valid, correctly tagged flash page);
-// VisitOwned enumerates every flash page the scheme's mapping structures
-// currently claim, calling fn once per claim — the checker cross-checks the
-// enumeration against the array's valid-page census to prove the ownership
-// relation is a bijection.
+// (every mapping entry references a valid, correctly tagged flash page) in
+// one walk per table, and hands every flash page an entry was just verified
+// to own to the claim it is given, once per entry. The checker's claim
+// cross-checks those claims against the array's valid-page census to prove
+// the ownership relation is a bijection. With no claim it audits the
+// mapping alone.
 type Auditable interface {
 	ftl.Scheme
-	AuditMapping() error
-	VisitOwned(fn func(flash.PPN) error) error
+	AuditMapping(claim ...ftl.Claim) error
 }
 
 // SectorResolver is a scheme that can say where a logical sector's current

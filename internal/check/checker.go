@@ -30,9 +30,11 @@ type Checker struct {
 	// bit that stops resolving is a lost write.
 	written []uint64
 
-	// owned is the audit sweep's scratch bitset over physical pages,
-	// reused across audits.
-	owned []uint64
+	// owned is the ownership sweep's scratch bitset over physical pages,
+	// reused across audits. claims holds the sweep's one callback, built
+	// once so an audit allocates nothing.
+	owned  []uint64
+	claims []ftl.Claim
 
 	// prevWP/prevEC snapshot per-block write pointers and erase counters at
 	// the previous audit, proving write-pointer monotonicity: a pointer may
@@ -67,6 +69,7 @@ func New(s ftl.Scheme, opts Options) (*Checker, error) {
 		opts:           opts,
 		logicalSectors: s.Device().Conf.LogicalSectors(),
 	}
+	c.claims = []ftl.Claim{c.ownershipSweep()}
 	if a, ok := ftl.As[interface{ Allocator() *ftl.Allocator }](s); ok {
 		c.al = a.Allocator()
 	}
@@ -191,10 +194,12 @@ func (c *Checker) checkRun(sec int64) (int64, error) {
 	case ftl.SrcBuffered:
 		return end, nil
 	case ftl.SrcFlash:
-		if st := c.dev.Array.State(src.PPN); st != flash.PageValid {
-			return 0, fmt.Errorf("dangling source: sector %d resolves to %v page %d", sec, st, src.PPN)
-		}
-		if tag := c.dev.Array.TagOf(src.PPN); tag != src.Tag {
+		// TagOf answers NilTag for a page that is not valid, so one lookup
+		// checks liveness and tag.
+		if tag := c.dev.Array.TagOf(src.PPN); tag == flash.NilTag || tag != src.Tag {
+			if st := c.dev.Array.State(src.PPN); st != flash.PageValid {
+				return 0, fmt.Errorf("dangling source: sector %d resolves to %v page %d", sec, st, src.PPN)
+			}
 			return 0, fmt.Errorf("misdirected source: sector %d page %d holds tag %+v, owner expects %+v",
 				sec, src.PPN, tag, src.Tag)
 		}
@@ -261,50 +266,36 @@ func (c *Checker) Finish() error { return c.Audit() }
 // pages); callable at any request boundary.
 func (c *Checker) Audit() error {
 	c.audits++
+	arr := c.dev.Array
+	geo := &arr.Geo
 
 	// Scheme-internal referential integrity first: it produces the most
-	// specific diagnostics.
-	if err := c.aud.AuditMapping(); err != nil {
+	// specific diagnostics. The same walk hands every verified claim to the
+	// ownership sweep (ownershipSweep), so no table is walked twice.
+	if c.owned == nil {
+		c.owned = make([]uint64, (geo.TotalPages()+63)/64)
+	}
+	clear(c.owned)
+	if err := c.aud.AuditMapping(c.claims...); err != nil {
 		return fmt.Errorf("check: mapping audit: %w", err)
 	}
 
-	arr := c.dev.Array
-	geo := &arr.Geo
+	// Per-block layout: states partition around the write pointer and the
+	// valid-count cache is conserved (BlockCensus reads the block's
+	// metadata column eight pages at a time), write pointers move
+	// monotonically between audits (modulo erase), and erase counters
+	// never decrease.
 	ppb := geo.PagesPerBlock
 	nb := geo.TotalBlocks()
-
-	// Per-block layout: states partition around the write pointer, the
-	// valid-count cache is conserved, write pointers move monotonically
-	// between audits (modulo erase), and erase counters never decrease.
 	var totalValid, eraseSum int64
 	for b := flash.BlockID(0); int64(b) < nb; b++ {
 		wp := arr.WritePtr(b)
 		if wp < 0 || wp > ppb {
 			return fmt.Errorf("check: block %d write pointer %d outside [0,%d]", b, wp, ppb)
 		}
-		first := geo.FirstPage(b)
-		valid := 0
-		for i := 0; i < ppb; i++ {
-			p := first + flash.PPN(i)
-			st := arr.State(p)
-			if i < wp {
-				if st == flash.PageFree {
-					return fmt.Errorf("check: block %d page %d free below write pointer %d", b, i, wp)
-				}
-				if st == flash.PageValid {
-					valid++
-					if arr.TagOf(p) == flash.NilTag {
-						return fmt.Errorf("check: block %d page %d valid with nil OOB tag", b, i)
-					}
-				}
-			} else {
-				if st != flash.PageFree {
-					return fmt.Errorf("check: block %d page %d %v above write pointer %d", b, i, st, wp)
-				}
-				if arr.TagOf(p) != flash.NilTag {
-					return fmt.Errorf("check: block %d free page %d carries tag %+v", b, i, arr.TagOf(p))
-				}
-			}
+		valid, bad := arr.BlockCensus(b)
+		if bad >= 0 {
+			return censusFault(arr, b, bad, wp)
 		}
 		if valid != arr.ValidCount(b) {
 			return fmt.Errorf("check: block %d valid-count %d, counted %d", b, arr.ValidCount(b), valid)
@@ -344,37 +335,18 @@ func (c *Checker) Audit() error {
 		}
 	}
 
-	// Ownership bijection: every page the mapping structures claim must be
-	// valid and claimed exactly once, and the claims must account for every
-	// valid page on the device. Together with the per-claim tag checks in
-	// AuditMapping this proves mapping↔flash ownership is a bijection —
-	// no leaked (unreclaimable) pages, no doubly owned pages.
-	words := (geo.TotalPages() + 63) / 64
-	if c.owned == nil {
-		c.owned = make([]uint64, words)
+	// Ownership bijection: the sweep found every claimed page valid and
+	// claimed once, and the claims must account for every valid page on the
+	// device. Together with the per-claim tag checks in AuditMapping this
+	// proves mapping↔flash ownership is a bijection — no leaked
+	// (unreclaimable) pages, no doubly owned pages.
+	var owned int64
+	for _, w := range c.owned {
+		owned += int64(bits.OnesCount64(w))
 	}
-	clear(c.owned)
-	var ownedCount int64
-	err := c.aud.VisitOwned(func(p flash.PPN) error {
-		if err := geo.CheckPPN(p); err != nil {
-			return err
-		}
-		if st := arr.State(p); st != flash.PageValid {
-			return fmt.Errorf("owned page %d is %v", p, st)
-		}
-		if c.owned[p>>6]&(1<<uint(p&63)) != 0 {
-			return fmt.Errorf("page %d owned twice", p)
-		}
-		c.owned[p>>6] |= 1 << uint(p&63)
-		ownedCount++
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("check: ownership sweep: %w", err)
-	}
-	if ownedCount != totalValid {
+	if owned != totalValid {
 		return fmt.Errorf("check: %d valid pages on flash, %d owned by mapping structures (leak or double count)",
-			totalValid, ownedCount)
+			totalValid, owned)
 	}
 
 	// Attribution identities: during a measured phase, every array
@@ -393,4 +365,47 @@ func (c *Checker) Audit() error {
 		}
 	}
 	return nil
+}
+
+// ownershipSweep returns the Claim every AuditMapping walk hands its
+// verified pages to: each claimed page must be on the device, valid, and
+// claimed once. The test is one branch; claimFault names what failed.
+func (c *Checker) ownershipSweep() ftl.Claim {
+	return func(p flash.PPN) error {
+		arr := c.dev.Array
+		w, bit := uint64(p)>>6, uint64(1)<<uint(p&63)
+		if uint64(p) >= uint64(arr.Geo.TotalPages()) || arr.State(p) != flash.PageValid || c.owned[w]&bit != 0 {
+			return c.claimFault(p)
+		}
+		c.owned[w] |= bit
+		return nil
+	}
+}
+
+// claimFault names the rule claimed page p broke.
+func (c *Checker) claimFault(p flash.PPN) error {
+	arr := c.dev.Array
+	if err := arr.Geo.CheckPPN(p); err != nil {
+		return fmt.Errorf("ownership: %w", err)
+	}
+	if st := arr.State(p); st != flash.PageValid {
+		return fmt.Errorf("ownership: owned page %d is %v", p, st)
+	}
+	return fmt.Errorf("ownership: page %d owned twice", p)
+}
+
+// censusFault describes the page BlockCensus found breaking the layout of
+// block b: a free or stray-bit page below the write pointer, or a page at or
+// above it that is not the zero byte.
+func censusFault(arr *flash.Array, b flash.BlockID, i, wp int) error {
+	st := arr.State(arr.Geo.FirstPage(b) + flash.PPN(i))
+	switch {
+	case i < wp && st == flash.PageFree:
+		return fmt.Errorf("check: block %d page %d free below write pointer %d", b, i, wp)
+	case i < wp:
+		return fmt.Errorf("check: block %d page %d %v with stray metadata below write pointer %d", b, i, st, wp)
+	case st != flash.PageFree:
+		return fmt.Errorf("check: block %d page %d %v above write pointer %d", b, i, st, wp)
+	}
+	return fmt.Errorf("check: block %d free page %d carries stray metadata above write pointer %d", b, i, wp)
 }

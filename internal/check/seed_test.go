@@ -307,3 +307,36 @@ func BenchmarkCheckedReplay(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAudit prices one device-wide audit per scheme on a freshly aged
+// device of each size the ledger restores: the Experiment device and the
+// 8 GiB one of the gc-churn workload. Every sim.Restore runs this audit.
+func BenchmarkAudit(b *testing.B) {
+	for _, dev := range []struct {
+		name string
+		conf ssdconf.Config
+	}{{"Experiment", ssdconf.Experiment()}, {"Scaled16", ssdconf.Scaled(16)}} {
+		for _, kind := range allKinds() {
+			b.Run(dev.name+"/"+string(kind), func(b *testing.B) {
+				r, err := sim.NewRunner(kind, dev.conf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := r.Age(sim.DefaultAging()); err != nil {
+					b.Fatal(err)
+				}
+				c, err := check.New(r.Scheme, check.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := c.Audit(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -1,9 +1,11 @@
 package flash
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"across/internal/ssdconf"
 )
@@ -252,6 +254,88 @@ func (a *Array) Erase(bid BlockID) error {
 	a.eraseCount[bid]++
 	a.erases++
 	return nil
+}
+
+// Holds reports whether page p is valid and tagged with kind and key, reading
+// the metadata and key columns only: the question a mapping audit asks of
+// every entry, without building the Tag (and loading its aux) that TagOf does.
+func (a *Array) Holds(p PPN, kind uint8, key int64) bool {
+	return a.meta[p] == uint8(PageValid)|kind<<kindShift && int64(a.key[p]) == key
+}
+
+// Byte lanes of a 64-bit word holding eight metadata bytes.
+const (
+	laneOnes = 0x0101010101010101
+	laneLow7 = 0x7F7F7F7F7F7F7F7F
+	laneHigh = 0x8080808080808080
+)
+
+// zeroLanes sets the high bit of each zero byte of w and no other bit. The
+// sum cannot carry between bytes, so unlike the borrow trick it is exact.
+func zeroLanes(w uint64) uint64 {
+	return ^((w&laneLow7 + laneLow7) | w | laneLow7)
+}
+
+// lanesBelow has the high bit of the first k bytes of a word, 0 <= k <= 8.
+func lanesBelow(k int) uint64 {
+	return laneHigh & (^uint64(0) >> uint(64-8*k))
+}
+
+// censusLanes checks eight metadata bytes w whose lanes below lie under the
+// write pointer. It returns the lanes that hold a valid page below the
+// pointer and the lanes that break the census rules: below the pointer a page
+// is programmed — valid, or invalid with no kind bits — and from the pointer
+// up it is the zero byte.
+func censusLanes(w, below uint64) (valid, bad uint64) {
+	valid = zeroLanes(w&(3*laneOnes)^uint64(PageValid)*laneOnes) & below
+	invalid := zeroLanes(w ^ uint64(PageInvalid)*laneOnes)
+	free := zeroLanes(w)
+	return valid, below&^(valid|invalid) | laneHigh&^below&^free
+}
+
+// BlockCensus checks block b's metadata column against its write pointer,
+// eight pages to a 64-bit word with no branch per page: every page below the
+// pointer is programmed (valid, or invalid with no kind bits) and every page
+// at or above it is the zero byte. It returns the number of valid pages below
+// the pointer and the index within the block of the first page that breaks a
+// rule, or -1. The audit's recount of the cached valid count rests on it. A
+// block whose size is not a multiple of eight ends in a partial word, loaded
+// zero-filled: the missing lanes lie above the pointer and pass as free.
+func (a *Array) BlockCensus(b BlockID) (valid, bad int) {
+	ppb := a.Geo.PagesPerBlock
+	first := int(a.Geo.FirstPage(b))
+	m := a.meta[first : first+ppb]
+	wp := int(a.writePtr[b])
+	word := func(i int) uint64 {
+		if i+8 <= ppb {
+			return binary.LittleEndian.Uint64(m[i:])
+		}
+		return tailWord(m[i:])
+	}
+	var faults uint64
+	for i := 0; i < ppb; i += 8 {
+		v, f := censusLanes(word(i), lanesBelow(min(max(wp-i, 0), 8)))
+		valid += bits.OnesCount64(v)
+		faults |= f
+	}
+	if faults == 0 {
+		return valid, -1
+	}
+	// Something is wrong: find the first faulty word again.
+	for i := 0; ; i += 8 {
+		if _, f := censusLanes(word(i), lanesBelow(min(max(wp-i, 0), 8))); f != 0 {
+			return valid, i + bits.TrailingZeros64(f)/8
+		}
+	}
+}
+
+// tailWord loads up to eight bytes little-endian, zero-filling the rest.
+func tailWord(m []uint8) uint64 {
+	var w uint64
+	for j := 0; j < len(m) && j < 8; j++ {
+		w |= uint64(m[j]) << (8 * j)
+	}
+	return w
 }
 
 // ValidCount returns the number of valid pages in a block (the GC victim

@@ -7,9 +7,10 @@ import (
 )
 
 // This file defines the scheme-side vocabulary of the verification layer
-// (internal/check): where a logical sector's current contents live, and the
-// shared audit/enumeration helpers for the structures every scheme embeds
-// (the PMT and the MapStore). The interfaces themselves — Auditable and
+// (internal/check): where a logical sector's current contents live, the Claim
+// an audit hands each verified owned page to, and the shared audit helpers
+// for the structures every scheme embeds (the PMT and the MapStore). The
+// interfaces themselves — Auditable and
 // SectorResolver — are declared in internal/check; schemes satisfy them
 // structurally without importing it.
 
@@ -53,36 +54,51 @@ type SectorSource struct {
 	Tag  flash.Tag
 }
 
-// AuditPMT verifies the data-page half of the shared page mapping table:
+// A Claim receives a flash page that a scheme's mapping audit has just
+// verified one of its entries owns, once per entry; the checker's ownership
+// sweep is one. An error stops the audit and is returned from it.
+type Claim func(flash.PPN) error
+
+// ClaimOf folds AuditMapping's optional claim arguments into one Claim: none
+// is a no-op, several run in order.
+func ClaimOf(claims []Claim) Claim {
+	switch len(claims) {
+	case 0:
+		return func(flash.PPN) error { return nil }
+	case 1:
+		return claims[0]
+	}
+	return func(p flash.PPN) error {
+		for _, c := range claims {
+			if err := c(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// AuditPMT verifies the data-page half of the shared page mapping table —
 // every mapped logical page must reference a valid flash page whose OOB tag
-// names that page as its owner.
-func (b *Base) AuditPMT() error {
+// names that page as its owner — and hands each verified page to claim.
+func (b *Base) AuditPMT(claim Claim) error {
+	arr := b.Dev.Array
 	for lpn := int64(0); lpn < b.PMT.Len(); lpn++ {
 		ppn := b.PMT.PPNOf(lpn)
 		if ppn == flash.NilPPN {
 			continue
 		}
-		if err := b.Dev.Array.Geo.CheckPPN(ppn); err != nil {
-			return fmt.Errorf("pmt: lpn %d: %w", lpn, err)
+		if uint64(ppn) >= uint64(arr.Geo.TotalPages()) {
+			return fmt.Errorf("pmt: lpn %d: %w", lpn, arr.Geo.CheckPPN(ppn))
 		}
-		if st := b.Dev.Array.State(ppn); st != flash.PageValid {
-			return fmt.Errorf("pmt: lpn %d maps to %v page %d", lpn, st, ppn)
-		}
-		tag := b.Dev.Array.TagOf(ppn)
-		if tag.Kind != TagData || tag.Key != lpn {
-			return fmt.Errorf("pmt: lpn %d page %d has foreign tag %+v", lpn, ppn, tag)
-		}
-	}
-	return nil
-}
-
-// VisitPMT enumerates the flash pages the PMT owns.
-func (b *Base) VisitPMT(fn func(flash.PPN) error) error {
-	for lpn := int64(0); lpn < b.PMT.Len(); lpn++ {
-		if ppn := b.PMT.PPNOf(lpn); ppn != flash.NilPPN {
-			if err := fn(ppn); err != nil {
-				return err
+		if !arr.Holds(ppn, TagData, lpn) {
+			if st := arr.State(ppn); st != flash.PageValid {
+				return fmt.Errorf("pmt: lpn %d maps to %v page %d", lpn, st, ppn)
 			}
+			return fmt.Errorf("pmt: lpn %d page %d has foreign tag %+v", lpn, ppn, arr.TagOf(ppn))
+		}
+		if err := claim(ppn); err != nil {
+			return fmt.Errorf("pmt: lpn %d: %w", lpn, err)
 		}
 	}
 	return nil
@@ -125,60 +141,43 @@ func (b *Base) VisitWritten(fn func(start, end int64)) {
 	}
 }
 
-// Audit verifies the map store's referential integrity: every materialised
+// Audit verifies the map store's referential integrity — every materialised
 // translation page must be a valid flash page tagged as that translation
-// page.
-func (m *MapStore) Audit() error {
-	for id := range m.loc {
-		ppn := flash.PPN(m.loc[id])
+// page — and hands each verified page to claim.
+func (m *MapStore) Audit(claim Claim) error {
+	arr := m.dev.Array
+	for id, loc := range m.loc {
+		ppn := flash.PPN(loc)
 		if ppn == flash.NilPPN {
 			continue
 		}
-		if st := m.dev.Array.State(ppn); st != flash.PageValid {
-			return fmt.Errorf("mapstore: translation page %d is %v page %d", id, st, ppn)
+		if err := arr.Geo.CheckPPN(ppn); err != nil {
+			return fmt.Errorf("mapstore: translation page %d: %w", id, err)
 		}
-		tag := m.dev.Array.TagOf(ppn)
-		if tag.Kind != TagMap || tag.Key != int64(id) {
-			return fmt.Errorf("mapstore: translation page %d page %d has foreign tag %+v", id, ppn, tag)
+		if !arr.Holds(ppn, TagMap, int64(id)) {
+			if st := arr.State(ppn); st != flash.PageValid {
+				return fmt.Errorf("mapstore: translation page %d is %v page %d", id, st, ppn)
+			}
+			return fmt.Errorf("mapstore: translation page %d page %d has foreign tag %+v", id, ppn, arr.TagOf(ppn))
 		}
-	}
-	return nil
-}
-
-// VisitPages enumerates the flash pages holding materialised translation
-// pages, in translation-page id order.
-func (m *MapStore) VisitPages(fn func(flash.PPN) error) error {
-	for _, ppn := range m.loc {
-		if flash.PPN(ppn) == flash.NilPPN {
-			continue
-		}
-		if err := fn(flash.PPN(ppn)); err != nil {
-			return err
+		if err := claim(ppn); err != nil {
+			return fmt.Errorf("mapstore: translation page %d: %w", id, err)
 		}
 	}
 	return nil
 }
 
 // AuditMapping implements check.Auditable for the baseline FTL: its only
-// mapping structure is the DRAM-resident PMT.
-func (s *Baseline) AuditMapping() error { return s.AuditPMT() }
-
-// VisitOwned implements check.Auditable for the baseline FTL.
-func (s *Baseline) VisitOwned(fn func(flash.PPN) error) error { return s.VisitPMT(fn) }
+// mapping structure is the DRAM-resident PMT. Each owned page goes to the
+// claim, when one is given.
+func (s *Baseline) AuditMapping(claim ...Claim) error { return s.AuditPMT(ClaimOf(claim)) }
 
 // AuditMapping implements check.Auditable for DFTL: the baseline's PMT plus
 // the flash-resident translation pages behind the cached mapping table.
-func (s *DFTL) AuditMapping() error {
-	if err := s.AuditPMT(); err != nil {
+func (s *DFTL) AuditMapping(claim ...Claim) error {
+	own := ClaimOf(claim)
+	if err := s.AuditPMT(own); err != nil {
 		return err
 	}
-	return s.ms.Audit()
-}
-
-// VisitOwned implements check.Auditable for DFTL.
-func (s *DFTL) VisitOwned(fn func(flash.PPN) error) error {
-	if err := s.VisitPMT(fn); err != nil {
-		return err
-	}
-	return s.ms.VisitPages(fn)
+	return s.ms.Audit(own)
 }

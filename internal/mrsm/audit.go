@@ -9,14 +9,14 @@ import (
 
 // AuditMapping implements check.Auditable: the sub-page location table, the
 // per-page slot census, the pack buffer and the map store must agree with
-// each other and with the flash array.
+// each other and with the flash array. Each censused page and translation
+// page, once verified, goes to the claim when one is given.
 //
-// Every pass is sequential over one table: the census page by page, then a
-// count over subLoc. The forward half of the bijection (every mapped
-// sub-page points into a valid, MRSM-tagged page whose census names it in
-// that slot) follows from the reverse pass plus the count, without a random
-// access per sub-page.
-func (s *Scheme) AuditMapping() error {
+// Each pass is one sequential walk: the buffer, the census page by page,
+// then subLoc, which looks up the census slot of every mapped sub-page.
+func (s *Scheme) AuditMapping(claim ...ftl.Claim) error {
+	own := ftl.ClaimOf(claim)
+	arr := s.Dev.Array
 	// Pack buffer: never overfull, no sub-page staged twice, and a staged
 	// sub-page has no flash location (staging invalidates the old copy).
 	if len(s.bufList) >= s.subPerPg {
@@ -36,86 +36,84 @@ func (s *Scheme) AuditMapping() error {
 			}
 		}
 	}
-	// Reverse: every censused page is a valid, MRSM-tagged flash page, its
-	// live count matches its occupied slots, every occupied slot points
-	// back, and dead pages keep a fully cleared census segment (installPack
-	// relies on it).
+	// Census: every censused page is a valid, MRSM-tagged flash page whose
+	// live count matches its occupied slots, and dead pages keep a fully
+	// cleared census segment (installPack relies on it).
+	pageOwner, subLoc, spp := s.pageOwner, s.subLoc, int32(s.subPerPg)
 	var occupied int64
 	for i, live := range s.pageLive {
-		ppn := flash.PPN(i)
-		base := int32(i) * int32(s.subPerPg)
+		base := int32(i) * spp
 		counted := 0
-		for slot := int32(0); slot < int32(s.subPerPg); slot++ {
-			sub := s.pageOwner[base+slot]
-			if sub == unmapped {
-				continue
-			}
-			counted++
-			if live == 0 {
-				return fmt.Errorf("mrsm audit: dead page %d still owns sub %d in slot %d", ppn, sub, slot)
-			}
-			if sub < 0 || int(sub) >= len(s.subLoc) {
-				return fmt.Errorf("mrsm audit: page %d slot %d holds out-of-range sub %d", ppn, slot, sub)
-			}
-			if s.subLoc[sub] != base+slot {
-				return fmt.Errorf("mrsm audit: page %d slot %d holds sub %d, which maps to %d",
-					ppn, slot, sub, s.subLoc[sub])
+		for _, sub := range pageOwner[base : base+spp] {
+			if sub != unmapped {
+				counted++
 			}
 		}
 		occupied += int64(counted)
-		if live == 0 {
-			continue
-		}
-		if st := s.Dev.Array.State(ppn); st != flash.PageValid {
-			return fmt.Errorf("mrsm audit: censused page %d is %v", ppn, st)
-		}
-		if tag := s.Dev.Array.TagOf(ppn); tag.Kind != ftl.TagMRSM {
-			return fmt.Errorf("mrsm audit: censused page %d has foreign tag %+v", ppn, tag)
-		}
+		ppn := flash.PPN(i)
 		if counted != int(live) {
 			return fmt.Errorf("mrsm audit: page %d census live %d, counted %d", ppn, live, counted)
 		}
-	}
-	// Forward, by count: each occupied slot names a distinct sub-page that
-	// maps back to it, so the mapped sub-pages are exactly the slots' owners
-	// when there are as many of them as occupied slots. A surplus is a
-	// sub-page whose slot the census does not give it.
-	var mapped int64
-	for _, loc := range s.subLoc {
-		if loc != unmapped {
-			mapped++
-		}
-	}
-	if mapped != occupied {
-		for sub, loc := range s.subLoc {
-			if loc != unmapped && (loc < 0 || int(loc) >= len(s.pageOwner) || s.pageOwner[loc] != int32(sub)) {
-				return fmt.Errorf("mrsm audit: sub %d claims slot %d, which the census does not give it", sub, loc)
-			}
-		}
-		return fmt.Errorf("mrsm audit: %d sub-pages mapped, census holds %d", mapped, occupied)
-	}
-	return s.ms.Audit()
-}
-
-// VisitOwned implements check.Auditable: the packed data pages in the census
-// plus the map store's translation pages.
-func (s *Scheme) VisitOwned(fn func(flash.PPN) error) error {
-	for i, live := range s.pageLive {
 		if live == 0 {
 			continue
 		}
-		if err := fn(flash.PPN(i)); err != nil {
-			return err
+		if !arr.Holds(ppn, ftl.TagMRSM, -1) {
+			if st := arr.State(ppn); st != flash.PageValid {
+				return fmt.Errorf("mrsm audit: censused page %d is %v", ppn, st)
+			}
+			return fmt.Errorf("mrsm audit: censused page %d has foreign tag %+v", ppn, arr.TagOf(ppn))
+		}
+		if err := own(ppn); err != nil {
+			return fmt.Errorf("mrsm audit: censused page %d: %w", ppn, err)
 		}
 	}
-	return s.ms.VisitPages(fn)
+	// Mapping: the slot every mapped sub-page names holds it. Sub-pages are
+	// distinct, so the mapped ones hold distinct occupied slots, and as many
+	// of them as there are occupied slots hold every one: the bijection.
+	var mapped int64
+	slots := uint32(len(pageOwner))
+	for sub, loc := range subLoc {
+		if loc == unmapped {
+			continue
+		}
+		mapped++
+		if uint32(loc) >= slots || pageOwner[loc] != int32(sub) {
+			return fmt.Errorf("mrsm audit: sub %d claims slot %d, which the census does not give it", sub, loc)
+		}
+	}
+	if mapped != occupied {
+		return s.strayOwner(mapped, occupied)
+	}
+	return s.ms.Audit(own)
+}
+
+// strayOwner names the occupied census slot no mapped sub-page holds — its
+// owner is out of range or maps elsewhere — once the mapping pass has found
+// fewer mapped sub-pages than occupied slots.
+func (s *Scheme) strayOwner(mapped, occupied int64) error {
+	spp := s.subPerPg
+	for loc, sub := range s.pageOwner {
+		switch {
+		case sub == unmapped:
+		case sub < 0 || int(sub) >= len(s.subLoc):
+			return fmt.Errorf("mrsm audit: page %d slot %d holds out-of-range sub %d", loc/spp, loc%spp, sub)
+		case s.subLoc[sub] != int32(loc):
+			return fmt.Errorf("mrsm audit: page %d slot %d holds sub %d, which maps to %d",
+				loc/spp, loc%spp, sub, s.subLoc[sub])
+		}
+	}
+	return fmt.Errorf("mrsm audit: %d sub-pages mapped, census holds %d", mapped, occupied)
 }
 
 // ResolveRun implements check.SectorResolver: the sector's sub-page is
 // either staged in the pack buffer (newest copy in controller RAM) or lives
-// in the slot its location entry names, so its run is the rest of the
-// sub-page. MRSM tags carry no owner key — GC resolves ownership through the
-// slot census — so the expected OOB tag is the anonymous TagMRSM.
+// in the slot its location entry names. A staged or unmapped sub-page's run
+// is the rest of the sub-page; a packed one's runs on over the following
+// sub-pages packed into the same physical page, and ends at the first one
+// that is unmapped, staged or packed elsewhere, so one resolution covers a
+// whole multi-sub-page write. MRSM tags carry no owner key — GC resolves
+// ownership through the slot census — so the expected OOB tag is the
+// anonymous TagMRSM.
 func (s *Scheme) ResolveRun(sec int64) (ftl.SectorSource, int64, error) {
 	n := s.LogicalSectors()
 	if sec < 0 || sec >= n {
@@ -131,11 +129,19 @@ func (s *Scheme) ResolveRun(sec int64) (ftl.SectorSource, int64, error) {
 	if loc == unmapped {
 		return ftl.SectorSource{Kind: ftl.SrcUnwritten}, end, nil
 	}
+	spp := int32(s.subPerPg)
+	ppn := loc / spp
+	next := sub + 1
+	for ; next < int64(len(s.subLoc)); next++ {
+		if l := s.subLoc[next]; l == unmapped || l/spp != ppn || s.buffered(next) {
+			break
+		}
+	}
 	return ftl.SectorSource{
 		Kind: ftl.SrcFlash,
-		PPN:  flash.PPN(loc / int32(s.subPerPg)),
+		PPN:  flash.PPN(ppn),
 		Tag:  flash.Tag{Kind: ftl.TagMRSM, Key: -1},
-	}, end, nil
+	}, min(next*subSec, n), nil
 }
 
 // VisitWritten implements check.SectorResolver, the bulk form of

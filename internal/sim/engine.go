@@ -252,7 +252,7 @@ func (r *Runner) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int) 
 
 	// Observability (nil-guarded: the untraced replay pays one branch per
 	// site and zero allocations). The sampler tracks its own in-flight set
-	// so queue depth is observable even in open-loop mode.
+	// (completions) so queue depth is observable even in open-loop mode.
 	trc := r.tracer
 	dev.SetTracer(trc)
 	// Verification (nil-guarded like the tracer: the unchecked replay pays
@@ -266,7 +266,7 @@ func (r *Runner) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int) 
 	}
 	smp := r.sampler
 	var (
-		obsInflight      []float64
+		obsInflight      completions
 		hostPagesWritten int64
 		obsLastDone      float64
 		fill             func(*obs.Sample)
@@ -282,13 +282,7 @@ func (r *Runner) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int) 
 			// Retire the sampler's in-flight view and advance its clock
 			// before dispatch, so a boundary sample sees the state as of
 			// this arrival, excluding the request being dispatched.
-			kept := obsInflight[:0]
-			for _, c := range obsInflight {
-				if c > issue {
-					kept = append(kept, c)
-				}
-			}
-			obsInflight = kept
+			obsInflight.retire(issue)
 			smp.Tick(issue, fill)
 		}
 		if trc != nil {
@@ -318,7 +312,7 @@ func (r *Runner) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int) 
 			if req.Op == trace.OpWrite {
 				hostPagesWritten += req.LastLPN(spp) - req.FirstLPN(spp) + 1
 			}
-			obsInflight = append(obsInflight, s.Done)
+			obsInflight.push(s.Done)
 			if s.Done > obsLastDone {
 				obsLastDone = s.Done
 			}
@@ -349,16 +343,56 @@ func (r *Runner) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int) 
 		}
 		// Retire everything that completes by then so the closing sample
 		// reports the drained queue.
-		kept := obsInflight[:0]
-		for _, c := range obsInflight {
-			if c > end {
-				kept = append(kept, c)
-			}
-		}
-		obsInflight = kept
+		obsInflight.retire(end)
 		smp.Finish(end, fill)
 	}
 	return res, nil
+}
+
+// completions is the sampler's in-flight set: the completion times of the
+// requests dispatched and not yet retired, kept as a min-heap so that
+// retiring every completion up to an arrival pops from the top — O(log n)
+// a request — where rescanning the whole set cost O(backlog), which grows
+// without bound in open loop. Its length is the queue depth.
+type completions []float64
+
+// push adds the completion time t.
+func (h *completions) push(t float64) {
+	q := append(*h, t)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if q[p] <= q[i] {
+			break
+		}
+		q[p], q[i] = q[i], q[p]
+		i = p
+	}
+	*h = q
+}
+
+// retire drops every completion at or before t.
+func (h *completions) retire(t float64) {
+	q := *h
+	for len(q) > 0 && q[0] <= t {
+		n := len(q) - 1
+		q[0] = q[n]
+		q = q[:n]
+		for i := 0; ; {
+			m := 2*i + 1
+			if m >= n {
+				break
+			}
+			if r := m + 1; r < n && q[r] < q[m] {
+				m = r
+			}
+			if q[i] <= q[m] {
+				break
+			}
+			q[i], q[m] = q[m], q[i]
+			i = m
+		}
+	}
+	*h = q
 }
 
 // Run is the one-call convenience: build, age, replay.
