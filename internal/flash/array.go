@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"across/internal/ssdconf"
 )
@@ -261,6 +262,15 @@ func (a *Array) Erase(bid BlockID) error {
 // every entry, without building the Tag (and loading its aux) that TagOf does.
 func (a *Array) Holds(p PPN, kind uint8, key int64) bool {
 	return a.meta[p] == uint8(PageValid)|kind<<kindShift && int64(a.key[p]) == key
+}
+
+// PrefetchPage hints the line that holds page p's metadata byte, which the
+// next check, invalidate or program of p loads. It reads no state, and an
+// out-of-range p is ignored.
+func (a *Array) PrefetchPage(p PPN) {
+	if uint64(p) < uint64(len(a.meta)) {
+		Prefetch(unsafe.Pointer(&a.meta[p]))
+	}
 }
 
 // Byte lanes of a 64-bit word holding eight metadata bytes.

@@ -24,6 +24,18 @@ type MigrateFunc func(tag flash.Tag, old, new flash.PPN)
 // should use the GC allocation path (AllocGCPage) and OpGC class.
 type SalvageFunc func(tag flash.Tag, old flash.PPN, pl flash.PlaneID, now float64) (handled bool, err error)
 
+// PrefetchFunc is the GC look-ahead hook: collect calls it with the tag and
+// PPN of the victim page it will move gcAhead pages from now, so the scheme
+// can hint the mapping entries that page's migration or salvage will load.
+// It must only read: a hint may change how long a later load waits, never
+// what it finds.
+type PrefetchFunc func(tag flash.Tag, ppn flash.PPN)
+
+// gcAhead is how many victim pages ahead of the one being moved collect
+// hints: far enough that the hinted lines arrive before the page's turn,
+// near enough that they are still cached when it comes.
+const gcAhead = 4
+
 // planeState is the per-plane allocation domain.
 type planeState struct {
 	freeBlocks []flash.BlockID // erased blocks, used as a stack
@@ -46,6 +58,7 @@ type Allocator struct {
 	threshold    int64 // GC trigger in pages
 	onMigrate    MigrateFunc
 	salvage      SalvageFunc                                     // optional scheme-driven reclamation
+	prefetch     PrefetchFunc                                    // optional GC look-ahead hint
 	victimPolicy VictimPolicy                                    // GC victim selection
 	maxVictims   int                                             // partial GC: victims per invocation (0 = unbounded)
 	wearLevel    bool                                            // pick least-worn free blocks
@@ -94,6 +107,9 @@ func (a *Allocator) SetMigrate(f MigrateFunc) { a.onMigrate = f }
 
 // SetSalvage installs the optional scheme-driven reclamation hook.
 func (a *Allocator) SetSalvage(f SalvageFunc) { a.salvage = f }
+
+// SetPrefetch installs the optional GC look-ahead hook.
+func (a *Allocator) SetPrefetch(f PrefetchFunc) { a.prefetch = f }
 
 // SetWearLeveling makes block allocation pick the least-erased free block
 // instead of the most recently freed one — dynamic wear levelling. It costs

@@ -1,6 +1,8 @@
 package ftl
 
 import (
+	"math/bits"
+
 	"across/internal/flash"
 	"across/internal/mapping"
 	"across/internal/ssdconf"
@@ -17,6 +19,7 @@ type Base struct {
 	SPP  int // sectors per page
 
 	sectors  int64       // see LogicalSectors
+	sppShift int         // log2(SPP), or -1 when SPP is no power of two; see pageSpan
 	splitBuf []PageSlice // reused by Split; valid until the next Split call
 }
 
@@ -27,14 +30,26 @@ func NewBase(conf *ssdconf.Config) (Base, error) {
 		return Base{}, err
 	}
 	b := Base{
-		Conf:    conf,
-		Dev:     dev,
-		Al:      NewAllocator(dev, nil),
-		PMT:     mapping.NewPMT(conf.LogicalPages()),
-		SPP:     conf.SectorsPerPage(),
-		sectors: conf.LogicalSectors(),
+		Conf:     conf,
+		Dev:      dev,
+		Al:       NewAllocator(dev, nil),
+		PMT:      mapping.NewPMT(conf.LogicalPages()),
+		SPP:      conf.SectorsPerPage(),
+		sectors:  conf.LogicalSectors(),
+		sppShift: shiftOf(conf.SectorsPerPage()),
 	}
+	b.Al.SetPrefetch(ownerPrefetch(b.PMT))
 	return b, nil
+}
+
+// ownerPrefetch is the GC look-ahead hook of the schemes that map pages
+// through a PMT: it hints the entry MigrateData will check for a data page.
+func ownerPrefetch(pmt *mapping.PMT) PrefetchFunc {
+	return func(tag flash.Tag, _ flash.PPN) {
+		if tag.Kind == TagData {
+			pmt.Prefetch(tag.Key)
+		}
+	}
 }
 
 // Device implements part of the Scheme interface.
@@ -48,6 +63,53 @@ func (b *Base) Allocator() *Allocator { return b.Al }
 // method costs float arithmetic per call, which per-run callers (the shadow
 // checker's ResolveRun) cannot afford.
 func (b *Base) LogicalSectors() int64 { return b.sectors }
+
+// PrefetchMap hints the PMT entries of r's first and last logical pages,
+// which serving r will look up. Like every hint it reads no state, so r
+// need not be valid: an entry outside the table is skipped.
+func (b *Base) PrefetchMap(r trace.Request) {
+	first, last := b.pageSpan(r)
+	b.PMT.Prefetch(first)
+	if last != first {
+		b.PMT.Prefetch(last)
+	}
+}
+
+// PrefetchData reads the PMT entries of r's first and last logical pages,
+// cached by an earlier PrefetchMap, and hints the flash state of the pages
+// they map to, which serving r will check or invalidate.
+func (b *Base) PrefetchData(r trace.Request) {
+	first, last := b.pageSpan(r)
+	b.prefetchMapped(first)
+	if last != first {
+		b.prefetchMapped(last)
+	}
+}
+
+func (b *Base) prefetchMapped(lpn int64) {
+	if uint64(lpn) < uint64(b.PMT.Len()) {
+		b.Dev.Array.PrefetchPage(b.PMT.PPNOf(lpn))
+	}
+}
+
+// pageSpan returns r's first and last logical page, as FirstLPN and LastLPN
+// do for a valid request. The host loop's hints and Split ask it of every
+// request, so a page of a power-of-two sector count costs two shifts
+// instead of two 64-bit divisions, which dominated the hints' cost.
+func (b *Base) pageSpan(r trace.Request) (first, last int64) {
+	if b.sppShift < 0 {
+		return r.FirstLPN(b.SPP), r.LastLPN(b.SPP)
+	}
+	return r.Offset >> b.sppShift, (r.End() - 1) >> b.sppShift
+}
+
+// shiftOf returns log2(spp) when spp is a power of two, else -1.
+func shiftOf(spp int) int {
+	if spp > 0 && spp&(spp-1) == 0 {
+		return bits.TrailingZeros(uint(spp))
+	}
+	return -1
+}
 
 // CheckRequest validates a request against the device's logical size.
 func (b *Base) CheckRequest(r trace.Request) error {
@@ -70,7 +132,7 @@ func (ps PageSlice) Full(spp int) bool { return ps.Start == 0 && ps.End == spp }
 // the next Split call on the same scheme and must not be retained.
 func (b *Base) Split(r trace.Request) []PageSlice {
 	spp := int64(b.SPP)
-	first, last := r.FirstLPN(b.SPP), r.LastLPN(b.SPP)
+	first, last := b.pageSpan(r)
 	out := b.splitBuf[:0]
 	for lpn := first; lpn <= last; lpn++ {
 		ps := PageSlice{LPN: lpn, Start: 0, End: b.SPP}

@@ -282,3 +282,51 @@ func TestReadTransferFollowsCellRead(t *testing.T) {
 		t.Fatalf("read completion = %v, want %v", done, want)
 	}
 }
+
+// TestGCPrefetchStaysInVictimList: collect hints each victim's valid pages
+// gcAhead ahead of the one it moves, in order, with the tag the page holds,
+// and never a page outside the victim's list or past its end.
+func TestGCPrefetchStaysInVictimList(t *testing.T) {
+	// Blocks of 64 pages, so that a victim holds more than gcAhead.
+	c := ssdconf.Tiny()
+	c.PagesPerBlock = 64
+	s, err := NewBaseline(&c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got []flash.PPN
+	s.Al.SetGCVictimHook(func(_ flash.PlaneID, victim flash.BlockID) {
+		if len(got) != len(want) {
+			t.Fatalf("hinted %v for the last victim, want %v", got, want)
+		}
+		got = got[:0]
+		want = append(want[:0], s.Dev.Array.ValidPages(victim)...)
+		if len(want) > gcAhead {
+			want = want[gcAhead:]
+		} else {
+			want = want[:0]
+		}
+	})
+	hinted := 0
+	s.Al.SetPrefetch(func(tag flash.Tag, ppn flash.PPN) {
+		if i := len(got); i >= len(want) || want[i] != ppn {
+			t.Fatalf("hint %d of a victim is ppn %d, want the victim's valid pages from the %dth: %v", i, ppn, gcAhead, want)
+		}
+		if tag != s.Dev.Array.TagOf(ppn) || tag.Kind != TagData {
+			t.Fatalf("ppn %d hinted with tag %+v, holds %+v", ppn, tag, s.Dev.Array.TagOf(ppn))
+		}
+		got = append(got, ppn)
+		hinted++
+	})
+	rng := rand.New(rand.NewSource(5))
+	pages := c.LogicalSectors() / 16 * 3 / 4
+	for i := 0; i < 20000; i++ {
+		lpn := rng.Int63n(pages)
+		if _, err := s.Write(trace.Request{Op: trace.OpWrite, Offset: lpn * 16, Count: 16}, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Dev.Count.GCInvocations == 0 || hinted == 0 {
+		t.Fatalf("%d collections hinted %d pages: churn too light to test the hook", s.Dev.Count.GCInvocations, hinted)
+	}
+}

@@ -42,6 +42,22 @@ func TestSplitSubRequests(t *testing.T) {
 
 // TestPaperFigure3AcrossWriteCost encodes the conventional-FTL workflow of
 // Fig 3: an across-page write triggers two separate flash programs.
+// pageSpan shifts when a page holds a power of two sectors and divides
+// otherwise; either way it must agree with FirstLPN and LastLPN on every
+// valid request.
+func TestPageSpanMatchesFirstAndLastLPN(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, spp := range []int{1, 8, 16, 24, 48} {
+		b := Base{SPP: spp, sppShift: shiftOf(spp)}
+		for i := 0; i < 2000; i++ {
+			r := trace.Request{Offset: rng.Int63n(1 << 40), Count: 1 + rng.Int31n(4*int32(spp))}
+			if first, last := b.pageSpan(r); first != r.FirstLPN(spp) || last != r.LastLPN(spp) {
+				t.Fatalf("spp %d, %+v: pageSpan (%d, %d), want (%d, %d)", spp, r, first, last, r.FirstLPN(spp), r.LastLPN(spp))
+			}
+		}
+	}
+}
+
 func TestPaperFigure3AcrossWriteCost(t *testing.T) {
 	s, _ := tinyBaseline(t)
 	r := trace.Request{Op: trace.OpWrite, Offset: 2056, Count: 12} // write(1028K, 6K)

@@ -117,7 +117,11 @@ func (a *Allocator) collect(pl flash.PlaneID, now float64) error {
 		}
 		a.gcScratch = a.dev.Array.AppendValidPages(a.gcScratch[:0], victim)
 		migrated += len(a.gcScratch)
-		for _, old := range a.gcScratch {
+		for j, old := range a.gcScratch {
+			if a.prefetch != nil && j+gcAhead < len(a.gcScratch) {
+				next := a.gcScratch[j+gcAhead]
+				a.prefetch(a.dev.Array.TagOf(next), next)
+			}
 			tag := a.dev.Array.TagOf(old)
 			if a.salvage != nil {
 				handled, err := a.salvage(tag, old, pl, now)

@@ -90,13 +90,15 @@ func recoverBase(dev *Device) (Base, error) {
 		return Base{}, err
 	}
 	b := Base{
-		Conf:    dev.Conf,
-		Dev:     dev,
-		Al:      al,
-		PMT:     mapping.NewPMT(dev.Conf.LogicalPages()),
-		SPP:     dev.Conf.SectorsPerPage(),
-		sectors: dev.Conf.LogicalSectors(),
+		Conf:     dev.Conf,
+		Dev:      dev,
+		Al:       al,
+		PMT:      mapping.NewPMT(dev.Conf.LogicalPages()),
+		SPP:      dev.Conf.SectorsPerPage(),
+		sectors:  dev.Conf.LogicalSectors(),
+		sppShift: shiftOf(dev.Conf.SectorsPerPage()),
 	}
+	b.Al.SetPrefetch(ownerPrefetch(b.PMT))
 	return b, nil
 }
 

@@ -6,6 +6,7 @@ package mapping
 
 import (
 	"fmt"
+	"unsafe"
 
 	"across/internal/flash"
 )
@@ -52,15 +53,42 @@ func fillNeg1(col []int32) {
 // Len returns the number of logical pages.
 func (t *PMT) Len() int64 { return int64(len(t.ppn)) }
 
+// check panics unless lpn indexes the table. One unsigned compare covers a
+// negative lpn too, and the panic value formats its message only when it is
+// printed, so that check costs the inliner a compare and PPNOf, AIdxOf and
+// Get inline into every PMT walk (a call, even to an out-of-line helper,
+// costs 57 of the budget's 80).
 func (t *PMT) check(lpn int64) {
-	if lpn < 0 || lpn >= int64(len(t.ppn)) {
-		panic(fmt.Sprintf("mapping: LPN %d out of range [0,%d)", lpn, len(t.ppn)))
+	if uint64(lpn) >= uint64(len(t.ppn)) {
+		panic(lpnRangeError{lpn, len(t.ppn)})
 	}
+}
+
+// lpnRangeError is check's panic value.
+type lpnRangeError struct {
+	lpn int64
+	n   int
+}
+
+// Error formats the panic message, once the panic is printed.
+func (e lpnRangeError) Error() string {
+	return fmt.Sprintf("mapping: LPN %d out of range [0,%d)", e.lpn, e.n)
 }
 
 // Get returns the entry for an LPN.
 func (t *PMT) Get(lpn int64) PMTEntry {
 	return PMTEntry{PPN: t.PPNOf(lpn), AIdx: t.AIdxOf(lpn)}
+}
+
+// Prefetch hints the lines that hold lpn's entry, in both columns, ahead of
+// a lookup. It reads no entry, and an out-of-range lpn is ignored.
+func (t *PMT) Prefetch(lpn int64) {
+	if uint64(lpn) < uint64(len(t.ppn)) {
+		flash.Prefetch(unsafe.Pointer(&t.ppn[lpn]))
+		if t.aidx != nil {
+			flash.Prefetch(unsafe.Pointer(&t.aidx[lpn]))
+		}
+	}
 }
 
 // PPNOf returns the mapped physical page of an LPN (NilPPN if unmapped).

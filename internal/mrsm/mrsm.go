@@ -17,6 +17,7 @@ package mrsm
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"across/internal/cache"
 	"across/internal/clock"
@@ -133,6 +134,7 @@ func New(conf *ssdconf.Config) (*Scheme, error) {
 	s.ms = ftl.NewMapStore(s.Dev, s.Al, numNodes)
 	s.Al.SetMigrate(s.migrate)
 	s.Al.SetSalvage(s.salvage)
+	s.Al.SetPrefetch(s.prefetchSalvage)
 	return s, nil
 }
 
@@ -261,6 +263,42 @@ func (s *Scheme) invalidateSub(sub int64) error {
 		return s.Dev.Invalidate(ppn)
 	}
 	return nil
+}
+
+// PrefetchMap hints the location entry of r's first sub-page, which
+// serving r will look up. It reads no state, and a sub-page outside the
+// table is skipped. The sub-pages of one request sit side by side in subLoc,
+// so the first one's line is usually the whole request's.
+func (s *Scheme) PrefetchMap(r trace.Request) {
+	if sub := r.Offset / int64(s.subSec); uint64(sub) < uint64(len(s.subLoc)) {
+		flash.Prefetch(unsafe.Pointer(&s.subLoc[sub]))
+	}
+}
+
+// PrefetchData reads the location of r's first sub-page, cached by an
+// earlier PrefetchMap, and hints the census line of the slot it names,
+// which invalidateSub checks and clears.
+func (s *Scheme) PrefetchData(r trace.Request) {
+	if sub := r.Offset / int64(s.subSec); uint64(sub) < uint64(len(s.subLoc)) {
+		if loc := s.subLoc[sub]; uint32(loc) < uint32(len(s.pageOwner)) {
+			flash.Prefetch(unsafe.Pointer(&s.pageOwner[loc]))
+		}
+	}
+}
+
+// prefetchSalvage is the GC look-ahead hook: for a packed page collect will
+// reach soon, it hints the location entry of each live slot's owner, which
+// salvage will invalidate.
+func (s *Scheme) prefetchSalvage(tag flash.Tag, ppn flash.PPN) {
+	if tag.Kind != ftl.TagMRSM || uint64(ppn) >= uint64(len(s.pageLive)) {
+		return
+	}
+	base := int(ppn) * s.subPerPg
+	for _, sub := range s.pageOwner[base : base+s.subPerPg] {
+		if uint32(sub) < uint32(len(s.subLoc)) {
+			flash.Prefetch(unsafe.Pointer(&s.subLoc[sub]))
+		}
+	}
 }
 
 // flushPack programs the accumulated pack buffer as one physical page and

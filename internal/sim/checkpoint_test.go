@@ -249,6 +249,7 @@ func TestRunnerCheckpointMatchesOpenCheckpoint(t *testing.T) {
 var forkScratch = map[string]bool{
 	"ftl.Allocator.onMigrate": true, // bound to the owning scheme by its constructor
 	"ftl.Allocator.salvage":   true, // likewise
+	"ftl.Allocator.prefetch":  true, // likewise
 	"ftl.Allocator.gcVictims": true, // test hook
 }
 

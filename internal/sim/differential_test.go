@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -101,5 +104,105 @@ func TestVictimPoliciesDifferUnderIndex(t *testing.T) {
 	fifo := seqFor(ftl.VictimFIFO)
 	if reflect.DeepEqual(greedy, fifo) {
 		t.Error("greedy and FIFO victim sequences are identical; index may be ignoring the policy")
+	}
+}
+
+// replayUnhinted is ReplayQD without the look-ahead hints: Measured.Drive
+// with bare Dispatch as the serve step, between the same set-up and
+// collection.
+func replayUnhinted(r *Runner, reqs []trace.Request, qd int) (*Result, error) {
+	res := r.beginReplay()
+	serve := func(_ int, req trace.Request, issue float64) (Served, error) { return r.Dispatch(req, issue) }
+	if err := res.Drive(context.Background(), reqs, qd, r.Conf.SectorsPerPage(), serve, r.Scheme.Device().Sched.Horizon); err != nil {
+		return nil, err
+	}
+	r.finishReplay(res)
+	return res, nil
+}
+
+// agedRunner ages a small device for kind; hints false also removes the
+// allocator's GC look-ahead hook first, so that neither ageing nor a replay
+// on it hints anything.
+func agedRunner(t *testing.T, kind SchemeKind, hints bool) *Runner {
+	t.Helper()
+	r, err := NewRunner(kind, smallConf())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hints {
+		al, _ := ftl.As[allocatorOwner](r.Scheme)
+		al.Allocator().SetPrefetch(nil)
+	}
+	if err := r.Age(DefaultAging()); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestHintsAreInvisible: the look-ahead hints change nothing simulated. For
+// every scheme in the table, at QD 0 and 8, two devices are aged alike and
+// replay the same trace under GC pressure: one through ReplayQD, which hints
+// ahead in the host loop and in GC, and one with the GC hook removed through
+// Drive with bare Dispatch, which hints nothing. The Results (measured core,
+// counters, census) and the two runners' whole state must be equal.
+func TestHintsAreInvisible(t *testing.T) {
+	reqs := smallTrace(t, 0.01)
+	for _, e := range schemes {
+		for _, qd := range []int{0, 8} {
+			t.Run(fmt.Sprintf("%s/qd%d", e.kind, qd), func(t *testing.T) {
+				bare, hinted := agedRunner(t, e.kind, false), agedRunner(t, e.kind, true)
+				want, err := replayUnhinted(bare, reqs, qd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want.Counters.GCInvocations == 0 {
+					t.Fatal("no garbage collection: the device is not under GC pressure")
+				}
+				got, err := hinted.ReplayQD(reqs, qd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertIdentical(t, want, got, "hinted replay")
+				w := stateWalk{t: t, seen: map[[2]uintptr]bool{}}
+				w.walk("Runner", reflect.ValueOf(bare), reflect.ValueOf(hinted))
+			})
+		}
+	}
+}
+
+// TestHintsAreSafe: a hint trusts no request. For every scheme, hinting
+// requests that start below the device, end past it, touch its last sector
+// or carry no sectors neither panics nor changes any state.
+func TestHintsAreSafe(t *testing.T) {
+	conf := smallConf()
+	last := conf.LogicalSectors() - 1
+	reqs := []trace.Request{
+		{Op: trace.OpWrite, Offset: -8, Count: 8},
+		{Op: trace.OpRead, Offset: -1 << 20, Count: 8},
+		{Op: trace.OpWrite, Offset: math.MinInt64, Count: 1},
+		{Op: trace.OpWrite, Offset: last - 3, Count: 64},
+		{Op: trace.OpRead, Offset: math.MaxInt64 - 4, Count: math.MaxInt32},
+		{Op: trace.OpRead, Offset: last, Count: 1},
+		{Op: trace.OpWrite, Offset: 0, Count: 0},
+		{Op: trace.OpWrite, Offset: last + 1, Count: 0},
+	}
+	for _, e := range schemes {
+		t.Run(string(e.kind), func(t *testing.T) {
+			cp, err := agedRunner(t, e.kind, true).Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := mustFork(t, cp), mustFork(t, cp)
+			pf, ok := ftl.As[prefetcher](a.Scheme)
+			if !ok {
+				t.Fatalf("%s does not hint", e.kind)
+			}
+			for _, req := range reqs {
+				pf.PrefetchMap(req)
+				pf.PrefetchData(req)
+			}
+			w := stateWalk{t: t, seen: map[[2]uintptr]bool{}}
+			w.walk("Runner", reflect.ValueOf(a), reflect.ValueOf(b))
+		})
 	}
 }

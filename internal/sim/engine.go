@@ -67,6 +67,16 @@ func (r *Runner) ReplayQD(reqs []trace.Request, qd int) (*Result, error) {
 // uncancelled hot path pays only a nil-channel select once per 64 requests.
 const cancelCheckMask = 63
 
+// Look-ahead distances of the host loop's hints, in requests: while request
+// i is served, the mapping entries of request i+mapAhead are hinted, and the
+// flash or census state those entries point at for request i+dataAhead,
+// whose entries have arrived by then. Constants, not knobs: they only move
+// host time, and were tuned once on the gc-churn cell (DESIGN §7).
+const (
+	mapAhead  = 16
+	dataAhead = 8
+)
+
 // Served is what serving one host request yields: its completion time and
 // the flash data programs and reads (host and GC) attributed to it.
 type Served struct {
@@ -244,7 +254,8 @@ func (r *Runner) Dispatch(req trace.Request, issue float64) (Served, error) {
 // ReplayQDCtx is ReplayQD with cancellation: Drive polls ctx every 64
 // requests, so long replays driven by a job scheduler can be stopped
 // promptly without the hot path paying a per-request check. Each request
-// is served by Dispatch between the tracer, sampler and checker hooks.
+// is served by Dispatch between the tracer, sampler and checker hooks,
+// after the scheme is asked to hint requests ahead (mapAhead, dataAhead).
 func (r *Runner) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int) (*Result, error) {
 	dev := r.Scheme.Device()
 	res := r.beginReplay()
@@ -277,7 +288,16 @@ func (r *Runner) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int) 
 		}
 	}
 
+	pf, hint := ftl.As[prefetcher](r.Scheme)
 	serve := func(i int, req trace.Request, issue float64) (Served, error) {
+		if hint {
+			if j := i + mapAhead; j < len(reqs) {
+				pf.PrefetchMap(reqs[j])
+			}
+			if j := i + dataAhead; j < len(reqs) {
+				pf.PrefetchData(reqs[j])
+			}
+		}
 		if smp != nil {
 			// Retire the sampler's in-flight view and advance its clock
 			// before dispatch, so a boundary sample sees the state as of

@@ -59,6 +59,13 @@ type (
 	cmtCensus      interface{ CMTStats() cache.CMTStats }
 	allocatorOwner interface{ Allocator() *ftl.Allocator }
 	statsResetter  interface{ ResetStats() }
+	// prefetcher hints the memory serving a request will load (DESIGN §7).
+	// Both methods only read: a hint changes how long the scheme's loads
+	// wait, never what they find, so nothing simulated depends on it.
+	prefetcher interface {
+		PrefetchMap(r trace.Request)  // the mapping entries r starts from
+		PrefetchData(r trace.Request) // what those entries point at
+	}
 )
 
 // Measured is the measured core of every host replay, one device or a

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"across/internal/ssdconf"
 	"across/internal/trace"
 	"across/internal/workload"
 )
@@ -119,5 +120,54 @@ func TestReplayQDLargeEqualsOpenLoop(t *testing.T) {
 	}
 	if ra.Counters != rb.Counters {
 		t.Fatal("counters differ between open loop and huge QD")
+	}
+}
+
+// BenchmarkReplay is the benchmark ledger's gc-churn cell at Go level: the
+// full lun1 profile turned into churn (95 % writes over 90 % of the logical
+// space), closed loop at queue depth 8, on the 8 GiB Scaled16 device, one
+// sub-benchmark per scheme. Each iteration forks the scheme's aged checkpoint
+// outside the timer, so req/s prices the replay alone. DESIGN §7 quotes it
+// and CI runs it once.
+func BenchmarkReplay(b *testing.B) {
+	conf := ssdconf.Scaled(16)
+	p, err := workload.LunProfile("lun1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.Name, p.WriteRatio, p.FootprintFrac = "churn", 0.95, 0.9
+	reqs, err := workload.Generate(p, conf.LogicalSectors())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, e := range schemes {
+		var cp *Checkpoint // aged on the sub-benchmark's first call only
+		b.Run(string(e.kind), func(b *testing.B) {
+			if cp == nil {
+				r, err := NewRunner(e.kind, conf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := r.Age(DefaultAging()); err != nil {
+					b.Fatal(err)
+				}
+				if cp, err = r.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				r, err := cp.Fork()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := r.ReplayQD(reqs, 8); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)*float64(len(reqs))/b.Elapsed().Seconds(), "req/s")
+		})
 	}
 }
