@@ -14,7 +14,7 @@
 //	fmt.Println(res.AvgWriteLatency(), res.Counters.Erases)
 //
 // The experiment harness that regenerates every table and figure of the
-// paper is exposed through RunExperiment / RunAllExperiments.
+// paper is exposed through ExperimentIDs / RunExperiment.
 package across
 
 import (
@@ -236,8 +236,7 @@ func RestoreRunner(blob []byte) (*Runner, error) { return sim.Restore(blob) }
 // Tracer receives span-style observability events from a replay: request
 // arrivals and completions, flash command service spans, GC victim and
 // collection spans, Across-FTL plan decisions, and cache accesses. Install
-// one with Runner.SetTracer. The zero-cost default is no tracer at all;
-// NopTracer exists to measure the instrumentation overhead itself.
+// one with Runner.SetTracer. The zero-cost default is no tracer at all.
 type Tracer = obs.Tracer
 
 // Sampler snapshots time-series metrics (queue depth, per-chip busy
@@ -250,9 +249,6 @@ type MetricSample = obs.Sample
 
 // NewSampler builds a metrics sampler with the given simulated-ms interval.
 func NewSampler(intervalMs float64) (*Sampler, error) { return obs.NewSampler(intervalMs) }
-
-// NopTracer returns the no-op tracer (overhead measurement only).
-func NopTracer() Tracer { return obs.NopTracer() }
 
 // OpenTraceFile creates an event-trace file for a device with the given
 // chip count: a path ending in .jsonl gets the line-oriented event stream;
@@ -300,15 +296,6 @@ func RunExperiment(id string, cfg experiments.Config, w io.Writer) error {
 	return experiments.RunOne(id, s, w)
 }
 
-// RunAllExperiments regenerates every table and figure in paper order.
-func RunAllExperiments(cfg experiments.Config, w io.Writer) error {
-	s, err := experiments.NewSession(cfg)
-	if err != nil {
-		return err
-	}
-	return experiments.RunAll(s, w)
-}
-
 // Fleet is a host-level volume composed of N independent simulated SSDs
 // behind one logical address space: logical requests are split into
 // per-device sub-requests by the volume's layout and complete when the
@@ -337,9 +324,6 @@ const (
 	// reads alternate between them by stripe row.
 	FleetRAID10 = fleet.LayoutRAID10
 )
-
-// FleetLayouts returns every supported layout in comparison order.
-func FleetLayouts() []FleetLayout { return fleet.Layouts() }
 
 // ParseFleetLayout converts a CLI/JSON layout name into a FleetLayout.
 func ParseFleetLayout(s string) (FleetLayout, error) { return fleet.ParseLayout(s) }
@@ -386,10 +370,6 @@ const (
 	// PatternDayNight swings the rate through a discretised diurnal cycle.
 	PatternDayNight = scenario.PatternDayNight
 )
-
-// ScenarioNames lists the builtin scenarios (stationary, burst, daynight,
-// mixed) in sorted order.
-func ScenarioNames() []string { return scenario.Names() }
 
 // BuiltinScenario returns a named builtin scenario.
 func BuiltinScenario(name string) (Scenario, error) { return scenario.Builtin(name) }

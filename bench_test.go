@@ -159,7 +159,7 @@ func BenchmarkAblationAMTCache(b *testing.B) {
 		b.Run("pages-"+itoa(pages), func(b *testing.B) {
 			var mapOps int64
 			for i := 0; i < b.N; i++ {
-				s, err := acrossftl.NewWithCache(&conf, pages)
+				s, err := acrossftl.NewWithOptions(&conf, acrossftl.Options{AMTCachePages: pages})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -11,7 +11,6 @@ type span struct {
 	Start, End int64
 }
 
-func (sp span) empty() bool            { return sp.End <= sp.Start }
 func (sp span) len() int64             { return sp.End - sp.Start }
 func (sp span) intersects(o span) bool { return sp.Start < o.End && o.Start < sp.End }
 func (sp span) contains(o span) bool   { return sp.Start <= o.Start && o.End <= sp.End }
@@ -24,12 +23,6 @@ func unionSpan(a, b span) span {
 		a.End = b.End
 	}
 	return a
-}
-
-// gaps returns the sub-intervals of window not covered by any of the given
-// intervals — the sectors a merge must fetch from normally mapped pages.
-func gaps(window span, covered []span) []span {
-	return appendGaps(nil, window, covered)
 }
 
 // appendGaps appends the ascending, disjoint uncovered sub-intervals of

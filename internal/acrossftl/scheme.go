@@ -73,12 +73,6 @@ func New(conf *ssdconf.Config) (*Scheme, error) {
 	return NewWithOptions(conf, Options{})
 }
 
-// NewWithCache builds Across-FTL with an explicit number of DRAM-resident
-// AMT translation pages (minimum 2); the ablation benches sweep it.
-func NewWithCache(conf *ssdconf.Config, amtCachePages int) (*Scheme, error) {
-	return NewWithOptions(conf, Options{AMTCachePages: amtCachePages})
-}
-
 // NewWithOptions builds Across-FTL with explicit ablation options.
 func NewWithOptions(conf *ssdconf.Config, opts Options) (*Scheme, error) {
 	base, err := ftl.NewBase(conf)

@@ -10,7 +10,7 @@ import (
 )
 
 // Checker verifies one scheme instance over its device. Install it on a
-// sim.Runner (SetChecker) to have the engine drive it during replays, or
+// sim.Runner (EnableChecks) to have the engine drive it during replays, or
 // drive it directly from tests: BeginReplay once, OnWrite/OnRead per
 // request, Finish at the end. A Checker is observation only — it never
 // mutates scheme or device state — so a checked replay produces a
@@ -90,10 +90,6 @@ func (c *Checker) Audits() int64 { return c.audits }
 // sector of each write and every written sector of each read, though one
 // verification covers a whole run of sectors that share a source.
 func (c *Checker) SectorChecks() int64 { return c.sectorChecks }
-
-// Requests returns how many host requests the checker has observed since
-// BeginReplay.
-func (c *Checker) Requests() int64 { return c.reqs }
 
 // nextWritten returns the first written sector in [sec, end), or end; end
 // must not pass LogicalSectors.

@@ -99,10 +99,6 @@ func (g *Geometry) ChipOfPlane(pl PlaneID) ChipID {
 // lets compose.
 func (g *Geometry) ChipOf(p PPN) ChipID { return ChipID(int64(p) / g.pagesPerChip) }
 
-// ChannelOfChip returns the channel of a chip given chips per channel; it is
-// only needed for reporting.
-func ChannelOfChip(chip ChipID, chipsPerChan int) int { return int(chip) / chipsPerChan }
-
 // BlocksOfPlane returns the half-open block-id range [lo, hi) of a plane.
 func (g *Geometry) BlocksOfPlane(pl PlaneID) (lo, hi BlockID) {
 	lo = BlockID(int64(pl) * int64(g.BlocksPerPlane))

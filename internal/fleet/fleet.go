@@ -120,13 +120,6 @@ func (v *Volume) ChunkSectors() int64 { return v.geo.chunkSectors }
 // address-space bound for trace generation (mirrored capacity counts once).
 func (v *Volume) LogicalSectors() int64 { return v.geo.logicalSectors() }
 
-// Split appends the per-device fragments of one logical request to out and
-// returns it (exported for the tiling property tests; Replay uses the same
-// function).
-func (v *Volume) Split(r trace.Request, out []SubRequest) ([]SubRequest, error) {
-	return v.geo.split(r, out)
-}
-
 // Age warms every device to the same §4.1 state: device 0 ages through its
 // scheme's ordinary write path (polling ctx), and the remaining devices fork
 // from a checkpoint of it — byte-identical state at a fraction of the cost,

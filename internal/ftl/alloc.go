@@ -114,7 +114,8 @@ func (a *Allocator) SetPrefetch(f PrefetchFunc) { a.prefetch = f }
 // SetWearLeveling makes block allocation pick the least-erased free block
 // instead of the most recently freed one — dynamic wear levelling. It costs
 // an O(free blocks) scan per block allocation and narrows the per-block
-// erase spread (see the ext-wear study and the wear-levelling bench).
+// erase spread (TestWearLevelingNarrowsSpread and
+// BenchmarkAblationWearLeveling; the ext-wear study runs with it off).
 func (a *Allocator) SetWearLeveling(on bool) { a.wearLevel = on }
 
 // SetGCVictimHook registers an observer called with every GC victim as it is

@@ -86,9 +86,6 @@ func NewSampler(intervalMs float64) (*Sampler, error) {
 // also retained in memory for Samples()).
 func (s *Sampler) SetSink(ms MetricsSink) { s.sink = ms }
 
-// IntervalMs returns the sampling interval.
-func (s *Sampler) IntervalMs() float64 { return s.interval }
-
 // Samples returns the snapshots taken so far.
 func (s *Sampler) Samples() []Sample { return s.samples }
 

@@ -165,6 +165,49 @@ func TestDoubleSubmitRunsOnce(t *testing.T) {
 	}
 }
 
+// TestListJobs: GET /api/v1/jobs answers {"jobs": [...]} in submission
+// order, one entry per record — a dedup hit answers with the record it hit
+// and adds none — and each entry says what GET /api/v1/jobs/{id} says.
+func TestListJobs(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir())
+	var ids []string
+	for _, seed := range []int{5, 6, 5} {
+		code, st := postJSON(t, ts.URL+"/api/v1/jobs", fmt.Sprintf(tinyReplay, seed))
+		if code != http.StatusAccepted && code != http.StatusOK {
+			t.Fatalf("submit seed %d = %d", seed, code)
+		}
+		ids = append(ids, st.ID)
+	}
+	if ids[2] != ids[0] || ids[1] == ids[0] {
+		t.Fatalf("submitted ids %v: want the third to dedup onto the first", ids)
+	}
+	ids = ids[:2]
+	for _, id := range ids {
+		pollState(t, ts.URL, id, 30*time.Second)
+	}
+
+	code, raw := fetchBytes(t, ts.URL+"/api/v1/jobs")
+	if code != http.StatusOK {
+		t.Fatalf("list = %d: %s", code, raw)
+	}
+	var doc map[string][]jobStatus
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("parsing list %q: %v", raw, err)
+	}
+	list, ok := doc["jobs"]
+	if !ok || len(doc) != 1 || len(list) != len(ids) {
+		t.Fatalf("list = %s, want {\"jobs\": [...]} with %d entries", raw, len(ids))
+	}
+	for i, got := range list {
+		want := pollState(t, ts.URL, ids[i], time.Second)
+		if got.ID != ids[i] || got.ID != want.ID || got.Key != want.Key ||
+			got.State != want.State || got.Cached != want.Cached {
+			t.Errorf("list entry %d = %s/%s/%s/cached=%v, GET %s says %s/%s/%s/cached=%v", i,
+				got.ID, got.Key, got.State, got.Cached, ids[i], want.ID, want.Key, want.State, want.Cached)
+		}
+	}
+}
+
 // scrapeMetrics fetches /metrics, validates it as Prometheus text exposition
 // format, and returns the sample values by metric name.
 func scrapeMetrics(t *testing.T, base string) map[string]float64 {

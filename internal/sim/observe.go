@@ -26,9 +26,6 @@ func (r *Runner) SetTracer(t obs.Tracer) {
 // equal the end-of-run Result aggregates.
 func (r *Runner) SetSampler(s *obs.Sampler) { r.sampler = s }
 
-// Sampler returns the installed sampler (nil if none).
-func (r *Runner) Sampler() *obs.Sampler { return r.sampler }
-
 // fillSample populates a sample's gauge and cumulative fields from live
 // replay state. It runs only when a sampler is installed, so its
 // allocation (the per-sample busy columns) never touches the untraced path.

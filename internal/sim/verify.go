@@ -2,24 +2,21 @@ package sim
 
 import "across/internal/check"
 
-// SetChecker installs a verification checker driven by subsequent replays
-// (nil disables). Like the tracer, verification is observation only — a
-// checked replay produces a bit-identical Result to an unchecked one (the
-// metamorphic tests assert this) — and the disabled path pays one branch per
-// request and zero allocations.
-func (r *Runner) SetChecker(c *check.Checker) { r.checker = c }
-
 // Checker returns the installed checker (nil if none).
 func (r *Runner) Checker() *check.Checker { return r.checker }
 
-// EnableChecks builds a checker for the runner's scheme, installs it, and
-// returns it. The scheme must support auditing (all the repository's schemes
-// do, including hostcache-wrapped stacks).
+// EnableChecks builds a checker for the runner's scheme, installs it to be
+// driven by subsequent replays, and returns it. The scheme must support
+// auditing (all the repository's schemes do, including hostcache-wrapped
+// stacks). Like the tracer, verification is observation only — a checked
+// replay produces a bit-identical Result to an unchecked one (the
+// metamorphic tests assert this) — and a runner without a checker pays one
+// branch per request and zero allocations.
 func (r *Runner) EnableChecks(opts check.Options) (*check.Checker, error) {
 	c, err := check.New(r.Scheme, opts)
 	if err != nil {
 		return nil, err
 	}
-	r.SetChecker(c)
+	r.checker = c
 	return c, nil
 }

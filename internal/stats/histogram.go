@@ -183,57 +183,8 @@ func (h *Histogram) Merge(o *Histogram) {
 	h.sum += o.sum
 }
 
-// Reset clears the histogram.
-func (h *Histogram) Reset() { *h = Histogram{} }
-
 // String summarises the distribution.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f p50=%.3f p99=%.3f max=%.3f",
 		h.count, h.Mean(), h.P50(), h.P99(), h.max)
-}
-
-// Moments accumulates count/mean/variance online (Welford) plus extremes;
-// used for per-block wear statistics.
-type Moments struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
-}
-
-// Add records one observation.
-func (m *Moments) Add(v float64) {
-	m.n++
-	if m.n == 1 {
-		m.min, m.max = v, v
-	} else {
-		if v < m.min {
-			m.min = v
-		}
-		if v > m.max {
-			m.max = v
-		}
-	}
-	d := v - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (v - m.mean)
-}
-
-// Count returns the number of observations.
-func (m *Moments) Count() int64 { return m.n }
-
-// Mean returns the running mean.
-func (m *Moments) Mean() float64 { return m.mean }
-
-// Min returns the smallest observation (0 when empty).
-func (m *Moments) Min() float64 { return m.min }
-
-// Max returns the largest observation (0 when empty).
-func (m *Moments) Max() float64 { return m.max }
-
-// StdDev returns the population standard deviation.
-func (m *Moments) StdDev() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return math.Sqrt(m.m2 / float64(m.n))
 }

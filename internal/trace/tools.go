@@ -2,31 +2,9 @@ package trace
 
 import "sort"
 
-// This file holds trace-manipulation helpers used by the tools and by
-// experiment setup: filtering, time-windowing, splitting and concatenation.
-// All helpers are non-destructive (they return fresh slices).
-
-// Filter returns the requests satisfying pred, preserving order.
-func Filter(reqs []Request, pred func(Request) bool) []Request {
-	var out []Request
-	for _, r := range reqs {
-		if pred(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// OnlyOp returns the requests with the given direction.
-func OnlyOp(reqs []Request, op Op) []Request {
-	return Filter(reqs, func(r Request) bool { return r.Op == op })
-}
-
-// OnlyClass returns the requests of one alignment class at a page size of
-// spp sectors.
-func OnlyClass(reqs []Request, class Class, spp int) []Request {
-	return Filter(reqs, func(r Request) bool { return r.Classify(spp) == class })
-}
+// This file holds the trace-composition helpers the facade re-exports:
+// time-windowing, concatenation, interleaving and address shifting. All are
+// non-destructive (they return fresh slices).
 
 // Window returns the requests with Time in [from, to), rebased so the
 // window starts at t=0.
@@ -38,16 +16,6 @@ func Window(reqs []Request, from, to float64) []Request {
 			out = append(out, r)
 		}
 	}
-	return out
-}
-
-// Head returns the first n requests (all of them if n exceeds the length).
-func Head(reqs []Request, n int) []Request {
-	if n > len(reqs) {
-		n = len(reqs)
-	}
-	out := make([]Request, n)
-	copy(out, reqs[:n])
 	return out
 }
 
@@ -92,15 +60,4 @@ func ShiftOffsets(reqs []Request, delta int64) []Request {
 		out[i] = r
 	}
 	return out
-}
-
-// ValidateAll checks every request against a device size and returns the
-// index of the first invalid request (-1 if all pass) with its error.
-func ValidateAll(reqs []Request, logicalSectors int64) (int, error) {
-	for i, r := range reqs {
-		if err := r.Validate(logicalSectors); err != nil {
-			return i, err
-		}
-	}
-	return -1, nil
 }

@@ -16,40 +16,6 @@ func sampleTrace() []Request {
 	}
 }
 
-func TestFilterAndOnlyOp(t *testing.T) {
-	reqs := sampleTrace()
-	writes := OnlyOp(reqs, OpWrite)
-	if len(writes) != 3 {
-		t.Fatalf("writes = %d, want 3", len(writes))
-	}
-	reads := OnlyOp(reqs, OpRead)
-	if len(reads) != 2 {
-		t.Fatalf("reads = %d, want 2", len(reads))
-	}
-	if len(Filter(reqs, func(Request) bool { return false })) != 0 {
-		t.Fatal("Filter(false) not empty")
-	}
-	// Non-destructive.
-	if reqs[0].Time != 0 || len(reqs) != 5 {
-		t.Fatal("Filter mutated input")
-	}
-}
-
-func TestOnlyClass(t *testing.T) {
-	reqs := sampleTrace()
-	across := OnlyClass(reqs, ClassAcross, 16)
-	if len(across) != 2 {
-		t.Fatalf("across = %d, want 2", len(across))
-	}
-	aligned := OnlyClass(reqs, ClassAligned, 16)
-	if len(aligned) != 2 {
-		t.Fatalf("aligned = %d, want 2", len(aligned))
-	}
-	if len(OnlyClass(reqs, ClassUnaligned, 16)) != 1 {
-		t.Fatal("unaligned count wrong")
-	}
-}
-
 func TestWindowRebasesTime(t *testing.T) {
 	reqs := sampleTrace()
 	w := Window(reqs, 10, 40)
@@ -58,21 +24,6 @@ func TestWindowRebasesTime(t *testing.T) {
 	}
 	if w[0].Time != 0 || w[2].Time != 20 {
 		t.Fatalf("window not rebased: %v, %v", w[0].Time, w[2].Time)
-	}
-}
-
-func TestHead(t *testing.T) {
-	reqs := sampleTrace()
-	if len(Head(reqs, 2)) != 2 {
-		t.Fatal("Head(2) wrong")
-	}
-	if len(Head(reqs, 99)) != 5 {
-		t.Fatal("Head beyond length should clamp")
-	}
-	h := Head(reqs, 1)
-	h[0].Time = 999
-	if reqs[0].Time == 999 {
-		t.Fatal("Head aliases input")
 	}
 }
 
@@ -108,17 +59,6 @@ func TestShiftOffsets(t *testing.T) {
 	}
 	if reqs[0].Offset != 2056 {
 		t.Fatal("ShiftOffsets mutated input")
-	}
-}
-
-func TestValidateAll(t *testing.T) {
-	reqs := sampleTrace()
-	if i, err := ValidateAll(reqs, 1<<20); i != -1 || err != nil {
-		t.Fatalf("valid trace rejected at %d: %v", i, err)
-	}
-	bad := append(sampleTrace(), Request{Time: 50, Offset: -1, Count: 4})
-	if i, err := ValidateAll(bad, 1<<20); i != 5 || err == nil {
-		t.Fatalf("invalid request not found: i=%d err=%v", i, err)
 	}
 }
 

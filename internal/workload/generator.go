@@ -281,15 +281,6 @@ func (g *Generator) acrossRequest() (int64, int) {
 	return e.off, e.count
 }
 
-// acrossCount draws an across-page request size in sectors (see the size
-// bias note on meanAcrossSectors).
-func (g *Generator) acrossCount() int {
-	if g.rng.Float64() < 0.8 {
-		return g.rng.Intn(7) + 2 // [2, 8]
-	}
-	return g.rng.Intn(8) + 9 // [9, 16]
-}
-
 // containedRequest produces a contained sub-page extent, occasionally
 // overlapping a remembered across-page extent when the op is a write.
 func (g *Generator) containedRequest(op trace.Op) (int64, int) {
