@@ -168,23 +168,6 @@ func Run(s Scheme, cfg Config, reqs []Request, age bool) (*Result, error) {
 	return sim.Run(s, cfg, reqs, age)
 }
 
-// RunWithHostCache replays a trace like Run, with the scheme wrapped in a
-// DRAM data buffer of cachePages logical pages (the Table 1 "cache size"
-// knob). Writes are write-through, so flush counts and erase counts are
-// unaffected; repeated reads of resident pages are served at DRAM speed.
-func RunWithHostCache(s Scheme, cfg Config, cachePages int, reqs []Request, age bool) (*Result, error) {
-	r, err := NewRunnerWithHostCache(s, cfg, cachePages)
-	if err != nil {
-		return nil, err
-	}
-	if age {
-		if err := r.Age(sim.DefaultAging()); err != nil {
-			return nil, err
-		}
-	}
-	return r.Replay(reqs)
-}
-
 // ErrRecoveryUnsupported is the error RecoverFromCrash wraps for a scheme
 // that cannot rebuild its mapping from flash alone (MRSM and DFTL); test for
 // it with errors.Is. The runner it was given is left untouched.
@@ -215,9 +198,9 @@ type Runner = sim.Runner
 func NewRunner(s Scheme, cfg Config) (*Runner, error) { return sim.NewRunner(s, cfg) }
 
 // NewRunnerWithHostCache builds a runner whose scheme is wrapped in a DRAM
-// data buffer of cachePages logical pages — the step-by-step sibling of
-// RunWithHostCache, for callers that also need to age the device, attach
-// observability, or replay several traces.
+// data buffer of cachePages logical pages (the Table 1 "cache size" knob).
+// Writes are write-through, so flush counts and erase counts are unaffected;
+// repeated reads of resident pages are served at DRAM speed.
 func NewRunnerWithHostCache(s Scheme, cfg Config, cachePages int) (*Runner, error) {
 	return sim.NewRunnerWithHostCache(s, cfg, cachePages)
 }
@@ -232,6 +215,18 @@ func NewRunnerWithHostCache(s Scheme, cfg Config, cachePages int) (*Runner, erro
 // supported) and never migrated — re-create it with -snapshot-out, or
 // Runner.Snapshot.
 func RestoreRunner(blob []byte) (*Runner, error) { return sim.Restore(blob) }
+
+// Checkpoint is a device's starting state, forked by every replay and every
+// fleet device that starts from it (DESIGN §13): take one with
+// Runner.Checkpoint from a fresh, aged or restored runner, or with
+// FreshCheckpoint, and call Fork for each runner.
+type Checkpoint = sim.Checkpoint
+
+// FreshCheckpoint is the checkpoint of a device nothing has written: it
+// refuses what NewRunner refuses, and each Fork builds a fresh device.
+func FreshCheckpoint(s Scheme, cfg Config) (*Checkpoint, error) {
+	return sim.FreshCheckpoint(s, cfg)
+}
 
 // Tracer receives span-style observability events from a replay: request
 // arrivals and completions, flash command service spans, GC victim and
@@ -328,16 +323,11 @@ const (
 // ParseFleetLayout converts a CLI/JSON layout name into a FleetLayout.
 func ParseFleetLayout(s string) (FleetLayout, error) { return fleet.ParseLayout(s) }
 
-// NewFleet builds a fleet of fresh devices of one scheme and configuration;
-// age it with Fleet.Age (device 0 ages, the rest fork from its checkpoint).
-func NewFleet(s Scheme, cfg Config, spec FleetSpec) (*Fleet, error) {
-	return fleet.New(s, cfg, spec)
-}
-
-// RestoreFleet builds a fleet by forking every device from one warm
-// single-device snapshot produced by Runner.Snapshot or Fleet.WarmSnapshot.
-func RestoreFleet(blob []byte, spec FleetSpec) (*Fleet, error) {
-	return fleet.FromSnapshot(blob, spec)
+// NewFleet builds a fleet whose every device is a fork of cp, so the scheme
+// and configuration are the checkpoint's: a warm fleet forks an aged
+// runner's Checkpoint, a cold one FreshCheckpoint.
+func NewFleet(cp *Checkpoint, spec FleetSpec) (*Fleet, error) {
+	return fleet.FromCheckpoint(cp, spec)
 }
 
 // Scenario composes time-varying, multi-cohort workloads (DESIGN §15):

@@ -127,7 +127,11 @@ func TestExperimentIDsAndRunner(t *testing.T) {
 	}
 }
 
-func TestRunWithHostCache(t *testing.T) {
+// TestNewRunnerWithHostCache: a host data cache in front of an aged device
+// serves repeated reads from DRAM, so flash reads fall, while its
+// write-through policy leaves flash writes and erases as they were; a bad
+// configuration is refused.
+func TestNewRunnerWithHostCache(t *testing.T) {
 	cfg := tinyConfig()
 	prof, _ := Profile("lun1")
 	reqs, err := GenerateTrace(prof.Scale(0.005), cfg.LogicalSectors())
@@ -138,7 +142,14 @@ func TestRunWithHostCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := RunWithHostCache(BaselineFTL, cfg, 4096, reqs, true)
+	r, err := NewRunnerWithHostCache(BaselineFTL, cfg, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Age(DefaultAging()); err != nil {
+		t.Fatal(err)
+	}
+	cached, err := r.Replay(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +161,13 @@ func TestRunWithHostCache(t *testing.T) {
 		t.Errorf("host cache changed flash writes: %d vs %d",
 			cached.Counters.DataWrites, plain.Counters.DataWrites)
 	}
+	if cached.Counters.Erases != plain.Counters.Erases {
+		t.Errorf("host cache changed erases: %d vs %d",
+			cached.Counters.Erases, plain.Counters.Erases)
+	}
 	bad := cfg
 	bad.Channels = 0
-	if _, err := RunWithHostCache(BaselineFTL, bad, 16, reqs, false); err == nil {
+	if _, err := NewRunnerWithHostCache(BaselineFTL, bad, 16); err == nil {
 		t.Error("invalid config accepted")
 	}
 }

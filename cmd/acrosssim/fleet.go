@@ -10,10 +10,9 @@ import (
 	"across/internal/ssdconf"
 )
 
-// runFleet is the -fleet mode of acrosssim: build (or fork from a snapshot)
-// an N-device volume, replay the trace through the layout, and print the
-// fleet summary plus the per-device balance table.
-func runFleet(scheme across.Scheme, cfg across.Config) {
+// fleetSpec reads the -fleet mode's volume from the flags, refusing the
+// single-device options it has no story for.
+func fleetSpec() across.FleetSpec {
 	// Single-device observability artifacts have no fleet story yet: each
 	// device would need its own tracer/sampler file. Reject rather than
 	// silently produce a device-0-only artifact.
@@ -27,62 +26,22 @@ func runFleet(scheme across.Scheme, cfg across.Config) {
 	case *timeline != "":
 		fatal(fmt.Errorf("-timeline is not supported with -fleet"))
 	}
-	check := *checkFlag || *auditEvery > 0
 	fleetLayout, err := across.ParseFleetLayout(*layout)
 	if err != nil {
 		fatal(err)
 	}
-	spec := across.FleetSpec{
+	return across.FleetSpec{
 		Devices:      *fleetN,
 		Layout:       fleetLayout,
 		ChunkSectors: int64(*chunkKB) * 1024 / ssdconf.SectorBytes,
 	}
+}
 
-	var v *across.Fleet
-	if *snapIn != "" {
-		// The snapshot fixes each device: scheme kind and geometry come from
-		// the blob, every device forks from the same warm state.
-		blob, err := os.ReadFile(*snapIn)
-		if err != nil {
-			fatal(err)
-		}
-		v, err = across.RestoreFleet(blob, spec)
-		if err != nil {
-			fatal(snapshotErr(*snapIn, err))
-		}
-	} else {
-		v, err = across.NewFleet(scheme, cfg, spec)
-		if err != nil {
-			fatal(err)
-		}
-		if !*noAge {
-			if err := v.Age(context.Background(), across.DefaultAging()); err != nil {
-				fatal(err)
-			}
-		}
-	}
-	cfg = *v.Conf
-
-	reqs := loadRequests(v.LogicalSectors())
-	st := across.TraceStats(reqs, *pageBytes)
-	fmt.Printf("device : %s\n", cfg.String())
-	fmt.Printf("fleet  : %d devices, %s, chunk %d KB, %.1f GiB logical\n",
-		v.Devices(), v.Layout(), v.ChunkSectors()*ssdconf.SectorBytes/1024,
-		float64(v.LogicalSectors())*ssdconf.SectorBytes/(1<<30))
-	fmt.Printf("trace  : %d requests, write ratio %.1f%%, avg write %.1f KB, across-page %.1f%%\n",
-		st.Requests, 100*st.WriteRatio(), st.AvgWriteKB(), 100*st.AcrossRatio())
-
-	if *snapOut != "" {
-		blob, err := v.WarmSnapshot()
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*snapOut, blob, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("snapshot: %d bytes (device 0; RestoreFleet forks all devices from it) -> %s\n", len(blob), *snapOut)
-	}
-
+// runFleet is the rest of the -fleet mode: replay the trace through the
+// volume's layout, and print the fleet summary plus the per-device balance
+// table.
+func runFleet(v *across.Fleet, reqs []across.Request) {
+	check := *checkFlag || *auditEvery > 0
 	res, err := v.Replay(context.Background(), reqs, *qd)
 	if err != nil {
 		fatal(err)
@@ -110,7 +69,7 @@ func runFleet(scheme across.Scheme, cfg across.Config) {
 		fmt.Printf("verify : clean — all %d devices audited\n", v.Devices())
 	}
 	fmt.Println()
-	report.FleetDeviceTable("per-device balance", fleetDeviceRows(res, cfg.Chips()), res.Fanout(), os.Stdout)
+	report.FleetDeviceTable("per-device balance", fleetDeviceRows(res, v.Conf.Chips()), res.Fanout(), os.Stdout)
 }
 
 // fleetDeviceRows adapts a fleet Result to the report renderer's rows.

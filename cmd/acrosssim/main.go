@@ -20,6 +20,7 @@ import (
 	"across/internal/report"
 	"across/internal/sim"
 	"across/internal/snapshot"
+	"across/internal/ssdconf"
 )
 
 var (
@@ -66,9 +67,9 @@ func main() {
 	}
 	cfg = cfg.WithPageBytes(*pageBytes)
 
+	var spec across.FleetSpec
 	if *fleetN > 0 {
-		runFleet(scheme, cfg)
-		return
+		spec = fleetSpec()
 	}
 
 	// A snapshot fixes the device: scheme kind, geometry and host cache all
@@ -87,13 +88,21 @@ func main() {
 		cfg = *r.Conf
 	}
 
-	reqs := loadRequests(cfg.LogicalSectors())
-	st := across.TraceStats(reqs, *pageBytes)
-	fmt.Printf("device : %s\n", cfg.String())
-	fmt.Printf("trace  : %d requests, write ratio %.1f%%, avg write %.1f KB, across-page %.1f%%\n",
-		st.Requests, 100*st.WriteRatio(), st.AvgWriteKB(), 100*st.AcrossRatio())
+	// The trace is sized before anything is built: to the device, or in
+	// fleet mode to the volume.
+	sectors := cfg.LogicalSectors()
+	if *fleetN > 0 {
+		if sectors, err = spec.LogicalSectors(cfg); err != nil {
+			fatal(err)
+		}
+	}
+	reqs := loadRequests(sectors)
+	st := across.TraceStats(reqs, cfg.PageBytes)
 
-	if r == nil {
+	// One device, built and aged here in both modes: the run's own, or the
+	// one every fleet device forks. A fresh fleet needs none: its devices
+	// fork FreshCheckpoint.
+	if r == nil && (*fleetN == 0 || !*noAge) {
 		r, err = across.NewRunnerWithHostCache(scheme, cfg, *cachePages)
 		if err != nil {
 			fatal(err)
@@ -104,6 +113,34 @@ func main() {
 			}
 		}
 	}
+
+	var v *across.Fleet
+	if *fleetN > 0 {
+		var cp *across.Checkpoint
+		if r != nil {
+			cp, err = r.Checkpoint()
+		} else {
+			cp, err = across.FreshCheckpoint(scheme, cfg)
+		}
+		if err == nil {
+			v, err = across.NewFleet(cp, spec)
+		}
+		if err != nil {
+			fatal(err)
+		}
+		// Device 0 stands in for the device it forked, which is let go:
+		// until the replay it snapshots to the same bytes.
+		r = v.Runners[0]
+	}
+
+	fmt.Printf("device : %s\n", cfg.String())
+	if v != nil {
+		fmt.Printf("fleet  : %d devices, %s, chunk %d KB, %.1f GiB logical\n",
+			v.Devices(), v.Layout(), v.ChunkSectors()*ssdconf.SectorBytes/1024,
+			float64(v.LogicalSectors())*ssdconf.SectorBytes/(1<<30))
+	}
+	fmt.Printf("trace  : %d requests, write ratio %.1f%%, avg write %.1f KB, across-page %.1f%%\n",
+		st.Requests, 100*st.WriteRatio(), st.AvgWriteKB(), 100*st.AcrossRatio())
 	if *snapOut != "" {
 		blob, err := r.Snapshot()
 		if err != nil {
@@ -113,6 +150,10 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("snapshot: %d bytes -> %s\n", len(blob), *snapOut)
+	}
+	if v != nil {
+		runFleet(v, reqs)
+		return
 	}
 
 	var chk *across.Checker

@@ -182,6 +182,99 @@ func TestAcrosssimRefusesARetiredSnapshotVersion(t *testing.T) {
 	}
 }
 
+// buildAcrosssim builds acrosssim once into dir and returns a runner for it
+// that fails the test on a non-zero exit and returns stdout.
+func buildAcrosssim(t *testing.T, dir string) func(args ...string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "acrosssim")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/acrosssim").CombinedOutput(); err != nil {
+		t.Fatalf("building acrosssim: %v\n%s", err, out)
+	}
+	return func(args ...string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Dir = dir
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("acrosssim %s: %v\nstdout:\n%s\nstderr:\n%s",
+				strings.Join(args, " "), err, stdout.String(), stderr.String())
+		}
+		return stdout.String()
+	}
+}
+
+// TestAcrosssimFleet is the fleet mode end to end through the CLI (DESIGN.md
+// §14): the same volume replayed twice prints byte-identical output, a
+// checked replay audits every device, a single-device -snapshot-out blob is
+// forked by every device of a larger volume, and sealing is deterministic —
+// the same command writes the same container.
+func TestAcrosssimFleet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns acrosssim")
+	}
+	dir := t.TempDir()
+	run := buildAcrosssim(t, dir)
+	for _, layout := range []string{"raid0", "raid10"} {
+		args := []string{"-profile", "lun1", "-scale", "0.005", "-fleet", "4", "-layout", layout, "-chunk-kb", "16"}
+		first, second := run(args...), run(args...)
+		if first != second {
+			t.Errorf("%s: two runs differ:\n%s\n---\n%s", layout, first, second)
+		}
+		if !strings.Contains(first, "fleet  : 4 devices, "+layout) {
+			t.Errorf("%s: no fleet line:\n%s", layout, first)
+		}
+	}
+
+	out := run("-profile", "lun2", "-scale", "0.005", "-fleet", "2", "-layout", "concat", "-check")
+	if !strings.Contains(out, "verify : clean — all 2 devices audited") {
+		t.Errorf("checked fleet replay did not audit every device:\n%s", out)
+	}
+
+	seal := []string{"-profile", "lun1", "-scale", "0.005", "-snapshot-out"}
+	run(append(seal, "warm.axsn")...)
+	out = run("-profile", "lun1", "-scale", "0.005", "-fleet", "4", "-layout", "raid10", "-chunk-kb", "16", "-snapshot-in", "warm.axsn")
+	if !strings.Contains(out, "fleet  : 4 devices, raid10") || !strings.Contains(out, "erases :") {
+		t.Errorf("a fleet forked from a single-device snapshot did not replay:\n%s", out)
+	}
+	run(append(seal, "warm2.axsn")...)
+	a, err := os.ReadFile(filepath.Join(dir, "warm.axsn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "warm2.axsn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Error("the same -snapshot-out command sealed two different containers")
+	}
+}
+
+// TestAcrosssimSnapshotKeepsPageSize: a device restored with -snapshot-in
+// measures the trace at its own page size, not the -page flag's, so a 4 KiB
+// snapshot prints the trace line of the 4 KiB device it was taken from.
+func TestAcrosssimSnapshotKeepsPageSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns acrosssim")
+	}
+	run := buildAcrosssim(t, t.TempDir())
+	traceLine := func(out string) string {
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "trace  :") {
+				return line
+			}
+		}
+		t.Fatalf("no trace line in:\n%s", out)
+		return ""
+	}
+	direct := run("-profile", "lun1", "-scale", "0.005", "-page", "4096", "-no-age", "-snapshot-out", "4k.axsn")
+	restored := run("-profile", "lun1", "-scale", "0.005", "-snapshot-in", "4k.axsn")
+	if got, want := traceLine(restored), traceLine(direct); got != want {
+		t.Errorf("restored 4 KiB device prints\n  %s\nthe direct run printed\n  %s", got, want)
+	}
+}
+
 // TestBenchmarkModuleBuilds vets the nested benchmark module, which
 // `go test ./...` from the root does not reach: an API removal that breaks
 // benchmark/ fails tier-1 here, not at the next benchmark run.

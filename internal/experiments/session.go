@@ -281,11 +281,12 @@ func (s *Session) run(k runKey) (*sim.Result, error) {
 }
 
 // checkpoint returns (warming and caching on first use) the open checkpoint
-// of one scheme on one device: built and, when the session ages, aged to the
+// of one scheme on one device: when the session ages, a device aged to the
 // §4.1 state once, so every replay, timeline and study cell forks it instead
-// of ageing a device of its own. One device per scheme is kept, the one asked
-// for last: figures walk the page sizes one after another, and a checkpoint
-// is as large as the runner it copies.
+// of ageing a device of its own; when it does not, a fresh checkpoint, which
+// holds no device. One checkpoint per scheme is kept, the one asked for
+// last: figures walk the page sizes one after another, and an aged
+// checkpoint is as large as the runner it copies.
 func (s *Session) checkpoint(kind sim.SchemeKind, conf ssdconf.Config) (*sim.Checkpoint, error) {
 	s.mu.Lock()
 	e := s.warmed[kind]
@@ -295,14 +296,16 @@ func (s *Session) checkpoint(kind sim.SchemeKind, conf ssdconf.Config) (*sim.Che
 	}
 	s.mu.Unlock()
 	e.once.Do(func() {
+		if !s.Cfg.Age {
+			e.cp, e.err = sim.FreshCheckpoint(kind, conf)
+			return
+		}
 		var r *sim.Runner
 		if r, e.err = sim.NewRunner(kind, conf); e.err != nil {
 			return
 		}
-		if s.Cfg.Age {
-			if e.err = r.AgeCtx(s.ctx, sim.DefaultAging()); e.err != nil {
-				return
-			}
+		if e.err = r.AgeCtx(s.ctx, sim.DefaultAging()); e.err != nil {
+			return
 		}
 		e.cp, e.err = r.Checkpoint()
 	})

@@ -39,9 +39,9 @@ func (s Spec) LogicalSectors(conf ssdconf.Config) (int64, error) {
 	return geo.logicalSectors(), nil
 }
 
-// Volume is N independent simulated SSDs behind one logical address space.
-// Build one with New (fresh devices) or FromSnapshot (fork every device
-// from a warm single-device checkpoint), then Age and Replay.
+// Volume is N independent simulated SSDs behind one logical address space,
+// every one a fork of the same sim.Checkpoint (FromCheckpoint): an aged
+// runner's for a warm volume, sim.FreshCheckpoint for a cold one.
 type Volume struct {
 	Kind    sim.SchemeKind
 	Conf    *ssdconf.Config // per-device configuration (all devices identical)
@@ -50,38 +50,9 @@ type Volume struct {
 	geo geometry
 }
 
-// New builds a fleet of fresh devices of one scheme kind and configuration.
-func New(kind sim.SchemeKind, conf ssdconf.Config, spec Spec) (*Volume, error) {
-	geo, err := resolveGeometry(&conf, spec)
-	if err != nil {
-		return nil, err
-	}
-	v := &Volume{Kind: kind, Conf: &conf, geo: geo}
-	for i := 0; i < spec.Devices; i++ {
-		r, err := sim.NewRunner(kind, conf)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: building device %d: %w", i, err)
-		}
-		v.Runners = append(v.Runners, r)
-	}
-	return v, nil
-}
-
-// FromSnapshot builds a fleet by restoring every device from one warm
-// single-device snapshot (scheme kind and configuration come from the
-// blob): the fleet analogue of the fork-from-checkpoint sweep — one verified
-// open and N forks instead of N agings, with state identical to aging each
-// device afresh (aging is seeded, so same-config devices age identically).
-func FromSnapshot(blob []byte, spec Spec) (*Volume, error) {
-	cp, err := sim.OpenCheckpoint(blob)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: opening the checkpoint: %w", err)
-	}
-	return FromCheckpoint(cp, spec)
-}
-
-// FromCheckpoint is FromSnapshot for a checkpoint the caller already holds
-// open: every device is a fork of it, and nothing is verified again.
+// FromCheckpoint builds a volume of spec.Devices forks of one checkpoint:
+// the scheme kind and device configuration are the checkpoint's, and every
+// device starts in its state, with nothing verified again.
 func FromCheckpoint(cp *sim.Checkpoint, spec Spec) (*Volume, error) {
 	conf := cp.Conf
 	geo, err := resolveGeometry(&conf, spec)
@@ -89,8 +60,10 @@ func FromCheckpoint(cp *sim.Checkpoint, spec Spec) (*Volume, error) {
 		return nil, err
 	}
 	v := &Volume{Kind: cp.Kind, Conf: &conf, geo: geo, Runners: make([]*sim.Runner, spec.Devices)}
-	if err := v.forkWarm(cp, 0); err != nil {
-		return nil, err
+	for i := range v.Runners {
+		if v.Runners[i], err = cp.Fork(); err != nil {
+			return nil, fmt.Errorf("fleet: forking device %d from checkpoint: %w", i, err)
+		}
 	}
 	return v, nil
 }
@@ -119,43 +92,6 @@ func (v *Volume) ChunkSectors() int64 { return v.geo.chunkSectors }
 // LogicalSectors returns the volume's usable capacity in sectors — the
 // address-space bound for trace generation (mirrored capacity counts once).
 func (v *Volume) LogicalSectors() int64 { return v.geo.logicalSectors() }
-
-// Age warms every device to the same §4.1 state: device 0 ages through its
-// scheme's ordinary write path (polling ctx), and the remaining devices fork
-// from a checkpoint of it — byte-identical state at a fraction of the cost,
-// since seeded aging would produce the same state per device anyway. The
-// checkpoint is taken in memory: device 0 was warmed here, so there is no
-// blob to encode or verify.
-func (v *Volume) Age(ctx context.Context, a sim.Aging) error {
-	if err := v.Runners[0].AgeCtx(ctx, a); err != nil {
-		return err
-	}
-	if len(v.Runners) == 1 {
-		return nil
-	}
-	cp, err := v.Runners[0].Checkpoint()
-	if err != nil {
-		return fmt.Errorf("fleet: checkpointing aged device 0: %w", err)
-	}
-	return v.forkWarm(cp, 1)
-}
-
-// forkWarm replaces devices from..N-1 with forks of one open checkpoint.
-func (v *Volume) forkWarm(cp *sim.Checkpoint, from int) error {
-	for i := from; i < len(v.Runners); i++ {
-		r, err := cp.Fork()
-		if err != nil {
-			return fmt.Errorf("fleet: forking device %d from checkpoint: %w", i, err)
-		}
-		v.Runners[i] = r
-	}
-	return nil
-}
-
-// WarmSnapshot serialises device 0's state — after Age, the single-device
-// checkpoint every other device was forked from (all devices are
-// byte-identical until a replay differentiates them).
-func (v *Volume) WarmSnapshot() ([]byte, error) { return v.Runners[0].Snapshot() }
 
 // Audit runs the device-wide invariant auditor over every device (mapping↔
 // flash ownership, valid-count recounts, op attribution — DESIGN §9).

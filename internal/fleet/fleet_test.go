@@ -36,9 +36,14 @@ func fleetTrace(t *testing.T, v *Volume, scale float64) []trace.Request {
 	return reqs
 }
 
+// buildVolume forks a volume of fresh devices.
 func buildVolume(t *testing.T, kind sim.SchemeKind, spec Spec) *Volume {
 	t.Helper()
-	v, err := New(kind, fleetConf(), spec)
+	cp, err := sim.FreshCheckpoint(kind, fleetConf())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := FromCheckpoint(cp, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,35 +240,50 @@ func raceEnabled() bool {
 	return false
 }
 
-// TestFleetAgeForksIdenticalDevices checks the fork-from-checkpoint warm-up:
-// after Age, every device must serialise to the same snapshot as device 0,
-// and a volume built with FromSnapshot from the warm blob must replay
-// byte-identically to the aged volume.
+// TestFleetAgeForksIdenticalDevices checks the warm volume: every device of
+// a volume forked from an aged runner's checkpoint must serialise to that
+// runner's own snapshot, and a volume forked from the checkpoint the blob
+// opens must replay byte-identically to it.
 func TestFleetAgeForksIdenticalDevices(t *testing.T) {
 	spec := Spec{Devices: 2, Layout: LayoutRAID0, ChunkSectors: 32}
 	aging := sim.DefaultAging()
 	aging.ValidFrac = 0.2
 	aging.UsedFrac = 0.5
 
-	aged := buildVolume(t, sim.KindFTL, spec)
-	if err := aged.Age(context.Background(), aging); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := aged.WarmSnapshot()
+	r, err := sim.NewRunner(sim.KindFTL, fleetConf())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range aged.Runners {
-		b, err := r.Snapshot()
+	if err := r.Age(aging); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := r.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	aged, err := FromCheckpoint(cp, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range aged.Runners {
+		b, err := d.Snapshot()
 		if err != nil {
 			t.Fatalf("device %d: %v", i, err)
 		}
 		if !bytes.Equal(b, blob) {
-			t.Fatalf("device %d snapshot differs from device 0 after Age", i)
+			t.Fatalf("device %d does not snapshot to the aged runner it was forked from", i)
 		}
 	}
 
-	forked, err := FromSnapshot(blob, spec)
+	opened, err := sim.OpenCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forked, err := FromCheckpoint(opened, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,18 +296,17 @@ func TestFleetAgeForksIdenticalDevices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertFleetIdentical(t, ares, fres, "aged vs FromSnapshot")
+	assertFleetIdentical(t, ares, fres, "in-memory vs opened checkpoint")
 	if ares.WarmupWrites == 0 {
 		t.Error("aged volume reports zero warm-up writes")
 	}
 }
 
-// TestFromSnapshotOpensOnce checks what a fleet built from one blob costs:
-// one verified open plus a fork per further device, not an open per device.
-// An open allocates what two forks do (the decoded template and its trial
-// fork) plus the inflated body, the inflater and the audit, so the bytes
-// allocated tell the two apart.
-func TestFromSnapshotOpensOnce(t *testing.T) {
+// TestFromCheckpointAllocatesNForks checks what a volume costs: one fork per
+// device and nothing more, each device in the checkpoint's state. A fork is
+// the device's whole state, so a volume that built or copied one device more
+// would allocate half a fork over the limit.
+func TestFromCheckpointAllocatesNForks(t *testing.T) {
 	r, err := sim.NewRunner(sim.KindFTL, fleetConf())
 	if err != nil {
 		t.Fatal(err)
@@ -299,21 +318,16 @@ func TestFromSnapshotOpensOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cp, err := sim.OpenCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
 	allocated := func(f func()) float64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		f()
 		runtime.ReadMemStats(&after)
 		return float64(after.TotalAlloc - before.TotalAlloc)
-	}
-	var cp *sim.Checkpoint
-	open := allocated(func() {
-		if cp, err = sim.OpenCheckpoint(blob); err == nil {
-			_, err = cp.Fork() // device 0
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	fork := allocated(func() { _, err = cp.Fork() })
 	if err != nil {
@@ -322,13 +336,13 @@ func TestFromSnapshotOpensOnce(t *testing.T) {
 
 	const devices = 4
 	var v *Volume
-	fleet := allocated(func() { v, err = FromSnapshot(blob, Spec{Devices: devices, Layout: LayoutConcat}) })
+	fleet := allocated(func() { v, err = FromCheckpoint(cp, Spec{Devices: devices, Layout: LayoutConcat}) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("open+fork %.0f B, fork %.0f B, %d-device FromSnapshot %.0f B", open, fork, devices, fleet)
-	if limit := open + (devices-1)*fork + (open-fork)/2; fleet > limit {
-		t.Errorf("FromSnapshot allocated %.0f B, more than one open and %d forks (%.0f B): it opens per device", fleet, devices-1, limit)
+	t.Logf("fork %.0f B, %d-device FromCheckpoint %.0f B", fork, devices, fleet)
+	if limit := devices*fork + fork/2; fleet > limit {
+		t.Errorf("FromCheckpoint allocated %.0f B, more than %d forks (%.0f B)", fleet, devices, limit)
 	}
 	for i, d := range v.Runners {
 		b, err := d.Snapshot()
@@ -341,43 +355,33 @@ func TestFromSnapshotOpensOnce(t *testing.T) {
 	}
 }
 
-// TestFleetRestoreWarmValidates checks the one warm restore a fleet has,
-// FromSnapshot. The scheme and configuration come from the blob, so a
-// checkpoint of another scheme cannot mismatch the volume: it restores as a
-// volume of that scheme. What the restore must refuse is a damaged blob and
-// a layout the checkpoint's device cannot hold.
+// TestFleetRestoreWarmValidates checks what FromCheckpoint takes from the
+// checkpoint and what it refuses. The scheme and configuration are the
+// checkpoint's, so a checkpoint of another scheme cannot mismatch the
+// volume: it forks a volume of that scheme. What it must refuse is a layout
+// the checkpoint's device cannot hold. (A damaged blob never becomes a
+// checkpoint: TestTamperSweepNeverYieldsARunner pins sim.OpenCheckpoint's
+// refusal.)
 func TestFleetRestoreWarmValidates(t *testing.T) {
-	other, err := sim.NewRunner(sim.KindMRSM, fleetConf())
+	cp, err := sim.FreshCheckpoint(sim.KindMRSM, fleetConf())
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := other.Snapshot()
+	v, err := FromCheckpoint(cp, Spec{Devices: 2, Layout: LayoutRAID0, ChunkSectors: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := Spec{Devices: 2, Layout: LayoutRAID0, ChunkSectors: 32}
-	v, err := FromSnapshot(blob, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Kind != sim.KindMRSM || *v.Conf != fleetConf() {
-		t.Errorf("restored a %s volume with config %+v, want the blob's MRSM device", v.Kind, *v.Conf)
-	}
-
-	damaged := bytes.Clone(blob)
-	damaged[len(damaged)/2] ^= 0xff
-	for name, b := range map[string][]byte{"flipped byte": damaged, "truncated": blob[:len(blob)/2]} {
-		if _, err := FromSnapshot(b, spec); err == nil {
-			t.Errorf("FromSnapshot accepted a %s blob", name)
-		}
+	if v.Kind != sim.KindMRSM || *v.Conf != fleetConf() || len(v.Runners) != 2 {
+		t.Errorf("forked %d %s devices with config %+v, want 2 of the checkpoint's MRSM device", len(v.Runners), v.Kind, *v.Conf)
 	}
 	conf := fleetConf()
 	for _, bad := range []Spec{
+		{Devices: 0, Layout: LayoutRAID0},
 		{Devices: 3, Layout: LayoutRAID10, ChunkSectors: 32},
 		{Devices: 2, Layout: LayoutRAID0, ChunkSectors: conf.LogicalSectors() + 1},
 	} {
-		if _, err := FromSnapshot(blob, bad); err == nil {
-			t.Errorf("FromSnapshot accepted spec %+v", bad)
+		if _, err := FromCheckpoint(cp, bad); err == nil {
+			t.Errorf("FromCheckpoint accepted spec %+v", bad)
 		}
 	}
 }

@@ -182,20 +182,21 @@ func (s *Server) loadAgingSnapshot(key, scheme string) []byte {
 }
 
 // warmStart resolves a job's aging phase under the key's flight lock, which
-// it holds only for the work that must happen once per key. With a usable
-// checkpoint — cached, or opened from the store and then cached — it opens
-// the job's "restore" span, marked checkpoint=cached or checkpoint=opened
-// (with the blob's and its body's size: why that job's restore was the slow
-// one), counts the job's forks and returns the checkpoint for the caller to
-// fork outside the lock, so jobs sharing a key fork concurrently. With none —
-// or with a stored one that does not open, which that span and a counter say,
-// with the reason — it ages a fresh device and stores its snapshot, over the
-// unusable one: a single-device job gets that runner back; a fleet job, which
-// forks every device, gets the snapshot as an open checkpoint.
-func (s *Server) warmStart(ctx context.Context, akey string, sp *ReplaySpec, conf ssdconf.Config, spl *spanLog) (cp *sim.Checkpoint, r *sim.Runner, err error) {
+// it holds only for the work that must happen once per key, and returns the
+// checkpoint the job forks outside the lock, so jobs sharing a key fork
+// concurrently. With a usable checkpoint — cached, or opened from the store
+// and then cached — it opens the job's "restore" span, marked
+// checkpoint=cached or checkpoint=opened (with the blob's and its body's
+// size: why that job's restore was the slow one), and counts the job's
+// forks. With none — or with a stored one that does not open, which that span
+// and a counter say, with the reason — it ages a fresh device, stores its
+// snapshot over the unusable one, and returns the aged runner's in-memory
+// checkpoint, uncached: later jobs open the stored blob.
+func (s *Server) warmStart(ctx context.Context, akey string, sp *ReplaySpec, conf ssdconf.Config, spl *spanLog) (*sim.Checkpoint, error) {
 	defer s.agingFlight(akey)()
 	kind := sim.SchemeKind(sp.Scheme)
-	if cp = s.checkpoints.get(akey); cp != nil {
+	cp := s.checkpoints.get(akey)
+	if cp != nil {
 		spl.next("restore")
 		spl.attr("checkpoint", "cached")
 	} else if warm := s.loadAgingSnapshot(akey, sp.Scheme); warm != nil {
@@ -218,33 +219,23 @@ func (s *Server) warmStart(ctx context.Context, akey string, sp *ReplaySpec, con
 			forks = sp.Fleet.Devices
 		}
 		s.counter("snapshot_restores", int64(forks))
-		return cp, nil, nil
+		return cp, nil
 	}
 	spl.next("age")
-	if r, err = sim.NewRunner(kind, conf); err != nil {
-		return nil, nil, err
+	r, err := sim.NewRunner(kind, conf)
+	if err != nil {
+		return nil, err
 	}
-	if err = r.AgeCtx(ctx, sim.DefaultAging()); err != nil {
-		return nil, nil, err
+	if err := r.AgeCtx(ctx, sim.DefaultAging()); err != nil {
+		return nil, err
 	}
 	s.counter("snapshot_ages", 1)
 	// A snapshot or store failure costs only reuse: this job has its aged
 	// device in hand, later jobs just re-age.
-	blob, err := r.Snapshot()
-	if err == nil {
+	if blob, err := r.Snapshot(); err == nil {
 		_ = s.store.Put(akey, &SnapshotEntry{Key: akey, Kind: "snapshot", Scheme: sp.Scheme, Blob: blob})
 	}
-	if sp.Fleet == nil {
-		return nil, r, nil
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("service: checkpointing the aged device: %w", err)
-	}
-	cp, unusable := s.openCheckpoint(akey, blob, kind, conf)
-	if cp == nil {
-		return nil, nil, fmt.Errorf("service: the aged device's checkpoint does not open (%s)", unusable)
-	}
-	return cp, nil, nil
+	return r.Checkpoint()
 }
 
 // openCheckpoint verifies a checkpoint blob and caches it under its aging

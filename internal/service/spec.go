@@ -611,90 +611,32 @@ func (s *Server) putSeries(key string, samples []obs.Sample) error {
 }
 
 // runReplay executes one replay job: generate (or regenerate) the trace,
-// build and optionally age the device, replay with the job's context so
-// cancellation and timeouts stop the simulator mid-trace, then persist the
-// entry. Store failures are marked Transient so the scheduler's
-// retry-with-backoff gets a chance to ride out disk hiccups.
+// fork the device — or every device of a fleet job's volume — from the job's
+// checkpoint (warmStart's when it ages, a fresh one when not), replay with
+// the job's context so cancellation and timeouts stop the simulator
+// mid-trace, then persist the entry. Store failures are marked Transient so
+// the scheduler's retry-with-backoff gets a chance to ride out disk hiccups.
 //
-// Every replay job streams progress and stores its sampled series, in the
-// store phase and before the entry. Each phase is recorded in the job's span
-// log.
+// A single-device job streams progress and stores its sampled series, in
+// the store phase and before the entry; a fleet replay has no sampler yet.
+// Each phase is recorded in the job's span log.
 func (s *Server) runReplay(ctx context.Context, key string, sp ReplaySpec, hub *progressHub, spl *spanLog) (*Entry, error) {
+	spl.next("generate")
+	conf := sp.config()
+	sectors := conf.LogicalSectors()
+	var fspec fleet.Spec
 	if sp.Fleet != nil {
-		return s.runFleetReplay(ctx, key, sp, spl)
-	}
-	spl.next("generate")
-	conf := sp.config()
-	reqs, err := sp.requests(conf.LogicalSectors())
-	if err != nil {
-		return nil, err
-	}
-	var r *sim.Runner
-	var agingAttrs []string
-	if sp.Age {
-		akey, err := sp.AgingKey()
-		if err != nil {
+		var err error
+		fspec = sp.fleetSpec()
+		if sectors, err = fspec.LogicalSectors(conf); err != nil {
 			return nil, err
 		}
-		agingAttrs = []string{"aging_key", akey}
-		var cp *sim.Checkpoint
-		if cp, r, err = s.warmStart(ctx, akey, &sp, conf, spl); err != nil {
-			return nil, err
-		}
-		if cp != nil {
-			if r, err = cp.Fork(); err != nil {
-				return nil, err
-			}
-		}
-	} else if r, err = sim.NewRunner(sim.SchemeKind(sp.Scheme), conf); err != nil {
-		return nil, err
-	}
-	smp, err := obs.NewSampler(s.cfg.SampleIntervalMs)
-	if err != nil {
-		return nil, err
-	}
-	smp.SetSink(hub)
-	r.SetSampler(smp)
-	spl.next("replay", agingAttrs...)
-	res, err := r.ReplayQDCtx(ctx, reqs, sp.QD)
-	if err != nil {
-		return nil, err
-	}
-	spl.next("store")
-	entry, err := buildEntry(key, "replay", sp, replayResultDoc(res))
-	if err != nil {
-		return nil, err
-	}
-	if err := s.putSeries(key, smp.Samples()); err != nil {
-		return nil, jobs.Transient(err)
-	}
-	if err := s.store.Put(key, entry); err != nil {
-		return nil, jobs.Transient(err)
-	}
-	hub.Release()
-	spl.next("")
-	return entry, nil
-}
-
-// runFleetReplay executes one fleet replay job: build the N-device volume
-// by forking every device from the single-device AgingKey checkpoint (aging
-// one device and storing the checkpoint if none exists — the same store
-// entry non-fleet jobs use), then replay the trace through the layout.
-// Fleet replays have no per-request progress sampler yet, so the stored
-// entry has no series sibling.
-func (s *Server) runFleetReplay(ctx context.Context, key string, sp ReplaySpec, spl *spanLog) (*Entry, error) {
-	spl.next("generate")
-	conf := sp.config()
-	fspec := sp.fleetSpec()
-	sectors, err := fspec.LogicalSectors(conf)
-	if err != nil {
-		return nil, err
 	}
 	reqs, err := sp.requests(sectors)
 	if err != nil {
 		return nil, err
 	}
-	var v *fleet.Volume
+	var cp *sim.Checkpoint
 	var agingAttrs []string
 	if sp.Age {
 		akey, err := sp.AgingKey()
@@ -702,33 +644,61 @@ func (s *Server) runFleetReplay(ctx context.Context, key string, sp ReplaySpec, 
 			return nil, err
 		}
 		agingAttrs = []string{"aging_key", akey}
-		// Same flight lock, store entry and cache as single-device jobs: the
-		// first job ages once, everyone else — fleet or not — forks.
-		cp, _, err := s.warmStart(ctx, akey, &sp, conf, spl)
+		if cp, err = s.warmStart(ctx, akey, &sp, conf, spl); err != nil {
+			return nil, err
+		}
+	} else if cp, err = sim.FreshCheckpoint(sim.SchemeKind(sp.Scheme), conf); err != nil {
+		return nil, err
+	}
+	var doc any
+	var smp *obs.Sampler
+	if sp.Fleet != nil {
+		v, err := fleet.FromCheckpoint(cp, fspec)
 		if err != nil {
 			return nil, err
 		}
-		if v, err = fleet.FromCheckpoint(cp, fspec); err != nil {
+		spl.next("replay", agingAttrs...)
+		res, err := v.Replay(ctx, reqs, sp.QD)
+		if err != nil {
 			return nil, err
 		}
-	} else if v, err = fleet.New(sim.SchemeKind(sp.Scheme), conf, fspec); err != nil {
-		return nil, err
+		spl.next("store",
+			"devices", fmt.Sprint(v.Devices()),
+			"layout", string(v.Layout()),
+			"chunk_sectors", fmt.Sprint(v.ChunkSectors()))
+		doc = fleetResultDoc(res, conf.Chips())
+	} else {
+		r, err := cp.Fork()
+		if err != nil {
+			return nil, err
+		}
+		if smp, err = obs.NewSampler(s.cfg.SampleIntervalMs); err != nil {
+			return nil, err
+		}
+		smp.SetSink(hub)
+		r.SetSampler(smp)
+		spl.next("replay", agingAttrs...)
+		res, err := r.ReplayQDCtx(ctx, reqs, sp.QD)
+		if err != nil {
+			return nil, err
+		}
+		spl.next("store")
+		doc = replayResultDoc(res)
 	}
-	spl.next("replay", agingAttrs...)
-	res, err := v.Replay(ctx, reqs, sp.QD)
+	entry, err := buildEntry(key, "replay", sp, doc)
 	if err != nil {
 		return nil, err
 	}
-	spl.next("store",
-		"devices", fmt.Sprint(v.Devices()),
-		"layout", string(v.Layout()),
-		"chunk_sectors", fmt.Sprint(v.ChunkSectors()))
-	entry, err := buildEntry(key, "replay", sp, fleetResultDoc(res, conf.Chips()))
-	if err != nil {
-		return nil, err
+	if smp != nil {
+		if err := s.putSeries(key, smp.Samples()); err != nil {
+			return nil, jobs.Transient(err)
+		}
 	}
 	if err := s.store.Put(key, entry); err != nil {
 		return nil, jobs.Transient(err)
+	}
+	if smp != nil {
+		hub.Release()
 	}
 	spl.next("")
 	return entry, nil

@@ -242,6 +242,56 @@ func TestRunnerCheckpointMatchesOpenCheckpoint(t *testing.T) {
 	}
 }
 
+// TestFreshCheckpointIsNewRunner: for every entry of the scheme table, a fork
+// of FreshCheckpoint is the runner NewRunner builds — the same snapshot
+// bytes, and an identical Result on a short trace — and FreshCheckpoint
+// refuses what NewRunner refuses.
+func TestFreshCheckpointIsNewRunner(t *testing.T) {
+	reqs := smallTrace(t, 0.005)
+	for _, e := range schemes {
+		t.Run(string(e.kind), func(t *testing.T) {
+			cp, err := FreshCheckpoint(e.kind, smallConf())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cp.Kind != e.kind || cp.Conf != smallConf() || cp.Bytes() != 0 {
+				t.Fatalf("fresh checkpoint is %s/%d bytes with config %+v", cp.Kind, cp.Bytes(), cp.Conf)
+			}
+			built, err := NewRunner(e.kind, smallConf())
+			if err != nil {
+				t.Fatal(err)
+			}
+			forked := mustFork(t, cp)
+			if !bytes.Equal(mustSnapshot(t, forked), mustSnapshot(t, built)) {
+				t.Fatal("a fork of the fresh checkpoint does not snapshot to NewRunner's bytes")
+			}
+			want, err := built.ReplayQD(reqs, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := forked.ReplayQD(reqs, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertIdentical(t, want, got, string(e.kind))
+		})
+	}
+	bad := smallConf()
+	bad.Channels = 0
+	if _, err := NewRunner(KindFTL, bad); err == nil {
+		t.Fatal("NewRunner accepted an invalid config")
+	}
+	if _, err := FreshCheckpoint(KindFTL, bad); err == nil {
+		t.Error("FreshCheckpoint accepted an invalid config")
+	}
+	if _, err := NewRunner("nope", smallConf()); err == nil {
+		t.Fatal("NewRunner accepted an unknown kind")
+	}
+	if _, err := FreshCheckpoint("nope", smallConf()); err == nil {
+		t.Error("FreshCheckpoint accepted an unknown kind")
+	}
+}
+
 // forkScratch names the fields a fork need not take from its template:
 // request-scoped scratch, callbacks bound to their own scheme, and observers.
 // TestForkSharesNoState skips exactly these, so a field added to any state

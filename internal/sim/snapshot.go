@@ -46,22 +46,38 @@ func (r *Runner) Snapshot() ([]byte, error) {
 	return enc.Finish()
 }
 
-// Checkpoint is an opened snapshot: the one runner OpenCheckpoint decoded
-// from the blob, verified and audited — or a copy of a live runner
-// (Runner.Checkpoint) — kept as a template that any number of runners are
-// forked from by plain state copy. Nothing replays on the template, observes
-// it or writes to it once the checkpoint exists — Fork only reads it, into
-// tables the fork owns — so a Checkpoint is safe for concurrent use and a
-// fork can never see another fork's writes. The blob is not kept, and its
-// inflated body never existed: the open streamed it into the template.
+// Checkpoint is the one starting state every replay forks: the runner
+// OpenCheckpoint decoded from a blob, verified and audited, or a copy of a
+// live runner (Runner.Checkpoint), kept as a template that any number of
+// runners are forked from by plain state copy — or, from FreshCheckpoint, no
+// template at all. Nothing replays on the template, observes it or writes to
+// it once the checkpoint exists — Fork only reads it, into tables the fork
+// owns — so a Checkpoint is safe for concurrent use and a fork can never see
+// another fork's writes. The blob is not kept, and its inflated body never
+// existed: the open streamed it into the template.
 type Checkpoint struct {
 	// Kind and Conf are the scheme and device configuration the snapshot
 	// was taken with.
 	Kind SchemeKind
 	Conf ssdconf.Config
 
-	template *Runner
+	template *Runner // nil for a fresh checkpoint
 	bytes    int64
+}
+
+// FreshCheckpoint is the checkpoint of a device nothing has written: it
+// refuses an unknown kind or an invalid configuration as NewRunner does, and
+// each Fork is a NewRunner, since building a fresh device costs less than
+// copying one. A refusal only the build can make, such as a geometry too
+// large for a scheme's tables, comes from Fork.
+func FreshCheckpoint(kind SchemeKind, conf ssdconf.Config) (*Checkpoint, error) {
+	if err := conf.Validate(); err != nil {
+		return nil, err
+	}
+	if _, err := ParseKind(string(kind)); err != nil {
+		return nil, err
+	}
+	return &Checkpoint{Kind: kind, Conf: conf}, nil
 }
 
 // OpenCheckpoint is Restore with the runner kept, as the template every Fork
@@ -97,13 +113,13 @@ func (r *Runner) Checkpoint() (*Checkpoint, error) {
 }
 
 // Bytes returns the size of the state a Fork copies, which is also what the
-// checkpoint's template retains.
+// checkpoint's template retains: 0 for a fresh checkpoint.
 func (c *Checkpoint) Bytes() int64 { return c.bytes }
 
 // Fork returns a new replay-ready Runner in the checkpointed state: a fresh
 // scheme stack with the template's state copied into it column by column —
 // no decode, no check that already passed at open, no second audit. Every
-// fork owns all of its state.
+// fork owns all of its state. A fresh checkpoint's fork is a NewRunner.
 func (c *Checkpoint) Fork() (*Runner, error) {
 	r, _, err := c.fork()
 	return r, err
@@ -111,6 +127,10 @@ func (c *Checkpoint) Fork() (*Runner, error) {
 
 func (c *Checkpoint) fork() (*Runner, int64, error) {
 	conf, t := c.Conf, c.template
+	if t == nil {
+		r, err := NewRunner(c.Kind, conf)
+		return r, 0, err
+	}
 	scheme, err := newStack(c.Kind, &conf, cachePagesOf(t.Scheme), nil)
 	if err != nil {
 		return nil, 0, err
