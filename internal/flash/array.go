@@ -374,9 +374,9 @@ func (a *Array) TotalPrograms() int64 { return a.programs }
 // counterpart of TotalPrograms for the read-attribution identity.
 func (a *Array) TotalReads() int64 { return a.reads }
 
-// CountStates tallies page states over the whole device; used by aging and
-// by tests. With the flattened layout this is a scan of the two per-block
-// metadata arrays, not of every page.
+// CountStates tallies page states over the whole device; used by
+// sim.Runner.AgedState and by tests. With the flattened layout this is a
+// scan of the two per-block metadata arrays, not of every page.
 func (a *Array) CountStates() (free, valid, invalid int64) {
 	ppb := int64(a.Geo.PagesPerBlock)
 	for bid := range a.writePtr {

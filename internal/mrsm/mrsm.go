@@ -275,13 +275,35 @@ func (s *Scheme) PrefetchMap(r trace.Request) {
 	}
 }
 
-// PrefetchData reads the location of r's first sub-page, cached by an
-// earlier PrefetchMap, and hints the census line of the slot it names,
-// which invalidateSub checks and clears.
+// hintPages bounds PrefetchData's walk to the sub-pages of a request's
+// first hintPages logical pages, so a long or hostile request costs a
+// hint no more than a short one.
+const hintPages = 4
+
+// PrefetchData reads the locations of r's sub-pages, cached by an earlier
+// PrefetchMap, and hints, for each distinct old page they name, the three
+// lines invalidateSub and flash.Array.Invalidate load when r overwrites it:
+// the census slot in pageOwner, the page's pageLive byte and its flash
+// metadata byte. Sub-pages outside the table are skipped.
 func (s *Scheme) PrefetchData(r trace.Request) {
-	if sub := r.Offset / int64(s.subSec); uint64(sub) < uint64(len(s.subLoc)) {
-		if loc := s.subLoc[sub]; uint32(loc) < uint32(len(s.pageOwner)) {
+	first := r.Offset / int64(s.subSec)
+	if uint64(first) >= uint64(len(s.subLoc)) {
+		return
+	}
+	end := min(int64(len(s.subLoc)), first+int64(hintPages*s.subPerPg))
+	if last := (r.End() - 1) / int64(s.subSec); last >= first && last < end {
+		end = last + 1
+	}
+	prev := int32(unmapped)
+	for _, loc := range s.subLoc[first:end] {
+		if uint32(loc) >= uint32(len(s.pageOwner)) {
+			continue
+		}
+		if ppn := loc / int32(s.subPerPg); ppn != prev {
+			prev = ppn
 			flash.Prefetch(unsafe.Pointer(&s.pageOwner[loc]))
+			flash.Prefetch(unsafe.Pointer(&s.pageLive[ppn]))
+			s.Dev.Array.PrefetchPage(flash.PPN(ppn))
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"across/internal/ftl"
 	"across/internal/trace"
 )
 
@@ -46,14 +47,23 @@ func (r *Runner) AgeCtx(ctx context.Context, a Aging) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	return r.age(ctx, a, r.hinter(), nil)
+}
+
+// age is AgeCtx with the tests' seam: pf hints ahead (nil hints nothing),
+// and after, when set, looks at the device after every batch.
+func (r *Runner) age(ctx context.Context, a Aging, pf prefetcher, after func()) error {
 	if r.warmed {
 		return fmt.Errorf("sim: device already aged")
 	}
 	if a.ValidFrac <= 0 || a.ValidFrac >= 1 || a.UsedFrac <= a.ValidFrac || a.UsedFrac >= 1 {
 		return fmt.Errorf("sim: implausible aging %+v", a)
 	}
-	dev := r.Scheme.Device()
-	spp := r.Conf.SectorsPerPage()
+	al, ok := ftl.As[allocatorOwner](r.Scheme)
+	if !ok {
+		return fmt.Errorf("sim: %s exposes no allocator to age against", r.Kind)
+	}
+	spp := int64(r.Conf.SectorsPerPage())
 	physPages := r.Conf.PagesTotal()
 	logicalPages := r.Conf.LogicalPages()
 
@@ -65,42 +75,38 @@ func (r *Runner) AgeCtx(ctx context.Context, a Aging) error {
 	if maxWrites == 0 {
 		maxWrites = physPages * 4
 	}
+	w := untimed{r: r, ctx: ctx, after: after}
+	batch := make([]trace.Request, 0, ageBatch)
+	page := func(lpn int64) trace.Request {
+		return trace.Request{Op: trace.OpWrite, Offset: lpn * spp, Count: int32(spp)}
+	}
 
-	// Phase 1: sequential fill of the valid set.
-	done := ctx.Done()
-	var wrote int64
-	for lpn := int64(0); lpn < validPages; lpn++ {
-		if lpn&1023 == 0 {
-			select {
-			case <-done:
-				return fmt.Errorf("sim: aging cancelled at fill lpn %d: %w", lpn, ctx.Err())
-			default:
-			}
+	// Phase 1: sequential fill of the valid set, unhinted: its entries are
+	// adjacent, which the hardware prefetcher follows unasked, so a hint
+	// there only costs time (DESIGN §7).
+	for lpn := int64(0); lpn < validPages; {
+		batch = batch[:0]
+		for ; lpn < validPages && len(batch) < ageBatch; lpn++ {
+			batch = append(batch, page(lpn))
 		}
-		req := trace.Request{Op: trace.OpWrite, Offset: lpn * int64(spp), Count: int32(spp)}
-		if _, err := r.Scheme.Write(req, 0); err != nil {
-			return fmt.Errorf("sim: aging fill at lpn %d: %w", lpn, err)
+		if err := w.serve(batch); err != nil {
+			return fmt.Errorf("sim: aging fill: %w", err)
 		}
-		wrote++
 	}
 
 	// Phase 2: random overwrites until the used fraction is reached. Once
 	// GC starts cycling, the used fraction saturates just under the GC
 	// threshold, so the loop also stops when further writes stop raising it
-	// (plateau detection). State is sampled periodically — CountStates is a
-	// full device scan.
+	// (plateau detection). Used pages are read between batches from the
+	// allocator's per-plane free counts, which check.Audit holds equal to
+	// the array's; a batch draws all its LPNs before writing any, which
+	// takes them from the RNG in the order one-at-a-time drawing did.
+	w.pf = pf
 	rng := rand.New(rand.NewSource(a.Seed))
 	target := int64(float64(physPages) * a.UsedFrac)
-	const checkEvery = 1024
 	prevUsed, flat := int64(-1), 0
-	for wrote < maxWrites {
-		select {
-		case <-done:
-			return fmt.Errorf("sim: aging cancelled after %d warm-up writes: %w", wrote, ctx.Err())
-		default:
-		}
-		free, _, _ := dev.Array.CountStates()
-		used := physPages - free
+	for w.writes < maxWrites {
+		used := physPages - al.Allocator().TotalFreePages()
 		if used >= target {
 			break
 		}
@@ -112,17 +118,16 @@ func (r *Runner) AgeCtx(ctx context.Context, a Aging) error {
 			flat = 0
 		}
 		prevUsed = used
-		for i := 0; i < checkEvery && wrote < maxWrites; i++ {
-			lpn := rng.Int63n(validPages)
-			req := trace.Request{Op: trace.OpWrite, Offset: lpn * int64(spp), Count: int32(spp)}
-			if _, err := r.Scheme.Write(req, 0); err != nil {
-				return fmt.Errorf("sim: aging overwrite at lpn %d: %w", lpn, err)
-			}
-			wrote++
+		batch = batch[:min(ageBatch, maxWrites-w.writes)]
+		for i := range batch {
+			batch[i] = page(rng.Int63n(validPages))
+		}
+		if err := w.serve(batch); err != nil {
+			return fmt.Errorf("sim: aging overwrite: %w", err)
 		}
 	}
 	r.warmed = true
-	r.warmupWrites = wrote
+	r.warmupWrites = w.writes
 	return nil
 }
 
@@ -131,24 +136,69 @@ func (r *Runner) AgeCtx(ctx context.Context, a Aging) error {
 // additional-02-2016021710-LUN6 trace. It can be combined with Age: the
 // paper first fills, then replays.
 func (r *Runner) AgeWithTrace(reqs []trace.Request) error {
-	for i, req := range reqs {
+	w := untimed{r: r, ctx: context.Background(), pf: r.hinter()}
+	var err error
+	for lo := 0; lo < len(reqs) && err == nil; lo += ageBatch {
+		err = w.serve(reqs[lo:min(lo+ageBatch, len(reqs))])
+	}
+	r.warmupWrites += w.writes
+	if err != nil {
+		return fmt.Errorf("sim: aging trace: %w", err)
+	}
+	r.warmed = true
+	return nil
+}
+
+// ageBatch is how many requests the untimed loop serves between two looks
+// at its context and, in Age's overwrite phase, at the stop rule.
+const ageBatch = 1024
+
+// untimed is the one loop every untimed request runs through: Age's fill
+// and overwrites and AgeWithTrace's trace. It serves a batch at time 0,
+// outside any measurement, hinting ahead as the host loop does (hintAhead),
+// and looks at its context once per batch.
+type untimed struct {
+	r      *Runner
+	ctx    context.Context
+	pf     prefetcher // nil hints nothing
+	after  func()     // nil, or a test's look at the device after each batch
+	served int64      // requests served, the index of the next
+	writes int64      // writes among them
+}
+
+// serve runs one batch in order; a cancelled context stops it before its
+// first request, and a failing request where it fails.
+func (w *untimed) serve(batch []trace.Request) error {
+	select {
+	case <-w.ctx.Done():
+		return fmt.Errorf("cancelled after %d warm-up writes: %w", w.writes, w.ctx.Err())
+	default:
+	}
+	s := w.r.Scheme
+	for i, req := range batch {
+		if w.pf != nil {
+			hintAhead(w.pf, batch, i)
+		}
 		var err error
 		switch req.Op {
 		case trace.OpWrite:
-			_, err = r.Scheme.Write(req, 0)
+			_, err = s.Write(req, 0)
 		case trace.OpRead:
-			_, err = r.Scheme.Read(req, 0)
+			_, err = s.Read(req, 0)
 		default:
-			err = fmt.Errorf("sim: aging request %d has unknown op", i)
+			err = fmt.Errorf("unknown op %d", req.Op)
 		}
 		if err != nil {
-			return fmt.Errorf("sim: aging trace request %d: %w", i, err)
+			return fmt.Errorf("request %d (%v): %w", w.served, req, err)
 		}
+		w.served++
 		if req.Op == trace.OpWrite {
-			r.warmupWrites++
+			w.writes++
 		}
 	}
-	r.warmed = true
+	if w.after != nil {
+		w.after()
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -9,6 +10,7 @@ import (
 
 	"across/internal/flash"
 	"across/internal/ftl"
+	"across/internal/ssdconf"
 	"across/internal/trace"
 )
 
@@ -121,22 +123,137 @@ func replayUnhinted(r *Runner, reqs []trace.Request, qd int) (*Result, error) {
 }
 
 // agedRunner ages a small device for kind; hints false also removes the
-// allocator's GC look-ahead hook first, so that neither ageing nor a replay
-// on it hints anything.
+// allocator's GC look-ahead hook first and ages through age's seam with no
+// prefetcher, so that neither ageing nor a replay on it hints anything.
 func agedRunner(t *testing.T, kind SchemeKind, hints bool) *Runner {
+	return agedOn(t, kind, smallConf(), hints)
+}
+
+// agedOn is agedRunner on a device of conf.
+func agedOn(t *testing.T, kind SchemeKind, conf ssdconf.Config, hints bool) *Runner {
 	t.Helper()
-	r, err := NewRunner(kind, smallConf())
+	r, err := NewRunner(kind, conf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hints {
+	if hints {
+		err = r.Age(DefaultAging())
+	} else {
 		al, _ := ftl.As[allocatorOwner](r.Scheme)
 		al.Allocator().SetPrefetch(nil)
+		err = r.age(context.Background(), DefaultAging(), nil, nil)
 	}
-	if err := r.Age(DefaultAging()); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// ageGeometry is a named device the ageing tests age.
+type ageGeometry struct {
+	name string
+	conf ssdconf.Config
+}
+
+// ageGeometries are smallConf, and a plateau geometry: smallConf with a GC
+// threshold above Age's stop point, where garbage collection holds the used
+// fraction on its plateau, so that the overwrite phase collects throughout
+// and ends on the plateau rule.
+func ageGeometries() []ageGeometry {
+	plateau := smallConf()
+	plateau.GCThreshold = 0.2
+	return []ageGeometry{{"small", smallConf()}, {"plateau", plateau}}
+}
+
+// TestAgeHintsAreInvisible: ageing's look-ahead hints change nothing it
+// leaves behind. For every scheme in the table, on both ageGeometries, a
+// device aged through Age, which hints ahead in the untimed loop and in GC,
+// and one aged through age's seam with no prefetcher and the GC hook
+// removed must snapshot to the same bytes, count the same warm-up writes
+// and hold equal runner state.
+func TestAgeHintsAreInvisible(t *testing.T) {
+	for _, geo := range ageGeometries() {
+		for _, e := range schemes {
+			t.Run(geo.name+"/"+string(e.kind), func(t *testing.T) {
+				bare, hinted := agedOn(t, e.kind, geo.conf, false), agedOn(t, e.kind, geo.conf, true)
+				if bare.Scheme.Device().Count.GCInvocations == 0 {
+					t.Fatal("ageing never collected garbage")
+				}
+				if bare.WarmupWrites() != hinted.WarmupWrites() {
+					t.Fatalf("warm-up writes: %d unhinted, %d hinted", bare.WarmupWrites(), hinted.WarmupWrites())
+				}
+				if !bytes.Equal(mustSnapshot(t, bare), mustSnapshot(t, hinted)) {
+					t.Fatal("hinted ageing snapshots to different bytes")
+				}
+				w := stateWalk{t: t, seen: map[[2]uintptr]bool{}}
+				w.walk("Runner", reflect.ValueOf(bare), reflect.ValueOf(hinted))
+			})
+		}
+	}
+}
+
+// TestAgeStopRuleCountsFreePages pins the input of Age's stop rule: the
+// allocator's free-page count equals the free pages of the array's census,
+// for every scheme and one behind a host cache, after every ageing batch,
+// after Age, after a replay under GC and on a fork, on both ageGeometries.
+// On the plateau one the overwrite phase must end below UsedFrac.
+func TestAgeStopRuleCountsFreePages(t *testing.T) {
+	reqs := smallTrace(t, 0.01)
+	type stack struct {
+		kind       SchemeKind
+		cachePages int
+	}
+	var stacks []stack
+	for _, e := range schemes {
+		stacks = append(stacks, stack{e.kind, 0})
+	}
+	stacks = append(stacks, stack{KindAcross, 64})
+	for _, geo := range ageGeometries() {
+		for _, st := range stacks {
+			t.Run(fmt.Sprintf("%s/%s/cache%d", geo.name, st.kind, st.cachePages), func(t *testing.T) {
+				r, err := NewRunnerWithHostCache(st.kind, geo.conf, st.cachePages)
+				if err != nil {
+					t.Fatal(err)
+				}
+				agree := func(r *Runner, when string) {
+					t.Helper()
+					al, _ := ftl.As[allocatorOwner](r.Scheme)
+					free, _, _ := r.Scheme.Device().Array.CountStates()
+					if got := al.Allocator().TotalFreePages(); got != free {
+						t.Fatalf("%s: the allocator counts %d free pages, the array %d", when, got, free)
+					}
+				}
+				batches := 0
+				after := func() {
+					batches++
+					agree(r, fmt.Sprintf("after ageing batch %d", batches))
+				}
+				if err := r.age(context.Background(), DefaultAging(), r.hinter(), after); err != nil {
+					t.Fatal(err)
+				}
+				if batches < 2 {
+					t.Fatalf("ageing ran %d batches", batches)
+				}
+				agree(r, "after Age")
+				if used, _ := r.AgedState(); geo.name == "plateau" && used >= DefaultAging().UsedFrac {
+					t.Fatalf("ageing reached %.3f used: the plateau rule never ran", used)
+				}
+				cp, err := r.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := r.ReplayQD(reqs, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Counters.GCInvocations == 0 {
+					t.Fatal("the replay never collected garbage")
+				}
+				agree(r, "after a replay")
+				agree(mustFork(t, cp), "on a fork")
+			})
+		}
+	}
 }
 
 // TestHintsAreInvisible: the look-ahead hints change nothing simulated. For
@@ -171,8 +288,9 @@ func TestHintsAreInvisible(t *testing.T) {
 }
 
 // TestHintsAreSafe: a hint trusts no request. For every scheme, hinting
-// requests that start below the device, end past it, touch its last sector
-// or carry no sectors neither panics nor changes any state.
+// requests that start below the device, end past it, touch its last sector,
+// carry no sectors or run past MRSM's walk bound (hintPages) neither panics
+// nor changes any state.
 func TestHintsAreSafe(t *testing.T) {
 	conf := smallConf()
 	last := conf.LogicalSectors() - 1
@@ -185,6 +303,8 @@ func TestHintsAreSafe(t *testing.T) {
 		{Op: trace.OpRead, Offset: last, Count: 1},
 		{Op: trace.OpWrite, Offset: 0, Count: 0},
 		{Op: trace.OpWrite, Offset: last + 1, Count: 0},
+		{Op: trace.OpWrite, Offset: 0, Count: int32(64 * conf.SectorsPerPage())},
+		{Op: trace.OpRead, Offset: last - int64(8*conf.SectorsPerPage()), Count: int32(64 * conf.SectorsPerPage())},
 	}
 	for _, e := range schemes {
 		t.Run(string(e.kind), func(t *testing.T) {

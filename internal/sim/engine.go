@@ -77,6 +77,25 @@ const (
 	dataAhead = 8
 )
 
+// hinter returns the scheme's look-ahead capability, nil when it has none.
+func (r *Runner) hinter() prefetcher {
+	pf, _ := ftl.As[prefetcher](r.Scheme)
+	return pf
+}
+
+// hintAhead is the hint step of every loop that knows its requests before
+// it serves them, the host loop's and the untimed one's: while reqs[i] is
+// served, pf hints the mapping entries of reqs[i+mapAhead] and what the
+// entries of reqs[i+dataAhead] point at.
+func hintAhead(pf prefetcher, reqs []trace.Request, i int) {
+	if j := i + mapAhead; j < len(reqs) {
+		pf.PrefetchMap(reqs[j])
+	}
+	if j := i + dataAhead; j < len(reqs) {
+		pf.PrefetchData(reqs[j])
+	}
+}
+
 // Served is what serving one host request yields: its completion time and
 // the flash data programs and reads (host and GC) attributed to it.
 type Served struct {
@@ -288,15 +307,10 @@ func (r *Runner) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int) 
 		}
 	}
 
-	pf, hint := ftl.As[prefetcher](r.Scheme)
+	pf := r.hinter()
 	serve := func(i int, req trace.Request, issue float64) (Served, error) {
-		if hint {
-			if j := i + mapAhead; j < len(reqs) {
-				pf.PrefetchMap(reqs[j])
-			}
-			if j := i + dataAhead; j < len(reqs) {
-				pf.PrefetchData(reqs[j])
-			}
+		if pf != nil {
+			hintAhead(pf, reqs, i)
 		}
 		if smp != nil {
 			// Retire the sampler's in-flight view and advance its clock

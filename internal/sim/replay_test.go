@@ -171,3 +171,30 @@ func BenchmarkReplay(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAge prices the warm-up every aged cell starts from: DefaultAging
+// on gc-churn's 8 GiB Scaled16 device, one sub-benchmark per scheme. Each
+// iteration builds a fresh runner outside the timer and ages it, so writes/s
+// counts the fill and overwrite phases' page writes alone. DESIGN §7 quotes
+// it and CI runs it once.
+func BenchmarkAge(b *testing.B) {
+	conf := ssdconf.Scaled(16)
+	for _, e := range schemes {
+		b.Run(string(e.kind), func(b *testing.B) {
+			var writes int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				r, err := NewRunner(e.kind, conf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := r.Age(DefaultAging()); err != nil {
+					b.Fatal(err)
+				}
+				writes += r.WarmupWrites()
+			}
+			b.ReportMetric(float64(writes)/b.Elapsed().Seconds(), "writes/s")
+		})
+	}
+}
