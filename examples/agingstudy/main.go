@@ -1,11 +1,10 @@
 // agingstudy: how device aging (the §4.1 warm-up to 90% used capacity)
-// changes the comparison, and what the GC victim policy contributes.
+// changes the comparison.
 //
 // The same workload is replayed on a fresh device and on an aged one, for
-// the baseline FTL and Across-FTL, and then once more with the ablated
-// FIFO garbage collector. An aged device is where across-page re-alignment
-// pays: garbage collection amplifies every extra flash write the baseline
-// performs.
+// the baseline FTL and Across-FTL. An aged device is where across-page
+// re-alignment pays: garbage collection amplifies every extra flash write
+// the baseline performs.
 //
 // Run with: go run ./examples/agingstudy
 package main
@@ -52,6 +51,6 @@ func main() {
 
 	fmt.Println("\nAging floods the device with stale pages, so every host write can")
 	fmt.Println("trigger garbage collection; the across-page savings compound there.")
-	fmt.Println("\nFor GC-policy ablations (greedy vs FIFO victim selection, AMerge")
-	fmt.Println("disabled, AMT cache sweeps), see `go test -bench Ablation .`")
+	fmt.Println("\nFor the AMerge and AMT-budget ablations, see the tests that pin them")
+	fmt.Println("(EXPERIMENTS.md, Ablations).")
 }

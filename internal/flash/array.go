@@ -447,10 +447,3 @@ func (a *Array) AppendValidPages(dst []PPN, bid BlockID) []PPN {
 func (a *Array) GreedyVictim(pl PlaneID, skip1, skip2 BlockID) BlockID {
 	return a.vidx.greedy(pl, skip1, skip2)
 }
-
-// FIFOVictim returns the lowest-numbered full block in plane pl holding at
-// least one reclaimable (non-valid) page, skipping the two active blocks;
-// -1 when none exists. It matches the reference scan's VictimFIFO choice.
-func (a *Array) FIFOVictim(pl PlaneID, skip1, skip2 BlockID) BlockID {
-	return a.vidx.fifo(pl, skip1, skip2)
-}

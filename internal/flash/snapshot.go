@@ -178,7 +178,7 @@ func tagErr(p int, st PageState, what string, v int64) error {
 func (a *Array) CopyState(src *Array) int64 {
 	n := copy(a.meta, src.meta) + 4*copy(a.key, src.key) +
 		4*copy(a.writePtr, src.writePtr) + 4*copy(a.validCount, src.validCount) + 8*copy(a.eraseCount, src.eraseCount) +
-		8*copy(a.vidx.buckets, src.vidx.buckets) + 8*copy(a.vidx.reclaimable, src.vidx.reclaimable) +
+		8*copy(a.vidx.buckets, src.vidx.buckets) +
 		8*copy(a.vidx.minBucket, src.vidx.minBucket)
 	a.aux = slices.Clone(src.aux)
 	a.erases, a.programs, a.reads = src.erases, src.programs, src.reads

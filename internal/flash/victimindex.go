@@ -5,9 +5,9 @@ import "math/bits"
 // victimIndex is the incrementally maintained GC victim index: for every
 // plane it tracks the set of *full* blocks, bucketed by their valid-page
 // count, as bitmaps over the plane's blocks. Greedy victim selection
-// (fewest valid pages, lowest block id on ties) and FIFO selection (lowest
-// block id with any reclaimable page) then resolve with a few word scans
-// instead of an O(blocks-per-plane) pass over per-block counters.
+// (fewest valid pages, lowest block id on ties) then resolves with a few
+// word scans instead of an O(blocks-per-plane) pass over per-block
+// counters.
 //
 // The index is updated on the three state transitions that can change
 // victim candidacy:
@@ -16,8 +16,8 @@ import "math/bits"
 //   - Invalidate on a full block moves it one bucket down (blockValidDec);
 //   - Erase of a full block removes it (blockErased).
 //
-// Memory: (PagesPerBlock+2) bitmaps of BlocksPerPlane bits per plane —
-// ~34 KiB per plane for the Table 1 geometry (4096 blocks x 64 pages).
+// Memory: (PagesPerBlock+1) bitmaps of BlocksPerPlane bits per plane —
+// ~33 KiB per plane for the Table 1 geometry (4096 blocks x 64 pages).
 type victimIndex struct {
 	ppb            int // pages per block == number of buckets - 1
 	blocksPerPlane int
@@ -27,9 +27,6 @@ type victimIndex struct {
 	// contiguously: bucket v marks the full blocks with exactly v valid
 	// pages. backing is one allocation: plane-major, bucket-minor.
 	buckets []uint64
-	// reclaimable is the per-plane union of buckets 0..PagesPerBlock-1:
-	// full blocks whose erase would yield net free space.
-	reclaimable []uint64
 	// minBucket is a per-plane lower bound on the smallest non-empty
 	// bucket below PagesPerBlock; it is advanced lazily during lookups.
 	minBucket []int
@@ -42,7 +39,6 @@ func (vi *victimIndex) init(g *Geometry) {
 	vi.blocksPerPlane = g.BlocksPerPlane
 	vi.words = (g.BlocksPerPlane + 63) / 64
 	vi.buckets = make([]uint64, g.Planes*(vi.ppb+1)*vi.words)
-	vi.reclaimable = make([]uint64, g.Planes*vi.words)
 	vi.minBucket = make([]int, g.Planes)
 	for pl := range vi.minBucket {
 		vi.minBucket[pl] = vi.ppb
@@ -53,12 +49,6 @@ func (vi *victimIndex) init(g *Geometry) {
 func (vi *victimIndex) bucket(pl PlaneID, v int) []uint64 {
 	off := (int(pl)*(vi.ppb+1) + v) * vi.words
 	return vi.buckets[off : off+vi.words]
-}
-
-// reclaim returns one plane's reclaimable bitmap words.
-func (vi *victimIndex) reclaim(pl PlaneID) []uint64 {
-	off := int(pl) * vi.words
-	return vi.reclaimable[off : off+vi.words]
 }
 
 // bitOf returns the word index and mask of a block within its plane bitmap.
@@ -72,11 +62,8 @@ func (vi *victimIndex) bitOf(pl PlaneID, b BlockID) (int, uint64) {
 func (vi *victimIndex) blockFilled(pl PlaneID, b BlockID, valid int) {
 	w, m := vi.bitOf(pl, b)
 	vi.bucket(pl, valid)[w] |= m
-	if valid < vi.ppb {
-		vi.reclaim(pl)[w] |= m
-		if valid < vi.minBucket[pl] {
-			vi.minBucket[pl] = valid
-		}
+	if valid < vi.minBucket[pl] {
+		vi.minBucket[pl] = valid
 	}
 }
 
@@ -86,10 +73,6 @@ func (vi *victimIndex) blockValidDec(pl PlaneID, b BlockID, valid int) {
 	w, m := vi.bitOf(pl, b)
 	vi.bucket(pl, valid+1)[w] &^= m
 	vi.bucket(pl, valid)[w] |= m
-	if valid+1 == vi.ppb {
-		// The block left the all-valid bucket: it is now reclaimable.
-		vi.reclaim(pl)[w] |= m
-	}
 	if valid < vi.minBucket[pl] {
 		vi.minBucket[pl] = valid
 	}
@@ -100,7 +83,6 @@ func (vi *victimIndex) blockValidDec(pl PlaneID, b BlockID, valid int) {
 func (vi *victimIndex) blockErased(pl PlaneID, b BlockID) {
 	w, m := vi.bitOf(pl, b)
 	vi.bucket(pl, 0)[w] &^= m
-	vi.reclaim(pl)[w] &^= m
 }
 
 // lowestBit returns the lowest set bit of the bitmap as an in-plane block
@@ -166,17 +148,6 @@ func (vi *victimIndex) greedy(pl PlaneID, skip1, skip2 BlockID) BlockID {
 		if in := lowestBit(words, ex1, ex2); in >= 0 {
 			return planeBase + BlockID(in)
 		}
-	}
-	return -1
-}
-
-// fifo returns the lowest-numbered full block with at least one
-// reclaimable page, excluding up to two blocks; -1 if none.
-func (vi *victimIndex) fifo(pl PlaneID, skip1, skip2 BlockID) BlockID {
-	ex1 := vi.inPlane(pl, skip1)
-	ex2 := vi.inPlane(pl, skip2)
-	if in := lowestBit(vi.reclaim(pl), ex1, ex2); in >= 0 {
-		return BlockID(int(pl)*vi.blocksPerPlane + in)
 	}
 	return -1
 }

@@ -27,22 +27,6 @@ func naiveGreedy(a *Array, pl PlaneID, skip1, skip2 BlockID) BlockID {
 	return best
 }
 
-func naiveFIFO(a *Array, pl PlaneID, skip1, skip2 BlockID) BlockID {
-	lo, hi := a.Geo.BlocksOfPlane(pl)
-	for b := lo; b < hi; b++ {
-		if b == skip1 || b == skip2 {
-			continue
-		}
-		if a.WritePtr(b) != a.Geo.PagesPerBlock {
-			continue
-		}
-		if a.ValidCount(b) < a.Geo.PagesPerBlock {
-			return b
-		}
-	}
-	return -1
-}
-
 // TestVictimIndexMatchesNaiveScan drives the array through random
 // program/invalidate/erase traffic and cross-checks every index lookup
 // against the reference linear scan, including skip combinations.
@@ -65,9 +49,6 @@ func TestVictimIndexMatchesNaiveScan(t *testing.T) {
 			for _, sk := range skips {
 				if got, want := a.GreedyVictim(pl, sk[0], sk[1]), naiveGreedy(a, pl, sk[0], sk[1]); got != want {
 					t.Fatalf("step %d plane %d skips %v: GreedyVictim=%d naive=%d", step, pl, sk, got, want)
-				}
-				if got, want := a.FIFOVictim(pl, sk[0], sk[1]), naiveFIFO(a, pl, sk[0], sk[1]); got != want {
-					t.Fatalf("step %d plane %d skips %v: FIFOVictim=%d naive=%d", step, pl, sk, got, want)
 				}
 			}
 		}

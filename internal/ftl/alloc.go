@@ -50,21 +50,18 @@ type planeState struct {
 // collector reclaims space per plane when its free fraction drops below the
 // configured threshold — the default SSDsim policy the paper builds on.
 type Allocator struct {
-	dev          *Device
-	planes       []planeState
-	order        []flash.PlaneID // round-robin order, striped across chips
-	rr           int
-	pagesPlane   int64
-	threshold    int64 // GC trigger in pages
-	onMigrate    MigrateFunc
-	salvage      SalvageFunc                                     // optional scheme-driven reclamation
-	prefetch     PrefetchFunc                                    // optional GC look-ahead hint
-	victimPolicy VictimPolicy                                    // GC victim selection
-	maxVictims   int                                             // partial GC: victims per invocation (0 = unbounded)
-	wearLevel    bool                                            // pick least-worn free blocks
-	refScan      bool                                            // use the reference victim scan instead of the index
-	gcScratch    []flash.PPN                                     // reused per-victim valid-page list (no steady-state allocs)
-	gcVictims    func(plane flash.PlaneID, victim flash.BlockID) // test hook, may be nil
+	dev        *Device
+	planes     []planeState
+	order      []flash.PlaneID // round-robin order, striped across chips
+	rr         int
+	pagesPlane int64
+	threshold  int64 // GC trigger in pages
+	onMigrate  MigrateFunc
+	salvage    SalvageFunc                                     // optional scheme-driven reclamation
+	prefetch   PrefetchFunc                                    // optional GC look-ahead hint
+	refScan    bool                                            // use the reference victim scan instead of the index
+	gcScratch  []flash.PPN                                     // reused per-victim valid-page list (no steady-state allocs)
+	gcVictims  func(plane flash.PlaneID, victim flash.BlockID) // test hook, may be nil
 }
 
 // NewAllocator prepares per-plane free lists over a fresh device.
@@ -111,27 +108,11 @@ func (a *Allocator) SetSalvage(f SalvageFunc) { a.salvage = f }
 // SetPrefetch installs the optional GC look-ahead hook.
 func (a *Allocator) SetPrefetch(f PrefetchFunc) { a.prefetch = f }
 
-// SetWearLeveling makes block allocation pick the least-erased free block
-// instead of the most recently freed one — dynamic wear levelling. It costs
-// an O(free blocks) scan per block allocation and narrows the per-block
-// erase spread (TestWearLevelingNarrowsSpread and
-// BenchmarkAblationWearLeveling; the ext-wear study runs with it off).
-func (a *Allocator) SetWearLeveling(on bool) { a.wearLevel = on }
-
 // SetGCVictimHook registers an observer called with every GC victim as it is
 // chosen (differential tests record the selection sequence). Nil removes it.
 func (a *Allocator) SetGCVictimHook(f func(plane flash.PlaneID, victim flash.BlockID)) {
 	a.gcVictims = f
 }
-
-// SetMaxVictimsPerGC bounds how many victim blocks one garbage-collection
-// invocation may process (0 = until the plane is above its threshold).
-// Bounding it implements *partial GC*: reclamation is spread over many
-// invocations so a single host request never stalls behind a long
-// collection burst — the long-tail-latency technique of the partial-GC
-// line of work the paper cites ([18]). The total reclamation work is
-// unchanged; only its clustering differs.
-func (a *Allocator) SetMaxVictimsPerGC(n int) { a.maxVictims = n }
 
 // FreePages returns the programmable pages remaining in a plane.
 func (a *Allocator) FreePages(pl flash.PlaneID) int64 { return a.planes[pl].freePages }
@@ -158,27 +139,6 @@ func (a *Allocator) TotalFreePages() int64 {
 	return n
 }
 
-// nextBlock pops an erased block for a plane: the top of the stack, or the
-// least-worn free block when wear levelling is on.
-func (a *Allocator) nextBlock(st *planeState) (flash.BlockID, bool) {
-	n := len(st.freeBlocks)
-	if n == 0 {
-		return -1, false
-	}
-	pick := n - 1
-	if a.wearLevel {
-		for i := 0; i < n-1; i++ {
-			if a.dev.Array.EraseCount(st.freeBlocks[i]) < a.dev.Array.EraseCount(st.freeBlocks[pick]) {
-				pick = i
-			}
-		}
-	}
-	b := st.freeBlocks[pick]
-	st.freeBlocks[pick] = st.freeBlocks[n-1]
-	st.freeBlocks = st.freeBlocks[:n-1]
-	return b, true
-}
-
 // pageFrom takes the next page of the given active block, refreshing the
 // block from the free list when exhausted. gc selects the host or GC
 // cursor; the host cursor keeps one erased block in reserve so collection
@@ -197,11 +157,9 @@ func (a *Allocator) pageFrom(pl flash.PlaneID, gc bool) (flash.PPN, error) {
 			return flash.NilPPN, fmt.Errorf("%w: plane %d has %d free blocks (reserve %d)",
 				ErrOutOfSpace, pl, len(st.freeBlocks), reserve)
 		}
-		b, ok := a.nextBlock(st)
-		if !ok {
-			return flash.NilPPN, fmt.Errorf("%w: plane %d has no free blocks", ErrOutOfSpace, pl)
-		}
-		*cur = b
+		top := len(st.freeBlocks) - 1 // pop the free stack
+		*cur = st.freeBlocks[top]
+		st.freeBlocks = st.freeBlocks[:top]
 	}
 	ppn := geo.FirstPage(*cur) + flash.PPN(a.dev.Array.WritePtr(*cur))
 	st.freePages--

@@ -55,8 +55,9 @@ func ownerPrefetch(pmt *mapping.PMT) PrefetchFunc {
 // Device implements part of the Scheme interface.
 func (b *Base) Device() *Device { return b.Dev }
 
-// Allocator exposes the page allocator (ablation and differential-test
-// hooks reach victim-policy switches through it).
+// Allocator exposes the page allocator: ageing, the sampler and the checker
+// read its free-space accounting, and the differential tests reach its
+// reference victim scan through it.
 func (b *Base) Allocator() *Allocator { return b.Al }
 
 // LogicalSectors returns Conf.LogicalSectors(), computed once: the config

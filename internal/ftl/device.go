@@ -58,7 +58,7 @@ type Counters struct {
 	// (Fig 12b). Tree-based schemes charge one access per node visited.
 	DRAMAccesses int64
 
-	// GCInvocations counts GC victim selections (ablation reporting).
+	// GCInvocations counts GC victim selections.
 	GCInvocations int64
 }
 

@@ -7,22 +7,6 @@ import (
 	"across/internal/obs"
 )
 
-// VictimPolicy selects how GC picks its victim block.
-type VictimPolicy uint8
-
-const (
-	// VictimGreedy picks the full block with the fewest valid pages — the
-	// default SSDsim policy used throughout the paper's evaluation.
-	VictimGreedy VictimPolicy = iota
-	// VictimFIFO picks the oldest full block regardless of its valid count;
-	// the ablation benches use it to show how much the greedy choice
-	// contributes to the erase results.
-	VictimFIFO
-)
-
-// SetVictimPolicy switches the GC victim selection (ablation hook).
-func (a *Allocator) SetVictimPolicy(p VictimPolicy) { a.victimPolicy = p }
-
 // SetReferenceVictimScan switches victim selection to the retained
 // O(blocks-per-plane) reference scan instead of the flash array's
 // incrementally maintained victim index. Both must pick identical victim
@@ -31,26 +15,21 @@ func (a *Allocator) SetVictimPolicy(p VictimPolicy) { a.victimPolicy = p }
 // cross-check.
 func (a *Allocator) SetReferenceVictimScan(on bool) { a.refScan = on }
 
-// pickVictim selects the collection victim among the plane's full,
-// non-active blocks under the configured policy. It returns -1 when no
-// block would yield net free space. The victim comes from the array's
-// per-plane valid-count index in O(1) amortised; pickVictimScan is the
-// behaviourally identical reference.
+// pickVictim selects the greedy collection victim among the plane's full,
+// non-active blocks. It returns -1 when no block would yield net free
+// space. The victim comes from the array's per-plane valid-count index in
+// O(1) amortised; pickVictimScan is the behaviourally identical reference.
 func (a *Allocator) pickVictim(pl flash.PlaneID) flash.BlockID {
 	st := &a.planes[pl]
 	if a.refScan {
 		return a.pickVictimScan(pl)
 	}
-	if a.victimPolicy == VictimFIFO {
-		return a.dev.Array.FIFOVictim(pl, st.active, st.gcActive)
-	}
 	return a.dev.Array.GreedyVictim(pl, st.active, st.gcActive)
 }
 
 // pickVictimScan is the reference victim selection: a linear scan over the
-// plane's blocks. It defines the semantics the indexed path must preserve
-// (greedy: fewest valid pages, lowest block id on ties; FIFO: lowest
-// block id among reclaimable full blocks).
+// plane's blocks. It defines the semantics the indexed path must preserve:
+// fewest valid pages, lowest block id on ties.
 func (a *Allocator) pickVictimScan(pl flash.PlaneID) flash.BlockID {
 	geo := a.dev.Array.Geo
 	st := &a.planes[pl]
@@ -64,14 +43,7 @@ func (a *Allocator) pickVictimScan(pl flash.PlaneID) flash.BlockID {
 		if a.dev.Array.WritePtr(b) != geo.PagesPerBlock {
 			continue // not fully written; erasing it would waste free pages
 		}
-		v := a.dev.Array.ValidCount(b)
-		if a.victimPolicy == VictimFIFO {
-			if v < geo.PagesPerBlock {
-				return b // oldest reclaimable full block
-			}
-			continue
-		}
-		if v < bestValid {
+		if v := a.dev.Array.ValidCount(b); v < bestValid {
 			best, bestValid = b, v
 			if v == 0 {
 				break
@@ -93,13 +65,6 @@ func (a *Allocator) collect(pl flash.PlaneID, now float64) error {
 	trc := a.dev.Tracer()
 	victims, migrated := 0, 0
 	for st.freePages <= a.threshold || len(st.freeBlocks) <= 1 {
-		// Partial GC: stop after the configured number of victims as long
-		// as the plane retains its reserve block; the next allocation will
-		// resume collection.
-		if a.maxVictims > 0 && victims >= a.maxVictims && len(st.freeBlocks) > 1 {
-			a.emitGCSpan(trc, pl, victims, migrated, now)
-			return nil
-		}
 		victim := a.pickVictim(pl)
 		if victim < 0 {
 			// Nothing reclaimable; allocation may continue into the

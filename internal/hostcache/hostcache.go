@@ -9,7 +9,7 @@
 // exists to study how much of the across-page penalty a data buffer can and
 // cannot hide. A buffer absorbs repeated *reads*, but every write must still
 // reach flash — so the flush-count and erase results of the paper are
-// unaffected by it, which is exactly what the wrapping ablation shows.
+// unaffected by it, which is what the root TestNewRunnerWithHostCache pins.
 package hostcache
 
 import (

@@ -78,37 +78,6 @@ func TestIndexedVictimMatchesReferenceScan(t *testing.T) {
 	}
 }
 
-// TestVictimPoliciesDifferUnderIndex guards against the index degenerating
-// into one policy: greedy and FIFO selection over the same workload should
-// not produce identical victim sequences on a fragmented device.
-func TestVictimPoliciesDifferUnderIndex(t *testing.T) {
-	reqs := smallTrace(t, 0.01)
-	seqFor := func(policy ftl.VictimPolicy) []victimRec {
-		r, err := NewRunner(KindFTL, smallConf())
-		if err != nil {
-			t.Fatal(err)
-		}
-		al := r.Scheme.(interface{ Allocator() *ftl.Allocator }).Allocator()
-		al.SetVictimPolicy(policy)
-		var seq []victimRec
-		al.SetGCVictimHook(func(pl flash.PlaneID, bid flash.BlockID) {
-			seq = append(seq, victimRec{pl, bid})
-		})
-		if err := r.Age(DefaultAging()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Replay(reqs); err != nil {
-			t.Fatal(err)
-		}
-		return seq
-	}
-	greedy := seqFor(ftl.VictimGreedy)
-	fifo := seqFor(ftl.VictimFIFO)
-	if reflect.DeepEqual(greedy, fifo) {
-		t.Error("greedy and FIFO victim sequences are identical; index may be ignoring the policy")
-	}
-}
-
 // replayUnhinted is ReplayQD without the look-ahead hints: Measured.Drive
 // with bare Dispatch as the serve step, between the same set-up and
 // collection.

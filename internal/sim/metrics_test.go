@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"across/internal/ftl"
 	"across/internal/trace"
 )
 
@@ -49,42 +48,6 @@ func TestResultCarriesWearSummary(t *testing.T) {
 	}
 	if w.StdDev < 0 {
 		t.Fatalf("negative wear stddev: %+v", w)
-	}
-}
-
-func TestPartialGCShortensTail(t *testing.T) {
-	// Partial GC must never *lengthen* the write tail. (At small scales the
-	// greedy collector usually processes one victim anyway, so equality is
-	// common; this guards against regressions where partial GC makes
-	// things pathologically worse.)
-	reqs := smallTrace(t, 0.01)
-	full, err := NewRunner(KindFTL, smallConf())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := full.Age(DefaultAging()); err != nil {
-		t.Fatal(err)
-	}
-	fullRes, err := full.Replay(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	part, err := NewRunner(KindFTL, smallConf())
-	if err != nil {
-		t.Fatal(err)
-	}
-	part.Scheme.(*ftl.Baseline).Al.SetMaxVictimsPerGC(1)
-	if err := part.Age(DefaultAging()); err != nil {
-		t.Fatal(err)
-	}
-	partRes, err := part.Replay(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if partRes.WriteLat.P99() > fullRes.WriteLat.P99()*1.5 {
-		t.Fatalf("partial GC lengthened the tail: %v vs %v",
-			partRes.WriteLat.P99(), fullRes.WriteLat.P99())
 	}
 }
 
