@@ -1,9 +1,9 @@
 // Command acrossd runs the simulator as a long-lived HTTP service: clients
-// submit replay and experiment jobs, poll their status, stream progress, and
-// fetch results. Identical submissions are deduplicated against running jobs
-// and against the content-addressed result store on disk, so repeated sweeps
-// over the same configurations are served from cache — including across
-// daemon restarts.
+// submit replay jobs, poll their status, stream progress, and fetch results.
+// Identical submissions are deduplicated against running jobs and against
+// the content-addressed result store on disk, so repeated sweeps over the
+// same configurations are served from cache — including across daemon
+// restarts. Paper artifacts are rendered by cmd/experiments, not here.
 //
 //	acrossd -addr 127.0.0.1:8377 -store /var/tmp/across-results
 //

@@ -48,10 +48,6 @@ func main() {
 		seed    = flag.Int64("seed", 0, "workload seed offset (stability checks)")
 		format  = flag.String("format", "text", "table format: text, markdown, csv")
 		list    = flag.Bool("list", false, "list experiment ids and exit")
-
-		traceOut   = flag.String("trace-out", "", "write the ext-timeline Across-FTL replay's execution trace here (.jsonl = event lines, else Chrome trace_event)")
-		metricsOut = flag.String("metrics-out", "", "write the ext-timeline sampled metrics as JSONL here")
-		metricsInt = flag.Float64("metrics-interval-ms", 0, "ext-timeline sampling interval in simulated ms (0 = auto)")
 	)
 	flag.Parse()
 
@@ -74,9 +70,6 @@ func main() {
 	cfg.Workers = *workers
 	cfg.SeedOffset = *seed
 	cfg.Format = *format
-	cfg.TraceOut = *traceOut
-	cfg.MetricsOut = *metricsOut
-	cfg.MetricsIntervalMs = *metricsInt
 
 	var w io.Writer = os.Stdout
 	var outFile *os.File

@@ -289,6 +289,37 @@ func TestBenchmarkModuleBuilds(t *testing.T) {
 	}
 }
 
+// TestExamplesRun builds every program under examples/ once and runs each
+// with its defaults: it must exit 0 and print something. The examples are
+// the public API's walkthroughs, and nothing else runs them.
+func TestExamplesRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns go build")
+	}
+	mains, err := filepath.Glob("examples/*/main.go")
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no examples found: %v", err)
+	}
+	bin := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./examples/...").CombinedOutput(); err != nil {
+		t.Fatalf("building examples: %v\n%s", err, out)
+	}
+	for _, m := range mains {
+		name := filepath.Base(filepath.Dir(m))
+		t.Run(name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			cmd := exec.Command(filepath.Join(bin, name))
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			if err := cmd.Run(); err != nil {
+				t.Fatalf("%s: %v\nstderr:\n%s", name, err, stderr.String())
+			}
+			if strings.TrimSpace(stdout.String()) == "" {
+				t.Fatalf("%s printed nothing", name)
+			}
+		})
+	}
+}
+
 // TestTracegenRoundTrip generates a trace with tracegen and replays the file
 // through acrosssim: the CSV writer, format auto-detection, parser, and
 // replay engine all exercised as a user would.

@@ -3,7 +3,6 @@ package acrossftl
 import (
 	"fmt"
 
-	"across/internal/cache"
 	"across/internal/flash"
 	"across/internal/ftl"
 	"across/internal/mapping"
@@ -27,30 +26,11 @@ func unpackAux(aux int64) (lpn int64, off, size int32) {
 // drops stale spilled translation pages (TagMap) whose contents the rebuilt
 // in-DRAM table supersedes.
 func Recover(dev *ftl.Device) (*Scheme, error) {
-	return RecoverWithOptions(dev, Options{})
-}
-
-// RecoverWithOptions is Recover with explicit ablation options.
-func RecoverWithOptions(dev *ftl.Device, opts Options) (*Scheme, error) {
 	base, err := ftl.RecoverBase(dev)
 	if err != nil {
 		return nil, err
 	}
-	conf := dev.Conf
-	if opts.AMTCachePages == 0 {
-		opts.AMTCachePages = int(float64(conf.DRAMBudget()) * DefaultAMTCacheFrac / float64(conf.PageBytes))
-	}
-	if opts.AMTCachePages < 2 {
-		opts.AMTCachePages = 2
-	}
-	s := &Scheme{
-		Base: base,
-		AMT:  mapping.NewAMT(),
-		cmt:  cache.NewCMT(conf.PageBytes/conf.AMTEntryBytes, opts.AMTCachePages),
-		opts: opts,
-	}
-	s.ms = ftl.NewMapStore(s.Dev, s.Al, amtPages(conf))
-	s.Al.SetMigrate(s.migrate)
+	s := newScheme(base, Options{})
 
 	geo := dev.Array.Geo
 	var stale []flash.PPN

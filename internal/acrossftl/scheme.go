@@ -79,22 +79,29 @@ func NewWithOptions(conf *ssdconf.Config, opts Options) (*Scheme, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newScheme(base, opts), nil
+}
+
+// newScheme wraps the shared scheme state of a fresh or a recovered device
+// (both tables empty) as Across-FTL: it resolves the AMT cache size, builds
+// the cache and the map store, and hooks GC migration.
+func newScheme(base ftl.Base, opts Options) *Scheme {
+	conf := base.Conf
 	if opts.AMTCachePages == 0 {
 		opts.AMTCachePages = int(float64(conf.DRAMBudget()) * DefaultAMTCacheFrac / float64(conf.PageBytes))
 	}
 	if opts.AMTCachePages < 2 {
 		opts.AMTCachePages = 2
 	}
-	entriesPerPage := conf.PageBytes / conf.AMTEntryBytes
 	s := &Scheme{
 		Base: base,
 		AMT:  mapping.NewAMT(),
-		cmt:  cache.NewCMT(entriesPerPage, opts.AMTCachePages),
+		cmt:  cache.NewCMT(conf.PageBytes/conf.AMTEntryBytes, opts.AMTCachePages),
 		opts: opts,
 	}
 	s.ms = ftl.NewMapStore(s.Dev, s.Al, amtPages(conf))
 	s.Al.SetMigrate(s.migrate)
-	return s, nil
+	return s
 }
 
 // amtPages bounds the AMT's translation-page ids. The PMT holds one AIdx per

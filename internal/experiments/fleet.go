@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"io"
 
 	"across/internal/fleet"
@@ -91,7 +92,7 @@ func (s *Session) fleetCell(cp *sim.Checkpoint, spec fleet.Spec, prof workload.P
 		if err != nil {
 			return cell, err
 		}
-		if res, err = v.Replay(s.ctx, reqs, qd); err != nil {
+		if res, err = v.Replay(context.Background(), reqs, qd); err != nil {
 			return cell, err
 		}
 		cell.Points = append(cell.Points, report.QDPoint{

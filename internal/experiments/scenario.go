@@ -78,7 +78,7 @@ func (s *Session) scenarioMatrix() ([]scenarioCell, error) {
 				if err != nil {
 					return nil, err
 				}
-				res, err := r.ReplayQDCtx(s.ctx, st.Requests, 0)
+				res, err := r.Replay(st.Requests)
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s: %w", kind, st.Scenario, err)
 				}

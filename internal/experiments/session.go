@@ -12,7 +12,6 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -45,16 +44,6 @@ type Config struct {
 	// Format selects the table rendering: "text" (default), "markdown"
 	// or "csv" (for plotting scripts).
 	Format string
-	// TraceOut, when set, makes the ext-timeline experiment write the
-	// Across-FTL replay's execution trace to this path (.jsonl = event
-	// lines, anything else = Chrome trace_event JSON for Perfetto).
-	TraceOut string
-	// MetricsOut, when set, makes ext-timeline also stream its sampled
-	// metrics as JSONL to this path.
-	MetricsOut string
-	// MetricsIntervalMs overrides the sampling interval in simulated ms
-	// (0 = divide the trace span into a fixed number of windows).
-	MetricsIntervalMs float64
 }
 
 // DefaultConfig returns the standard harness setting: Table 1 geometry
@@ -98,11 +87,6 @@ type warmEntry struct {
 type Session struct {
 	Cfg Config
 
-	// ctx, when set, cancels in-flight replays: the worker pool stops
-	// picking up new runs and the simulator aborts mid-replay. Defaults to
-	// context.Background() (never cancelled).
-	ctx context.Context
-
 	mu      sync.Mutex
 	traces  map[string]*traceEntry
 	warmed  map[sim.SchemeKind]*warmEntry
@@ -122,22 +106,10 @@ func NewSession(cfg Config) (*Session, error) {
 	}
 	return &Session{
 		Cfg:     cfg,
-		ctx:     context.Background(),
 		traces:  make(map[string]*traceEntry),
 		warmed:  make(map[sim.SchemeKind]*warmEntry),
 		results: make(map[runKey]*sim.Result),
 	}, nil
-}
-
-// WithContext attaches a cancellation context to the session and returns it.
-// A daemon running a whole-session experiment job uses this so cancelling
-// the job stops every replay the session has in flight.
-func (s *Session) WithContext(ctx context.Context) *Session {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	s.ctx = ctx
-	return s
 }
 
 // Luns returns the scaled (and seed-offset) Table 2 profiles.
@@ -208,11 +180,6 @@ func (s *Session) Results(pageBytes int, luns []string, kinds []sim.SchemeKind) 
 			go func() {
 				defer wg.Done()
 				for k := range jobs {
-					if err := s.ctx.Err(); err != nil {
-						errs <- fmt.Errorf("experiments: %s on %s @%dB pages: %w",
-							k.kind, k.lun, k.pageBytes, err)
-						continue
-					}
 					res, err := s.run(k)
 					if err != nil {
 						errs <- fmt.Errorf("experiments: %s on %s @%dB pages: %w",
@@ -277,7 +244,7 @@ func (s *Session) run(k runKey) (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.ReplayQDCtx(s.ctx, reqs, 0)
+	return r.Replay(reqs)
 }
 
 // checkpoint returns (warming and caching on first use) the open checkpoint
@@ -304,7 +271,7 @@ func (s *Session) checkpoint(kind sim.SchemeKind, conf ssdconf.Config) (*sim.Che
 		if r, e.err = sim.NewRunner(kind, conf); e.err != nil {
 			return
 		}
-		if e.err = r.AgeCtx(s.ctx, sim.DefaultAging()); e.err != nil {
+		if e.err = r.Age(sim.DefaultAging()); e.err != nil {
 			return
 		}
 		e.cp, e.err = r.Checkpoint()

@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"context"
-	"strings"
 	"sync"
 	"testing"
 
-	"across/internal/sim"
 	"across/internal/trace"
 )
 
@@ -80,21 +77,5 @@ func TestTraceSingleflight(t *testing.T) {
 	b, _ := s.Trace(profiles[1])
 	if &a[0] == &b[0] {
 		t.Fatal("distinct profiles share one trace")
-	}
-}
-
-// TestSessionContextCancellation checks a cancelled session context stops
-// replay work with a context error rather than running to completion.
-func TestSessionContextCancellation(t *testing.T) {
-	s := quickSession(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	s.WithContext(ctx)
-	_, err := s.Result(sim.KindFTL, "lun1", 8192)
-	if err == nil {
-		t.Fatal("cancelled session completed a replay")
-	}
-	if !strings.Contains(err.Error(), "context canceled") {
-		t.Fatalf("error %q does not carry the context cause", err)
 	}
 }

@@ -9,17 +9,15 @@ import (
 	"across/internal/sim"
 )
 
-// timelineSamples is the row budget when no explicit interval is set: the
-// replay's arrival span is divided into this many windows, so the table
-// stays readable at any trace scale.
+// timelineSamples is the row budget: the replay's arrival span is divided
+// into this many windows, so the table stays readable at any trace scale.
 const timelineSamples = 24
 
 // extTimelineExperiment replays the first Table 2 trace with the metrics
 // sampler attached and renders the time-series view: per-window latency,
 // queue depth, WAF and GC debt for each scheme, plus the per-chip busy
-// fractions for Across-FTL. With Config.TraceOut / Config.MetricsOut set it
-// also writes the Across-FTL replay's execution trace (Chrome trace_event
-// for Perfetto, or JSONL) and metrics series to those paths.
+// fractions for Across-FTL. The same replay's execution trace and metrics
+// series are written by cmd/acrosssim (-trace-out, -metrics-out).
 func extTimelineExperiment() Experiment {
 	return Experiment{
 		ID:    "ext-timeline",
@@ -32,14 +30,9 @@ func extTimelineExperiment() Experiment {
 			if err != nil {
 				return err
 			}
-			interval := s.Cfg.MetricsIntervalMs
-			if interval <= 0 {
-				if n := len(reqs); n > 1 {
-					interval = (reqs[n-1].Time - reqs[0].Time) / timelineSamples
-				}
-				if interval <= 0 {
-					interval = 50
-				}
+			interval := 50.0
+			if n := len(reqs); n > 1 && reqs[n-1].Time > reqs[0].Time {
+				interval = (reqs[n-1].Time - reqs[0].Time) / timelineSamples
 			}
 			for _, kind := range sim.Kinds() {
 				cp, err := s.checkpoint(kind, s.Cfg.SSD)
@@ -54,35 +47,8 @@ func extTimelineExperiment() Experiment {
 				if err != nil {
 					return err
 				}
-				var closers []io.Closer
-				if kind == sim.KindAcross {
-					if s.Cfg.TraceOut != "" {
-						trc, c, err := obs.OpenTrace(s.Cfg.TraceOut, s.Cfg.SSD.Chips())
-						if err != nil {
-							return err
-						}
-						r.SetTracer(trc)
-						closers = append(closers, c)
-					}
-					if s.Cfg.MetricsOut != "" {
-						sink, c, err := obs.OpenMetrics(s.Cfg.MetricsOut)
-						if err != nil {
-							return err
-						}
-						smp.SetSink(sink)
-						closers = append(closers, c)
-					}
-				}
 				r.SetSampler(smp)
 				if _, err := r.Replay(reqs); err != nil {
-					return err
-				}
-				for _, c := range closers {
-					if err := c.Close(); err != nil {
-						return err
-					}
-				}
-				if err := smp.Err(); err != nil {
 					return err
 				}
 				lt := report.TimelineLatency(smp.Samples())

@@ -458,3 +458,45 @@ func TestMapStoreBoundsItsTable(t *testing.T) {
 		}
 	}
 }
+
+// TestGCTriggersAtExactlyThreshold brings a one-plane device to exactly its
+// GC threshold of free pages, with whole blocks of stale data to reclaim and
+// erased blocks to spare, and requires the next host allocation to collect.
+func TestGCTriggersAtExactlyThreshold(t *testing.T) {
+	c := ssdconf.Tiny()
+	c.Channels = 1
+	c.GCThreshold = 0.25 // 32 of the plane's 128 pages: four blocks' worth
+	s, err := NewBaseline(&c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite four pages over and over: every full block but the last
+	// holds nothing live.
+	write := func(i int) {
+		t.Helper()
+		r := trace.Request{Op: trace.OpWrite, Offset: int64(i%4) * int64(s.SPP), Count: int32(s.SPP)}
+		if _, err := s.Write(r, float64(i)); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	i := 0
+	for ; s.Al.FreePages(0) > s.Al.threshold; i++ {
+		write(i)
+	}
+	if free := s.Al.FreePages(0); free != 32 || s.Al.threshold != 32 {
+		t.Fatalf("plane has %d free pages against a threshold of %d, want 32 and 32", free, s.Al.threshold)
+	}
+	if n := len(s.Al.planes[0].freeBlocks); n < 2 {
+		t.Fatalf("plane has %d erased blocks, want at least 2 so only the threshold can trigger", n)
+	}
+	if got := s.Dev.Count.GCInvocations; got != 0 {
+		t.Fatalf("GC ran %d times above the threshold", got)
+	}
+	write(i)
+	if got := s.Dev.Count.GCInvocations; got != 1 {
+		t.Errorf("GC invocations = %d after allocating at the threshold, want 1", got)
+	}
+	if s.Dev.Array.TotalErases() == 0 {
+		t.Error("no block erased after allocating at the threshold")
+	}
+}

@@ -59,7 +59,7 @@ func RecoverAllocator(dev *Device, onMigrate MigrateFunc) (*Allocator, error) {
 // been written by a scheme that spilled maps) and any padding are
 // invalidated. It returns an error on tags the baseline cannot own.
 func RecoverBaseline(dev *Device) (*Baseline, error) {
-	base, err := recoverBase(dev)
+	base, err := RecoverBase(dev)
 	if err != nil {
 		return nil, err
 	}
@@ -82,9 +82,10 @@ func RecoverBaseline(dev *Device) (*Baseline, error) {
 	return s, nil
 }
 
-// recoverBase builds the shared scheme state over an existing device with
-// an empty PMT; callers rebuild the mappings from the OOB scan.
-func recoverBase(dev *Device) (Base, error) {
+// RecoverBase builds the shared scheme state over an existing device with
+// an empty PMT; each scheme's recovery rebuilds its mappings from the OOB
+// scan.
+func RecoverBase(dev *Device) (Base, error) {
 	al, err := RecoverAllocator(dev, nil)
 	if err != nil {
 		return Base{}, err
@@ -101,6 +102,3 @@ func recoverBase(dev *Device) (Base, error) {
 	b.Al.SetPrefetch(ownerPrefetch(b.PMT))
 	return b, nil
 }
-
-// RecoverBase is the exported hook other schemes' recovery paths build on.
-func RecoverBase(dev *Device) (Base, error) { return recoverBase(dev) }

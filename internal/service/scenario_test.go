@@ -279,3 +279,48 @@ func TestScenarioTracePathReadOncePerSubmitAndBounded(t *testing.T) {
 		t.Errorf("over-bound trace file: %d %s, want 400 naming the bound", resp.StatusCode, msg)
 	}
 }
+
+// A trace file that changes between the submission and its job must fail the
+// job: the key hashes the bytes the handler read, so a result replayed from
+// other bytes would be stored, and later served, under the wrong key.
+func TestScenarioTraceSwappedBeforeJobFails(t *testing.T) {
+	abs, err := filepath.Abs(msrFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(abs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	half := filepath.Join(t.TempDir(), "half.csv")
+	if err := os.WriteFile(half, []byte(strings.Join(lines[:len(lines)/2], "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The handler's open sees the fixture; the job's open, the halved copy.
+	var opens atomic.Int64
+	openTraceFile = func(path string) (*os.File, error) {
+		if opens.Add(1) > 1 {
+			return os.Open(half)
+		}
+		return os.Open(path)
+	}
+	defer func() { openTraceFile = os.Open }()
+
+	s, ts := newTestServer(t, t.TempDir())
+	code, st := postJSON(t, ts.URL+"/api/v1/jobs",
+		`{"type":"replay","scheme":"FTL","scale":1,"scenario":{"trace_path":"`+abs+`"}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d, want 202 (status %+v)", code, st)
+	}
+	final := pollState(t, ts.URL, st.ID, 60*time.Second)
+	if jobs.State(final.State) != jobs.StateFailed {
+		t.Fatalf("job over a swapped trace file finished %s, want failed", final.State)
+	}
+	if !strings.Contains(final.Error, abs) || !strings.Contains(final.Error, "changed") {
+		t.Errorf("failure %q does not name the changed file %s", final.Error, abs)
+	}
+	if s.store.Has(st.Key) {
+		t.Errorf("a result is stored under key %s, which names other bytes", st.Key)
+	}
+}

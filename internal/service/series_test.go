@@ -56,7 +56,7 @@ func simSeries(t *testing.T, srv *Server, spec string) []byte {
 	}
 	sp.normalise()
 	conf := sp.config()
-	reqs, err := sp.requests(conf.LogicalSectors())
+	reqs, _, err := sp.requests(conf.LogicalSectors())
 	if err != nil {
 		t.Fatal(err)
 	}

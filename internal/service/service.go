@@ -1,6 +1,8 @@
 // Package service exposes the simulator as a long-running HTTP service:
-// submit replay and experiment jobs, poll their status, stream per-job
-// progress as NDJSON, fetch results and artifacts, scrape service metrics.
+// submit replay jobs, poll their status, stream per-job progress as NDJSON,
+// fetch results and artifacts, scrape service metrics. Paper artifacts are
+// rendered by cmd/experiments, not here: a sweep through the daemon is many
+// replay jobs, which fork the shared aging checkpoints.
 // It composes the three layers the acrossd daemon is built from:
 //
 //   - internal/jobs: a bounded worker pool with priority FIFO queueing,
@@ -16,7 +18,7 @@
 //
 // API (all JSON):
 //
-//	POST   /api/v1/jobs                       submit {"type":"replay",...} or {"type":"experiment",...}
+//	POST   /api/v1/jobs                       submit {"type":"replay",...}
 //	GET    /api/v1/jobs                       list jobs
 //	GET    /api/v1/jobs/{id}                  job status
 //	POST   /api/v1/jobs/{id}/cancel           cancel (also DELETE /api/v1/jobs/{id})
@@ -80,13 +82,12 @@ type Config struct {
 type jobRecord struct {
 	id   string
 	key  string
-	kind string
 	spec json.RawMessage
 
 	job    *jobs.Job    // nil for cache-served records
 	cached bool         // served from the store without running
-	hub    *progressHub // nil for experiment and cache-served jobs
-	spans  *spanLog     // nil for experiment and cache-served jobs
+	hub    *progressHub // nil for cache-served records
+	spans  *spanLog     // nil for cache-served records
 
 	submitted time.Time
 }
@@ -324,7 +325,7 @@ func (s *Server) status(rec *jobRecord) jobStatus {
 	st := jobStatus{
 		ID:          rec.id,
 		Key:         rec.key,
-		Kind:        rec.kind,
+		Kind:        "replay",
 		Cached:      rec.cached,
 		Spec:        rec.spec,
 		SubmittedAt: rec.submitted.UTC().Format(time.RFC3339Nano),
@@ -367,8 +368,10 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// handleSubmit accepts a replay or experiment spec, deduplicates against
-// live jobs and the store, and queues a new job when neither hits.
+// handleSubmit accepts a replay spec, deduplicates against live jobs and the
+// store, and queues a new job when neither hits. The type is read before
+// anything else, so a body of another type is refused by name before its
+// fields are parsed.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
@@ -382,59 +385,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parsing spec: %v", err)
 		return
 	}
-
-	var (
-		key       string
-		kind      string
-		priority  int
-		timeoutMs int64
-		run       func(ctx context.Context, key string, hub *progressHub) (*Entry, error)
-		hub       *progressHub
-		spl       *spanLog
-	)
-	switch head.Type {
-	case "replay":
-		var sp ReplaySpec
-		if err := strictUnmarshal(body, &sp); err != nil {
-			writeError(w, http.StatusBadRequest, "parsing replay spec: %v", err)
-			return
-		}
-		sp.normalise()
-		var once scenarioOnce // validate and Key read a trace_path once between them
-		if err := sp.validateOnce(&once); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid replay spec: %v", err)
-			return
-		}
-		if key, err = sp.keyOnce(&once); err != nil {
-			writeError(w, http.StatusInternalServerError, "keying spec: %v", err)
-			return
-		}
-		kind, priority, timeoutMs = "replay", sp.Priority, sp.TimeoutMs
-		hub = newProgressHub()
-		spl = newSpanLog(time.Now())
-		run = func(ctx context.Context, key string, hub *progressHub) (*Entry, error) {
-			return s.runReplay(ctx, key, sp, hub, spl)
-		}
-	case "experiment":
-		var sp ExperimentSpec
-		if err := strictUnmarshal(body, &sp); err != nil {
-			writeError(w, http.StatusBadRequest, "parsing experiment spec: %v", err)
-			return
-		}
-		if err := sp.validate(); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid experiment spec: %v", err)
-			return
-		}
-		if key, err = sp.Key(); err != nil {
-			writeError(w, http.StatusInternalServerError, "keying spec: %v", err)
-			return
-		}
-		kind, priority, timeoutMs = "experiment", sp.Priority, sp.TimeoutMs
-		run = func(ctx context.Context, key string, _ *progressHub) (*Entry, error) {
-			return s.runExperiment(ctx, key, sp)
-		}
-	default:
-		writeError(w, http.StatusBadRequest, "unknown job type %q (want replay or experiment)", head.Type)
+	if head.Type != "replay" {
+		writeError(w, http.StatusBadRequest, "unknown job type %q (want replay)", head.Type)
+		return
+	}
+	var sp ReplaySpec
+	if err := strictUnmarshal(body, &sp); err != nil {
+		writeError(w, http.StatusBadRequest, "parsing replay spec: %v", err)
+		return
+	}
+	sp.normalise()
+	var once scenarioOnce // validate and Key read a trace_path once between them
+	if err := sp.validateOnce(&once); err != nil {
+		writeError(w, http.StatusBadRequest, "invalid replay spec: %v", err)
+		return
+	}
+	key, err := sp.keyOnce(&once)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "keying spec: %v", err)
 		return
 	}
 
@@ -451,7 +419,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Then against the store: identical work already completed — possibly
 	// by a previous daemon process — is served without running.
 	if s.store.Has(key) {
-		rec := s.newRecordLocked(key, kind, body, nil, nil, nil)
+		rec := s.newRecordLocked(key, body, nil, nil, nil)
 		rec.cached = true
 		st := s.status(rec)
 		s.mu.Unlock()
@@ -460,11 +428,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The job keeps the trace file's hash, not once's parsed requests: it
+	// re-reads the file itself, and must find the bytes its key names.
+	traceSHA := once.traceSHA
+	hub, spl := newProgressHub(), newSpanLog(time.Now())
 	job, err := s.sched.Submit(jobs.SubmitOpts{
-		Priority: priority,
-		Timeout:  time.Duration(timeoutMs) * time.Millisecond,
+		Priority: sp.Priority,
+		Timeout:  time.Duration(sp.TimeoutMs) * time.Millisecond,
 	}, func(ctx context.Context) (any, error) {
-		return run(ctx, key, hub)
+		return s.runReplay(ctx, key, sp, traceSHA, hub, spl)
 	})
 	if err != nil {
 		s.mu.Unlock()
@@ -475,7 +447,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, "%v", err)
 		return
 	}
-	rec := s.newRecordLocked(key, kind, body, job, hub, spl)
+	rec := s.newRecordLocked(key, body, job, hub, spl)
 	st := s.status(rec)
 	s.mu.Unlock()
 
@@ -505,12 +477,11 @@ func strictUnmarshal(b []byte, v any) error {
 }
 
 // newRecordLocked registers a record; caller holds s.mu.
-func (s *Server) newRecordLocked(key, kind string, spec []byte, job *jobs.Job, hub *progressHub, spl *spanLog) *jobRecord {
+func (s *Server) newRecordLocked(key string, spec []byte, job *jobs.Job, hub *progressHub, spl *spanLog) *jobRecord {
 	s.nextID++
 	rec := &jobRecord{
 		id:        fmt.Sprintf("job-%06d", s.nextID),
 		key:       key,
-		kind:      kind,
 		spec:      json.RawMessage(spec),
 		job:       job,
 		hub:       hub,
@@ -662,10 +633,10 @@ const maxSeriesBytes = 1 << 30
 
 // serveSeries writes a record's stored sample series to w as NDJSON and
 // reports whether it had one. The entry is the commit point, so a series whose
-// entry is absent stays unreachable; the entries of fleet and experiment jobs
-// and of the oldest daemons (which kept the series inline) have no sibling. A
-// sibling that does not decode is a lost series, never a partial one and never
-// a reason to distrust the entry: it is counted and served as absent.
+// entry is absent stays unreachable; the entries of fleet jobs and of older
+// releases (inline series, experiment jobs) have no sibling. A sibling that
+// does not decode is a lost series, never a partial one and never a reason
+// to distrust the entry: it is counted and served as absent.
 func (s *Server) serveSeries(w http.ResponseWriter, rec *jobRecord) bool {
 	if !s.store.Has(rec.key) {
 		return false
@@ -862,7 +833,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if rec.spans == nil {
-		writeError(w, http.StatusConflict, "job %s has no span log (experiment or cache-served job)", rec.id)
+		writeError(w, http.StatusConflict, "job %s has no span log (served from the store)", rec.id)
 		return
 	}
 	writeChromeSpans(w, rec.id, rec.spans.Spans())

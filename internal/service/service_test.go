@@ -447,51 +447,6 @@ func TestCorruptStoreEntryIsRerun(t *testing.T) {
 	}
 }
 
-// TestExperimentJob submits a (cheap) experiment artifact job and checks
-// the rendered output comes back.
-func TestExperimentJob(t *testing.T) {
-	_, ts := newTestServer(t, t.TempDir())
-	code, st := postJSON(t, ts.URL+"/api/v1/jobs", `{"type":"experiment","id":"table1","scale":0.05,"no_age":true}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit = %d, want 202", code)
-	}
-	final := pollState(t, ts.URL, st.ID, 30*time.Second)
-	if jobs.State(final.State) != jobs.StateSucceeded {
-		t.Fatalf("experiment finished %s (error %q)", final.State, final.Error)
-	}
-	code, doc := fetchResult(t, ts.URL, st.ID)
-	if code != http.StatusOK {
-		t.Fatalf("result = %d, want 200", code)
-	}
-	var res ExperimentResult
-	if err := json.Unmarshal(doc["result"], &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.ID != "table1" || !strings.Contains(res.Output, "Table 1") {
-		t.Fatalf("experiment output looks wrong: id=%q output=%q", res.ID, res.Output)
-	}
-
-	// The extension studies are entries of the same registry, so they are
-	// jobs with no service change: the submission validates, and cancelling
-	// stops the study (too long to run to completion here) through the
-	// session's context.
-	for _, id := range []string{"ext-fleet", "ext-scenario"} {
-		code, st := postJSON(t, ts.URL+"/api/v1/jobs", `{"type":"experiment","id":"`+id+`"}`)
-		if code != http.StatusAccepted {
-			t.Fatalf("%s submit = %d, want 202", id, code)
-		}
-		resp, err := http.Post(ts.URL+"/api/v1/jobs/"+st.ID+"/cancel", "application/json", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		final := pollState(t, ts.URL, st.ID, 10*time.Second)
-		if jobs.State(final.State) != jobs.StateCancelled {
-			t.Fatalf("%s finished %s, want cancelled (error %q)", id, final.State, final.Error)
-		}
-	}
-}
-
 // TestProgressStream reads a job's NDJSON progress stream and checks it
 // carries well-formed, time-ordered samples and terminates when the job
 // does.
@@ -732,9 +687,11 @@ func fetchBytes(t *testing.T, url string) (int, []byte) {
 
 // TestJobSpansAndTrace checks the per-job span log: a finished replay
 // reports its phases in the job status and renders them as a Chrome
-// trace_event document, while jobs without a span log (experiments) say so.
+// trace_event document, while a record without a span log (one served from
+// the store after a restart) says so.
 func TestJobSpansAndTrace(t *testing.T) {
-	_, ts := newTestServer(t, t.TempDir())
+	dir := t.TempDir()
+	_, ts := newTestServer(t, dir)
 	spec := `{"type":"replay","scheme":"FTL","profile":"lun1","scale":0.002,"seed":12,"age":true}`
 	code, st := postJSON(t, ts.URL+"/api/v1/jobs", spec)
 	if code != http.StatusAccepted {
@@ -780,15 +737,15 @@ func TestJobSpansAndTrace(t *testing.T) {
 		}
 	}
 
-	// An experiment job has no span log; the endpoint says so rather than
-	// rendering an empty trace.
-	code, est := postJSON(t, ts.URL+"/api/v1/jobs", `{"type":"experiment","id":"table1","scale":0.05,"no_age":true}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("experiment submit = %d", code)
+	// A record served from the store ran nothing here and has no span log;
+	// the endpoint says so rather than rendering an empty trace.
+	_, ts2 := newTestServer(t, dir)
+	code, cst := postJSON(t, ts2.URL+"/api/v1/jobs", spec)
+	if code != http.StatusOK || !cst.Cached {
+		t.Fatalf("resubmit after restart: code=%d status=%+v, want 200 cached", code, cst)
 	}
-	pollState(t, ts.URL, est.ID, 30*time.Second)
-	if code, _ := fetchBytes(t, ts.URL+"/api/v1/jobs/"+est.ID+"/trace"); code != http.StatusConflict {
-		t.Errorf("experiment trace = %d, want 409", code)
+	if code, _ := fetchBytes(t, ts2.URL+"/api/v1/jobs/"+cst.ID+"/trace"); code != http.StatusConflict {
+		t.Errorf("cache-served trace = %d, want 409", code)
 	}
 }
 

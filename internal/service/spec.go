@@ -10,7 +10,6 @@ import (
 	"io"
 	"os"
 
-	"across/internal/experiments"
 	"across/internal/fleet"
 	"across/internal/ftl"
 	"across/internal/jobs"
@@ -166,24 +165,27 @@ func (o *scenarioOnce) get(sp *ReplaySpec) (scenario.Scenario, string, error) {
 }
 
 // requests produces the job's request stream: the scenario engine when a
-// scenario block is present, the profile generator otherwise.
-func (sp *ReplaySpec) requests(logicalSectors int64) ([]trace.Request, error) {
+// scenario block is present, the profile generator otherwise. It also
+// returns the SHA-256 of the trace file it read ("" when it read none), for
+// the job to hold against the hash its key was built from.
+func (sp *ReplaySpec) requests(logicalSectors int64) ([]trace.Request, string, error) {
 	if sp.Scenario != nil {
-		sc, _, err := sp.resolvedScenario()
+		sc, traceSHA, err := sp.resolvedScenario()
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		st, err := sc.Generate(logicalSectors)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
-		return st.Requests, nil
+		return st.Requests, traceSHA, nil
 	}
 	prof, err := sp.profile()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return workload.Generate(prof, logicalSectors)
+	reqs, err := workload.Generate(prof, logicalSectors)
+	return reqs, "", err
 }
 
 // fleetSpec resolves the JSON block into the fleet package's spec.
@@ -390,59 +392,6 @@ type SnapshotEntry struct {
 	Blob   []byte `json:"blob"`
 }
 
-// ExperimentSpec is the submit-body of an experiment job: one paper
-// artifact (table/figure id) regenerated through an experiments.Session.
-type ExperimentSpec struct {
-	Type   string  `json:"type"` // "experiment"
-	ID     string  `json:"id"`   // table1, fig9, ext-tail, ...
-	Scale  float64 `json:"scale,omitempty"`
-	Seed   int64   `json:"seed,omitempty"`
-	NoAge  bool    `json:"no_age,omitempty"`
-	Format string  `json:"format,omitempty"` // text | markdown | csv
-
-	Priority  int   `json:"priority,omitempty"`
-	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-}
-
-func (sp *ExperimentSpec) sessionConfig() experiments.Config {
-	cfg := experiments.DefaultConfig()
-	if sp.Scale > 0 {
-		cfg.Scale = sp.Scale
-	}
-	cfg.SeedOffset = sp.Seed
-	cfg.Age = !sp.NoAge
-	if sp.Format != "" {
-		cfg.Format = sp.Format
-	}
-	return cfg
-}
-
-func (sp *ExperimentSpec) validate() error {
-	if _, err := experiments.ByID(sp.ID); err != nil {
-		return err
-	}
-	cfg := sp.sessionConfig()
-	if cfg.Scale <= 0 || cfg.Scale > 1 {
-		return fmt.Errorf("scale %v out of (0,1]", cfg.Scale)
-	}
-	return nil
-}
-
-// Key hashes the artifact id plus every session knob that changes its
-// content.
-func (sp *ExperimentSpec) Key() (string, error) {
-	cfg := sp.sessionConfig()
-	return store.HashJSON(struct {
-		V      int
-		Kind   string
-		Conf   ssdconf.Config
-		Scale  float64
-		Seed   int64
-		Age    bool
-		Format string
-	}{keyVersion, "experiment/" + sp.ID, cfg.SSD, cfg.Scale, cfg.SeedOffset, cfg.Age, cfg.Format})
-}
-
 // RequestDigest is what every stored replay digest opens with: request
 // counts and response-time means and tails (logical ones for a fleet).
 type RequestDigest struct {
@@ -574,19 +523,14 @@ func fleetResultDoc(res *fleet.Result, chips int) *FleetReplayResult {
 	}
 }
 
-// ExperimentResult is the stored outcome of an experiment job: the rendered
-// artifact.
-type ExperimentResult struct {
-	ID     string `json:"id"`
-	Output string `json:"output"`
-}
-
 // Entry is one stored job outcome: the spec that produced it and the result
 // document. A single-device replay's sampled progress series is stored
-// beside it, as the sibling <key>.samples.axss (see putSeries).
+// beside it, as the sibling <key>.samples.axss (see putSeries). Kind is
+// "replay"; an older release's store may also hold "experiment" entries,
+// which stay listable but no key this release computes reaches them.
 type Entry struct {
 	Key    string          `json:"key"`
-	Kind   string          `json:"kind"` // "replay" | "experiment"
+	Kind   string          `json:"kind"`
 	Spec   json.RawMessage `json:"spec"`
 	Result json.RawMessage `json:"result"`
 }
@@ -617,10 +561,14 @@ func (s *Server) putSeries(key string, samples []obs.Sample) error {
 // mid-trace, then persist the entry. Store failures are marked Transient so
 // the scheduler's retry-with-backoff gets a chance to ride out disk hiccups.
 //
+// keySHA is the hash of the trace file the submission read and keyed ("" for
+// none). A job that reads other bytes fails: its result would be stored,
+// and later served, under the key of a file it never replayed.
+//
 // A single-device job streams progress and stores its sampled series, in
 // the store phase and before the entry; a fleet replay has no sampler yet.
 // Each phase is recorded in the job's span log.
-func (s *Server) runReplay(ctx context.Context, key string, sp ReplaySpec, hub *progressHub, spl *spanLog) (*Entry, error) {
+func (s *Server) runReplay(ctx context.Context, key string, sp ReplaySpec, keySHA string, hub *progressHub, spl *spanLog) (*Entry, error) {
 	spl.next("generate")
 	conf := sp.config()
 	sectors := conf.LogicalSectors()
@@ -632,9 +580,13 @@ func (s *Server) runReplay(ctx context.Context, key string, sp ReplaySpec, hub *
 			return nil, err
 		}
 	}
-	reqs, err := sp.requests(sectors)
+	reqs, traceSHA, err := sp.requests(sectors)
 	if err != nil {
 		return nil, err
+	}
+	if traceSHA != keySHA {
+		return nil, fmt.Errorf("trace file %s changed since submission: its bytes hash to %.12s, the job's key to %.12s",
+			sp.Scenario.TracePath, traceSHA, keySHA)
 	}
 	var cp *sim.Checkpoint
 	var agingAttrs []string
@@ -685,7 +637,7 @@ func (s *Server) runReplay(ctx context.Context, key string, sp ReplaySpec, hub *
 		spl.next("store")
 		doc = replayResultDoc(res)
 	}
-	entry, err := buildEntry(key, "replay", sp, doc)
+	entry, err := buildEntry(key, sp, doc)
 	if err != nil {
 		return nil, err
 	}
@@ -704,31 +656,8 @@ func (s *Server) runReplay(ctx context.Context, key string, sp ReplaySpec, hub *
 	return entry, nil
 }
 
-// runExperiment executes one experiment job: a fresh session (scoped to the
-// job's context so cancellation stops its replay pool) renders the artifact
-// into a buffer, which is stored as the result.
-func (s *Server) runExperiment(ctx context.Context, key string, sp ExperimentSpec) (*Entry, error) {
-	sess, err := experiments.NewSession(sp.sessionConfig())
-	if err != nil {
-		return nil, err
-	}
-	sess.WithContext(ctx)
-	var buf bytes.Buffer
-	if err := experiments.RunOne(sp.ID, sess, &buf); err != nil {
-		return nil, err
-	}
-	entry, err := buildEntry(key, "experiment", sp, &ExperimentResult{ID: sp.ID, Output: buf.String()})
-	if err != nil {
-		return nil, err
-	}
-	if err := s.store.Put(key, entry); err != nil {
-		return nil, jobs.Transient(err)
-	}
-	return entry, nil
-}
-
-func buildEntry(key, kind string, spec, result any) (*Entry, error) {
-	sb, err := json.Marshal(spec)
+func buildEntry(key string, sp ReplaySpec, result any) (*Entry, error) {
+	sb, err := json.Marshal(sp)
 	if err != nil {
 		return nil, fmt.Errorf("service: encoding spec: %w", err)
 	}
@@ -736,5 +665,5 @@ func buildEntry(key, kind string, spec, result any) (*Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: encoding result: %w", err)
 	}
-	return &Entry{Key: key, Kind: kind, Spec: sb, Result: rb}, nil
+	return &Entry{Key: key, Kind: "replay", Spec: sb, Result: rb}, nil
 }

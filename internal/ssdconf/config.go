@@ -38,7 +38,7 @@ type Config struct {
 	TransferTime float64
 
 	// FTL parameters.
-	GCThreshold    float64 // trigger GC when plane free-page fraction < this (Table 1: 10%)
+	GCThreshold    float64 // trigger GC when a plane's free pages fall to this fraction of its pages or below (Table 1: 10%)
 	OverProvision  float64 // fraction of logical space exported (logical = physical * (1-OP))
 	MapEntryBytes  int     // bytes per PMT entry used for table sizing (baseline FTL)
 	AMTEntryBytes  int     // bytes per AMT entry (Across-FTL)
