@@ -139,29 +139,6 @@ func TraceStats(reqs []Request, pageBytes int) *trace.Stats {
 	return trace.Measure(reqs, pageBytes/ssdconf.SectorBytes)
 }
 
-// ShiftTrace adds delta sectors to every request's offset — used to place
-// several traces in disjoint regions of one address space.
-func ShiftTrace(reqs []Request, delta int64) []Request {
-	return trace.ShiftOffsets(reqs, delta)
-}
-
-// InterleaveTraces merges traces by arrival time into one stream (the
-// multi-tenant view of several LUNs sharing one device).
-func InterleaveTraces(traces ...[]Request) []Request {
-	return trace.Interleave(traces...)
-}
-
-// ConcatTraces joins traces back to back in time, separated by gap ms.
-func ConcatTraces(gap float64, traces ...[]Request) []Request {
-	return trace.Concat(gap, traces...)
-}
-
-// WindowTrace returns the requests with arrival time in [from, to) ms,
-// rebased to start at zero.
-func WindowTrace(reqs []Request, from, to float64) []Request {
-	return trace.Window(reqs, from, to)
-}
-
 // Run replays a trace against a freshly built scheme; when age is true the
 // device is first warmed to the paper's §4.1 state (90% used, ~40% valid).
 func Run(s Scheme, cfg Config, reqs []Request, age bool) (*Result, error) {
@@ -320,9 +297,6 @@ const (
 	FleetRAID10 = fleet.LayoutRAID10
 )
 
-// ParseFleetLayout converts a CLI/JSON layout name into a FleetLayout.
-func ParseFleetLayout(s string) (FleetLayout, error) { return fleet.ParseLayout(s) }
-
 // NewFleet builds a fleet whose every device is a fork of cp, so the scheme
 // and configuration are the checkpoint's: a warm fleet forks an aged
 // runner's Checkpoint, a cold one FreshCheckpoint.
@@ -360,15 +334,6 @@ const (
 	// PatternDayNight swings the rate through a discretised diurnal cycle.
 	PatternDayNight = scenario.PatternDayNight
 )
-
-// BuiltinScenario returns a named builtin scenario.
-func BuiltinScenario(name string) (Scenario, error) { return scenario.Builtin(name) }
-
-// ScenarioFromTrace wraps a parsed real trace (ReadTrace/ReadMSRTrace) as a
-// single-cohort scenario replaying at its recorded pacing.
-func ScenarioFromTrace(name string, reqs []Request) Scenario {
-	return scenario.FromTrace(name, reqs)
-}
 
 // EncodeScenarioStream seals a generated stream into the versioned trace-v2
 // binary container (deterministic bytes, self-describing workload header).

@@ -172,24 +172,6 @@ func TestNewRunnerWithHostCache(t *testing.T) {
 	}
 }
 
-func TestTraceToolsThroughPublicAPI(t *testing.T) {
-	a := []Request{{Time: 0, Op: 1, Offset: 0, Count: 8}}
-	b := []Request{{Time: 5, Op: 0, Offset: 100, Count: 8}}
-	if got := len(InterleaveTraces(a, b)); got != 2 {
-		t.Errorf("Interleave len = %d", got)
-	}
-	cat := ConcatTraces(10, a, b)
-	if cat[1].Time != 15 {
-		t.Errorf("Concat time = %v, want 15", cat[1].Time)
-	}
-	if ShiftTrace(a, 50)[0].Offset != 50 {
-		t.Error("ShiftTrace failed")
-	}
-	if got := len(WindowTrace(cat, 0, 1)); got != 1 {
-		t.Errorf("Window len = %d", got)
-	}
-}
-
 func TestRunnerReplaysSequentially(t *testing.T) {
 	cfg := tinyConfig()
 	r, err := NewRunner(AcrossFTL, cfg)

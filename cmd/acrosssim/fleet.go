@@ -7,42 +7,14 @@ import (
 
 	"across"
 	"across/internal/report"
-	"across/internal/ssdconf"
 )
-
-// fleetSpec reads the -fleet mode's volume from the flags, refusing the
-// single-device options it has no story for.
-func fleetSpec() across.FleetSpec {
-	// Single-device observability artifacts have no fleet story yet: each
-	// device would need its own tracer/sampler file. Reject rather than
-	// silently produce a device-0-only artifact.
-	switch {
-	case *cachePages > 0:
-		fatal(fmt.Errorf("-cachepages is not supported with -fleet"))
-	case *traceOut != "":
-		fatal(fmt.Errorf("-trace-out is not supported with -fleet"))
-	case *metricsOut != "":
-		fatal(fmt.Errorf("-metrics-out is not supported with -fleet"))
-	case *timeline != "":
-		fatal(fmt.Errorf("-timeline is not supported with -fleet"))
-	}
-	fleetLayout, err := across.ParseFleetLayout(*layout)
-	if err != nil {
-		fatal(err)
-	}
-	return across.FleetSpec{
-		Devices:      *fleetN,
-		Layout:       fleetLayout,
-		ChunkSectors: int64(*chunkKB) * 1024 / ssdconf.SectorBytes,
-	}
-}
 
 // runFleet is the rest of the -fleet mode: replay the trace through the
 // volume's layout, and print the fleet summary plus the per-device balance
 // table.
-func runFleet(v *across.Fleet, reqs []across.Request) {
+func runFleet(v *across.Fleet, reqs []across.Request, qd int) {
 	check := *checkFlag || *auditEvery > 0
-	res, err := v.Replay(context.Background(), reqs, *qd)
+	res, err := v.Replay(context.Background(), reqs, qd)
 	if err != nil {
 		fatal(err)
 	}

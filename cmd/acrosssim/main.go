@@ -1,8 +1,11 @@
 // Command acrosssim replays a block trace against one FTL scheme and prints
 // the measured metrics.
 //
-// The trace comes either from a SYSTOR '17-format CSV file (-trace) or from
-// a built-in Table 2 workload profile (-profile lun1..lun6). Example:
+// Its flags decode into the run spec acrossd takes as a submit-body
+// (internal/runspec), so the two refuse and resolve the same runs. The
+// workload is a built-in Table 2 profile (-profile lun1..lun6), a scenario
+// (-scenario), or a SYSTOR '17 / MSR Cambridge CSV file (-trace) wrapped as
+// a one-cohort scenario, exactly as acrossd's trace_path. Example:
 //
 //	acrosssim -profile lun1 -scheme Across-FTL -scale 0.05
 //	acrosssim -trace mytrace.csv -scheme FTL -page 4096
@@ -18,6 +21,7 @@ import (
 	"across"
 	"across/internal/fleet"
 	"across/internal/report"
+	"across/internal/runspec"
 	"across/internal/sim"
 	"across/internal/snapshot"
 	"across/internal/ssdconf"
@@ -25,16 +29,16 @@ import (
 
 var (
 	schemeName = flag.String("scheme", string(across.AcrossFTL), sim.KindList(" | "))
-	traceFile  = flag.String("trace", "", "SYSTOR-format CSV trace file")
+	traceFile  = flag.String("trace", "", "SYSTOR or MSR CSV trace file, replayed as a one-cohort scenario: offsets fold into the device, arrivals are time-sorted, at most 256 MiB")
 	profile    = flag.String("profile", "", "built-in workload profile (lun1..lun6)")
-	scale      = flag.Float64("scale", 0.05, "fraction of the generated request count (with -profile or a builtin -scenario; -scenario trace replays the full trace unless -scale is given explicitly)")
+	scale      = flag.Float64("scale", 0.05, "fraction of the workload's requests, in (0,1] (0 = the default; a -trace file replays whole unless -scale is given)")
 	pageBytes  = flag.Int("page", 8192, "flash page size in bytes (4096, 8192, 16384)")
 	full       = flag.Bool("full", false, "full 128 GiB Table 1 geometry")
 	noAge      = flag.Bool("no-age", false, "skip device aging")
 	qd         = flag.Int("qd", 0, "bound outstanding requests (0 = open loop)")
 	cachePages = flag.Int("cachepages", 0, "host DRAM data cache in pages (0 = none)")
 
-	scenarioName = flag.String("scenario", "", "scenario workload: builtin name (stationary | burst | daynight | mixed) or \"trace\" to wrap -trace as a cohort")
+	scenarioName = flag.String("scenario", "", "scenario workload: builtin name (stationary | burst | daynight | mixed); \"trace\" with -trace is a second spelling of -trace")
 	scenarioIn   = flag.String("scenario-in", "", "replay a stored trace-v2 scenario stream instead of generating one")
 	scenarioOut  = flag.String("scenario-out", "", "write the generated scenario stream as a trace-v2 container to FILE")
 
@@ -54,27 +58,82 @@ var (
 	timeline   = flag.String("timeline", "", "print sampled timeline tables after the run (text | markdown | csv)")
 )
 
+// runSpec decodes the run's flags into a normalised spec. -profile,
+// -scenario and -trace each name the workload and are mutually exclusive,
+// -scenario-in replaces all three, and the single-device artifacts have no
+// fleet story yet: each device would need its own file, so -fleet refuses
+// them rather than write device 0's alone.
+func runSpec() runspec.Spec {
+	sp := runspec.Spec{
+		Type: "replay", Scheme: *schemeName, Profile: *profile, Scale: *scale,
+		Page: *pageBytes, QD: *qd, Age: !*noAge, Full: *full,
+	}
+	switch {
+	case *scenarioIn != "" && (*profile != "" || *scenarioName != "" || *traceFile != ""):
+		fatal(errors.New("-scenario-in is mutually exclusive with -profile, -scenario and -trace"))
+	case *traceFile != "" || *scenarioName == "trace":
+		if *scenarioName != "" && *scenarioName != "trace" {
+			fatal(fmt.Errorf("-scenario %s and -trace are mutually exclusive", *scenarioName))
+		}
+		if *traceFile == "" {
+			fatal(errors.New("-scenario trace needs -trace FILE"))
+		}
+		sp.Scenario = &runspec.ScenarioSpec{TracePath: *traceFile}
+		// A recorded workload replays whole: the 0.05 default is a quick-run
+		// knob for synthetic ones. An explicit -scale still truncates.
+		if !scaleSet() {
+			sp.Scale = 1
+		}
+	case *scenarioName != "":
+		sp.Scenario = &runspec.ScenarioSpec{Name: *scenarioName}
+	case *profile == "" && *scenarioIn == "":
+		fatal(errors.New("need -profile lunN, -scenario NAME, -trace FILE or -scenario-in FILE"))
+	}
+	if *fleetN != 0 {
+		switch {
+		case *cachePages > 0:
+			fatal(errors.New("-cachepages is not supported with -fleet"))
+		case *traceOut != "":
+			fatal(errors.New("-trace-out is not supported with -fleet"))
+		case *metricsOut != "":
+			fatal(errors.New("-metrics-out is not supported with -fleet"))
+		case *timeline != "":
+			fatal(errors.New("-timeline is not supported with -fleet"))
+		}
+		sp.Fleet = &runspec.FleetSpec{Devices: *fleetN, Layout: *layout, ChunkKB: *chunkKB}
+	}
+	sp.Normalise()
+	return sp
+}
+
+// scaleSet reports whether -scale was given explicitly (not the 0.05
+// default).
+func scaleSet() bool {
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == "scale" })
+	return set
+}
+
 func main() {
 	flag.Parse()
-	scheme, err := sim.ParseKind(*schemeName)
+	sp := runSpec()
+	// A stored stream stands in for the spec's workload, so only the device
+	// half of the spec is checked against it.
+	var once runspec.ScenarioOnce
+	var err error
+	if *scenarioIn != "" {
+		err = sp.ValidateDevice()
+	} else {
+		err = sp.ValidateOnce(&once)
+	}
 	if err != nil {
 		fatal(err)
-	}
-
-	cfg := across.ExperimentConfig()
-	if *full {
-		cfg = across.Table1Config()
-	}
-	cfg = cfg.WithPageBytes(*pageBytes)
-
-	var spec across.FleetSpec
-	if *fleetN > 0 {
-		spec = fleetSpec()
 	}
 
 	// A snapshot fixes the device: scheme kind, geometry and host cache all
 	// come from the blob, so restore before trace generation and let the
 	// embedded config drive workload sizing.
+	cfg := sp.Config()
 	var r *across.Runner
 	if *snapIn != "" {
 		blob, rerr := os.ReadFile(*snapIn)
@@ -90,24 +149,23 @@ func main() {
 
 	// The trace is sized before anything is built: to the device, or in
 	// fleet mode to the volume.
-	sectors := cfg.LogicalSectors()
-	if *fleetN > 0 {
-		if sectors, err = spec.LogicalSectors(cfg); err != nil {
-			fatal(err)
-		}
+	sectors, err := sp.LogicalSectors(cfg)
+	if err != nil {
+		fatal(err)
 	}
-	reqs := loadRequests(sectors)
+	reqs := loadRequests(&sp, &once, sectors)
 	st := across.TraceStats(reqs, cfg.PageBytes)
 
 	// One device, built and aged here in both modes: the run's own, or the
 	// one every fleet device forks. A fresh fleet needs none: its devices
 	// fork FreshCheckpoint.
-	if r == nil && (*fleetN == 0 || !*noAge) {
+	scheme := across.Scheme(sp.Scheme)
+	if r == nil && (sp.Fleet == nil || sp.Age) {
 		r, err = across.NewRunnerWithHostCache(scheme, cfg, *cachePages)
 		if err != nil {
 			fatal(err)
 		}
-		if !*noAge {
+		if sp.Age {
 			if err := r.Age(across.DefaultAging()); err != nil {
 				fatal(err)
 			}
@@ -115,7 +173,7 @@ func main() {
 	}
 
 	var v *across.Fleet
-	if *fleetN > 0 {
+	if sp.Fleet != nil {
 		var cp *across.Checkpoint
 		if r != nil {
 			cp, err = r.Checkpoint()
@@ -123,7 +181,7 @@ func main() {
 			cp, err = across.FreshCheckpoint(scheme, cfg)
 		}
 		if err == nil {
-			v, err = across.NewFleet(cp, spec)
+			v, err = across.NewFleet(cp, sp.Volume())
 		}
 		if err != nil {
 			fatal(err)
@@ -152,7 +210,7 @@ func main() {
 		fmt.Printf("snapshot: %d bytes -> %s\n", len(blob), *snapOut)
 	}
 	if v != nil {
-		runFleet(v, reqs)
+		runFleet(v, reqs, sp.QD)
 		return
 	}
 
@@ -190,7 +248,7 @@ func main() {
 		r.SetSampler(smp)
 	}
 
-	res, err := r.ReplayQD(reqs, *qd)
+	res, err := r.ReplayQD(reqs, sp.QD)
 	if err != nil {
 		fatal(err)
 	}
@@ -240,40 +298,6 @@ func main() {
 		report.TimelineLatency(smp.Samples()).RenderTo(os.Stdout, *timeline)
 		report.TimelineUtilisation(smp.Samples()).RenderTo(os.Stdout, *timeline)
 	}
-}
-
-// loadRequests is the one trace loader of both modes: a scenario stream, a
-// CSV trace file, or a profile trace sized to logicalSectors (the device's,
-// or the fleet volume's in fleet mode).
-func loadRequests(logicalSectors int64) []across.Request {
-	switch {
-	case *scenarioName != "" || *scenarioIn != "":
-		return loadScenarioStream(logicalSectors)
-	case *traceFile != "":
-		f, err := os.Open(*traceFile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		// Auto-detect SYSTOR '17 vs MSR Cambridge format.
-		reqs, err := across.ReadTraceAuto(f)
-		if err != nil {
-			fatal(err)
-		}
-		return reqs
-	case *profile != "":
-		p, err := across.Profile(*profile)
-		if err != nil {
-			fatal(err)
-		}
-		reqs, err := across.GenerateTrace(p.Scale(*scale), logicalSectors)
-		if err != nil {
-			fatal(err)
-		}
-		return reqs
-	}
-	fatal(fmt.Errorf("need -trace FILE or -profile lunN"))
-	return nil
 }
 
 // snapshotErr names the file a -snapshot-in that does not open came from and,

@@ -1,74 +1,43 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 
 	"across"
+	"across/internal/runspec"
 )
 
-// loadScenarioStream produces the request stream for scenario mode: either
-// decoding a stored trace-v2 container (-scenario-in) or building the named
-// scenario — a builtin, or a real trace wrapped as a cohort — and generating
-// it for the device. The generated stream is optionally sealed back to a
-// trace-v2 file (-scenario-out), and the scenario summary is printed.
-func loadScenarioStream(logicalSectors int64) []across.Request {
+// loadRequests produces the run's request stream for logicalSectors (the
+// device's, or the fleet volume's): a stored trace-v2 stream (-scenario-in)
+// or the spec's own workload. A scenario stream is sealed to -scenario-out
+// when asked, and its summary printed.
+func loadRequests(sp *runspec.Spec, once *runspec.ScenarioOnce, logicalSectors int64) []across.Request {
 	var stream *across.ScenarioStream
-	if *scenarioIn != "" {
-		blob, err := os.ReadFile(*scenarioIn)
-		if err != nil {
+	var err error
+	switch {
+	case *scenarioIn != "":
+		var blob []byte
+		if blob, err = os.ReadFile(*scenarioIn); err != nil {
 			fatal(err)
 		}
-		stream, err = across.DecodeScenarioStream(blob)
-		if err != nil {
+		if stream, err = across.DecodeScenarioStream(blob); err != nil {
 			fatal(err)
 		}
 		if stream.LogicalSectors != logicalSectors {
 			fatal(fmt.Errorf("scenario stream %s was generated for %d logical sectors, device has %d",
 				*scenarioIn, stream.LogicalSectors, logicalSectors))
 		}
-	} else {
-		var sc across.Scenario
-		if *scenarioName == "trace" {
-			if *traceFile == "" {
-				fatal(fmt.Errorf("-scenario trace needs -trace FILE"))
-			}
-			f, err := os.Open(*traceFile)
-			if err != nil {
-				fatal(err)
-			}
-			reqs, err := across.ReadTraceAuto(f)
-			f.Close()
-			if err != nil {
-				fatal(err)
-			}
-			sc = across.ScenarioFromTrace("trace", reqs)
-			// A wrapped real trace replays in full by default, matching plain
-			// -trace: the 0.05 -scale default is a synthetic-workload
-			// quick-run knob, and silently truncating a recorded workload
-			// would change the experiment. An explicit -scale still
-			// truncates — loudly.
-			if scaleSet() {
-				sc = sc.Scale(*scale)
-				if kept := len(sc.Cohorts[0].Trace); kept < len(reqs) {
-					fmt.Printf("scale  : -scale %g keeps the trace's first %d of %d requests\n",
-						*scale, kept, len(reqs))
-				}
-			}
-		} else {
-			var err error
-			sc, err = across.BuiltinScenario(*scenarioName)
-			if err != nil {
-				fatal(err)
-			}
-			sc = sc.Scale(*scale)
+	case sp.Scenario != nil:
+		if stream, err = sp.Stream(once, logicalSectors); err != nil {
+			fatal(err)
 		}
-		var err error
-		stream, err = sc.Generate(logicalSectors)
+	default:
+		reqs, _, err := sp.Requests(logicalSectors)
 		if err != nil {
 			fatal(err)
 		}
+		return reqs
 	}
 	if *scenarioOut != "" {
 		blob, err := across.EncodeScenarioStream(stream)
@@ -86,12 +55,4 @@ func loadScenarioStream(logicalSectors int64) []across.Request {
 			c.Name, c.Requests, c.StartSector, c.Sectors)
 	}
 	return stream.Requests
-}
-
-// scaleSet reports whether -scale was given explicitly (not the 0.05
-// default).
-func scaleSet() bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) { set = set || f.Name == "scale" })
-	return set
 }

@@ -112,23 +112,46 @@ func TestAcrosssimDFTLSmoke(t *testing.T) {
 // TestAcrosssimScenarioSmoke drives the scenario engine through the CLI:
 // generate a builtin scenario to a trace-v2 file, then replay the stored
 // container with -scenario-in on another scheme — generation, encode, decode
-// and replay exercised as a user would, with verification on.
+// and replay exercised as a user would, with verification on. Generating
+// the same scenario again seals the same container byte for byte, and a
+// scenario replays through a fleet volume with every device audited clean.
 func TestAcrosssimScenarioSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns go run")
+		t.Skip("spawns acrosssim")
 	}
-	path := filepath.Join(t.TempDir(), "burst.axt2")
-	out := runCmd(t, "./cmd/acrosssim",
-		"-scenario", "burst", "-scale", "0.002", "-scenario-out", path, "-check")
+	dir := t.TempDir()
+	run := buildAcrosssim(t, dir)
+	out := run("-scenario", "burst", "-scale", "0.002", "-scenario-out", "burst.axt2", "-check")
 	for _, want := range []string{"scenario: burst", "cohort:", "tracev2 :", "verify : clean"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("scenario run output missing %q:\n%s", want, out)
 		}
 	}
-	replayed := runCmd(t, "./cmd/acrosssim",
-		"-scenario-in", path, "-scheme", "FTL", "-check")
+	replayed := run("-scenario-in", "burst.axt2", "-scheme", "FTL", "-check")
 	if !strings.Contains(replayed, "scenario: burst") || !strings.Contains(replayed, "verify : clean") {
 		t.Errorf("trace-v2 replay output wrong:\n%s", replayed)
+	}
+
+	run("-scenario", "mixed", "-scale", "0.002", "-scenario-out", "mixed.axt2")
+	if out := run("-scenario-in", "mixed.axt2"); !strings.Contains(out, "scenario: mixed") {
+		t.Errorf("stored mixed stream did not replay as mixed:\n%s", out)
+	}
+	run("-scenario", "mixed", "-scale", "0.002", "-scenario-out", "mixed2.axt2")
+	a, err := os.ReadFile(filepath.Join(dir, "mixed.axt2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "mixed2.axt2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Error("generating mixed twice sealed two different trace-v2 containers")
+	}
+
+	out = run("-scenario", "mixed", "-scale", "0.002", "-fleet", "2", "-layout", "raid0", "-check")
+	if !strings.Contains(out, "verify : clean — all 2 devices audited") {
+		t.Errorf("scenario fleet replay did not verify clean:\n%s", out)
 	}
 }
 
@@ -201,6 +224,50 @@ func buildAcrosssim(t *testing.T, dir string) func(args ...string) string {
 				strings.Join(args, " "), err, stdout.String(), stderr.String())
 		}
 		return stdout.String()
+	}
+}
+
+// TestAcrosssimRefusesWhatAcrossdRefuses: acrosssim decodes its flags into
+// the spec acrossd validates, so a scale outside (0,1] and two workloads at
+// once are refused, -scale 0 is the omitted scale, and a trace file whose
+// offsets run past the device folds into it as a daemon trace_path does.
+func TestAcrosssimRefusesWhatAcrossdRefuses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns acrosssim")
+	}
+	dir := t.TempDir()
+	run := buildAcrosssim(t, dir)
+	const msr = "internal/trace/testdata/msr_sample.csv"
+	abs, err := filepath.Abs(msr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-profile", "lun1", "-scale", "5", "-no-age"}, "out of (0,1]"},
+		{[]string{"-profile", "lun1", "-scale", "-1", "-no-age"}, "out of (0,1]"},
+		{[]string{"-profile", "lun1", "-scenario", "burst", "-scale", "0.002", "-no-age"}, "mutually exclusive"},
+		{[]string{"-trace", abs, "-profile", "lun1", "-no-age"}, "mutually exclusive"},
+	} {
+		out, err := exec.Command(filepath.Join(dir, "acrosssim"), tc.args...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), tc.want) {
+			t.Errorf("%v: err=%v, want a refusal naming %q; output:\n%s", tc.args, err, tc.want, out)
+		}
+	}
+
+	if zero, omitted := run("-profile", "lun1", "-scale", "0", "-no-age"), run("-profile", "lun1", "-no-age"); zero != omitted {
+		t.Errorf("-scale 0 is not the omitted scale:\n%s\n---\n%s", zero, omitted)
+	}
+
+	csv := runCmd(t, "./cmd/tracegen", "-profile", "lun2", "-scale", "0.002", "-full")
+	if err := os.WriteFile(filepath.Join(dir, "full.csv"), []byte(csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := run("-trace", "full.csv", "-no-age", "-check")
+	if !strings.Contains(out, "scenario: trace, 1 cohorts") || !strings.Contains(out, "verify : clean") {
+		t.Errorf("a full-device trace did not fold into the default device:\n%s", out)
 	}
 }
 

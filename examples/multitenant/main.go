@@ -2,11 +2,12 @@
 // consolidated onto one SSD.
 //
 // The paper replays each LUN trace on its own device. Real VDI hosts pack
-// many LUNs onto one drive, so this example places three Table 2 workloads
-// in disjoint regions of a single address space, interleaves them by
-// arrival time, and compares the schemes on the combined stream. Across-page
-// requests from different tenants compete for the same chips, making the
-// re-alignment savings — and the latency tail — more pronounced.
+// many LUNs onto one drive, so this example builds a three-cohort scenario:
+// three Table 2 workloads, each confined to its own third of one address
+// space, merged by arrival time, and compares the schemes on the combined
+// stream. Across-page requests from different tenants compete for the same
+// chips, making the re-alignment savings — and the latency tail — more
+// pronounced.
 //
 // Run with: go run ./examples/multitenant [-scale 0.02]
 package main
@@ -25,26 +26,25 @@ func main() {
 
 	cfg := across.ExperimentConfig()
 	tenants := []string{"lun1", "lun3", "lun6"}
-	region := cfg.LogicalSectors() / int64(len(tenants))
-
-	var traces [][]across.Request
+	sc := across.Scenario{Name: "multitenant"}
 	for i, name := range tenants {
 		p, err := across.Profile(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Confine each tenant to its own third of the address space.
-		p.FootprintFrac = 0.30
-		reqs, err := across.GenerateTrace(p.Scale(*scale), region)
-		if err != nil {
-			log.Fatal(err)
-		}
-		traces = append(traces, across.ShiftTrace(reqs, int64(i)*region))
+		sc.Cohorts = append(sc.Cohorts, across.ScenarioCohort{
+			Name: name, Profile: p,
+			StartFrac: float64(i) / float64(len(tenants)), SizeFrac: 1 / float64(len(tenants)),
+		})
 	}
-	combined := across.InterleaveTraces(traces...)
+	stream, err := sc.Scale(*scale).Generate(cfg.LogicalSectors())
+	if err != nil {
+		log.Fatal(err)
+	}
+	combined := stream.Requests
 	st := across.TraceStats(combined, cfg.PageBytes)
 	fmt.Printf("combined stream: %d requests from %d tenants, %.1f%% across-page\n\n",
-		st.Requests, len(tenants), 100*st.AcrossRatio())
+		st.Requests, len(stream.Cohorts), 100*st.AcrossRatio())
 
 	fmt.Println("scheme       write-lat(ms)  p99-write(ms)  read-lat(ms)  erases")
 	for _, scheme := range across.Schemes() {

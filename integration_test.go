@@ -99,12 +99,15 @@ func TestMultiPhaseReplayOnOneDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Each phase is the requests arriving in one third of the trace's span,
+	// rebased to start at zero.
 	span := full[len(full)-1].Time
 	third := span / 3
-	segments := [][]across.Request{
-		across.WindowTrace(full, 0, third),
-		across.WindowTrace(full, third, 2*third),
-		across.WindowTrace(full, 2*third, span+1),
+	segments := make([][]across.Request, 3)
+	for _, r := range full {
+		i := min(int(r.Time/third), 2)
+		r.Time -= float64(i) * third
+		segments[i] = append(segments[i], r)
 	}
 	var total int64
 	for i, seg := range segments {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"across/internal/jobs"
+	"across/internal/runspec"
 	"across/internal/sim"
 	"across/internal/snapshot"
 	"across/internal/ssdconf"
@@ -127,7 +128,7 @@ func TestUnusableStoredCheckpointIsNotCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	akey := agingKeyOf(t, ReplaySpec{Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true})
+	akey := agingKeyOf(t, runspec.Spec{Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true})
 	restoreAttrs := func(st jobStatus) map[string]string {
 		for _, sp := range st.Spans {
 			if sp.Name == "restore" {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"across/internal/jobs"
+	"across/internal/runspec"
 	"across/internal/ssdconf"
 	"across/internal/store"
 	"across/internal/workload"
@@ -17,14 +18,14 @@ import (
 // scheduling knobs stay excluded, equivalent chunk spellings canonicalise to
 // one key, and the non-fleet key is untouched by the fleet machinery.
 func TestFleetKeyMatrix(t *testing.T) {
-	mk := func(mut func(*ReplaySpec)) string {
-		sp := ReplaySpec{Type: "replay", Scheme: "Across-FTL", Profile: "lun1", Scale: 0.001,
-			Fleet: &FleetSpec{Devices: 4, Layout: "raid0", ChunkKB: 64}}
+	mk := func(mut func(*runspec.Spec)) string {
+		sp := runspec.Spec{Type: "replay", Scheme: "Across-FTL", Profile: "lun1", Scale: 0.001,
+			Fleet: &runspec.FleetSpec{Devices: 4, Layout: "raid0", ChunkKB: 64}}
 		if mut != nil {
 			mut(&sp)
 		}
-		sp.normalise()
-		if err := sp.validate(); err != nil {
+		sp.Normalise()
+		if err := sp.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		key, err := sp.Key()
@@ -37,37 +38,37 @@ func TestFleetKeyMatrix(t *testing.T) {
 	if mk(nil) != base {
 		t.Error("identical fleet specs produced different keys")
 	}
-	for name, mut := range map[string]func(*ReplaySpec){
-		"devices": func(sp *ReplaySpec) { sp.Fleet.Devices = 2 },
-		"layout":  func(sp *ReplaySpec) { sp.Fleet.Layout = "raid10" },
-		"chunk":   func(sp *ReplaySpec) { sp.Fleet.ChunkKB = 16 },
-		"nofleet": func(sp *ReplaySpec) { sp.Fleet = nil },
+	for name, mut := range map[string]func(*runspec.Spec){
+		"devices": func(sp *runspec.Spec) { sp.Fleet.Devices = 2 },
+		"layout":  func(sp *runspec.Spec) { sp.Fleet.Layout = "raid10" },
+		"chunk":   func(sp *runspec.Spec) { sp.Fleet.ChunkKB = 16 },
+		"nofleet": func(sp *runspec.Spec) { sp.Fleet = nil },
 	} {
 		if mk(mut) == base {
 			t.Errorf("%s change did not change the key", name)
 		}
 	}
-	for name, mut := range map[string]func(*ReplaySpec){
-		"priority": func(sp *ReplaySpec) { sp.Priority = 3 },
-		"timeout":  func(sp *ReplaySpec) { sp.TimeoutMs = 1000 },
+	for name, mut := range map[string]func(*runspec.Spec){
+		"priority": func(sp *runspec.Spec) { sp.Priority = 3 },
+		"timeout":  func(sp *runspec.Spec) { sp.TimeoutMs = 1000 },
 	} {
 		if mk(mut) != base {
 			t.Errorf("scheduling knob %s leaked into the key", name)
 		}
 	}
 	// The default chunk and an explicit 64 KB spell the same work.
-	if mk(func(sp *ReplaySpec) { sp.Fleet.ChunkKB = 0 }) != base {
+	if mk(func(sp *runspec.Spec) { sp.Fleet.ChunkKB = 0 }) != base {
 		t.Error("default chunk and explicit 64 KB produced different keys")
 	}
 	// Concat ignores the chunk entirely.
-	concatA := mk(func(sp *ReplaySpec) { sp.Fleet.Layout = "concat"; sp.Fleet.ChunkKB = 16 })
-	concatB := mk(func(sp *ReplaySpec) { sp.Fleet.Layout = "concat"; sp.Fleet.ChunkKB = 64 })
+	concatA := mk(func(sp *runspec.Spec) { sp.Fleet.Layout = "concat"; sp.Fleet.ChunkKB = 16 })
+	concatB := mk(func(sp *runspec.Spec) { sp.Fleet.Layout = "concat"; sp.Fleet.ChunkKB = 64 })
 	if concatA != concatB {
 		t.Error("concat chunk spelling fragmented the key")
 	}
 	// A non-fleet spec must hash exactly as before the fleet layer existed.
-	nf := ReplaySpec{Type: "replay", Scheme: "Across-FTL", Profile: "lun1", Scale: 0.001}
-	nf.normalise()
+	nf := runspec.Spec{Type: "replay", Scheme: "Across-FTL", Profile: "lun1", Scale: 0.001}
+	nf.Normalise()
 	nfKey, err := nf.Key()
 	if err != nil {
 		t.Fatal(err)
@@ -79,15 +80,15 @@ func TestFleetKeyMatrix(t *testing.T) {
 
 // TestFleetSpecValidation covers submit-time rejection of bad fleet blocks.
 func TestFleetSpecValidation(t *testing.T) {
-	for name, f := range map[string]FleetSpec{
+	for name, f := range map[string]runspec.FleetSpec{
 		"zero-devices": {Devices: 0, Layout: "raid0"},
 		"bad-layout":   {Devices: 4, Layout: "raid5"},
 		"odd-raid10":   {Devices: 3, Layout: "raid10"},
 		"huge-chunk":   {Devices: 4, Layout: "raid0", ChunkKB: 1 << 30},
 	} {
-		sp := ReplaySpec{Type: "replay", Scheme: "FTL", Profile: "lun1", Scale: 0.001, Fleet: &f}
-		sp.normalise()
-		if err := sp.validate(); err == nil {
+		sp := runspec.Spec{Type: "replay", Scheme: "FTL", Profile: "lun1", Scale: 0.001, Fleet: &f}
+		sp.Normalise()
+		if err := sp.Validate(); err == nil {
 			t.Errorf("%s: validate accepted %+v", name, f)
 		}
 	}
@@ -175,9 +176,9 @@ func TestFleetJobReusesSingleDeviceCheckpoint(t *testing.T) {
 // legacyReplayKey reproduces the pre-fleet key structure verbatim; the live
 // Key() must keep producing it for non-fleet specs so stored results stay
 // addressable.
-func legacyReplayKey(t *testing.T, sp *ReplaySpec) string {
+func legacyReplayKey(t *testing.T, sp *runspec.Spec) string {
 	t.Helper()
-	prof, err := sp.profile()
+	prof, err := sp.ScaledProfile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func legacyReplayKey(t *testing.T, sp *ReplaySpec) string {
 		Profile workload.Profile
 		QD      int
 		Age     bool
-	}{keyVersion, "replay/" + sp.Scheme, sp.config(), prof, sp.QD, sp.Age})
+	}{runspec.KeyVersion, "replay/" + sp.Scheme, sp.Config(), prof, sp.QD, sp.Age})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"across/internal/jobs"
+	"across/internal/runspec"
 )
 
 // msrFixture is the checked-in MSR Cambridge sample, relative to this
@@ -23,14 +24,14 @@ const msrFixture = "../trace/testdata/msr_sample.csv"
 // scale and seed), scheduling knobs stay excluded, and both the non-scenario
 // and fleet key structures are untouched by the scenario machinery.
 func TestScenarioKeyMatrix(t *testing.T) {
-	mk := func(mut func(*ReplaySpec)) string {
-		sp := ReplaySpec{Type: "replay", Scheme: "Across-FTL", Scale: 0.001,
-			Scenario: &ScenarioSpec{Name: "burst"}}
+	mk := func(mut func(*runspec.Spec)) string {
+		sp := runspec.Spec{Type: "replay", Scheme: "Across-FTL", Scale: 0.001,
+			Scenario: &runspec.ScenarioSpec{Name: "burst"}}
 		if mut != nil {
 			mut(&sp)
 		}
-		sp.normalise()
-		if err := sp.validate(); err != nil {
+		sp.Normalise()
+		if err := sp.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		key, err := sp.Key()
@@ -43,21 +44,21 @@ func TestScenarioKeyMatrix(t *testing.T) {
 	if mk(nil) != base {
 		t.Error("identical scenario specs produced different keys")
 	}
-	for name, mut := range map[string]func(*ReplaySpec){
-		"scenario": func(sp *ReplaySpec) { sp.Scenario.Name = "daynight" },
-		"scale":    func(sp *ReplaySpec) { sp.Scale = 0.002 },
-		"seed":     func(sp *ReplaySpec) { sp.Seed = 7 },
-		"qd":       func(sp *ReplaySpec) { sp.QD = 8 },
-		"age":      func(sp *ReplaySpec) { sp.Age = true },
-		"fleet":    func(sp *ReplaySpec) { sp.Fleet = &FleetSpec{Devices: 2, Layout: "raid0"} },
+	for name, mut := range map[string]func(*runspec.Spec){
+		"scenario": func(sp *runspec.Spec) { sp.Scenario.Name = "daynight" },
+		"scale":    func(sp *runspec.Spec) { sp.Scale = 0.002 },
+		"seed":     func(sp *runspec.Spec) { sp.Seed = 7 },
+		"qd":       func(sp *runspec.Spec) { sp.QD = 8 },
+		"age":      func(sp *runspec.Spec) { sp.Age = true },
+		"fleet":    func(sp *runspec.Spec) { sp.Fleet = &runspec.FleetSpec{Devices: 2, Layout: "raid0"} },
 	} {
 		if mk(mut) == base {
 			t.Errorf("%s change did not change the key", name)
 		}
 	}
-	for name, mut := range map[string]func(*ReplaySpec){
-		"priority": func(sp *ReplaySpec) { sp.Priority = 3 },
-		"timeout":  func(sp *ReplaySpec) { sp.TimeoutMs = 1000 },
+	for name, mut := range map[string]func(*runspec.Spec){
+		"priority": func(sp *runspec.Spec) { sp.Priority = 3 },
+		"timeout":  func(sp *runspec.Spec) { sp.TimeoutMs = 1000 },
 	} {
 		if mk(mut) != base {
 			t.Errorf("scheduling knob %s leaked into the key", name)
@@ -65,8 +66,8 @@ func TestScenarioKeyMatrix(t *testing.T) {
 	}
 	// A non-scenario spec must hash exactly as before the scenario layer
 	// existed (the same guarantee the fleet layer gives).
-	nf := ReplaySpec{Type: "replay", Scheme: "Across-FTL", Profile: "lun1", Scale: 0.001}
-	nf.normalise()
+	nf := runspec.Spec{Type: "replay", Scheme: "Across-FTL", Profile: "lun1", Scale: 0.001}
+	nf.Normalise()
 	nfKey, err := nf.Key()
 	if err != nil {
 		t.Fatal(err)
@@ -94,10 +95,10 @@ func TestScenarioTraceKeyTracksFileContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	keyAt := func(path string, scale float64) string {
-		sp := ReplaySpec{Type: "replay", Scheme: "FTL", Scale: scale,
-			Scenario: &ScenarioSpec{TracePath: path}}
-		sp.normalise()
-		if err := sp.validate(); err != nil {
+		sp := runspec.Spec{Type: "replay", Scheme: "FTL", Scale: scale,
+			Scenario: &runspec.ScenarioSpec{TracePath: path}}
+		sp.Normalise()
+		if err := sp.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		k, err := sp.Key()
@@ -129,17 +130,17 @@ func TestScenarioTraceKeyTracksFileContent(t *testing.T) {
 // TestScenarioSpecValidation covers submit-time rejection of bad scenario
 // blocks.
 func TestScenarioSpecValidation(t *testing.T) {
-	for name, mut := range map[string]func(*ReplaySpec){
-		"unknown-builtin":  func(sp *ReplaySpec) { sp.Scenario.Name = "nope" },
-		"missing-name":     func(sp *ReplaySpec) { sp.Scenario.Name = "" },
-		"missing-file":     func(sp *ReplaySpec) { sp.Scenario = &ScenarioSpec{TracePath: "/does/not/exist.csv"} },
-		"profile-conflict": func(sp *ReplaySpec) { sp.Profile = "lun1" },
+	for name, mut := range map[string]func(*runspec.Spec){
+		"unknown-builtin":  func(sp *runspec.Spec) { sp.Scenario.Name = "nope" },
+		"missing-name":     func(sp *runspec.Spec) { sp.Scenario.Name = "" },
+		"missing-file":     func(sp *runspec.Spec) { sp.Scenario = &runspec.ScenarioSpec{TracePath: "/does/not/exist.csv"} },
+		"profile-conflict": func(sp *runspec.Spec) { sp.Profile = "lun1" },
 	} {
-		sp := ReplaySpec{Type: "replay", Scheme: "FTL", Scale: 0.001,
-			Scenario: &ScenarioSpec{Name: "burst"}}
+		sp := runspec.Spec{Type: "replay", Scheme: "FTL", Scale: 0.001,
+			Scenario: &runspec.ScenarioSpec{Name: "burst"}}
 		mut(&sp)
-		sp.normalise()
-		if err := sp.validate(); err == nil {
+		sp.Normalise()
+		if err := sp.Validate(); err == nil {
 			t.Errorf("%s: validate accepted the spec", name)
 		}
 	}
@@ -242,11 +243,11 @@ func TestScenarioTraceJobEndToEnd(t *testing.T) {
 // file over the bound is refused with a 400 before any of it is read.
 func TestScenarioTracePathReadOncePerSubmitAndBounded(t *testing.T) {
 	var opens atomic.Int64
-	openTraceFile = func(path string) (*os.File, error) {
+	runspec.OpenTraceFile = func(path string) (*os.File, error) {
 		opens.Add(1)
 		return os.Open(path)
 	}
-	defer func() { openTraceFile = os.Open }()
+	defer func() { runspec.OpenTraceFile = os.Open }()
 
 	_, ts := newTestServer(t, t.TempDir())
 	abs, err := filepath.Abs(msrFixture)
@@ -264,7 +265,7 @@ func TestScenarioTracePathReadOncePerSubmitAndBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Truncate(maxTraceFileBytes + 1); err != nil {
+	if err := f.Truncate(runspec.MaxTraceFileBytes + 1); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -299,13 +300,13 @@ func TestScenarioTraceSwappedBeforeJobFails(t *testing.T) {
 	}
 	// The handler's open sees the fixture; the job's open, the halved copy.
 	var opens atomic.Int64
-	openTraceFile = func(path string) (*os.File, error) {
+	runspec.OpenTraceFile = func(path string) (*os.File, error) {
 		if opens.Add(1) > 1 {
 			return os.Open(half)
 		}
 		return os.Open(path)
 	}
-	defer func() { openTraceFile = os.Open }()
+	defer func() { runspec.OpenTraceFile = os.Open }()
 
 	s, ts := newTestServer(t, t.TempDir())
 	code, st := postJSON(t, ts.URL+"/api/v1/jobs",

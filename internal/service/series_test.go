@@ -15,6 +15,7 @@ import (
 
 	"across/internal/jobs"
 	"across/internal/obs"
+	"across/internal/runspec"
 	"across/internal/sim"
 )
 
@@ -50,13 +51,13 @@ func outcome(t *testing.T, base, id string) (result, progress, artifact []byte) 
 // and encodes the sampler's series one json.Encoder line per sample.
 func simSeries(t *testing.T, srv *Server, spec string) []byte {
 	t.Helper()
-	var sp ReplaySpec
+	var sp runspec.Spec
 	if err := strictUnmarshal([]byte(spec), &sp); err != nil {
 		t.Fatal(err)
 	}
-	sp.normalise()
-	conf := sp.config()
-	reqs, _, err := sp.requests(conf.LogicalSectors())
+	sp.Normalise()
+	conf := sp.Config()
+	reqs, _, err := sp.Requests(conf.LogicalSectors())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestOldLayoutEntryServesResult(t *testing.T) {
 	if err := json.Unmarshal(fixture, &old); err != nil || len(old.Samples) == 0 {
 		t.Fatalf("fixture: %v, %d inline samples", err, len(old.Samples))
 	}
-	var sp ReplaySpec
+	var sp runspec.Spec
 	if err := strictUnmarshal(old.Spec, &sp); err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +228,11 @@ func TestEntryWithoutSiblingServesResult(t *testing.T) {
 func TestSeriesWithoutEntryIsRerun(t *testing.T) {
 	dir := t.TempDir()
 	spec := fmt.Sprintf(tinyReplay, 23)
-	var sp ReplaySpec
+	var sp runspec.Spec
 	if err := strictUnmarshal([]byte(spec), &sp); err != nil {
 		t.Fatal(err)
 	}
-	sp.normalise()
+	sp.Normalise()
 	key, err := sp.Key()
 	if err != nil {
 		t.Fatal(err)

@@ -51,6 +51,7 @@ import (
 
 	"across/internal/jobs"
 	"across/internal/obs"
+	"across/internal/runspec"
 	"across/internal/sim"
 	"across/internal/snapshot"
 	"across/internal/ssdconf"
@@ -112,7 +113,7 @@ type Server struct {
 	// flightMu guards aging: one lock per aging-checkpoint key, so
 	// concurrent jobs that share a warm state age it exactly once, open
 	// its stored snapshot exactly once, and the rest fork from the open
-	// checkpoint (see ReplaySpec.AgingKey and warmStart).
+	// checkpoint (see runspec.Spec.AgingKey and warmStart).
 	flightMu    sync.Mutex
 	aging       map[string]*sync.Mutex
 	checkpoints *checkpointCache
@@ -193,7 +194,7 @@ func (s *Server) loadAgingSnapshot(key, scheme string) []byte {
 // and a counter say, with the reason — it ages a fresh device, stores its
 // snapshot over the unusable one, and returns the aged runner's in-memory
 // checkpoint, uncached: later jobs open the stored blob.
-func (s *Server) warmStart(ctx context.Context, akey string, sp *ReplaySpec, conf ssdconf.Config, spl *spanLog) (*sim.Checkpoint, error) {
+func (s *Server) warmStart(ctx context.Context, akey string, sp *runspec.Spec, conf ssdconf.Config, spl *spanLog) (*sim.Checkpoint, error) {
 	defer s.agingFlight(akey)()
 	kind := sim.SchemeKind(sp.Scheme)
 	cp := s.checkpoints.get(akey)
@@ -389,18 +390,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown job type %q (want replay)", head.Type)
 		return
 	}
-	var sp ReplaySpec
+	var sp runspec.Spec
 	if err := strictUnmarshal(body, &sp); err != nil {
 		writeError(w, http.StatusBadRequest, "parsing replay spec: %v", err)
 		return
 	}
-	sp.normalise()
-	var once scenarioOnce // validate and Key read a trace_path once between them
-	if err := sp.validateOnce(&once); err != nil {
+	sp.Normalise()
+	var once runspec.ScenarioOnce // validate and Key read a trace_path once between them
+	if err := sp.ValidateOnce(&once); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid replay spec: %v", err)
 		return
 	}
-	key, err := sp.keyOnce(&once)
+	key, err := sp.KeyOnce(&once)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "keying spec: %v", err)
 		return
@@ -430,7 +431,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// The job keeps the trace file's hash, not once's parsed requests: it
 	// re-reads the file itself, and must find the bytes its key names.
-	traceSHA := once.traceSHA
+	traceSHA := once.TraceSHA()
 	hub, spl := newProgressHub(), newSpanLog(time.Now())
 	job, err := s.sched.Submit(jobs.SubmitOpts{
 		Priority: sp.Priority,

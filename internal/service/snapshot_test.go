@@ -10,15 +10,16 @@ import (
 	"time"
 
 	"across/internal/jobs"
+	"across/internal/runspec"
 )
 
 // agedReplay is a tiny aged FTL replay; %d slots the queue depth so two
 // submissions get distinct content keys while sharing one aging key.
 const agedReplay = `{"type":"replay","scheme":"FTL","profile":"lun1","scale":0.001,"age":true,"qd":%d,"priority":%d}`
 
-func agingKeyOf(t *testing.T, sp ReplaySpec) string {
+func agingKeyOf(t *testing.T, sp runspec.Spec) string {
 	t.Helper()
-	sp.normalise()
+	sp.Normalise()
 	key, err := sp.AgingKey()
 	if err != nil {
 		t.Fatal(err)
@@ -31,10 +32,10 @@ func agingKeyOf(t *testing.T, sp ReplaySpec) string {
 // workload-independent), measurement knobs (qd) and scheduling knobs
 // (priority, timeout) must not fragment checkpoint reuse.
 func TestAgingKeyExcludesWorkloadAndSchedulingKnobs(t *testing.T) {
-	base := ReplaySpec{Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true}
+	base := runspec.Spec{Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true}
 	want := agingKeyOf(t, base)
 
-	same := map[string]ReplaySpec{
+	same := map[string]runspec.Spec{
 		"priority": {Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true, Priority: 9},
 		"timeout":  {Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true, TimeoutMs: 5000},
 		"qd":       {Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true, QD: 16},
@@ -48,7 +49,7 @@ func TestAgingKeyExcludesWorkloadAndSchedulingKnobs(t *testing.T) {
 		}
 	}
 
-	diff := map[string]ReplaySpec{
+	diff := map[string]runspec.Spec{
 		"scheme": {Type: "replay", Scheme: "Across-FTL", Profile: "lun1", Age: true},
 		"page":   {Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true, Page: 4096},
 		"full":   {Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true, Full: true},
@@ -129,7 +130,7 @@ func TestJobsForkFromSharedAgingCheckpoint(t *testing.T) {
 	}
 
 	// The checkpoint itself is a first-class store entry under the aging key.
-	akey := agingKeyOf(t, ReplaySpec{Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true})
+	akey := agingKeyOf(t, runspec.Spec{Type: "replay", Scheme: "FTL", Profile: "lun1", Age: true})
 	var entry SnapshotEntry
 	ok, err := srv.Store().Get(akey, &entry)
 	if err != nil || !ok {
