@@ -7,6 +7,7 @@ package across_test
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -87,10 +88,21 @@ func TestTraceFileWorkflow(t *testing.T) {
 
 // TestMultiPhaseReplayOnOneDevice ages one device and replays three trace
 // segments back to back, as a long-running study would; state must carry
-// over while metrics reset per phase.
+// over while metrics reset per phase. Each phase is checked against two
+// forks: one of the aged checkpoint taken before phase 1, which later
+// phases must not match, and one taken of the device just before the
+// phase, which the phase's result must match exactly. A phase's erases
+// must be what its own replay added to the device's lifetime wear.
 func TestMultiPhaseReplayOnOneDevice(t *testing.T) {
 	cfg := integConfig()
 	r, err := across.NewRunner(across.AcrossFTL, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Age(across.DefaultAging()); err != nil {
+		t.Fatal(err)
+	}
+	aged, err := r.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +121,30 @@ func TestMultiPhaseReplayOnOneDevice(t *testing.T) {
 		r.Time -= float64(i) * third
 		segments[i] = append(segments[i], r)
 	}
+	// replay runs seg on a fork of cp.
+	replay := func(cp *across.Checkpoint, seg []across.Request) *across.Result {
+		t.Helper()
+		f, err := cp.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := f.Replay(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// lifetime is the device's total erase count, from its mean per block.
+	lifetime := func(mean float64) int64 {
+		return int64(math.Round(mean * float64(cfg.BlocksTotal())))
+	}
 	var total int64
+	var prevMean float64
 	for i, seg := range segments {
+		before, err := r.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := r.Replay(seg)
 		if err != nil {
 			t.Fatalf("segment %d: %v", i, err)
@@ -119,6 +153,22 @@ func TestMultiPhaseReplayOnOneDevice(t *testing.T) {
 			t.Fatalf("segment %d lost requests", i)
 		}
 		total += res.Requests
+		if res.Counters.Erases == 0 {
+			t.Fatalf("segment %d erased nothing: the device is not aged enough to carry state", i)
+		}
+		if own := replay(before, seg); res.Counters != own.Counters || res.Wear != own.Wear {
+			t.Errorf("segment %d: counters %+v wear %+v, but the phase alone gives %+v and %+v",
+				i, res.Counters, res.Wear, own.Counters, own.Wear)
+		}
+		if grew := lifetime(res.Wear.Mean) - lifetime(prevMean); i > 0 && res.Counters.Erases != grew {
+			t.Errorf("segment %d: %d erases counted, but lifetime erases grew by %d", i, res.Counters.Erases, grew)
+		}
+		prevMean = res.Wear.Mean
+		fresh := replay(aged, seg)
+		if carried := res.Counters != fresh.Counters || res.Wear != fresh.Wear; carried != (i > 0) {
+			t.Errorf("segment %d: carried device differs from the aged checkpoint: %v, want %v (counters %+v vs %+v, wear %+v vs %+v)",
+				i, carried, i > 0, res.Counters, fresh.Counters, res.Wear, fresh.Wear)
+		}
 	}
 	if total != int64(len(full)) {
 		t.Fatalf("segments covered %d of %d requests", total, len(full))

@@ -7,6 +7,7 @@ import (
 	"io"
 	"io/fs"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -253,7 +254,7 @@ func NewWriter(w io.Writer, lun int) *Writer {
 // timestamp in seconds, a zero response time, the op, the LUN and the byte
 // offset and size.
 func (w *Writer) Write(req Request) error {
-	b := strconv.AppendFloat(w.line[:0], req.Time/1000, 'f', 6, 64)
+	b := appendMicros(w.line[:0], req.Time/1000)
 	b = append(b, ",0.000000,"...)
 	b = append(b, req.Op.String()...)
 	b = append(b, ',')
@@ -269,3 +270,65 @@ func (w *Writer) Write(req Request) error {
 
 // Flush flushes buffered output; call it once after the last Write.
 func (w *Writer) Flush() error { return w.w.Flush() }
+
+// appendMicros appends x as strconv.AppendFloat(dst, x, 'f', 6, 64) does,
+// byte for byte. strconv's shortcut covers only shortest and 'e'/'g'
+// output; a fixed 'f' precision always takes its multiprecision decimal
+// path. Here a non-negative x below 2^53/10^6 is rounded to whole
+// microseconds exactly instead: x is mant·2^-shift, so x·10^6 is the
+// 128-bit product mant·10^6 shifted right, rounded half to even on the
+// bits shifted out, and its integer fits 53 bits. Everything else — a set
+// sign bit (−0 prints as "-0.000000"), NaN, infinities and large values —
+// is left to strconv.
+func appendMicros(dst []byte, x float64) []byte {
+	const limit = (1 << 53) / 1e6
+	u := math.Float64bits(x)
+	if u>>63 != 0 || !(x < limit) {
+		return strconv.AppendFloat(dst, x, 'f', 6, 64)
+	}
+	mant, exp := u&(1<<52-1), uint(u>>52)
+	if exp == 0 {
+		exp = 1 // subnormal: no implicit bit
+	} else {
+		mant |= 1 << 52
+	}
+	// x < 2^34 puts shift at 19 or more, so n below fits 55 bits. The
+	// product is below 2^73: from a shift of 74 on, all of it is under
+	// half a microsecond.
+	var n uint64
+	if shift := 1075 - exp; shift <= 73 {
+		hi, lo := bits.Mul64(mant, 1e6)
+		k := shift - 1  // the bit worth half a microsecond
+		var sticky bool // any bit below k
+		if k < 64 {
+			n, sticky = hi<<(64-k)|lo>>k, lo<<(64-k) != 0
+		} else {
+			n, sticky = hi>>(k-64), lo != 0 || hi<<(128-k) != 0
+		}
+		half := n&1 != 0
+		n >>= 1
+		if half && (sticky || n&1 != 0) {
+			n++
+		}
+	}
+	// Digits from the right: six of the fraction in 32 bits, then the
+	// integer part, at least one digit.
+	var buf [24]byte
+	i := len(buf)
+	whole, frac := n/1e6, uint32(n%1e6)
+	for j := 0; j < 6; j++ {
+		i--
+		buf[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	i--
+	buf[i] = '.'
+	for {
+		i--
+		buf[i] = byte('0' + whole%10)
+		if whole /= 10; whole == 0 {
+			break
+		}
+	}
+	return append(dst, buf[i:]...)
+}

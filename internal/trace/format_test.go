@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime/debug"
+	"strconv"
 	"testing"
 )
 
@@ -110,6 +111,59 @@ func TestWriterMatchesSprintf(t *testing.T) {
 			got.Reset()
 		}
 	}
+}
+
+// TestAppendMicrosMatchesStrconv checks the fixed-point timestamp against
+// strconv on random values of every magnitude, on the neighbours of values
+// at the edges of its domain and of the rounding, and on every kind of
+// exact half-microsecond tie.
+func TestAppendMicrosMatchesStrconv(t *testing.T) {
+	const limit = (1 << 53) / 1e6
+	xs := []float64{
+		0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, math.MaxFloat64, limit, 5e-7, 1.5e-6, 2.5e-6,
+		9.9999995, 0.9999995, 999999.9999995, 8.9999999e9, 1, 1e-6, 1e-7, 1e300,
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 20_000; i++ {
+		if i%8 == 0 { // strconv is slow on most of these, so fewer
+			xs = append(xs, math.Float64frombits(rng.Uint64()))
+		}
+		xs = append(xs,
+			rng.Float64()*limit,
+			math.Ldexp(rng.Float64(), rng.Intn(60)-40),
+			// A tie: an odd multiple of 1/128, the only dyadic k+0.5 micros.
+			float64(2*rng.Int63n(1<<39)+1)/128)
+	}
+	// Adjacent ulps around each value so far, in both directions.
+	for _, x := range xs[:len(xs):len(xs)] {
+		up, down := x, x
+		for j := 0; j < 2; j++ {
+			up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, math.Inf(-1))
+			xs = append(xs, up, down)
+		}
+	}
+	for _, x := range xs {
+		if got, want := appendMicros(nil, x), strconv.AppendFloat(nil, x, 'f', 6, 64); !bytes.Equal(got, want) {
+			t.Fatalf("appendMicros(%v) = %s, strconv gives %s", x, got, want)
+		}
+	}
+}
+
+// FuzzAppendMicros: any float64 formats as strconv formats it, after
+// whatever a caller had already appended.
+func FuzzAppendMicros(f *testing.F) {
+	for _, x := range []float64{0, 5e-7, 1.0 / 128, 9.9999995, 8.9999999e9, 1e300} {
+		f.Add(math.Float64bits(x))
+	}
+	f.Fuzz(func(t *testing.T, u uint64) {
+		x := math.Float64frombits(u)
+		got := appendMicros([]byte("x,"), x)
+		want := strconv.AppendFloat([]byte("x,"), x, 'f', 6, 64)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("appendMicros(%#x) = %s, strconv gives %s", u, got, want)
+		}
+	})
 }
 
 // BenchmarkReadAllAuto parses a lun1-sized SYSTOR trace (300 k requests)

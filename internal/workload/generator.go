@@ -14,7 +14,8 @@ import (
 // size over fixed workloads.
 type Generator struct {
 	p    Profile
-	rng  *rand.Rand
+	rng  stream     // every draw but the arrival gaps
+	exp  *rand.Rand // rand.New(&rng): ExpFloat64 on math/rand's tables
 	now  float64
 	left int
 
@@ -100,11 +101,9 @@ func NewGenerator(p Profile, logicalSectors int64) (*Generator, error) {
 	if logicalSectors < 16*RefSPP {
 		return nil, fmt.Errorf("workload: device too small (%d sectors)", logicalSectors)
 	}
-	g := &Generator{
-		p:    p,
-		rng:  rand.New(rand.NewSource(p.Seed)),
-		left: p.Requests,
-	}
+	g := &Generator{p: p, left: p.Requests}
+	g.rng.Seed(p.Seed)
+	g.exp = rand.New(&g.rng)
 	g.footprint = int64(float64(logicalSectors) * p.FootprintFrac)
 	if g.footprint < 8*RefSPP {
 		g.footprint = 8 * RefSPP
@@ -325,7 +324,7 @@ func (g *Generator) Next() (trace.Request, bool) {
 		return trace.Request{}, false
 	}
 	g.left--
-	g.now += g.rng.ExpFloat64() / g.p.MeanIOPS * 1000 // ms
+	g.now += g.exp.ExpFloat64() / g.p.MeanIOPS * 1000 // ms
 
 	op := trace.OpRead
 	if g.rng.Float64() < g.p.WriteRatio {
