@@ -99,6 +99,19 @@ func (c *CMT) Touch(entry int64, dirty bool) Effect {
 	return e
 }
 
+// Rehit is Touch of an entry in the most recently used translation page,
+// for a caller that knows the entry lives there: it counts one lookup and
+// one hit and ORs dirty into that page's dirty bit, as Touch would, without
+// finding the page. The caller must know that its previous Touch was of
+// that page and that nothing touched the cache since.
+func (c *CMT) Rehit(dirty bool) {
+	c.stats.Lookups++
+	c.stats.Hits++
+	if dirty {
+		c.lru.head.dirty = true
+	}
+}
+
 // MarkClean clears the dirty bit of a resident translation page after its
 // owner flushed it out of band (e.g. a forced checkpoint).
 func (c *CMT) MarkClean(pageID int64) { c.lru.Clean(pageID) }

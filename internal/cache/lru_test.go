@@ -218,3 +218,36 @@ func TestCMTClampsDegenerateParameters(t *testing.T) {
 		t.Fatalf("clamped CMT = (%d,%d), want (1,1)", c.EntriesPerPage(), c.ResidentPages())
 	}
 }
+
+// TestRehitIsTouchOfTheMRUPage: after any touch, Rehit of an entry in the
+// page just touched leaves the stats, the recency order and every dirty bit
+// where Touch of that entry leaves them.
+func TestRehitIsTouchOfTheMRUPage(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	a, b := NewCMTDense(8, 3, 64), NewCMTDense(8, 3, 64)
+	for i := 0; i < 5000; i++ {
+		e, dirty := rng.Int63n(64), rng.Intn(2) == 0
+		a.Touch(e, dirty)
+		b.Touch(e, dirty)
+		if rng.Intn(4) == 0 {
+			a.MarkClean(a.PageOf(e))
+			b.MarkClean(b.PageOf(e))
+		}
+		same := a.PageOf(e)*8 + rng.Int63n(8)
+		dirty = rng.Intn(2) == 0
+		a.Touch(same, dirty)
+		b.Rehit(dirty)
+		if a.Stats() != b.Stats() {
+			t.Fatalf("step %d: stats %+v after Rehit, %+v after Touch", i, b.Stats(), a.Stats())
+		}
+		ka, kb := a.lru.Keys(), b.lru.Keys()
+		if len(ka) != len(kb) {
+			t.Fatalf("step %d: resident %v after Rehit, %v after Touch", i, kb, ka)
+		}
+		for j := range ka {
+			if ka[j] != kb[j] || a.lru.IsDirty(ka[j]) != b.lru.IsDirty(kb[j]) {
+				t.Fatalf("step %d: resident %v after Rehit, %v after Touch (or a dirty bit differs)", i, kb, ka)
+			}
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"across/internal/check"
 	"across/internal/ftl"
 	"across/internal/hostcache"
+	"across/internal/obs"
 	"across/internal/sim"
 	"across/internal/ssdconf"
 	"across/internal/trace"
@@ -235,10 +236,12 @@ func BenchmarkShadowSeed(b *testing.B) {
 }
 
 // BenchmarkCheckedReplay times the replay a checked study runs — the first
-// tenth of lun1 ×0.4 on an aged Experiment device — per scheme, three ways:
+// tenth of lun1 ×0.4 on an aged Experiment device — per scheme, five ways:
 // plain; checked, i.e. the shadow model on every request plus the end-of-run
-// audit a checked replay always ends with; and that audit alone. Every
-// replay starts from its own fork of the aged device.
+// audit a checked replay always ends with; sampled on acrossd's 50 ms grid,
+// the replay every single-device acrossd job runs; checked and sampled, the
+// replay of the benchmark module's study-cold workload; and the audit
+// alone. Every replay starts from its own fork of the aged device.
 func BenchmarkCheckedReplay(b *testing.B) {
 	conf := ssdconf.Experiment()
 	lun1, err := workload.LunProfile("lun1")
@@ -272,7 +275,7 @@ func BenchmarkCheckedReplay(b *testing.B) {
 				}
 				return r
 			}
-			replay := func(b *testing.B, opts *check.Options) {
+			replay := func(b *testing.B, opts *check.Options, sampled bool) {
 				for i := 0; i < b.N; i++ {
 					r := fork(b)
 					if opts != nil {
@@ -280,14 +283,24 @@ func BenchmarkCheckedReplay(b *testing.B) {
 							b.Fatal(err)
 						}
 					}
+					if sampled {
+						smp, err := obs.NewSampler(50)
+						if err != nil {
+							b.Fatal(err)
+						}
+						r.SetSampler(smp)
+					}
 					if _, err := r.Replay(reqs); err != nil {
 						b.Fatal(err)
 					}
 				}
 				b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "req/s")
 			}
-			b.Run("plain", func(b *testing.B) { replay(b, nil) })
-			b.Run("checked", func(b *testing.B) { replay(b, &check.Options{Shadow: true}) })
+			shadow := &check.Options{Shadow: true}
+			b.Run("plain", func(b *testing.B) { replay(b, nil, false) })
+			b.Run("checked", func(b *testing.B) { replay(b, shadow, false) })
+			b.Run("sampled", func(b *testing.B) { replay(b, nil, true) })
+			b.Run("checked+sampled", func(b *testing.B) { replay(b, shadow, true) })
 			b.Run("audit", func(b *testing.B) {
 				r := fork(b)
 				if _, err := r.Replay(reqs); err != nil {

@@ -212,19 +212,43 @@ func (s *Scheme) migrate(tag flash.Tag, old, new flash.PPN) {
 	}
 }
 
+// nodeRun is the tree node a request's previous mapping touch resolved:
+// sub-pages below end live in node. A request touches its sub-pages in
+// ascending order, so it looks a node up once per run of them.
+type nodeRun struct{ node, end int64 }
+
 // touchEntry charges one sub-page mapping access: a tree walk in DRAM plus
-// the cached-mapping-table effects.
-func (s *Scheme) touchEntry(sub int64, dirty bool, now float64) (delay, ready float64, err error) {
+// the cached-mapping-table effects. run carries the request's node from
+// touch to touch; a nil run looks every sub-page's node up.
+//
+// A sub-page in run's node is a Rehit: that node is still the cache's most
+// recently used, because between two touches of one request nothing else
+// touches the cache. GC (migrate, salvage), the map store's flushes and
+// loads, and the checkpoint below only read and write flash and the
+// scheme's own tables; MarkClean clears a dirty bit and keeps the order.
+func (s *Scheme) touchEntry(sub int64, run *nodeRun, dirty bool, now float64) (delay, ready float64, err error) {
 	walk := s.depth
 	if dirty {
 		walk *= 2 // descend, then modify and rebalance back up
 	}
 	delay = s.Dev.DRAMAccess(walk)
-	eff := s.cmt.Touch(sub, dirty)
+	var (
+		eff  cache.Effect
+		node int64
+	)
+	if run != nil && sub < run.end {
+		s.cmt.Rehit(dirty)
+		node = run.node
+	} else {
+		eff = s.cmt.Touch(sub, dirty)
+		node = s.cmt.PageOf(sub)
+		if run != nil {
+			run.node, run.end = node, (node+1)*int64(s.cmt.EntriesPerPage())
+		}
+	}
 	if trc := s.Dev.Tracer(); trc != nil {
 		trc.CacheAccess(obs.CacheMapping, !eff.MissRead, now)
 	}
-	node := s.cmt.PageOf(sub)
 	if eff.FlushWrite {
 		s.nodeDirty[eff.Victim] = 0
 	}
@@ -446,6 +470,12 @@ func (s *Scheme) subRange(r trace.Request) (first, last int64, firstPartial, las
 // old page first; superseded flash slots are invalidated; a full buffer
 // programs one packed page.
 func (s *Scheme) Write(r trace.Request, now float64) (float64, error) {
+	var run nodeRun
+	return s.write(r, now, &run)
+}
+
+// write is Write with the request's node run; nil looks every node up.
+func (s *Scheme) write(r trace.Request, now float64, run *nodeRun) (float64, error) {
 	if err := s.CheckRequest(r); err != nil {
 		return now, err
 	}
@@ -456,7 +486,7 @@ func (s *Scheme) Write(r trace.Request, now float64) (float64, error) {
 
 	first, last, firstPartial, lastPartial := s.subRange(r)
 	for sub := first; sub <= last; sub++ {
-		d, _, err := s.touchEntry(sub, true, now)
+		d, _, err := s.touchEntry(sub, run, true, now)
 		if err != nil {
 			return now, err
 		}
@@ -523,6 +553,12 @@ func (s *Scheme) Write(r trace.Request, now float64) (float64, error) {
 // (cached, tree-indexed) mapping; distinct physical pages are read once;
 // buffered or unwritten sub-pages cost no flash work.
 func (s *Scheme) Read(r trace.Request, now float64) (float64, error) {
+	var run nodeRun
+	return s.read(r, now, &run)
+}
+
+// read is Read with the request's node run; nil looks every node up.
+func (s *Scheme) read(r trace.Request, now float64, run *nodeRun) (float64, error) {
 	if err := s.CheckRequest(r); err != nil {
 		return now, err
 	}
@@ -536,7 +572,7 @@ func (s *Scheme) Read(r trace.Request, now float64) (float64, error) {
 	first, last, _, _ := s.subRange(r)
 	ready := now
 	for sub := first; sub <= last; sub++ {
-		d, rdy, err := s.touchEntry(sub, false, now)
+		d, rdy, err := s.touchEntry(sub, run, false, now)
 		if err != nil {
 			return now, err
 		}

@@ -55,9 +55,9 @@ type MetricsSink interface {
 // called with the advancing simulated clock and emits a sample whenever a
 // boundary is crossed, and Finish emits the closing sample whose cumulative
 // fields equal the end-of-run aggregates. The fill callback populates the
-// gauge and cumulative fields from live simulator state; the Sampler owns
-// the interval bookkeeping (window request counts, latency means, busy-
-// fraction deltas).
+// gauge and cumulative fields from live simulator state as of the sample's
+// TimeMs, which is set before fill runs; the Sampler owns the interval
+// bookkeeping (window request counts, latency means, busy-fraction deltas).
 type Sampler struct {
 	interval float64
 	sink     MetricsSink
@@ -107,7 +107,16 @@ func (s *Sampler) Note(write bool, latMs float64) {
 // Tick advances the simulated clock. The first call anchors the sampling
 // grid; later calls emit one sample per crossed boundary (coalesced: a long
 // quiet gap yields a single sample stamped at the event that ended it).
+// The engine calls it per request and most calls cross nothing, so that
+// case is the inlined test here.
 func (s *Sampler) Tick(now float64, fill func(*Sample)) {
+	if s.started && now < s.next {
+		return
+	}
+	s.tick(now, fill)
+}
+
+func (s *Sampler) tick(now float64, fill func(*Sample)) {
 	if !s.started {
 		s.started = true
 		s.prevT = now
@@ -132,10 +141,12 @@ func (s *Sampler) Finish(now float64, fill func(*Sample)) {
 	s.emit(now, fill)
 }
 
+// emit takes a sample in place at the end of the series: a Sample built
+// aside would escape to the heap through fill, one allocation per sample.
 func (s *Sampler) emit(now float64, fill func(*Sample)) {
-	var sm Sample
-	sm.TimeMs = now
-	fill(&sm)
+	s.samples = append(s.samples, Sample{TimeMs: now})
+	sm := &s.samples[len(s.samples)-1]
+	fill(sm)
 	sm.Requests = s.intReads + s.intWrites
 	if s.intReads > 0 {
 		sm.ReadMeanMs = s.intReadLat / float64(s.intReads)
@@ -168,9 +179,8 @@ func (s *Sampler) emit(now float64, fill func(*Sample)) {
 	s.prevT = now
 	s.intReads, s.intWrites = 0, 0
 	s.intReadLat, s.intWriteLat = 0, 0
-	s.samples = append(s.samples, sm)
 	if s.sink != nil {
-		if err := s.sink.WriteSample(&s.samples[len(s.samples)-1]); err != nil && s.err == nil {
+		if err := s.sink.WriteSample(sm); err != nil && s.err == nil {
 			s.err = err
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"across/internal/acrossftl"
+	"across/internal/obs"
 	"across/internal/ssdconf"
 	"across/internal/workload"
 )
@@ -61,6 +62,80 @@ func TestSteadyStateReplayAllocations(t *testing.T) {
 			if allocs > maxPerReplay {
 				t.Errorf("steady-state replay allocates %.0f objects, ceiling %d — hot path regressed",
 					allocs, maxPerReplay)
+			}
+		})
+	}
+}
+
+// TestSampledReplayAllocations bounds what a sampler adds to a steady-state
+// replay's allocations: the sampler and the feed it reads through, one slab
+// of busy columns per slabSamples samples, and the series growing as append
+// grows it — nothing per request and nothing else per sample. The replay
+// is sampled on a 1 ms grid, so it takes thousands of samples.
+func TestSampledReplayAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are the race detector's under -race")
+	}
+	reqs := smallTrace(t, 0.01)
+	for _, e := range schemes {
+		kind := e.kind
+		t.Run(string(kind), func(t *testing.T) {
+			r, err := NewRunner(kind, smallConf())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Age(DefaultAging()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Replay(reqs); err != nil { // warm scratch buffers
+				t.Fatal(err)
+			}
+			var (
+				replayErr error
+				samples   int
+			)
+			measure := func(sampled bool) float64 {
+				return testing.AllocsPerRun(3, func() {
+					var smp *obs.Sampler
+					if sampled {
+						if smp, replayErr = obs.NewSampler(1); replayErr != nil {
+							return
+						}
+					}
+					r.SetSampler(smp)
+					if _, err := r.Replay(reqs); err != nil {
+						replayErr = err
+					}
+					if smp != nil {
+						samples = len(smp.Samples())
+					}
+				})
+			}
+			plain := measure(false)
+			sampled := measure(true)
+			if replayErr != nil {
+				t.Fatal(replayErr)
+			}
+			// The slabs; the series' growth, counted by making the same
+			// appends; and the sampler, the feed, its fill func, its
+			// in-flight window and the previous sample's busy column.
+			var series []obs.Sample
+			grows := 0
+			for range samples {
+				if len(series) == cap(series) {
+					grows++
+				}
+				series = append(series, obs.Sample{})
+			}
+			bound := float64(samples/slabSamples+1+grows) + 5
+			t.Logf("%s: %d samples, %.0f allocs sampled, %.0f plain, bound %.0f over plain",
+				kind, samples, sampled, plain, bound)
+			if samples < 1000 {
+				t.Fatalf("only %d samples: the replay does not exercise the slab", samples)
+			}
+			if sampled-plain > bound {
+				t.Errorf("a sampled replay allocates %.0f more than a plain one, bound %.0f for %d samples",
+					sampled-plain, bound, samples)
 			}
 		})
 	}

@@ -281,8 +281,8 @@ func (r *Runner) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int) 
 	spp := r.Conf.SectorsPerPage()
 
 	// Observability (nil-guarded: the untraced replay pays one branch per
-	// site and zero allocations). The sampler tracks its own in-flight set
-	// (completions) so queue depth is observable even in open-loop mode.
+	// site and zero allocations). The sampler's feed tracks its own
+	// in-flight set so queue depth is observable even in open-loop mode.
 	trc := r.tracer
 	dev.SetTracer(trc)
 	// Verification (nil-guarded like the tracer: the unchecked replay pays
@@ -296,15 +296,12 @@ func (r *Runner) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int) 
 	}
 	smp := r.sampler
 	var (
-		obsInflight      completions
-		hostPagesWritten int64
-		obsLastDone      float64
-		fill             func(*obs.Sample)
+		feed *sampleFeed
+		fill func(*obs.Sample)
 	)
 	if smp != nil {
-		fill = func(sm *obs.Sample) {
-			r.fillSample(sm, res, len(obsInflight), hostPagesWritten)
-		}
+		feed = r.newSampleFeed(res)
+		fill = feed.fill
 	}
 
 	pf := r.hinter()
@@ -313,10 +310,9 @@ func (r *Runner) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int) 
 			hintAhead(pf, reqs, i)
 		}
 		if smp != nil {
-			// Retire the sampler's in-flight view and advance its clock
-			// before dispatch, so a boundary sample sees the state as of
-			// this arrival, excluding the request being dispatched.
-			obsInflight.retire(issue)
+			// Advance the sampler's clock before dispatch, so a boundary
+			// sample sees the state as of this arrival, excluding the
+			// request being dispatched.
 			smp.Tick(issue, fill)
 		}
 		if trc != nil {
@@ -343,13 +339,7 @@ func (r *Runner) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int) 
 		}
 		if smp != nil {
 			smp.Note(req.Op == trace.OpWrite, s.Done-req.Time)
-			if req.Op == trace.OpWrite {
-				hostPagesWritten += req.LastLPN(spp) - req.FirstLPN(spp) + 1
-			}
-			obsInflight.push(s.Done)
-			if s.Done > obsLastDone {
-				obsLastDone = s.Done
-			}
+			feed.served(req, issue, s.Done)
 		}
 		return s, nil
 	}
@@ -369,64 +359,17 @@ func (r *Runner) ReplayQDCtx(ctx context.Context, reqs []trace.Request, qd int) 
 		// finish after the chip-busy horizon, and arrivals can trail the
 		// horizon on idle tails.
 		end := dev.Sched.Horizon()
-		if obsLastDone > end {
-			end = obsLastDone
+		if feed.lastDone > end {
+			end = feed.lastDone
 		}
 		if n := len(reqs); n > 0 && reqs[n-1].Time > end {
 			end = reqs[n-1].Time
 		}
-		// Retire everything that completes by then so the closing sample
-		// reports the drained queue.
-		obsInflight.retire(end)
+		// The closing sample counts its queue depth at end, so it reports
+		// the drained queue.
 		smp.Finish(end, fill)
 	}
 	return res, nil
-}
-
-// completions is the sampler's in-flight set: the completion times of the
-// requests dispatched and not yet retired, kept as a min-heap so that
-// retiring every completion up to an arrival pops from the top — O(log n)
-// a request — where rescanning the whole set cost O(backlog), which grows
-// without bound in open loop. Its length is the queue depth.
-type completions []float64
-
-// push adds the completion time t.
-func (h *completions) push(t float64) {
-	q := append(*h, t)
-	for i := len(q) - 1; i > 0; {
-		p := (i - 1) / 2
-		if q[p] <= q[i] {
-			break
-		}
-		q[p], q[i] = q[i], q[p]
-		i = p
-	}
-	*h = q
-}
-
-// retire drops every completion at or before t.
-func (h *completions) retire(t float64) {
-	q := *h
-	for len(q) > 0 && q[0] <= t {
-		n := len(q) - 1
-		q[0] = q[n]
-		q = q[:n]
-		for i := 0; ; {
-			m := 2*i + 1
-			if m >= n {
-				break
-			}
-			if r := m + 1; r < n && q[r] < q[m] {
-				m = r
-			}
-			if q[i] <= q[m] {
-				break
-			}
-			q[i], q[m] = q[m], q[i]
-			i = m
-		}
-	}
-	*h = q
 }
 
 // Run is the one-call convenience: build, age, replay.

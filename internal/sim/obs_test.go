@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -157,47 +158,103 @@ type countingTracer struct {
 
 func (c *countingTracer) RequestStart(int64, bool, uint8, int64, int64, int, float64) { c.events++ }
 
-// TestCompletionsDepthMatchesSliceScan: the sampler's in-flight heap reports,
-// after every retirement, the queue depth the slice rescan it replaced did,
-// on an open-loop stream whose service is far slower than its arrivals, so
-// the backlog builds into the hundreds, with every fifth arrival landing
-// exactly on the earliest outstanding completion; then the queue drains.
-func TestCompletionsDepthMatchesSliceScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var heap completions
-	var scan []float64
-	retire := func(at float64) {
-		kept := scan[:0]
-		for _, c := range scan {
-			if c > at {
-				kept = append(kept, c)
+// sliceScan is the reference in-flight set: the completions of the
+// requests served, rescanned at every issue.
+type sliceScan []float64
+
+// retire drops every completion at or before t.
+func (s *sliceScan) retire(t float64) {
+	kept := (*s)[:0]
+	for _, c := range *s {
+		if c > t {
+			kept = append(kept, c)
+		}
+	}
+	*s = kept
+}
+
+// TestInflightDepthMatchesSliceScan: the lazy count reports, whenever it is
+// asked, the depth the slice rescan reports after retiring at every issue.
+// The stream's service is far slower than its arrivals, so the backlog
+// builds into the hundreds; every fifth arrival lands exactly on the
+// earliest outstanding completion, one in eight goes backwards by up to
+// 50 ms, and under a queue depth a full queue defers the issue to the
+// earliest completion, as Drive does. The count is asked at every issue,
+// at random ones and at none before the queue drains.
+func TestInflightDepthMatchesSliceScan(t *testing.T) {
+	for _, qd := range []int{0, 4, 32} {
+		for _, ask := range []float64{1, 0.1, 0} {
+			t.Run(fmt.Sprintf("qd%d/ask%.1f", qd, ask), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(qd) + 1))
+				f := inflight{limit: windowMin}
+				var scan sliceScan
+				now, last, deepest := 0.0, 0.0, 0
+				for i := 0; i < 20000; i++ {
+					now += rng.ExpFloat64()
+					issue := now
+					if rng.Intn(8) == 0 {
+						issue -= 50 * rng.Float64()
+					}
+					if i%5 == 0 && len(scan) > 0 {
+						issue = max(issue, slices.Min(scan))
+					}
+					scan.retire(issue)
+					for qd > 0 && len(scan) >= qd {
+						issue = slices.Min(scan)
+						scan.retire(issue)
+					}
+					if rng.Float64() < ask {
+						if got := f.depth(issue); got != len(scan) {
+							t.Fatalf("request %d issued at %.3f: depth %d, slice scan %d", i, issue, got, len(scan))
+						}
+					}
+					deepest = max(deepest, len(scan))
+					done := issue + 400*rng.Float64()
+					f.add(issue, done)
+					scan = append(scan, done)
+					last = max(last, done)
+				}
+				if qd == 0 && deepest < 100 {
+					t.Fatalf("backlog peaked at %d: the stream never built a queue", deepest)
+				}
+				if got := f.depth(last); got != 0 {
+					t.Fatalf("after the last completion: depth %d", got)
+				}
+			})
+		}
+	}
+}
+
+// TestInflightWindowBounded: when no sample asks for a depth — a sampling
+// interval longer than the trace — the window still compacts, so the set
+// holds at most the backlog plus one window, whether the backlog stays
+// shallow or grows with the stream.
+func TestInflightWindowBounded(t *testing.T) {
+	for _, service := range []float64{3, 1.5} { // latest completion in ms after a 1 ms mean gap
+		rng := rand.New(rand.NewSource(7))
+		f := inflight{limit: windowMin}
+		var scan sliceScan
+		now, longest, deepest := 0.0, 0, 0
+		for i := 0; i < 200000; i++ {
+			now += 2 * rng.Float64()
+			scan.retire(now)
+			deepest = max(deepest, len(scan))
+			done := now + service*rng.Float64()
+			if service < 2 && i%1000 == 0 {
+				done += 1e9 // a stuck request every thousand: the backlog grows
 			}
+			f.add(now, done)
+			scan = append(scan, done)
+			longest = max(longest, len(f.q))
 		}
-		scan = kept
-		heap.retire(at)
-	}
-	now, last, deepest := 0.0, 0.0, 0
-	for i := 0; i < 20000; i++ {
-		now += rng.ExpFloat64()
-		if i%5 == 0 && len(scan) > 0 {
-			now = max(now, slices.Min(scan))
+		if bound := deepest + 1 + max(windowMin, deepest+1); longest > bound {
+			t.Errorf("service %.1f ms: the set held %d requests, backlog peaked at %d, bound %d",
+				service, longest, deepest, bound)
 		}
-		retire(now)
-		if len(heap) != len(scan) {
-			t.Fatalf("request %d at %.3f: heap depth %d, slice scan %d", i, now, len(heap), len(scan))
+		t.Logf("service %.1f ms: set peaked at %d entries, backlog at %d", service, longest, deepest)
+		if got := f.depth(now); got != len(scan) {
+			t.Errorf("service %.1f ms: depth %d at the end, slice scan %d", service, got, len(scan))
 		}
-		deepest = max(deepest, len(scan))
-		done := now + 400*rng.Float64()
-		heap.push(done)
-		scan = append(scan, done)
-		last = max(last, done)
-	}
-	if deepest < 100 {
-		t.Fatalf("backlog peaked at %d: the stream never built a queue", deepest)
-	}
-	retire(last)
-	if len(heap) != 0 || len(scan) != 0 {
-		t.Fatalf("after the last completion: heap depth %d, slice scan %d", len(heap), len(scan))
 	}
 }
 

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -238,23 +237,37 @@ func parseOp(f []byte, msr bool) (Op, bool) {
 	return 0, false
 }
 
-// Writer emits requests in the SYSTOR CSV format.
+// writeChunk is the size of every write a Writer hands its destination but
+// the last: the size of the bufio.Writer it replaces, so a destination that
+// grows per write, such as a bytes.Buffer, grows as it did.
+const writeChunk = 4096
+
+// Writer emits requests in the SYSTOR CSV format. It builds each line in
+// place at the end of its output buffer and writes the buffer out a chunk
+// at a time, so a byte is copied once, or twice when its line straddles a
+// chunk's end. The first error from the destination sticks: every later
+// Write and Flush returns it.
 type Writer struct {
-	w    *bufio.Writer
-	lun  int
-	line []byte // the line being built, reused
+	dst io.Writer
+	lun int
+	buf []byte // lines not yet written out
+	err error
 }
 
 // NewWriter creates a Writer; lun fills the trace's LUN column.
 func NewWriter(w io.Writer, lun int) *Writer {
-	return &Writer{w: bufio.NewWriter(w), lun: lun}
+	// Past the chunk, room for a line of any finite timestamp.
+	return &Writer{dst: w, lun: lun, buf: make([]byte, 0, writeChunk+512)}
 }
 
 // Write emits one request, formatted as "%.6f,%.6f,%s,%d,%d,%d\n" of the
 // timestamp in seconds, a zero response time, the op, the LUN and the byte
 // offset and size.
 func (w *Writer) Write(req Request) error {
-	b := appendMicros(w.line[:0], req.Time/1000)
+	if w.err != nil {
+		return w.err
+	}
+	b := appendMicros(w.buf, req.Time/1000)
 	b = append(b, ",0.000000,"...)
 	b = append(b, req.Op.String()...)
 	b = append(b, ',')
@@ -263,13 +276,32 @@ func (w *Writer) Write(req Request) error {
 	b = strconv.AppendInt(b, req.Offset*512, 10)
 	b = append(b, ',')
 	b = strconv.AppendInt(b, int64(req.Count)*512, 10)
-	w.line = append(b, '\n')
-	_, err := w.w.Write(w.line)
-	return err
+	w.buf = append(b, '\n')
+	for len(w.buf) >= writeChunk && w.err == nil {
+		if w.writeOut(w.buf[:writeChunk]) == nil {
+			w.buf = w.buf[:copy(w.buf, w.buf[writeChunk:])]
+		}
+	}
+	return w.err
 }
 
-// Flush flushes buffered output; call it once after the last Write.
-func (w *Writer) Flush() error { return w.w.Flush() }
+// Flush writes out buffered lines; call it once after the last Write.
+func (w *Writer) Flush() error {
+	if w.err == nil && len(w.buf) > 0 && w.writeOut(w.buf) == nil {
+		w.buf = w.buf[:0]
+	}
+	return w.err
+}
+
+// writeOut hands p to the destination, keeping the first error.
+func (w *Writer) writeOut(p []byte) error {
+	n, err := w.dst.Write(p)
+	if err == nil && n < len(p) {
+		err = io.ErrShortWrite
+	}
+	w.err = err
+	return err
+}
 
 // appendMicros appends x as strconv.AppendFloat(dst, x, 'f', 6, 64) does,
 // byte for byte. strconv's shortcut covers only shortest and 'e'/'g'

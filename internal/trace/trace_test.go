@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -327,5 +329,68 @@ func TestCountAtInt32Max(t *testing.T) {
 	reqs, err := ReadAll(strings.NewReader(line))
 	if err != nil || len(reqs) != 1 || reqs[0].Count != maxCount || reqs[0].Offset != 0 {
 		t.Fatalf("ReadAll(%q) = (%v, %v), want one request of %d sectors", line, reqs, err, maxCount)
+	}
+}
+
+// limitWriter accepts n bytes, then fails every write: whole when it can,
+// else short by what is left or with err.
+type limitWriter struct {
+	n     int
+	err   error
+	calls int
+}
+
+func (l *limitWriter) Write(p []byte) (int, error) {
+	l.calls++
+	if len(p) <= l.n {
+		l.n -= len(p)
+		return len(p), nil
+	}
+	n := l.n
+	l.n = 0
+	return n, l.err
+}
+
+// TestWriterErrorSticks: the first failed or short write to the destination
+// is returned by the Write or Flush that made it and by every later one,
+// and nothing more is written after it.
+func TestWriterErrorSticks(t *testing.T) {
+	boom := fmt.Errorf("disk full")
+	for _, tc := range []struct {
+		name string
+		err  error // what the destination returns on its short write
+		want error
+	}{{"failed", boom, boom}, {"short", nil, io.ErrShortWrite}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dst := &limitWriter{n: 100 << 10, err: tc.err}
+			w := NewWriter(dst, 1)
+			r := Request{Time: 1, Op: OpWrite, Offset: 8, Count: 8}
+			var err error
+			for i := 0; i < 1e5 && err == nil; i++ {
+				err = w.Write(r)
+			}
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("Write returned %v, want %v", err, tc.want)
+			}
+			calls := dst.calls
+			if err := w.Write(r); !errors.Is(err, tc.want) {
+				t.Errorf("Write after the failure returned %v", err)
+			}
+			if err := w.Flush(); !errors.Is(err, tc.want) {
+				t.Errorf("Flush after the failure returned %v", err)
+			}
+			if dst.calls != calls {
+				t.Errorf("%d writes reached the destination after it failed", dst.calls-calls)
+			}
+		})
+	}
+	// A failure on the last, partial chunk surfaces at Flush.
+	dst := &limitWriter{n: 10, err: boom}
+	w := NewWriter(dst, 1)
+	if err := w.Write(Request{Time: 1, Op: OpRead, Offset: 8, Count: 8}); err != nil {
+		t.Fatalf("Write of one line returned %v before anything was written out", err)
+	}
+	if err := w.Flush(); !errors.Is(err, boom) {
+		t.Fatalf("Flush returned %v, want %v", err, boom)
 	}
 }
