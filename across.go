@@ -231,12 +231,6 @@ func OpenTraceFile(path string, chips int) (Tracer, io.Closer, error) {
 	return obs.OpenTrace(path, chips)
 }
 
-// OpenMetricsFile creates a metrics JSONL sink at path and returns it
-// attached-ready for Sampler.SetSink; the closer flushes and closes.
-func OpenMetricsFile(path string) (*obs.JSONLMetrics, io.Closer, error) {
-	return obs.OpenMetrics(path)
-}
-
 // Checker drives the correctness-verification layer during a replay: a
 // data-integrity shadow model consulted after every host request and a
 // device-wide invariant audit run periodically and at end of run. Install one

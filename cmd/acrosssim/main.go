@@ -12,6 +12,7 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -20,6 +21,7 @@ import (
 
 	"across"
 	"across/internal/fleet"
+	"across/internal/obs"
 	"across/internal/report"
 	"across/internal/runspec"
 	"across/internal/sim"
@@ -232,40 +234,42 @@ func main() {
 		closers = append(closers, c)
 	}
 	var smp *across.Sampler
+	var metrics *os.File
 	if *metricsOut != "" || *timeline != "" {
 		smp, err = across.NewSampler(*metricsInt)
 		if err != nil {
 			fatal(err)
 		}
-		if *metricsOut != "" {
-			sink, c, err := across.OpenMetricsFile(*metricsOut)
-			if err != nil {
-				fatal(err)
-			}
-			smp.SetSink(sink)
-			closers = append(closers, c)
-		}
 		r.SetSampler(smp)
+	}
+	if *metricsOut != "" {
+		if metrics, err = os.Create(*metricsOut); err != nil {
+			fatal(err)
+		}
 	}
 
 	res, err := r.ReplayQD(reqs, sp.QD)
 	if err != nil {
 		fatal(err)
 	}
-	// Close every artifact writer even if one fails: a failed close means a
-	// truncated -trace-out/-metrics-out file, so report each and exit nonzero.
-	closeFailed := false
-	for _, c := range closers {
-		if err := c.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "acrosssim:", err)
-			closeFailed = true
+	// Write the series, then close every artifact writer even if one fails:
+	// a failure means a truncated -trace-out/-metrics-out file, so report
+	// each and exit nonzero.
+	var errs []error
+	if metrics != nil {
+		bw := bufio.NewWriter(metrics)
+		err := obs.WriteNDJSON(bw, smp.Samples())
+		if err == nil {
+			err = bw.Flush()
 		}
+		errs = append(errs, err)
+		closers = append(closers, metrics)
 	}
-	if closeFailed {
-		os.Exit(1)
+	for _, c := range closers {
+		errs = append(errs, c.Close())
 	}
-	if smp != nil && smp.Err() != nil {
-		fatal(smp.Err())
+	if err := errors.Join(errs...); err != nil {
+		fatal(err)
 	}
 
 	c := res.Counters

@@ -3,6 +3,8 @@ package across_test
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -53,7 +55,9 @@ func TestAcrosssimSmoke(t *testing.T) {
 // TestAcrosssimTraceArtifacts runs a traced, sampled replay through the CLI
 // and reads both artifacts back: the Chrome trace must be one JSON document
 // that holds events, and the metrics series one JSON object per line whose
-// closing sample has counted requests.
+// closing sample has counted requests. The series' bytes are pinned: the
+// replay is deterministic, and one json.Encoder line per sample is the
+// format every reader of a series gets.
 func TestAcrosssimTraceArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go run")
@@ -93,6 +97,10 @@ func TestAcrosssimTraceArtifacts(t *testing.T) {
 	}
 	if sample.CumRequests <= 0 {
 		t.Fatalf("the closing sample has %d requests", sample.CumRequests)
+	}
+	const wantSHA = "e85e9c8e19aa52b46af99054c093c0ee7a35cdb6631a9e72b1eadb6fa07a00ca"
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != wantSHA {
+		t.Errorf("metrics file hashes to %x, want %s", sum, wantSHA)
 	}
 	t.Logf("%d trace events, %d metric samples, final: %d requests", len(doc.TraceEvents), len(lines), sample.CumRequests)
 }

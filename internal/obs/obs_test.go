@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -277,41 +278,28 @@ func TestSamplerBusyFractionDelta(t *testing.T) {
 	}
 }
 
-type failSink struct{}
-
-func (failSink) WriteSample(*Sample) error { return os.ErrClosed }
-
-func TestSamplerSinkErrorSticks(t *testing.T) {
-	s, err := NewSampler(10)
-	if err != nil {
-		t.Fatal(err)
+// TestWriteNDJSONRoundTrip: the one formatter writes one JSON object per
+// line, and each line decodes back to the sample it was written from.
+func TestWriteNDJSONRoundTrip(t *testing.T) {
+	in := []Sample{
+		{TimeMs: 5, CumRequests: 3, WAF: 1.5},
+		{TimeMs: 10, Requests: 2, ChipBusyFrac: []float64{0.25, 1}, ChipBusyMs: []float64{2.5, 10}, Custom: map[string]float64{"x": -1}},
 	}
-	s.SetSink(failSink{})
-	fill := func(sm *Sample) {}
-	s.Tick(0, fill)
-	s.Tick(10, fill)
-	if s.Err() == nil {
-		t.Error("sink failure not surfaced via Err")
-	}
-	if len(s.Samples()) != 1 {
-		t.Errorf("samples still retained in memory: got %d, want 1", len(s.Samples()))
-	}
-}
-
-func TestJSONLMetricsRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	m := NewJSONLMetrics(&buf)
-	if err := m.WriteSample(&Sample{TimeMs: 5, CumRequests: 3, WAF: 1.5}); err != nil {
+	if err := WriteNDJSON(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Flush(); err != nil {
-		t.Fatal(err)
+	lines := bytes.Split(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), []byte("\n"))
+	if len(lines) != len(in) {
+		t.Fatalf("%d lines for %d samples:\n%s", len(lines), len(in), buf.Bytes())
 	}
-	var got Sample
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.TimeMs != 5 || got.CumRequests != 3 || got.WAF != 1.5 {
-		t.Errorf("round trip gave %+v", got)
+	for i, line := range lines {
+		var got Sample
+		if err := json.Unmarshal(line, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, in[i]) {
+			t.Errorf("line %d round trips to %+v, want %+v", i+1, got, in[i])
+		}
 	}
 }

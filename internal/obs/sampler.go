@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
 // Sample is one periodic snapshot of the simulator's time-series metrics.
@@ -45,9 +43,12 @@ type Sample struct {
 	Custom map[string]float64 `json:"custom,omitempty"`
 }
 
-// MetricsSink receives finished samples.
+// MetricsSink is handed the sampler's own series after each sample. The
+// series is read-only to it, and it may keep the slice and read it from
+// another goroutine: an emitted sample never changes (its busy columns are
+// never reused), and later samples land past the length it was handed.
 type MetricsSink interface {
-	WriteSample(*Sample) error
+	Publish(series []Sample)
 }
 
 // Sampler snapshots time-series metrics on a simulated-clock interval. The
@@ -70,8 +71,6 @@ type Sampler struct {
 
 	intReads, intWrites     int64
 	intReadLat, intWriteLat float64
-
-	err error
 }
 
 // NewSampler builds a sampler with the given simulated-ms interval.
@@ -82,15 +81,11 @@ func NewSampler(intervalMs float64) (*Sampler, error) {
 	return &Sampler{interval: intervalMs}, nil
 }
 
-// SetSink streams every sample to ms as it is taken (samples are always
-// also retained in memory for Samples()).
+// SetSink publishes the series to ms after every sample.
 func (s *Sampler) SetSink(ms MetricsSink) { s.sink = ms }
 
 // Samples returns the snapshots taken so far.
 func (s *Sampler) Samples() []Sample { return s.samples }
-
-// Err returns the first sink error, if any.
-func (s *Sampler) Err() error { return s.err }
 
 // Note records one completed request (direction and response time) into the
 // current window.
@@ -180,51 +175,18 @@ func (s *Sampler) emit(now float64, fill func(*Sample)) {
 	s.intReads, s.intWrites = 0, 0
 	s.intReadLat, s.intWriteLat = 0, 0
 	if s.sink != nil {
-		if err := s.sink.WriteSample(sm); err != nil && s.err == nil {
-			s.err = err
+		s.sink.Publish(s.samples)
+	}
+}
+
+// WriteNDJSON is the one formatter of a sample series: one json.Encoder
+// line per sample.
+func WriteNDJSON(w io.Writer, samples []Sample) error {
+	enc := json.NewEncoder(w)
+	for i := range samples {
+		if err := enc.Encode(&samples[i]); err != nil {
+			return err
 		}
 	}
-}
-
-// JSONLMetrics streams samples as one JSON object per line.
-type JSONLMetrics struct {
-	w   *bufio.Writer
-	enc *json.Encoder
-}
-
-// NewJSONLMetrics builds a JSONL metrics sink on w.
-func NewJSONLMetrics(w io.Writer) *JSONLMetrics {
-	bw := bufio.NewWriterSize(w, 1<<15)
-	return &JSONLMetrics{w: bw, enc: json.NewEncoder(bw)}
-}
-
-// WriteSample implements MetricsSink.
-func (m *JSONLMetrics) WriteSample(s *Sample) error { return m.enc.Encode(s) }
-
-// Flush drains the buffer.
-func (m *JSONLMetrics) Flush() error { return m.w.Flush() }
-
-// OpenMetrics opens path as a JSONL metrics sink; the returned closer
-// flushes and closes the file.
-func OpenMetrics(path string) (*JSONLMetrics, io.Closer, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := NewJSONLMetrics(f)
-	return m, &flushCloser{m: m, f: f}, nil
-}
-
-type flushCloser struct {
-	m *JSONLMetrics
-	f *os.File
-}
-
-func (fc *flushCloser) Close() error {
-	ferr := fc.m.Flush()
-	cerr := fc.f.Close()
-	if ferr != nil {
-		return ferr
-	}
-	return cerr
+	return nil
 }

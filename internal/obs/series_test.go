@@ -22,13 +22,7 @@ import (
 func ndjson(t testing.TB, samples []Sample) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	sink := NewJSONLMetrics(&buf)
-	for i := range samples {
-		if err := sink.WriteSample(&samples[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Flush(); err != nil {
+	if err := WriteNDJSON(&buf, samples); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -6,91 +6,99 @@ import (
 	"across/internal/obs"
 )
 
-// progressHub fans one job's sampled metrics out to any number of HTTP
-// progress streams. It implements obs.MetricsSink, so it plugs straight
-// into the replay's Sampler: the simulator pushes samples as simulated time
-// advances, subscribers receive the full history then live updates, and
-// closing the hub (job finished) ends every stream. Once the job's series is
-// in the store the hub is released: it drops its history and later readers
-// are served the stored file.
+// progressHub lets any number of HTTP progress streams walk one job's sample
+// series. It keeps no samples of its own: it implements obs.MetricsSink, so
+// the replay's Sampler publishes its own series to it after each sample, and
+// each stream writes series[sent:] at its own cursor — a slow stream falls
+// behind without losing a sample, and the simulator never waits for one.
+// Publishing wakes the waiting streams by closing one channel; wakes
+// coalesce. Closing the hub (job finished) lets every stream drain to the
+// end and stop. Once the job's series is in the store the hub is released:
+// later readers are served the stored file, and the hub lets go of the
+// series when the last stream already reading it ends.
 type progressHub struct {
 	mu       sync.Mutex
-	samples  []obs.Sample
-	subs     map[chan obs.Sample]struct{}
+	series   []obs.Sample  // the sampler's series as last published
+	changed  chan struct{} // closed by the next Publish or Close; nil until a stream waits
+	readers  int
 	closed   bool
 	released bool
 }
 
-func newProgressHub() *progressHub {
-	return &progressHub{subs: make(map[chan obs.Sample]struct{})}
-}
-
-// WriteSample implements obs.MetricsSink. A slow subscriber never blocks
-// the simulator: its channel send is dropped when full (the subscriber
-// still has the retained history for catch-up).
-func (h *progressHub) WriteSample(s *obs.Sample) error {
+// Publish implements obs.MetricsSink. A retried attempt replays to the same
+// series: its publishes are ignored until they pass what was published.
+func (h *progressHub) Publish(series []obs.Sample) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
-		return nil
+	if len(series) <= len(h.series) {
+		return
 	}
-	h.samples = append(h.samples, *s)
-	for ch := range h.subs {
-		select {
-		case ch <- *s:
-		default:
-		}
-	}
-	return nil
+	h.series = series
+	h.wake()
 }
 
-// Subscribe returns the history so far plus a channel of future samples.
-// The channel is closed when the hub closes; cancel detaches early. A nil or
-// released hub has neither: ok is false and the series, if any, is stored.
-func (h *progressHub) Subscribe() (history []obs.Sample, ch <-chan obs.Sample, cancel func(), ok bool) {
+func (h *progressHub) wake() {
+	if h.changed != nil {
+		close(h.changed)
+		h.changed = nil
+	}
+}
+
+// subscribe registers a stream, which calls unsubscribe when it ends. A nil
+// or released hub takes none: the series, if any, is stored.
+func (h *progressHub) subscribe() bool {
 	if h == nil {
-		return nil, nil, nil, false
+		return false
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.released {
-		return nil, nil, nil, false
+		return false
 	}
-	history = append([]obs.Sample(nil), h.samples...)
-	c := make(chan obs.Sample, 256)
-	if h.closed {
-		close(c)
-		return history, c, func() {}, true
-	}
-	h.subs[c] = struct{}{}
-	return history, c, func() {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		if _, ok := h.subs[c]; ok {
-			delete(h.subs, c)
-			close(c)
-		}
-	}, true
+	h.readers++
+	return true
 }
 
-// Release drops the retained history: the job's series and entry are stored.
-// Streams already subscribed hold their own copy and end at Close.
+func (h *progressHub) unsubscribe() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.readers--
+	h.drop()
+}
+
+// next returns the series published so far and a channel closed when there
+// is more; the channel is nil once the hub is closed and the series whole.
+func (h *progressHub) next() ([]obs.Sample, <-chan struct{}) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.closed {
+		return h.series, nil
+	}
+	if h.changed == nil {
+		h.changed = make(chan struct{})
+	}
+	return h.series, h.changed
+}
+
+// Release marks the job's series and entry stored.
 func (h *progressHub) Release() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.released, h.samples = true, nil
+	h.released = true
+	h.drop()
 }
 
-// Close ends every subscription; further WriteSamples are dropped.
+func (h *progressHub) drop() {
+	if h.released && h.readers == 0 {
+		h.series = nil
+	}
+}
+
+// Close ends every stream once it has written the whole series: the job's
+// run has returned.
 func (h *progressHub) Close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
 	h.closed = true
-	for ch := range h.subs {
-		delete(h.subs, ch)
-		close(ch)
-	}
+	h.wake()
 }

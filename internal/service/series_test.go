@@ -116,7 +116,7 @@ func TestRestartServesStoredSeries(t *testing.T) {
 		t.Fatalf("sibling file: %v, %d bytes, want under half the artifact's %d", err, len(sibling), len(artifact))
 	}
 	var stored bytes.Buffer
-	if samples, err := obs.DecodeSeries(sibling); err != nil || writeNDJSON(&stored, samples...) != nil || !bytes.Equal(stored.Bytes(), artifact) {
+	if samples, err := obs.DecodeSeries(sibling); err != nil || obs.WriteNDJSON(&stored, samples) != nil || !bytes.Equal(stored.Bytes(), artifact) {
 		t.Fatalf("sibling file decodes (%v) to %d bytes of NDJSON, want the artifact's %d", err, stored.Len(), len(artifact))
 	}
 	entry, err := os.ReadFile(filepath.Join(dir, st.Key[:2], st.Key+".json"))
@@ -139,11 +139,50 @@ func TestRestartServesStoredSeries(t *testing.T) {
 	}
 }
 
+// TestRetriedJobStreamsOnce: an attempt retried after its store phase
+// failed replays to the same series, and a stream joined at submit carries
+// each sample once — the sampler's series byte for byte — then ends with the
+// failed job.
+func TestRetriedJobStreamsOnce(t *testing.T) {
+	dir := t.TempDir()
+	spec := fmt.Sprintf(seriesReplay, 24)
+	var sp runspec.Spec
+	if err := strictUnmarshal([]byte(spec), &sp); err != nil {
+		t.Fatal(err)
+	}
+	sp.Normalise()
+	key, err := sp.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A directory where the sibling goes fails every attempt's putSeries.
+	if err := os.MkdirAll(filepath.Join(dir, key[:2], key+samplesExt), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newTestServer(t, dir)
+	code, st := postJSON(t, ts.URL+"/api/v1/jobs", spec)
+	if code != http.StatusAccepted || st.Key != key {
+		t.Fatalf("submit = %d (status %+v), want 202 for key %s", code, st, key)
+	}
+	stream, err := readProgress(ts.URL+"/api/v1/jobs/"+st.ID+"/progress", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := pollState(t, ts.URL, st.ID, 30*time.Second)
+	if jobs.State(final.State) != jobs.StateFailed || final.Attempts != 2 {
+		t.Fatalf("job finished %s after %d attempts (error %q), want failed after 2", final.State, final.Attempts, final.Error)
+	}
+	if want := simSeries(t, srv, spec); !bytes.Equal(stream, want) {
+		t.Fatalf("the stream carried %d lines, the sampler's series is %d samples",
+			bytes.Count(stream, []byte("\n")), bytes.Count(want, []byte("\n")))
+	}
+}
+
 // retained counts the samples a hub holds.
 func (h *progressHub) retained() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.samples)
+	return len(h.series)
 }
 
 // expectNoSeries checks what a stored entry without a sibling serves: the

@@ -432,7 +432,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The job keeps the trace file's hash, not once's parsed requests: it
 	// re-reads the file itself, and must find the bytes its key names.
 	traceSHA := once.TraceSHA()
-	hub, spl := newProgressHub(), newSpanLog(time.Now())
+	hub, spl := &progressHub{}, newSpanLog(time.Now())
 	job, err := s.sched.Submit(jobs.SubmitOpts{
 		Priority: sp.Priority,
 		Timeout:  time.Duration(sp.TimeoutMs) * time.Millisecond,
@@ -615,18 +615,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// writeNDJSON is the one formatter of samples — a live job's history and
-// stream, a finished job's stored series: one json.Encoder line each.
-func writeNDJSON(w io.Writer, samples ...obs.Sample) error {
-	enc := json.NewEncoder(w)
-	for i := range samples {
-		if err := enc.Encode(&samples[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // maxSeriesBytes bounds the sibling serveSeries will read into memory; a
 // full-length Table 2 replay (100 x the 431 samples of a scale-0.01 job)
 // stores about 18 MB.
@@ -658,12 +646,12 @@ func (s *Server) serveSeries(w http.ResponseWriter, rec *jobRecord) bool {
 		return false
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	writeNDJSON(w, samples...)
+	obs.WriteNDJSON(w, samples)
 	return true
 }
 
-// handleProgress streams a job's metric samples as NDJSON: first the
-// retained history, then live samples until the job finishes. For a
+// handleProgress streams a job's metric samples as NDJSON: the series so
+// far, then each sample as it is taken, until the job finishes. For a
 // succeeded (or cache-served) job the stored series is formatted and the
 // stream ends.
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
@@ -673,30 +661,27 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	history, live, cancel, ok := rec.hub.Subscribe()
-	if !ok {
+	if !rec.hub.subscribe() {
 		s.serveSeries(w, rec)
 		return
 	}
-	defer cancel()
+	defer rec.hub.unsubscribe()
 	flusher, _ := w.(http.Flusher)
-	flush := func() {
+	for sent := 0; ; {
+		series, changed := rec.hub.next()
+		if obs.WriteNDJSON(w, series[sent:]) != nil {
+			return
+		}
+		sent = len(series)
 		if flusher != nil {
 			flusher.Flush()
 		}
-	}
-	writeNDJSON(w, history...)
-	flush()
-	clientGone := r.Context().Done()
-	for {
+		if changed == nil {
+			return
+		}
 		select {
-		case sm, ok := <-live:
-			if !ok {
-				return
-			}
-			writeNDJSON(w, sm)
-			flush()
-		case <-clientGone:
+		case <-changed:
+		case <-r.Context().Done():
 			return
 		}
 	}

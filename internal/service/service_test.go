@@ -24,13 +24,14 @@ import (
 // newTestServer spins up a Server over dir behind an httptest listener.
 func newTestServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(Config{
-		StoreDir: dir,
-		Workers:  4,
-		QueueCap: 512,
-		Retries:  1,
-		Backoff:  time.Millisecond,
-	})
+	return newTestServerConfig(t, Config{StoreDir: dir})
+}
+
+// newTestServerConfig is newTestServer with cfg's other members kept.
+func newTestServerConfig(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	cfg.Workers, cfg.QueueCap, cfg.Retries, cfg.Backoff = 4, 512, 1, time.Millisecond
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,62 +448,101 @@ func TestCorruptStoreEntryIsRerun(t *testing.T) {
 	}
 }
 
-// TestProgressStream reads a job's NDJSON progress stream and checks it
-// carries well-formed, time-ordered samples and terminates when the job
-// does.
+// TestProgressStream: every /progress stream carries the job's whole
+// series, each sample once and byte for byte what /artifacts/metrics serves
+// — a reader joined at submit that pauses after every line, one joined while
+// the job runs and one joined after it finished — on a job with more samples
+// than a 256-sample buffer holds.
 func TestProgressStream(t *testing.T) {
-	_, ts := newTestServer(t, t.TempDir())
+	_, ts := newTestServerConfig(t, Config{StoreDir: t.TempDir(), SampleIntervalMs: 10})
 	code, st := postJSON(t, ts.URL+"/api/v1/jobs",
-		`{"type":"replay","scheme":"Across-FTL","profile":"lun3","scale":0.05,"seed":4}`)
+		`{"type":"replay","scheme":"Across-FTL","profile":"lun1","scale":0.01,"seed":4}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d, want 202", code)
 	}
-	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + st.ID + "/progress")
+	url := ts.URL + "/api/v1/jobs/" + st.ID + "/progress"
+	type read struct {
+		body []byte
+		err  error
+	}
+	slow, mid := make(chan read, 1), make(chan read, 1)
+	first := make(chan struct{})
+	go func() {
+		b, err := readProgress(url, 20*time.Microsecond, first)
+		slow <- read{b, err}
+	}()
+	go func() {
+		<-first
+		b, err := readProgress(url, 0, nil)
+		mid <- read{b, err}
+	}()
+	if final := pollState(t, ts.URL, st.ID, 30*time.Second); jobs.State(final.State) != jobs.StateSucceeded {
+		t.Fatalf("job finished %s (error %q)", final.State, final.Error)
+	}
+	late, err := readProgress(url, 0, nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("reader joined after the job: %v", err)
+	}
+	_, artifact := fetchBytes(t, ts.URL+"/api/v1/jobs/"+st.ID+"/artifacts/metrics")
+	if n := bytes.Count(artifact, []byte("\n")); n <= 256 {
+		t.Fatalf("the artifact holds %d samples, want more than 256", n)
+	}
+	for _, r := range []struct {
+		name string
+		read
+	}{{"joined at submit, throttled", <-slow}, {"joined mid-run", <-mid}, {"joined after the job", read{late, nil}}} {
+		if r.err != nil {
+			t.Fatalf("reader %s: %v", r.name, r.err)
+		}
+		if !bytes.Equal(r.body, artifact) {
+			t.Errorf("reader %s got %d samples (%d bytes), the artifact has %d (%d bytes)", r.name,
+				bytes.Count(r.body, []byte("\n")), len(r.body), bytes.Count(artifact, []byte("\n")), len(artifact))
+		}
+	}
+}
+
+// readProgress reads a /progress stream to its end, sleeping pause after
+// every line, and checks it is NDJSON of time-ordered samples. first, when
+// not nil, is closed once the first line is in.
+func readProgress(url string, pause time.Duration, first chan<- struct{}) ([]byte, error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("progress Content-Type = %q", ct)
+		return nil, fmt.Errorf("progress Content-Type = %q", ct)
 	}
-	var n int
+	defer func() {
+		if first != nil {
+			close(first)
+		}
+	}()
+	var out bytes.Buffer
+	br := bufio.NewReader(resp.Body)
 	last := -1.0
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
+	for {
+		line, err := br.ReadBytes('\n')
+		if err == io.EOF && len(line) == 0 {
+			return out.Bytes(), nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("after %d bytes: %v", out.Len(), err)
 		}
 		var sm obs.Sample
 		if err := json.Unmarshal(line, &sm); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", line, err)
+			return nil, fmt.Errorf("bad NDJSON line %q: %v", line, err)
 		}
 		if sm.TimeMs < last {
-			t.Fatalf("samples out of order: %v after %v", sm.TimeMs, last)
+			return nil, fmt.Errorf("samples out of order: %v after %v", sm.TimeMs, last)
 		}
 		last = sm.TimeMs
-		n++
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("progress stream carried no samples")
-	}
-	final := pollState(t, ts.URL, st.ID, 30*time.Second)
-	if jobs.State(final.State) != jobs.StateSucceeded {
-		t.Fatalf("job finished %s", final.State)
-	}
-	// The stored artifact replays the same series for later readers.
-	resp2, err := http.Get(ts.URL + "/api/v1/jobs/" + st.ID + "/artifacts/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stored, _ := io.ReadAll(resp2.Body)
-	resp2.Body.Close()
-	if lines := bytes.Count(bytes.TrimSpace(stored), []byte("\n")) + 1; lines < 1 || len(bytes.TrimSpace(stored)) == 0 {
-		t.Fatalf("stored metrics artifact empty")
+		out.Write(line)
+		if first != nil {
+			close(first)
+			first = nil
+		}
+		time.Sleep(pause)
 	}
 }
 

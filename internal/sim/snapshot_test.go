@@ -40,15 +40,14 @@ func replaySnapObserved(t *testing.T, r *Runner, reqs []trace.Request, qd int) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ndjson bytes.Buffer
-	smp.SetSink(obs.NewJSONLMetrics(&ndjson))
 	r.SetSampler(smp)
 	res, err := r.ReplayQD(reqs, qd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if smp.Err() != nil {
-		t.Fatal(smp.Err())
+	var ndjson bytes.Buffer
+	if err := obs.WriteNDJSON(&ndjson, smp.Samples()); err != nil {
+		t.Fatal(err)
 	}
 	var tables strings.Builder
 	report.TimelineLatency(smp.Samples()).RenderTo(&tables, "csv")
