@@ -56,6 +56,7 @@ type Allocator struct {
 	rr         int
 	pagesPlane int64
 	threshold  int64 // GC trigger in pages
+	debt       int64 // GCDebtPages' running total; -1 until it is first asked for
 	onMigrate  MigrateFunc
 	salvage    SalvageFunc                                     // optional scheme-driven reclamation
 	prefetch   PrefetchFunc                                    // optional GC look-ahead hint
@@ -71,6 +72,7 @@ func NewAllocator(dev *Device, onMigrate MigrateFunc) *Allocator {
 		dev:        dev,
 		planes:     make([]planeState, geo.Planes),
 		pagesPlane: int64(geo.BlocksPerPlane) * int64(geo.PagesPerBlock),
+		debt:       -1,
 		onMigrate:  onMigrate,
 	}
 	a.threshold = int64(float64(a.pagesPlane) * dev.Conf.GCThreshold)
@@ -120,15 +122,23 @@ func (a *Allocator) FreePages(pl flash.PlaneID) int64 { return a.planes[pl].free
 // GCDebtPages sums, over all planes, how far each plane's free-page count
 // sits below its GC trigger threshold — the reclamation backlog the metrics
 // sampler reports as a gauge. Zero means every plane is above threshold.
+//
+// The first call sums the planes; pageFrom and NoteErased keep the total
+// current after it. A new allocator's total is unknown, which is the state
+// RestoreState and CopyState fill and RecoverAllocator rebuilds: each writes
+// free-page counts directly, and only ever into a new allocator.
 func (a *Allocator) GCDebtPages() int64 {
-	var debt int64
-	for i := range a.planes {
-		if d := a.threshold - a.planes[i].freePages; d > 0 {
-			debt += d
+	if a.debt < 0 {
+		a.debt = 0
+		for i := range a.planes {
+			a.debt += a.planeDebt(a.planes[i].freePages)
 		}
 	}
-	return debt
+	return a.debt
 }
+
+// planeDebt is how far a plane with free pages sits below the GC trigger.
+func (a *Allocator) planeDebt(free int64) int64 { return max(a.threshold-free, 0) }
 
 // TotalFreePages sums free pages over the device.
 func (a *Allocator) TotalFreePages() int64 {
@@ -163,6 +173,9 @@ func (a *Allocator) pageFrom(pl flash.PlaneID, gc bool) (flash.PPN, error) {
 	}
 	ppn := geo.FirstPage(*cur) + flash.PPN(a.dev.Array.WritePtr(*cur))
 	st.freePages--
+	if a.debt >= 0 && st.freePages < a.threshold {
+		a.debt++
+	}
 	return ppn, nil
 }
 
@@ -198,5 +211,9 @@ func (a *Allocator) NoteErased(b flash.BlockID) {
 	pl := a.dev.Array.Geo.PlaneOfBlock(b)
 	st := &a.planes[pl]
 	st.freeBlocks = append(st.freeBlocks, b)
+	before := st.freePages
 	st.freePages += int64(a.dev.Array.Geo.PagesPerBlock)
+	if a.debt >= 0 {
+		a.debt += a.planeDebt(st.freePages) - a.planeDebt(before)
+	}
 }

@@ -9,6 +9,8 @@ import (
 	"slices"
 	"testing"
 
+	"across/internal/flash"
+	"across/internal/ftl"
 	"across/internal/obs"
 	"across/internal/trace"
 )
@@ -381,4 +383,77 @@ func TestChipUtilisationBurstArrival(t *testing.T) {
 		}
 	}
 	t.Error("trace no longer reproduces >1.0 utilisation under the old arrival-span denominator")
+}
+
+// debtCheck is a tracer that, at the end of every request, compares the
+// allocator's running GC-debt total with the sum over its planes.
+type debtCheck struct {
+	obs.Nop
+	t         *testing.T
+	al        *ftl.Allocator
+	planes    int
+	threshold int64
+}
+
+func (d *debtCheck) RequestEnd(id int64, _ bool, _ float64) {
+	var sum int64
+	for pl := 0; pl < d.planes; pl++ {
+		sum += max(d.threshold-d.al.FreePages(flash.PlaneID(pl)), 0)
+	}
+	if got := d.al.GCDebtPages(); got != sum {
+		d.t.Fatalf("after request %d: running GC debt %d, plane sum %d", id, got, sum)
+	}
+}
+
+// TestGCDebtRunningTotal: the allocator's GC-debt total, summed once and
+// then kept by every page allocation and erase, equals the plane sum after
+// every request of a sampled replay, on a runner forked from an aged
+// checkpoint and on one recovered after a crash. Collection takes a plane
+// below its threshold and back within a request, so the replay must collect.
+func TestGCDebtRunningTotal(t *testing.T) {
+	reqs := smallTrace(t, 0.01)
+	for _, e := range schemes {
+		t.Run(string(e.kind), func(t *testing.T) {
+			r, err := NewRunner(e.kind, smallConf())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Age(DefaultAging()); err != nil {
+				t.Fatal(err)
+			}
+			cp, err := r.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fork, err := cp.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			runners := map[string]*Runner{"fork": fork}
+			if e.recover != nil {
+				if runners["recovered"], err = Recover(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for name, run := range runners {
+				al, _ := ftl.As[allocatorOwner](run.Scheme)
+				geo := run.Scheme.Device().Array.Geo
+				pagesPlane := int64(geo.BlocksPerPlane) * int64(geo.PagesPerBlock)
+				d := &debtCheck{t: t, al: al.Allocator(), planes: geo.Planes,
+					threshold: int64(float64(pagesPlane) * run.Conf.GCThreshold)}
+				smp, err := obs.NewSampler(5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				run.SetSampler(smp)
+				run.SetTracer(d)
+				if _, err := run.ReplayQD(reqs, 0); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if run.Scheme.Device().Count.GCInvocations == 0 {
+					t.Fatalf("%s: the replay never collected", name)
+				}
+			}
+		})
+	}
 }

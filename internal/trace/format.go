@@ -66,9 +66,16 @@ func ReadAll(r io.Reader) ([]Request, error) { return readAll(r, "systor") }
 // MSR Cambridge) from the first non-empty, non-comment line.
 func ReadAllAuto(r io.Reader) ([]Request, error) { return readAll(r, "") }
 
-// readAll reads all of r into one buffer, allocated once when r can say how
-// much it holds (a bytes or strings Reader, a file), and parses it.
+// readAll parses all of r. A bytes.Reader's own bytes are parsed in place,
+// handed over by its WriteTo in one Write; any other reader is read into one
+// buffer, allocated once when r can say how much it holds (a strings
+// Reader, a file).
 func readAll(r io.Reader, format string) ([]Request, error) {
+	if br, ok := r.(*bytes.Reader); ok && br.Len() > 0 {
+		p := textParser{format: format}
+		br.WriteTo(&p) // p.Write never fails; the outcome is p's
+		return p.reqs, p.err
+	}
 	var buf bytes.Buffer
 	switch r := r.(type) {
 	case interface{ Len() int }:
@@ -78,14 +85,36 @@ func readAll(r io.Reader, format string) ([]Request, error) {
 			buf.Grow(int(fi.Size()) + bytes.MinRead)
 		}
 	}
-	_, err := buf.ReadFrom(r)
-	if err == nil && format == "" {
-		format, err = DetectFormat(string(firstDataLine(buf.Bytes())))
-	}
-	if err != nil {
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, err
 	}
-	return parse(buf.Bytes(), format == "msr")
+	return parseText(buf.Bytes(), format)
+}
+
+// textParser is the io.Writer a bytes.Reader's WriteTo writes to: it parses
+// the one Write of the reader's remaining bytes and keeps the outcome, not
+// the bytes.
+type textParser struct {
+	format string
+	reqs   []Request
+	err    error
+}
+
+func (p *textParser) Write(b []byte) (int, error) {
+	p.reqs, p.err = parseText(b, p.format)
+	return len(b), nil
+}
+
+// parseText parses a whole trace in the given format, sniffing it from the
+// first data line when format is empty.
+func parseText(data []byte, format string) ([]Request, error) {
+	if format == "" {
+		var err error
+		if format, err = DetectFormat(string(firstDataLine(data))); err != nil {
+			return nil, err
+		}
+	}
+	return parse(data, format == "msr")
 }
 
 // firstDataLine returns the first line that is neither blank nor a comment,
@@ -103,9 +132,11 @@ func firstDataLine(data []byte) []byte {
 
 var newline = []byte{'\n'}
 
-// parse walks trace text once: per line, one pass for its end and its
-// commas, then four fields read in place. Nothing is copied and the result
-// is allocated once, from the newline count.
+// parse walks trace text once. A line of the collections' own shape is read
+// by scanLine in one forward pass; any other line — blank, a comment, white
+// space, other spellings, any error — goes whole to parseRecord, which owns
+// trimming, Unicode case mapping and every error text. Nothing is copied and
+// the result is allocated once, from the newline count.
 func parse(data []byte, msr bool) ([]Request, error) {
 	out := make([]Request, 0, bytes.Count(data, newline)+1)
 	prefix, scale := "trace: line", 1000.0 // SYSTOR timestamps are seconds
@@ -114,28 +145,23 @@ func parse(data []byte, msr bool) ([]Request, error) {
 	}
 	var base float64
 	for pos, lineNo := 0, 1; pos < len(data); lineNo++ {
-		line := data[pos:]
-		if end := bytes.IndexByte(line, '\n'); end >= 0 {
-			line = line[:end]
-		}
-		pos += len(line) + 1
-		if head := trimField(line); len(head) == 0 || head[0] == '#' {
-			continue
-		}
-		// comma[i] is where field i ends. A line with more commas than any
-		// dialect has wraps around and is refused on its count.
-		var comma [8]int
-		n := 0
-		for i, c := range line {
-			if c == ',' {
-				comma[n&7] = i
-				n++
+		t, req, n := scanLine(data[pos:], msr)
+		if n == 0 {
+			line := data[pos:]
+			if end := bytes.IndexByte(line, '\n'); end >= 0 {
+				line = line[:end]
+			}
+			n = len(line) + 1
+			if head := bytes.TrimSpace(line); len(head) == 0 || head[0] == '#' {
+				pos += n
+				continue
+			}
+			var err error
+			if t, req, err = parseRecord(line, msr); err != nil {
+				return nil, fmt.Errorf("%s %d: %w", prefix, lineNo, err)
 			}
 		}
-		t, req, err := parseRecord(line, &comma, n, msr)
-		if err != nil {
-			return nil, fmt.Errorf("%s %d: %w", prefix, lineNo, err)
-		}
+		pos += n
 		if len(out) == 0 {
 			base = t
 		}
@@ -145,33 +171,208 @@ func parse(data []byte, msr bool) ([]Request, error) {
 	return out, nil
 }
 
-// parseRecord reads one data line whose n commas parse found. It returns the
+// scanLine reads the line at the head of b if it has the shape the
+// collections write, fields unpadded and the last line's newline optional:
+//
+//	SYSTOR: decimal,any,R|W|r|w,any,digits,digits (\n | \r\n)
+//	MSR:    digits,any,any,Read|Write|R|W|r|w,digits,digits,any \n
+//
+// where "any" is an ignored column, skipped unread, and an extent that
+// parseRecord would reject is off the shape too. It returns the timestamp in
+// the dialect's own unit and the line's length with its newline, or n = 0
+// for a line off the shape. Each step takes the index its field starts at
+// and returns the one after it, or -1 from the first step that fails on.
+func scanLine(b []byte, msr bool) (t float64, req Request, n int) {
+	var i int
+	if msr {
+		var ticks uint64
+		ticks, i = digits(b, 0)
+		t = float64(int64(ticks)) * windowsTick
+		i = skipField(b, comma(b, skipField(b, comma(b, i))))
+		req.Op, i = msrOp(b, comma(b, i))
+	} else {
+		t, i = decimal(b)
+		i = skipField(b, comma(b, i))
+		req.Op, i = letterOp(b, comma(b, i))
+		i = skipField(b, comma(b, i))
+	}
+	off, i := digits(b, comma(b, i))
+	size, i := digits(b, comma(b, i))
+	switch {
+	case i < 0:
+	case msr:
+		n = lastField(b, comma(b, i))
+	case i == len(b):
+		n = i
+	case b[i] == '\n':
+		n = i + 1
+	case b[i] == '\r' && (i+1 == len(b) || b[i+1] == '\n'):
+		n = i + 2
+	}
+	if n == 0 {
+		return 0, req, 0
+	}
+	var err error
+	if req.Offset, req.Count, err = byteRangeToSectors(int64(off), int64(size)); err != nil {
+		return 0, req, 0
+	}
+	return t, req, n
+}
+
+// comma steps over the comma at b[i].
+func comma(b []byte, i int) int {
+	if i < 0 || i >= len(b) || b[i] != ',' {
+		return -1
+	}
+	return i + 1
+}
+
+// decimal reads the timestamp that starts b: digits with an optional
+// fraction, at most 19 of them. An integer mantissa below 2^53 and a
+// fraction of at most 22 digits are both exact in a float64, so their
+// quotient is the correctly rounded value strconv.ParseFloat returns; any
+// other timestamp is off the shape.
+func decimal(b []byte) (float64, int) {
+	var m uint64
+	i := 0
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		m = m*10 + uint64(b[i]-'0')
+	}
+	nd, frac := i, 0
+	if i < len(b) && b[i] == '.' {
+		dot := i
+		for i++; i < len(b) && b[i]-'0' <= 9; i++ {
+			m = m*10 + uint64(b[i]-'0')
+		}
+		frac = i - dot - 1
+		nd += frac
+	}
+	if nd == 0 || nd > 19 || m >= 1<<53 || frac > 22 {
+		return 0, -1
+	}
+	return float64(m) / pow10[frac], i
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// digits reads a run of 1 to 18 digits, a value no int64 overflows on.
+func digits(b []byte, i int) (uint64, int) {
+	if i < 0 {
+		return 0, -1
+	}
+	start := i
+	var v uint64
+	for ; i < len(b); i++ {
+		c := b[i] - '0'
+		if c > 9 {
+			break
+		}
+		v = v*10 + uint64(c)
+	}
+	if i == start || i-start > 18 {
+		return 0, -1
+	}
+	return v, i
+}
+
+// skipField steps to the comma that ends a field, which must come before the
+// line's end.
+func skipField(b []byte, i int) int {
+	if i < 0 {
+		return -1
+	}
+	for ; i < len(b); i++ {
+		switch b[i] {
+		case ',':
+			return i
+		case '\n':
+			return -1
+		}
+	}
+	return -1
+}
+
+// lastField returns the length through its newline of a line whose last
+// field starts at b[i], or 0 if another comma follows.
+func lastField(b []byte, i int) int {
+	if i < 0 {
+		return 0
+	}
+	for ; i < len(b) && b[i] != '\n'; i++ {
+		if b[i] == ',' {
+			return 0
+		}
+	}
+	return i + 1
+}
+
+// letterOp reads a one-letter direction.
+func letterOp(b []byte, i int) (Op, int) {
+	if i >= 0 && i < len(b) {
+		switch b[i] {
+		case 'R', 'r':
+			return OpRead, i + 1
+		case 'W', 'w':
+			return OpWrite, i + 1
+		}
+	}
+	return 0, -1
+}
+
+// msrOp reads an MSR direction: Read, Write or one letter.
+func msrOp(b []byte, i int) (Op, int) {
+	switch {
+	case i < 0:
+		return 0, -1
+	case len(b)-i >= 4 && string(b[i:i+4]) == "Read":
+		return OpRead, i + 4
+	case len(b)-i >= 5 && string(b[i:i+5]) == "Write":
+		return OpWrite, i + 5
+	}
+	return letterOp(b, i)
+}
+
+// parseRecord reads one data line off scanLine's shape. It returns the
 // timestamp in the dialect's own unit (seconds, or milliseconds for MSR).
-func parseRecord(line []byte, comma *[8]int, n int, msr bool) (t float64, req Request, err error) {
+// The line splits at every comma, and each field is trimmed of Unicode white
+// space before it is read.
+func parseRecord(line []byte, msr bool) (t float64, req Request, err error) {
 	want, opCol := 6, 2
 	if msr {
 		want, opCol = 7, 3
+	}
+	// comma[i] is where field i ends. A line with more commas than any
+	// dialect has wraps around and is refused on its count.
+	var comma [8]int
+	n := 0
+	for i, c := range line {
+		if c == ',' {
+			comma[n&7] = i
+			n++
+		}
 	}
 	if n+1 != want {
 		return 0, req, fmt.Errorf("want %d comma-separated fields, got %d", want, n+1)
 	}
 	comma[n] = len(line)
 	// field is column i > 0, trimmed.
-	field := func(i int) []byte { return trimField(line[comma[i-1]+1 : comma[i]]) }
+	field := func(i int) []byte { return bytes.TrimSpace(line[comma[i-1]+1 : comma[i]]) }
 	// quoted is field i as the messages show it: cut from the trimmed line,
 	// itself untrimmed.
 	quoted := func(i int) string { return strings.Split(strings.TrimSpace(string(line)), ",")[i] }
 
-	if ts := trimField(line[:comma[0]]); msr {
+	if ts := bytes.TrimSpace(line[:comma[0]]); msr {
 		var ticks int64
-		ticks, err = atoi(ts)
+		ticks, err = strconv.ParseInt(string(ts), 10, 64)
 		t = float64(ticks) * windowsTick
 	} else {
 		t, err = strconv.ParseFloat(string(ts), 64)
 	}
 	op, okOp := parseOp(field(opCol), msr)
-	offB, errOff := atoi(field(4))
-	sizeB, errSize := atoi(field(5))
+	offB, errOff := strconv.ParseInt(string(field(4)), 10, 64)
+	sizeB, errSize := strconv.ParseInt(string(field(5)), 10, 64)
 	switch {
 	case err != nil:
 		err = fmt.Errorf("bad timestamp %q: %v", quoted(0), err)
@@ -192,46 +393,13 @@ func parseRecord(line []byte, comma *[8]int, n int, msr bool) (t float64, req Re
 	return t, req, err
 }
 
-// trimField is bytes.TrimSpace, which has nothing to remove from a field
-// whose first and last bytes are printable ASCII: every white-space rune
-// starts and ends with a byte outside that range.
-func trimField(b []byte) []byte {
-	if n := len(b); n > 0 && b[0] > ' ' && b[0] < 0x7f && b[n-1] > ' ' && b[n-1] < 0x7f {
-		return b
-	}
-	return bytes.TrimSpace(b)
-}
-
-// atoi is strconv.ParseInt(b, 10, 64) for a trimmed field. A run of up to 18
-// digits — every real offset, size and tick count — cannot overflow and
-// takes the loop; a sign, a longer run or junk gets strconv's verdict and
-// its error text.
-func atoi(b []byte) (int64, error) {
-	if len(b) == 0 || len(b) > 18 {
-		return strconv.ParseInt(string(b), 10, 64)
-	}
-	var v int64
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return strconv.ParseInt(string(b), 10, 64)
-		}
-		v = v*10 + int64(c-'0')
-	}
-	return v, nil
-}
-
 // parseOp reads a trimmed direction field: R or W in any case for SYSTOR, and
-// for MSR Read or Write too. Only the collections' own spellings skip the
-// Unicode case mapping.
+// for MSR Read or Write too.
 func parseOp(f []byte, msr bool) (Op, bool) {
-	s := string(f)
-	if s != "R" && s != "W" && s != "Read" && s != "Write" {
-		s = strings.ToLower(s)
-	}
-	switch {
-	case s == "R" || s == "r" || msr && (s == "Read" || s == "read"):
+	switch s := strings.ToLower(string(f)); {
+	case s == "r" || msr && s == "read":
 		return OpRead, true
-	case s == "W" || s == "w" || msr && (s == "Write" || s == "write"):
+	case s == "w" || msr && s == "write":
 		return OpWrite, true
 	}
 	return 0, false

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -188,4 +189,92 @@ func BenchmarkReadAllAuto(b *testing.B) {
 			}
 		})
 	}
+}
+
+// decimalFast reports whether decimal should read s, a run of digits with at
+// most one '.': 1 to 19 digits, a mantissa below 2^53 and at most 22 of the
+// digits after the point.
+func decimalFast(s string) bool {
+	whole, frac, _ := strings.Cut(s, ".")
+	m, err := strconv.ParseUint(whole+frac, 10, 64)
+	return err == nil && len(whole+frac) <= 19 && m < 1<<53 && len(frac) <= 22
+}
+
+// TestTimestampMatchesParseFloat checks the timestamp kernel against
+// strconv.ParseFloat, bit for bit, on random decimals of every length of
+// integer part and fraction, and on the values either side of where it
+// hands a timestamp to the field path: a mantissa at 2^53, 19 and 20
+// digits, and 22 and 23 fraction digits.
+func TestTimestampMatchesParseFloat(t *testing.T) {
+	digits := func(rng *rand.Rand, n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('0' + rng.Intn(10))
+		}
+		return string(b)
+	}
+	var cases []string
+	rng := rand.New(rand.NewSource(11))
+	for whole := 0; whole <= 20; whole++ {
+		for frac := 0; frac <= 24; frac++ {
+			for i := 0; i < 40; i++ {
+				s := digits(rng, whole)
+				if frac > 0 || i%2 == 1 {
+					s += "." + digits(rng, frac)
+				}
+				cases = append(cases, s)
+			}
+		}
+	}
+	// Decimal points through 2^53-1, 2^53 and 2^53+1, with and without
+	// leading zeros; the longest runs and fractions on either side.
+	for _, m := range []string{"9007199254740991", "9007199254740992", "9007199254740993", "999999999999999", "1000000000000000"} {
+		for dot := 0; dot <= len(m); dot++ {
+			cases = append(cases, m[:dot]+"."+m[dot:], "000"+m[:dot]+"."+m[dot:])
+		}
+		cases = append(cases, m)
+	}
+	cases = append(cases,
+		"0", "0.", ".0", "1.", ".5", "00", "0.0000000000000000000001", "0.00000000000000000000001",
+		"0000000000000000001", "00000000000000000001", "1455276421.123456", "1455276421.1234567",
+		"4503599627370495.5", "4503599627370496.5", ".0000000000000000000009", "123456789.0123456789")
+	accepted := 0
+	for _, s := range cases {
+		got, n := decimal([]byte(s))
+		if fast := decimalFast(s); fast != (n == len(s)) || !fast && n != -1 {
+			t.Fatalf("decimal(%q) read %d bytes; fast path expected: %v", s, n, fast)
+		}
+		if n < 0 {
+			continue
+		}
+		accepted++
+		want, err := strconv.ParseFloat(s, 64)
+		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("decimal(%q) = %v (%#x), ParseFloat gives %v (%#x), %v",
+				s, got, math.Float64bits(got), want, math.Float64bits(want), err)
+		}
+	}
+	if accepted < len(cases)/4 {
+		t.Fatalf("the kernel read only %d of %d decimals", accepted, len(cases))
+	}
+}
+
+// FuzzTimestampMatchesParseFloat: whatever prefix of the input the
+// timestamp kernel reads, strconv.ParseFloat reads to the same float64.
+func FuzzTimestampMatchesParseFloat(f *testing.F) {
+	for _, s := range []string{"0", "1455276421.123456,", "9007199254740991", "9007199254740992",
+		"900719925474099.3", "0.0000000000000000000001", "0.00000000000000000000001",
+		"0000000000000000001", "00000000000000000001", "1.2.3", ".5x", "1e3"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, n := decimal([]byte(s))
+		if n < 0 {
+			return
+		}
+		want, err := strconv.ParseFloat(s[:n], 64)
+		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("decimal read %q as %v, ParseFloat gives %v, %v", s[:n], got, want, err)
+		}
+	})
 }
