@@ -153,11 +153,9 @@ var ErrRecoveryUnsupported = sim.ErrRecoveryUnsupported
 // RecoverFromCrash simulates power loss on a runner's device and remounts
 // it: all in-DRAM mapping state is discarded and rebuilt from the flash
 // array's out-of-band metadata (open blocks are sealed first, as real
-// controllers do). A host data cache (NewRunnerWithHostCache) is DRAM too:
-// it comes back at its size and empty. Supported for AcrossFTL and
-// BaselineFTL; any other scheme fails with ErrRecoveryUnsupported. The
-// returned runner owns the same physical device; the old runner must not be
-// used.
+// controllers do). Supported for AcrossFTL and BaselineFTL; any other scheme
+// fails with ErrRecoveryUnsupported. The returned runner owns the same
+// physical device; the old runner must not be used.
 func RecoverFromCrash(r *Runner) (*Runner, error) { return sim.Recover(r) }
 
 // Aging parameterises the §4.1 device warm-up (used/valid fractions, seed).
@@ -174,19 +172,10 @@ type Runner = sim.Runner
 // NewRunner builds a scheme of the given kind on a fresh device.
 func NewRunner(s Scheme, cfg Config) (*Runner, error) { return sim.NewRunner(s, cfg) }
 
-// NewRunnerWithHostCache builds a runner whose scheme is wrapped in a DRAM
-// data buffer of cachePages logical pages (the Table 1 "cache size" knob).
-// Writes are write-through, so flush counts and erase counts are unaffected;
-// repeated reads of resident pages are served at DRAM speed.
-func NewRunnerWithHostCache(s Scheme, cfg Config, cachePages int) (*Runner, error) {
-	return sim.NewRunnerWithHostCache(s, cfg, cachePages)
-}
-
 // RestoreRunner reconstructs a replay-ready Runner from a warm-state
 // snapshot produced by Runner.Snapshot (DESIGN §13). The snapshot embeds
-// the scheme kind, device configuration and host-cache size, so no other
-// arguments are needed; the restored state is audited before the runner is
-// returned, and a tampered or truncated blob fails with a typed error. A
+// the scheme kind and device configuration, so no other arguments are
+// needed; the restored state is audited before the runner is returned, and a tampered or truncated blob fails with a typed error. A
 // snapshot is a cache of an aged device, not an archive: one written by
 // another format version is refused (naming the version found and the version
 // supported) and never migrated — re-create it with -snapshot-out, or

@@ -5,11 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"across/internal/check"
-	"across/internal/ftl"
-	"across/internal/hostcache"
-	"across/internal/trace"
 )
 
 // tinyConfig keeps the public-API tests fast.
@@ -127,51 +122,6 @@ func TestExperimentIDsAndRunner(t *testing.T) {
 	}
 }
 
-// TestNewRunnerWithHostCache: a host data cache in front of an aged device
-// serves repeated reads from DRAM, so flash reads fall, while its
-// write-through policy leaves flash writes and erases as they were; a bad
-// configuration is refused.
-func TestNewRunnerWithHostCache(t *testing.T) {
-	cfg := tinyConfig()
-	prof, _ := Profile("lun1")
-	reqs, err := GenerateTrace(prof.Scale(0.005), cfg.LogicalSectors())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Run(BaselineFTL, cfg, reqs, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunnerWithHostCache(BaselineFTL, cfg, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Age(DefaultAging()); err != nil {
-		t.Fatal(err)
-	}
-	cached, err := r.Replay(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached.Counters.DataReads >= plain.Counters.DataReads {
-		t.Errorf("host cache did not reduce flash reads: %d vs %d",
-			cached.Counters.DataReads, plain.Counters.DataReads)
-	}
-	if cached.Counters.DataWrites != plain.Counters.DataWrites {
-		t.Errorf("host cache changed flash writes: %d vs %d",
-			cached.Counters.DataWrites, plain.Counters.DataWrites)
-	}
-	if cached.Counters.Erases != plain.Counters.Erases {
-		t.Errorf("host cache changed erases: %d vs %d",
-			cached.Counters.Erases, plain.Counters.Erases)
-	}
-	bad := cfg
-	bad.Channels = 0
-	if _, err := NewRunnerWithHostCache(BaselineFTL, bad, 16); err == nil {
-		t.Error("invalid config accepted")
-	}
-}
-
 func TestRunnerReplaysSequentially(t *testing.T) {
 	cfg := tinyConfig()
 	r, err := NewRunner(AcrossFTL, cfg)
@@ -238,83 +188,6 @@ func TestRecoverFromCrashRefusal(t *testing.T) {
 		if !errors.Is(err, ErrRecoveryUnsupported) || rec != nil {
 			t.Errorf("%s: RecoverFromCrash = (%v, %v), want ErrRecoveryUnsupported", kind, rec, err)
 		}
-	}
-}
-
-// TestRecoverFromCrashKeepsHostCache crashes a cached Across-FTL runner. The
-// recovered runner must still be a cached one, of the same size, and must
-// serve every write acknowledged before the crash from where it was.
-func TestRecoverFromCrashKeepsHostCache(t *testing.T) {
-	const cachePages = 256
-	cfg := tinyConfig()
-	r, err := NewRunnerWithHostCache(AcrossFTL, cfg, cachePages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, _ := Profile("lun1")
-	reqs, err := GenerateTrace(prof.Scale(0.003), cfg.LogicalSectors())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Replay(reqs); err != nil {
-		t.Fatal(err)
-	}
-	var readBack []Request
-	acked := map[int64]ftl.SectorSource{}
-	srcOf, _ := ftl.As[check.SectorResolver](r.Scheme)
-	for _, w := range reqs {
-		if w.Op != trace.OpWrite {
-			continue
-		}
-		readBack = append(readBack, Request{Time: w.Time, Op: trace.OpRead, Offset: w.Offset, Count: w.Count})
-		for sec := w.Offset; sec < w.End(); sec++ {
-			src, _, err := srcOf.ResolveRun(sec)
-			if err != nil || src.Kind == ftl.SrcUnwritten {
-				t.Fatalf("sector %d before the crash: (%+v, %v)", sec, src, err)
-			}
-			acked[sec] = src
-		}
-	}
-	if len(acked) == 0 {
-		t.Fatal("the trace wrote nothing; the read-back is vacuous")
-	}
-	name := r.Scheme.Name()
-
-	rec, err := RecoverFromCrash(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rec.Scheme.Name(); got != name || name != "Across-FTL+cache" {
-		t.Fatalf("recovered runner is %q, want %q", got, name)
-	}
-	blob, err := rec.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreRunner(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hc, ok := restored.Scheme.(*hostcache.Scheme); !ok || hc.CachePages() != cachePages {
-		t.Fatalf("recovered runner's snapshot restores as %s, want a %d-page cache", restored.Scheme.Name(), cachePages)
-	}
-	srcOf, _ = ftl.As[check.SectorResolver](rec.Scheme)
-	for sec, want := range acked {
-		if got, _, err := srcOf.ResolveRun(sec); err != nil || got != want {
-			t.Fatalf("sector %d: recovered source (%+v, %v), acknowledged at %+v", sec, got, err, want)
-		}
-	}
-	chk, err := rec.EnableChecks(CheckOptions{Shadow: true, AuditEvery: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := rec.Replay(readBack)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Scheme != name || chk.SectorChecks() < int64(len(acked)) {
-		t.Fatalf("read-back replayed as %s with %d sector checks, want %s and at least %d",
-			res.Scheme, chk.SectorChecks(), name, len(acked))
 	}
 }
 

@@ -38,7 +38,6 @@ var (
 	full       = flag.Bool("full", false, "full 128 GiB Table 1 geometry")
 	noAge      = flag.Bool("no-age", false, "skip device aging")
 	qd         = flag.Int("qd", 0, "bound outstanding requests (0 = open loop)")
-	cachePages = flag.Int("cachepages", 0, "host DRAM data cache in pages (0 = none)")
 
 	scenarioName = flag.String("scenario", "", "scenario workload: builtin name (stationary | burst | daynight | mixed); \"trace\" with -trace is a second spelling of -trace")
 	scenarioIn   = flag.String("scenario-in", "", "replay a stored trace-v2 scenario stream instead of generating one")
@@ -49,7 +48,7 @@ var (
 	chunkKB = flag.Int("chunk-kb", fleet.DefaultChunkKB, "fleet stripe chunk in KB (with -fleet; ignored by concat)")
 
 	snapOut = flag.String("snapshot-out", "", "write a warm-state snapshot of the (aged) device to FILE before replaying")
-	snapIn  = flag.String("snapshot-in", "", "restore the device from a warm-state snapshot instead of building and aging one (-scheme/-page/-full/-no-age/-cachepages come from the snapshot and are ignored)")
+	snapIn  = flag.String("snapshot-in", "", "restore the device from a warm-state snapshot instead of building and aging one (-scheme/-page/-full/-no-age come from the snapshot and are ignored)")
 
 	checkFlag  = flag.Bool("check", false, "verify the replay: shadow model on every request, device audit at end of run")
 	auditEvery = flag.Int64("audit-every", 0, "with -check: also run the device-wide audit every N requests (implies -check)")
@@ -93,8 +92,6 @@ func runSpec() runspec.Spec {
 	}
 	if *fleetN != 0 {
 		switch {
-		case *cachePages > 0:
-			fatal(errors.New("-cachepages is not supported with -fleet"))
 		case *traceOut != "":
 			fatal(errors.New("-trace-out is not supported with -fleet"))
 		case *metricsOut != "":
@@ -132,9 +129,9 @@ func main() {
 		fatal(err)
 	}
 
-	// A snapshot fixes the device: scheme kind, geometry and host cache all
-	// come from the blob, so restore before trace generation and let the
-	// embedded config drive workload sizing.
+	// A snapshot fixes the device: scheme kind and geometry both come from
+	// the blob, so restore before trace generation and let the embedded
+	// config drive workload sizing.
 	cfg := sp.Config()
 	var r *across.Runner
 	if *snapIn != "" {
@@ -163,7 +160,7 @@ func main() {
 	// fork FreshCheckpoint.
 	scheme := across.Scheme(sp.Scheme)
 	if r == nil && (sp.Fleet == nil || sp.Age) {
-		r, err = across.NewRunnerWithHostCache(scheme, cfg, *cachePages)
+		r, err = across.NewRunner(scheme, cfg)
 		if err != nil {
 			fatal(err)
 		}

@@ -195,19 +195,33 @@ func TestAcrosssimWorkersNeedFleet(t *testing.T) {
 
 // TestAcrosssimRefusesARetiredSnapshotVersion: a snapshot is a cache, so one
 // of an old format version is refused, single device and fleet alike — in one
-// line that names the file, both versions and the way out.
+// line that names the file, both versions and the way out — and so is one
+// taken behind the retired host data cache, in a line that names the file
+// and the host cache.
 func TestAcrosssimRefusesARetiredSnapshotVersion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go run")
 	}
-	const old = "internal/sim/testdata/snapshot-v1/ftl.axsn"
-	for _, mode := range [][]string{nil, {"-fleet", "2"}} {
-		args := append([]string{"run", "./cmd/acrosssim", "-snapshot-in", old, "-profile", "lun1", "-scale", "0.002"}, mode...)
-		out, err := exec.Command("go", args...).CombinedOutput()
-		line, _, _ := strings.Cut(string(out), "\n")
-		for _, want := range []string{old, "got 1", "support 2", "re-create it with -snapshot-out"} {
-			if err == nil || !strings.Contains(line, want) {
-				t.Errorf("%v: err=%v, want a first line naming %q; output:\n%s", mode, err, want, out)
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "acrosssim")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/acrosssim").CombinedOutput(); err != nil {
+		t.Fatalf("building acrosssim: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		file string
+		says []string
+	}{
+		{"internal/sim/testdata/snapshot-v1/ftl.axsn", []string{"got 1", "support 2", "re-create it with -snapshot-out"}},
+		{"internal/sim/testdata/snapshot-v2/across-hostcache.axsn", []string{"host cache"}},
+	} {
+		for _, mode := range [][]string{nil, {"-fleet", "2"}} {
+			args := append([]string{"-snapshot-in", tc.file, "-profile", "lun1", "-scale", "0.002"}, mode...)
+			out, err := exec.Command(bin, args...).CombinedOutput()
+			line, _, _ := strings.Cut(string(out), "\n")
+			for _, want := range append([]string{tc.file}, tc.says...) {
+				if err == nil || !strings.Contains(line, want) {
+					t.Errorf("%s %v: err=%v, want a first line naming %q; output:\n%s", tc.file, mode, err, want, out)
+				}
 			}
 		}
 	}

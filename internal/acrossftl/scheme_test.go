@@ -198,6 +198,39 @@ func TestSupersede(t *testing.T) {
 	}
 }
 
+// TestCoveringAcrossWriteDoesNotSupersede: an across-page write that covers
+// every area it conflicts with is still an update of an across-page area, so
+// it takes AMerge, or ARollback with AMerge off — never the supersede path
+// that only a non-across write takes.
+func TestCoveringAcrossWriteDoesNotSupersede(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		opts     Options
+		want     Stats
+		wantArea bool
+	}{
+		{"AMerge", Options{}, Stats{AcrossWrites: 1, ProfitableAMerge: 1}, true},
+		{"AMerge off", Options{DisableAMerge: true}, Stats{AcrossWrites: 1, Rollbacks: 1}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := ssdconf.Tiny()
+			s, err := NewWithOptions(&c, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustWrite(t, s, 2056, 12, 0) // area [2056, 2068)
+			s.ResetStats()
+			mustWrite(t, s, 2054, 16, 1) // [2054, 2070) covers it, across pages 128/129
+			if st := s.Stats(); st != tc.want {
+				t.Fatalf("stats = %+v, want %+v", st, tc.want)
+			}
+			if _, ok := s.areaAt(128); ok != tc.wantArea {
+				t.Fatalf("area at LPN 128 present = %v, want %v", ok, tc.wantArea)
+			}
+		})
+	}
+}
+
 // TestAcrossWriteSavesOneProgramVersusBaseline is the headline claim: for
 // the same across-page write, Across-FTL programs one page, baseline two.
 func TestAcrossWriteSavesOneProgramVersusBaseline(t *testing.T) {

@@ -15,7 +15,9 @@ type lruNode struct {
 }
 
 // LRU is a fixed-capacity least-recently-used set of int64 keys with a dirty
-// bit per key. The zero value is not usable; call NewLRU or NewLRUDense.
+// bit per key, which a caller learns when the key leaves: from Touch's
+// eviction or from Remove. The zero value is not usable; call NewLRU or
+// NewLRUDense.
 type LRU struct {
 	capacity int
 	table    map[int64]*lruNode // key -> node (nil in dense mode)
@@ -76,15 +78,6 @@ func (l *LRU) Len() int { return l.size }
 
 // Cap returns the capacity.
 func (l *LRU) Cap() int { return l.capacity }
-
-// Contains reports residency without touching recency.
-func (l *LRU) Contains(key int64) bool { return l.lookup(key) != nil }
-
-// IsDirty reports the dirty bit of a resident key (false if absent).
-func (l *LRU) IsDirty(key int64) bool {
-	n := l.lookup(key)
-	return n != nil && n.dirty
-}
 
 func (l *LRU) unlink(n *lruNode) {
 	if n.prev != nil {

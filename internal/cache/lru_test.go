@@ -2,9 +2,17 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// isDirty reads the dirty bit of a resident key (false if absent) without
+// touching recency.
+func isDirty(l *LRU, key int64) bool {
+	n := l.lookup(key)
+	return n != nil && n.dirty
+}
 
 func TestLRUBasicInsertAndHit(t *testing.T) {
 	l := NewLRU(2)
@@ -28,11 +36,8 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	if !evicted || victim != 2 {
 		t.Fatalf("evicted=%v victim=%d, want eviction of 2", evicted, victim)
 	}
-	if l.Contains(2) {
-		t.Fatal("2 should be gone")
-	}
-	if !l.Contains(1) || !l.Contains(3) {
-		t.Fatal("1 and 3 should be resident")
+	if keys := l.Keys(); !slices.Equal(keys, []int64{3, 1}) {
+		t.Fatalf("resident %v, want 3 and 1 (2 gone)", keys)
 	}
 }
 
@@ -40,11 +45,11 @@ func TestLRUDirtyBitPropagation(t *testing.T) {
 	l := NewLRU(1)
 	l.Touch(1, false)
 	l.Touch(1, true) // mark dirty
-	if !l.IsDirty(1) {
+	if !isDirty(l, 1) {
 		t.Fatal("1 should be dirty")
 	}
 	l.Touch(1, false) // clean touch must not clear the dirty bit
-	if !l.IsDirty(1) {
+	if !isDirty(l, 1) {
 		t.Fatal("dirty bit must be sticky across clean touches")
 	}
 	_, victim, victimDirty, evicted := l.Touch(2, false)
@@ -58,7 +63,7 @@ func TestLRUCleanAndRemove(t *testing.T) {
 	l := NewLRU(2)
 	l.Touch(1, true)
 	l.Clean(1)
-	if l.IsDirty(1) {
+	if isDirty(l, 1) {
 		t.Fatal("Clean did not clear dirty bit")
 	}
 	was, dirty := l.Remove(1)
@@ -141,10 +146,8 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 			if l.Len() != len(ref) || l.Len() > capacity {
 				return false
 			}
-			for _, v := range ref {
-				if !l.Contains(v) {
-					return false
-				}
+			if !slices.Equal(l.Keys(), ref) {
+				return false
 			}
 		}
 		return true
@@ -245,7 +248,7 @@ func TestRehitIsTouchOfTheMRUPage(t *testing.T) {
 			t.Fatalf("step %d: resident %v after Rehit, %v after Touch", i, kb, ka)
 		}
 		for j := range ka {
-			if ka[j] != kb[j] || a.lru.IsDirty(ka[j]) != b.lru.IsDirty(kb[j]) {
+			if ka[j] != kb[j] || isDirty(a.lru, ka[j]) != isDirty(b.lru, kb[j]) {
 				t.Fatalf("step %d: resident %v after Rehit, %v after Touch (or a dirty bit differs)", i, kb, ka)
 			}
 		}

@@ -53,13 +53,12 @@ type Checker struct {
 	sectorChecks int64
 }
 
-// New builds a Checker for the scheme. The scheme, or the scheme it wraps
-// (ftl.As), must implement Auditable; with opts.Shadow it must also
-// implement SectorResolver. A host-cached stack is checked through the
-// scheme beneath the cache, so any stack built from the repository's
-// schemes is checkable, and one that is not is refused here, not mid-replay.
+// New builds a Checker for the scheme. The scheme must implement Auditable;
+// with opts.Shadow it must also implement SectorResolver. Every scheme of the
+// repository is checkable, and one that is not is refused here, not
+// mid-replay.
 func New(s ftl.Scheme, opts Options) (*Checker, error) {
-	aud, ok := ftl.As[Auditable](s)
+	aud, ok := s.(Auditable)
 	if !ok {
 		return nil, fmt.Errorf("check: scheme %s does not implement Auditable", s.Name())
 	}
@@ -70,11 +69,11 @@ func New(s ftl.Scheme, opts Options) (*Checker, error) {
 		logicalSectors: s.Device().Conf.LogicalSectors(),
 	}
 	c.claims = []ftl.Claim{c.ownershipSweep()}
-	if a, ok := ftl.As[interface{ Allocator() *ftl.Allocator }](s); ok {
+	if a, ok := s.(interface{ Allocator() *ftl.Allocator }); ok {
 		c.al = a.Allocator()
 	}
 	if opts.Shadow {
-		res, ok := ftl.As[SectorResolver](s)
+		res, ok := s.(SectorResolver)
 		if !ok {
 			return nil, fmt.Errorf("check: scheme %s does not implement SectorResolver", s.Name())
 		}

@@ -8,7 +8,6 @@ import (
 	"across/internal/check"
 	"across/internal/flash"
 	"across/internal/ftl"
-	"across/internal/hostcache"
 	"across/internal/mapping"
 	"across/internal/sim"
 	"across/internal/ssdconf"
@@ -79,26 +78,6 @@ func TestCheckedReplayAllSchemes(t *testing.T) {
 	}
 }
 
-// TestCheckedReplayHostCache verifies the checker composes with the
-// hostcache wrapper (Auditable found beneath the cache with ftl.As).
-func TestCheckedReplayHostCache(t *testing.T) {
-	conf := smallConf()
-	inner, err := sim.NewScheme(sim.KindAcross, &conf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &sim.Runner{Conf: &conf, Kind: sim.KindAcross, Scheme: hostcache.Wrap(inner, 64)}
-	if err := r.Age(sim.DefaultAging()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.EnableChecks(check.Options{Shadow: true, AuditEvery: 100}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Replay(smallTrace(t, 11, 0.03)); err != nil {
-		t.Fatalf("checked replay through hostcache: %v", err)
-	}
-}
-
 // TestCheckerRejectsUncheckableScheme: a scheme without the verification
 // methods gets a clear construction error, not a panic mid-replay.
 func TestCheckerRejectsUncheckableScheme(t *testing.T) {
@@ -107,14 +86,8 @@ func TestCheckerRejectsUncheckableScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := check.New(opaqueScheme{inner}, check.Options{}); err == nil {
-		t.Fatal("opaque scheme accepted")
-	}
-	// Hostcache around an opaque scheme is refused at construction too: the
-	// checker looks beneath the cache and finds nothing to audit there.
-	hc := hostcache.Wrap(opaqueScheme{inner}, 4)
-	if _, err := check.New(hc, check.Options{}); err == nil || !strings.Contains(err.Error(), "does not implement Auditable") {
-		t.Fatalf("checker over an opaque inner scheme: %v", err)
+	if _, err := check.New(opaqueScheme{inner}, check.Options{}); err == nil || !strings.Contains(err.Error(), "does not implement Auditable") {
+		t.Fatalf("checker over an opaque scheme: %v", err)
 	}
 }
 

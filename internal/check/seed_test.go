@@ -7,7 +7,6 @@ import (
 	"across/internal/acrossftl"
 	"across/internal/check"
 	"across/internal/ftl"
-	"across/internal/hostcache"
 	"across/internal/obs"
 	"across/internal/sim"
 	"across/internal/ssdconf"
@@ -15,10 +14,10 @@ import (
 	"across/internal/workload"
 )
 
-// resolver finds s's SectorResolver, beneath a host cache if s is one.
+// resolver finds s's SectorResolver.
 func resolver(t testing.TB, s ftl.Scheme) check.SectorResolver {
 	t.Helper()
-	res, ok := ftl.As[check.SectorResolver](s)
+	res, ok := s.(check.SectorResolver)
 	if !ok {
 		t.Fatalf("%s resolves no sectors", s.Name())
 	}
@@ -114,32 +113,17 @@ func runsAgree(t *testing.T, s ftl.Scheme) (buffered, inAreas int) {
 	return buffered, inAreas
 }
 
-// eachResolverState runs agree on every scheme and a hostcache-wrapped one,
-// in each state resolution must be right in: a fresh device, an aged one,
+// eachResolverState runs agree on every scheme, in each state resolution must be right in: a fresh device, an aged one,
 // mid-replay (MRSM sub-pages still in the pack buffer, live Across-FTL areas)
 // and after crash recovery where the scheme has it. agree reports how many
 // sectors resolve to the pack buffer and to areas, so those cases cannot
 // pass vacuously.
 func eachResolverState(t *testing.T, agree func(*testing.T, ftl.Scheme) (buffered, inAreas int)) {
-	type variant struct {
-		name string
-		kind sim.SchemeKind
-		wrap bool
-	}
-	variants := []variant{{name: "hostcache/" + string(sim.KindAcross), kind: sim.KindAcross, wrap: true}}
-	for _, k := range allKinds() {
-		variants = append(variants, variant{name: string(k), kind: k})
-	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			conf := smallConf()
-			inner, err := sim.NewScheme(v.kind, &conf)
+	for _, kind := range allKinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			r, err := sim.NewRunner(kind, smallConf())
 			if err != nil {
 				t.Fatal(err)
-			}
-			r := &sim.Runner{Conf: &conf, Kind: v.kind, Scheme: inner}
-			if v.wrap {
-				r.Scheme = hostcache.Wrap(inner, 64)
 			}
 			agree(t, r.Scheme) // (a) fresh
 
@@ -167,27 +151,27 @@ func eachResolverState(t *testing.T, agree func(*testing.T, ftl.Scheme) (buffere
 				write(req)
 			}
 			buffered, inAreas := agree(t, r.Scheme)
-			for i := int64(1); v.kind == sim.KindMRSM && buffered == 0 && i < 64; i++ {
+			for i := int64(1); kind == sim.KindMRSM && buffered == 0 && i < 64; i++ {
 				write(trace.Request{Op: trace.OpWrite, Offset: i * 1000, Count: 1})
 				buffered, _ = agree(t, r.Scheme)
 			}
-			if v.kind == sim.KindMRSM && buffered == 0 {
+			if kind == sim.KindMRSM && buffered == 0 {
 				t.Error("no sector resolves to the pack buffer; the mid-replay case is vacuous")
 			}
-			if v.kind == sim.KindAcross && inAreas == 0 {
+			if kind == sim.KindAcross && inAreas == 0 {
 				t.Error("no sector resolves to an across area; the mid-replay case is vacuous")
 			}
 
 			// (d) power loss: DRAM state dropped, scheme rebuilt from flash.
-			switch v.kind {
+			switch kind {
 			case sim.KindFTL:
-				rec, err := ftl.RecoverBaseline(inner.Device())
+				rec, err := ftl.RecoverBaseline(r.Scheme.Device())
 				if err != nil {
 					t.Fatal(err)
 				}
 				agree(t, rec)
 			case sim.KindAcross:
-				rec, err := acrossftl.Recover(inner.Device())
+				rec, err := acrossftl.Recover(r.Scheme.Device())
 				if err != nil {
 					t.Fatal(err)
 				}

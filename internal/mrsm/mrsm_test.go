@@ -381,3 +381,17 @@ func TestCopyStateCarriesThePackBuffer(t *testing.T) {
 		t.Error("the copy differs from the source in the state the write left")
 	}
 }
+
+// TestDirtyNodeFlushesOnItsBudget: a resident tree node is checkpointed to
+// flash once it holds maxNodeDirty un-persisted updates — on the twelfth
+// update of one node, exactly once, and not again until twelve more.
+func TestDirtyNodeFlushesOnItsBudget(t *testing.T) {
+	s, c := tinyScheme(t)
+	perSub := int32(c.SectorsPerPage() / c.SubPagesPerPg)
+	for i := 1; i <= 2*maxNodeDirty; i++ {
+		write(t, s, 0, perSub, float64(i)) // sub-page 0: one update of node 0
+		if got, want := s.Dev.Count.MapWrites, int64(i/maxNodeDirty); got != want {
+			t.Fatalf("after %d updates of one node: %d map writes, want %d", i, got, want)
+		}
+	}
+}

@@ -124,8 +124,6 @@ const (
 	// CacheMapping is a cached-mapping-table (CMT) translation access —
 	// Across-FTL's AMT cache, MRSM's tree-node cache, DFTL's page cache.
 	CacheMapping CacheKind = iota
-	// CacheHostData is the host DRAM data buffer (hostcache package).
-	CacheHostData
 )
 
 // String implements fmt.Stringer.
@@ -133,8 +131,6 @@ func (k CacheKind) String() string {
 	switch k {
 	case CacheMapping:
 		return "cmt"
-	case CacheHostData:
-		return "hostdata"
 	}
 	return fmt.Sprintf("CacheKind(%d)", uint8(k))
 }

@@ -21,7 +21,7 @@ func driveTracer(t Tracer) {
 	t.FlashOp(FlashErase, 3, 1, 512, 1.3, 4.1)
 	t.AcrossEvent(AcrossMergeProfitable, 128, 32, 1.5)
 	t.CacheAccess(CacheMapping, true, 1.6)
-	t.CacheAccess(CacheHostData, false, 1.7)
+	t.CacheAccess(CacheMapping, false, 1.7)
 	t.RequestEnd(0, true, 2.2)
 }
 

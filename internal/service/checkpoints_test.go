@@ -107,7 +107,8 @@ func TestSharedCheckpointOpensOnceForksConcurrently(t *testing.T) {
 }
 
 // A stored checkpoint that does not open — garbage, a valid snapshot of
-// another device, or one of a retired format version — is not cached, and the
+// another device, one of a retired format version, or one taken behind the
+// retired host data cache — is not cached, and the
 // job says why, counts it and ages instead; the checkpoint that aging stores
 // over it then serves the next job, and a restarted server.
 func TestUnusableStoredCheckpointIsNotCached(t *testing.T) {
@@ -125,6 +126,10 @@ func TestUnusableStoredCheckpointIsNotCached(t *testing.T) {
 	flipped := fresh(sim.KindFTL, ssdconf.Experiment())
 	flipped[len(flipped)/2] ^= 0x40
 	version1, err := os.ReadFile("../sim/testdata/snapshot-v1/ftl.axsn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostCached, err := os.ReadFile("../sim/testdata/snapshot-v2/across-hostcache.axsn")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +151,7 @@ func TestUnusableStoredCheckpointIsNotCached(t *testing.T) {
 		{"other-device", "drift", fresh(sim.KindFTL, ssdconf.Experiment().WithPageBytes(4096))},
 		{"other-scheme", "drift", fresh(sim.KindDFTL, ssdconf.Experiment())},
 		{"version-1", "version", version1},
+		{"host-cache", "corrupt", hostCached},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

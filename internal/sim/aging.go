@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"across/internal/ftl"
 	"across/internal/trace"
 )
 
@@ -59,7 +58,7 @@ func (r *Runner) age(ctx context.Context, a Aging, pf prefetcher, after func()) 
 	if a.ValidFrac <= 0 || a.ValidFrac >= 1 || a.UsedFrac <= a.ValidFrac || a.UsedFrac >= 1 {
 		return fmt.Errorf("sim: implausible aging %+v", a)
 	}
-	al, ok := ftl.As[allocatorOwner](r.Scheme)
+	al, ok := r.Scheme.(allocatorOwner)
 	if !ok {
 		return fmt.Errorf("sim: %s exposes no allocator to age against", r.Kind)
 	}

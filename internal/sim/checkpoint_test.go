@@ -9,22 +9,21 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"across/internal/acrossftl"
-	"across/internal/hostcache"
 	"across/internal/snapshot"
 	"across/internal/ssdconf"
 	"across/internal/trace"
 	"across/internal/workload"
 )
 
-// agedBlob ages a runner (host-cache wrapped when cachePages > 0), replays a
-// little traffic so caches and clocks hold more than aging leaves, and
-// returns its snapshot.
-func agedBlob(t *testing.T, kind SchemeKind, cachePages int) []byte {
+// agedBlob ages a runner, replays a little traffic so caches and clocks hold
+// more than aging leaves, and returns its snapshot.
+func agedBlob(t *testing.T, kind SchemeKind) []byte {
 	t.Helper()
-	r := newSnapRunner(t, kind, cachePages)
+	r := newSnapRunner(t, kind)
 	if err := r.Age(DefaultAging()); err != nil {
 		t.Fatal(err)
 	}
@@ -62,18 +61,9 @@ func mustSnapshot(t *testing.T, r *Runner) []byte {
 // replays bit-identically to a Restore of it. And no fork aliases the body:
 // after one fork has replayed, the next still snapshots to the blob.
 func TestForkMatchesRestore(t *testing.T) {
-	for _, tc := range []struct {
-		kind       SchemeKind
-		cachePages int
-	}{
-		{KindFTL, 0}, {KindMRSM, 0}, {KindAcross, 0}, {KindDFTL, 0}, {KindAcross, 64},
-	} {
-		name := string(tc.kind)
-		if tc.cachePages > 0 {
-			name += "+cache"
-		}
-		t.Run(name, func(t *testing.T) {
-			blob := agedBlob(t, tc.kind, tc.cachePages)
+	for _, kind := range snapKinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			blob := agedBlob(t, kind)
 			reqs := smallTrace(t, 0.01)
 
 			restored, err := Restore(blob)
@@ -92,7 +82,7 @@ func TestForkMatchesRestore(t *testing.T) {
 			if err != nil {
 				t.Fatalf("OpenCheckpoint: %v", err)
 			}
-			if cp.Kind != tc.kind || cp.Conf != smallConf() {
+			if cp.Kind != kind || cp.Conf != smallConf() {
 				t.Errorf("checkpoint describes %s on %+v", cp.Kind, cp.Conf)
 			}
 			for _, label := range []string{"first fork", "second fork", "third fork"} {
@@ -113,7 +103,7 @@ func TestForkMatchesRestore(t *testing.T) {
 }
 
 // forkCase is one checkpoint the fork-by-copy tests open: every scheme
-// NewScheme builds, bare and host-cache wrapped, checkpointed straight after
+// NewScheme builds, checkpointed straight after
 // aging and again in the middle of a replay.
 type forkCase struct {
 	name string
@@ -124,22 +114,16 @@ type forkCase struct {
 func forkCases(t *testing.T) []forkCase {
 	t.Helper()
 	var cases []forkCase
-	for _, kind := range append(Kinds(), KindDFTL) {
-		for _, cachePages := range []int{0, 64} {
-			name := string(kind)
-			if cachePages > 0 {
-				name += "+cache"
-			}
-			r := newSnapRunner(t, kind, cachePages)
-			if err := r.Age(DefaultAging()); err != nil {
-				t.Fatal(err)
-			}
-			cases = append(cases, forkCase{name + "/aged", kind, mustSnapshot(t, r)})
-			if _, err := r.ReplayQD(smallTrace(t, 0.005), 4); err != nil {
-				t.Fatal(err)
-			}
-			cases = append(cases, forkCase{name + "/mid-replay", kind, mustSnapshot(t, r)})
+	for _, kind := range snapKinds() {
+		r := newSnapRunner(t, kind)
+		if err := r.Age(DefaultAging()); err != nil {
+			t.Fatal(err)
 		}
+		cases = append(cases, forkCase{string(kind) + "/aged", kind, mustSnapshot(t, r)})
+		if _, err := r.ReplayQD(smallTrace(t, 0.005), 4); err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, forkCase{string(kind) + "/mid-replay", kind, mustSnapshot(t, r)})
 	}
 	return cases
 }
@@ -206,39 +190,37 @@ func TestForkSnapshotsToTheBlob(t *testing.T) {
 // any of it.
 func TestRunnerCheckpointMatchesOpenCheckpoint(t *testing.T) {
 	reqs := smallTrace(t, 0.005)
-	for _, kind := range append(Kinds(), KindDFTL) {
-		for _, cachePages := range []int{0, 64} {
-			t.Run(fmt.Sprintf("%s/cache%d", kind, cachePages), func(t *testing.T) {
-				r := newSnapRunner(t, kind, cachePages)
-				if err := r.Age(DefaultAging()); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := r.ReplayQD(reqs, 4); err != nil {
-					t.Fatal(err)
-				}
-				blob := mustSnapshot(t, r)
-				cp, err := r.Checkpoint()
-				if err != nil {
-					t.Fatal(err)
-				}
-				opened, err := OpenCheckpoint(blob)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cp.Kind != opened.Kind || cp.Conf != opened.Conf || cp.Bytes() != opened.Bytes() {
-					t.Fatalf("checkpoint of %s/%d bytes, the opened blob is %s/%d", cp.Kind, cp.Bytes(), opened.Kind, opened.Bytes())
-				}
-				if !bytes.Equal(mustSnapshot(t, mustFork(t, cp)), blob) {
-					t.Fatal("a fork of the runner's checkpoint differs from the runner's snapshot")
-				}
-				if _, err := r.ReplayQD(reqs, 4); err != nil {
-					t.Fatal(err)
-				}
-				if bytes.Equal(mustSnapshot(t, r), blob) || !bytes.Equal(mustSnapshot(t, mustFork(t, cp)), blob) {
-					t.Fatal("the runner replayed on and its checkpoint moved with it")
-				}
-			})
-		}
+	for _, kind := range snapKinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			r := newSnapRunner(t, kind)
+			if err := r.Age(DefaultAging()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.ReplayQD(reqs, 4); err != nil {
+				t.Fatal(err)
+			}
+			blob := mustSnapshot(t, r)
+			cp, err := r.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			opened, err := OpenCheckpoint(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cp.Kind != opened.Kind || cp.Conf != opened.Conf || cp.Bytes() != opened.Bytes() {
+				t.Fatalf("checkpoint of %s/%d bytes, the opened blob is %s/%d", cp.Kind, cp.Bytes(), opened.Kind, opened.Bytes())
+			}
+			if !bytes.Equal(mustSnapshot(t, mustFork(t, cp)), blob) {
+				t.Fatal("a fork of the runner's checkpoint differs from the runner's snapshot")
+			}
+			if _, err := r.ReplayQD(reqs, 4); err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(mustSnapshot(t, r), blob) || !bytes.Equal(mustSnapshot(t, mustFork(t, cp)), blob) {
+				t.Fatal("the runner replayed on and its checkpoint moved with it")
+			}
+		})
 	}
 }
 
@@ -446,7 +428,7 @@ func TestForkReplaysLikeRestore(t *testing.T) {
 // Forks of one checkpoint may be taken and replayed concurrently (run under
 // -race): every goroutine gets the same result.
 func TestForkConcurrently(t *testing.T) {
-	blob := agedBlob(t, KindAcross, 0)
+	blob := agedBlob(t, KindAcross)
 	reqs := smallTrace(t, 0.005)
 	cp, err := OpenCheckpoint(blob)
 	if err != nil {
@@ -484,7 +466,7 @@ func TestForkAllocations(t *testing.T) {
 	}
 	for _, kind := range Kinds() {
 		t.Run(string(kind), func(t *testing.T) {
-			cp, err := OpenCheckpoint(agedBlob(t, kind, 0))
+			cp, err := OpenCheckpoint(agedBlob(t, kind))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -568,24 +550,24 @@ func TestSnapshotCodecAllocations(t *testing.T) {
 
 var update = flag.Bool("update", false, "rewrite testdata/snapshot-v2 from storedSnapshot's recipe")
 
-// storedSnapshots names the checkpoints testdata/snapshot-v2 holds: every
-// scheme, and Across-FTL once more behind a 16-page host cache.
+// storedSnapshots names the checkpoints testdata/snapshot-v2 holds, one per
+// scheme. The directory keeps one more, across-hostcache.axsn, taken behind
+// the retired host data cache: TestStoredCheckpointsAreRefused pins its
+// refusal.
 var storedSnapshots = []struct {
-	file       string
-	kind       SchemeKind
-	cachePages int
+	file string
+	kind SchemeKind
 }{
-	{"ftl.axsn", KindFTL, 0},
-	{"dftl.axsn", KindDFTL, 0},
-	{"mrsm.axsn", KindMRSM, 0},
-	{"across.axsn", KindAcross, 0},
-	{"across-hostcache.axsn", KindAcross, 16},
+	{"ftl.axsn", KindFTL},
+	{"dftl.axsn", KindDFTL},
+	{"mrsm.axsn", KindMRSM},
+	{"across.axsn", KindAcross},
 }
 
 // storedSnapshot is the recipe of every stored checkpoint, version 1's
 // included: a 2-channel device of 16 blocks of 16 pages, aged, then lun1 at
 // scale 0.002 replayed open loop.
-func storedSnapshot(t *testing.T, kind SchemeKind, cachePages int) []byte {
+func storedSnapshot(t *testing.T, kind SchemeKind) []byte {
 	t.Helper()
 	conf := ssdconf.Table1()
 	conf.Channels, conf.ChipsPerChan, conf.DiesPerChip, conf.PlanesPerDie = 2, 1, 1, 1
@@ -593,9 +575,6 @@ func storedSnapshot(t *testing.T, kind SchemeKind, cachePages int) []byte {
 	r, err := NewRunner(kind, conf)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cachePages > 0 {
-		r.Scheme = hostcache.Wrap(r.Scheme, cachePages)
 	}
 	if err := r.Age(DefaultAging()); err != nil {
 		t.Fatal(err)
@@ -621,7 +600,7 @@ func TestStoredSnapshotsStillLoad(t *testing.T) {
 		t.Run(s.file, func(t *testing.T) {
 			file := filepath.Join("testdata", "snapshot-v2", s.file)
 			if *update {
-				if err := os.WriteFile(file, storedSnapshot(t, s.kind, s.cachePages), 0o644); err != nil {
+				if err := os.WriteFile(file, storedSnapshot(t, s.kind), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -643,18 +622,31 @@ func TestStoredSnapshotsStillLoad(t *testing.T) {
 	}
 }
 
-// A checkpoint is a cache, so an old version is refused, never migrated:
-// testdata/snapshot-v1 keeps one version-1 checkpoint to pin ErrVersion from
-// both openers.
-func TestStoredVersion1IsRefused(t *testing.T) {
-	blob, err := os.ReadFile("testdata/snapshot-v1/ftl.axsn")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range openers {
-		if err := o.open(blob); !errors.Is(err, snapshot.ErrVersion) {
-			t.Errorf("%s: err = %v, want ErrVersion", o.name, err)
-		}
+// A checkpoint is a cache, so one the simulator can no longer build is
+// refused, never migrated, by both openers and by name: testdata/snapshot-v1
+// keeps one version-1 checkpoint (ErrVersion), and testdata/snapshot-v2 one
+// taken behind a 16-page host data cache, which the simulator no longer
+// models (ErrCorrupt naming the host cache).
+func TestStoredCheckpointsAreRefused(t *testing.T) {
+	for _, tc := range []struct {
+		file string
+		want error
+		says string
+	}{
+		{"snapshot-v1/ftl.axsn", snapshot.ErrVersion, "version"},
+		{"snapshot-v2/across-hostcache.axsn", snapshot.ErrCorrupt, "host cache"},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			blob, err := os.ReadFile(filepath.Join("testdata", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range openers {
+				if err := o.open(blob); !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.says) {
+					t.Errorf("%s: err = %v, want %v mentioning %q", o.name, err, tc.want, tc.says)
+				}
+			}
+		})
 	}
 }
 
@@ -746,7 +738,7 @@ func lazyColumns(t *testing.T, blob []byte) (aux, aidx bool) {
 // runners that never allocated them — the one Restore builds from those bytes
 // and its fork — as a fork that copied the empty slices does.
 func TestSnapshotIsCanonicalOverLazyColumns(t *testing.T) {
-	r := newSnapRunner(t, KindAcross, 0)
+	r := newSnapRunner(t, KindAcross)
 	spp := int64(r.Conf.SectorsPerPage())
 	replay := func(reqs ...trace.Request) {
 		t.Helper()

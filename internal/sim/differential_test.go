@@ -108,7 +108,7 @@ func agedOn(t *testing.T, kind SchemeKind, conf ssdconf.Config, hints bool) *Run
 	if hints {
 		err = r.Age(DefaultAging())
 	} else {
-		al, _ := ftl.As[allocatorOwner](r.Scheme)
+		al, _ := r.Scheme.(allocatorOwner)
 		al.Allocator().SetPrefetch(nil)
 		err = r.age(context.Background(), DefaultAging(), nil, nil)
 	}
@@ -163,30 +163,21 @@ func TestAgeHintsAreInvisible(t *testing.T) {
 
 // TestAgeStopRuleCountsFreePages pins the input of Age's stop rule: the
 // allocator's free-page count equals the free pages of the array's census,
-// for every scheme and one behind a host cache, after every ageing batch,
+// for every scheme, after every ageing batch,
 // after Age, after a replay under GC and on a fork, on both ageGeometries.
 // On the plateau one the overwrite phase must end below UsedFrac.
 func TestAgeStopRuleCountsFreePages(t *testing.T) {
 	reqs := smallTrace(t, 0.01)
-	type stack struct {
-		kind       SchemeKind
-		cachePages int
-	}
-	var stacks []stack
-	for _, e := range schemes {
-		stacks = append(stacks, stack{e.kind, 0})
-	}
-	stacks = append(stacks, stack{KindAcross, 64})
 	for _, geo := range ageGeometries() {
-		for _, st := range stacks {
-			t.Run(fmt.Sprintf("%s/%s/cache%d", geo.name, st.kind, st.cachePages), func(t *testing.T) {
-				r, err := NewRunnerWithHostCache(st.kind, geo.conf, st.cachePages)
+		for _, e := range schemes {
+			t.Run(geo.name+"/"+string(e.kind), func(t *testing.T) {
+				r, err := NewRunner(e.kind, geo.conf)
 				if err != nil {
 					t.Fatal(err)
 				}
 				agree := func(r *Runner, when string) {
 					t.Helper()
-					al, _ := ftl.As[allocatorOwner](r.Scheme)
+					al, _ := r.Scheme.(allocatorOwner)
 					free, _, _ := r.Scheme.Device().Array.CountStates()
 					if got := al.Allocator().TotalFreePages(); got != free {
 						t.Fatalf("%s: the allocator counts %d free pages, the array %d", when, got, free)
@@ -282,7 +273,7 @@ func TestHintsAreSafe(t *testing.T) {
 				t.Fatal(err)
 			}
 			a, b := mustFork(t, cp), mustFork(t, cp)
-			pf, ok := ftl.As[prefetcher](a.Scheme)
+			pf, ok := a.Scheme.(prefetcher)
 			if !ok {
 				t.Fatalf("%s does not hint", e.kind)
 			}

@@ -40,7 +40,14 @@ func (r *Runner) WarmupWrites() int64 { return r.warmupWrites }
 
 // NewRunner builds a scheme of the given kind on a fresh device.
 func NewRunner(kind SchemeKind, conf ssdconf.Config) (*Runner, error) {
-	return NewRunnerWithHostCache(kind, conf, 0)
+	if err := conf.Validate(); err != nil {
+		return nil, err
+	}
+	s, err := newStack(kind, &conf, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Runner{Conf: &conf, Kind: kind, Scheme: s}, nil
 }
 
 // Replay runs a trace through the scheme open-loop (every request is
@@ -79,7 +86,7 @@ const (
 
 // hinter returns the scheme's look-ahead capability, nil when it has none.
 func (r *Runner) hinter() prefetcher {
-	pf, _ := ftl.As[prefetcher](r.Scheme)
+	pf, _ := r.Scheme.(prefetcher)
 	return pf
 }
 
@@ -217,24 +224,23 @@ func (r *Runner) finishReplay(res *Result) {
 	for i := range res.ChipBusyMs {
 		res.ChipBusyMs[i] = dev.Sched.BusyTime(i)
 	}
-	if a, ok := ftl.As[acrossCensus](r.Scheme); ok {
+	if a, ok := r.Scheme.(acrossCensus); ok {
 		st := a.Stats()
 		res.Across = &st
 	}
 	if e, _ := entryOf(r.Kind); e.cmtInResult {
-		if c, ok := ftl.As[cmtCensus](r.Scheme); ok {
+		if c, ok := r.Scheme.(cmtCensus); ok {
 			res.CMT = c.CMTStats()
 		}
 	}
 }
 
 // ResetMeasurement zeroes the device's timelines and counters and the
-// scheme's statistics (on the scheme or, when wrapped, beneath it), keeping
-// mapping and wear state: what every replay, single-device or fleet, does
-// before it measures.
+// scheme's statistics, keeping mapping and wear state: what every replay,
+// single-device or fleet, does before it measures.
 func (r *Runner) ResetMeasurement() {
 	r.Scheme.Device().ResetMeasurement()
-	if sr, ok := ftl.As[statsResetter](r.Scheme); ok {
+	if sr, ok := r.Scheme.(statsResetter); ok {
 		sr.ResetStats()
 	}
 }

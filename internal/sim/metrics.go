@@ -52,8 +52,8 @@ type WearSummary struct {
 	Max    int64   `json:"max"`
 }
 
-// The capabilities a replay reads its scheme-level figures through, found
-// with ftl.As on the scheme or the scheme a host cache wraps.
+// The capabilities a replay reads its scheme-level figures through, asserted
+// on the scheme.
 type (
 	acrossCensus   interface{ Stats() acrossftl.Stats }
 	cmtCensus      interface{ CMTStats() cache.CMTStats }

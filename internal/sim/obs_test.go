@@ -12,6 +12,7 @@ import (
 	"across/internal/flash"
 	"across/internal/ftl"
 	"across/internal/obs"
+	"across/internal/ssdconf"
 	"across/internal/trace"
 )
 
@@ -405,11 +406,35 @@ func (d *debtCheck) RequestEnd(id int64, _ bool, _ float64) {
 	}
 }
 
+// replayCheckingDebt replays reqs on run, sampled, with a debtCheck tracer.
+func replayCheckingDebt(t *testing.T, name string, run *Runner, reqs []trace.Request) {
+	t.Helper()
+	al, _ := run.Scheme.(allocatorOwner)
+	geo := run.Scheme.Device().Array.Geo
+	pagesPlane := int64(geo.BlocksPerPlane) * int64(geo.PagesPerBlock)
+	d := &debtCheck{t: t, al: al.Allocator(), planes: geo.Planes,
+		threshold: int64(float64(pagesPlane) * run.Conf.GCThreshold)}
+	smp, err := obs.NewSampler(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.SetSampler(smp)
+	run.SetTracer(d)
+	if _, err := run.ReplayQD(reqs, 0); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if run.Scheme.Device().Count.GCInvocations == 0 {
+		t.Fatalf("%s: the replay never collected", name)
+	}
+}
+
 // TestGCDebtRunningTotal: the allocator's GC-debt total, summed once and
 // then kept by every page allocation and erase, equals the plane sum after
 // every request of a sampled replay, on a runner forked from an aged
 // checkpoint and on one recovered after a crash. Collection takes a plane
 // below its threshold and back within a request, so the replay must collect.
+// One more case erases a block that leaves its plane still below threshold,
+// where an erase must lower the debt by the block's pages and no more.
 func TestGCDebtRunningTotal(t *testing.T) {
 	reqs := smallTrace(t, 0.01)
 	for _, e := range schemes {
@@ -436,24 +461,38 @@ func TestGCDebtRunningTotal(t *testing.T) {
 				}
 			}
 			for name, run := range runners {
-				al, _ := ftl.As[allocatorOwner](run.Scheme)
-				geo := run.Scheme.Device().Array.Geo
-				pagesPlane := int64(geo.BlocksPerPlane) * int64(geo.PagesPerBlock)
-				d := &debtCheck{t: t, al: al.Allocator(), planes: geo.Planes,
-					threshold: int64(float64(pagesPlane) * run.Conf.GCThreshold)}
-				smp, err := obs.NewSampler(5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				run.SetSampler(smp)
-				run.SetTracer(d)
-				if _, err := run.ReplayQD(reqs, 0); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if run.Scheme.Device().Count.GCInvocations == 0 {
-					t.Fatalf("%s: the replay never collected", name)
-				}
+				replayCheckingDebt(t, name, run, reqs)
 			}
 		})
 	}
+
+	// One plane of 16 blocks of 8 pages, its threshold half of them. Ten
+	// blocks of distinct pages leave no victim, so collection gives up and
+	// allocation goes on to two blocks below threshold. Rewriting page 0
+	// then gives block 0 an invalid page; the next write collects it, and
+	// its erase leaves the plane a block below threshold.
+	t.Run("erase below threshold", func(t *testing.T) {
+		conf := ssdconf.Table1()
+		conf.Channels, conf.ChipsPerChan, conf.DiesPerChip, conf.PlanesPerDie = 1, 1, 1, 1
+		conf.BlocksPerPlane, conf.PagesPerBlock = 16, 8
+		conf.GCThreshold = 0.5
+		run, err := NewRunner(KindFTL, conf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spp := int64(conf.SectorsPerPage())
+		lpns := make([]int64, 80, 82)
+		for i := range lpns {
+			lpns[i] = int64(i)
+		}
+		var reqs []trace.Request
+		for _, lpn := range append(lpns, 0, 1) {
+			reqs = append(reqs, trace.Request{Time: float64(len(reqs)), Op: trace.OpWrite, Offset: lpn * spp, Count: int32(spp)})
+		}
+		replayCheckingDebt(t, "fresh", run, reqs)
+		al, _ := run.Scheme.(allocatorOwner)
+		if debt := al.Allocator().GCDebtPages(); run.Scheme.Device().Count.Erases == 0 || debt <= 0 {
+			t.Fatalf("%d erases, final debt %d: no erase left the plane below threshold", run.Scheme.Device().Count.Erases, debt)
+		}
+	})
 }

@@ -63,10 +63,10 @@ func (r *Runner) newSampleFeed(res *Result) *sampleFeed {
 	if f.spp&(f.spp-1) == 0 {
 		f.pageShift = bits.TrailingZeros64(uint64(f.spp))
 	}
-	if al, ok := ftl.As[allocatorOwner](r.Scheme); ok {
+	if al, ok := r.Scheme.(allocatorOwner); ok {
 		f.alloc = al.Allocator()
 	}
-	if cs, ok := ftl.As[cmtCensus](r.Scheme); ok {
+	if cs, ok := r.Scheme.(cmtCensus); ok {
 		f.cmt = cs
 	}
 	return f

@@ -14,7 +14,6 @@ import (
 
 	"across/internal/acrossftl"
 	"across/internal/ftl"
-	"across/internal/hostcache"
 	"across/internal/mrsm"
 	"across/internal/ssdconf"
 )
@@ -47,10 +46,9 @@ type schemeEntry struct {
 	cmtInResult bool
 }
 
-// schemes is the one place a scheme is named: NewScheme, ParseKind, the
-// host-cache stack and crash recovery all read it, and everything else finds
-// what a scheme can do by interface (ftl.As). The paper's three come first,
-// in Kinds' order.
+// schemes is the one place a scheme is named: NewScheme, ParseKind and
+// crash recovery all read it, and everything else finds what a scheme can do
+// by interface. The paper's three come first, in Kinds' order.
 var schemes = []schemeEntry{
 	{kind: KindFTL, build: asScheme(ftl.NewBaseline), recover: asScheme(ftl.RecoverBaseline)},
 	{kind: KindMRSM, build: asScheme(mrsm.New), cmtInResult: true},
@@ -106,69 +104,33 @@ var ErrRecoveryUnsupported = errors.New("sim: crash recovery is not implemented"
 
 // NewScheme constructs the scheme on a fresh device.
 func NewScheme(kind SchemeKind, conf *ssdconf.Config) (ftl.Scheme, error) {
-	return newStack(kind, conf, 0, nil)
+	return newStack(kind, conf, nil)
 }
 
-// newStack builds every scheme stack there is: kind's scheme — on a fresh
-// device for conf or, given a crashed device, rebuilt from its flash —
-// behind a host data cache of cachePages pages when cachePages > 0.
-func newStack(kind SchemeKind, conf *ssdconf.Config, cachePages int, crashed *ftl.Device) (ftl.Scheme, error) {
+// newStack builds every scheme there is: kind's scheme on a fresh device for
+// conf or, given a crashed device, rebuilt from its flash.
+func newStack(kind SchemeKind, conf *ssdconf.Config, crashed *ftl.Device) (ftl.Scheme, error) {
 	e, ok := entryOf(kind)
 	if !ok {
 		return nil, fmt.Errorf("sim: unknown scheme kind %q", kind)
 	}
-	var (
-		s   ftl.Scheme
-		err error
-	)
 	switch {
 	case crashed == nil:
-		s, err = e.build(conf)
+		return e.build(conf)
 	case e.recover == nil:
 		return nil, fmt.Errorf("%w for %s", ErrRecoveryUnsupported, kind)
 	default:
-		s, err = e.recover(crashed)
+		return e.recover(crashed)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if cachePages > 0 {
-		s = hostcache.Wrap(s, cachePages)
-	}
-	return s, nil
-}
-
-// cachePagesOf returns the host data cache size of a stack newStack built
-// (0 when it has none).
-func cachePagesOf(s ftl.Scheme) int {
-	if hc, ok := s.(*hostcache.Scheme); ok {
-		return hc.CachePages()
-	}
-	return 0
-}
-
-// NewRunnerWithHostCache builds a scheme of the given kind on a fresh
-// device, behind a host DRAM data cache of cachePages logical pages
-// (cachePages <= 0 builds none, as NewRunner does).
-func NewRunnerWithHostCache(kind SchemeKind, conf ssdconf.Config, cachePages int) (*Runner, error) {
-	if err := conf.Validate(); err != nil {
-		return nil, err
-	}
-	s, err := newStack(kind, &conf, cachePages, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Runner{Conf: &conf, Kind: kind, Scheme: s}, nil
 }
 
 // Recover simulates power loss on r's device and remounts it: all in-DRAM
 // mapping state is discarded and rebuilt from the flash array's out-of-band
-// metadata. A host data cache is DRAM too: it comes back at its size and
-// empty. A scheme without a recover function fails with
+// metadata. A scheme without a recover function fails with
 // ErrRecoveryUnsupported and r is left untouched; otherwise the returned
 // runner owns the same physical device and r must not be used.
 func Recover(r *Runner) (*Runner, error) {
-	s, err := newStack(r.Kind, r.Conf, cachePagesOf(r.Scheme), r.Scheme.Device())
+	s, err := newStack(r.Kind, r.Conf, r.Scheme.Device())
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,6 @@
 // Warm-state snapshots (DESIGN §13): Runner.Snapshot serialises the
 // complete mutable simulator state — scheme mapping structures, flash
-// array, allocator/GC state, DRAM caches, host cache, chip and bus clocks,
+// array, allocator/GC state, DRAM caches, chip and bus clocks,
 // and the aging bookkeeping — into a self-describing versioned container;
 // Restore verifies and decodes such a container into a replay-ready Runner;
 // OpenCheckpoint keeps that runner and Checkpoint.Fork copies it. A sweep
@@ -20,10 +20,9 @@ import (
 	"across/internal/ssdconf"
 )
 
-// Snapshot serialises the runner's full simulator state. The scheme (and,
-// when wrapped, the host cache and its inner scheme) must implement
-// snapshot.Snapshotter; every scheme built by NewScheme does. Observers
-// (tracer, sampler, checker) are replay-scoped and not captured.
+// Snapshot serialises the runner's full simulator state. The scheme must
+// implement snapshot.Snapshotter; every scheme built by NewScheme does.
+// Observers (tracer, sampler, checker) are replay-scoped and not captured.
 func (r *Runner) Snapshot() ([]byte, error) {
 	snap, ok := r.Scheme.(snapshot.Snapshotter)
 	if !ok {
@@ -37,7 +36,7 @@ func (r *Runner) Snapshot() ([]byte, error) {
 	enc.Tag("sim")
 	enc.Str(string(r.Kind))
 	enc.Str(string(confJSON))
-	enc.I64(int64(cachePagesOf(r.Scheme)))
+	enc.I64(0) // the retired host data cache's size: always none
 	enc.Bool(r.warmed)
 	enc.I64(r.warmupWrites)
 	if err := snap.SnapshotState(enc); err != nil {
@@ -117,7 +116,7 @@ func (r *Runner) Checkpoint() (*Checkpoint, error) {
 func (c *Checkpoint) Bytes() int64 { return c.bytes }
 
 // Fork returns a new replay-ready Runner in the checkpointed state: a fresh
-// scheme stack with the template's state copied into it column by column —
+// scheme with the template's state copied into it column by column —
 // no decode, no check that already passed at open, no second audit. Every
 // fork owns all of its state. A fresh checkpoint's fork is a NewRunner.
 func (c *Checkpoint) Fork() (*Runner, error) {
@@ -131,7 +130,7 @@ func (c *Checkpoint) fork() (*Runner, int64, error) {
 		r, err := NewRunner(c.Kind, conf)
 		return r, 0, err
 	}
-	scheme, err := newStack(c.Kind, &conf, cachePagesOf(t.Scheme), nil)
+	scheme, err := newStack(c.Kind, &conf, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -147,10 +146,10 @@ func (c *Checkpoint) fork() (*Runner, int64, error) {
 // Snapshot, after everything a blob from disk or the network must pass
 // before a runner is returned from it: the container's header (magic,
 // version, flags), the full decode — streamed, a window at a time — into a
-// scheme stack rebuilt from the embedded configuration (including a
-// host-cache wrap when one was captured), every component's shape and range
-// validation on the way in, the body's length and SHA-256 once all of it
-// has been read, and the device auditor over the result — a snapshot whose
+// scheme rebuilt from the embedded configuration (a snapshot taken behind
+// the retired host data cache is refused), every component's shape and
+// range validation on the way in, the body's length and SHA-256 once all of
+// it has been read, and the device auditor over the result — a snapshot whose
 // state violates the mapping/flash invariants (tampered, or from a buggy
 // writer) is rejected rather than replayed. Schemes that cannot be audited
 // skip that final check. The digest comes after the decode, so a refusal
@@ -187,7 +186,7 @@ func decodeRunner(dec *snapshot.Decoder) (*Runner, error) {
 	dec.Tag("sim")
 	kind := SchemeKind(dec.Str())
 	confJSON := dec.Str()
-	cachePages := dec.I64()
+	hostCache := dec.I64()
 	warmed := dec.Bool()
 	warmupWrites := dec.I64()
 	if err := dec.Err(); err != nil {
@@ -203,10 +202,10 @@ func decodeRunner(dec *snapshot.Decoder) (*Runner, error) {
 	if warmupWrites < 0 {
 		return nil, fmt.Errorf("sim: snapshot has negative warm-up writes %d", warmupWrites)
 	}
-	if cachePages < 0 || cachePages > conf.LogicalPages() {
-		return nil, fmt.Errorf("sim: snapshot host cache of %d pages outside [0,%d]", cachePages, conf.LogicalPages())
+	if hostCache != 0 {
+		return nil, fmt.Errorf("sim: snapshot was taken behind a host cache of %d pages, which the simulator no longer models", hostCache)
 	}
-	scheme, err := newStack(kind, &conf, int(cachePages), nil)
+	scheme, err := newStack(kind, &conf, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -8,26 +8,21 @@ import (
 	"testing"
 
 	"across/internal/ftl"
-	"across/internal/hostcache"
 	"across/internal/obs"
 	"across/internal/report"
 	"across/internal/snapshot"
 	"across/internal/trace"
 )
 
-// snapKinds is the differential matrix: every scheme, plus the host-cache
-// wrap (whose own residency state must also survive the round trip).
+// snapKinds is the differential matrix: every scheme.
 func snapKinds() []SchemeKind { return append(Kinds(), KindDFTL) }
 
-// newSnapRunner builds a runner, optionally host-cache wrapped.
-func newSnapRunner(t *testing.T, kind SchemeKind, cachePages int) *Runner {
+// newSnapRunner builds a runner on the small fixture device.
+func newSnapRunner(t *testing.T, kind SchemeKind) *Runner {
 	t.Helper()
 	r, err := NewRunner(kind, smallConf())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cachePages > 0 {
-		r.Scheme = hostcache.Wrap(r.Scheme, cachePages)
 	}
 	return r
 }
@@ -64,13 +59,13 @@ func TestSnapshotDifferentialMatrix(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			reqs := smallTrace(t, 0.02)
 
-			cont := newSnapRunner(t, kind, 0)
+			cont := newSnapRunner(t, kind)
 			if err := cont.Age(DefaultAging()); err != nil {
 				t.Fatal(err)
 			}
 			wantRes, wantMetrics, wantTables := replaySnapObserved(t, cont, reqs, 8)
 
-			snapped := newSnapRunner(t, kind, 0)
+			snapped := newSnapRunner(t, kind)
 			if err := snapped.Age(DefaultAging()); err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +101,7 @@ func TestSnapshotMidAgingDifferential(t *testing.T) {
 			measure := smallTrace(t, 0.01)
 			half := len(agingReqs) / 2
 
-			cont := newSnapRunner(t, kind, 0)
+			cont := newSnapRunner(t, kind)
 			if err := cont.AgeWithTrace(agingReqs); err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +110,7 @@ func TestSnapshotMidAgingDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			interrupted := newSnapRunner(t, kind, 0)
+			interrupted := newSnapRunner(t, kind)
 			if err := interrupted.AgeWithTrace(agingReqs[:half]); err != nil {
 				t.Fatal(err)
 			}
@@ -139,22 +134,11 @@ func TestSnapshotMidAgingDifferential(t *testing.T) {
 	}
 }
 
-// Round-trip property: encode→decode→encode is byte-identical, for bare and
-// host-cache-wrapped runners.
+// Round-trip property: encode→decode→encode is byte-identical.
 func TestSnapshotRoundTripByteEqual(t *testing.T) {
-	for _, tc := range []struct {
-		kind       SchemeKind
-		cachePages int
-	}{
-		{KindFTL, 0}, {KindMRSM, 0}, {KindAcross, 0}, {KindDFTL, 0},
-		{KindAcross, 64}, {KindFTL, 32},
-	} {
-		name := string(tc.kind)
-		if tc.cachePages > 0 {
-			name += "+cache"
-		}
-		t.Run(name, func(t *testing.T) {
-			r := newSnapRunner(t, tc.kind, tc.cachePages)
+	for _, kind := range snapKinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			r := newSnapRunner(t, kind)
 			if err := r.Age(DefaultAging()); err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +169,7 @@ func TestSnapshotRoundTripByteEqual(t *testing.T) {
 // Restored runners keep their aged status: Age refuses to run again, and
 // AgedState reports the warmed device.
 func TestRestoreKeepsAgedState(t *testing.T) {
-	r := newSnapRunner(t, KindFTL, 0)
+	r := newSnapRunner(t, KindFTL)
 	if err := r.Age(DefaultAging()); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +204,7 @@ var openers = []struct {
 // Container-level tampering: bit flips, truncation and version skew are all
 // rejected with the right typed error.
 func TestRestoreRejectsTamperedContainer(t *testing.T) {
-	r := newSnapRunner(t, KindFTL, 0)
+	r := newSnapRunner(t, KindFTL)
 	if err := r.Age(DefaultAging()); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +255,7 @@ func TestRestoreRejectsTamperedContainer(t *testing.T) {
 // openers open it — to the checkpoint's state.
 func TestTamperSweepNeverYieldsARunner(t *testing.T) {
 	for _, kind := range []SchemeKind{KindMRSM, KindAcross} {
-		blob := agedBlob(t, kind, 0)
+		blob := agedBlob(t, kind)
 		if _, err := Restore(blob); err != nil {
 			t.Fatalf("%s: the untouched checkpoint does not open: %v", kind, err)
 		}
@@ -339,7 +323,7 @@ func TestTamperSweepNeverYieldsARunner(t *testing.T) {
 // mapping/flash invariants (here: two LPNs claiming one physical page) must
 // fail the automatic post-restore audit.
 func TestRestoreRejectsCorruptState(t *testing.T) {
-	r := newSnapRunner(t, KindFTL, 0)
+	r := newSnapRunner(t, KindFTL)
 	if err := r.Age(DefaultAging()); err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +352,7 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 // Fresh (un-aged) runners snapshot too — the format does not assume a
 // warmed device.
 func TestSnapshotFreshRunner(t *testing.T) {
-	r := newSnapRunner(t, KindAcross, 0)
+	r := newSnapRunner(t, KindAcross)
 	blob, err := r.Snapshot()
 	if err != nil {
 		t.Fatal(err)

@@ -7,8 +7,7 @@ func (r *Runner) Checker() *check.Checker { return r.checker }
 
 // EnableChecks builds a checker for the runner's scheme, installs it to be
 // driven by subsequent replays, and returns it. The scheme must support
-// auditing (all the repository's schemes do, including hostcache-wrapped
-// stacks). Like the tracer, verification is observation only — a checked
+// auditing (all the repository's schemes do). Like the tracer, verification is observation only — a checked
 // replay produces a bit-identical Result to an unchecked one (the
 // metamorphic tests assert this) — and a runner without a checker pays one
 // branch per request and zero allocations.

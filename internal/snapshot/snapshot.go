@@ -1,7 +1,7 @@
 // Package snapshot implements the versioned binary codec for warm-state
 // simulator snapshots. A snapshot captures the complete mutable state of an
 // aged device — flash array, mapping tables, allocator and GC state, DRAM
-// caches, host cache and chip clocks — so that a sweep can age once and fork
+// caches and chip clocks — so that a sweep can age once and fork
 // every variant replay from the checkpoint instead of re-aging (DESIGN §13).
 //
 // Container layout (all integers little-endian):
