@@ -251,59 +251,94 @@ type Stream struct {
 // Generate materialises the scenario for a device of logicalSectors
 // addressable sectors: each cohort's stream is produced in its partition,
 // re-timed by its temporal pattern, and the streams are merged by arrival
-// time with (time, cohort index) tie-breaking — fully deterministic.
+// time with (time, cohort index) tie-breaking — fully deterministic. The
+// synthetic cohorts are merged as they are drawn, into one slice sized from
+// their generators' counts; a duration cut ends a cohort at its first late
+// arrival.
 func (sc Scenario) Generate(logicalSectors int64) (*Stream, error) {
 	sc = sc.normalised()
 	if err := sc.Validate(logicalSectors); err != nil {
 		return nil, err
 	}
 	out := &Stream{Scenario: sc.Name, LogicalSectors: logicalSectors}
-	streams := make([][]trace.Request, len(sc.Cohorts))
+	srcs := make([]func() (trace.Request, bool), len(sc.Cohorts))
 	total := 0
 	for i := range sc.Cohorts {
 		c := &sc.Cohorts[i]
 		start, size := c.partition(logicalSectors)
-		var reqs []trace.Request
-		var err error
 		if c.isTrace() {
-			reqs = retimeTrace(c, start, size)
+			srcs[i] = replay(retimeTrace(c, start, size))
 		} else {
-			reqs, err = generateCohort(c, start, size)
+			next, err := drawCohort(c, start, size)
 			if err != nil {
 				return nil, fmt.Errorf("cohort %q: %w", c.Name, err)
 			}
+			srcs[i] = next
 		}
-		if sc.DurationMs > 0 {
-			reqs = trimAfter(reqs, sc.DurationMs)
-		}
-		streams[i] = reqs
-		total += len(reqs)
-		out.Cohorts = append(out.Cohorts, CohortInfo{
-			Name: c.Name, Requests: int64(len(reqs)),
-			StartSector: start, Sectors: size,
-		})
+		total += c.requests()
+		out.Cohorts = append(out.Cohorts, CohortInfo{Name: c.Name, StartSector: start, Sectors: size})
 	}
-	out.Requests = merge(streams, total)
-	return out, nil
+
+	// heads[i] is cohort i's earliest undrawn request, while live[i].
+	heads := make([]trace.Request, len(srcs))
+	live := make([]bool, len(srcs))
+	advance := func(i int) {
+		heads[i], live[i] = srcs[i]()
+		if sc.DurationMs > 0 && heads[i].Time >= sc.DurationMs {
+			live[i] = false
+		}
+	}
+	for i := range srcs {
+		advance(i)
+	}
+	out.Requests = make([]trace.Request, 0, total)
+	for {
+		best := -1
+		for i, h := range heads {
+			if live[i] && (best < 0 || h.Time < heads[best].Time) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return out, nil
+		}
+		out.Requests = append(out.Requests, heads[best])
+		out.Cohorts[best].Requests++
+		advance(best)
+	}
 }
 
-// generateCohort produces one synthetic cohort: addresses and sizes from
-// the workload generator scoped to the partition, arrival times from the
-// pattern's inhomogeneous-Poisson walker seeded independently of the
+// drawCohort returns the draw of one synthetic cohort: addresses and sizes
+// from the workload generator scoped to the partition, arrival times from
+// the pattern's inhomogeneous-Poisson walker seeded independently of the
 // address stream.
-func generateCohort(c *Cohort, start, size int64) ([]trace.Request, error) {
+func drawCohort(c *Cohort, start, size int64) (func() (trace.Request, bool), error) {
 	g, err := workload.NewGenerator(c.Profile, size)
 	if err != nil {
 		return nil, err
 	}
-	reqs := g.Generate()
 	rng := rand.New(rand.NewSource(c.Profile.Seed ^ arrivalSeedSalt))
 	walk := c.Pattern.newArrivals(c.Profile.MeanIOPS / 1000) // req/ms
-	for i := range reqs {
-		reqs[i].Offset += start
-		reqs[i].Time = c.StartMs + walk.next(rng.ExpFloat64())
+	return func() (trace.Request, bool) {
+		r, ok := g.Next()
+		if ok {
+			r.Offset += start
+			r.Time = c.StartMs + walk.next(rng.ExpFloat64())
+		}
+		return r, ok
+	}, nil
+}
+
+// replay returns the draw of a materialised stream.
+func replay(reqs []trace.Request) func() (trace.Request, bool) {
+	return func() (trace.Request, bool) {
+		if len(reqs) == 0 {
+			return trace.Request{}, false
+		}
+		r := reqs[0]
+		reqs = reqs[1:]
+		return r, true
 	}
-	return reqs, nil
 }
 
 // retimeTrace maps a recorded trace into the cohort's partition: offsets
@@ -343,34 +378,4 @@ func retimeTrace(c *Cohort, start, size int64) []trace.Request {
 	// makes the guarantee unconditional without disturbing equal arrivals.
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
 	return out
-}
-
-// trimAfter drops requests at or after cutMs (streams are time-sorted).
-func trimAfter(reqs []trace.Request, cutMs float64) []trace.Request {
-	i := sort.Search(len(reqs), func(i int) bool { return reqs[i].Time >= cutMs })
-	return reqs[:i]
-}
-
-// merge interleaves the per-cohort streams into one arrival-ordered stream.
-// Each input is time-sorted; ties break on cohort index (then input order),
-// so the merge is a deterministic function of its inputs.
-func merge(streams [][]trace.Request, total int) []trace.Request {
-	out := make([]trace.Request, 0, total)
-	idx := make([]int, len(streams))
-	for {
-		best := -1
-		for ci, s := range streams {
-			if idx[ci] == len(s) {
-				continue
-			}
-			if best < 0 || s[idx[ci]].Time < streams[best][idx[best]].Time {
-				best = ci
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, streams[best][idx[best]])
-		idx[best]++
-	}
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"across/internal/trace"
 	"across/internal/workload"
@@ -377,20 +379,63 @@ func TestFromTraceScale(t *testing.T) {
 }
 
 func TestMergeTieBreakDeterministic(t *testing.T) {
-	// Two streams with identical timestamps: ties must break by cohort
-	// order, every time.
-	mk := func(off int64) []trace.Request {
+	// Two recorded cohorts with identical timestamps: ties must break by
+	// cohort order, every time.
+	mk := func() []trace.Request {
 		var rs []trace.Request
 		for i := 0; i < 10; i++ {
-			rs = append(rs, trace.Request{Time: float64(i), Offset: off, Count: 8})
+			rs = append(rs, trace.Request{Time: float64(i), Offset: 0, Count: 8})
 		}
 		return rs
 	}
-	a, b := mk(0), mk(1<<10)
-	out := merge([][]trace.Request{a, b}, 20)
+	sc := Scenario{Name: "tie", Cohorts: []Cohort{
+		{Name: "a", Trace: mk(), TraceName: "a", StartFrac: 0, SizeFrac: 0.5},
+		{Name: "b", Trace: mk(), TraceName: "b", StartFrac: 0.5, SizeFrac: 0.5},
+	}}
+	st, err := sc.Generate(testSectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Requests) != 20 {
+		t.Fatalf("%d requests, want 20", len(st.Requests))
+	}
+	b := st.Cohorts[1].StartSector
 	for i := 0; i < 20; i += 2 {
-		if out[i].Offset != 0 || out[i+1].Offset != 1<<10 {
+		if st.Requests[i].Offset != 0 || st.Requests[i+1].Offset != b {
 			t.Fatalf("tie at %d broke against cohort order", i)
 		}
+	}
+}
+
+// TestScenarioGenerateAllocations: the cohorts are merged as they are
+// drawn, so generating a stream allocates its Requests slice, exactly as
+// long as the stream, and the generators' own state — nothing per request,
+// and no per-cohort copy of the stream.
+func TestScenarioGenerateAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation sizes are meaningless under the race detector")
+	}
+	sc, err := Builtin("mixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc = sc.Scale(0.08)
+	var st *Stream
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 3
+	for range runs {
+		if st, err = sc.Generate(1 << 24); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	n := len(st.Requests)
+	if n != cap(st.Requests) {
+		t.Errorf("Requests holds %d requests in a slice of %d", n, cap(st.Requests))
+	}
+	slice := n * int(unsafe.Sizeof(st.Requests[0]))
+	if perRun, limit := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(slice+1<<20); perRun > limit {
+		t.Errorf("generating %d requests (a %d-byte slice) allocated %d bytes, want at most %d (one exact slice + 1 MiB)", n, slice, perRun, limit)
 	}
 }

@@ -34,7 +34,9 @@
 // column crosses the window a block at a time (Encoder.Column,
 // Decoder.Column), straight between a component's arrays and the stream, so
 // the memory a snapshot or a restore needs beyond the state itself does not
-// grow with the device.
+// grow with the device. A raw container, whose output is its body, fills a
+// column larger than the window straight into the output instead, in a
+// piece reserved to the column's end.
 //
 // It follows that the digest is verified after the receiver was filled, at
 // Decoder.Finish, not before. Nothing ever rested on the other order: every
@@ -130,11 +132,12 @@ func I64(b []byte, i int) int64       { return int64(binary.LittleEndian.Uint64(
 // the window fills, and Finish patches its length and SHA-256 into the
 // header. Methods never fail; the first error is kept for Finish.
 type Encoder struct {
-	out  pieces        // the header, then the payload as it is produced
-	sum  hash.Hash     // over the body flushed so far
-	fw   *flate.Writer // nil: the body is stored as it is
-	win  []byte        // body bytes not yet hashed and written
-	size int64         // body bytes flushed
+	out  pieces           // the header, then the payload as it is produced
+	hdr  [headerSize]byte // the first piece; Finish patches the length and digest into the blob
+	sum  hash.Hash        // over the body flushed so far
+	fw   *flate.Writer    // nil: the body is stored as it is
+	win  []byte           // body bytes not yet hashed and written
+	size int64            // body bytes flushed
 	err  error
 }
 
@@ -162,11 +165,10 @@ func newEncoder(containerMagic string, version, flags uint32) *Encoder {
 		e.err = fmt.Errorf("%w: magic %q must be 4 bytes", ErrFormat, containerMagic)
 		return e
 	}
-	var hdr [headerSize]byte
-	copy(hdr[:4], containerMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], version)
-	binary.LittleEndian.PutUint32(hdr[8:], flags)
-	e.out.Write(hdr[:])
+	copy(e.hdr[:4], containerMagic)
+	binary.LittleEndian.PutUint32(e.hdr[4:], version)
+	binary.LittleEndian.PutUint32(e.hdr[8:], flags)
+	e.out = append(make(pieces, 0, 2), e.hdr[:]) // the first piece, full: the payload starts a new one
 	if flags&flagCompressed != 0 {
 		e.fw, e.err = flate.NewWriter(&e.out, flate.BestSpeed)
 	}
@@ -227,8 +229,26 @@ func (e *Encoder) u64(v uint64) { binary.LittleEndian.PutUint64(e.room(8), v) }
 // whole number of elements, the first of them element first of the column,
 // and every byte of it is fill's to write. It is how a component serialises
 // one column of an array of structs without building the column first.
+//
+// A raw container's column larger than the window is filled in place: the
+// output becomes one piece that ends exactly where the column does, and each
+// block is hashed where it will stay.
 func (e *Encoder) Column(n, elemSize int, fill func(dst []byte, first int)) {
 	e.u64(uint64(n))
+	if e.fw == nil && e.err == nil && n*elemSize > windowBytes {
+		out := e.reserve(n * elemSize)
+		for first := 0; first < n; {
+			k := min(n-first, windowBytes/elemSize)
+			dst := out[len(out) : len(out)+k*elemSize]
+			fill(dst, first)
+			e.sum.Write(dst)
+			out = out[:len(out)+len(dst)]
+			first += k
+		}
+		e.out[0] = out
+		e.size += int64(n * elemSize)
+		return
+	}
 	for first := 0; first < n; {
 		k := min(n-first, (cap(e.win)-len(e.win))/elemSize)
 		if k == 0 {
@@ -238,6 +258,25 @@ func (e *Encoder) Column(n, elemSize int, fill func(dst []byte, first int)) {
 		fill(e.room(k*elemSize), first)
 		first += k
 	}
+}
+
+// reserve hashes the window and moves it, behind every piece written so far,
+// into one new piece with exactly n bytes of room left, which becomes the
+// whole output; the window is left empty.
+func (e *Encoder) reserve(n int) []byte {
+	e.sum.Write(e.win)
+	e.size += int64(len(e.win))
+	held := len(e.win) + n
+	for _, p := range e.out {
+		held += len(p)
+	}
+	out := make([]byte, 0, held)
+	for _, p := range e.out {
+		out = append(out, p...)
+	}
+	out = append(out, e.win...)
+	e.out, e.win = append(e.out[:0], out), e.win[:0]
+	return out
 }
 
 // Tag writes a named section marker. Decoders verify the same name at the
@@ -321,7 +360,10 @@ func (e *Encoder) Finish() ([]byte, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	blob := bytes.Join(e.out, nil) // one slice of exactly the container's length
+	blob := e.out[0]
+	if len(e.out) > 1 || cap(blob) == headerSize {
+		blob = bytes.Join(e.out, nil) // one slice of exactly the container's length
+	} // else a reserved column ended the container, and its piece is exact
 	binary.LittleEndian.PutUint64(blob[12:], uint64(e.size))
 	e.sum.Sum(blob[:20])
 	return blob, nil

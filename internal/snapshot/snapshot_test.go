@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -450,4 +452,92 @@ func TestOpenHostileLengthAllocatesLittle(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Errorf("a %d-byte container claiming %d bytes made Open allocate %d", len(blob), uint64(maxBody), got)
 	}
+}
+
+// recordColumn is a column of n 21-byte records, each a function of its
+// index, written into whatever blocks the encoder hands out.
+func recordColumn(e *Encoder, n int) {
+	e.Column(n, 21, func(dst []byte, first int) {
+		for i := range len(dst) / 21 {
+			rec, x := dst[i*21:][:21], uint64(first+i)
+			binary.LittleEndian.PutUint64(rec, x*0x9e3779b97f4a7c15)
+			rec[8] = byte(x)
+			binary.LittleEndian.PutUint64(rec[9:], x<<20|x)
+			binary.LittleEndian.PutUint32(rec[17:], uint32(x*7+1))
+		}
+	})
+}
+
+// TestRawColumnReservedInPlace: a raw container whose last column is larger
+// than a window is filled where it stays and handed back as one exact piece,
+// allocating the container and the window and next to nothing else. The
+// reservation moves no byte: every container here, the raw ones around it
+// and a compressed one, seals to the digest the encoder gave it before raw
+// columns were reserved.
+func TestRawColumnReservedInPlace(t *testing.T) {
+	const big = 2*windowBytes/21 + 1000 // spans three windows
+	seal := func(e *Encoder, n int, tail bool) []byte {
+		e.Tag("meta")
+		e.Str("pinned")
+		e.I64(-5)
+		recordColumn(e, n)
+		if tail {
+			e.Tag("tail")
+			e.I64s([]int64{3, 1, 4})
+		}
+		blob, err := e.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	raw := func() *Encoder { return NewRawContainer("TEST", 7) }
+	for _, tc := range []struct {
+		name string
+		blob []byte
+		want string
+	}{
+		{"raw, ends in a big column", seal(raw(), big, false), "29a7f5ca931063f5e5735869c61458cd874d088eebad92140514fa72646725b3"},
+		{"raw, a section after a big column", seal(raw(), big, true), "75d010c7b7d22461895a02da479bdca486122ada8c00423f7e761b9504b15e50"},
+		{"raw, a column under a window", seal(raw(), 1000, true), "da7bf2be3a4ba7a453672968be2a553946d22bcc09940cec303a8c5dbc1cc092"},
+		{"compressed, a big column", seal(NewContainer("TEST", 7), big, true), "9b15df6eb659bbe9dd797702d017ef4d0f30dcff44ce26bc1b8d1a9cee1ef94b"},
+	} {
+		if got := hex.EncodeToString(sha(tc.blob)); got != tc.want {
+			t.Errorf("%s: %d bytes, sha256 %s, want %s", tc.name, len(tc.blob), got, tc.want)
+		}
+	}
+
+	blob := seal(raw(), big, false)
+	if len(blob) != cap(blob) {
+		t.Errorf("a raw container ending in a big column is %d bytes in a %d-byte piece", len(blob), cap(blob))
+	}
+	if raceEnabled() {
+		return // allocation sizes under -race are the detector's
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 4
+	for range runs {
+		seal(raw(), big, false)
+	}
+	runtime.ReadMemStats(&after)
+	// The allocator rounds a large object up to whole 8 KiB pages, and the
+	// encoder's own state — itself, its hash, its piece list — is a few
+	// hundred bytes.
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(len(blob) + windowBytes + 8<<10); perRun > limit {
+		t.Errorf("sealing a %d-byte raw container allocated %d bytes, want at most %d (the container, one window and 8 KiB)", len(blob), perRun, limit)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race, under
+// which allocation sizes are the detector's as much as the code's.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			return true
+		}
+	}
+	return false
 }
