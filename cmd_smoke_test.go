@@ -211,8 +211,8 @@ func TestAcrosssimRefusesARetiredSnapshotVersion(t *testing.T) {
 		file string
 		says []string
 	}{
-		{"internal/sim/testdata/snapshot-v1/ftl.axsn", []string{"got 1", "support 2", "re-create it with -snapshot-out"}},
-		{"internal/sim/testdata/snapshot-v2/across-hostcache.axsn", []string{"host cache"}},
+		{"internal/sim/testdata/snapshot-v1/ftl.axsn", []string{"got 1", "support 3", "re-create it with -snapshot-out"}},
+		{"internal/sim/testdata/snapshot-v3/across-hostcache.axsn", []string{"host cache"}},
 	} {
 		for _, mode := range [][]string{nil, {"-fleet", "2"}} {
 			args := append([]string{"-snapshot-in", tc.file, "-profile", "lun1", "-scale", "0.002"}, mode...)

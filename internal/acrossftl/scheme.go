@@ -93,10 +93,11 @@ func newScheme(base ftl.Base, opts Options) *Scheme {
 	if opts.AMTCachePages < 2 {
 		opts.AMTCachePages = 2
 	}
+	perPage := conf.PageBytes / conf.AMTEntryBytes
 	s := &Scheme{
 		Base: base,
 		AMT:  mapping.NewAMT(),
-		cmt:  cache.NewCMT(conf.PageBytes/conf.AMTEntryBytes, opts.AMTCachePages),
+		cmt:  cache.NewCMTDense(perPage, opts.AMTCachePages, amtPages(conf)*int64(perPage)),
 		opts: opts,
 	}
 	s.ms = ftl.NewMapStore(s.Dev, s.Al, amtPages(conf))

@@ -38,21 +38,12 @@ type Effect struct {
 	Victim     int64 // translation-page id of the flushed victim (valid if FlushWrite)
 }
 
-// NewCMT builds a cached mapping table. entriesPerPage is how many mapping
-// entries one flash translation page holds; residentPages is the DRAM
-// budget expressed in translation pages.
-func NewCMT(entriesPerPage, residentPages int) *CMT {
-	if entriesPerPage < 1 {
-		entriesPerPage = 1
-	}
-	return &CMT{entriesPerPage: entriesPerPage, lru: NewLRU(residentPages)}
-}
-
-// NewCMTDense builds a cached mapping table over a mapping table of known
-// size: totalEntries bounds the translation-page id space, so the cache uses
-// a dense, churn-allocation-free residency table (see NewLRUDense). Every
-// FTL scheme knows its table size up front, so this is the constructor the
-// simulator's hot paths use.
+// NewCMTDense builds a cached mapping table. entriesPerPage is how many
+// mapping entries one flash translation page holds; residentPages is the
+// DRAM budget expressed in translation pages; totalEntries bounds the
+// mapping table, and with it the translation-page id space of the cache's
+// dense, churn-allocation-free residency table (see NewLRUDense). Every FTL
+// scheme knows its table size up front.
 func NewCMTDense(entriesPerPage, residentPages int, totalEntries int64) *CMT {
 	if entriesPerPage < 1 {
 		entriesPerPage = 1

@@ -16,31 +16,22 @@ type lruNode struct {
 
 // LRU is a fixed-capacity least-recently-used set of int64 keys with a dirty
 // bit per key, which a caller learns when the key leaves: from Touch's
-// eviction or from Remove. The zero value is not usable; call NewLRU or
-// NewLRUDense.
+// eviction or from Remove. The zero value is not usable; call NewLRUDense.
 type LRU struct {
 	capacity int
-	table    map[int64]*lruNode // key -> node (nil in dense mode)
-	dense    []*lruNode         // key-indexed table when the key space is known
+	dense    []*lruNode // key-indexed residency table
 	size     int
 	head     *lruNode // most recently used
 	tail     *lruNode // least recently used
 	free     *lruNode // recycled nodes, chained through next
 }
 
-// NewLRU creates an LRU that holds at most capacity keys (capacity >= 1).
-func NewLRU(capacity int) *LRU {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &LRU{capacity: capacity, table: make(map[int64]*lruNode, capacity)}
-}
-
-// NewLRUDense creates an LRU whose keys are known to lie in [0, keySpace):
-// the residency table is a key-indexed slice, so lookups cost one index and
-// the table never allocates under churn (a map's delete/insert cycle grows
-// overflow buckets indefinitely). Translation-page caches qualify: their
-// keys are dense page ids bounded by the mapping-table size.
+// NewLRUDense creates an LRU that holds at most capacity keys (capacity >= 1)
+// from [0, keySpace): the residency table is a key-indexed slice, so lookups
+// cost one index and the table never allocates under churn (a map's
+// delete/insert cycle grows overflow buckets indefinitely). Translation-page
+// caches qualify: their keys are dense page ids bounded by the mapping-table
+// size.
 func NewLRUDense(capacity int, keySpace int64) *LRU {
 	if capacity < 1 {
 		capacity = 1
@@ -48,28 +39,15 @@ func NewLRUDense(capacity int, keySpace int64) *LRU {
 	return &LRU{capacity: capacity, dense: make([]*lruNode, keySpace)}
 }
 
-func (l *LRU) lookup(key int64) *lruNode {
-	if l.dense != nil {
-		return l.dense[key]
-	}
-	return l.table[key]
-}
+func (l *LRU) lookup(key int64) *lruNode { return l.dense[key] }
 
 func (l *LRU) install(key int64, n *lruNode) {
-	if l.dense != nil {
-		l.dense[key] = n
-	} else {
-		l.table[key] = n
-	}
+	l.dense[key] = n
 	l.size++
 }
 
 func (l *LRU) forget(key int64) {
-	if l.dense != nil {
-		l.dense[key] = nil
-	} else {
-		delete(l.table, key)
-	}
+	l.dense[key] = nil
 	l.size--
 }
 

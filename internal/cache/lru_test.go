@@ -15,7 +15,7 @@ func isDirty(l *LRU, key int64) bool {
 }
 
 func TestLRUBasicInsertAndHit(t *testing.T) {
-	l := NewLRU(2)
+	l := NewLRUDense(2, 100)
 	if hit, _, _, ev := l.Touch(1, false); hit || ev {
 		t.Fatal("first insert should miss without eviction")
 	}
@@ -28,7 +28,7 @@ func TestLRUBasicInsertAndHit(t *testing.T) {
 }
 
 func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
-	l := NewLRU(2)
+	l := NewLRUDense(2, 100)
 	l.Touch(1, false)
 	l.Touch(2, false)
 	l.Touch(1, false) // 1 is now MRU, 2 is LRU
@@ -42,7 +42,7 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 }
 
 func TestLRUDirtyBitPropagation(t *testing.T) {
-	l := NewLRU(1)
+	l := NewLRUDense(1, 100)
 	l.Touch(1, false)
 	l.Touch(1, true) // mark dirty
 	if !isDirty(l, 1) {
@@ -60,7 +60,7 @@ func TestLRUDirtyBitPropagation(t *testing.T) {
 }
 
 func TestLRUCleanAndRemove(t *testing.T) {
-	l := NewLRU(2)
+	l := NewLRUDense(2, 100)
 	l.Touch(1, true)
 	l.Clean(1)
 	if isDirty(l, 1) {
@@ -77,7 +77,7 @@ func TestLRUCleanAndRemove(t *testing.T) {
 }
 
 func TestLRUKeysOrder(t *testing.T) {
-	l := NewLRU(3)
+	l := NewLRUDense(3, 100)
 	l.Touch(1, false)
 	l.Touch(2, false)
 	l.Touch(3, false)
@@ -92,7 +92,7 @@ func TestLRUKeysOrder(t *testing.T) {
 }
 
 func TestLRUCapacityClamp(t *testing.T) {
-	l := NewLRU(0)
+	l := NewLRUDense(0, 100)
 	if l.Cap() != 1 {
 		t.Fatalf("Cap = %d, want clamp to 1", l.Cap())
 	}
@@ -105,7 +105,7 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 	f := func(seed int64, capSeed uint8) bool {
 		capacity := int(capSeed%8) + 1
 		rng := rand.New(rand.NewSource(seed))
-		l := NewLRU(capacity)
+		l := NewLRUDense(capacity, 100)
 		var ref []int64 // most recent first
 		refHas := func(k int64) int {
 			for i, v := range ref {
@@ -158,7 +158,7 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 }
 
 func TestCMTGroupsEntriesIntoPages(t *testing.T) {
-	c := NewCMT(4, 2)
+	c := NewCMTDense(4, 2, 64)
 	if c.PageOf(0) != 0 || c.PageOf(3) != 0 || c.PageOf(4) != 1 {
 		t.Fatal("PageOf grouping wrong")
 	}
@@ -178,8 +178,8 @@ func TestCMTGroupsEntriesIntoPages(t *testing.T) {
 }
 
 func TestCMTDirtyEvictionRequiresFlush(t *testing.T) {
-	c := NewCMT(1, 1) // one entry per page, one resident page
-	c.Touch(0, true)  // page 0 resident and dirty
+	c := NewCMTDense(1, 1, 64) // one entry per page, one resident page
+	c.Touch(0, true)           // page 0 resident and dirty
 	e := c.Touch(1, false)
 	if !e.MissRead || !e.FlushWrite || e.Victim != 0 {
 		t.Fatalf("effect = %+v, want miss + flush of victim 0", e)
@@ -196,7 +196,7 @@ func TestCMTDirtyEvictionRequiresFlush(t *testing.T) {
 }
 
 func TestCMTHitRatioAndReset(t *testing.T) {
-	c := NewCMT(2, 4)
+	c := NewCMTDense(2, 4, 64)
 	if got := c.Stats().HitRatio(); got != 1 {
 		t.Fatalf("empty HitRatio = %v, want 1", got)
 	}
@@ -216,7 +216,7 @@ func TestCMTHitRatioAndReset(t *testing.T) {
 }
 
 func TestCMTClampsDegenerateParameters(t *testing.T) {
-	c := NewCMT(0, 0)
+	c := NewCMTDense(0, 0, 64)
 	if c.EntriesPerPage() != 1 || c.ResidentPages() != 1 {
 		t.Fatalf("clamped CMT = (%d,%d), want (1,1)", c.EntriesPerPage(), c.ResidentPages())
 	}

@@ -7,14 +7,13 @@ import (
 	"across/internal/snapshot"
 )
 
-// SnapshotState appends the LRU's shape (capacity, residency-table mode and
-// key space) followed by the resident keys and dirty bits in MRU→LRU order.
+// SnapshotState appends the LRU's shape (capacity and key space) followed by
+// the resident keys and dirty bits in MRU→LRU order.
 // The free list is recycled scratch with no observable effect and is not
 // serialised.
 func (l *LRU) SnapshotState(enc *snapshot.Encoder) error {
 	enc.Tag("lru")
 	enc.I64(int64(l.capacity))
-	enc.Bool(l.dense != nil)
 	enc.I64(int64(len(l.dense)))
 	enc.I64(int64(l.size))
 	for n := l.head; n != nil; n = n.next {
@@ -25,22 +24,21 @@ func (l *LRU) SnapshotState(enc *snapshot.Encoder) error {
 }
 
 // RestoreState reads state written by SnapshotState into an LRU constructed
-// with the same capacity and mode. Shape mismatches are rejected rather
+// with the same capacity and key space. Shape mismatches are rejected rather
 // than resized: capacity and key space are config-derived, so a divergence
 // means the snapshot belongs to a different configuration (and resizing
 // from decoded values would let hostile snapshots drive allocation).
 func (l *LRU) RestoreState(dec *snapshot.Decoder) error {
 	dec.Tag("lru")
 	capacity := dec.I64()
-	dense := dec.Bool()
 	keySpace := dec.I64()
 	size := dec.I64()
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if capacity != int64(l.capacity) || dense != (l.dense != nil) || keySpace != int64(len(l.dense)) {
-		return fmt.Errorf("cache: snapshot LRU shape (cap %d, dense %v, keyspace %d) does not match receiver (cap %d, dense %v, keyspace %d)",
-			capacity, dense, keySpace, l.capacity, l.dense != nil, len(l.dense))
+	if capacity != int64(l.capacity) || keySpace != int64(len(l.dense)) {
+		return fmt.Errorf("cache: snapshot LRU shape (cap %d, keyspace %d) does not match receiver (cap %d, keyspace %d)",
+			capacity, keySpace, l.capacity, len(l.dense))
 	}
 	if size < 0 || size > capacity {
 		return fmt.Errorf("cache: snapshot LRU size %d outside [0,%d]", size, capacity)
@@ -63,8 +61,8 @@ func (l *LRU) RestoreState(dec *snapshot.Decoder) error {
 	}
 	for i := len(entries) - 1; i >= 0; i-- {
 		e := entries[i]
-		if l.dense != nil && (e.key < 0 || e.key >= int64(len(l.dense))) {
-			return fmt.Errorf("cache: snapshot LRU key %d outside dense key space [0,%d)", e.key, len(l.dense))
+		if e.key < 0 || e.key >= int64(len(l.dense)) {
+			return fmt.Errorf("cache: snapshot LRU key %d outside key space [0,%d)", e.key, len(l.dense))
 		}
 		if hit, _, _, evicted := l.Touch(e.key, e.dirty); hit || evicted {
 			return fmt.Errorf("cache: snapshot LRU key %d duplicated", e.key)
@@ -114,7 +112,7 @@ func (c *CMT) RestoreState(dec *snapshot.Decoder) error {
 }
 
 // CopyState makes the LRU a copy of src, an LRU of the same capacity and
-// mode: src's residents re-inserted LRU-first, as RestoreState does, which
+// key space: src's residents re-inserted LRU-first, as RestoreState does, which
 // reproduces its recency order. It returns the bytes of the nodes built.
 func (l *LRU) CopyState(src *LRU) int64 {
 	for l.head != nil {

@@ -23,20 +23,17 @@ import (
 func (a *Array) SnapshotState(enc *snapshot.Encoder) error {
 	enc.Tag("flash")
 	n := len(a.meta)
+	// Valid and dead pages interleave at random on an aged device, so the
+	// canonical form is masked in by state, not branched on.
 	enc.Column(n, 1, func(dst []byte, first int) {
 		for i, m := range a.meta[first : first+len(dst)] {
-			if m&stateMask != uint8(PageValid) {
-				m &= stateMask
-			}
-			dst[i] = m
+			dst[i] = m & metaKept[m&stateMask]
 		}
 	})
 	enc.Column(n, 4, func(dst []byte, first int) {
-		for i, key := range a.key[first : first+len(dst)/4] {
-			if a.State(PPN(first+i)) != PageValid {
-				key = int32(NilTag.Key)
-			}
-			snapshot.PutI32(dst, i, key)
+		meta := a.meta[first : first+len(dst)/4]
+		for i, key := range a.key[first : first+len(meta)] {
+			snapshot.PutI32(dst, i, key&keyKept[meta[i]&stateMask]|int32(NilTag.Key)&^keyKept[meta[i]&stateMask])
 		}
 	})
 	hasAux := a.hasAux()
@@ -56,6 +53,14 @@ func (a *Array) SnapshotState(enc *snapshot.Encoder) error {
 	enc.I64(a.reads)
 	return nil
 }
+
+// metaKept and keyKept are, per page state, the bits of a page's meta byte
+// and of its key that its snapshot keeps: all of them on a valid page, the
+// state alone and no key (NilTag's, in its place) on any other.
+var (
+	metaKept = [4]uint8{PageFree: stateMask, PageValid: 0xFF, PageInvalid: stateMask, 3: stateMask}
+	keyKept  = [4]int32{PageValid: -1}
+)
 
 // hasAux reports whether some valid page carries a non-zero Aux.
 func (a *Array) hasAux() bool {
@@ -81,10 +86,13 @@ func (a *Array) RestoreState(dec *snapshot.Decoder) error {
 	pages, blocks := len(a.meta), len(a.writePtr)
 	dec.Column(1, pages, func(src []byte, first int) error {
 		for i, m := range src {
+			if m&^metaKept[m&stateMask] == 0 && m&stateMask <= uint8(PageInvalid) && m>>kindShift <= MaxKind {
+				continue
+			}
 			switch st, kind := PageState(m&stateMask), m>>kindShift; {
 			case st > PageInvalid:
 				return fmt.Errorf("flash: snapshot page %d has invalid state %d", first+i, st)
-			case st != PageValid && kind != 0, kind > MaxKind:
+			default:
 				return tagErr(first+i, st, "kind", int64(kind))
 			}
 		}
@@ -92,13 +100,13 @@ func (a *Array) RestoreState(dec *snapshot.Decoder) error {
 		return nil
 	})
 	dec.Column(4, pages, func(src []byte, first int) error {
-		for i := range len(src) / 4 {
-			p, key := first+i, snapshot.I32(src, i)
-			if st := a.State(PPN(p)); st == PageValid {
-				a.key[p] = key
-			} else if int64(key) != NilTag.Key {
-				return tagErr(p, st, "key", int64(key))
+		meta := a.meta[first : first+len(src)/4]
+		for i := range meta {
+			p, key, kept := first+i, snapshot.I32(src, i), keyKept[meta[i]&stateMask]
+			if key&^kept != int32(NilTag.Key)&^kept {
+				return tagErr(p, PageState(meta[i]&stateMask), "key", int64(key))
 			}
+			a.key[p] = key & kept // a dead page's key stays a new array's
 		}
 		return nil
 	})

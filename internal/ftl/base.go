@@ -24,7 +24,15 @@ type Base struct {
 }
 
 // NewBase wires a fresh device, allocator and PMT for a configuration.
-func NewBase(conf *ssdconf.Config) (Base, error) {
+func NewBase(conf *ssdconf.Config) (Base, error) { return newBase(conf, conf.LogicalPages()) }
+
+// NewBaseWithoutPMT is NewBase for a scheme that maps through tables of its
+// own (MRSM): its PMT holds no entries, so a stray page-level lookup panics
+// instead of answering NilPPN, and no page-level table is allocated, forked
+// or sealed.
+func NewBaseWithoutPMT(conf *ssdconf.Config) (Base, error) { return newBase(conf, 0) }
+
+func newBase(conf *ssdconf.Config, pmtPages int64) (Base, error) {
 	dev, err := NewDevice(conf)
 	if err != nil {
 		return Base{}, err
@@ -33,7 +41,7 @@ func NewBase(conf *ssdconf.Config) (Base, error) {
 		Conf:     conf,
 		Dev:      dev,
 		Al:       NewAllocator(dev, nil),
-		PMT:      mapping.NewPMT(conf.LogicalPages()),
+		PMT:      mapping.NewPMT(pmtPages),
 		SPP:      conf.SectorsPerPage(),
 		sectors:  conf.LogicalSectors(),
 		sppShift: shiftOf(conf.SectorsPerPage()),

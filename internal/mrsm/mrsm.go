@@ -109,7 +109,7 @@ func New(conf *ssdconf.Config) (*Scheme, error) {
 	if subPerPg > math.MaxUint8 {
 		return nil, fmt.Errorf("%w: %d sub-pages per page, limit %d", flash.ErrGeometryTooLarge, subPerPg, math.MaxUint8)
 	}
-	base, err := ftl.NewBase(conf)
+	base, err := ftl.NewBaseWithoutPMT(conf)
 	if err != nil {
 		return nil, err
 	}

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"across/internal/flash"
+	"across/internal/mapping"
 	"across/internal/ssdconf"
 	"across/internal/trace"
 )
@@ -393,5 +395,62 @@ func TestDirtyNodeFlushesOnItsBudget(t *testing.T) {
 		if got, want := s.Dev.Count.MapWrites, int64(i/maxNodeDirty); got != want {
 			t.Fatalf("after %d updates of one node: %d map writes, want %d", i, got, want)
 		}
+	}
+}
+
+// TestMRSMCarriesNoPageTable: MRSM maps through its sub-page tables and
+// never writes the shared page-level table, so its base holds an empty one.
+// A stray page-level lookup panics instead of answering NilPPN; a fork's copy
+// moves 4 bytes per logical page fewer than it would with the table in place;
+// and a churning replay with the table put back runs, and audits, exactly as
+// one without it.
+func TestMRSMCarriesNoPageTable(t *testing.T) {
+	bare, c := tinyScheme(t)
+	if n := bare.PMT.Len(); n != 0 {
+		t.Fatalf("MRSM's page table holds %d entries, want none", n)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a page-level lookup on MRSM answered instead of panicking")
+			}
+		}()
+		bare.PMT.PPNOf(0)
+	}()
+	withTable := func() *Scheme {
+		s, _ := tinyScheme(t)
+		s.PMT = mapping.NewPMT(c.LogicalPages())
+		return s
+	}
+	full := withTable()
+	rng := rand.New(rand.NewSource(4))
+	region := c.LogicalSectors() / 2
+	for op := range 3000 {
+		off, count := rng.Int63n(region-40), rng.Int31n(36)+1
+		if rng.Intn(100) < 70 {
+			write(t, bare, off, count, float64(op))
+			write(t, full, off, count, float64(op))
+		} else {
+			read(t, bare, off, count, float64(op))
+			read(t, full, off, count, float64(op))
+		}
+	}
+	if bare.Dev.Array.TotalErases() == 0 {
+		t.Fatal("churn never triggered GC")
+	}
+	if bare.Dev.Count != full.Dev.Count || bare.cmt.Stats() != full.cmt.Stats() || !slices.Equal(bare.subLoc, full.subLoc) {
+		t.Error("the replay with a page table differs from the one without")
+	}
+	for _, s := range []*Scheme{bare, full} {
+		if err := s.AuditMapping(); err != nil {
+			t.Errorf("audit: %v", err)
+		}
+	}
+	if full.PMT.PPNOf(0) != flash.NilPPN || full.PMT.Len() != c.LogicalPages() {
+		t.Error("the replay wrote the page table")
+	}
+	fork, forkFull := func() *Scheme { s, _ := tinyScheme(t); return s }(), withTable()
+	if got, want := fork.CopyState(bare), forkFull.CopyState(full)-4*c.LogicalPages(); got != want {
+		t.Errorf("a fork copies %d bytes, want %d: the copy with the table, less 4 bytes per logical page", got, want)
 	}
 }

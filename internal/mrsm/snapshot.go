@@ -8,17 +8,16 @@ import (
 )
 
 // SnapshotState implements snapshot.Snapshotter: Base plus the sub-page
-// mapping, the packed-page census, the cached mapping table with its
-// per-node dirty counts, the flash map store and the live pack buffer.
-// Request-scoped scratch (ppnScratch, subsPool, ownersBuf) is excluded.
+// mapping, the cached mapping table with its per-node dirty counts, the flash
+// map store and the live pack buffer. The packed-page census is the mapping
+// inverted, and RestoreState rebuilds it; request-scoped scratch
+// (ppnScratch, subsPool, ownersBuf) is excluded.
 func (s *Scheme) SnapshotState(enc *snapshot.Encoder) error {
 	enc.Tag("scheme:MRSM")
 	if err := s.SnapshotBase(enc); err != nil {
 		return err
 	}
-	deltas(enc, s.subLoc)
-	deltas(enc, s.pageOwner)
-	enc.Column(len(s.pageLive), 1, func(dst []byte, first int) { copy(dst, s.pageLive[first:]) })
+	steps(enc, s.subLoc)
 	enc.I32s(s.nodeDirty)
 	enc.I64s(s.bufList)
 	if err := s.cmt.SnapshotState(enc); err != nil {
@@ -27,37 +26,25 @@ func (s *Scheme) SnapshotState(enc *snapshot.Encoder) error {
 	return s.ms.SnapshotState(enc)
 }
 
-// deltas writes a 32-bit table as the wrapping differences between
-// neighbours, the first from zero. The location and census tables run in
-// long ascending stretches, which DEFLATE finds only once they are
-// differenced; no other column is written this way (DESIGN §13).
-func deltas(enc *snapshot.Encoder, col []int32) {
+// steps writes the location table as each entry's wrapping difference from
+// the one before it (the first from zero), zigzag-folded so that a small step
+// either way is a small number. A page's sub-pages sit in neighbouring slots,
+// so most steps are 0 or ±1 and pack into a few bits, where a location GC
+// scattered needs 22; the far jumps become the block's exceptions. On
+// Scaled(16) the column packs to 2.26 MB this way, 4.76 MB plain and 4.97 MB
+// differenced but not folded (the one negative jump of a block becomes its
+// minimum).
+func steps(enc *snapshot.Encoder, col []int32) {
 	enc.Column(len(col), 4, func(dst []byte, first int) {
 		var prev int32
 		if first > 0 {
 			prev = col[first-1]
 		}
 		for i, v := range col[first : first+len(dst)/4] {
-			snapshot.PutI32(dst, i, v-prev)
+			d := v - prev
+			snapshot.PutI32(dst, i, d<<1^d>>31)
 			prev = v
 		}
-	})
-}
-
-// undeltas reads a column written by deltas into a table of the receiver's
-// size. It refuses any reconstructed value but unmapped or an index into the
-// other table (limit is its length) as snapshot.ErrCorrupt.
-func undeltas(dec *snapshot.Decoder, dst []int32, limit int, what string) {
-	var v int32
-	dec.Column(4, len(dst), func(src []byte, first int) error {
-		for i := range len(src) / 4 {
-			v += snapshot.I32(src, i)
-			if v < unmapped || int(v) >= limit {
-				return fmt.Errorf("%w: mrsm %s entry %d is %d, outside [-1,%d)", snapshot.ErrCorrupt, what, first+i, v, limit)
-			}
-			dst[first+i] = v
-		}
-		return nil
 	})
 }
 
@@ -70,17 +57,9 @@ func (s *Scheme) RestoreState(dec *snapshot.Decoder) error {
 	if err := s.RestoreBase(dec); err != nil {
 		return err
 	}
-	undeltas(dec, s.subLoc, len(s.pageOwner), "location")
-	undeltas(dec, s.pageOwner, len(s.subLoc), "census")
-	dec.Column(1, len(s.pageLive), func(src []byte, first int) error {
-		for i, n := range src {
-			if int(n) > s.subPerPg {
-				return fmt.Errorf("%w: mrsm page %d has %d live slots, page fits %d", snapshot.ErrCorrupt, first+i, n, s.subPerPg)
-			}
-		}
-		copy(s.pageLive[first:], src)
-		return nil
-	})
+	if err := s.restoreLocations(dec); err != nil {
+		return err
+	}
 	dec.Column(4, len(s.nodeDirty), func(src []byte, first int) error {
 		for i := range len(src) / 4 {
 			s.nodeDirty[first+i] = snapshot.I32(src, i)
@@ -107,6 +86,60 @@ func (s *Scheme) RestoreState(dec *snapshot.Decoder) error {
 		return err
 	}
 	return dec.Err()
+}
+
+// restoreLocations reads the sub-page locations, as steps wrote them, into a
+// fresh receiver and rebuilds the packed-page census they invert: each mapped sub-page owns the
+// slot it names, and a page's live count is its owned slots. A location
+// outside the slot space, or a slot two sub-pages name, is refused as
+// snapshot.ErrCorrupt; the audit checks the rest of the bijection.
+//
+// The column's pass only stores owners, whose slots it reaches in no useful
+// order; the live counts come from a second pass, over the census in order.
+// A slot named twice shows there, as fewer occupied slots than mapped
+// sub-pages, and only then is the second name looked for.
+func (s *Scheme) restoreLocations(dec *snapshot.Decoder) error {
+	slots := uint32(len(s.pageOwner))
+	mapped, loc := 0, int32(0)
+	dec.Column(4, len(s.subLoc), func(src []byte, first int) error {
+		for i := range len(src) / 4 {
+			step := uint32(snapshot.I32(src, i))
+			loc += int32(step>>1) ^ -int32(step&1)
+			sub := first + i
+			if loc == unmapped {
+				continue
+			}
+			if uint32(loc) >= slots {
+				return fmt.Errorf("%w: mrsm location entry %d is %d, outside [-1,%d)", snapshot.ErrCorrupt, sub, loc, slots)
+			}
+			s.subLoc[sub], s.pageOwner[loc] = loc, int32(sub)
+			mapped++
+		}
+		return nil
+	})
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	occupied, spp := 0, s.subPerPg
+	for ppn := range s.pageLive {
+		live := uint8(0)
+		for _, sub := range s.pageOwner[ppn*spp : (ppn+1)*spp] {
+			if sub != unmapped {
+				live++
+			}
+		}
+		s.pageLive[ppn] = live
+		occupied += int(live)
+	}
+	if occupied == mapped {
+		return nil
+	}
+	for sub, loc := range s.subLoc {
+		if owner := s.pageOwner[max(loc, 0)]; loc != unmapped && owner != int32(sub) {
+			return fmt.Errorf("%w: mrsm slot %d is the location of sub-pages %d and %d", snapshot.ErrCorrupt, loc, sub, owner)
+		}
+	}
+	return nil
 }
 
 // CopyState makes the scheme a copy of src, an MRSM *Scheme built for the

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -191,12 +192,6 @@ func forgedSeries(t testing.TB) map[string][]byte {
 		return w
 	}
 	golden, _ := goldenSeries(t)
-	compressed := snapshot.NewContainer(seriesMagic, seriesVersion)
-	compressed.I64s([]int64{0})
-	deflated, err := compressed.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
 	return map[string][]byte{
 		"no words":             sealWords(t, seriesMagic),
 		"count beyond words":   sealWords(t, seriesMagic, 1<<40),
@@ -209,7 +204,7 @@ func forgedSeries(t testing.TB) map[string][]byte {
 		"custom length -2":     sealWords(t, seriesMagic, sample(func(w []int64) { w[1+20] = -2 })...),
 		"trailing bytes":       append(bytes.Clone(golden), 0),
 		"another container":    sealWords(t, "AXSN", 0),
-		"deflated zero series": deflated,
+		"deflated zero series": deflated(t, sealWords(t, seriesMagic, 0)),
 	}
 }
 
@@ -257,15 +252,11 @@ func TestSeriesDecodeRejects(t *testing.T) {
 // refusal every time, never samples.
 func TestSeriesTamperSweep(t *testing.T) {
 	golden, _ := goldenSeries(t)
-	packed := snapshot.NewContainer(seriesMagic, seriesVersion)
-	for _, b := range golden[52:] {
-		packed.U8(b)
+	compressed := deflated(t, golden)
+	if samples, err := DecodeSeries(compressed); err != nil || len(samples) == 0 {
+		t.Fatalf("the golden series, compressed: %d samples, %v", len(samples), err)
 	}
-	deflated, err := packed.Finish()
-	if samples, derr := DecodeSeries(deflated); err != nil || derr != nil || len(samples) == 0 {
-		t.Fatalf("the golden series, compressed: %d samples, %v, %v", len(samples), err, derr)
-	}
-	for _, blob := range [][]byte{golden, deflated} {
+	for _, blob := range [][]byte{golden, compressed} {
 		refused := func(what string, damaged []byte) {
 			t.Helper()
 			samples, err := DecodeSeries(damaged)
@@ -313,19 +304,16 @@ func FuzzSeriesDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	wide := snapshot.NewContainer(seriesMagic, seriesVersion)
-	for _, b := range raw[52:] {
-		wide.U8(b)
-	}
-	wideBlob, err := wide.Finish()
-	if back, derr := DecodeSeries(wideBlob); err != nil || derr != nil || len(back) != len(many) || len(raw) < 300<<10 {
-		f.Fatalf("wide seed: %d samples in %d bytes, %v, %v", len(back), len(raw), err, derr)
+	wideBlob := deflated(f, raw)
+	if back, err := DecodeSeries(wideBlob); err != nil || len(back) != len(many) || len(raw) < 300<<10 {
+		f.Fatalf("wide seed: %d samples in %d bytes, %v", len(back), len(raw), err)
 	}
 	f.Add(wideBlob)
-	claims := snapshot.NewContainer(seriesMagic, seriesVersion)
+	claims := snapshot.NewRawContainer(seriesMagic, seriesVersion)
 	claims.I64(1 << 27)
 	claims.I64(1 << 20)
-	claimsBlob, _ := claims.Finish()
+	claimsRaw, _ := claims.Finish()
+	claimsBlob := deflated(f, claimsRaw)
 	binary.LittleEndian.PutUint64(claimsBlob[12:], 8+8<<27)
 	f.Add(claimsBlob)
 	f.Fuzz(func(t *testing.T, blob []byte) {
@@ -450,4 +438,21 @@ func BenchmarkSeriesFormat(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ndjson(b, samples)
 	}
+}
+
+// deflated re-seals a raw container with its body DEFLATE-compressed (flag
+// bit 0): the form earlier releases wrote, which Open still reads.
+func deflated(tb testing.TB, raw []byte) []byte {
+	tb.Helper()
+	out := bytes.NewBuffer(bytes.Clone(raw[:52]))
+	binary.LittleEndian.PutUint32(out.Bytes()[8:], 1)
+	fw, err := flate.NewWriter(out, flate.BestSpeed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fw.Write(raw[52:])
+	if err := fw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -145,17 +146,18 @@ func FuzzTraceV2Decode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(wideBlob)
-	claims := snapshot.NewContainer(TraceV2Magic, TraceV2Version)
+	claims := snapshot.NewRawContainer(TraceV2Magic, TraceV2Version)
 	claims.Tag("meta")
 	claims.Str("claims")
 	claims.I64(testSectors)
 	claims.I64(0)
 	claims.Tag("reqs")
 	claims.I64(1 << 26)
-	claimsBlob, err := claims.Finish()
+	claimsRaw, err := claims.Finish()
 	if err != nil {
 		f.Fatal(err)
 	}
+	claimsBlob := deflated(f, claimsRaw)
 	binary.LittleEndian.PutUint64(claimsBlob[12:], 1<<31)
 	f.Add(claimsBlob)
 
@@ -184,7 +186,7 @@ func FuzzTraceV2Decode(f *testing.F) {
 // recomputes the SHA-256 can hand the decoder.
 func forgedContainer(tb testing.TB, op uint8, count int32) []byte {
 	tb.Helper()
-	e := snapshot.NewContainer(TraceV2Magic, TraceV2Version)
+	e := snapshot.NewRawContainer(TraceV2Magic, TraceV2Version)
 	e.Tag("meta")
 	e.Str("forged")
 	e.I64(testSectors)
@@ -204,7 +206,24 @@ func forgedContainer(tb testing.TB, op uint8, count int32) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return blob
+	return deflated(tb, blob)
+}
+
+// deflated re-seals a raw container with its body DEFLATE-compressed (flag
+// bit 0): the form earlier releases wrote, which Open still reads.
+func deflated(tb testing.TB, raw []byte) []byte {
+	tb.Helper()
+	out := bytes.NewBuffer(bytes.Clone(raw[:52]))
+	binary.LittleEndian.PutUint32(out.Bytes()[8:], 1)
+	fw, err := flate.NewWriter(out, flate.BestSpeed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fw.Write(raw[52:])
+	if err := fw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
 }
 
 // TestTraceV2RejectsUnwritableRecords: an op byte other than 0/1 or a

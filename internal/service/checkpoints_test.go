@@ -129,7 +129,7 @@ func TestUnusableStoredCheckpointIsNotCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hostCached, err := os.ReadFile("../sim/testdata/snapshot-v2/across-hostcache.axsn")
+	hostCached, err := os.ReadFile("../sim/testdata/snapshot-v3/across-hostcache.axsn")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -505,8 +505,8 @@ func TestForkAllocations(t *testing.T) {
 // returns, on the Experiment device: neither end holds a body, so a restore
 // allocates the runner it returns and little else (the whole-body codec
 // allocated 4.4x and 3.4x the runner for FTL and MRSM), and a snapshot the
-// blob it returns, the pieces the blob was collected in and the DEFLATE
-// writer (it allocated 12-13x the blob).
+// blob it returns, the pieces the blob was collected in and the packer's
+// scratch (with a DEFLATE writer it allocated 12-13x the blob).
 func TestSnapshotCodecAllocations(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("heap sizes are meaningless under the race detector")
@@ -548,12 +548,12 @@ func TestSnapshotCodecAllocations(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/snapshot-v2 from storedSnapshot's recipe")
+var update = flag.Bool("update", false, "rewrite testdata/snapshot-v3 from storedSnapshot's recipe")
 
-// storedSnapshots names the checkpoints testdata/snapshot-v2 holds, one per
+// storedSnapshots names the checkpoints testdata/snapshot-v3 holds, one per
 // scheme. The directory keeps one more, across-hostcache.axsn, taken behind
-// the retired host data cache: TestStoredCheckpointsAreRefused pins its
-// refusal.
+// the retired host data cache (its version-2 body resealed as version 3):
+// TestStoredCheckpointsAreRefused pins its refusal.
 var storedSnapshots = []struct {
 	file string
 	kind SchemeKind
@@ -589,7 +589,7 @@ func storedSnapshot(t *testing.T, kind SchemeKind) []byte {
 	return mustSnapshot(t, r)
 }
 
-// The container is version 2, byte for byte: testdata/snapshot-v2 holds one
+// The container is version 3, byte for byte: testdata/snapshot-v3 holds one
 // checkpoint per entry of storedSnapshots, written by the commit that
 // introduced the version, and each must open here, pass the audit and
 // re-snapshot to exactly the bytes it was read from. After a format change,
@@ -598,7 +598,7 @@ func storedSnapshot(t *testing.T, kind SchemeKind) []byte {
 func TestStoredSnapshotsStillLoad(t *testing.T) {
 	for _, s := range storedSnapshots {
 		t.Run(s.file, func(t *testing.T) {
-			file := filepath.Join("testdata", "snapshot-v2", s.file)
+			file := filepath.Join("testdata", "snapshot-v3", s.file)
 			if *update {
 				if err := os.WriteFile(file, storedSnapshot(t, s.kind), 0o644); err != nil {
 					t.Fatal(err)
@@ -624,7 +624,8 @@ func TestStoredSnapshotsStillLoad(t *testing.T) {
 
 // A checkpoint is a cache, so one the simulator can no longer build is
 // refused, never migrated, by both openers and by name: testdata/snapshot-v1
-// keeps one version-1 checkpoint (ErrVersion), and testdata/snapshot-v2 one
+// keeps one version-1 checkpoint and testdata/snapshot-v2 the version-2 set
+// (ErrVersion), and testdata/snapshot-v3 one
 // taken behind a 16-page host data cache, which the simulator no longer
 // models (ErrCorrupt naming the host cache).
 func TestStoredCheckpointsAreRefused(t *testing.T) {
@@ -634,7 +635,12 @@ func TestStoredCheckpointsAreRefused(t *testing.T) {
 		says string
 	}{
 		{"snapshot-v1/ftl.axsn", snapshot.ErrVersion, "version"},
-		{"snapshot-v2/across-hostcache.axsn", snapshot.ErrCorrupt, "host cache"},
+		{"snapshot-v2/ftl.axsn", snapshot.ErrVersion, "version"},
+		{"snapshot-v2/dftl.axsn", snapshot.ErrVersion, "version"},
+		{"snapshot-v2/mrsm.axsn", snapshot.ErrVersion, "version"},
+		{"snapshot-v2/across.axsn", snapshot.ErrVersion, "version"},
+		{"snapshot-v2/across-hostcache.axsn", snapshot.ErrVersion, "version"},
+		{"snapshot-v3/across-hostcache.axsn", snapshot.ErrCorrupt, "host cache"},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			blob, err := os.ReadFile(filepath.Join("testdata", tc.file))
@@ -652,7 +658,7 @@ func TestStoredCheckpointsAreRefused(t *testing.T) {
 
 // BenchmarkCheckpoint prices the seam per device and scheme, on the
 // Experiment device acrossd's jobs use and the 1 Mi-page gc-churn one: Open
-// is what a blob costs once (inflate, hash, decode, audit, one trial fork),
+// is what a blob costs once (unpack, hash, decode, audit, one trial fork),
 // Fork what every runner costs. DESIGN §13 quotes it and CI runs it once.
 func BenchmarkCheckpoint(b *testing.B) {
 	for _, dev := range []struct {

@@ -12,7 +12,7 @@ import (
 	"across/internal/snapshot"
 )
 
-// bodyCursor walks a version-2 snapshot body the way the decoders do, so a
+// bodyCursor walks a version-3 snapshot body the way the decoders do, so a
 // test can plant a defect at a named place.
 type bodyCursor struct {
 	tb   testing.TB
@@ -56,6 +56,9 @@ func (c *bodyCursor) fill(first, elem int, b byte) {
 }
 
 func (c *bodyCursor) put64(off int, v int64) { binary.LittleEndian.PutUint64(c.body[off:], uint64(v)) }
+
+// zigzag folds a step of MRSM's location column as the writer does.
+func zigzag(d int32) int32                   { return d<<1 ^ d>>31 }
 func (c *bodyCursor) put32(off int, v int32) { binary.LittleEndian.PutUint32(c.body[off:], uint32(v)) }
 
 // flashCols is where the page columns of a body's flash section lie: a page
@@ -80,18 +83,20 @@ func (c *bodyCursor) flashPage(state byte) (f flashCols) {
 
 // TestRestoreRefusesEveryPlantedDefect reaches, one at a time, the size,
 // range, tag, presence, duplicate and accounting refusals of every
-// RestoreState and of Restore's own header — in stored version-2 checkpoints
+// RestoreState and of Restore's own header — in stored version-3 checkpoints
 // resealed with a correct digest, so only the decoders stand between the
 // defect and a runner. The streamed codec checks each element as its column
 // arrives instead of after all columns are in view; this is the list showing
 // that no check went missing on the way, nor when the columns took the
 // tables' widths: what version 1 refused and is not here — a PPN, a tag key
-// or an MRSM entry beyond 32 bits — version 2 has no bytes to say.
+// or an MRSM entry beyond 32 bits — the 32-bit columns have no bytes to say.
+// MRSM's census is rebuilt from its locations since version 3, so what a
+// stored census could get wrong is now a location that names a slot twice.
 // (Map-store and PMT refusals are also reached directly in the ftl and
 // mapping packages' tests, container and trailing-byte refusals in the
 // snapshot package's.)
 func TestRestoreRefusesEveryPlantedDefect(t *testing.T) {
-	const lruShape = 8 + 1 + 8 // capacity, dense, key space: what precedes an LRU's size
+	const lruShape = 8 + 8 // capacity, key space: what precedes an LRU's size
 	// simScalars returns the offset of cachePages, which warmed and
 	// warmupWrites follow, behind the kind and configuration strings.
 	simScalars := func(c *bodyCursor) int {
@@ -108,8 +113,8 @@ func TestRestoreRefusesEveryPlantedDefect(t *testing.T) {
 		_, eraseCount, _ = c.col(8)
 		return
 	}
-	// mrsmCols leaves the cursor behind the PMT, at MRSM's own columns:
-	// location, census, live counts, dirty counts.
+	// mrsmCols leaves the cursor behind the (empty) PMT, at MRSM's own
+	// columns: location steps, dirty counts.
 	mrsmCols := func(c *bodyCursor) *bodyCursor {
 		c.tag("pmt").col(4)
 		c.optCol(4)
@@ -216,37 +221,40 @@ func TestRestoreRefusesEveryPlantedDefect(t *testing.T) {
 			c.fill(first, 4, 0xFF)
 		}},
 		// MRSM
-		{"MRSM location delta that wraps", "mrsm.axsn", "location", func(c *bodyCursor) {
+		{"MRSM location out of range", "mrsm.axsn", "location", func(c *bodyCursor) {
+			_, first, _ := mrsmCols(c).col(4)
+			c.put32(first, zigzag(math.MaxInt32)) // the first step, from zero
+		}},
+		{"MRSM location below unmapped", "mrsm.axsn", "location", func(c *bodyCursor) {
+			_, first, _ := mrsmCols(c).col(4)
+			c.put32(first, zigzag(-2))
+		}},
+		{"MRSM slot named by two sub-pages", "mrsm.axsn", "location of sub-pages", func(c *bodyCursor) {
 			_, first, n := mrsmCols(c).col(4)
-			for i, v := 0, int32(0); i < n; i++ {
-				if v >= 1 { // the entry before is a slot above 0: the largest step from it wraps below -1
-					c.put32(first+4*i, math.MaxInt32)
-					return
-				}
-				v += int32(binary.LittleEndian.Uint32(c.body[first+4*i:]))
+			locs := make([]int32, n) // what the column's zigzag-folded steps spell
+			for i, loc := 0, int32(0); i < n; i++ {
+				step := binary.LittleEndian.Uint32(c.body[first+4*i:])
+				loc += int32(step>>1) ^ -int32(step&1)
+				locs[i] = loc
 			}
-			c.tb.Fatal("stored MRSM checkpoint maps no sub-page")
-		}},
-		{"MRSM census entry out of range", "mrsm.axsn", "census", func(c *bodyCursor) {
-			mrsmCols(c).col(4)
-			_, first, _ := c.col(4)
-			c.put32(first, 1<<30)
-		}},
-		{"MRSM census entry below unmapped", "mrsm.axsn", "census", func(c *bodyCursor) {
-			mrsmCols(c).col(4)
-			_, first, _ := c.col(4)
-			c.put32(first, -2)
-		}},
-		{"MRSM page with 99 live slots", "mrsm.axsn", "live slots", func(c *bodyCursor) {
-			mrsmCols(c).col(4)
-			c.col(4)
-			_, first, _ := c.col(1)
-			c.body[first] = 99
+			mapped := func(from int) int {
+				for i := from; i < n; i++ {
+					if locs[i] != -1 {
+						return i
+					}
+				}
+				c.tb.Fatal("stored MRSM checkpoint maps fewer than two sub-pages")
+				return 0
+			}
+			a := mapped(0)
+			locs[mapped(a+1)] = locs[a]
+			for i, prev := 0, int32(0); i < n; i++ {
+				c.put32(first+4*i, zigzag(locs[i]-prev))
+				prev = locs[i]
+			}
 		}},
 		{"MRSM dirty-count column of another size", "mrsm.axsn", "receiver holds", func(c *bodyCursor) {
 			mrsmCols(c).col(4)
-			c.col(4)
-			c.col(1)
 			count, _, n := c.col(4)
 			c.put64(count, int64(n-1))
 		}},
@@ -294,7 +302,7 @@ func TestRestoreRefusesEveryPlantedDefect(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			stored, err := os.ReadFile("testdata/snapshot-v2/" + tc.fixture)
+			stored, err := os.ReadFile("testdata/snapshot-v3/" + tc.fixture)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,11 +2,8 @@ package sim
 
 import (
 	"bytes"
-	"compress/flate"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"io"
 	"math"
 	"os"
 	"testing"
@@ -54,9 +51,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	// A body several windows long, so columns arrive split across them, and
 	// a column count the header's length allows but the payload present could
-	// never inflate to.
+	// never expand to.
 	wideConf := smallConf()
-	wideConf.BlocksPerPlane *= 2
+	wideConf.BlocksPerPlane *= 4
 	wide, err := NewRunner(KindMRSM, wideConf)
 	if err != nil {
 		f.Fatal(err)
@@ -98,35 +95,42 @@ func headerLen(blob []byte) int {
 	return header
 }
 
-// inflatedBody returns what the DEFLATE payload of blob inflates to.
-func inflatedBody(blob []byte) ([]byte, error) {
-	return io.ReadAll(flate.NewReader(bytes.NewReader(blob[headerLen(blob):])))
+// bodyOf returns the body the payload of blob spells, as far as the decoder
+// reads it, and the decoder's verdict on the container.
+func bodyOf(blob []byte) ([]byte, error) {
+	dec, err := snapshot.NewDecoder(blob)
+	if err != nil {
+		return nil, err
+	}
+	var body []byte
+	dec.Blocks(int(snapshot.BodyLen(blob)), 1, func(src []byte, _ int) error {
+		body = append(body, src...)
+		return nil
+	})
+	return body, dec.Finish()
 }
 
-// reseal returns blob with mutate applied to its inflated body and the
-// header's length and SHA-256 recomputed: a container that passes every
-// container check, so only the state decoders stand between the planted
-// defect and a runner.
+// reseal returns blob with mutate applied to its body, sealed again by an
+// Encoder — the header's length and SHA-256 recomputed, the body in raw
+// segments of a packed payload: a container that passes every container
+// check, so only the state decoders stand between the planted defect and a
+// runner.
 func reseal(tb testing.TB, blob []byte, mutate func(body []byte)) []byte {
 	tb.Helper()
-	body, err := inflatedBody(blob)
+	body, err := bodyOf(blob)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	mutate(body)
-	out := bytes.NewBuffer(bytes.Clone(blob[:12])) // magic, version, flags
-	out.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(body))))
-	sum := sha256.Sum256(body)
-	out.Write(sum[:])
-	fw, err := flate.NewWriter(out, flate.BestSpeed)
+	enc := snapshot.NewEncoder()
+	for _, b := range body {
+		enc.U8(b)
+	}
+	out, err := enc.Finish()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	fw.Write(body)
-	if err := fw.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	return out.Bytes()
+	return out
 }
 
 // sectionAt returns the offset just past a section tag in a snapshot body.
@@ -148,16 +152,16 @@ func slabAt(body []byte, off, elem int) (first, next, n int) {
 	return off + 8, off + 8 + n*elem, n
 }
 
-// outOfRangeBlobs plants, in stored version-2 checkpoints, what the columns
+// outOfRangeBlobs plants, in stored version-3 checkpoints, what the columns
 // can still say and no table may hold: a PPN or a tag key outside the device,
-// a tag on a dead page, an MRSM entry reached by a difference that wraps, a
-// presence byte that is not a boolean. (Version 1 could also say a PPN, a tag
+// a tag on a dead page, an MRSM location below unmapped, a presence byte
+// that is not a boolean. (Version 1 could also say a PPN, a tag
 // key or an MRSM entry beyond 32 bits, and refused them; the 32-bit columns
 // cannot.) Each blob is otherwise a checkpoint that opens.
 func outOfRangeBlobs(tb testing.TB) []namedBlob {
 	tb.Helper()
 	stored := func(name string) []byte {
-		blob, err := os.ReadFile("testdata/snapshot-v2/" + name)
+		blob, err := os.ReadFile("testdata/snapshot-v3/" + name)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -193,7 +197,7 @@ func outOfRangeBlobs(tb testing.TB) []namedBlob {
 			c.tag("pmt").col(4)
 			c.optCol(4)
 			_, first, _ := c.col(4)
-			c.put32(first, math.MinInt32) // the first difference, from zero
+			c.put32(first, math.MinInt32) // the first step: a location far past the slots
 		})},
 	}
 }
@@ -209,12 +213,12 @@ type namedBlob struct {
 // — is refused by both openers instead of being installed, or indexing past
 // a table in the audit.
 func TestRestoreRejectsOutOfRangeColumns(t *testing.T) {
-	stored, err := os.ReadFile("testdata/snapshot-v2/ftl.axsn")
+	stored, err := os.ReadFile("testdata/snapshot-v3/ftl.axsn")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(reseal(t, stored, func([]byte) {}), stored) {
-		t.Fatal("resealing an untouched body does not reproduce the stored checkpoint")
+	if r, err := Restore(reseal(t, stored, func([]byte) {})); err != nil || !bytes.Equal(mustSnapshot(t, r), stored) {
+		t.Fatalf("resealing an untouched body does not reproduce the stored checkpoint: %v", err)
 	}
 	for _, b := range outOfRangeBlobs(t) {
 		for _, o := range openers {

@@ -246,13 +246,13 @@ func TestRestoreRejectsTamperedContainer(t *testing.T) {
 // filled, so between a damaged payload and a runner stand the per-element
 // checks, the length and overrun checks and, last, the SHA-256: one byte
 // flipped per 4 KiB of a real MRSM and a real Across-FTL checkpoint — of the
-// body, in the container's stored form, and of the DEFLATE payload — and a
+// body, in the container's stored form, and of the packed payload — and a
 // cut at every 4 KiB, must each come back from both openers as a typed
-// refusal and never as a runner. The digest is the body's, so the one flip
-// let past is one DEFLATE does not see (the distance of a match inside a run,
-// say): the test inflates the payload itself, and only when that gives the
-// checkpoint's body byte for byte, for at most one flip of a sweep, may the
-// openers open it — to the checkpoint's state.
+// refusal and never as a runner. The digest is the body's, so a flip the
+// payload's form does not see would be let past: the test decodes the
+// payload itself, and only when that gives the checkpoint's body byte for
+// byte, for at most one flip of a sweep, may the openers open it — to the
+// checkpoint's state.
 func TestTamperSweepNeverYieldsARunner(t *testing.T) {
 	for _, kind := range []SchemeKind{KindMRSM, KindAcross} {
 		blob := agedBlob(t, kind)
@@ -260,11 +260,11 @@ func TestTamperSweepNeverYieldsARunner(t *testing.T) {
 			t.Fatalf("%s: the untouched checkpoint does not open: %v", kind, err)
 		}
 		const header = 52
-		body, err := inflatedBody(blob)
+		body, err := bodyOf(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The same body under the same digest, not deflated: every payload
+		// The same body under the same digest, not packed: every payload
 		// byte is a body byte.
 		stored := append(bytes.Clone(blob[:header]), body...)
 		stored[8] = 0
@@ -294,7 +294,7 @@ func TestTamperSweepNeverYieldsARunner(t *testing.T) {
 			flipped := bytes.Clone(blob)
 			flipped[at] ^= 0x04
 			what := fmt.Sprintf("byte %d of %d flipped", at, len(blob))
-			if got, err := inflatedBody(flipped); err != nil || !bytes.Equal(got, body) {
+			if got, err := bodyOf(flipped); err != nil || !bytes.Equal(got, body) {
 				refused(what, flipped)
 				continue
 			}
@@ -302,14 +302,14 @@ func TestTamperSweepNeverYieldsARunner(t *testing.T) {
 			r, err := Restore(flipped)
 			cp, cerr := OpenCheckpoint(flipped)
 			if err != nil || cerr != nil {
-				t.Fatalf("%s, %s, and the payload inflates to the checkpoint's body: Restore %v, OpenCheckpoint %v", kind, what, err, cerr)
+				t.Fatalf("%s, %s, and the payload spells the checkpoint's body: Restore %v, OpenCheckpoint %v", kind, what, err, cerr)
 			}
 			if !bytes.Equal(mustSnapshot(t, r), blob) || !bytes.Equal(mustSnapshot(t, mustFork(t, cp)), blob) {
 				t.Fatalf("%s, %s: opened to a state that is not the checkpoint's", kind, what)
 			}
 		}
 		if unseen > 1 {
-			t.Errorf("%s: %d flips of the payload inflate to the checkpoint's body, want at most 1", kind, unseen)
+			t.Errorf("%s: %d flips of the payload spell the checkpoint's body, want at most 1", kind, unseen)
 		}
 		for cut := 0; cut < len(blob); cut += 4096 {
 			refused(fmt.Sprintf("cut at %d of %d", cut, len(blob)), blob[:cut])

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -15,8 +16,10 @@ import (
 // oracleSeal and oracleOpen are the whole-body codec the stream replaced,
 // kept as its reference: seal hashed and deflated a finished body in one go,
 // open inflated all of it into one buffer sized from the header and verified
-// the SHA-256 before a decoder saw a byte. A container is the same byte
-// string whichever of the two wrote it, and each reads the other's.
+// the SHA-256 before a decoder saw a byte. A raw container is the same byte
+// string whichever of the two wrote it, and each reads the other's. A packed
+// payload depends on the calls that wrote the body, so the oracle only opens
+// one, with oracleUnpack: the packed form's rules, a bit at a time.
 func oracleSeal(containerMagic string, version uint32, body []byte, flags uint32) []byte {
 	var hdr [headerSize]byte
 	copy(hdr[:4], containerMagic)
@@ -64,7 +67,18 @@ func oracleOpen(containerMagic string, wantVersion uint32, blob []byte) ([]byte,
 
 	var body []byte
 	payload := blob[headerSize:]
-	if flags&flagCompressed != 0 {
+	if flags == knownFlags {
+		return nil, fmt.Errorf("%w: unknown flags %#x", ErrFormat, flags)
+	}
+	if flags&flagPacked != 0 {
+		var err error
+		if body, err = oracleUnpack(payload, min(ulen, maxUnpack*uint64(len(payload)))+1); err != nil {
+			return nil, fmt.Errorf("%w: payload: %v", ErrCorrupt, err)
+		}
+		if uint64(len(body)) != ulen {
+			return nil, fmt.Errorf("%w: body is %d bytes, header says %d", ErrCorrupt, len(body), ulen)
+		}
+	} else if flags&flagCompressed != 0 {
 		body = make([]byte, min(ulen, maxInflate*uint64(len(payload)))+1)
 		fr := flate.NewReader(bytes.NewReader(payload))
 		n := 0
@@ -90,6 +104,104 @@ func oracleOpen(containerMagic string, wantVersion uint32, blob []byte) ([]byte,
 	}
 	if sha256.Sum256(body) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	return body, nil
+}
+
+// oracleUnpack spells out a packed payload, one bit at a time, stopping
+// once the body is longer than limit.
+func oracleUnpack(p []byte, limit uint64) ([]byte, error) {
+	var body []byte
+	take := func(n int) ([]byte, error) {
+		if len(p) < n {
+			return nil, io.ErrUnexpectedEOF
+		}
+		b := p[:n]
+		p = p[n:]
+		return b, nil
+	}
+	le := func(b []byte) uint64 { // little-endian, any width up to 8
+		var v uint64
+		for i := len(b) - 1; i >= 0; i-- {
+			v = v<<8 | uint64(b[i])
+		}
+		return v
+	}
+	for len(p) > 0 && uint64(len(body)) <= limit {
+		kind, _ := take(1)
+		switch kind[0] {
+		case segRaw:
+			n, w := binary.Uvarint(p)
+			if w <= 0 || n > uint64(len(p)-w) {
+				return nil, io.ErrUnexpectedEOF
+			}
+			raw, _ := take(w + int(n))
+			body = append(body, raw[w:]...)
+		case segColumn:
+			h, err := take(9)
+			if err != nil {
+				return nil, err
+			}
+			elem, count := int(h[0]), le(h[1:])
+			if elem != 1 && elem != 4 && elem != 8 {
+				return nil, fmt.Errorf("column of %d-byte elements", elem)
+			}
+			body = append(body, h[1:]...)
+			for left := count; left > 0 && uint64(len(body)) <= limit; {
+				k := int(min(left, blockLen))
+				left -= uint64(k)
+				h, err := take(2 + elem)
+				if err != nil {
+					return nil, err
+				}
+				width, exc := int(h[0]), int(h[1+elem])
+				shift := 64 - 8*elem
+				base := uint64(int64(le(h[1:1+elem])<<shift) >> shift) // sign-extended
+				if width > 8*elem || exc >= k {
+					return nil, fmt.Errorf("block %d bits wide with %d exceptions", width, exc)
+				}
+				packed, err := take((k*width + 7) / 8)
+				if err != nil {
+					return nil, err
+				}
+				bit := func(i int) uint64 { return uint64(packed[i/8]>>(i%8)) & 1 }
+				vals := make([]uint64, k)
+				for i := range vals {
+					var off uint64
+					for j := range width {
+						off |= bit(i*width+j) << j
+					}
+					if off > uint64(math.MaxInt64>>shift)-base {
+						return nil, fmt.Errorf("element %d does not fit", i)
+					}
+					vals[i] = base + off
+				}
+				for i := k * width; i < 8*len(packed); i++ {
+					if bit(i) != 0 {
+						return nil, fmt.Errorf("padding bit %d set", i)
+					}
+				}
+				prev := -1
+				for range exc {
+					x, err := take(1 + elem)
+					if err != nil {
+						return nil, err
+					}
+					i := int(x[0])
+					if i <= prev || i >= k || vals[i] != base {
+						return nil, fmt.Errorf("exception at %d", i)
+					}
+					vals[i], prev = le(x[1:]), i
+				}
+				for _, v := range vals {
+					for j := range elem {
+						body = append(body, byte(v>>(8*j)))
+					}
+				}
+			}
+		default:
+			return nil, fmt.Errorf("segment kind %d", kind[0])
+		}
 	}
 	return body, nil
 }
@@ -230,31 +342,37 @@ func generatedBodies() map[string][]field {
 }
 
 // TestStreamMatchesWholeBodyOracle: for every generated body, raw and
-// compressed, the streamed container is byte for byte the one the whole-body
-// seal wrote, the whole-body open reads the stream's container back to the
-// same body, and the streaming decoder reads the oracle's.
+// packed, the streamed container is the one the whole-body seal wrote — byte
+// for byte when raw, and under the same header but for the flags when packed
+// — and the whole-body open reads it back to the same body; the streaming
+// decoder reads it, and the oracle's DEFLATE container of the body.
 func TestStreamMatchesWholeBodyOracle(t *testing.T) {
 	for name, fields := range generatedBodies() {
 		var body []byte
 		for _, f := range fields {
 			body = f.append(body)
 		}
-		for _, flags := range []uint32{0, flagCompressed} {
+		for _, flags := range []uint32{0, flagPacked, flagCompressed} {
 			t.Run(fmt.Sprintf("%s/flags=%d", name, flags), func(t *testing.T) {
-				e := newEncoder("ORCL", 3, flags)
-				for _, f := range fields {
-					f.write(e)
-				}
-				got, err := e.Finish()
-				if err != nil {
-					t.Fatal(err)
-				}
 				want := oracleSeal("ORCL", 3, body, flags)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("the stream sealed %d bytes, the oracle %d: not the same container", len(got), len(want))
-				}
-				if back, err := oracleOpen("ORCL", 3, got); err != nil || !bytes.Equal(back, body) {
-					t.Fatalf("the oracle reads the stream's container as %d bytes, %v; want the %d-byte body", len(back), err, len(body))
+				if flags != flagCompressed {
+					e := newEncoder("ORCL", 3, flags)
+					for _, f := range fields {
+						f.write(e)
+					}
+					got, err := e.Finish()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if flags == flagPacked {
+						want = append(bytes.Clone(want[:headerSize]), got[headerSize:]...)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("the stream sealed %d bytes, the oracle %d: not the same container", len(got), len(want))
+					}
+					if back, err := oracleOpen("ORCL", 3, got); err != nil || !bytes.Equal(back, body) {
+						t.Fatalf("the oracle reads the stream's container as %d bytes, %v; want the %d-byte body", len(back), err, len(body))
+					}
 				}
 				d, err := Open("ORCL", 3, want)
 				if err != nil {
@@ -273,8 +391,8 @@ func TestStreamMatchesWholeBodyOracle(t *testing.T) {
 	}
 }
 
-// TestStreamRefusesWhatTheOracleRefuses: a container with a byte flipped or
-// its tail cut is refused by both — by the oracle at open, by the stream no
+// TestStreamRefusesWhatTheOracleRefuses: a container, raw, packed or
+// DEFLATE, with a byte flipped or its tail cut is refused by both — by the oracle at open, by the stream no
 // later than Finish — with the same sentinel.
 func TestStreamRefusesWhatTheOracleRefuses(t *testing.T) {
 	fields := []field{strField("head"), columnField(windowBytes/8+100, 8, 9), i64Field(5)}
@@ -293,9 +411,17 @@ func TestStreamRefusesWhatTheOracleRefuses(t *testing.T) {
 		d.I64()
 		return d.Finish()
 	}
-	for _, flags := range []uint32{0, flagCompressed} {
-		blob := oracleSeal("ORCL", 3, body, flags)
-		for at := 0; at < len(blob); at += 509 {
+	for _, flags := range []uint32{0, flagPacked, flagCompressed} {
+		blob, step := oracleSeal("ORCL", 3, body, flags), 509
+		if flags == flagPacked { // the oracle unpacks a bit at a time: fewer, wider steps
+			step = 2039
+			e := newEncoder("ORCL", 3, flags)
+			for _, f := range fields {
+				f.write(e)
+			}
+			blob, _ = e.Finish()
+		}
+		for at := 0; at < len(blob); at += step {
 			for _, damaged := range [][]byte{flipped(blob, at), blob[:at]} {
 				_, want := oracleOpen("ORCL", 3, damaged)
 				got := decode(damaged)

@@ -8,11 +8,11 @@
 //
 //	offset  size  field
 //	0       4     magic "AXSN"
-//	4       4     format version (currently 2)
-//	8       4     flags (bit 0: body is DEFLATE-compressed)
-//	12      8     uncompressed body length in bytes
-//	20      32    SHA-256 of the uncompressed body
-//	52      ...   body (compressed when flag bit 0 is set)
+//	4       4     format version (currently 3)
+//	8       4     flags (bit 0: the payload is DEFLATE; bit 1: it is packed)
+//	12      8     body length in bytes
+//	20      32    SHA-256 of the body
+//	52      ...   payload: the body as it is, DEFLATE-compressed, or packed
 //
 // The body is a flat sequence of fixed-width primitives and length-prefixed
 // slices produced by Encoder and consumed by Decoder. Section tags (Tag)
@@ -20,23 +20,27 @@
 // between writer and reader fails loudly instead of misinterpreting bytes.
 // A slice is a column — a u64 count, then fixed-width little-endian elements.
 //
-// Version 2 writes every per-page, per-LPN and per-slot column at the width
-// the runner's table holds it — a byte, 32 or 64 bits, a lazily allocated
-// column behind a presence byte that says whether it holds anything — so the
-// body of a checkpoint is the size of the state it carries. A checkpoint is a
-// cache of a deterministic computation: old versions are refused with
-// ErrVersion and re-aged, never migrated, and no reader of version 1 is kept.
+// Every per-page, per-LPN and per-slot column goes out at the width the
+// runner's table holds it — a byte, 32 or 64 bits, a lazily allocated column
+// behind a presence byte that says whether it holds anything — so the body
+// of a checkpoint is the size of the state it carries. A checkpoint's payload
+// is packed (pack.go): each column of 1-, 4- or 8-byte elements in blocks of
+// 128, frame-of-reference bit-packed with exceptions, and everything else
+// as it is. A checkpoint is a cache of a deterministic computation: old
+// versions are refused with ErrVersion and re-aged, never migrated.
+// Nothing writes DEFLATE any more; the decoder still reads it, since trace-v2
+// files from earlier releases carry it.
 //
 // Neither side ever holds the body. Both work through one window of
-// windowBytes: the Encoder hashes and deflates the window each time it
-// fills and patches the header's length and digest in at Finish; the Decoder
-// inflates into the window, hashes what arrives and hands it out. A big
-// column crosses the window a block at a time (Encoder.Column,
-// Decoder.Column), straight between a component's arrays and the stream, so
-// the memory a snapshot or a restore needs beyond the state itself does not
-// grow with the device. A raw container, whose output is its body, fills a
-// column larger than the window straight into the output instead, in a
-// piece reserved to the column's end.
+// windowBytes: the Encoder hashes the window each time it fills and writes
+// it out, packing each column a window at a time, and patches the header's
+// length and digest in at Finish; the Decoder unpacks or inflates into the
+// window, hashes what arrives and hands it out. A big column crosses the
+// window a block at a time (Encoder.Column, Decoder.Column), straight between
+// a component's arrays and the stream, so the memory a snapshot or a restore
+// needs beyond the state itself does not grow with the device. A raw
+// container, whose payload is its body, fills a column larger than the window
+// straight into the output instead, in a piece reserved to the column's end.
 //
 // It follows that the digest is verified after the receiver was filled, at
 // Decoder.Finish, not before. Nothing ever rested on the other order: every
@@ -45,14 +49,13 @@
 // decoded may be used before Finish has returned nil.
 //
 // Determinism: every encoder input is produced in a canonical order (sparse
-// tables are serialised in ascending key order), DEFLATE at a fixed level is
-// deterministic for a given input whatever the sizes of the writes that
-// delivered it, and the checksum covers the uncompressed body — so
+// tables are serialised in ascending key order), the packer's choices depend
+// only on the elements of a block, and the checksum covers the body — so
 // encode→decode→encode reproduces the container byte for byte. The decoder
-// is hardened against hostile inputs (fuzzed by FuzzSnapshotDecode): no
-// count is believed beyond what the payload present could inflate to,
-// nothing is inflated past one byte beyond the declared length, every read
-// is bounded, and errors are typed, never a panic.
+// is hardened against hostile inputs (fuzzed by FuzzSnapshotDecode and
+// FuzzPackedColumn): no count is believed beyond what the payload present
+// could expand to, nothing is expanded past one byte beyond the declared
+// length, every read is bounded, and errors are typed, never a panic.
 package snapshot
 
 import (
@@ -70,16 +73,17 @@ import (
 
 // Version is the snapshot format version written by this package. Decoders
 // reject any other version with ErrVersion.
-const Version = 2
+const Version = 3
 
 const (
 	magic      = "AXSN"
 	headerSize = 4 + 4 + 4 + 8 + sha256.Size
 
 	flagCompressed = 1 << 0
-	knownFlags     = flagCompressed
+	flagPacked     = 1 << 1
+	knownFlags     = flagCompressed | flagPacked
 
-	// maxBody bounds the uncompressed body length a decoder will accept.
+	// maxBody bounds the body length a decoder will accept.
 	// A full Table 1 device serialises to well under 2 GiB; the cap stops
 	// decompression bombs long before they hurt.
 	maxBody = 1 << 31
@@ -128,33 +132,29 @@ func I32(b []byte, i int) int32       { return int32(binary.LittleEndian.Uint32(
 func I64(b []byte, i int) int64       { return int64(binary.LittleEndian.Uint64(b[i*8:])) }
 
 // Encoder writes a container as a stream: the body passes through one
-// window, hashed and deflated (or, for a raw container, copied) each time
-// the window fills, and Finish patches its length and SHA-256 into the
-// header. Methods never fail; the first error is kept for Finish.
+// window, hashed and written out (packed, for a checkpoint) each time the
+// window fills, and Finish patches its length and SHA-256 into the header.
+// Methods never fail; the first error is kept for Finish.
 type Encoder struct {
-	out  pieces           // the header, then the payload as it is produced
-	hdr  [headerSize]byte // the first piece; Finish patches the length and digest into the blob
-	sum  hash.Hash        // over the body flushed so far
-	fw   *flate.Writer    // nil: the body is stored as it is
-	win  []byte           // body bytes not yet hashed and written
-	size int64            // body bytes flushed
-	err  error
+	out    pieces           // the header, then the payload as it is produced
+	hdr    [headerSize]byte // the first piece; Finish patches the length and digest into the blob
+	sum    hash.Hash        // over the body flushed so far
+	packed bool             // the payload is packed segments, not the body as it is
+	win    []byte           // body bytes not yet hashed and written
+	pk     []byte           // the payload of the column blocks last packed
+	size   int64            // body bytes flushed
+	err    error
 }
 
-// NewEncoder returns an encoder of a snapshot (AXSN) container.
-func NewEncoder() *Encoder { return NewContainer(magic, Version) }
+// NewEncoder returns an encoder of a snapshot (AXSN) container, whose
+// payload is packed.
+func NewEncoder() *Encoder { return newEncoder(magic, Version, flagPacked) }
 
-// NewContainer returns an encoder of a container carrying an arbitrary
-// 4-byte magic and format version — the same layout, determinism and
-// hardening as snapshot containers, reusable by other versioned binary
-// artifacts (the trace-v2 workload container is one). Open is its inverse.
-func NewContainer(containerMagic string, version uint32) *Encoder {
-	return newEncoder(containerMagic, version, flagCompressed)
-}
-
-// NewRawContainer is NewContainer with the body stored as it is (flag bit 0
-// clear): for a small artifact written on a hot path, where DEFLATE would
-// cost more than the bytes it saves. Open reads either.
+// NewRawContainer returns an encoder of a container carrying an arbitrary
+// 4-byte magic and format version, its body stored as it is (no flag set) —
+// the same layout, determinism and hardening as snapshot containers, for the
+// other versioned binary artifacts (the trace-v2 workload container and the
+// sample series). Open is its inverse.
 func NewRawContainer(containerMagic string, version uint32) *Encoder {
 	return newEncoder(containerMagic, version, 0)
 }
@@ -169,9 +169,7 @@ func newEncoder(containerMagic string, version, flags uint32) *Encoder {
 	binary.LittleEndian.PutUint32(e.hdr[4:], version)
 	binary.LittleEndian.PutUint32(e.hdr[8:], flags)
 	e.out = append(make(pieces, 0, 2), e.hdr[:]) // the first piece, full: the payload starts a new one
-	if flags&flagCompressed != 0 {
-		e.fw, e.err = flate.NewWriter(&e.out, flate.BestSpeed)
-	}
+	e.packed = flags&flagPacked != 0
 	return e
 }
 
@@ -194,16 +192,18 @@ func (p *pieces) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// flush hashes and writes out the window. Hash and deflate are streams: where
-// one window ends and the next begins does not show in the output.
+// flush hashes and writes out the window, as a raw segment of a packed
+// payload. The hash is a stream: where one window ends and the next begins
+// does not show in it.
 func (e *Encoder) flush() {
-	if e.err == nil {
+	if e.err == nil && len(e.win) > 0 {
 		e.sum.Write(e.win)
-		if e.fw != nil {
-			_, e.err = e.fw.Write(e.win)
-		} else {
-			e.out.Write(e.win)
+		if e.packed {
+			var hdr [1 + binary.MaxVarintLen64]byte
+			hdr[0] = segRaw
+			e.out.Write(hdr[:1+binary.PutUvarint(hdr[1:], uint64(len(e.win)))])
 		}
+		e.out.Write(e.win)
 	}
 	e.size += int64(len(e.win))
 	e.win = e.win[:0]
@@ -230,12 +230,18 @@ func (e *Encoder) u64(v uint64) { binary.LittleEndian.PutUint64(e.room(8), v) }
 // and every byte of it is fill's to write. It is how a component serialises
 // one column of an array of structs without building the column first.
 //
-// A raw container's column larger than the window is filled in place: the
-// output becomes one piece that ends exactly where the column does, and each
-// block is hashed where it will stay.
+// A packed payload's column of 1-, 4- or 8-byte elements is a column
+// segment: the window, emptied first, holds a block at a time, which is
+// hashed and packed. A raw container's column larger than the window is
+// filled in place: the output becomes one piece that ends exactly where the
+// column does, and each block is hashed where it will stay.
 func (e *Encoder) Column(n, elemSize int, fill func(dst []byte, first int)) {
+	if e.packed && packable(elemSize) {
+		e.packColumn(n, elemSize, fill)
+		return
+	}
 	e.u64(uint64(n))
-	if e.fw == nil && e.err == nil && n*elemSize > windowBytes {
+	if !e.packed && e.err == nil && n*elemSize > windowBytes {
 		out := e.reserve(n * elemSize)
 		for first := 0; first < n; {
 			k := min(n-first, windowBytes/elemSize)
@@ -258,6 +264,27 @@ func (e *Encoder) Column(n, elemSize int, fill func(dst []byte, first int)) {
 		fill(e.room(k*elemSize), first)
 		first += k
 	}
+}
+
+// packColumn writes a column segment: its header and count, then the
+// column's blocks, packed a window at a time.
+func (e *Encoder) packColumn(n, elemSize int, fill func(dst []byte, first int)) {
+	e.flush()
+	var hdr [10]byte
+	hdr[0], hdr[1] = segColumn, byte(elemSize)
+	binary.LittleEndian.PutUint64(hdr[2:], uint64(n))
+	e.sum.Write(hdr[2:])
+	e.out.Write(hdr[:])
+	for first := 0; first < n; {
+		k := min(n-first, windowBytes/elemSize) // whole blocks, but for the column's last
+		dst := e.win[:k*elemSize]
+		fill(dst, first)
+		e.sum.Write(dst)
+		e.pk = packColumn(e.pk[:0], dst, elemSize)
+		e.out.Write(e.pk)
+		first += k
+	}
+	e.size += 8 + int64(n)*int64(elemSize)
 }
 
 // reserve hashes the window and moves it, behind every piece written so far,
@@ -346,14 +373,10 @@ func (e *Encoder) F64s(v []float64) {
 	})
 }
 
-// Finish seals the container — the last window, the end of the DEFLATE
-// stream, then the body's length and SHA-256 into the header — and returns
-// it. The encoder is spent.
+// Finish seals the container — the last window, then the body's length and
+// SHA-256 into the header — and returns it. The encoder is spent.
 func (e *Encoder) Finish() ([]byte, error) {
 	e.flush()
-	if e.err == nil && e.fw != nil {
-		e.err = e.fw.Close()
-	}
 	if e.err == nil && e.size > maxBody {
 		e.err = fmt.Errorf("%w: body %d bytes exceeds %d", ErrFormat, e.size, maxBody)
 	}
@@ -375,13 +398,13 @@ func (e *Encoder) Finish() ([]byte, error) {
 // section and check the error once. What a Decoder has handed out is only
 // known to be the body the header's digest names once Finish returns nil.
 type Decoder struct {
-	src   io.Reader // inflates the payload; nil once it has ended, and for a stored body, which is its own window
-	win   []byte    // win[r:w] has been inflated and hashed and is not yet handed out
+	src   io.Reader // unpacks or inflates the payload; nil once it has ended, and for a stored body, which is its own window
+	win   []byte    // win[r:w] has been unpacked or inflated and hashed and is not yet handed out
 	r, w  int
 	off   int64     // body bytes handed out
-	got   int64     // body bytes inflated
+	got   int64     // body bytes unpacked or inflated
 	ulen  int64     // the body length the header declares
-	bound int64     // the most the body can hold: ulen, or less when the payload cannot inflate to it
+	bound int64     // the most the body can hold: ulen, or less when the payload cannot expand to it
 	sum   hash.Hash // over the got bytes
 	want  [sha256.Size]byte
 	err   error
@@ -389,15 +412,15 @@ type Decoder struct {
 
 // NewDecoder validates the header of a snapshot (AXSN) container and returns
 // a decoder positioned at the first byte of its body. Hostile inputs yield a
-// typed error, never a panic, and decompression work is bounded by the
-// declared (capped) body length.
+// typed error, never a panic, and expansion work is bounded by the declared
+// (capped) body length.
 func NewDecoder(blob []byte) (*Decoder, error) { return Open(magic, Version, blob) }
 
 // maxInflate is DEFLATE's largest possible expansion: a 258-byte match
 // costs at least two bits.
 const maxInflate = 1032
 
-// Open is the inverse of NewContainer and NewRawContainer: it validates the
+// Open is the inverse of NewEncoder and NewRawContainer: it validates the
 // header of a container carrying the given magic and version (magic,
 // version, flags, plausible length) and returns a decoder over its body,
 // with the same hostile-input hardening as snapshot decoding. The body's
@@ -414,7 +437,7 @@ func Open(containerMagic string, wantVersion uint32, blob []byte) (*Decoder, err
 		return nil, fmt.Errorf("%w: got %d, support %d", ErrVersion, version, wantVersion)
 	}
 	flags := binary.LittleEndian.Uint32(blob[8:12])
-	if flags&^uint32(knownFlags) != 0 {
+	if flags&^uint32(knownFlags) != 0 || flags == knownFlags {
 		return nil, fmt.Errorf("%w: unknown flags %#x", ErrFormat, flags)
 	}
 	ulen := binary.LittleEndian.Uint64(blob[12:20])
@@ -424,9 +447,15 @@ func Open(containerMagic string, wantVersion uint32, blob []byte) (*Decoder, err
 	d := &Decoder{ulen: int64(ulen), sum: sha256.New()}
 	copy(d.want[:], blob[20:headerSize])
 	payload := blob[headerSize:]
-	if flags&flagCompressed != 0 {
-		// A count is believed only as far as the payload present could
-		// inflate, so a hostile length cannot drive a receiver's allocation.
+	// A count is believed only as far as the payload present could expand,
+	// so a hostile length cannot drive a receiver's allocation.
+	switch {
+	case flags&flagPacked != 0:
+		d.bound = int64(min(ulen, maxUnpack*uint64(len(payload))))
+		d.src = &unpacker{p: payload}
+		d.win = make([]byte, windowBytes)
+		return d, nil
+	case flags&flagCompressed != 0:
 		d.bound = int64(min(ulen, maxInflate*uint64(len(payload))))
 		d.src = flate.NewReader(bytes.NewReader(payload))
 		d.win = make([]byte, windowBytes)
@@ -441,7 +470,7 @@ func Open(containerMagic string, wantVersion uint32, blob []byte) (*Decoder, err
 	return d, nil
 }
 
-// BodyLen returns the uncompressed body length the header of a container
+// BodyLen returns the body length the header of a container
 // declares — what Finish will hold the body to — or 0 for a blob too short
 // to have a header.
 func BodyLen(blob []byte) int64 {
@@ -479,9 +508,9 @@ func (d *Decoder) fail(format string, args ...any) {
 	}
 }
 
-// inflate reads once from the source into the free end of the window. It
-// asks for no more than one byte beyond the declared length: that byte is
-// where a body that overruns it shows.
+// inflate reads once from the source, unpacking or inflating, into the free
+// end of the window. It asks for no more than one byte beyond the declared
+// length: that byte is where a body that overruns it shows.
 func (d *Decoder) inflate() {
 	room := d.win[d.w:min(int64(len(d.win)), int64(d.w)+d.ulen+1-d.got)]
 	n, err := d.src.Read(room)
@@ -497,7 +526,7 @@ func (d *Decoder) inflate() {
 			d.fail("body is %d bytes, header says %d", d.got, d.ulen)
 		}
 	case err != nil:
-		d.fail("inflate: %v", err)
+		d.fail("payload: %v", err)
 	}
 }
 
