@@ -19,7 +19,8 @@ import (
 //     through the normal page mapping (Fig 6 right);
 //   - a non-across write that fully covers the area(s) simply supersedes
 //     them and proceeds normally;
-//   - anything that touches no area takes the conventional RMW path.
+//   - anything that touches no area takes the baseline's page-mapped path
+//     (ftl.Base.WritePages), RMW included.
 func (s *Scheme) Write(r trace.Request, now float64) (float64, error) {
 	if err := s.CheckRequest(r); err != nil {
 		return now, err
@@ -44,7 +45,7 @@ func (s *Scheme) Write(r trace.Request, now float64) (float64, error) {
 	case len(confl) == 0 && isAcross:
 		mapDelay, err = s.directWrite(w, now, &join)
 	case len(confl) == 0:
-		mapDelay, err = s.normalWrite(r, now, &join)
+		mapDelay, err = s.WritePages(r, now, &join)
 	default:
 		union := w
 		coveredAll := true
@@ -92,32 +93,9 @@ func (s *Scheme) directWrite(w span, now float64, join *clock.Join) (float64, er
 	return mapDelay, nil
 }
 
-// normalWrite is the conventional page-level path (identical to the
-// baseline FTL): full-page programs with read-modify-write for partial
-// slices of already-written pages.
-func (s *Scheme) normalWrite(r trace.Request, now float64, join *clock.Join) (float64, error) {
-	var mapDelay float64
-	for _, ps := range s.Split(r) {
-		mapDelay += s.Dev.DRAMAccess(1)
-		issue := now
-		if old := s.PMT.PPNOf(ps.LPN); old != flash.NilPPN && !ps.Full(s.SPP) {
-			rdone, err := s.Dev.Read(old, now, ftl.OpData)
-			if err != nil {
-				return mapDelay, err
-			}
-			issue = rdone
-		}
-		done, err := s.ProgramData(ps.LPN, issue)
-		if err != nil {
-			return mapDelay, err
-		}
-		join.Add(done)
-	}
-	return mapDelay, nil
-}
-
 // supersedeAndWrite drops areas whose entire contents the incoming write
-// replaces, then writes normally. No area data needs rescuing.
+// replaces, then writes through the page-mapped path. No area data needs
+// rescuing.
 func (s *Scheme) supersedeAndWrite(r trace.Request, confl []area, now float64, join *clock.Join) (float64, error) {
 	var mapDelay float64
 	for _, a := range confl {
@@ -134,7 +112,7 @@ func (s *Scheme) supersedeAndWrite(r trace.Request, confl []area, now float64, j
 	if trc := s.Dev.Tracer(); trc != nil {
 		trc.AcrossEvent(obs.AcrossSupersede, r.Offset, int64(r.Count), now)
 	}
-	d, err := s.normalWrite(r, now, join)
+	d, err := s.WritePages(r, now, join)
 	return mapDelay + d, err
 }
 

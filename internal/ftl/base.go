@@ -1,10 +1,14 @@
 package ftl
 
 import (
+	"fmt"
 	"math/bits"
 
+	"across/internal/cache"
+	"across/internal/clock"
 	"across/internal/flash"
 	"across/internal/mapping"
+	"across/internal/obs"
 	"across/internal/ssdconf"
 	"across/internal/trace"
 )
@@ -21,6 +25,12 @@ type Base struct {
 	sectors  int64       // see LogicalSectors
 	sppShift int         // log2(SPP), or -1 when SPP is no power of two; see pageSpan
 	splitBuf []PageSlice // reused by Split; valid until the next Split call
+
+	// cmt and ms demand-page the PMT (DFTL): cmt decides which translation
+	// pages are resident, ms holds the rest in flash. Both nil means the
+	// whole table is in DRAM.
+	cmt *cache.CMT
+	ms  *MapStore
 }
 
 // NewBase wires a fresh device, allocator and PMT for a configuration.
@@ -155,6 +165,84 @@ func (b *Base) Split(r trace.Request) []PageSlice {
 	}
 	b.splitBuf = out
 	return out
+}
+
+// touchPMT charges one access to a demand-paged PMT entry through the
+// translation cache and returns (serial DRAM delay, time the entry is
+// usable). The DRAM-resident table's access is inline in the loops below.
+func (b *Base) touchPMT(lpn int64, dirty bool, now float64) (float64, float64, error) {
+	delay := b.Dev.DRAMAccess(1)
+	eff := b.cmt.Touch(lpn, dirty)
+	if trc := b.Dev.Tracer(); trc != nil {
+		trc.CacheAccess(obs.CacheMapping, !eff.MissRead, now)
+	}
+	ready, err := b.ms.ApplyEffect(eff, b.cmt.PageOf(lpn), now)
+	return delay, ready, err
+}
+
+// WritePages is the page-mapped write path, taken by every write of FTL and
+// DFTL and by Across-FTL's writes that touch no area: per page slice of r,
+// one PMT access, a read of the old page when the slice is partial and the
+// page is written (RMW), then a program of the whole page. It folds the
+// programs into join and returns the serial DRAM delay of the PMT accesses.
+func (b *Base) WritePages(r trace.Request, now float64, join *clock.Join) (float64, error) {
+	var mapDelay float64
+	for _, ps := range b.Split(r) {
+		ready := now
+		if b.cmt == nil {
+			mapDelay += b.Dev.DRAMAccess(1) // PMT lookup + update
+		} else {
+			d, at, err := b.touchPMT(ps.LPN, true, now)
+			if err != nil {
+				return mapDelay, err
+			}
+			mapDelay, ready = mapDelay+d, at
+		}
+		issue := ready
+		if old := b.PMT.PPNOf(ps.LPN); old != flash.NilPPN && !ps.Full(b.SPP) {
+			rdone, err := b.Dev.Read(old, ready, OpData)
+			if err != nil {
+				return mapDelay, fmt.Errorf("rmw read lpn %d: %w", ps.LPN, err)
+			}
+			issue = rdone
+		}
+		done, err := b.ProgramData(ps.LPN, issue)
+		if err != nil {
+			return mapDelay, fmt.Errorf("program lpn %d: %w", ps.LPN, err)
+		}
+		join.Add(done)
+	}
+	return mapDelay, nil
+}
+
+// readPages is the page-mapped read path: per page slice of r, one PMT
+// access, then one flash read of the mapped page; a never-written page
+// returns zeroes from the controller without flash work. It folds the reads
+// into join and returns the serial DRAM delay of the PMT accesses.
+func (b *Base) readPages(r trace.Request, now float64, join *clock.Join) (float64, error) {
+	var mapDelay float64
+	for _, ps := range b.Split(r) {
+		ready := now
+		if b.cmt == nil {
+			mapDelay += b.Dev.DRAMAccess(1)
+		} else {
+			d, at, err := b.touchPMT(ps.LPN, false, now)
+			if err != nil {
+				return mapDelay, err
+			}
+			mapDelay, ready = mapDelay+d, at
+		}
+		ppn := b.PMT.PPNOf(ps.LPN)
+		if ppn == flash.NilPPN {
+			continue
+		}
+		done, err := b.Dev.Read(ppn, ready, OpData)
+		if err != nil {
+			return mapDelay, fmt.Errorf("read lpn %d: %w", ps.LPN, err)
+		}
+		join.Add(done)
+	}
+	return mapDelay, nil
 }
 
 // ProgramData allocates and programs one data page owned by lpn at time

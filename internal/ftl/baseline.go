@@ -1,6 +1,9 @@
 package ftl
 
 import (
+	"fmt"
+
+	"across/internal/cache"
 	"across/internal/clock"
 	"across/internal/flash"
 	"across/internal/ssdconf"
@@ -12,7 +15,8 @@ import (
 // pages are serviced with read-modify-write, and the full mapping table
 // resides in DRAM so it generates no Map flash traffic. Across-page requests
 // therefore cost two flash programs (and up to two RMW reads) — the penalty
-// quantified in Fig 4 and removed by Across-FTL.
+// quantified in Fig 4 and removed by Across-FTL. Built by NewDFTL, the same
+// scheme demand-pages its table instead (DFTL).
 type Baseline struct {
 	Base
 }
@@ -29,70 +33,71 @@ func NewBaseline(conf *ssdconf.Config) (*Baseline, error) {
 }
 
 // Name implements Scheme.
-func (s *Baseline) Name() string { return "FTL" }
+func (s *Baseline) Name() string {
+	if s.cmt != nil {
+		return "DFTL"
+	}
+	return "FTL"
+}
 
-// TableBytes implements Scheme: one entry per logical page, all in DRAM.
+// TableBytes implements Scheme: one entry per logical page, wherever it
+// resides.
 func (s *Baseline) TableBytes() int64 {
 	return s.PMT.Len() * int64(s.Conf.MapEntryBytes)
 }
 
+// CMTStats exposes translation-cache behaviour: zero when the table is
+// resident.
+func (s *Baseline) CMTStats() cache.CMTStats {
+	if s.cmt == nil {
+		return cache.CMTStats{}
+	}
+	return s.cmt.Stats()
+}
+
+// ResetStats clears cache statistics between warm-up and measurement.
+func (s *Baseline) ResetStats() {
+	if s.cmt != nil {
+		s.cmt.ResetStats()
+	}
+}
+
 func (s *Baseline) migrate(tag flash.Tag, old, new flash.PPN) {
-	switch tag.Kind {
-	case TagData:
+	switch {
+	case tag.Kind == TagData:
 		s.MigrateData(tag, old, new)
+	case tag.Kind == TagMap && s.ms != nil:
+		if !s.ms.OnMigrate(tag.Key, old, new) {
+			panic("ftl: GC moved a translation page the map store does not own")
+		}
 	default:
 		panic("ftl: baseline GC met a foreign page tag")
 	}
 }
 
-// Write implements Scheme. Each page slice costs one PMT access; partial
-// slices of already-written pages read the old page first (RMW), then every
-// slice programs one full page.
+// Write implements Scheme through the page-mapped write path (WritePages).
 func (s *Baseline) Write(r trace.Request, now float64) (float64, error) {
 	if err := s.CheckRequest(r); err != nil {
 		return now, err
 	}
 	join := clock.NewJoin(now)
-	var mapDelay float64
-	for _, ps := range s.Split(r) {
-		mapDelay += s.Dev.DRAMAccess(1) // PMT lookup + update
-		issue := now
-		if old := s.PMT.PPNOf(ps.LPN); old != flash.NilPPN && !ps.Full(s.SPP) {
-			rdone, err := s.Dev.Read(old, now, OpData)
-			if err != nil {
-				return now, errf(s.Name(), err, "rmw read lpn %d", ps.LPN)
-			}
-			issue = rdone
-		}
-		done, err := s.ProgramData(ps.LPN, issue)
-		if err != nil {
-			return now, errf(s.Name(), err, "program lpn %d", ps.LPN)
-		}
-		join.Add(done)
+	mapDelay, err := s.WritePages(r, now, &join)
+	if err != nil {
+		return now, fmt.Errorf("%s: %w", s.Name(), err)
 	}
 	join.AddDelay(mapDelay)
 	return join.Done(), nil
 }
 
-// Read implements Scheme. Each mapped page slice costs one flash read;
-// never-written pages return zeroes from the controller without flash work.
+// Read implements Scheme through the page-mapped read path (readPages).
 func (s *Baseline) Read(r trace.Request, now float64) (float64, error) {
 	if err := s.CheckRequest(r); err != nil {
 		return now, err
 	}
 	join := clock.NewJoin(now)
-	var mapDelay float64
-	for _, ps := range s.Split(r) {
-		mapDelay += s.Dev.DRAMAccess(1)
-		ppn := s.PMT.PPNOf(ps.LPN)
-		if ppn == flash.NilPPN {
-			continue
-		}
-		done, err := s.Dev.Read(ppn, now, OpData)
-		if err != nil {
-			return now, errf(s.Name(), err, "read lpn %d", ps.LPN)
-		}
-		join.Add(done)
+	mapDelay, err := s.readPages(r, now, &join)
+	if err != nil {
+		return now, fmt.Errorf("%s: %w", s.Name(), err)
 	}
 	join.AddDelay(mapDelay)
 	return join.Done(), nil

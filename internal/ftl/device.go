@@ -263,8 +263,3 @@ type Scheme interface {
 	// Device exposes the underlying device for metric collection.
 	Device() *Device
 }
-
-// errf wraps scheme-internal failures with the scheme name for diagnosis.
-func errf(scheme string, err error, format string, args ...any) error {
-	return fmt.Errorf("%s: %s: %w", scheme, fmt.Sprintf(format, args...), err)
-}

@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"across/internal/flash"
+	"across/internal/obs"
 	"across/internal/ssdconf"
 	"across/internal/trace"
 )
 
-func tinyDFTL(t *testing.T, resident int) (*DFTL, *ssdconf.Config) {
+func tinyDFTL(t *testing.T, resident int) (*Baseline, *ssdconf.Config) {
 	t.Helper()
 	c := ssdconf.Tiny()
 	s, err := NewDFTLWithCache(&c, resident)
@@ -17,53 +18,6 @@ func tinyDFTL(t *testing.T, resident int) (*DFTL, *ssdconf.Config) {
 		t.Fatalf("NewDFTL: %v", err)
 	}
 	return s, &c
-}
-
-func TestDFTLDataPathMatchesBaseline(t *testing.T) {
-	// With a cache large enough to never miss, DFTL's flash data ops equal
-	// the baseline's exactly (the data path is shared).
-	c := ssdconf.Tiny()
-	base, err := NewBaseline(&c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dftl, _ := tinyDFTL(t, 1024)
-	rng := rand.New(rand.NewSource(2))
-	region := c.LogicalSectors() / 2
-	for i := 0; i < 1500; i++ {
-		off := rng.Int63n(region - 40)
-		count := int32(rng.Intn(32) + 1)
-		now := float64(i)
-		var r trace.Request
-		if rng.Intn(2) == 0 {
-			r = trace.Request{Op: trace.OpWrite, Offset: off, Count: count, Time: now}
-			if _, err := base.Write(r, now); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := dftl.Write(r, now); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			r = trace.Request{Op: trace.OpRead, Offset: off, Count: count, Time: now}
-			if _, err := base.Read(r, now); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := dftl.Read(r, now); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if base.Dev.Count.DataWrites != dftl.Dev.Count.DataWrites {
-		t.Errorf("data writes differ: baseline %d, DFTL %d",
-			base.Dev.Count.DataWrites, dftl.Dev.Count.DataWrites)
-	}
-	if base.Dev.Count.DataReads != dftl.Dev.Count.DataReads {
-		t.Errorf("data reads differ: baseline %d, DFTL %d",
-			base.Dev.Count.DataReads, dftl.Dev.Count.DataReads)
-	}
-	if dftl.Dev.Count.MapWrites != 0 {
-		t.Errorf("all-resident DFTL produced %d map writes", dftl.Dev.Count.MapWrites)
-	}
 }
 
 func TestDFTLSpillsUnderCachePressure(t *testing.T) {
@@ -99,6 +53,59 @@ func TestDFTLSpillsUnderCachePressure(t *testing.T) {
 		t.Fatal("ResetStats did not clear")
 	}
 	_ = s
+}
+
+// flashLog records the flash commands a device serves.
+type flashLog struct {
+	obs.Nop
+	ops []flashCmd
+}
+
+type flashCmd struct {
+	op          obs.FlashOpKind
+	class       OpClass
+	start, done float64
+}
+
+func (l *flashLog) FlashOp(op obs.FlashOpKind, class uint8, _ int, _ int64, start, done float64) {
+	l.ops = append(l.ops, flashCmd{op, OpClass(class), start, done})
+}
+
+// TestDFTLRMWReadWaitsForItsMapLoad: a partial write whose translation page
+// must first come back from flash starts its RMW read only once that load
+// has been read and transferred, since the entry names the page to read.
+func TestDFTLRMWReadWaitsForItsMapLoad(t *testing.T) {
+	c := ssdconf.Tiny()
+	c.MapEntryBytes = 512 // 16 entries per translation page
+	c.TransferTime = 0.01
+	s, err := NewDFTLWithCache(&c, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Writing LPNs 0, 16, 32 and 48 flushes translation pages 0 and 1;
+	// reading LPNs 64 and 80 flushes 2 and 3, leaving two clean pages
+	// resident, so the next miss costs a load and no flush.
+	for i, lpn := range []int64{0, 16, 32, 48} {
+		if _, err := s.Write(trace.Request{Op: trace.OpWrite, Offset: lpn * 16, Count: 16}, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, lpn := range []int64{64, 80} {
+		if _, err := s.Read(trace.Request{Op: trace.OpRead, Offset: lpn * 16, Count: 16}, float64(10+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log := &flashLog{}
+	s.Dev.SetTracer(log)
+	if _, err := s.Write(trace.Request{Op: trace.OpWrite, Offset: 4, Count: 4}, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if len(log.ops) != 3 || log.ops[0].class != OpMap || log.ops[1].class != OpData || log.ops[1].op != obs.FlashRead {
+		t.Fatalf("flash commands %+v, want a map load, an RMW read and a program", log.ops)
+	}
+	if load, rmw := log.ops[0], log.ops[1]; rmw.start < load.done+c.TransferTime {
+		t.Errorf("RMW read started at %g, before its map load was usable at %g", rmw.start, load.done+c.TransferTime)
+	}
 }
 
 func TestDFTLTableBytesEqualsBaseline(t *testing.T) {

@@ -133,8 +133,9 @@ func (m *MapStore) RestoreState(dec *snapshot.Decoder) error {
 
 // SnapshotBase appends the state shared by every scheme: chip and bus
 // timelines, operation counters, the flash array, the allocator and the
-// page mapping table. Schemes embed Base and call this first from their
-// SnapshotState.
+// page mapping table, then, when the table is demand-paged, its cache and
+// the on-flash translation-page locations. Schemes embed Base and call this
+// first from their SnapshotState.
 func (b *Base) SnapshotBase(enc *snapshot.Encoder) error {
 	enc.Tag("base")
 	if err := b.Dev.Sched.SnapshotState(enc); err != nil {
@@ -160,7 +161,13 @@ func (b *Base) SnapshotBase(enc *snapshot.Encoder) error {
 	if err := b.Al.SnapshotState(enc); err != nil {
 		return err
 	}
-	return b.PMT.SnapshotState(enc)
+	if err := b.PMT.SnapshotState(enc); err != nil || b.cmt == nil {
+		return err
+	}
+	if err := b.cmt.SnapshotState(enc); err != nil {
+		return err
+	}
+	return b.ms.SnapshotState(enc)
 }
 
 // RestoreBase reads state written by SnapshotBase.
@@ -192,48 +199,26 @@ func (b *Base) RestoreBase(dec *snapshot.Decoder) error {
 	if err := b.Al.RestoreState(dec); err != nil {
 		return err
 	}
-	return b.PMT.RestoreState(dec)
+	if err := b.PMT.RestoreState(dec); err != nil || b.cmt == nil {
+		return err
+	}
+	if err := b.cmt.RestoreState(dec); err != nil {
+		return err
+	}
+	return b.ms.RestoreState(dec)
 }
 
-// SnapshotState implements snapshot.Snapshotter: the baseline FTL has no
-// state beyond the shared Base.
+// SnapshotState implements snapshot.Snapshotter: the baseline FTL and DFTL
+// have no state beyond the shared Base.
 func (s *Baseline) SnapshotState(enc *snapshot.Encoder) error {
-	enc.Tag("scheme:FTL")
+	enc.Tag("scheme:" + s.Name())
 	return s.SnapshotBase(enc)
 }
 
 // RestoreState implements snapshot.Snapshotter.
 func (s *Baseline) RestoreState(dec *snapshot.Decoder) error {
-	dec.Tag("scheme:FTL")
+	dec.Tag("scheme:" + s.Name())
 	if err := s.RestoreBase(dec); err != nil {
-		return err
-	}
-	return dec.Err()
-}
-
-// SnapshotState implements snapshot.Snapshotter for DFTL: Base plus the
-// cached mapping table and the on-flash translation-page locations.
-func (s *DFTL) SnapshotState(enc *snapshot.Encoder) error {
-	enc.Tag("scheme:DFTL")
-	if err := s.SnapshotBase(enc); err != nil {
-		return err
-	}
-	if err := s.cmt.SnapshotState(enc); err != nil {
-		return err
-	}
-	return s.ms.SnapshotState(enc)
-}
-
-// RestoreState implements snapshot.Snapshotter.
-func (s *DFTL) RestoreState(dec *snapshot.Decoder) error {
-	dec.Tag("scheme:DFTL")
-	if err := s.RestoreBase(dec); err != nil {
-		return err
-	}
-	if err := s.cmt.RestoreState(dec); err != nil {
-		return err
-	}
-	if err := s.ms.RestoreState(dec); err != nil {
 		return err
 	}
 	return dec.Err()
@@ -261,12 +246,16 @@ func (m *MapStore) CopyState(src *MapStore) int64 {
 }
 
 // CopyBase copies the state SnapshotBase writes from src, a Base built for
-// the same configuration, and returns the bytes copied. Schemes embed Base
-// and call this first from their CopyState.
+// the same configuration and table residence, and returns the bytes copied.
+// Schemes embed Base and call this first from their CopyState.
 func (b *Base) CopyBase(src *Base) int64 {
 	b.Dev.Count = src.Dev.Count
-	return b.Dev.Sched.CopyState(src.Dev.Sched) + b.Dev.Bus.CopyState(src.Dev.Bus) +
+	n := b.Dev.Sched.CopyState(src.Dev.Sched) + b.Dev.Bus.CopyState(src.Dev.Bus) +
 		b.Dev.Array.CopyState(src.Dev.Array) + b.Al.CopyState(src.Al) + b.PMT.CopyState(src.PMT)
+	if b.cmt != nil {
+		n += b.cmt.CopyState(src.cmt) + b.ms.CopyState(src.ms)
+	}
+	return n
 }
 
 // CopyState makes the scheme a copy of src, a *Baseline built for the same
@@ -275,10 +264,4 @@ func (b *Base) CopyBase(src *Base) int64 {
 // returns the bytes copied.
 func (s *Baseline) CopyState(src Scheme) int64 {
 	return s.CopyBase(&src.(*Baseline).Base)
-}
-
-// CopyState is Baseline.CopyState for DFTL; src must be a *DFTL.
-func (s *DFTL) CopyState(src Scheme) int64 {
-	from := src.(*DFTL)
-	return s.CopyBase(&from.Base) + s.cmt.CopyState(from.cmt) + s.ms.CopyState(from.ms)
 }

@@ -167,16 +167,13 @@ func (m *MapStore) Audit(claim Claim) error {
 	return nil
 }
 
-// AuditMapping implements check.Auditable for the baseline FTL: its only
-// mapping structure is the DRAM-resident PMT. Each owned page goes to the
-// claim, when one is given.
-func (s *Baseline) AuditMapping(claim ...Claim) error { return s.AuditPMT(ClaimOf(claim)) }
-
-// AuditMapping implements check.Auditable for DFTL: the baseline's PMT plus
-// the flash-resident translation pages behind the cached mapping table.
-func (s *DFTL) AuditMapping(claim ...Claim) error {
+// AuditMapping implements check.Auditable for the baseline FTL and DFTL:
+// the PMT plus, when it is demand-paged, the flash-resident translation
+// pages behind its cache. Each owned page goes to the claim, when one is
+// given.
+func (s *Baseline) AuditMapping(claim ...Claim) error {
 	own := ClaimOf(claim)
-	if err := s.AuditPMT(own); err != nil {
+	if err := s.AuditPMT(own); err != nil || s.ms == nil {
 		return err
 	}
 	return s.ms.Audit(own)

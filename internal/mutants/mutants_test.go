@@ -55,6 +55,33 @@ var catalogue = []mutant{
 		pkg:         "./internal/mrsm",
 		test:        "TestDirtyNodeFlushesOnItsBudget",
 	},
+	{
+		// A partial write's RMW read starts before its demand-paged map
+		// entry has been loaded.
+		file:        "internal/ftl/base.go",
+		original:    "rdone, err := b.Dev.Read(old, ready, OpData)",
+		replacement: "rdone, err := b.Dev.Read(old, now, OpData)",
+		pkg:         "./internal/ftl",
+		test:        "TestDFTLRMWReadWaitsForItsMapLoad",
+	},
+	{
+		// A write's map lookup leaves its translation page clean, so a
+		// demand-paged table never writes an update back.
+		file:        "internal/ftl/base.go",
+		original:    "b.touchPMT(ps.LPN, true, now)",
+		replacement: "b.touchPMT(ps.LPN, false, now)",
+		pkg:         "./internal/ftl",
+		test:        "TestDFTLSpillsUnderCachePressure",
+	},
+	{
+		// The page-mapped write reads the old page for a full slice and
+		// not for a partial one.
+		file:        "internal/ftl/base.go",
+		original:    "old != flash.NilPPN && !ps.Full(b.SPP)",
+		replacement: "old != flash.NilPPN && ps.Full(b.SPP)",
+		pkg:         "./internal/ftl",
+		test:        "TestBaselineAlignedWriteNoRMW",
+	},
 }
 
 // root is the module root, relative to this package's directory.

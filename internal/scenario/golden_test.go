@@ -55,8 +55,8 @@ func goldenTrace() []trace.Request {
 
 // TestGenerateGoldenDigests pins Generate's output, request for request,
 // to digests taken before its cohorts were merged as they were drawn: every
-// builtin at two scales, a duration cut that falls mid-stream, a seed
-// offset, and a recorded trace beside a synthetic tenant.
+// builtin at two scales, a seed offset, and a recorded trace beside a
+// synthetic tenant.
 func TestGenerateGoldenDigests(t *testing.T) {
 	builtin := func(name string, scale float64) Scenario {
 		sc, err := Builtin(name)
@@ -65,8 +65,6 @@ func TestGenerateGoldenDigests(t *testing.T) {
 		}
 		return sc.Scale(scale)
 	}
-	cut := builtin("mixed", 0.02)
-	cut.DurationMs = 12000 // every cohort is cut
 	cases := []struct {
 		name string
 		sc   Scenario
@@ -80,7 +78,6 @@ func TestGenerateGoldenDigests(t *testing.T) {
 		{"mixed/0.02", builtin("mixed", 0.02), "1f56482fe1f00aa21466bf9f879d8792acdb2311421cef47b6dc6527f1f5fc87"},
 		{"stationary/0.001", builtin("stationary", 0.001), "8e8c686fa1c7365b80608b901a52761d1ac3e4b06b2763ffc3a89a703e1c634a"},
 		{"stationary/0.02", builtin("stationary", 0.02), "9a7cf2499d73edc484bea1f4ec5153dfa0bdfd766ed7f99a411aa8e9a1b676a0"},
-		{"mixed/0.02/cut", cut, "a83a55e460a76bed1f6200d1b5be62a18afc6aff971691436691539183b146bd"},
 		{"mixed/0.001/seed+7", builtin("mixed", 0.001).WithSeedOffset(7), "c7133c0c95c4ea0d7ac78da8d98f50a59adce019c1beb914761c1ea03256875d"},
 		{"trace+synthetic", Scenario{Name: "rec+syn", Cohorts: []Cohort{
 			{Name: "rec", Trace: goldenTrace(), TraceName: "rec", StartFrac: 0.25, SizeFrac: 0.25, StartMs: 3},

@@ -102,9 +102,6 @@ type Scenario struct {
 	Name string `json:"name"`
 	// Cohorts are the tenants sharing the device.
 	Cohorts []Cohort `json:"cohorts"`
-	// DurationMs, when positive, truncates the merged stream at this
-	// simulated time (requests arriving later are dropped).
-	DurationMs float64 `json:"duration_ms,omitempty"`
 }
 
 // Scale returns a copy with every synthetic cohort's request count scaled by
@@ -253,8 +250,7 @@ type Stream struct {
 // re-timed by its temporal pattern, and the streams are merged by arrival
 // time with (time, cohort index) tie-breaking — fully deterministic. The
 // synthetic cohorts are merged as they are drawn, into one slice sized from
-// their generators' counts; a duration cut ends a cohort at its first late
-// arrival.
+// their generators' counts.
 func (sc Scenario) Generate(logicalSectors int64) (*Stream, error) {
 	sc = sc.normalised()
 	if err := sc.Validate(logicalSectors); err != nil {
@@ -282,12 +278,7 @@ func (sc Scenario) Generate(logicalSectors int64) (*Stream, error) {
 	// heads[i] is cohort i's earliest undrawn request, while live[i].
 	heads := make([]trace.Request, len(srcs))
 	live := make([]bool, len(srcs))
-	advance := func(i int) {
-		heads[i], live[i] = srcs[i]()
-		if sc.DurationMs > 0 && heads[i].Time >= sc.DurationMs {
-			live[i] = false
-		}
-	}
+	advance := func(i int) { heads[i], live[i] = srcs[i]() }
 	for i := range srcs {
 		advance(i)
 	}

@@ -251,28 +251,6 @@ func TestScaleAndSeedOffset(t *testing.T) {
 	}
 }
 
-func TestDurationCutsStream(t *testing.T) {
-	sc := Scenario{Name: "cut", Cohorts: []Cohort{{Name: "a", Profile: tinyProfile(5)}}}
-	full, err := sc.Generate(testSectors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cutAt := full.Requests[len(full.Requests)/2].Time
-	sc.DurationMs = cutAt
-	cut, err := sc.Generate(testSectors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cut.Requests) >= len(full.Requests) {
-		t.Fatal("DurationMs did not truncate the stream")
-	}
-	for _, r := range cut.Requests {
-		if r.Time >= cutAt {
-			t.Fatalf("request at %g ms survived a %g ms cut", r.Time, cutAt)
-		}
-	}
-}
-
 func TestTraceCohortWrapsIntoPartition(t *testing.T) {
 	// Synthetic "recorded" trace with offsets beyond the partition.
 	var reqs []trace.Request

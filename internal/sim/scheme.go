@@ -29,7 +29,7 @@ const (
 	// KindAcross is the paper's Across-FTL.
 	KindAcross SchemeKind = "Across-FTL"
 	// KindDFTL is a demand-paged page-mapping baseline — an extension
-	// scheme outside the paper's comparison (see ftl.DFTL).
+	// scheme outside the paper's comparison (see ftl.NewDFTL).
 	KindDFTL SchemeKind = "DFTL"
 )
 
