@@ -142,7 +142,7 @@ func (s *Scheme) AuditMapping(claim ...ftl.Claim) error {
 	if err := s.auditTables(own); err != nil {
 		return err
 	}
-	return s.ms.Audit(own)
+	return s.amt.Audit(own)
 }
 
 // ResolveRun implements check.SectorResolver. Area coverage wins over the

@@ -107,11 +107,11 @@ func (s *Scheme) Read(r trace.Request, now float64) (float64, error) {
 	for _, src := range srcs {
 		if src.FromArea {
 			areaSrcs++
-			d, ready, err := s.touchAMT(src.AMTIdx, false, now)
+			mapDelay += s.Dev.DRAMAccess(1)
+			ready, _, err := s.amt.Touch(int64(src.AMTIdx), false, now)
 			if err != nil {
 				return now, err
 			}
-			mapDelay += d
 			// Re-fetch the area page: the cache touch may have triggered
 			// GC, which migrates pages and erases their old location.
 			done, err := s.Dev.Read(s.AMT.Get(src.AMTIdx).APPN, ready, ftl.OpData)

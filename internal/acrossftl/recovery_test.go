@@ -186,12 +186,31 @@ func TestBaselineRecovery(t *testing.T) {
 	}
 }
 
+// Baseline recovery owns only TagData pages: it refuses a device that holds
+// an Across-FTL area page, and one that holds DFTL's spilled translation
+// pages.
 func TestBaselineRecoveryRejectsForeignTags(t *testing.T) {
-	// A device written by Across-FTL holds TagAcross pages the baseline
-	// cannot own.
 	s, _ := tinyScheme(t)
 	mustWrite(t, s, 2056, 12, 0)
 	if _, err := ftl.RecoverBaseline(s.Dev); err == nil {
 		t.Fatal("baseline recovery accepted an Across-FTL device")
+	}
+
+	c := ssdconf.Tiny()
+	c.MapEntryBytes = 512 // 16 entries per translation page
+	d, err := ftl.NewDFTLWithCache(&c, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, lpn := range []int64{0, 16, 32} { // the third write evicts page 0, dirty
+		if _, err := d.Write(trace.Request{Op: trace.OpWrite, Offset: lpn * 16, Count: 16}, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d.Dev.Count.MapWrites == 0 {
+		t.Fatal("the DFTL device spilled no translation page")
+	}
+	if _, err := ftl.RecoverBaseline(d.Dev); err == nil {
+		t.Fatal("baseline recovery accepted a DFTL device holding translation pages")
 	}
 }

@@ -44,8 +44,7 @@ type Scheme struct {
 	ftl.Base
 	AMT *mapping.AMT
 
-	cmt *cache.CMT    // caches AMT translation pages within the DRAM budget
-	ms  *ftl.MapStore // flash residence of spilled AMT translation pages
+	amt *ftl.PagedTable // the AMT's translation pages: DRAM budget and flash spill
 
 	opts  Options
 	stats Stats
@@ -84,7 +83,7 @@ func NewWithOptions(conf *ssdconf.Config, opts Options) (*Scheme, error) {
 
 // newScheme wraps the shared scheme state of a fresh or a recovered device
 // (both tables empty) as Across-FTL: it resolves the AMT cache size, builds
-// the cache and the map store, and hooks GC migration.
+// the AMT's paged table, and hooks GC migration.
 func newScheme(base ftl.Base, opts Options) *Scheme {
 	conf := base.Conf
 	if opts.AMTCachePages == 0 {
@@ -93,23 +92,16 @@ func newScheme(base ftl.Base, opts Options) *Scheme {
 	if opts.AMTCachePages < 2 {
 		opts.AMTCachePages = 2
 	}
+	// The PMT holds one AIdx per logical page, so at most LogicalPages areas
+	// are live at once, and the AMT recycles indices before growing: every
+	// index is below LogicalPages. The table's id space is one translation
+	// page past the pages those fill, as the snapshot's LRU shape records.
 	perPage := conf.PageBytes / conf.AMTEntryBytes
-	s := &Scheme{
-		Base: base,
-		AMT:  mapping.NewAMT(),
-		cmt:  cache.NewCMTDense(perPage, opts.AMTCachePages, amtPages(conf)*int64(perPage)),
-		opts: opts,
-	}
-	s.ms = ftl.NewMapStore(s.Dev, s.Al, amtPages(conf))
+	entries := (conf.LogicalPages()/int64(perPage) + 1) * int64(perPage)
+	s := &Scheme{Base: base, AMT: mapping.NewAMT(), opts: opts}
+	s.amt = ftl.NewPagedTable(s.Dev, s.Al, obs.CacheAMT, perPage, opts.AMTCachePages, entries)
 	s.Al.SetMigrate(s.migrate)
 	return s
-}
-
-// amtPages bounds the AMT's translation-page ids. The PMT holds one AIdx per
-// logical page, so at most LogicalPages areas are live at once, and the AMT
-// recycles indices before growing: every index is below LogicalPages.
-func amtPages(conf *ssdconf.Config) int64 {
-	return conf.LogicalPages()/int64(conf.PageBytes/conf.AMTEntryBytes) + 1
 }
 
 // Name implements ftl.Scheme.
@@ -129,15 +121,15 @@ func (s *Scheme) Stats() Stats { return s.stats }
 // ResetStats clears the across-page statistics (after warm-up).
 func (s *Scheme) ResetStats() {
 	s.stats = Stats{}
-	s.cmt.ResetStats()
+	s.amt.ResetStats()
 }
 
 // CMTStats exposes the AMT cache behaviour for diagnostics.
-func (s *Scheme) CMTStats() cache.CMTStats { return s.cmt.Stats() }
+func (s *Scheme) CMTStats() cache.CMTStats { return s.amt.Stats() }
 
 // migrate is the GC callback: it repoints whichever structure owns a moved
-// page — the PMT for data pages, the AMT for across-area pages, the map
-// store for spilled AMT translation pages.
+// page — the PMT for data pages, the AMT for across-area pages, its paged
+// table for spilled AMT translation pages.
 func (s *Scheme) migrate(tag flash.Tag, old, new flash.PPN) {
 	switch tag.Kind {
 	case ftl.TagData:
@@ -149,25 +141,10 @@ func (s *Scheme) migrate(tag flash.Tag, old, new flash.PPN) {
 		}
 		s.AMT.SetAPPN(idx, new)
 	case ftl.TagMap:
-		if !s.ms.OnMigrate(tag.Key, old, new) {
-			panic("acrossftl: GC moved a translation page the map store does not own")
-		}
+		s.amt.OnMigrate(tag.Key, old, new)
 	default:
 		panic("acrossftl: GC met a foreign page tag")
 	}
-}
-
-// touchAMT charges one AMT entry access: a DRAM access plus whatever flash
-// work the cached-mapping-table decides is needed. It returns the serial
-// DRAM delay and the time the entry is usable for dependent flash ops.
-func (s *Scheme) touchAMT(idx int32, dirty bool, now float64) (delay, ready float64, err error) {
-	delay = s.Dev.DRAMAccess(1)
-	eff := s.cmt.Touch(int64(idx), dirty)
-	if trc := s.Dev.Tracer(); trc != nil {
-		trc.CacheAccess(obs.CacheMapping, !eff.MissRead, now)
-	}
-	ready, err = s.ms.ApplyEffect(eff, s.cmt.PageOf(int64(idx)), now)
-	return delay, ready, err
 }
 
 var _ ftl.Scheme = (*Scheme)(nil)

@@ -8,8 +8,8 @@ import (
 )
 
 // SnapshotState implements snapshot.Snapshotter: Base plus the across-page
-// mapping table, its DRAM cache, the flash map store, the policy options
-// and the cumulative statistics. Per-request scratch buffers are excluded.
+// mapping table, its paged table (DRAM cache and flash spill), the policy
+// options and the cumulative statistics. Per-request scratch buffers are excluded.
 func (s *Scheme) SnapshotState(enc *snapshot.Encoder) error {
 	enc.Tag("scheme:Across-FTL")
 	if err := s.SnapshotBase(enc); err != nil {
@@ -18,10 +18,7 @@ func (s *Scheme) SnapshotState(enc *snapshot.Encoder) error {
 	if err := s.AMT.SnapshotState(enc); err != nil {
 		return err
 	}
-	if err := s.cmt.SnapshotState(enc); err != nil {
-		return err
-	}
-	if err := s.ms.SnapshotState(enc); err != nil {
+	if err := s.amt.SnapshotState(enc); err != nil {
 		return err
 	}
 	enc.I64(int64(s.opts.AMTCachePages))
@@ -42,7 +39,7 @@ func (s *Scheme) SnapshotState(enc *snapshot.Encoder) error {
 
 // RestoreState implements snapshot.Snapshotter. The receiver must be built
 // with the same options as the snapshotted scheme: AMTCachePages sizes the
-// cache (enforced structurally by the CMT shape check) and DisableAMerge is
+// cache (enforced structurally by the paged table's LRU shape check) and DisableAMerge is
 // a pure policy bit, restored directly.
 func (s *Scheme) RestoreState(dec *snapshot.Decoder) error {
 	dec.Tag("scheme:Across-FTL")
@@ -52,10 +49,7 @@ func (s *Scheme) RestoreState(dec *snapshot.Decoder) error {
 	if err := s.AMT.RestoreState(dec); err != nil {
 		return err
 	}
-	if err := s.cmt.RestoreState(dec); err != nil {
-		return err
-	}
-	if err := s.ms.RestoreState(dec); err != nil {
+	if err := s.amt.RestoreState(dec); err != nil {
 		return err
 	}
 	amtCachePages := dec.I64()
@@ -88,5 +82,5 @@ func (s *Scheme) RestoreState(dec *snapshot.Decoder) error {
 func (s *Scheme) CopyState(src ftl.Scheme) int64 {
 	from := src.(*Scheme)
 	s.opts, s.stats = from.opts, from.stats
-	return s.CopyBase(&from.Base) + s.AMT.CopyState(from.AMT) + s.cmt.CopyState(from.cmt) + s.ms.CopyState(from.ms)
+	return s.CopyBase(&from.Base) + s.AMT.CopyState(from.AMT) + s.amt.CopyState(from.amt)
 }

@@ -80,11 +80,10 @@ func (s *Scheme) directWrite(w span, now float64, join *clock.Join) (float64, er
 	if err != nil {
 		return mapDelay, err
 	}
-	d, _, err := s.touchAMT(idx, true, now)
-	if err != nil {
+	mapDelay += s.Dev.DRAMAccess(1)
+	if _, _, err := s.amt.Touch(int64(idx), true, now); err != nil {
 		return mapDelay, err
 	}
-	mapDelay += d
 	join.Add(done)
 	s.stats.DirectWrites++
 	if trc := s.Dev.Tracer(); trc != nil {
@@ -99,11 +98,10 @@ func (s *Scheme) directWrite(w span, now float64, join *clock.Join) (float64, er
 func (s *Scheme) supersedeAndWrite(r trace.Request, confl []area, now float64, join *clock.Join) (float64, error) {
 	var mapDelay float64
 	for _, a := range confl {
-		d, _, err := s.touchAMT(a.idx, true, now)
-		if err != nil {
+		mapDelay += s.Dev.DRAMAccess(1)
+		if _, _, err := s.amt.Touch(int64(a.idx), true, now); err != nil {
 			return mapDelay, err
 		}
-		mapDelay += d
 		if err := s.dissolve(a.idx); err != nil {
 			return mapDelay, err
 		}
@@ -125,11 +123,11 @@ func (s *Scheme) aMerge(w, union span, confl []area, profitable bool, now float6
 	issue := now
 	covered := append(s.covBuf[:0], w)
 	for _, a := range confl {
-		d, ready, err := s.touchAMT(a.idx, true, now)
+		mapDelay += s.Dev.DRAMAccess(1)
+		ready, _, err := s.amt.Touch(int64(a.idx), true, now)
 		if err != nil {
 			return mapDelay, err
 		}
-		mapDelay += d
 		sp := s.spanOf(a.e)
 		covered = append(covered, sp)
 		if !w.contains(sp) {
@@ -178,11 +176,10 @@ func (s *Scheme) aMerge(w, union span, confl []area, profitable bool, now float6
 	if err != nil {
 		return mapDelay, err
 	}
-	d, _, err := s.touchAMT(idx, true, now)
-	if err != nil {
+	mapDelay += s.Dev.DRAMAccess(1)
+	if _, _, err := s.amt.Touch(int64(idx), true, now); err != nil {
 		return mapDelay, err
 	}
-	mapDelay += d
 	join.Add(done)
 	if profitable {
 		s.stats.ProfitableAMerge++
@@ -210,11 +207,11 @@ func (s *Scheme) rollback(r trace.Request, w span, confl []area, now float64, jo
 	// Rescue area contents the write does not replace.
 	areaSpans := s.spanBuf[:0]
 	for _, a := range confl {
-		d, ready, err := s.touchAMT(a.idx, true, now)
+		mapDelay += s.Dev.DRAMAccess(1)
+		ready, _, err := s.amt.Touch(int64(a.idx), true, now)
 		if err != nil {
 			return mapDelay, err
 		}
-		mapDelay += d
 		sp := s.spanOf(a.e)
 		areaSpans = append(areaSpans, sp)
 		if !w.contains(sp) {

@@ -1,10 +1,10 @@
 // Package cache provides the DRAM-side caching machinery of the FTL: a
-// hand-rolled intrusive LRU and, on top of it, a cached mapping table (CMT)
-// that models DFTL-style translation-page caching. MRSM runs its whole
-// (oversized) mapping table through the CMT; Across-FTL runs only its AMT
-// through it; the baseline FTL's table fits in DRAM and bypasses it. The
-// miss/eviction accounting of this package is the mechanism behind the
-// Map components of Fig 10 and the DRAM overheads of Fig 12.
+// hand-rolled intrusive LRU of translation-page ids and the statistics of a
+// table cached through it. ftl.PagedTable builds DFTL-style demand paging on
+// the two; MRSM runs its whole (oversized) mapping table through one,
+// Across-FTL only its AMT, DFTL its PMT, and the baseline FTL's table fits in
+// DRAM and bypasses it. The miss/eviction accounting is the mechanism behind
+// the Map components of Fig 10 and the DRAM overheads of Fig 12.
 package cache
 
 // lruNode is an intrusive doubly-linked-list node keyed by an int64 id.
@@ -131,6 +131,10 @@ func (l *LRU) Remove(key int64) (wasResident, wasDirty bool) {
 	n.next, l.free = l.free, n
 	return true, wasDirty
 }
+
+// DirtyMRU sets the dirty bit of the most recently used key, which must
+// exist: Touch of that key with dirty set, for a caller that knows it.
+func (l *LRU) DirtyMRU() { l.head.dirty = true }
 
 // Clean clears the dirty bit of a resident key (after its contents were
 // flushed out of band).

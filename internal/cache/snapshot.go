@@ -71,46 +71,6 @@ func (l *LRU) RestoreState(dec *snapshot.Decoder) error {
 	return nil
 }
 
-// SnapshotState appends the CMT's grouping factor, its LRU residency state
-// and the cumulative statistics.
-func (c *CMT) SnapshotState(enc *snapshot.Encoder) error {
-	enc.Tag("cmt")
-	enc.I64(int64(c.entriesPerPage))
-	if err := c.lru.SnapshotState(enc); err != nil {
-		return err
-	}
-	enc.I64(c.stats.Lookups)
-	enc.I64(c.stats.Hits)
-	enc.I64(c.stats.Misses)
-	enc.I64(c.stats.DirtyEvicts)
-	enc.I64(c.stats.CleanEvicts)
-	return nil
-}
-
-// RestoreState reads state written by SnapshotState into a CMT constructed
-// with the same grouping factor and residency budget.
-func (c *CMT) RestoreState(dec *snapshot.Decoder) error {
-	dec.Tag("cmt")
-	epp := dec.I64()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if epp != int64(c.entriesPerPage) {
-		return fmt.Errorf("cache: snapshot CMT has %d entries/page, receiver has %d", epp, c.entriesPerPage)
-	}
-	if err := c.lru.RestoreState(dec); err != nil {
-		return err
-	}
-	c.stats = CMTStats{
-		Lookups:     dec.I64(),
-		Hits:        dec.I64(),
-		Misses:      dec.I64(),
-		DirtyEvicts: dec.I64(),
-		CleanEvicts: dec.I64(),
-	}
-	return dec.Err()
-}
-
 // CopyState makes the LRU a copy of src, an LRU of the same capacity and
 // key space: src's residents re-inserted LRU-first, as RestoreState does, which
 // reproduces its recency order. It returns the bytes of the nodes built.
@@ -122,11 +82,4 @@ func (l *LRU) CopyState(src *LRU) int64 {
 		l.Touch(n.key, n.dirty)
 	}
 	return int64(unsafe.Sizeof(lruNode{})) * int64(l.size)
-}
-
-// CopyState makes the CMT a copy of src, a CMT of the same shape, and
-// returns the bytes copied.
-func (c *CMT) CopyState(src *CMT) int64 {
-	c.stats = src.stats
-	return c.lru.CopyState(src.lru)
 }

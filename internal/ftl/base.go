@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math/bits"
 
-	"across/internal/cache"
 	"across/internal/clock"
 	"across/internal/flash"
 	"across/internal/mapping"
-	"across/internal/obs"
 	"across/internal/ssdconf"
 	"across/internal/trace"
 )
@@ -26,11 +24,8 @@ type Base struct {
 	sppShift int         // log2(SPP), or -1 when SPP is no power of two; see pageSpan
 	splitBuf []PageSlice // reused by Split; valid until the next Split call
 
-	// cmt and ms demand-page the PMT (DFTL): cmt decides which translation
-	// pages are resident, ms holds the rest in flash. Both nil means the
-	// whole table is in DRAM.
-	cmt *cache.CMT
-	ms  *MapStore
+	// pmt demand-pages the PMT (DFTL); nil means the whole table is in DRAM.
+	pmt *PagedTable
 }
 
 // NewBase wires a fresh device, allocator and PMT for a configuration.
@@ -167,19 +162,6 @@ func (b *Base) Split(r trace.Request) []PageSlice {
 	return out
 }
 
-// touchPMT charges one access to a demand-paged PMT entry through the
-// translation cache and returns (serial DRAM delay, time the entry is
-// usable). The DRAM-resident table's access is inline in the loops below.
-func (b *Base) touchPMT(lpn int64, dirty bool, now float64) (float64, float64, error) {
-	delay := b.Dev.DRAMAccess(1)
-	eff := b.cmt.Touch(lpn, dirty)
-	if trc := b.Dev.Tracer(); trc != nil {
-		trc.CacheAccess(obs.CacheMapping, !eff.MissRead, now)
-	}
-	ready, err := b.ms.ApplyEffect(eff, b.cmt.PageOf(lpn), now)
-	return delay, ready, err
-}
-
 // WritePages is the page-mapped write path, taken by every write of FTL and
 // DFTL and by Across-FTL's writes that touch no area: per page slice of r,
 // one PMT access, a read of the old page when the slice is partial and the
@@ -188,15 +170,14 @@ func (b *Base) touchPMT(lpn int64, dirty bool, now float64) (float64, float64, e
 func (b *Base) WritePages(r trace.Request, now float64, join *clock.Join) (float64, error) {
 	var mapDelay float64
 	for _, ps := range b.Split(r) {
+		mapDelay += b.Dev.DRAMAccess(1) // PMT lookup + update
 		ready := now
-		if b.cmt == nil {
-			mapDelay += b.Dev.DRAMAccess(1) // PMT lookup + update
-		} else {
-			d, at, err := b.touchPMT(ps.LPN, true, now)
+		if b.pmt != nil {
+			at, _, err := b.pmt.Touch(ps.LPN, true, now)
 			if err != nil {
 				return mapDelay, err
 			}
-			mapDelay, ready = mapDelay+d, at
+			ready = at
 		}
 		issue := ready
 		if old := b.PMT.PPNOf(ps.LPN); old != flash.NilPPN && !ps.Full(b.SPP) {
@@ -222,15 +203,14 @@ func (b *Base) WritePages(r trace.Request, now float64, join *clock.Join) (float
 func (b *Base) readPages(r trace.Request, now float64, join *clock.Join) (float64, error) {
 	var mapDelay float64
 	for _, ps := range b.Split(r) {
+		mapDelay += b.Dev.DRAMAccess(1)
 		ready := now
-		if b.cmt == nil {
-			mapDelay += b.Dev.DRAMAccess(1)
-		} else {
-			d, at, err := b.touchPMT(ps.LPN, false, now)
+		if b.pmt != nil {
+			at, _, err := b.pmt.Touch(ps.LPN, false, now)
 			if err != nil {
 				return mapDelay, err
 			}
-			mapDelay, ready = mapDelay+d, at
+			ready = at
 		}
 		ppn := b.PMT.PPNOf(ps.LPN)
 		if ppn == flash.NilPPN {

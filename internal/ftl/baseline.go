@@ -34,7 +34,7 @@ func NewBaseline(conf *ssdconf.Config) (*Baseline, error) {
 
 // Name implements Scheme.
 func (s *Baseline) Name() string {
-	if s.cmt != nil {
+	if s.pmt != nil {
 		return "DFTL"
 	}
 	return "FTL"
@@ -49,16 +49,16 @@ func (s *Baseline) TableBytes() int64 {
 // CMTStats exposes translation-cache behaviour: zero when the table is
 // resident.
 func (s *Baseline) CMTStats() cache.CMTStats {
-	if s.cmt == nil {
+	if s.pmt == nil {
 		return cache.CMTStats{}
 	}
-	return s.cmt.Stats()
+	return s.pmt.Stats()
 }
 
 // ResetStats clears cache statistics between warm-up and measurement.
 func (s *Baseline) ResetStats() {
-	if s.cmt != nil {
-		s.cmt.ResetStats()
+	if s.pmt != nil {
+		s.pmt.ResetStats()
 	}
 }
 
@@ -66,10 +66,8 @@ func (s *Baseline) migrate(tag flash.Tag, old, new flash.PPN) {
 	switch {
 	case tag.Kind == TagData:
 		s.MigrateData(tag, old, new)
-	case tag.Kind == TagMap && s.ms != nil:
-		if !s.ms.OnMigrate(tag.Key, old, new) {
-			panic("ftl: GC moved a translation page the map store does not own")
-		}
+	case tag.Kind == TagMap && s.pmt != nil:
+		s.pmt.OnMigrate(tag.Key, old, new)
 	default:
 		panic("ftl: baseline GC met a foreign page tag")
 	}

@@ -23,7 +23,7 @@ const (
 	// TagAcross marks an across-page area page; Key is the AMT index.
 	TagAcross
 	// TagMap marks a flash-resident translation page; Key is the
-	// translation-page id within the owning scheme's MapStore.
+	// translation-page id within the owning scheme's PagedTable.
 	TagMap
 	// TagMRSM marks an MRSM sub-page-packed data page; the owner resolves
 	// migrations through its per-PPN slot table, so Key is unused.

@@ -1,7 +1,7 @@
 package ftl
 
 import (
-	"across/internal/cache"
+	"across/internal/obs"
 	"across/internal/ssdconf"
 )
 
@@ -29,15 +29,10 @@ func NewDFTLWithCache(conf *ssdconf.Config, residentPages int) (*Baseline, error
 	if err != nil {
 		return nil, err
 	}
-	entriesPerPage := conf.PageBytes / conf.MapEntryBytes
-	totalPages := s.PMT.Len()/int64(entriesPerPage) + 1
+	perPage := conf.PageBytes / conf.MapEntryBytes
 	if residentPages == 0 {
-		residentPages = int(float64(totalPages) * DefaultDFTLCacheFrac)
+		residentPages = int(float64(s.PMT.Len()/int64(perPage)+1) * DefaultDFTLCacheFrac)
 	}
-	if residentPages < 2 {
-		residentPages = 2
-	}
-	s.cmt = cache.NewCMTDense(entriesPerPage, residentPages, s.PMT.Len())
-	s.ms = NewMapStore(s.Dev, s.Al, totalPages)
+	s.pmt = NewPagedTable(s.Dev, s.Al, obs.CachePMT, perPage, max(residentPages, 2), s.PMT.Len())
 	return s, nil
 }

@@ -20,39 +20,34 @@ func tinyDFTL(t *testing.T, resident int) (*Baseline, *ssdconf.Config) {
 	return s, &c
 }
 
+// On Tiny one translation page holds all 224 PMT entries, so the cache
+// never spills; 512-byte entries put 16 to a page and two resident pages
+// keep most of the table in flash.
 func TestDFTLSpillsUnderCachePressure(t *testing.T) {
-	s, c := tinyDFTL(t, 2) // two resident translation pages
-	// Tiny config: 1024 entries per translation page covers all 224 LPNs in
-	// one page, so shrink the grouping via a bigger entry to force spread.
-	_ = c
-	// Scatter writes over the whole logical space; with only 2 resident
-	// pages and 1 total translation page the cache never spills on Tiny.
-	// Use a config with small pages to get several translation pages.
-	c2 := ssdconf.Tiny()
-	c2.MapEntryBytes = 512 // 16 entries per translation page
-	s2, err := NewDFTLWithCache(&c2, 2)
+	c := ssdconf.Tiny()
+	c.MapEntryBytes = 512 // 16 entries per translation page
+	s, err := NewDFTLWithCache(&c, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 600; i++ {
-		off := rng.Int63n(c2.LogicalSectors()/2-16) / 16 * 16
-		if _, err := s2.Write(trace.Request{Op: trace.OpWrite, Offset: off, Count: 16}, float64(i)); err != nil {
+		off := rng.Int63n(c.LogicalSectors()/2-16) / 16 * 16
+		if _, err := s.Write(trace.Request{Op: trace.OpWrite, Offset: off, Count: 16}, float64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s2.Dev.Count.MapWrites == 0 || s2.Dev.Count.MapReads == 0 {
-		t.Fatalf("no map traffic under pressure: %+v", s2.Dev.Count)
+	if s.Dev.Count.MapWrites == 0 || s.Dev.Count.MapReads == 0 {
+		t.Fatalf("no map traffic under pressure: %+v", s.Dev.Count)
 	}
-	st := s2.CMTStats()
+	st := s.CMTStats()
 	if st.Misses == 0 {
 		t.Fatal("no CMT misses recorded")
 	}
-	s2.ResetStats()
-	if s2.CMTStats().Lookups != 0 {
+	s.ResetStats()
+	if s.CMTStats().Lookups != 0 {
 		t.Fatal("ResetStats did not clear")
 	}
-	_ = s
 }
 
 // flashLog records the flash commands a device serves.

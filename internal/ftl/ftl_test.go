@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"across/internal/flash"
-	"across/internal/snapshot"
 	"across/internal/ssdconf"
 	"across/internal/trace"
 )
@@ -318,70 +317,6 @@ func TestDeviceResetMeasurementKeepsState(t *testing.T) {
 	}
 }
 
-func TestMapStoreLazyMaterialisation(t *testing.T) {
-	c := ssdconf.Tiny()
-	dev, err := NewDevice(&c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	al := NewAllocator(dev, nil)
-	ms := NewMapStore(dev, al, 8)
-	// Cold load: free.
-	if done, err := ms.Load(7, 3); err != nil || done != 3 {
-		t.Fatalf("cold Load = (%v,%v), want (3,nil)", done, err)
-	}
-	if dev.Count.MapReads != 0 {
-		t.Fatal("cold load touched flash")
-	}
-	// Flush materialises; subsequent load costs a read.
-	if _, err := ms.Flush(7, 3); err != nil {
-		t.Fatal(err)
-	}
-	if dev.Count.MapWrites != 1 {
-		t.Fatalf("MapWrites = %d, want 1", dev.Count.MapWrites)
-	}
-	if _, err := ms.Load(7, 4); err != nil {
-		t.Fatal(err)
-	}
-	if dev.Count.MapReads != 1 {
-		t.Fatalf("MapReads = %d, want 1", dev.Count.MapReads)
-	}
-	// Re-flush invalidates the old location.
-	if _, err := ms.Flush(7, 5); err != nil {
-		t.Fatal(err)
-	}
-	if ms.Resident() != 1 {
-		t.Fatalf("Resident = %d, want 1", ms.Resident())
-	}
-	_, _, invalid := dev.Array.CountStates()
-	if invalid != 1 {
-		t.Fatalf("invalid pages = %d, want 1 (superseded translation page)", invalid)
-	}
-}
-
-func TestMapStoreMigration(t *testing.T) {
-	c := ssdconf.Tiny()
-	dev, _ := NewDevice(&c)
-	al := NewAllocator(dev, nil)
-	ms := NewMapStore(dev, al, 8)
-	if _, err := ms.Flush(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	var old flash.PPN
-	for p := flash.PPN(0); ; p++ {
-		if dev.Array.State(p) == flash.PageValid {
-			old = p
-			break
-		}
-	}
-	if !ms.OnMigrate(1, old, old+100) {
-		t.Fatal("OnMigrate refused a correct relocation")
-	}
-	if ms.OnMigrate(1, old, old+200) {
-		t.Fatal("OnMigrate accepted a stale relocation")
-	}
-}
-
 // Every scheme's constructor goes through NewBase, the PMT's owner: a device
 // of 2^31 pages is refused before the array or the table is allocated.
 func TestNewBaseRefusesGeometryPast32Bits(t *testing.T) {
@@ -394,67 +329,6 @@ func TestNewBaseRefusesGeometryPast32Bits(t *testing.T) {
 	} {
 		if err := build(); !errors.Is(err, flash.ErrGeometryTooLarge) {
 			t.Errorf("%s(2^31 pages) err = %v, want flash.ErrGeometryTooLarge", name, err)
-		}
-	}
-}
-
-// The store is a dense table over the ids its owner declared: an id outside
-// it has no location, cannot be flushed, and is refused on restore — as are
-// a duplicated id and a location outside the device.
-func TestMapStoreBoundsItsTable(t *testing.T) {
-	c := ssdconf.Tiny()
-	dev, err := NewDevice(&c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := NewMapStore(dev, NewAllocator(dev, nil), 4)
-	for _, id := range []int64{-1, 4} {
-		if done, err := ms.Load(id, 3); err != nil || done != 3 {
-			t.Errorf("Load(%d) = (%v,%v), want a free cold load", id, done, err)
-		}
-		if _, err := ms.Flush(id, 3); err == nil {
-			t.Errorf("Flush(%d) accepted an id outside the table", id)
-		}
-		if ms.OnMigrate(id, 0, 1) {
-			t.Errorf("OnMigrate(%d) accepted an id outside the table", id)
-		}
-	}
-	if ms.Resident() != 0 || dev.Count.MapWrites != 0 {
-		t.Fatalf("refused flushes left %d resident pages, %d map writes", ms.Resident(), dev.Count.MapWrites)
-	}
-
-	pages := dev.Array.Geo.TotalPages()
-	for _, tc := range []struct {
-		name      string
-		ids, ppns []int64
-		ok        bool
-	}{
-		{"in range", []int64{0, 3}, []int64{5, 6}, true},
-		{"id past the table", []int64{0, 4}, []int64{5, 6}, false},
-		{"negative id", []int64{-1}, []int64{5}, false},
-		{"duplicate id", []int64{2, 2}, []int64{5, 6}, false},
-		{"location past the device", []int64{1}, []int64{pages}, false},
-		{"location 2^40", []int64{1}, []int64{1 << 40}, false},
-	} {
-		enc := snapshot.NewEncoder()
-		enc.Tag("mapstore")
-		enc.I64s(tc.ids)
-		enc.I64s(tc.ppns)
-		blob, err := enc.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := snapshot.NewDecoder(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh := NewMapStore(dev, NewAllocator(dev, nil), 4)
-		err = fresh.RestoreState(dec)
-		if tc.ok != (err == nil) {
-			t.Errorf("%s: RestoreState err = %v, want ok=%v", tc.name, err, tc.ok)
-		}
-		if tc.ok && fresh.Resident() != len(tc.ids) {
-			t.Errorf("%s: Resident = %d, want %d", tc.name, fresh.Resident(), len(tc.ids))
 		}
 	}
 }

@@ -54,10 +54,10 @@ func RecoverAllocator(dev *Device, onMigrate MigrateFunc) (*Allocator, error) {
 }
 
 // RecoverBaseline mounts a baseline FTL over a crashed device by scanning
-// every valid page's OOB tag: TagData pages rebuild the PMT; stale
-// translation pages (none for the baseline, but a recovered device may have
-// been written by a scheme that spilled maps) and any padding are
-// invalidated. It returns an error on tags the baseline cannot own.
+// every valid page's OOB tag: TagData pages rebuild the PMT. Any other valid
+// page is refused with an error, translation pages included, so a device a
+// scheme spilled maps onto (DFTL's among them) does not mount. Padding is
+// invalid from the moment it is written, so the scan never meets it.
 func RecoverBaseline(dev *Device) (*Baseline, error) {
 	base, err := RecoverBase(dev)
 	if err != nil {

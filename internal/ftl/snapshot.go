@@ -3,6 +3,7 @@ package ftl
 import (
 	"fmt"
 
+	"across/internal/cache"
 	"across/internal/flash"
 	"across/internal/snapshot"
 )
@@ -78,17 +79,29 @@ func (a *Allocator) RestoreState(dec *snapshot.Decoder) error {
 	return nil
 }
 
-// SnapshotState appends the materialised translation pages as parallel id
-// and location columns in ascending id order, the format's canonical one.
-func (m *MapStore) SnapshotState(enc *snapshot.Encoder) error {
+// SnapshotState appends the table under two tags: "cmt", its grouping
+// factor, its LRU residency and its statistics, then "mapstore", the
+// materialised translation pages as parallel id and location columns in
+// ascending id order, the format's canonical one.
+func (t *PagedTable) SnapshotState(enc *snapshot.Encoder) error {
+	enc.Tag("cmt")
+	enc.I64(t.perPage)
+	if err := t.lru.SnapshotState(enc); err != nil {
+		return err
+	}
+	enc.I64(t.stats.Lookups)
+	enc.I64(t.stats.Hits)
+	enc.I64(t.stats.Misses)
+	enc.I64(t.stats.DirtyEvicts)
+	enc.I64(t.stats.CleanEvicts)
 	enc.Tag("mapstore")
-	// resident writes, for each resident page in id order, what of picks of
-	// it; a column's blocks arrive in order, so the walk resumes at next.
+	// resident writes, for each materialised page in id order, what of picks
+	// of it; a column's blocks arrive in order, so the walk resumes at next.
 	resident := func(of func(id int, ppn int32) int64) {
 		next := 0
-		enc.Column(m.resident, 8, func(dst []byte, _ int) {
+		enc.Column(t.resident, 8, func(dst []byte, _ int) {
 			for i := 0; i < len(dst)/8; next++ {
-				if ppn := m.loc[next]; flash.PPN(ppn) != flash.NilPPN {
+				if ppn := t.loc[next]; flash.PPN(ppn) != flash.NilPPN {
 					snapshot.PutI64(dst, i, of(next, ppn))
 					i++
 				}
@@ -100,31 +113,51 @@ func (m *MapStore) SnapshotState(enc *snapshot.Encoder) error {
 	return nil
 }
 
-// RestoreState reads state written by SnapshotState, refusing a duplicated
-// id, an id outside the owner's table and a location outside the device.
-func (m *MapStore) RestoreState(dec *snapshot.Decoder) error {
+// RestoreState reads state written by SnapshotState into a fresh table of
+// the same shape, refusing another grouping factor or LRU shape, a
+// duplicated page id, an id outside the table and a location outside the
+// device.
+func (t *PagedTable) RestoreState(dec *snapshot.Decoder) error {
+	dec.Tag("cmt")
+	perPage := dec.I64()
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	if perPage != t.perPage {
+		return fmt.Errorf("ftl: snapshot paged table has %d entries/page, receiver has %d", perPage, t.perPage)
+	}
+	if err := t.lru.RestoreState(dec); err != nil {
+		return err
+	}
+	t.stats = cache.CMTStats{
+		Lookups:     dec.I64(),
+		Hits:        dec.I64(),
+		Misses:      dec.I64(),
+		DirtyEvicts: dec.I64(),
+		CleanEvicts: dec.I64(),
+	}
 	dec.Tag("mapstore")
 	var ids []int32 // wait for their locations; grows as they arrive
-	m.resident = dec.Column(8, -1, func(src []byte, _ int) error {
+	t.resident = dec.Column(8, -1, func(src []byte, _ int) error {
 		for i := range len(src) / 8 {
 			id := snapshot.I64(src, i)
-			if id < 0 || id >= int64(len(m.loc)) {
-				return fmt.Errorf("%w: map store page %d outside [0,%d)", snapshot.ErrCorrupt, id, len(m.loc))
+			if id < 0 || id >= int64(len(t.loc)) {
+				return fmt.Errorf("%w: map store page %d outside [0,%d)", snapshot.ErrCorrupt, id, len(t.loc))
 			}
 			ids = append(ids, int32(id))
 		}
 		return nil
 	})
-	dec.Column(8, m.resident, func(src []byte, first int) error {
+	dec.Column(8, t.resident, func(src []byte, first int) error {
 		for i := range len(src) / 8 {
 			id, ppn := ids[first+i], flash.PPN(snapshot.I64(src, i))
-			if flash.PPN(m.loc[id]) != flash.NilPPN {
+			if flash.PPN(t.loc[id]) != flash.NilPPN {
 				return fmt.Errorf("ftl: snapshot map store page %d duplicated", id)
 			}
-			if err := m.dev.Array.Geo.CheckPPN(ppn); err != nil {
+			if err := t.dev.Array.Geo.CheckPPN(ppn); err != nil {
 				return fmt.Errorf("%w: map store page %d: %v", snapshot.ErrCorrupt, id, err)
 			}
-			m.loc[id] = int32(ppn)
+			t.loc[id] = int32(ppn)
 		}
 		return nil
 	})
@@ -133,8 +166,8 @@ func (m *MapStore) RestoreState(dec *snapshot.Decoder) error {
 
 // SnapshotBase appends the state shared by every scheme: chip and bus
 // timelines, operation counters, the flash array, the allocator and the
-// page mapping table, then, when the table is demand-paged, its cache and
-// the on-flash translation-page locations. Schemes embed Base and call this
+// page mapping table, then, when the table is demand-paged, its paged
+// table. Schemes embed Base and call this
 // first from their SnapshotState.
 func (b *Base) SnapshotBase(enc *snapshot.Encoder) error {
 	enc.Tag("base")
@@ -161,13 +194,10 @@ func (b *Base) SnapshotBase(enc *snapshot.Encoder) error {
 	if err := b.Al.SnapshotState(enc); err != nil {
 		return err
 	}
-	if err := b.PMT.SnapshotState(enc); err != nil || b.cmt == nil {
+	if err := b.PMT.SnapshotState(enc); err != nil || b.pmt == nil {
 		return err
 	}
-	if err := b.cmt.SnapshotState(enc); err != nil {
-		return err
-	}
-	return b.ms.SnapshotState(enc)
+	return b.pmt.SnapshotState(enc)
 }
 
 // RestoreBase reads state written by SnapshotBase.
@@ -199,13 +229,10 @@ func (b *Base) RestoreBase(dec *snapshot.Decoder) error {
 	if err := b.Al.RestoreState(dec); err != nil {
 		return err
 	}
-	if err := b.PMT.RestoreState(dec); err != nil || b.cmt == nil {
+	if err := b.PMT.RestoreState(dec); err != nil || b.pmt == nil {
 		return err
 	}
-	if err := b.cmt.RestoreState(dec); err != nil {
-		return err
-	}
-	return b.ms.RestoreState(dec)
+	return b.pmt.RestoreState(dec)
 }
 
 // SnapshotState implements snapshot.Snapshotter: the baseline FTL and DFTL
@@ -238,11 +265,11 @@ func (a *Allocator) CopyState(src *Allocator) int64 {
 	return 8 * int64(n)
 }
 
-// CopyState makes the store a copy of src, a store over the same
-// translation-page ids, and returns the bytes copied.
-func (m *MapStore) CopyState(src *MapStore) int64 {
-	m.resident = src.resident
-	return 4 * int64(copy(m.loc, src.loc))
+// CopyState makes the table a copy of src, a table of the same shape, and
+// returns the bytes copied.
+func (t *PagedTable) CopyState(src *PagedTable) int64 {
+	t.stats, t.resident = src.stats, src.resident
+	return t.lru.CopyState(src.lru) + 4*int64(copy(t.loc, src.loc))
 }
 
 // CopyBase copies the state SnapshotBase writes from src, a Base built for
@@ -252,8 +279,8 @@ func (b *Base) CopyBase(src *Base) int64 {
 	b.Dev.Count = src.Dev.Count
 	n := b.Dev.Sched.CopyState(src.Dev.Sched) + b.Dev.Bus.CopyState(src.Dev.Bus) +
 		b.Dev.Array.CopyState(src.Dev.Array) + b.Al.CopyState(src.Al) + b.PMT.CopyState(src.PMT)
-	if b.cmt != nil {
-		n += b.cmt.CopyState(src.cmt) + b.ms.CopyState(src.ms)
+	if b.pmt != nil {
+		n += b.pmt.CopyState(src.pmt)
 	}
 	return n
 }

@@ -9,10 +9,9 @@ import (
 // This file defines the scheme-side vocabulary of the verification layer
 // (internal/check): where a logical sector's current contents live, the Claim
 // an audit hands each verified owned page to, and the shared audit helpers
-// for the structures every scheme embeds (the PMT and the MapStore). The
-// interfaces themselves — Auditable and
-// SectorResolver — are declared in internal/check; schemes satisfy them
-// structurally without importing it.
+// for the structures every scheme embeds (the PMT and the PagedTable). The
+// interfaces themselves — Auditable and SectorResolver — are declared in
+// internal/check; schemes satisfy them structurally without importing it.
 
 // SourceKind says where a logical sector's current contents live.
 type SourceKind uint8
@@ -141,12 +140,12 @@ func (b *Base) VisitWritten(fn func(start, end int64)) {
 	}
 }
 
-// Audit verifies the map store's referential integrity — every materialised
+// Audit verifies the table's referential integrity — every materialised
 // translation page must be a valid flash page tagged as that translation
 // page — and hands each verified page to claim.
-func (m *MapStore) Audit(claim Claim) error {
-	arr := m.dev.Array
-	for id, loc := range m.loc {
+func (t *PagedTable) Audit(claim Claim) error {
+	arr := t.dev.Array
+	for id, loc := range t.loc {
 		ppn := flash.PPN(loc)
 		if ppn == flash.NilPPN {
 			continue
@@ -173,8 +172,8 @@ func (m *MapStore) Audit(claim Claim) error {
 // given.
 func (s *Baseline) AuditMapping(claim ...Claim) error {
 	own := ClaimOf(claim)
-	if err := s.AuditPMT(own); err != nil || s.ms == nil {
+	if err := s.AuditPMT(own); err != nil || s.pmt == nil {
 		return err
 	}
-	return s.ms.Audit(own)
+	return s.pmt.Audit(own)
 }

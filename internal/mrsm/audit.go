@@ -8,7 +8,7 @@ import (
 )
 
 // AuditMapping implements check.Auditable: the sub-page location table, the
-// per-page slot census, the pack buffer and the map store must agree with
+// per-page slot census, the pack buffer and the node table must agree with
 // each other and with the flash array. Each censused page and translation
 // page, once verified, goes to the claim when one is given.
 //
@@ -84,7 +84,7 @@ func (s *Scheme) AuditMapping(claim ...ftl.Claim) error {
 	if mapped != occupied {
 		return s.strayOwner(mapped, occupied)
 	}
-	return s.ms.Audit(own)
+	return s.nodes.Audit(own)
 }
 
 // strayOwner names the occupied census slot no mapped sub-page holds — its

@@ -73,9 +73,8 @@ type Scheme struct {
 	pageOwner []int32 // ppn*subPerPg + slot -> logical sub-page
 	pageLive  []uint8 // ppn -> live slot count
 
-	cmt       *cache.CMT    // cached mapping table over sub-page entries
-	ms        *ftl.MapStore // flash residence of spilled map pages
-	nodeDirty []int32       // un-persisted updates per tree node, indexed by node id
+	nodes     *ftl.PagedTable // the tree's nodes over sub-page entries, demand-paged
+	nodeDirty []int32         // un-persisted updates per tree node, indexed by node id
 
 	// Pack buffer: sub-pages accumulated in controller RAM until a full
 	// physical page can be programmed. At most subPerPg entries, so
@@ -126,12 +125,11 @@ func New(conf *ssdconf.Config) (*Scheme, error) {
 		subLoc:    make([]int32, totalSub),
 		pageOwner: make([]int32, totalPages*int64(subPerPg)),
 		pageLive:  make([]uint8, totalPages),
-		cmt:       cache.NewCMTDense(nodeEntries, residentNodes, totalSub),
 		nodeDirty: make([]int32, numNodes),
 	}
 	fillUnmapped(s.subLoc)
 	fillUnmapped(s.pageOwner)
-	s.ms = ftl.NewMapStore(s.Dev, s.Al, numNodes)
+	s.nodes = ftl.NewPagedTable(s.Dev, s.Al, obs.CacheNode, nodeEntries, residentNodes, totalSub)
 	s.Al.SetMigrate(s.migrate)
 	s.Al.SetSalvage(s.salvage)
 	s.Al.SetPrefetch(s.prefetchSalvage)
@@ -173,17 +171,17 @@ func (s *Scheme) TableBytes() int64 {
 // (the paper quotes 42.1%).
 func (s *Scheme) ResidentFraction() float64 {
 	nodeBytes := int64(nodeEntries * s.Conf.MRSMEntryBytes)
-	return float64(int64(s.cmt.ResidentPages())*nodeBytes) / float64(s.TableBytes())
+	return float64(int64(s.nodes.ResidentPages())*nodeBytes) / float64(s.TableBytes())
 }
 
 // CMTStats exposes mapping-cache behaviour.
-func (s *Scheme) CMTStats() cache.CMTStats { return s.cmt.Stats() }
+func (s *Scheme) CMTStats() cache.CMTStats { return s.nodes.Stats() }
 
 // ResetStats clears cache statistics after warm-up.
-func (s *Scheme) ResetStats() { s.cmt.ResetStats() }
+func (s *Scheme) ResetStats() { s.nodes.ResetStats() }
 
 // migrate is the GC callback: MRSM data pages move wholesale (slot layout
-// preserved); translation pages route to the map store; plain data pages
+// preserved); translation pages route to the node table; plain data pages
 // never exist under MRSM, so TagData is foreign.
 func (s *Scheme) migrate(tag flash.Tag, old, new flash.PPN) {
 	switch tag.Kind {
@@ -204,9 +202,7 @@ func (s *Scheme) migrate(tag flash.Tag, old, new flash.PPN) {
 		s.pageLive[new] = s.pageLive[old]
 		s.pageLive[old] = 0
 	case ftl.TagMap:
-		if !s.ms.OnMigrate(tag.Key, old, new) {
-			panic("mrsm: GC moved a translation page the map store does not own")
-		}
+		s.nodes.OnMigrate(tag.Key, old, new)
 	default:
 		panic("mrsm: GC met a foreign page tag")
 	}
@@ -218,41 +214,35 @@ func (s *Scheme) migrate(tag flash.Tag, old, new flash.PPN) {
 type nodeRun struct{ node, end int64 }
 
 // touchEntry charges one sub-page mapping access: a tree walk in DRAM plus
-// the cached-mapping-table effects. run carries the request's node from
-// touch to touch; a nil run looks every sub-page's node up.
+// the node table's flash work. run carries the request's node from touch to
+// touch; a nil run looks every sub-page's node up.
 //
-// A sub-page in run's node is a Rehit: that node is still the cache's most
+// A sub-page in run's node is a Rehit: that node is still the table's most
 // recently used, because between two touches of one request nothing else
-// touches the cache. GC (migrate, salvage), the map store's flushes and
-// loads, and the checkpoint below only read and write flash and the
-// scheme's own tables; MarkClean clears a dirty bit and keeps the order.
+// touches the table. GC (migrate, salvage), the table's flushes and loads,
+// and the checkpoint below only read and write flash and the scheme's own
+// tables; WriteBack clears a dirty bit and keeps the order.
 func (s *Scheme) touchEntry(sub int64, run *nodeRun, dirty bool, now float64) (delay, ready float64, err error) {
 	walk := s.depth
 	if dirty {
 		walk *= 2 // descend, then modify and rebalance back up
 	}
 	delay = s.Dev.DRAMAccess(walk)
-	var (
-		eff  cache.Effect
-		node int64
-	)
+	var node int64
 	if run != nil && sub < run.end {
-		s.cmt.Rehit(dirty)
-		node = run.node
+		s.nodes.Rehit(dirty, now)
+		node, ready = run.node, now
 	} else {
-		eff = s.cmt.Touch(sub, dirty)
-		node = s.cmt.PageOf(sub)
+		var flushed int64
+		node = sub / nodeEntries
+		ready, flushed, err = s.nodes.Touch(sub, dirty, now)
+		if flushed >= 0 {
+			s.nodeDirty[flushed] = 0
+		}
 		if run != nil {
-			run.node, run.end = node, (node+1)*int64(s.cmt.EntriesPerPage())
+			run.node, run.end = node, (node+1)*nodeEntries
 		}
 	}
-	if trc := s.Dev.Tracer(); trc != nil {
-		trc.CacheAccess(obs.CacheMapping, !eff.MissRead, now)
-	}
-	if eff.FlushWrite {
-		s.nodeDirty[eff.Victim] = 0
-	}
-	ready, err = s.ms.ApplyEffect(eff, node, now)
 	if err != nil || !dirty {
 		return delay, ready, err
 	}
@@ -261,10 +251,9 @@ func (s *Scheme) touchEntry(sub int64, run *nodeRun, dirty bool, now float64) (d
 	// the triggering request.
 	if s.nodeDirty[node]++; s.nodeDirty[node] >= maxNodeDirty {
 		s.nodeDirty[node] = 0
-		if _, ferr := s.ms.Flush(node, now); ferr != nil {
-			return delay, ready, ferr
+		if err := s.nodes.WriteBack(node, now); err != nil {
+			return delay, ready, err
 		}
-		s.cmt.MarkClean(node)
 	}
 	return delay, ready, nil
 }

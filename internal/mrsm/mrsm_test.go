@@ -438,7 +438,7 @@ func TestMRSMCarriesNoPageTable(t *testing.T) {
 	if bare.Dev.Array.TotalErases() == 0 {
 		t.Fatal("churn never triggered GC")
 	}
-	if bare.Dev.Count != full.Dev.Count || bare.cmt.Stats() != full.cmt.Stats() || !slices.Equal(bare.subLoc, full.subLoc) {
+	if bare.Dev.Count != full.Dev.Count || bare.nodes.Stats() != full.nodes.Stats() || !slices.Equal(bare.subLoc, full.subLoc) {
 		t.Error("the replay with a page table differs from the one without")
 	}
 	for _, s := range []*Scheme{bare, full} {

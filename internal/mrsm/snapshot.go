@@ -8,9 +8,9 @@ import (
 )
 
 // SnapshotState implements snapshot.Snapshotter: Base plus the sub-page
-// mapping, the cached mapping table with its per-node dirty counts, the flash
-// map store and the live pack buffer. The packed-page census is the mapping
-// inverted, and RestoreState rebuilds it; request-scoped scratch
+// mapping, the per-node dirty counts, the live pack buffer and the node
+// table (its DRAM cache and flash spill). The packed-page census is the
+// mapping inverted, and RestoreState rebuilds it; request-scoped scratch
 // (ppnScratch, subsPool, ownersBuf) is excluded.
 func (s *Scheme) SnapshotState(enc *snapshot.Encoder) error {
 	enc.Tag("scheme:MRSM")
@@ -20,10 +20,7 @@ func (s *Scheme) SnapshotState(enc *snapshot.Encoder) error {
 	steps(enc, s.subLoc)
 	enc.I32s(s.nodeDirty)
 	enc.I64s(s.bufList)
-	if err := s.cmt.SnapshotState(enc); err != nil {
-		return err
-	}
-	return s.ms.SnapshotState(enc)
+	return s.nodes.SnapshotState(enc)
 }
 
 // steps writes the location table as each entry's wrapping difference from
@@ -79,10 +76,7 @@ func (s *Scheme) RestoreState(dec *snapshot.Decoder) error {
 		}
 	}
 	s.bufList = append(s.bufList[:0], bufList...)
-	if err := s.cmt.RestoreState(dec); err != nil {
-		return err
-	}
-	if err := s.ms.RestoreState(dec); err != nil {
+	if err := s.nodes.RestoreState(dec); err != nil {
 		return err
 	}
 	return dec.Err()
@@ -150,5 +144,5 @@ func (s *Scheme) CopyState(src ftl.Scheme) int64 {
 	s.bufList = append(s.bufList[:0], from.bufList...)
 	n := 4*copy(s.subLoc, from.subLoc) + 4*copy(s.pageOwner, from.pageOwner) + copy(s.pageLive, from.pageLive) +
 		4*copy(s.nodeDirty, from.nodeDirty) + 8*len(s.bufList)
-	return int64(n) + s.CopyBase(&from.Base) + s.cmt.CopyState(from.cmt) + s.ms.CopyState(from.ms)
+	return int64(n) + s.CopyBase(&from.Base) + s.nodes.CopyState(from.nodes)
 }

@@ -117,20 +117,24 @@ func (k AcrossKind) String() string {
 	return fmt.Sprintf("AcrossKind(%d)", uint8(k))
 }
 
-// CacheKind labels which cache an access event belongs to.
+// CacheKind names the demand-paged mapping table an access event belongs to.
 type CacheKind uint8
 
 const (
-	// CacheMapping is a cached-mapping-table (CMT) translation access —
-	// Across-FTL's AMT cache, MRSM's tree-node cache, DFTL's page cache.
-	CacheMapping CacheKind = iota
+	CachePMT  CacheKind = iota // DFTL's page mapping table
+	CacheAMT                   // Across-FTL's across-page mapping table
+	CacheNode                  // MRSM's tree nodes
 )
 
 // String implements fmt.Stringer.
 func (k CacheKind) String() string {
 	switch k {
-	case CacheMapping:
-		return "cmt"
+	case CachePMT:
+		return "pmt"
+	case CacheAMT:
+		return "amt"
+	case CacheNode:
+		return "node"
 	}
 	return fmt.Sprintf("CacheKind(%d)", uint8(k))
 }
@@ -161,7 +165,7 @@ type Tracer interface {
 	// AcrossEvent records an Across-FTL plan decision over the request's
 	// sector window.
 	AcrossEvent(kind AcrossKind, startSector, sectors int64, at float64)
-	// CacheAccess records a mapping-cache or host-data-cache access.
+	// CacheAccess records an access to a demand-paged mapping table.
 	CacheAccess(kind CacheKind, hit bool, at float64)
 	// Flush finalises the sink (writes trailers, flushes buffers). The
 	// tracer must not be used afterwards.

@@ -20,8 +20,8 @@ func driveTracer(t Tracer) {
 	t.GCSpan(2, 1, 3, 1.3, 4.1)
 	t.FlashOp(FlashErase, 3, 1, 512, 1.3, 4.1)
 	t.AcrossEvent(AcrossMergeProfitable, 128, 32, 1.5)
-	t.CacheAccess(CacheMapping, true, 1.6)
-	t.CacheAccess(CacheMapping, false, 1.7)
+	t.CacheAccess(CacheAMT, true, 1.6)
+	t.CacheAccess(CacheNode, false, 1.7)
 	t.RequestEnd(0, true, 2.2)
 }
 

@@ -130,11 +130,13 @@ func forkCases(t *testing.T) []forkCase {
 
 // The mid-replay checkpoints hold the state an aged device does not: MRSM
 // sub-pages waiting in the pack buffer, live across-page areas, dirty
-// translation pages in a CMT. Without them the tests below would pass over
-// columns that were never exercised.
+// translation pages in a paged table's LRU. Without them the tests below
+// would pass over columns that were never exercised.
 func TestForkCasesHoldTransientState(t *testing.T) {
+	table := map[string]string{"MRSM/mid-replay": "nodes", "Across-FTL/mid-replay": "amt"}
 	for _, tc := range forkCases(t) {
-		if tc.name != "MRSM/mid-replay" && tc.name != "Across-FTL/mid-replay" {
+		field, ok := table[tc.name]
+		if !ok {
 			continue
 		}
 		cp, err := OpenCheckpoint(tc.blob)
@@ -143,11 +145,11 @@ func TestForkCasesHoldTransientState(t *testing.T) {
 		}
 		scheme := reflect.ValueOf(cp.template.Scheme).Elem()
 		dirty := false
-		for n := scheme.FieldByName("cmt").Elem().FieldByName("lru").Elem().FieldByName("head"); !n.IsNil(); n = n.Elem().FieldByName("next") {
+		for n := scheme.FieldByName(field).Elem().FieldByName("lru").Elem().FieldByName("head"); !n.IsNil(); n = n.Elem().FieldByName("next") {
 			dirty = dirty || n.Elem().FieldByName("dirty").Bool()
 		}
 		if !dirty {
-			t.Errorf("%s: no dirty translation page in the CMT", tc.name)
+			t.Errorf("%s: no dirty translation page in the %s table", tc.name, field)
 		}
 		if a, ok := cp.template.Scheme.(*acrossftl.Scheme); ok && a.AMT.Live() == 0 {
 			t.Errorf("%s: no live across-page area", tc.name)

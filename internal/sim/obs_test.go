@@ -316,31 +316,49 @@ func TestSamplerFinalSampleMatchesResult(t *testing.T) {
 	}
 }
 
-// TestTracedReplayJSONLParses decodes every line a traced replay writes.
+// TestTracedReplayJSONLParses decodes every line a traced replay writes. A
+// scheme's cache events name its own demand-paged table, and only it: FTL's
+// table is resident and emits none.
 func TestTracedReplayJSONLParses(t *testing.T) {
 	reqs := smallTrace(t, 0.01)
-	var buf bytes.Buffer
-	trc := obs.NewJSONLTracer(&buf)
-	replayObserved(t, KindAcross, reqs, trc, nil)
-	if err := trc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	dec := json.NewDecoder(&buf)
-	kinds := map[string]int{}
-	for dec.More() {
-		var ev obs.Event
-		if err := dec.Decode(&ev); err != nil {
-			t.Fatalf("undecodable event line: %v", err)
-		}
-		kinds[ev.Ev]++
-	}
-	for _, want := range []string{"req_start", "req_end", "flash", "gc_victim", "gc", "across", "cache"} {
-		if kinds[want] == 0 {
-			t.Errorf("no %q events in an aged Across-FTL replay (got %v)", want, kinds)
-		}
-	}
-	if kinds["req_start"] != len(reqs) || kinds["req_end"] != len(reqs) {
-		t.Errorf("request span count %d/%d, want %d each", kinds["req_start"], kinds["req_end"], len(reqs))
+	for _, tc := range []struct {
+		kind  SchemeKind
+		table string
+	}{{KindFTL, ""}, {KindDFTL, "pmt"}, {KindAcross, "amt"}, {KindMRSM, "node"}} {
+		kind, table := tc.kind, tc.table
+		t.Run(string(kind), func(t *testing.T) {
+			var buf bytes.Buffer
+			trc := obs.NewJSONLTracer(&buf)
+			replayObserved(t, kind, reqs, trc, nil)
+			if err := trc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			dec := json.NewDecoder(&buf)
+			kinds, tables := map[string]int{}, map[string]int{}
+			for dec.More() {
+				var ev obs.Event
+				if err := dec.Decode(&ev); err != nil {
+					t.Fatalf("undecodable event line: %v", err)
+				}
+				kinds[ev.Ev]++
+				if ev.Ev == "cache" {
+					tables[ev.Cache]++
+				}
+			}
+			if kind == KindAcross {
+				for _, want := range []string{"req_start", "req_end", "flash", "gc_victim", "gc", "across", "cache"} {
+					if kinds[want] == 0 {
+						t.Errorf("no %q events in an aged Across-FTL replay (got %v)", want, kinds)
+					}
+				}
+			}
+			if kinds["req_start"] != len(reqs) || kinds["req_end"] != len(reqs) {
+				t.Errorf("request span count %d/%d, want %d each", kinds["req_start"], kinds["req_end"], len(reqs))
+			}
+			if table == "" && len(tables) != 0 || table != "" && (len(tables) != 1 || tables[table] == 0) {
+				t.Errorf("cache events by table %v, want only %q", tables, table)
+			}
+		})
 	}
 }
 
